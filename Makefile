@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check build vet test bench bindsmoke golden fuzz chaos fleet profsmoke migsmoke scalesmoke tiersmoke critsmoke
+.PHONY: check build vet fmt test bench bindsmoke golden fuzz chaos fleet profsmoke migsmoke scalesmoke tiersmoke critsmoke
 
-## check: the tier-1 verification — build, vet, race-enabled tests, a
-## short fuzz smoke over the hardened wire decoder, the fleet scheduler
-## smoke, the sharded-engine scale smoke, the profiler/breakdown CLI
-## smoke, the shared-image bind smoke, the mid-offload migration
-## smoke, the multi-tier placement smoke, and the span-tracing smoke.
-check: build vet fleet scalesmoke profsmoke bindsmoke migsmoke tiersmoke critsmoke
+## check: the tier-1 verification — build, vet, gofmt cleanliness,
+## race-enabled tests, a short fuzz smoke over the hardened wire decoder,
+## the fleet scheduler smoke, the sharded-engine scale smoke, the
+## profiler/breakdown CLI smoke, the shared-image bind smoke, the
+## mid-offload migration smoke, the multi-tier placement smoke, and the
+## span-tracing smoke.
+check: build vet fmt fleet scalesmoke profsmoke bindsmoke migsmoke tiersmoke critsmoke
 	$(GO) test -race ./...
 	$(GO) test ./internal/offrt/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 
@@ -49,6 +50,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+## fmt: every Go file must be gofmt-clean (prints the offenders and fails).
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 test:
 	$(GO) test ./...

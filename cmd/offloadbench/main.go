@@ -237,7 +237,7 @@ func main() {
 				return err
 			}
 			if *migrateOut != "" {
-				if err := experiments.WriteMigrateBench(*migrateOut, bench); err != nil {
+				if err := experiments.WriteBench(*migrateOut, bench); err != nil {
 					return err
 				}
 				fmt.Printf("migrate: %d seeds -> %s\n", bench.Seeds, *migrateOut)
@@ -257,7 +257,7 @@ func main() {
 			}
 			fmt.Println(experiments.FleetTable(results))
 			if *fleetOut != "" {
-				if err := experiments.WriteFleetBench(*fleetOut, results); err != nil {
+				if err := experiments.WriteBench(*fleetOut, results); err != nil {
 					return err
 				}
 				fmt.Printf("fleet: %d cells -> %s\n", len(results), *fleetOut)
@@ -277,7 +277,7 @@ func main() {
 				return err
 			}
 			if *tiersOut != "" {
-				if err := experiments.WriteTierBench(*tiersOut, bench); err != nil {
+				if err := experiments.WriteBench(*tiersOut, bench); err != nil {
 					return err
 				}
 				fmt.Printf("tiers: %d cells -> %s\n", len(bench.Cells), *tiersOut)
@@ -304,7 +304,7 @@ func main() {
 				return err
 			}
 			if *scaleOut != "" {
-				if err := experiments.WriteFleetScaleBench(*scaleOut, bench); err != nil {
+				if err := experiments.WriteBench(*scaleOut, bench); err != nil {
 					return err
 				}
 				fmt.Printf("fleetscale: %d-core bench -> %s\n", bench.Cores, *scaleOut)

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/fleet"
 	"repro/internal/report"
@@ -55,24 +53,4 @@ func FleetTable(results []*fleet.Result) *report.Table {
 	t.Note("same seed and workload per row group; policies differ only in routing")
 	t.Note("est-aware extends the Equation-1 gate with the live queueing-delay signal")
 	return t
-}
-
-// FleetJSON marshals a sweep into the machine-readable bench record.
-// Deterministic: same sweep, same bytes.
-func FleetJSON(results []*fleet.Result) ([]byte, error) {
-	out, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
-// WriteFleetBench writes the sweep record to path (BENCH_fleet.json under
-// make bench).
-func WriteFleetBench(path string, results []*fleet.Result) error {
-	out, err := FleetJSON(results)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
 }

@@ -15,7 +15,7 @@ func TestFleetSweepDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := FleetJSON(res)
+		out, err := BenchJSON(res)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -328,14 +327,4 @@ func ScaleTable(b *ScaleBench) *report.Table {
 			c.Retained, c.Clients, c.SlowRetained, c.Exemplars, c.CompleteTrees, c.SumExact, c.RingEvents, c.RingCap))
 	}
 	return t
-}
-
-// WriteFleetScaleBench writes the record to path (BENCH_fleet_scale.json
-// under make bench).
-func WriteFleetScaleBench(path string, b *ScaleBench) error {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -290,27 +288,4 @@ func MigrateTable(b *MigrateBench) *report.Table {
 	t.Note("aggregate: migrate p99 %.2f ms vs fallback %.2f ms, migrate geomean %.2f ms vs fallback %.2f ms",
 		b.MigrateP99Ms, b.FallbackP99Ms, b.MigrateGeoMs, b.FallbackGeoMs)
 	return t
-}
-
-// MigrateJSON marshals the bench record. Deterministic: same sweep, same
-// bytes.
-func MigrateJSON(b *MigrateBench) ([]byte, error) {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
-// WriteMigrateBench writes the record to path (BENCH_migrate.json under
-// make bench) after enforcing the floor.
-func WriteMigrateBench(path string, b *MigrateBench) error {
-	if err := b.CheckFloor(); err != nil {
-		return err
-	}
-	out, err := MigrateJSON(b)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
 }

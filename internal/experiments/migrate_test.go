@@ -73,11 +73,11 @@ func TestMigrateBenchDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, err := MigrateJSON(a)
+	ja, err := BenchJSON(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb, err := MigrateJSON(b)
+	jb, err := BenchJSON(b)
 	if err != nil {
 		t.Fatal(err)
 	}

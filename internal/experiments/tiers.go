@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 
 	"repro/internal/fleet"
 	"repro/internal/report"
@@ -206,29 +205,6 @@ func TierTable(b *TierBench) *report.Table {
 		b.ThreeWayGeoMs, b.EdgeOnlyGeoMs, b.CloudOnlyGeoMs)
 	t.Note("shard parity: %v (every 3-way cell re-run on 4 shards, compared byte for byte)", b.ShardParity)
 	return t
-}
-
-// TierJSON marshals the bench record. Deterministic: same sweep, same
-// bytes.
-func TierJSON(b *TierBench) ([]byte, error) {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
-// WriteTierBench writes the record to path (BENCH_tiers.json under make
-// bench) after enforcing the floor.
-func WriteTierBench(path string, b *TierBench) error {
-	if err := b.CheckFloor(); err != nil {
-		return err
-	}
-	out, err := TierJSON(b)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
 }
 
 // TierBenchLoads is the default load ladder of the tier benchmark: from

@@ -22,7 +22,7 @@ func TestTierSweepFloor(t *testing.T) {
 	if got, want := len(b.Cells), len(TierBenchLoads())*len(tiers.Modes()); got != want {
 		t.Fatalf("sweep produced %d cells, want %d", got, want)
 	}
-	a, err := TierJSON(b)
+	a, err := BenchJSON(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestTierSweepFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := TierJSON(b2)
+	c, err := BenchJSON(b2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,8 @@
 // server. This package generalizes that shape toward the production-scale
 // system the ROADMAP names: every client keeps the paper's dynamic
 // Equation-1 gate, but the break-even point now includes the *queueing
-// delay* a shared server charges (estimate.ProfitableQueued), so a busy
+// delay* a shared server charges (estimate.PlacementMargin, which over a
+// single tier is exactly estimate.ProfitableQueuedMargin), so a busy
 // fleet flips marginal tasks back to local execution. On top sit a
 // pluggable load-balancing dispatcher (random, round-robin, least-loaded,
 // est-aware) and admission control that sheds requests past a queue-depth
@@ -132,8 +133,9 @@ type Config struct {
 	// first), dispatch becomes the est-aware 3-way placement gate
 	// (estimate.Placement) and, with Migrate on, saturated-edge arrivals
 	// demote to the cloud and freed edge slots promote running cloud jobs
-	// back, both over the topology's WAN backhaul. Nil keeps the flat
-	// single-tier fleet.
+	// back, both over the topology's WAN backhaul. Nil is the flat fleet:
+	// the same gate over one tier with no cloud option, where it is
+	// exactly the paper's binary gate, open to every policy.
 	Tiers *tiers.Topology
 
 	// Migrate enables mid-flight recovery of the work a failed server was

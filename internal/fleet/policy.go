@@ -46,34 +46,19 @@ type dispatcher struct {
 	rr     int // round-robin cursor
 }
 
-// pick chooses the server for a request a client decides to offload at
-// instant now: tm is the task's mobile execution time, up/down the
-// transfer times over this client's link. It returns the server index and
-// the estimated queueing delay there (the load signal the gate charges).
-// Crashed and draining servers are out of rotation for every policy; with
-// nobody up, pick returns -1 and the client runs the task locally.
-func (d *dispatcher) pick(servers []*server, now simtime.PS, tm simtime.PS, up, down simtime.PS) (int, simtime.PS) {
-	return d.pickAmong(servers, nil, now, tm, up, down)
-}
-
-// pickAmong is pick restricted to a candidate index subset (nil means
-// the whole pool). The tiered dispatcher runs one pick per tier and
-// lets the 3-way placement gate arbitrate between the winners.
+// pickAmong chooses the server, among the candidate index set, for a
+// request a client decides to offload at instant now: tm is the task's
+// mobile execution time, up/down the transfer times over this client's
+// path to that set. It returns the server index and the estimated
+// queueing delay there (the load signal the gate charges). The decision
+// core runs one pick per tier and lets the placement gate arbitrate
+// between the winners. Crashed and draining servers are out of rotation
+// for every policy; with nobody up, it returns -1.
 func (d *dispatcher) pickAmong(servers []*server, candidates []int, now simtime.PS, tm simtime.PS, up, down simtime.PS) (int, simtime.PS) {
-	var alive []int
-	if candidates == nil {
-		alive = make([]int, 0, len(servers))
-		for i, s := range servers {
-			if !s.down {
-				alive = append(alive, i)
-			}
-		}
-	} else {
-		alive = make([]int, 0, len(candidates))
-		for _, i := range candidates {
-			if !servers[i].down {
-				alive = append(alive, i)
-			}
+	alive := make([]int, 0, len(candidates))
+	for _, i := range candidates {
+		if !servers[i].down {
+			alive = append(alive, i)
 		}
 	}
 	if len(alive) == 0 {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/simtime"
+	"repro/internal/tiers"
 )
 
 // Stats is the raw, mergeable tally one engine lane accumulates while a
@@ -193,6 +194,68 @@ type Result struct {
 	// only): per-job critical-path decompositions whose segments sum exactly
 	// to the job's end-to-end latency.
 	Exemplars []Exemplar `json:"exemplars,omitempty"`
+}
+
+// finishRun checks the end-of-run invariants and assembles the Result
+// from the merged stats.
+func (m *machine) finishRun(st *Stats, now simtime.PS) (*Result, error) {
+	for i, s := range m.servers {
+		s.advance(now)
+		// Slot-accounting invariants: every reservation must have
+		// materialized or been released, and every occupied slot drained —
+		// including on servers that died mid-service.
+		if s.reserved != 0 {
+			return nil, fmt.Errorf("fleet: server %d leaked %v of reservations at end of run", i, s.reserved)
+		}
+		if s.busy != 0 {
+			return nil, fmt.Errorf("fleet: server %d ended with %d occupied slots", i, s.busy)
+		}
+	}
+	if got := st.Offloads + st.Declines + st.Sheds + st.Fallbacks; got != st.Requests {
+		return nil, fmt.Errorf("fleet: request accounting broken: %d completed of %d issued", got, st.Requests)
+	}
+	cfg := m.cfg
+	res := &Result{
+		Policy:         string(cfg.Policy),
+		Queue:          cfg.Queue.String(),
+		Clients:        cfg.Clients,
+		Servers:        len(cfg.Servers),
+		Seed:           cfg.Seed,
+		Requests:       st.Requests,
+		Offloads:       st.Offloads,
+		Dispatched:     st.Dispatched,
+		Declines:       st.Declines,
+		Sheds:          st.Sheds,
+		Fallbacks:      st.Fallbacks,
+		Migrations:     st.Migrations,
+		Retried:        st.Retried,
+		DeadlineMisses: st.DeadlineMisses,
+		Events:         st.Events,
+	}
+	res.QueueWait = m.hWait.Snapshot()
+	res.E2E = st.E2E.Snapshot()
+	if m.topo != nil {
+		res.TierMode = string(m.topo.EffectiveMode())
+		res.EdgeServers = m.topo.Edge.Servers
+		res.CloudServers = m.topo.Cloud.Servers
+		res.EdgeOffloads = st.EdgeOffloads
+		res.CloudOffloads = st.CloudOffloads
+		res.Promotions = st.Promotions
+		res.Demotions = st.Demotions
+		eh := m.hWaitTier[tiers.Edge].Snapshot()
+		ch := m.hWaitTier[tiers.Cloud].Snapshot()
+		res.QueueWaitEdge, res.QueueWaitCloud = &eh, &ch
+	}
+	res.finish(st.Latencies, m.servers, now)
+	res.publish(cfg.Metrics, m.servers)
+	if m.samp != nil {
+		// Flush the retained exemplars' span trees last: the ring keeps
+		// newest, so the trees survive whatever the live stream dropped.
+		res.Exemplars = m.samp.flush(cfg.Tracer)
+	}
+	res.TraceDropped = cfg.Tracer.Dropped()
+	cfg.Tracer.PublishDropped(cfg.Metrics)
+	return res, nil
 }
 
 // percentile returns the q-quantile (0..1) of sorted latencies by nearest

@@ -362,15 +362,15 @@ func (sp *sampler) flush(tr *obs.Tracer) []Exemplar {
 // retention categories and the exact critical-path segments. Segments sum
 // to LatencyPS — the machine-readable form of the analyzer's identity.
 type Exemplar struct {
-	Job        int64      `json:"job"`
-	Parent     int64      `json:"parent_job,omitempty"`
-	Client     int32      `json:"client"`
-	Server     int32      `json:"server"` // final server, -1 local
-	Tier       string     `json:"tier,omitempty"`
-	Outcome    string     `json:"outcome"`
-	Missed     bool       `json:"missed,omitempty"`
-	LatencyPS  int64      `json:"latency_ps"`
-	Categories []string   `json:"categories"`
+	Job        int64       `json:"job"`
+	Parent     int64       `json:"parent_job,omitempty"`
+	Client     int32       `json:"client"`
+	Server     int32       `json:"server"` // final server, -1 local
+	Tier       string      `json:"tier,omitempty"`
+	Outcome    string      `json:"outcome"`
+	Missed     bool        `json:"missed,omitempty"`
+	LatencyPS  int64       `json:"latency_ps"`
+	Categories []string    `json:"categories"`
 	Segments   []ExSegment `json:"segments"`
 }
 

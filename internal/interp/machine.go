@@ -156,13 +156,16 @@ type Config struct {
 // private compiled code. The module must already be lowered (ir.Lower)
 // against cfg.Std.
 //
-// Deprecated: for the compile-once/instantiate-many path, use Compile to
-// build a shared *Program (optionally through a CompilationCache) and
-// Program.NewInstance to bind sessions to it — instances share the
-// pre-decoded code and the initial memory image copy-on-write, so binding
-// is O(1) and per-session resident bytes shrink to the pages actually
-// written. NewMachine remains for callers that need a private memory (a
-// caller-supplied cfg.Mem) or lazy compilation of not-yet-lowered modules.
+// NewMachine is not deprecated: it is the private-memory reference that
+// TestBindSmoke and the engine-equivalence tests compare shared
+// instances against, and the entry point for callers that need a
+// caller-supplied cfg.Mem or lazy compilation of not-yet-lowered
+// modules. Serving paths that bind many sessions to one program should
+// use Compile to build a shared *Program (optionally through a
+// CompilationCache) and Program.NewInstance instead — instances share
+// the pre-decoded code and the initial memory image copy-on-write, so
+// binding is O(1) and per-session resident bytes shrink to the pages
+// actually written.
 func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.Std == nil {
 		cfg.Std = cfg.Spec

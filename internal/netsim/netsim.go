@@ -296,12 +296,6 @@ func (v Verdict) String() string {
 	return [...]string{"delivered", "dropped", "corrupted"}[v]
 }
 
-// Stats is the legacy name of LinkStats.
-//
-// Deprecated: use LinkStats; session-level counters moved to
-// offrt.SessionStats.
-type Stats = LinkStats
-
 // TotalBytes returns traffic in both directions.
 func (s *LinkStats) TotalBytes() int64 { return s.BytesToServer + s.BytesToMobile }
 

@@ -64,7 +64,7 @@ func WithMetrics(m *obs.Metrics) Option { return func(c *config) { c.metrics = m
 
 // WithEstimatorRatio overrides the server/mobile performance ratio R of
 // Equation 1; 0 (the default) derives it from the two machines' cycle
-// times. Supersedes the deprecated Policy.R.
+// times. It is the only ratio override.
 func WithEstimatorRatio(r float64) Option { return func(c *config) { c.ratio = r } }
 
 // WithFaults installs a deterministic link fault injector: every wire
@@ -215,9 +215,6 @@ func NewSession(mobile, server *interp.Machine, link *netsim.Link, opts ...Optio
 		s.PerTask[t.TaskID] = &TaskStats{}
 	}
 	r := cfg.ratio
-	if r == 0 {
-		r = cfg.pol.R
-	}
 	if r == 0 {
 		r = float64(mobile.Spec.CyclePS) / float64(server.Spec.CyclePS)
 	}

@@ -56,11 +56,6 @@ type Policy struct {
 	// optimization ("keeping the communicated data in a buffer and
 	// sending the buffer once", Section 4).
 	BatchOutput bool
-	// R overrides the performance ratio used by the dynamic estimator;
-	// 0 derives it from the two machines' cycle times.
-	//
-	// Deprecated: pass WithEstimatorRatio to NewSession instead.
-	R float64
 }
 
 const (
