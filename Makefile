@@ -1,49 +1,20 @@
 GO ?= go
 
-.PHONY: check build vet fmt test bench bindsmoke golden fuzz chaos fleet profsmoke migsmoke scalesmoke tiersmoke critsmoke
+.PHONY: check build vet fmt test smoke bench golden fuzz chaos profsmoke
 
-## check: the tier-1 verification — build, vet, gofmt cleanliness,
-## race-enabled tests, a short fuzz smoke over the hardened wire decoder,
-## the fleet scheduler smoke, the sharded-engine scale smoke, the
-## profiler/breakdown CLI smoke, the shared-image bind smoke, the
-## mid-offload migration smoke, the multi-tier placement smoke, and the
-## span-tracing smoke.
-check: build vet fmt fleet scalesmoke profsmoke bindsmoke migsmoke tiersmoke critsmoke
+## check: the tier-1 verification — build, vet, gofmt cleanliness, the
+## profiler/breakdown CLI smoke, every test under the race detector (the
+## Test*Smoke contract tests included: each states its contract in its own
+## doc comment), and a short fuzz smoke over the hardened wire decoder.
+check: build vet fmt profsmoke
 	$(GO) test -race ./...
 	$(GO) test ./internal/offrt/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 
-## bindsmoke: the O(1)-bind contract — a fresh copy-on-write instance of a
-## cached Program must hold zero private resident bytes (binding may not
-## allocate a full image copy) and start bit-identical to a private machine.
-bindsmoke:
-	$(GO) test ./internal/interp/ -run '^TestBindSmoke$$' -count=1
-
-## scalesmoke: the sharded-engine contract at a size worth trusting — a
-## 10k-client sweep through the parallel engine must finish promptly and
-## match the sequential reference byte for byte.
-scalesmoke:
-	FLEET_SCALESMOKE=1 $(GO) test ./internal/fleet/ -run '^TestScaleSmoke$$' -count=1
-
-## migsmoke: the mid-offload migration contract — a drain halfway through
-## an offloaded task checkpoints, ships and resumes on a spare with output
-## and memory digest bit-identical to the fault-free run, and the shipped
-## checkpoint scales with dirty pages (a fresh instance ships zero).
-migsmoke:
-	$(GO) test ./internal/offrt/ -run '^TestMigrationSmoke$$' -count=1
-
-## tiersmoke: the multi-tier placement contract — a hot 3-way cell must
-## beat both static baselines on geomean, actually promote and demote
-## across the backhaul, and stay byte-identical across shard counts.
-tiersmoke:
-	$(GO) test ./internal/fleet/ -run '^TestTierSmoke$$' -count=1
-
-## critsmoke: the span-tracing contract — a tiered cell with the tail
-## sampler on must retain exactly the slowest-K jobs with complete span
-## trees inside the ring bound, each exemplar's critical-path segments
-## must sum bit-exactly to its end-to-end latency, and the retained set
-## must be byte-identical across shard counts.
-critsmoke:
-	$(GO) test ./internal/fleet/ -run '^TestCritSmoke$$' -count=1
+## smoke: the quick loop — only the Test*Smoke contract tests (O(1) bind,
+## shard invariance at 10k clients, mid-offload migration, multi-tier
+## placement, span tracing), without the race detector.
+smoke:
+	$(GO) test -run 'Smoke$$' -count=1 ./...
 
 build:
 	$(GO) build ./...
@@ -84,10 +55,10 @@ bench:
 	$(GO) test -run '^$$' -bench 'PageFaultTrace' -benchmem ./internal/obs/
 	BENCH_JSON=$(CURDIR)/BENCH_interp.json $(GO) test ./internal/interp/ -run '^TestBenchJSON$$' -count=1 -v
 	BENCH_BIND_JSON=$(CURDIR)/BENCH_bind.json $(GO) test ./internal/interp/ -run '^TestBindBenchJSON$$' -count=1 -v
-	$(GO) run ./cmd/offloadbench -exp fleet -fleet-out=$(CURDIR)/BENCH_fleet.json
-	$(GO) run ./cmd/offloadbench -exp migrate -migrate-out=$(CURDIR)/BENCH_migrate.json
-	$(GO) run ./cmd/offloadbench -exp fleetscale -clients 1000000 -shards 0 -exemplars 64 -scale-out=$(CURDIR)/BENCH_fleet_scale.json
-	$(GO) run ./cmd/offloadbench -exp tiers -tiers-out=$(CURDIR)/BENCH_tiers.json
+	$(GO) run ./cmd/offloadbench -exp fleet -out=$(CURDIR)/BENCH_fleet.json
+	$(GO) run ./cmd/offloadbench -exp migrate -out=$(CURDIR)/BENCH_migrate.json
+	$(GO) run ./cmd/offloadbench -exp fleetscale -clients 1000000 -shards 0 -exemplars 64 -out=$(CURDIR)/BENCH_fleet_scale.json
+	$(GO) run ./cmd/offloadbench -exp tiers -out=$(CURDIR)/BENCH_tiers.json
 
 ## golden: regenerate every golden file (Chrome export, metrics summary,
 ## breakdown tables) through the shared goldentest -update flag.
@@ -106,11 +77,6 @@ profsmoke:
 ## fuzz: a longer fuzzing session over the wire decoder.
 fuzz:
 	$(GO) test ./internal/offrt/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 60s
-
-## fleet: the server-fleet scheduler smoke — determinism, the est-aware
-## vs random property, and admission sheds under overload, under -race.
-fleet:
-	$(GO) test -race ./internal/fleet/ ./internal/experiments/ -run 'Fleet|Pool|Sheds|Admission'
 
 ## chaos: the fault-injection campaign — every workload under the
 ## drop-rate x outage grid, asserting bit-identical output vs fault-free.

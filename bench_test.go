@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (Section 5). Each benchmark reports the headline quantities of its
-// artifact as custom metrics, and the first -v run prints the full rendered
-// table, so
+// (Section 5): one sub-benchmark per Paper entry of the experiments
+// catalogue. Each reports the headline quantities of its artifact as
+// custom metrics, and a -v run prints the full rendered table, so
 //
 //	go test -bench=. -benchmem
 //
@@ -9,169 +9,35 @@
 package repro_test
 
 import (
-	"strconv"
-	"sync"
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/report"
 )
 
-// printOnce renders each artifact a single time regardless of b.N.
-var printOnce sync.Map
-
-func logArtifact(b *testing.B, key, text string) {
-	if _, loaded := printOnce.LoadOrStore(key, true); !loaded {
-		b.Log("\n" + text)
-	}
-}
-
-// BenchmarkTable1 regenerates the chess movement-time comparison
-// (difficulty 7-11, smartphone vs desktop).
-func BenchmarkTable1(b *testing.B) {
-	var gap string
-	for i := 0; i < b.N; i++ {
-		t := experiments.Table1(11)
-		gap = t.Rows[len(t.Rows)-1][3]
-		logArtifact(b, "table1", t.String())
-	}
-	v, err := strconv.ParseFloat(gap, 64)
-	if err != nil {
-		b.Fatalf("parse gap %q: %v", gap, err)
-	}
-	b.ReportMetric(v, "gap_x")
-}
-
-// BenchmarkTable2 renders the Android native-code study.
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logArtifact(b, "table2", experiments.Table2().String())
-	}
-}
-
-// BenchmarkTable3 regenerates the chess profiling/estimation example.
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Table3()
-		if err != nil {
-			b.Fatal(err)
+func BenchmarkPaper(b *testing.B) {
+	p := experiments.DefaultParams()
+	for _, e := range experiments.Catalogue {
+		if !e.Paper {
+			continue
 		}
-		logArtifact(b, "table3", t.String())
-	}
-}
-
-// BenchmarkTable4 regenerates the per-program offload statistics.
-func BenchmarkTable4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Table4()
-		if err != nil {
-			b.Fatal(err)
-		}
-		logArtifact(b, "table4", t.String())
-	}
-}
-
-// BenchmarkTable5 renders the related-work comparison.
-func BenchmarkTable5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logArtifact(b, "table5", experiments.Table5().String())
-	}
-}
-
-// BenchmarkFig6a regenerates the normalized execution times and reports the
-// geomean speedup on the fast network (the paper's 6.42x headline).
-func BenchmarkFig6a(b *testing.B) {
-	var fasts []float64
-	for i := 0; i < b.N; i++ {
-		t, rows, err := experiments.Fig6a()
-		if err != nil {
-			b.Fatal(err)
-		}
-		fasts = fasts[:0]
-		for _, r := range rows {
-			fasts = append(fasts, r.Fast)
-		}
-		logArtifact(b, "fig6a", t.String())
-	}
-	g := report.Geomean(fasts)
-	b.ReportMetric(g, "geomean_norm_time")
-	if g > 0 {
-		b.ReportMetric(1/g, "geomean_speedup_x")
-	}
-}
-
-// BenchmarkFig6b regenerates the normalized battery consumption.
-func BenchmarkFig6b(b *testing.B) {
-	var fasts, slows []float64
-	for i := 0; i < b.N; i++ {
-		t, rows, err := experiments.Fig6b()
-		if err != nil {
-			b.Fatal(err)
-		}
-		fasts, slows = fasts[:0], slows[:0]
-		for _, r := range rows {
-			fasts = append(fasts, r.Fast)
-			slows = append(slows, r.Slow)
-		}
-		logArtifact(b, "fig6b", t.String())
-	}
-	b.ReportMetric(100*(1-report.Geomean(fasts)), "battery_saving_fast_pct")
-	b.ReportMetric(100*(1-report.Geomean(slows)), "battery_saving_slow_pct")
-}
-
-// BenchmarkFig7 regenerates the overhead breakdown.
-func BenchmarkFig7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, _, err := experiments.Fig7()
-		if err != nil {
-			b.Fatal(err)
-		}
-		logArtifact(b, "fig7", t.String())
-	}
-}
-
-// BenchmarkFig8 regenerates the power-over-time traces.
-func BenchmarkFig8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		text, traces, err := experiments.Fig8()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(traces) != 3 {
-			b.Fatalf("want 3 traces, got %d", len(traces))
-		}
-		logArtifact(b, "fig8", text)
-	}
-}
-
-// BenchmarkAblation regenerates the design-choice ablation table.
-func BenchmarkAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, rs, err := experiments.Ablation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, a := range rs {
-			if a.Name == "remote I/O optimization off (gobmk)" && a.Baseline > 0 {
-				b.ReportMetric(a.Ablated/a.Baseline, "remoteIO_slowdown_x")
+		// The artifact is logged a single time regardless of how often the
+		// harness re-enters the sub-benchmark to settle b.N.
+		logged := false
+		b.Run(e.Name, func(b *testing.B) {
+			var a *experiments.Artifact
+			for i := 0; i < b.N; i++ {
+				var err error
+				if a, err = e.Run(p); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		logArtifact(b, "ablation", t.String())
-	}
-}
-
-// BenchmarkCrossArch regenerates the big-endian-server extension table.
-func BenchmarkCrossArch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, rows, err := experiments.CrossArch()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var overhead float64
-		for _, r := range rows {
-			overhead += r.BE32Sec/r.X8664Sec - 1
-		}
-		b.ReportMetric(100*overhead/float64(len(rows)), "endian_overhead_pct")
-		logArtifact(b, "crossarch", t.String())
+			if !logged {
+				b.Log("\n" + a.Text)
+				logged = true
+			}
+			for _, m := range a.Metrics {
+				b.ReportMetric(m.Value, m.Name)
+			}
+		})
 	}
 }

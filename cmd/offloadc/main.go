@@ -13,19 +13,24 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/interp"
-	"repro/internal/ir"
-	"repro/internal/mem"
 	"repro/internal/report"
 	"repro/internal/workloads"
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "offloadc: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	name := flag.String("w", "chess", "workload name (chess or a Table 4 program id)")
 	irFile := flag.String("ir", "", "compile a textual IR program file instead of a named workload")
 	stdin := flag.String("stdin", "", "comma-separated integers fed to the program's scanf calls")
@@ -40,7 +45,7 @@ func main() {
 		for _, w := range workloads.All() {
 			fmt.Printf("%s\t%s\n", w.Name, w.Desc)
 		}
-		return
+		return nil
 	}
 
 	fw := core.NewFramework(core.FastNetwork)
@@ -49,58 +54,39 @@ func main() {
 	fw.CostScale = workloads.ChessCostScale
 	if *irFile != "" {
 		var err error
-		mod, err = loadIR(*irFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "offloadc: %v\n", err)
-			os.Exit(1)
+		if mod, err = cli.LoadIR(*irFile); err != nil {
+			return err
 		}
-		profIO = stdinIO(*stdin)
+		profIO = cli.StdinIO(*stdin)
 		fw.CostScale = *cost
 	} else if *name != "chess" {
 		w := workloads.ByName(*name)
 		if w == nil {
-			fmt.Fprintf(os.Stderr, "offloadc: unknown workload %q (try -list)\n", *name)
-			os.Exit(1)
+			return fmt.Errorf("unknown workload %q (try -list)", *name)
 		}
 		fw = fw.WithScale(workloads.Scale, w.CostScale)
 		mod = w.Build()
 		profIO = w.ProfileIO()
 	}
 
+	// Not fw.Prepare: the profile report is printed between the two steps.
 	prof, err := fw.Profile(mod, profIO)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "offloadc: profile: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("profile: %w", err)
 	}
 	fmt.Println(prof)
 
 	cres, err := fw.Compile(mod, prof)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "offloadc: compile: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("compile: %w", err)
 	}
 
-	t := report.New("candidate estimation (Equation 1)",
-		"Candidate", "Exec(s)", "Inv", "Mem(MB)", "Tg(s)", "Verdict")
-	for _, c := range cres.Candidates {
-		verdict := "rejected"
-		switch {
-		case c.Machine:
-			verdict = c.Reason
-		case c.Selected:
-			verdict = "SELECTED"
-		case c.Est.Tg > 0:
-			verdict = "profitable (nested)"
-		}
-		t.Add(c.Name, c.Time.Seconds(), c.Invocations, float64(c.MemBytes)/1e6, c.Est.Tg.Seconds(), verdict)
-	}
-	fmt.Println(t)
+	fmt.Println(experiments.CandidateTable("candidate estimation (Equation 1)", cres.Candidates, false))
 	fmt.Println(cres.Summary())
 
 	if *image {
 		if err := printImageStats(fw, cres); err != nil {
-			fmt.Fprintf(os.Stderr, "offloadc: -image: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("-image: %w", err)
 		}
 	}
 
@@ -111,9 +97,9 @@ func main() {
 		fmt.Println(cres.Server)
 	case "":
 	default:
-		fmt.Fprintf(os.Stderr, "offloadc: -dump must be mobile or server\n")
-		os.Exit(1)
+		return fmt.Errorf("-dump must be mobile or server")
 	}
+	return nil
 }
 
 // printImageStats compiles both halves of the binary pair into shared
@@ -121,17 +107,7 @@ func main() {
 // hold: logical size, content-deduplicated backing size, and what one
 // copy-on-write session bind costs (nothing until it writes).
 func printImageStats(fw *core.Framework, cres *compiler.Result) error {
-	mobileProg, err := interp.Compile(cres.Mobile, interp.CompileConfig{
-		Name: "mobile", Spec: fw.Mobile, Std: fw.Mobile,
-		FuncBase: mem.FuncBaseMobile, InitUVAGlobals: true,
-	}, fw.Cache)
-	if err != nil {
-		return err
-	}
-	serverProg, err := interp.Compile(cres.Server, interp.CompileConfig{
-		Name: "server", Spec: fw.Server, Std: fw.Mobile,
-		FuncBase: mem.FuncBaseServer, ShuffleFuncs: true, ShuffleGlobals: true,
-	}, fw.Cache)
+	mobileProg, serverProg, err := fw.Programs(cres)
 	if err != nil {
 		return err
 	}
@@ -146,34 +122,7 @@ func printImageStats(fw *core.Framework, cres *compiler.Result) error {
 	}
 	fmt.Println(t)
 	if fw.Cache != nil {
-		s := fw.Cache.Stats()
-		fmt.Printf("compilation cache: %d programs, %d hits, %d misses (hit rate %.0f%%)\n",
-			s.Entries, s.Hits, s.Misses, 100*s.HitRate())
+		fmt.Println(cli.CacheStatsLine(fw.Cache))
 	}
 	return nil
-}
-
-// loadIR reads and parses a textual IR program.
-func loadIR(path string) (*ir.Module, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ir.Parse(string(data))
-}
-
-// stdinIO builds the scanf token stream from a comma-separated list.
-func stdinIO(csv string) *interp.StdIO {
-	io := interp.NewStdIO(nil)
-	io.MaxBuffered = 1 << 20
-	for _, tok := range strings.Split(csv, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		if v, err := strconv.ParseInt(tok, 10, 64); err == nil {
-			io.AddInput(v)
-		}
-	}
-	return io
 }

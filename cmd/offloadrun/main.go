@@ -12,16 +12,17 @@
 // -tiers places every offload over the mobile -> edge -> cloud
 // hierarchy (3way, edge-only or cloud-only) instead of the classic
 // binary gate, printing the per-tier placement counts after the run.
+// The instrumentation flags (-trace, -metrics, -profile, -breakdown,
+// -critpath) and the -faults/-tiers plans all act on the same one
+// offloaded run and compose freely.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
-	"strconv"
-	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/experiments"
@@ -38,41 +39,20 @@ import (
 )
 
 // observability carries the optional -trace/-metrics/-profile/-breakdown
-// instrumentation through a run and writes/prints the artifacts at the end.
+// instrumentation and the fault/tier plans through a run and writes/prints
+// the artifacts at the end.
 type observability struct {
 	traceFile    string
 	profileFile  string
 	breakdown    bool
 	critPath     bool
 	exemplars    int
+	migrate      bool
 	tracer       *obs.Tracer
 	metrics      *obs.Metrics
 	faults       *faults.Plan
 	serverFaults *faults.ServerPlan
-	migrate      bool
 	topo         *tiers.Topology
-	sampleEvery  simtime.PS
-}
-
-func newObservability(traceFile, profileFile string, breakdown, wantMetrics, critPath bool, exemplars int) *observability {
-	o := &observability{traceFile: traceFile, profileFile: profileFile, breakdown: breakdown,
-		critPath: critPath, exemplars: exemplars}
-	if traceFile != "" {
-		o.tracer = obs.NewTracer(0)
-	}
-	if (breakdown || critPath) && o.tracer == nil {
-		// The breakdown and critical-path analyses replay the trace; without
-		// -trace, capture into a generous in-memory ring (never written to
-		// disk).
-		o.tracer = obs.NewTracer(1 << 20)
-	}
-	if wantMetrics {
-		o.metrics = obs.NewMetrics()
-	}
-	if profileFile != "" {
-		o.sampleEvery = interp.DefaultSamplePeriod
-	}
-	return o
 }
 
 // attach threads the instrumentation and fault plans into a framework.
@@ -80,18 +60,27 @@ func (o *observability) attach(fw *core.Framework) {
 	fw.Tracer, fw.Metrics = o.tracer, o.metrics
 	fw.Faults = o.faults
 	fw.ServerFaults = o.serverFaults
-	if o.migrate {
-		m := offrt.DefaultMigration()
-		fw.Migration = &m
-	}
+	fw.Migration = o.migration()
 	fw.Tiers = o.topo
-	fw.SampleEvery = o.sampleEvery
+	if o.profileFile != "" {
+		fw.SampleEvery = interp.DefaultSamplePeriod
+	}
+}
+
+// migration is the -migrate policy: nil keeps the paper's fallback-only
+// runtime.
+func (o *observability) migration() *offrt.Migration {
+	if !o.migrate {
+		return nil
+	}
+	m := offrt.DefaultMigration()
+	return &m
 }
 
 // reportRun prints/writes the per-run analysis artifacts for the offloaded
 // execution the flags asked about: the folded flamegraph profile + top
 // functions (-profile) and the Figure 6/7-shaped breakdown (-breakdown).
-func (o *observability) reportRun(off *core.OffloadResult, model energy.PowerModel) {
+func (o *observability) reportRun(off *core.OffloadResult, model energy.PowerModel) error {
 	if o.profileFile != "" && off.MobileProf != nil {
 		f, err := os.Create(o.profileFile)
 		if err == nil {
@@ -104,8 +93,7 @@ func (o *observability) reportRun(off *core.OffloadResult, model energy.PowerMod
 			}
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "offloadrun: profile:", err)
-			os.Exit(1)
+			return fmt.Errorf("profile: %w", err)
 		}
 		fmt.Printf("profile: %s (folded stacks; feed to flamegraph.pl or speedscope)\n", o.profileFile)
 		fmt.Printf("  mobile: %d samples over %v; server: %d samples over %v\n",
@@ -127,31 +115,28 @@ func (o *observability) reportRun(off *core.OffloadResult, model energy.PowerMod
 		fmt.Printf("tiers (%s): %d placed on edge, %d on cloud, %d kept local\n",
 			o.topo.EffectiveMode(), off.Stats.EdgePlaced, off.Stats.CloudPlaced, off.Stats.Declines)
 	}
+	return nil
 }
 
 // finish writes the Chrome trace file and prints the metrics summary.
-func (o *observability) finish() {
+func (o *observability) finish() error {
 	if w := o.tracer.DropWarning(); w != "" {
 		fmt.Fprintln(os.Stderr, "offloadrun:", w)
 	}
 	o.tracer.PublishDropped(o.metrics)
 	if o.tracer != nil && o.traceFile != "" {
 		f, err := os.Create(o.traceFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "offloadrun: trace:", err)
-			os.Exit(1)
-		}
-		if err := o.tracer.WriteChrome(f); err == nil {
-			err = f.Close()
-			if err == nil {
-				fmt.Printf("trace: %d events -> %s (load in chrome://tracing or ui.perfetto.dev)\n",
-					o.tracer.Len(), o.traceFile)
+		if err == nil {
+			err = o.tracer.WriteChrome(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
-		} else {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "offloadrun: trace:", err)
-			os.Exit(1)
 		}
+		if err != nil {
+			return fmt.Errorf("trace: %w", err)
+		}
+		fmt.Printf("trace: %d events -> %s (load in chrome://tracing or ui.perfetto.dev)\n",
+			o.tracer.Len(), o.traceFile)
 	}
 	if o.metrics != nil {
 		fmt.Println(report.MetricsTable("offload session metrics", o.metrics.Names(), o.metrics.Value))
@@ -159,9 +144,17 @@ func (o *observability) finish() {
 			fmt.Println(hs)
 		}
 	}
+	return nil
 }
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "offloadrun:", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	name := flag.String("w", "chess", "workload name (chess or a Table 4 program id)")
 	irFile := flag.String("ir", "", "run a textual IR program file instead of a named workload")
 	stdin := flag.String("stdin", "", "comma-separated integers fed to the program's scanf calls")
@@ -169,118 +162,85 @@ func main() {
 	depth := flag.Int64("depth", 9, "chess difficulty (chess workload only)")
 	turns := flag.Int64("turns", 2, "chess game turns (chess workload only)")
 	showOut := flag.Bool("output", false, "print program output")
-	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON file of the offloaded run")
-	profileFile := flag.String("profile", "", "write a folded-stack guest flamegraph profile of the offloaded run and print the top-functions table")
-	breakdown := flag.Bool("breakdown", false, "print the per-offload time and radio-energy breakdown (Fig. 6/7 shape) replayed from the trace")
-	critPath := flag.Bool("critpath", false, "print each job's critical-path decomposition and the where-the-tail-lives summary replayed from the trace")
-	exemplars := flag.Int("exemplars", 0, "with -critpath: limit the per-job table to the N slowest jobs (0 keeps them all)")
+	o := &observability{}
+	flag.StringVar(&o.traceFile, "trace", "", "write a Chrome trace_event JSON file of the offloaded run")
+	flag.StringVar(&o.profileFile, "profile", "", "write a folded-stack guest flamegraph profile of the offloaded run and print the top-functions table")
+	flag.BoolVar(&o.breakdown, "breakdown", false, "print the per-offload time and radio-energy breakdown (Fig. 6/7 shape) replayed from the trace")
+	flag.BoolVar(&o.critPath, "critpath", false, "print each job's critical-path decomposition and the where-the-tail-lives summary replayed from the trace")
+	flag.IntVar(&o.exemplars, "exemplars", 0, "with -critpath: limit the per-job table to the N slowest jobs (0 keeps them all)")
 	showMetrics := flag.Bool("metrics", false, "print the aggregated session metrics after the run")
 	faultSpec := flag.String("faults", "", `inject link faults into the offloaded run, e.g. "drop=0.1,corrupt=0.02,outage=100ms-250ms,seed=7"`)
 	serverFaultSpec := flag.String("server-faults", "", `inject server faults into the offloaded run, e.g. "crash=0@300ms,slow=0@100ms-2sx3,drain=0@1s"`)
-	migrate := flag.Bool("migrate", false, "enable mid-flight offload migration: on a server fault, checkpoint/ship/resume the task on a spare host instead of falling back locally")
+	flag.BoolVar(&o.migrate, "migrate", false, "enable mid-flight offload migration: on a server fault, checkpoint/ship/resume the task on a spare host instead of falling back locally")
 	tiersMode := flag.String("tiers", "", "place offloads over the mobile -> edge -> cloud hierarchy: 3way, edge-only or cloud-only (empty keeps the classic binary gate)")
-	engineSpec := flag.String("engine", "fast", "execution engine: fast (pre-decoded) or ref (reference tree-walker)")
-	bindStats := flag.Bool("bindstats", false, "print compilation-cache statistics (programs, hits, misses) after the run")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this path")
+	common := cli.CommonFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "offloadrun: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "offloadrun: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-
-	eng, err := interp.ParseEngine(*engineSpec)
+	stop, err := common.Start(os.Stdout)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "offloadrun: -engine: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	core.DefaultEngine = eng
-	if *bindStats {
-		defer func() {
-			s := core.DefaultCache.Stats()
-			fmt.Printf("compilation cache: %d programs, %d hits, %d misses (hit rate %.0f%%)\n",
-				s.Entries, s.Hits, s.Misses, 100*s.HitRate())
-		}()
-	}
+	defer stop()
 
-	var plan *faults.Plan
+	switch {
+	case o.traceFile != "":
+		o.tracer = obs.NewTracer(0)
+	case o.breakdown || o.critPath:
+		// The breakdown and critical-path analyses replay the trace; without
+		// -trace, capture into a generous in-memory ring (never written to
+		// disk).
+		o.tracer = obs.NewTracer(1 << 20)
+	}
+	if *showMetrics {
+		o.metrics = obs.NewMetrics()
+	}
 	if *faultSpec != "" {
-		p, err := faults.Parse(*faultSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "offloadrun: -faults: %v\n", err)
-			os.Exit(1)
+		if o.faults, err = faults.Parse(*faultSpec); err != nil {
+			return fmt.Errorf("-faults: %w", err)
 		}
-		plan = p
 	}
-	var serverPlan *faults.ServerPlan
 	if *serverFaultSpec != "" {
-		p, err := faults.ParseServer(*serverFaultSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "offloadrun: -server-faults: %v\n", err)
-			os.Exit(1)
+		if o.serverFaults, err = faults.ParseServer(*serverFaultSpec); err != nil {
+			return fmt.Errorf("-server-faults: %w", err)
 		}
-		serverPlan = p
 	}
-	o := newObservability(*traceFile, *profileFile, *breakdown, *showMetrics, *critPath, *exemplars)
-	o.faults = plan
-	o.serverFaults = serverPlan
-	o.migrate = *migrate
 	if *tiersMode != "" {
 		mode, err := tiers.ParseMode(*tiersMode)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "offloadrun: -tiers: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("-tiers: %w", err)
 		}
-		topo := tiers.Default(2, 1)
-		topo.Mode = mode
-		o.topo = topo
+		o.topo = tiers.Default(2, 1)
+		o.topo.Mode = mode
 	}
-	if *irFile != "" {
-		runIRFile(*irFile, *stdin, *cost, *showOut, o)
-		o.finish()
-		return
-	}
-	if *name == "chess" {
-		runChess(*depth, *turns, *showOut, o)
-		o.finish()
-		return
-	}
-	w := workloads.ByName(*name)
-	if w == nil {
-		fmt.Fprintf(os.Stderr, "offloadrun: unknown workload %q\n", *name)
-		os.Exit(1)
-	}
-	var r *experiments.ProgramResult
-	if o.sampleEvery > 0 {
-		if plan != nil {
-			fmt.Fprintln(os.Stderr, "offloadrun: -profile cannot be combined with -faults")
-			os.Exit(1)
-		}
-		if o.topo != nil {
-			fmt.Fprintln(os.Stderr, "offloadrun: -profile cannot be combined with -tiers")
-			os.Exit(1)
-		}
-		r, err = experiments.RunProgramProfiled(w, o.tracer, o.metrics, o.sampleEvery)
-	} else {
-		r, err = experiments.RunProgramTiered(w, o.topo, plan, o.tracer, o.metrics)
+	switch {
+	case *irFile != "":
+		err = runIRFile(*irFile, *stdin, *cost, *showOut, o)
+	case *name == "chess":
+		err = runChess(*depth, *turns, *showOut, o)
+	default:
+		err = runWorkload(*name, *showOut, o)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "offloadrun: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	defer o.finish()
-	defer o.reportRun(r.Fast, energy.FastModel())
+	return o.finish()
+}
+
+// runWorkload evaluates one Table 4 program on both networks.
+func runWorkload(name string, showOut bool, o *observability) error {
+	w := workloads.ByName(name)
+	if w == nil {
+		return fmt.Errorf("unknown workload %q", name)
+	}
+	r, err := experiments.RunProgram(w, func(fw *core.Framework) {
+		o.attach(fw)
+		// The server-fault plan is not part of this run: it is replayed
+		// below and scored against this result as the fault-free reference.
+		fw.ServerFaults, fw.Migration = nil, nil
+	})
+	if err != nil {
+		return err
+	}
 	t := report.New(w.Name+" — "+w.Desc,
 		"Run", "Time(s)", "Normalized", "Energy(mJ)", "Traffic(MB)", "Offloaded")
 	t.Add("local (mobile only)", r.Local.Time.Seconds(), 1.0, r.Local.EnergyMJ, 0, "-")
@@ -293,131 +253,95 @@ func main() {
 	add("offload fast (802.11ac)", r.Fast, energy.FastModel())
 	t.Note("speedup on fast network: %.2fx; coverage %.1f%%", r.Fast.Speedup(r.Local), 100*r.Coverage())
 	fmt.Println(t)
-	if plan != nil {
+	if o.faults != nil {
 		fmt.Printf("faults (%s): %d injected; recovery: %d retries, %d aborts, %d local fallbacks; output identical to fault-free\n",
-			plan.String(), r.Fast.FaultStats.Total(), r.Fast.Stats.Retries, r.Fast.Stats.Aborts, r.Fast.Stats.Fallbacks)
+			o.faults.String(), r.Fast.FaultStats.Total(), r.Fast.Stats.Retries, r.Fast.Stats.Aborts, r.Fast.Stats.Fallbacks)
 	}
-	if serverPlan != nil {
-		// Re-run the fast-network offload under the server-fault plan and
-		// score it against the fault-free result above.
-		var mig *offrt.Migration
-		if *migrate {
-			m := offrt.DefaultMigration()
-			mig = &m
-		}
-		cell, err := experiments.RunServerChaosCell(r, serverPlan, mig, "cli")
+	if o.serverFaults != nil {
+		cell, err := experiments.RunServerChaosCell(r, o.serverFaults, o.migration(), "cli")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "offloadrun: -server-faults: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("-server-faults: %w", err)
 		}
 		fmt.Printf("server faults (%s): %d migrations, %d crash retries, %d local fallbacks\n",
 			cell.Plan, cell.Migrations, cell.CrashRetries, cell.Fallbacks)
 		if !cell.Equal() {
-			fmt.Fprintln(os.Stderr, "offloadrun: server-faulted run diverged from the fault-free run")
-			os.Exit(1)
+			return fmt.Errorf("server-faulted run diverged from the fault-free run")
 		}
 		fmt.Println("server-faulted run identical to fault-free (output, exit code, memory digest)")
 	}
-	if *showOut {
+	if showOut {
 		fmt.Println(r.Local.Output)
 	}
+	return o.reportRun(r.Fast, energy.FastModel())
 }
 
-func runChess(depth, turns int64, showOut bool, o *observability) {
-	fw := core.NewFramework(core.FastNetwork)
-	fw.CostScale = workloads.ChessCostScale
-	o.attach(fw)
-	mod := workloads.BuildChess(workloads.DefaultChessConfig())
-	prof, err := fw.Profile(mod, workloads.ChessInput(depth-2, turns))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "offloadrun:", err)
-		os.Exit(1)
-	}
-	cres, err := fw.Compile(mod, prof)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "offloadrun:", err)
-		os.Exit(1)
-	}
-	local, err := fw.RunLocal(mod, workloads.ChessInput(depth, turns))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "offloadrun:", err)
-		os.Exit(1)
-	}
-	off, err := fw.RunOffloaded(cres, workloads.ChessInput(depth, turns), offrt.Policy{})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "offloadrun:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("chess depth %d, %d turns\n", depth, turns)
-	fmt.Printf("  local:    %v  (%.0f mJ)\n", local.Time, local.EnergyMJ)
-	fmt.Printf("  offload:  %v  (%.0f mJ)  speedup %.2fx, battery %.0f%% saved\n",
-		off.Time, off.EnergyMJ, off.Speedup(local), 100*(1-off.NormalizedEnergy(local)))
-	for id, st := range off.PerTask {
-		fmt.Printf("  task %d: %d offloads, %d declines, %.1f KB traffic, %d faults\n",
-			id, st.Offloads, st.Declines, float64(st.TrafficBytes)/1024, st.Faults)
-	}
-	o.reportRun(off, fw.Power)
-	if showOut {
-		fmt.Println(off.Output)
-	}
-}
-
-// runIRFile profiles, compiles and executes a user-written IR program.
-func runIRFile(path, stdin string, cost int64, showOut bool, o *observability) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "offloadrun:", err)
-		os.Exit(1)
-	}
-	mod, err := ir.Parse(string(data))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "offloadrun:", err)
-		os.Exit(1)
-	}
-	mkIO := func() *interp.StdIO {
-		io := interp.NewStdIO(nil)
-		io.MaxBuffered = 1 << 20
-		for _, tok := range strings.Split(stdin, ",") {
-			if v, err := strconv.ParseInt(strings.TrimSpace(tok), 10, 64); err == nil {
-				io.AddInput(v)
-			}
-		}
-		return io
-	}
+// runModule is the pipeline behind -w chess and -ir: one fast-network
+// framework with the instrumentation attached, profiled and compiled on
+// profIO, then run locally and offloaded on fresh evaluation inputs.
+// summarize prints the caller's own headline format before the shared
+// per-run reports.
+func runModule(o *observability, mod *ir.Module, cost int64, profIO *interp.StdIO, evalIO func() *interp.StdIO,
+	summarize func(local *core.LocalResult, off *core.OffloadResult)) (*core.OffloadResult, error) {
 	fw := core.NewFramework(core.FastNetwork)
 	fw.CostScale = cost
 	o.attach(fw)
-	prof, err := fw.Profile(mod, mkIO())
+	cres, err := fw.Prepare(mod, profIO)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "offloadrun: profile:", err)
-		os.Exit(1)
+		return nil, err
 	}
-	cres, err := fw.Compile(mod, prof)
+	local, err := fw.RunLocal(mod, evalIO())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "offloadrun: compile:", err)
-		os.Exit(1)
+		return nil, fmt.Errorf("local: %w", err)
 	}
-	local, err := fw.RunLocal(mod, mkIO())
+	off, err := fw.RunOffloaded(cres, evalIO(), offrt.Policy{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "offloadrun: local:", err)
-		os.Exit(1)
+		return nil, fmt.Errorf("offload: %w", err)
 	}
-	off, err := fw.RunOffloaded(cres, mkIO(), offrt.Policy{})
+	summarize(local, off)
+	return off, o.reportRun(off, fw.Power)
+}
+
+func runChess(depth, turns int64, showOut bool, o *observability) error {
+	off, err := runModule(o, workloads.BuildChess(workloads.DefaultChessConfig()), workloads.ChessCostScale,
+		workloads.ChessInput(depth-2, turns),
+		func() *interp.StdIO { return workloads.ChessInput(depth, turns) },
+		func(local *core.LocalResult, off *core.OffloadResult) {
+			fmt.Printf("chess depth %d, %d turns\n", depth, turns)
+			fmt.Printf("  local:    %v  (%.0f mJ)\n", local.Time, local.EnergyMJ)
+			fmt.Printf("  offload:  %v  (%.0f mJ)  speedup %.2fx, battery %.0f%% saved\n",
+				off.Time, off.EnergyMJ, off.Speedup(local), 100*(1-off.NormalizedEnergy(local)))
+			for id, st := range off.PerTask {
+				fmt.Printf("  task %d: %d offloads, %d declines, %.1f KB traffic, %d faults\n",
+					id, st.Offloads, st.Declines, float64(st.TrafficBytes)/1024, st.Faults)
+			}
+		})
+	if err == nil && showOut {
+		fmt.Println(off.Output)
+	}
+	return err
+}
+
+// runIRFile profiles, compiles and executes a user-written IR program.
+func runIRFile(path, stdin string, cost int64, showOut bool, o *observability) error {
+	mod, err := cli.LoadIR(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "offloadrun: offload:", err)
-		os.Exit(1)
+		return err
 	}
-	match := "identical"
-	if off.Output != local.Output {
-		match = "MISMATCH"
-	}
-	fmt.Printf("%s: local %v -> offloaded %v (%.2fx speedup, outputs %s)\n",
-		mod.Name, local.Time, off.Time, off.Speedup(local), match)
-	for id, st := range off.PerTask {
-		fmt.Printf("  task %d: %d offloads, %.1f KB traffic\n", id, st.Offloads, float64(st.TrafficBytes)/1024)
-	}
-	o.reportRun(off, fw.Power)
-	if showOut {
+	mkIO := func() *interp.StdIO { return cli.StdinIO(stdin) }
+	off, err := runModule(o, mod, cost, mkIO(), mkIO,
+		func(local *core.LocalResult, off *core.OffloadResult) {
+			match := "identical"
+			if off.Output != local.Output {
+				match = "MISMATCH"
+			}
+			fmt.Printf("%s: local %v -> offloaded %v (%.2fx speedup, outputs %s)\n",
+				mod.Name, local.Time, off.Time, off.Speedup(local), match)
+			for id, st := range off.PerTask {
+				fmt.Printf("  task %d: %d offloads, %.1f KB traffic\n", id, st.Offloads, float64(st.TrafficBytes)/1024)
+			}
+		})
+	if err == nil && showOut {
 		fmt.Print(off.Output)
 	}
+	return err
 }

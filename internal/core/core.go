@@ -8,8 +8,7 @@
 //
 //	fw := core.NewFramework(core.FastNetwork)
 //	prog := func() *ir.Module { ... } // front-end output
-//	prof, _ := fw.Profile(prog(), profilingInput)
-//	cres, _ := fw.Compile(prog(), prof)
+//	cres, _ := fw.Prepare(prog(), profilingInput) // Profile + Compile
 //	local, _ := fw.RunLocal(prog(), evalInput)
 //	off, _ := fw.RunOffloaded(cres, evalInput, offrt.Policy{})
 //	fmt.Println(local.Time, off.Time, off.Speedup(local))
@@ -185,6 +184,42 @@ func (fw *Framework) Compile(mod *ir.Module, prof *profile.Report) (*compiler.Re
 	return compiler.Compile(mod, prof, opt)
 }
 
+// Prepare is Profile followed by Compile: the binary pair for mod, with
+// targets chosen from a profiling run on profIO.
+func (fw *Framework) Prepare(mod *ir.Module, profIO *interp.StdIO) (*compiler.Result, error) {
+	prof, err := fw.Profile(mod, profIO)
+	if err != nil {
+		return nil, fmt.Errorf("profile: %w", err)
+	}
+	cres, err := fw.Compile(mod, prof)
+	if err != nil {
+		return nil, fmt.Errorf("compile: %w", err)
+	}
+	return cres, nil
+}
+
+// Programs compiles (or fetches from the cache) the shared program
+// artifacts for both halves of a binary pair. The server half is linked
+// differently (own function base, shuffled function and global order), as
+// a separately built binary for another machine would be.
+func (fw *Framework) Programs(cres *compiler.Result) (mobile, server *interp.Program, err error) {
+	mobile, err = interp.Compile(cres.Mobile, interp.CompileConfig{
+		Name: "mobile", Spec: fw.Mobile, Std: fw.Mobile,
+		FuncBase: mem.FuncBaseMobile, InitUVAGlobals: true,
+	}, fw.Cache)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: mobile program: %w", err)
+	}
+	server, err = interp.Compile(cres.Server, interp.CompileConfig{
+		Name: "server", Spec: fw.Server, Std: fw.Mobile,
+		FuncBase: mem.FuncBaseServer, ShuffleFuncs: true, ShuffleGlobals: true,
+	}, fw.Cache)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: server program: %w", err)
+	}
+	return mobile, server, nil
+}
+
 // LocalResult is a plain mobile-only execution.
 type LocalResult struct {
 	Code     int32
@@ -299,19 +334,9 @@ func (r *OffloadResult) Offloaded() bool {
 
 // RunOffloaded executes the compiled pair under the runtime.
 func (fw *Framework) RunOffloaded(cres *compiler.Result, io *interp.StdIO, pol offrt.Policy) (*OffloadResult, error) {
-	mobileProg, err := interp.Compile(cres.Mobile, interp.CompileConfig{
-		Name: "mobile", Spec: fw.Mobile, Std: fw.Mobile,
-		FuncBase: mem.FuncBaseMobile, InitUVAGlobals: true,
-	}, fw.Cache)
+	mobileProg, serverProg, err := fw.Programs(cres)
 	if err != nil {
-		return nil, fmt.Errorf("core: mobile program: %w", err)
-	}
-	serverProg, err := interp.Compile(cres.Server, interp.CompileConfig{
-		Name: "server", Spec: fw.Server, Std: fw.Mobile,
-		FuncBase: mem.FuncBaseServer, ShuffleFuncs: true, ShuffleGlobals: true,
-	}, fw.Cache)
-	if err != nil {
-		return nil, fmt.Errorf("core: server program: %w", err)
+		return nil, err
 	}
 	mobile := mobileProg.NewInstance(interp.WithIO(io),
 		interp.WithCostScale(fw.CostScale), interp.WithEngine(fw.Engine))

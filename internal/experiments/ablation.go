@@ -34,12 +34,7 @@ func Ablation() (*report.Table, []AblationResult, error) {
 	// program (lbm ships its whole grid both ways).
 	w := workloads.ByName("470.lbm")
 	fw := core.NewFramework(core.FastNetwork).WithScale(workloads.Scale, w.CostScale)
-	mod := w.Build()
-	prof, err := fw.Profile(mod, w.ProfileIO())
-	if err != nil {
-		return nil, nil, err
-	}
-	cres, err := fw.Compile(mod, prof)
+	cres, err := fw.Prepare(w.Build(), w.ProfileIO())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -82,12 +77,7 @@ func Ablation() (*report.Table, []AblationResult, error) {
 	// compiler does; only the runtime's dynamic estimation sees 802.11n.
 	gzFast := core.NewFramework(core.FastNetwork).WithScale(workloads.Scale, gz.CostScale)
 	slow := core.NewFramework(core.SlowNetwork).WithScale(workloads.Scale, gz.CostScale)
-	gzMod := gz.Build()
-	gzProf, err := gzFast.Profile(gzMod, gz.ProfileIO())
-	if err != nil {
-		return nil, nil, err
-	}
-	gzC, err := gzFast.Compile(gzMod, gzProf)
+	gzC, err := gzFast.Prepare(gz.Build(), gz.ProfileIO())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -121,11 +111,7 @@ func Ablation() (*report.Table, []AblationResult, error) {
 	fwNo := core.NewFramework(core.FastNetwork).WithScale(workloads.Scale, gb.CostScale)
 	fwNo.RemoteIO = false
 	gbMod := gb.Build()
-	gbProf, err := fwRIO.Profile(gbMod, gb.ProfileIO())
-	if err != nil {
-		return nil, nil, err
-	}
-	withC, err := fwRIO.Compile(gbMod, gbProf)
+	withC, err := fwRIO.Prepare(gbMod, gb.ProfileIO())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -138,7 +124,9 @@ func Ablation() (*report.Table, []AblationResult, error) {
 		Baseline: withRun.Time.Seconds(),
 		Unit:     "s",
 	}
-	noC, err := fwNo.Compile(gbMod, gbProf)
+	// Same module, same profiling input: the profile is the one fwRIO saw,
+	// so an error here is the compiler finding no target.
+	noC, err := fwNo.Prepare(gbMod, gb.ProfileIO())
 	if err != nil {
 		// Depending on calibration the filter may leave nothing at all.
 		rio.Ablated = 0
@@ -158,12 +146,7 @@ func Ablation() (*report.Table, []AblationResult, error) {
 	// hypothesis line per frame from the offloaded loop.
 	sp := workloads.ByName("482.sphinx3")
 	fwSp := core.NewFramework(core.FastNetwork).WithScale(workloads.Scale, sp.CostScale)
-	spMod := sp.Build()
-	spProf, err := fwSp.Profile(spMod, sp.ProfileIO())
-	if err != nil {
-		return nil, nil, err
-	}
-	spC, err := fwSp.Compile(spMod, spProf)
+	spC, err := fwSp.Prepare(sp.Build(), sp.ProfileIO())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -5,9 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/energy"
+	"repro/internal/faults"
+	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
+	"repro/internal/tiers"
 	"repro/internal/workloads"
 )
 
@@ -24,7 +28,10 @@ func TestBreakdownMatchesSessionStats(t *testing.T) {
 	tracer := obs.NewTracer(1 << 20)
 	metrics := obs.NewMetrics()
 	w := workloads.ByName("433.milc")
-	r, err := RunProgramProfiled(w, tracer, metrics, 0)
+	r, err := RunProgram(w, func(fw *core.Framework) {
+		fw.Tracer, fw.Metrics = tracer, metrics
+		fw.SampleEvery = interp.DefaultSamplePeriod
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,5 +102,40 @@ func TestBreakdownMatchesSessionStats(t *testing.T) {
 	}
 	if got, want := metrics.HistogramSnapshot("lat.offload.e2e_ps").Count, int64(len(sum.Offloads)); got != want {
 		t.Errorf("e2e histogram count %d != reconstructed offloads %d", got, want)
+	}
+}
+
+// TestProfileFaultsTiersCompose runs the flag combination the old
+// RunProgram* ladder had no rung for: link faults, a tier topology and the
+// guest sampler on one run. Recovery must still end with the local run's
+// output, and the samplers must still attribute every picosecond of both
+// clocks across the aborted offload and its local fallback.
+func TestProfileFaultsTiersCompose(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs an offloaded execution")
+	}
+	plan, err := faults.Parse("drop=0.2,outage=900ms-20s,seed=6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunProgram(workloads.ByName("164.gzip"), func(fw *core.Framework) {
+		fw.Faults = plan
+		fw.Tiers = tiers.Default(2, 1)
+		fw.SampleEvery = interp.DefaultSamplePeriod
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Fast.Output != r.Local.Output {
+		t.Error("faulted tiered run's output differs from the local run")
+	}
+	if r.Fast.Stats.Fallbacks == 0 {
+		t.Error("the outage forced no local fallback; the fault plan is vacuous")
+	}
+	if got, want := r.Fast.MobileProf.Total(), int64(r.Fast.Time); got != want {
+		t.Errorf("mobile profile total %d != mobile clock %d", got, want)
+	}
+	if got, want := r.Fast.ServerProf.Total(), int64(r.Fast.ServerTime); got != want {
+		t.Errorf("server profile total %d != server clock %d", got, want)
 	}
 }

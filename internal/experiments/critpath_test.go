@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/simtime"
@@ -22,7 +23,7 @@ func TestCritPathMatchesSessionStats(t *testing.T) {
 	}
 	tracer := obs.NewTracer(1 << 20)
 	w := workloads.ByName("433.milc")
-	r, err := RunProgramObserved(w, tracer, nil)
+	r, err := RunProgram(w, func(fw *core.Framework) { fw.Tracer = tracer })
 	if err != nil {
 		t.Fatal(err)
 	}

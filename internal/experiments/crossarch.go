@@ -38,11 +38,7 @@ func CrossArch() (*report.Table, []CrossArchRow, error) {
 			fw := core.NewFramework(core.FastNetwork).WithScale(workloads.Scale, w.CostScale)
 			fw.Server = server
 			mod := w.Build()
-			prof, err := fw.Profile(mod, w.ProfileIO())
-			if err != nil {
-				return nil, nil, err
-			}
-			cres, err := fw.Compile(mod, prof)
+			cres, err := fw.Prepare(mod, w.ProfileIO())
 			if err != nil {
 				return nil, nil, err
 			}

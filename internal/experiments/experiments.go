@@ -12,14 +12,11 @@ import (
 	"repro/internal/arch"
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/interp"
-	"repro/internal/obs"
 	"repro/internal/offrt"
 	"repro/internal/report"
 	"repro/internal/simtime"
 	"repro/internal/survey"
-	"repro/internal/tiers"
 	"repro/internal/workloads"
 )
 
@@ -54,7 +51,7 @@ var (
 func Sweep() ([]*ProgramResult, error) {
 	sweepOnce.Do(func() {
 		for _, w := range workloads.All() {
-			r, err := RunProgram(w)
+			r, err := RunProgram(w, nil)
 			if err != nil {
 				sweepErr = fmt.Errorf("%s: %w", w.Name, err)
 				return
@@ -65,63 +62,27 @@ func Sweep() ([]*ProgramResult, error) {
 	return sweepRes, sweepErr
 }
 
-// RunProgram evaluates one workload end to end.
-func RunProgram(w *workloads.Workload) (*ProgramResult, error) {
-	return RunProgramObserved(w, nil, nil)
-}
-
-// RunProgramObserved is RunProgram with an optional tracer and metrics
-// registry attached to the fast-network offloaded run (the one the paper's
-// headline numbers come from). Either may be nil.
-func RunProgramObserved(w *workloads.Workload, tracer *obs.Tracer, metrics *obs.Metrics) (*ProgramResult, error) {
-	return RunProgramFaulted(w, nil, tracer, metrics)
-}
-
-// RunProgramFaulted is RunProgramObserved with an optional fault plan
-// injected into the fast-network offloaded run. Graceful degradation is
-// asserted either way: a faulted run whose output diverges from the local
-// baseline is an error, not a result.
-func RunProgramFaulted(w *workloads.Workload, plan *faults.Plan, tracer *obs.Tracer, metrics *obs.Metrics) (*ProgramResult, error) {
-	return runProgram(w, plan, tracer, metrics, nil, 0)
-}
-
-// RunProgramTiered is RunProgramFaulted with a tier topology behind the
-// fast-network session's gate: every offload decision becomes the 3-way
-// {local, edge, cloud} placement instead of the binary profitability
-// test. The slow-network run keeps the classic gate for comparison.
-func RunProgramTiered(w *workloads.Workload, topo *tiers.Topology, plan *faults.Plan, tracer *obs.Tracer, metrics *obs.Metrics) (*ProgramResult, error) {
-	return runProgram(w, plan, tracer, metrics, topo, 0)
-}
-
-// RunProgramProfiled is RunProgramObserved with a guest sampling profiler
-// attached to both machines of the fast-network offloaded run; the flushed
-// samplers are in the result's Fast.MobileProf/ServerProf. sampleEvery <= 0
-// selects the default period.
-func RunProgramProfiled(w *workloads.Workload, tracer *obs.Tracer, metrics *obs.Metrics, sampleEvery simtime.PS) (*ProgramResult, error) {
-	if sampleEvery <= 0 {
-		sampleEvery = interp.DefaultSamplePeriod
-	}
-	return runProgram(w, nil, tracer, metrics, nil, sampleEvery)
-}
-
-func runProgram(w *workloads.Workload, plan *faults.Plan, tracer *obs.Tracer, metrics *obs.Metrics, topo *tiers.Topology, sampleEvery simtime.PS) (*ProgramResult, error) {
+// RunProgram evaluates one workload end to end: profile and compile once,
+// then run locally and offloaded on both networks. configure, when non-nil,
+// adjusts the fast-network framework — the run the paper's headline
+// numbers come from — before anything executes: tracer, metrics, fault
+// plan, tier topology, guest sampling. The slow-network run keeps the
+// classic setup for comparison. Graceful degradation is asserted either
+// way: a fast run whose output diverges from the local baseline is an
+// error, not a result.
+func RunProgram(w *workloads.Workload, configure func(fast *core.Framework)) (*ProgramResult, error) {
 	fast := core.NewFramework(core.FastNetwork).WithScale(workloads.Scale, w.CostScale)
 	slow := core.NewFramework(core.SlowNetwork).WithScale(workloads.Scale, w.CostScale)
-	fast.Tracer, fast.Metrics = tracer, metrics
-	fast.Faults = plan
-	fast.Tiers = topo
-	fast.SampleEvery = sampleEvery
+	if configure != nil {
+		configure(fast)
+	}
 
 	mod := w.Build()
-	prof, err := fast.Profile(mod, w.ProfileIO())
-	if err != nil {
-		return nil, fmt.Errorf("profile: %w", err)
-	}
 	// One compilation serves both networks (the binary is the same; only
 	// the runtime's dynamic estimation differs).
-	cres, err := fast.Compile(mod, prof)
+	cres, err := fast.Prepare(mod, w.ProfileIO())
 	if err != nil {
-		return nil, fmt.Errorf("compile: %w", err)
+		return nil, err
 	}
 	local, err := fast.RunLocal(mod, w.EvalIO())
 	if err != nil {
@@ -199,24 +160,41 @@ func Table3() (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := report.New("Table 3: chess profiling and performance estimation (R=5, BW=80Mbps)",
-		"Candidate", "Exec(s)", "Inv", "Mem(MB)", "Tideal(s)", "Tc(s)", "Tg(s)", "Verdict")
-	for _, c := range res.Candidates {
+	t := CandidateTable("Table 3: chess profiling and performance estimation (R=5, BW=80Mbps)", res.Candidates, true)
+	t.Note("paper selects getAITurn and for_i; offloads getAITurn")
+	return t, nil
+}
+
+// CandidateTable renders the compiler's Equation-1 verdict on every
+// offload candidate. detail is the Table 3 form: it adds the Tideal and Tc
+// columns and spells the verdicts out for a reader without the paper's
+// vocabulary; without it the table is the compact one offloadc prints
+// between its profile report and its summary.
+func CandidateTable(title string, cands []compiler.Candidate, detail bool) *report.Table {
+	headers := []string{"Candidate", "Exec(s)", "Inv", "Mem(MB)"}
+	machine, nested := "", "profitable (nested)"
+	if detail {
+		headers = append(headers, "Tideal(s)", "Tc(s)")
+		machine, nested = "machine-specific: ", "profitable (nested in selection)"
+	}
+	t := report.New(title, append(headers, "Tg(s)", "Verdict")...)
+	for _, c := range cands {
 		verdict := "rejected"
 		switch {
 		case c.Machine:
-			verdict = "machine-specific: " + c.Reason
+			verdict = machine + c.Reason
 		case c.Selected:
 			verdict = "SELECTED"
 		case c.Est.Tg > 0:
-			verdict = "profitable (nested in selection)"
+			verdict = nested
 		}
-		t.Add(c.Name, c.Time.Seconds(), c.Invocations,
-			float64(c.MemBytes)/1e6, c.Est.Tideal.Seconds(), c.Est.Tc.Seconds(),
-			c.Est.Tg.Seconds(), verdict)
+		row := []interface{}{c.Name, c.Time.Seconds(), c.Invocations, float64(c.MemBytes) / 1e6}
+		if detail {
+			row = append(row, c.Est.Tideal.Seconds(), c.Est.Tc.Seconds())
+		}
+		t.Add(append(row, c.Est.Tg.Seconds(), verdict)...)
 	}
-	t.Note("paper selects getAITurn and for_i; offloads getAITurn")
-	return t, nil
+	return t
 }
 
 // Table4 reproduces the per-program offload statistics.

@@ -363,11 +363,11 @@ func TestSimulationIsDeterministic(t *testing.T) {
 	// Everything in the simulator is virtual-clock driven; two runs of
 	// the same program must agree to the picosecond and to the byte.
 	w := workloads.ByName("433.milc")
-	a, err := RunProgram(w)
+	a, err := RunProgram(w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunProgram(w)
+	b, err := RunProgram(w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

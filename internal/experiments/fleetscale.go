@@ -310,8 +310,8 @@ func (b *ScaleBench) CheckFloor() error {
 	return nil
 }
 
-// ScaleTable renders the benchmark for the terminal.
-func ScaleTable(b *ScaleBench) *report.Table {
+// Table renders the benchmark for the terminal.
+func (b *ScaleBench) Table() *report.Table {
 	t := report.New(fmt.Sprintf("Fleet scale: engine throughput on %d core(s), parity %s", b.Cores, b.Parity),
 		"cell", "clients", "servers", "shards", "events", "elapsed (s)", "events/sec")
 	for _, c := range []ScaleCell{b.Seq, b.Par, b.Big} {

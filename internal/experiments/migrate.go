@@ -275,8 +275,8 @@ func (b *MigrateBench) CheckFloor() error {
 	return nil
 }
 
-// MigrateTable renders the benchmark for the CLI.
-func MigrateTable(b *MigrateBench) *report.Table {
+// Table renders the benchmark for the CLI.
+func (b *MigrateBench) Table() *report.Table {
 	t := report.New(fmt.Sprintf("Migration bench: %d clients / %d servers, server %d killed at %.0f ms",
 		b.Clients, b.Servers, b.CrashServer, b.CrashAtMs),
 		"seed", "clean p99", "migrate p99", "fallback p99",

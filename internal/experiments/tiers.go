@@ -189,8 +189,8 @@ func (b *TierBench) CheckFloor() error {
 	return nil
 }
 
-// TierTable renders the benchmark for the CLI.
-func TierTable(b *TierBench) *report.Table {
+// Table renders the benchmark for the CLI.
+func (b *TierBench) Table() *report.Table {
 	t := report.New(fmt.Sprintf("Multi-tier placement: %dx edge (R=%g, %d slots) + %dx cloud (R=%g, %d slots) over WAN",
 		b.EdgeServers, b.EdgeR, b.EdgeSlots, b.CloudServers, b.CloudR, b.CloudSlots),
 		"clients", "mode", "p99 (ms)", "geomean (ms)", "edge", "cloud",

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"encoding/json"
-	"os"
 	"testing"
 
 	"repro/internal/faults"
@@ -110,12 +109,13 @@ func TestShardsExceedClients(t *testing.T) {
 	}
 }
 
-// TestScaleSmoke is the make scalesmoke gate: a 10k-client run through the
-// sharded engine must match the sequential reference byte for byte. Gated
-// behind FLEET_SCALESMOKE because it is ~200x the size of the unit cells.
+// TestScaleSmoke is the sharded-engine contract at a size worth trusting:
+// a 10k-client run through the sharded engine must match the sequential
+// reference byte for byte. Skipped under -short because it is ~200x the
+// size of the unit cells.
 func TestScaleSmoke(t *testing.T) {
-	if os.Getenv("FLEET_SCALESMOKE") == "" {
-		t.Skip("set FLEET_SCALESMOKE=1 to run the 10k-client shard-invariance smoke")
+	if testing.Short() {
+		t.Skip("10k-client shard-invariance smoke")
 	}
 	cfg := DefaultConfig(10_000, 8, EstAware)
 	cfg.RequestsPerClient = 3
