@@ -1,0 +1,304 @@
+package offrt
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/compiler"
+	"repro/internal/energy"
+	"repro/internal/faults"
+	"repro/internal/interp"
+	"repro/internal/ir"
+	"repro/internal/mem"
+	"repro/internal/netsim"
+	"repro/internal/obs"
+	"repro/internal/profile"
+	"repro/internal/simtime"
+	"repro/internal/tiers"
+	"repro/internal/workloads"
+)
+
+// compiledPair is one Table 4 workload profiled and partitioned once, as
+// shared Programs: sessions bind copy-on-write instances of them, which is
+// also what checkpoint/restore (migration) requires.
+type compiledPair struct {
+	w              *workloads.Workload
+	mobile, server *interp.Program
+	tasks          []TaskSpec
+}
+
+var (
+	pairMu sync.Mutex
+	pairs  = map[string]*compiledPair{}
+)
+
+// workloadPair is pairFor over the named Table 4 workload.
+func workloadPair(t *testing.T, name string) *compiledPair {
+	t.Helper()
+	w := workloads.ByName(name)
+	if w == nil {
+		t.Fatalf("unknown workload %q", name)
+	}
+	return pairFor(t, w)
+}
+
+// pairFor profiles and compiles w on the scaled fast link (one binary pair
+// serves both networks; only the runtime's dynamic estimation differs),
+// memoized by name across tests.
+func pairFor(t *testing.T, w *workloads.Workload) *compiledPair {
+	t.Helper()
+	pairMu.Lock()
+	defer pairMu.Unlock()
+	if p := pairs[w.Name]; p != nil {
+		return p
+	}
+	mod := w.Build()
+	spec := arch.ARM32()
+	work := mod.Clone("prof")
+	ir.Lower(work, spec, spec)
+	pm, err := interp.NewMachine(interp.Config{Name: "prof", Spec: spec, Mod: work,
+		CostScale: w.CostScale, InitUVAGlobals: true, IO: w.ProfileIO()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := profile.Run(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := compiler.Default(netsim.Fast80211AC().Scaled(workloads.Scale).BandwidthBps)
+	cres, err := compiler.Compile(mod, prof, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &compiledPair{w: w}
+	p.mobile, err = interp.Compile(cres.Mobile, interp.CompileConfig{
+		Name: "mobile", Spec: opt.Mobile, Std: opt.Mobile,
+		FuncBase: mem.FuncBaseMobile, InitUVAGlobals: true,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.server, err = interp.Compile(cres.Server, interp.CompileConfig{
+		Name: "server", Spec: opt.Server, Std: opt.Mobile,
+		FuncBase: mem.FuncBaseServer, ShuffleFuncs: true, ShuffleGlobals: true,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tg := range cres.Targets {
+		p.tasks = append(p.tasks, TaskSpec{TaskID: tg.TaskID, Name: tg.Name,
+			TimePerInvocation: tg.TimePerInvocation, MemBytes: tg.MemBytes})
+	}
+	pairs[w.Name] = p
+	return p
+}
+
+// session binds a fresh session over the pair on the evaluation input.
+// link is the unscaled preset; the workload scale is applied here.
+func (p *compiledPair) session(t *testing.T, link *netsim.Link, pol Policy, extra ...Option) *testEnv {
+	t.Helper()
+	io := p.w.EvalIO()
+	mobile := p.mobile.NewInstance(interp.WithIO(io), interp.WithCostScale(p.w.CostScale))
+	server := p.server.NewInstance(interp.WithCostScale(p.w.CostScale))
+	link = link.Scaled(workloads.Scale)
+	opts := append([]Option{WithTasks(p.tasks...), WithPolicy(pol)}, extra...)
+	sess, err := NewSession(mobile, server, link, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &testEnv{link: link, mobile: mobile, server: server, sess: sess, io: io}
+}
+
+// sessionDigest runs the session to completion under a fresh tracer and
+// hashes everything an observer can see of it: the full event stream, the
+// session / link / per-task counters, the Figure 7 buckets, both final
+// clocks, the radio energy under both power models, and the program's own
+// result (output, exit code, semantic memory).
+func sessionDigest(t *testing.T, mk func(tr *obs.Tracer) *testEnv) (string, *testEnv) {
+	t.Helper()
+	tr := obs.NewTracer(1 << 18)
+	env := mk(tr)
+	code, err := env.sess.RunMobile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := tr.Dropped(); d != 0 {
+		t.Fatalf("ring dropped %d events — the digest would cover a truncated stream", d)
+	}
+	s := env.sess
+	h := sha256.New()
+	for _, e := range tr.Events() {
+		fmt.Fprintf(h, "%d %d %d %d %q %d %d %d %d %d %d\n",
+			e.Time, e.Dur, e.Kind, e.Track, e.Name, e.A0, e.A1, e.A2, e.A3, e.Job, e.Parent)
+	}
+	fmt.Fprintf(h, "stats %+v\n", s.Stats)
+	ls := s.LinkStats
+	fmt.Fprintf(h, "link %d %d %d %d %d injected %d\n", ls.MsgsToServer, ls.MsgsToMobile,
+		ls.BytesToServer, ls.BytesToMobile, ls.CommTimeMobile, ls.Injector.Stats().Total())
+	ids := make([]int, 0, len(s.PerTask))
+	for id := range s.PerTask {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		fmt.Fprintf(h, "task %d %+v\n", id, *s.PerTask[id])
+	}
+	fmt.Fprintf(h, "comp %v server-compute %d clocks %d %d\n",
+		s.Comp, s.ServerCompute, env.mobile.Clock, env.server.Clock)
+	fmt.Fprintf(h, "energy %x %x\n",
+		s.Recorder.EnergyMJ(energy.FastModel()), s.Recorder.EnergyMJ(energy.SlowModel()))
+	fmt.Fprintf(h, "exit %d digest %x output %q\n", code, s.MemDigest(), env.io.Out.String())
+	return fmt.Sprintf("%d:%x", tr.Len(), h.Sum(nil)[:8]), env
+}
+
+// verbose is a program whose one offload target prints ~19 KB in short
+// lines, so a batching session crosses the 8 KB flush threshold mid-task
+// (no Table 4 workload prints that much).
+var verbose = &workloads.Workload{
+	Name: "verbose",
+	Build: func() *ir.Module {
+		mod := ir.NewModule("verbose")
+		b := ir.NewBuilder(mod)
+		report := b.NewFunc("report", ir.I64, ir.P("lines", ir.I32))
+		acc := b.Alloca(ir.I64)
+		b.Store(acc, ir.Int64(1))
+		b.For("lines", ir.Int(0), report.Params[0], ir.Int(1), func(i ir.Value) {
+			b.For("work", ir.Int(0), ir.Int(400), ir.Int(1), func(k ir.Value) {
+				b.Store(acc, b.Add(b.Mul(b.Load(acc), ir.Int64(6364136223846793005)), ir.Int64(1442695040888963407)))
+			})
+			b.CallExtern(ir.ExternPrintf, b.Str("line %d state %d\n"), i, b.Load(acc))
+		})
+		b.Ret(b.Load(acc))
+		b.NewFunc("main", ir.I32)
+		b.CallExtern(ir.ExternPrintf, b.Str("final %d\n"), b.Call(report, ir.Int(600)))
+		b.Ret(ir.Int(0))
+		b.Finish()
+		return mod
+	},
+	ProfileIO: func() *interp.StdIO { return interp.NewStdIO(nil) },
+	EvalIO:    func() *interp.StdIO { return interp.NewStdIO(nil) },
+	CostScale: 3000,
+}
+
+// TestSessionTraceDigestPinned pins the session's whole observable
+// behaviour — the offrt counterpart of the fleet's TestTraceDigestPinned.
+// The digests were recorded before the seven server-side services were
+// folded onto one remote-service primitive; any reordered, dropped or
+// altered event, any counter, clock, energy or output byte that moves on
+// any of these session shapes changes them.
+func TestSessionTraceDigestPinned(t *testing.T) {
+	twolf := workloadPair(t, "300.twolf") // remote open/read/close + r_printf
+	gzip := workloadPair(t, "164.gzip")   // starred: declines on 802.11n
+	mcf := workloadPair(t, "429.mcf")
+	sphinx := workloadPair(t, "482.sphinx3") // 36 r_printf calls per offload
+	sjeng := workloadPair(t, "458.sjeng")    // three invocations
+	chatty := pairFor(t, verbose)
+
+	// Fault instants are placed inside the fault-free fast-link offload.
+	var start, dur simtime.PS
+	{
+		tr := obs.NewTracer(1 << 18)
+		env := twolf.session(t, netsim.Fast80211AC(), Policy{}, WithTracer(tr))
+		if _, err := env.sess.RunMobile(); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range tr.Events() {
+			if ev.Kind == obs.KOffload {
+				start, dur = ev.Time, ev.Dur
+			}
+		}
+		if dur == 0 {
+			t.Fatal("fault-free twolf run traced no offload")
+		}
+	}
+	mid := start + dur/2
+	outage := faults.Plan{Seed: 6, DropRate: 0.1, CorruptRate: 0.02,
+		Outages: []faults.Window{{Start: mid, End: mid + 4*dur}}}
+	serverEvent := func(kind faults.ServerKind, at simtime.PS) *faults.ServerPlan {
+		return &faults.ServerPlan{Events: []faults.ServerEvent{{Kind: kind, Server: 0, Start: at}}}
+	}
+	fast, slow := netsim.Fast80211AC, netsim.Slow80211N
+	printfs := func(s *Session) (n int) {
+		for _, e := range s.Tracer.Events() {
+			if e.Kind == obs.KRemoteIO && e.Name == "printf" {
+				n++
+			}
+		}
+		return n
+	}
+
+	for _, tc := range []struct {
+		name string
+		mk   func(tr *obs.Tracer) *testEnv
+		// exercised reports whether the shape took the path it is named for.
+		exercised func(s *Session) bool
+		want      string
+	}{
+		{"remote-io/fast", func(tr *obs.Tracer) *testEnv {
+			return twolf.session(t, fast(), Policy{}, WithTracer(tr), WithMetrics(obs.NewMetrics()))
+		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:96e76a15a0c0e9ef"},
+		{"remote-io/slow", func(tr *obs.Tracer) *testEnv {
+			return twolf.session(t, slow(), Policy{}, WithTracer(tr))
+		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:e3d174915360726b"},
+		{"decline/gzip-slow", func(tr *obs.Tracer) *testEnv {
+			return gzip.session(t, slow(), Policy{}, WithTracer(tr))
+		}, func(s *Session) bool { return s.Stats.Declines > 0 && s.Stats.Offloads == 0 }, "3:2f8199ca7b2c78d6"},
+		{"link-outage", func(tr *obs.Tracer) *testEnv {
+			return twolf.session(t, fast(), Policy{}, WithTracer(tr), WithFaults(faults.MustInjector(outage)))
+		}, func(s *Session) bool {
+			return s.Stats.Aborts == 1 && s.Stats.Fallbacks == 1 && s.Stats.Retries > 0 && s.quarantineUntil > 0
+		}, "1015:5a9b932f2fb89b28"},
+		{"dead-link/quarantine", func(tr *obs.Tracer) *testEnv {
+			// The offload request itself never arrives: fallback without the
+			// server, then the cool-down declines the later invocations.
+			rec := DefaultRecovery()
+			rec.Cooldown = simtime.FromSeconds(3600)
+			return sjeng.session(t, fast(), Policy{}, WithTracer(tr), WithRecovery(rec),
+				WithFaults(faults.MustInjector(faults.Plan{Outages: []faults.Window{{Start: 0, End: 1 << 62}}})))
+		}, func(s *Session) bool { return s.Stats.Aborts == 0 && s.Stats.Fallbacks == 1 && s.Stats.Declines == 2 }, "21:9808158f0358e10d"},
+		{"crash-retry", func(tr *obs.Tracer) *testEnv {
+			return twolf.session(t, fast(), Policy{}, WithTracer(tr),
+				WithServerFaults(serverEvent(faults.Crash, mid)), WithMigration(DefaultMigration()))
+		}, func(s *Session) bool { return s.Stats.CrashRetries == 1 && s.Stats.Fallbacks == 0 }, "2584:f5b696e98f0745dc"},
+		{"drain-decline", func(tr *obs.Tracer) *testEnv {
+			// twolf's evaluation input outruns its profile, so Equation 1 sees
+			// no remaining work worth shipping: the drain aborts to fallback.
+			return twolf.session(t, fast(), Policy{}, WithTracer(tr),
+				WithServerFaults(serverEvent(faults.Drain, mid)), WithMigration(DefaultMigration()))
+		}, func(s *Session) bool { return s.Stats.Migrations == 0 && s.Stats.Aborts == 1 && s.Stats.Fallbacks == 1 }, "867:68f30cbe9b67f8b2"},
+		{"drain-migrate", func(tr *obs.Tracer) *testEnv {
+			return mcf.session(t, fast(), Policy{}, WithTracer(tr),
+				WithServerFaults(serverEvent(faults.Drain, simtime.Second)), WithMigration(DefaultMigration()))
+		}, func(s *Session) bool { return s.Stats.Migrations == 1 && s.Stats.Fallbacks == 0 }, "23:392099fb8bc04718"},
+		{"tiers/3way", func(tr *obs.Tracer) *testEnv {
+			return mcf.session(t, fast(), Policy{}, WithTracer(tr), WithTiers(tiers.Default(2, 1)))
+		}, func(s *Session) bool { return s.Stats.EdgePlaced+s.Stats.CloudPlaced > 0 }, "19:75535ee157794160"},
+		{"policy/batch-output", func(tr *obs.Tracer) *testEnv {
+			return sphinx.session(t, fast(), Policy{BatchOutput: true}, WithTracer(tr))
+		}, func(s *Session) bool { return printfs(s) == 1 }, "20:74ce69d8bd73dacb"},
+		{"policy/batch-threshold", func(tr *obs.Tracer) *testEnv {
+			return chatty.session(t, fast(), Policy{BatchOutput: true, ForceOffload: true}, WithTracer(tr))
+		}, func(s *Session) bool { return printfs(s) == 3 }, "24:616b11772986afef"},
+		{"policy/unbatched", func(tr *obs.Tracer) *testEnv {
+			return sphinx.session(t, fast(), Policy{}, WithTracer(tr))
+		}, func(s *Session) bool { return printfs(s) == 36 }, "160:f04d1ac9df579c59"},
+		{"policy/no-compress", func(tr *obs.Tracer) *testEnv {
+			return twolf.session(t, fast(), Policy{NoCompress: true}, WithTracer(tr))
+		}, func(s *Session) bool { return s.Stats.WriteBackWireBytes >= s.Stats.RawBytesToMobile }, "1673:0a1118b7ae9d0b30"},
+		{"policy/no-prefetch", func(tr *obs.Tracer) *testEnv {
+			return twolf.session(t, fast(), Policy{NoPrefetch: true}, WithTracer(tr))
+		}, func(s *Session) bool { return s.Stats.PrefetchPages == 0 && s.Stats.Faults > 1 }, "1697:6cf1b94f77944c05"},
+	} {
+		got, env := sessionDigest(t, tc.mk)
+		if !tc.exercised(env.sess) {
+			t.Errorf("%s: shape is vacuous: stats %+v", tc.name, env.sess.Stats)
+		}
+		if got != tc.want {
+			t.Errorf("%s: session digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
