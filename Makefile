@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet fmt test smoke bench golden fuzz chaos profsmoke
+.PHONY: check build vet benchvet fmt test smoke bench golden fuzz chaos profsmoke
 
-## check: the tier-1 verification — build, vet, gofmt cleanliness, the
-## profiler/breakdown CLI smoke, every test under the race detector (the
-## Test*Smoke contract tests included: each states its contract in its own
-## doc comment), and a short fuzz smoke over the hardened wire decoder.
-check: build vet fmt profsmoke
+## check: the tier-1 verification — build, vet (the root module and the
+## nested benchmark module), gofmt cleanliness, the profiler/breakdown CLI
+## smoke, every test under the race detector (the Test*Smoke contract tests
+## included: each states its contract in its own doc comment), and a short
+## fuzz smoke over the hardened wire decoder.
+check: build vet benchvet fmt profsmoke
 	$(GO) test -race ./...
 	$(GO) test ./internal/offrt/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 
@@ -21,6 +22,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+## benchvet: bench/ is its own module (replace repro => ../), so ./... at
+## the root never compiles it; build and vet it against this tree so an API
+## change it consumes (offrt sessions, core results) fails here. Runs nothing.
+benchvet:
+	cd bench && $(GO) vet .
 
 ## fmt: every Go file must be gofmt-clean (prints the offenders and fails).
 fmt:

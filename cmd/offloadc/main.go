@@ -57,7 +57,9 @@ func run() error {
 		if mod, err = cli.LoadIR(*irFile); err != nil {
 			return err
 		}
-		profIO = cli.StdinIO(*stdin)
+		if profIO, err = cli.StdinIO(*stdin); err != nil {
+			return fmt.Errorf("-stdin: %w", err)
+		}
 		fw.CostScale = *cost
 	} else if *name != "chess" {
 		w := workloads.ByName(*name)

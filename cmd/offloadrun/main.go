@@ -258,7 +258,9 @@ func runWorkload(name string, showOut bool, o *observability) error {
 			o.faults.String(), r.Fast.FaultStats.Total(), r.Fast.Stats.Retries, r.Fast.Stats.Aborts, r.Fast.Stats.Fallbacks)
 	}
 	if o.serverFaults != nil {
-		cell, err := experiments.RunServerChaosCell(r, o.serverFaults, o.migration(), "cli")
+		cell, err := experiments.RunChaosCell(r, o.serverFaults.String(), func(fw *core.Framework) {
+			fw.ServerFaults, fw.Migration = o.serverFaults, o.migration()
+		})
 		if err != nil {
 			return fmt.Errorf("-server-faults: %w", err)
 		}
@@ -327,8 +329,13 @@ func runIRFile(path, stdin string, cost int64, showOut bool, o *observability) e
 	if err != nil {
 		return err
 	}
-	mkIO := func() *interp.StdIO { return cli.StdinIO(stdin) }
-	off, err := runModule(o, mod, cost, mkIO(), mkIO,
+	profIO, err := cli.StdinIO(stdin)
+	if err != nil {
+		return fmt.Errorf("-stdin: %w", err)
+	}
+	// Every run consumes a fresh token stream; the spec was just validated.
+	mkIO := func() *interp.StdIO { in, _ := cli.StdinIO(stdin); return in }
+	off, err := runModule(o, mod, cost, profIO, mkIO,
 		func(local *core.LocalResult, off *core.OffloadResult) {
 			match := "identical"
 			if off.Output != local.Output {

@@ -81,14 +81,21 @@ func LoadIR(path string) (*ir.Module, error) {
 }
 
 // StdinIO builds a program's scanf token stream from a comma-separated
-// integer list (the -stdin flag); tokens that are not integers are skipped.
-func StdinIO(csv string) *interp.StdIO {
+// integer list (the -stdin flag). The empty list is no input; a token that
+// is not an integer is an error naming it, never silently dropped — the
+// program would otherwise run on a different input than the one given.
+func StdinIO(csv string) (*interp.StdIO, error) {
 	in := interp.NewStdIO(nil)
 	in.MaxBuffered = 1 << 20
-	for _, tok := range strings.Split(csv, ",") {
-		if v, err := strconv.ParseInt(strings.TrimSpace(tok), 10, 64); err == nil {
-			in.AddInput(v)
-		}
+	if strings.TrimSpace(csv) == "" {
+		return in, nil
 	}
-	return in
+	for _, tok := range strings.Split(csv, ",") {
+		v, err := strconv.ParseInt(strings.TrimSpace(tok), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("token %q is not an integer", tok)
+		}
+		in.AddInput(v)
+	}
+	return in, nil
 }

@@ -68,8 +68,6 @@ type Framework struct {
 	// offloaded run (chaos testing); the session's recovery layer retries,
 	// aborts and falls back locally as needed. Nil leaves the link reliable.
 	Faults *faults.Plan
-	// Recovery overrides the failure-recovery policy when non-nil.
-	Recovery *offrt.Recovery
 	// ServerFaults, when set, schedules deterministic *server* faults
 	// (slowdown, stall, crash, drain) against every offloaded run's server.
 	// Nil leaves the server perfectly healthy.
@@ -271,8 +269,6 @@ type OffloadResult struct {
 	PerTask   map[int]*offrt.TaskStats
 	// Recorder holds the power timeline for Figure 8.
 	Recorder *energy.Recorder
-	// Metrics echoes the framework's registry when one was attached.
-	Metrics *obs.Metrics
 	// MemDigest hashes the mobile device's final semantic memory (globals
 	// and heap, stacks excluded); chaos testing compares it between
 	// faulted and fault-free runs.
@@ -364,9 +360,6 @@ func (fw *Framework) RunOffloaded(cres *compiler.Result, io *interp.StdIO, pol o
 		}
 		opts = append(opts, offrt.WithFaults(injector))
 	}
-	if fw.Recovery != nil {
-		opts = append(opts, offrt.WithRecovery(*fw.Recovery))
-	}
 	if fw.ServerFaults != nil {
 		opts = append(opts, offrt.WithServerFaults(fw.ServerFaults))
 	}
@@ -408,7 +401,6 @@ func (fw *Framework) RunOffloaded(cres *compiler.Result, io *interp.StdIO, pol o
 		Stats:         sess.Stats,
 		PerTask:       sess.PerTask,
 		Recorder:      sess.Recorder,
-		Metrics:       fw.Metrics,
 		MemDigest:     sess.MemDigest(),
 		FaultStats:    fstats,
 		MobileProf:    mProf,

@@ -80,23 +80,6 @@ func (p Params) ProfitableQueued(tm simtime.PS, memBytes int64, queue simtime.PS
 	return p.RemoteTime(tm, memBytes, queue) < tm
 }
 
-// ProfitableQueuedMargin is ProfitableQueued with a confidence margin on
-// the queueing-delay signal: the charged delay is queue*margin. The load
-// signal a dispatcher exposes is stale by one transfer time and shared by
-// every concurrently-deciding client, so it systematically underestimates
-// the delay the request will actually meet under bursts (the
-// join-shortest-queue herding bias). margin > 1 prices that bias in;
-// margin == 1 is exactly ProfitableQueued. The fleet's adaptive admission
-// controller raises the margin when sheds and deadline overruns show the
-// raw estimate was trusted too far, and decays it back when the pool runs
-// clean.
-func (p Params) ProfitableQueuedMargin(tm simtime.PS, memBytes int64, queue simtime.PS, margin float64) bool {
-	if margin != 1 {
-		queue = simtime.PS(float64(queue) * margin)
-	}
-	return p.ProfitableQueued(tm, memBytes, queue)
-}
-
 // Estimate is the per-candidate result the target selector records
 // (Table 3's right-hand columns).
 type Estimate struct {
@@ -178,11 +161,16 @@ func Placement(tm simtime.PS, memBytes int64, edge, cloud TierOption) (Placement
 	return PlacementMargin(tm, memBytes, edge, cloud, 1)
 }
 
-// PlacementMargin is Placement with ProfitableQueuedMargin's confidence
-// margin applied to each tier's queue signal: the charged delay is
-// Queue*margin. margin == 1 is exactly Placement. The fleet's adaptive
-// admission controller feeds its per-server margin here so tiered
-// dispatch prices the same herding bias as the 2-way gate.
+// PlacementMargin is Placement with a confidence margin on each tier's
+// queueing-delay signal: the charged delay is Queue*margin. The load
+// signal a dispatcher exposes is stale by one transfer time and shared by
+// every concurrently-deciding client, so it systematically underestimates
+// the delay the request will actually meet under bursts (the
+// join-shortest-queue herding bias). margin > 1 prices that bias in;
+// margin == 1 is exactly Placement. The fleet's adaptive admission
+// controller raises its per-server margin when sheds and deadline overruns
+// show the raw estimate was trusted too far, and decays it back when the
+// pool runs clean.
 func PlacementMargin(tm simtime.PS, memBytes int64, edge, cloud TierOption, margin float64) (PlacementChoice, simtime.PS) {
 	best, choice := tm, PlaceLocal
 	if edge.OK {

@@ -136,8 +136,8 @@ func TestPlacementTieBreaks(t *testing.T) {
 	}
 }
 
-// PlacementMargin prices the queue signal exactly like
-// ProfitableQueuedMargin: margin m on queue q behaves as queue q*m.
+// PlacementMargin prices the queue signal as ProfitableQueued with the
+// margin-scaled queue: margin m on queue q behaves as queue q*m.
 func TestPlacementMarginScalesQueue(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 1000; i++ {

@@ -241,28 +241,19 @@ func runCrossArch(Params) (*Artifact, error) {
 // server-fault one. Either way a cell that diverges from its fault-free
 // run fails the experiment after the table is rendered.
 func runChaos(p Params) (*Artifact, error) {
-	if p.ServerFaults == "" {
-		cells, err := ChaosSweep()
+	sweep := ChaosSweep
+	if p.ServerFaults != "" {
+		plan, err := faults.ParseServer(p.ServerFaults)
 		if err != nil {
 			return nil, err
 		}
-		a := &Artifact{Text: ChaosTable(cells).String()}
-		for _, c := range cells {
-			if !c.Equal() {
-				return a, fmt.Errorf("chaos: %s under %s diverged from its fault-free run", c.Workload, c.Plan.String())
-			}
-		}
-		return a, nil
+		sweep = func() ([]*ChaosCell, error) { return ServerChaosSpecSweep(plan) }
 	}
-	plan, err := faults.ParseServer(p.ServerFaults)
+	cells, err := sweep()
 	if err != nil {
 		return nil, err
 	}
-	cells, err := ServerChaosSpecSweep(plan)
-	if err != nil {
-		return nil, err
-	}
-	a := &Artifact{Text: ServerChaosTable(cells).String()}
+	a := &Artifact{Text: ChaosTable(cells).String()}
 	migrations, retries, fallbacks := 0, 0, 0
 	for _, c := range cells {
 		migrations += c.Migrations
@@ -272,8 +263,10 @@ func runChaos(p Params) (*Artifact, error) {
 			return a, fmt.Errorf("chaos: %s under %s diverged from its fault-free run", c.Workload, c.Plan)
 		}
 	}
-	a.Text += fmt.Sprintf("\nserver chaos: %d migrations, %d crash retries, %d fallbacks across %d workloads",
-		migrations, retries, fallbacks, len(cells))
+	if p.ServerFaults != "" {
+		a.Text += fmt.Sprintf("\nserver chaos: %d migrations, %d crash retries, %d fallbacks across %d workloads",
+			migrations, retries, fallbacks, len(cells))
+	}
 	return a, nil
 }
 

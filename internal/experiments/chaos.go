@@ -12,11 +12,17 @@ import (
 	"repro/internal/workloads"
 )
 
-// ChaosCell is one workload executed under one fault plan, compared
-// against its fault-free offloaded run.
+// ChaosCell is one workload executed under one fault plan — link faults,
+// server faults (crash, drain, slowdown, stall on the serving host), or
+// both — compared against its fault-free offloaded run. Which recovery the
+// runtime actually took — retransmission, checkpoint-migration, re-send on
+// a spare, local fallback — shows in the counters; the equivalence checks
+// must hold regardless.
 type ChaosCell struct {
 	Workload string
-	Plan     faults.Plan
+	// Plan labels the fault plan (and, in the server-death sweeps, the
+	// recovery mode the cell is set up to exercise, as a "mode: " prefix).
+	Plan string
 
 	// OutputOK/CodeOK/MemOK are the three equivalence checks against the
 	// fault-free run: stdout bytes, exit code, semantic memory digest.
@@ -24,13 +30,15 @@ type ChaosCell struct {
 	CodeOK   bool
 	MemOK    bool
 
-	// Injected counts the faults the plan actually landed; Retries, Aborts
-	// and Fallbacks are the recovery layer's reaction. FallbackEvents is
-	// the fallback.local trace-event count (the acceptance signal that a
-	// cell exercised local re-execution).
+	// Injected counts the link faults the plan actually landed; the rest is
+	// the recovery layer's reaction. FallbackEvents is the fallback.local
+	// trace-event count (the acceptance signal that a cell exercised local
+	// re-execution).
 	Injected       int64
 	Retries        int
 	Aborts         int
+	Migrations     int
+	CrashRetries   int
 	Fallbacks      int
 	FallbackEvents int
 
@@ -67,29 +75,35 @@ func ChaosGrid(total simtime.PS) []faults.Plan {
 	return plans
 }
 
-// RunChaosCell executes one workload under one fault plan and scores it
-// against the cached fault-free result.
-func RunChaosCell(pr *ProgramResult, plan faults.Plan) (*ChaosCell, error) {
+// RunChaosCell executes one workload on a fast-network framework that
+// configure has armed with faults (link plan, server plan, migration — nil
+// migration is the paper's fallback-only runtime) and scores it against
+// the cached fault-free result. label names the plan in the cell and in
+// errors.
+func RunChaosCell(pr *ProgramResult, label string, configure func(fw *core.Framework)) (*ChaosCell, error) {
 	fw := core.NewFramework(core.FastNetwork).WithScale(workloads.Scale, pr.W.CostScale)
-	tr := obs.NewTracer(0)
-	fw.Tracer = tr
-	fw.Faults = &plan
+	// Only the fallback.local count is read back, so nothing else is kept.
+	fw.Tracer = obs.NewTracer(0)
+	fw.Tracer.SetKinds(obs.KFallback)
+	configure(fw)
 	off, err := fw.RunOffloaded(pr.Compile, pr.W.EvalIO(), offrt.Policy{})
 	if err != nil {
-		return nil, fmt.Errorf("%s under %s: %w", pr.W.Name, plan.String(), err)
+		return nil, fmt.Errorf("%s under %s: %w", pr.W.Name, label, err)
 	}
 	cell := &ChaosCell{
-		Workload:  pr.W.Name,
-		Plan:      plan,
-		OutputOK:  off.Output == pr.Fast.Output,
-		CodeOK:    off.Code == pr.Fast.Code,
-		MemOK:     off.MemDigest == pr.Fast.MemDigest,
-		Injected:  off.FaultStats.Total(),
-		Retries:   off.Stats.Retries,
-		Aborts:    off.Stats.Aborts,
-		Fallbacks: off.Stats.Fallbacks,
+		Workload:     pr.W.Name,
+		Plan:         label,
+		OutputOK:     off.Output == pr.Fast.Output,
+		CodeOK:       off.Code == pr.Fast.Code,
+		MemOK:        off.MemDigest == pr.Fast.MemDigest,
+		Injected:     off.FaultStats.Total(),
+		Retries:      off.Stats.Retries,
+		Aborts:       off.Stats.Aborts,
+		Migrations:   off.Stats.Migrations,
+		CrashRetries: off.Stats.CrashRetries,
+		Fallbacks:    off.Stats.Fallbacks,
 	}
-	for _, ev := range tr.Events() {
+	for _, ev := range fw.Tracer.Events() {
 		if ev.Kind == obs.KFallback {
 			cell.FallbackEvents++
 		}
@@ -113,7 +127,7 @@ func ChaosSweep() ([]*ChaosCell, error) {
 	for wi, pr := range base {
 		for pi, plan := range ChaosGrid(pr.Fast.Time) {
 			plan.Seed = uint64(wi)*97 + uint64(pi) + 1
-			cell, err := RunChaosCell(pr, plan)
+			cell, err := RunChaosCell(pr, plan.String(), func(fw *core.Framework) { fw.Faults = &plan })
 			if err != nil {
 				return nil, err
 			}
@@ -123,11 +137,11 @@ func ChaosSweep() ([]*ChaosCell, error) {
 	return cells, nil
 }
 
-// ChaosTable renders the chaos campaign: one row per (workload, plan)
-// cell with its fault counts, recovery actions and equivalence verdict.
+// ChaosTable renders a chaos campaign: one row per (workload, plan) cell
+// with its fault counts, recovery actions and equivalence verdict.
 func ChaosTable(cells []*ChaosCell) *report.Table {
 	t := report.New("Chaos: fault-injection equivalence",
-		"program", "plan", "faults", "retries", "aborts", "fallbacks", "time x", "equal")
+		"program", "plan", "faults", "retries", "aborts", "migrations", "crash retries", "fallbacks", "time x", "equal")
 	bad := 0
 	withFallback := 0
 	for _, c := range cells {
@@ -139,7 +153,7 @@ func ChaosTable(cells []*ChaosCell) *report.Table {
 		if c.FallbackEvents > 0 {
 			withFallback++
 		}
-		t.Add(c.Workload, c.Plan.String(), c.Injected, c.Retries, c.Aborts,
+		t.Add(c.Workload, c.Plan, c.Injected, c.Retries, c.Aborts, c.Migrations, c.CrashRetries,
 			c.Fallbacks, fmt.Sprintf("%.2f", c.Slowdown), verdict)
 	}
 	t.Note("%d cells, %d diverged, %d exercised local fallback; every cell must match the fault-free run bit for bit.",

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/simtime"
 )
@@ -28,13 +29,13 @@ func TestChaosEquivalence(t *testing.T) {
 		workloadsSeen[c.Workload] = true
 		if !c.Equal() {
 			t.Errorf("%s under %s diverged from fault-free run (output=%v code=%v mem=%v)",
-				c.Workload, c.Plan.String(), c.OutputOK, c.CodeOK, c.MemOK)
+				c.Workload, c.Plan, c.OutputOK, c.CodeOK, c.MemOK)
 		}
 		if c.FallbackEvents > 0 {
 			fallbackCells++
 			if c.Fallbacks == 0 {
 				t.Errorf("%s under %s traced fallback.local but Stats.Fallbacks is 0",
-					c.Workload, c.Plan.String())
+					c.Workload, c.Plan)
 			}
 		}
 		if c.Injected > 0 {
@@ -82,7 +83,7 @@ func TestChaosPropertyRandomPlans(t *testing.T) {
 			start := simtime.PS(rng.Int63n(int64(pr.Fast.Time)))
 			plan.Outages = []faults.Window{{Start: start, End: start + 4*pr.Fast.Time}}
 		}
-		cell, err := RunChaosCell(pr, plan)
+		cell, err := RunChaosCell(pr, plan.String(), func(fw *core.Framework) { fw.Faults = &plan })
 		if err != nil {
 			t.Fatalf("%s under %s: %v", pr.W.Name, plan.String(), err)
 		}

@@ -10,55 +10,7 @@ import (
 	"repro/internal/offrt"
 	"repro/internal/report"
 	"repro/internal/simtime"
-	"repro/internal/workloads"
 )
-
-// ServerChaosCell is one workload executed under one *server*-fault plan
-// (crash, drain, slowdown, stall on the serving host), compared against
-// its fault-free offloaded run. The recovery mode the runtime actually
-// took — checkpoint-migration, re-send on a spare, or local fallback —
-// shows in the counters; the equivalence columns must hold regardless.
-type ServerChaosCell struct {
-	Workload string
-	Mode     string // the recovery the cell is set up to exercise
-	Plan     string
-
-	OutputOK bool
-	CodeOK   bool
-	MemOK    bool
-
-	Migrations   int
-	CrashRetries int
-	Fallbacks    int
-}
-
-// Equal reports whether the faulted run was observationally identical to
-// the fault-free one.
-func (c *ServerChaosCell) Equal() bool { return c.OutputOK && c.CodeOK && c.MemOK }
-
-// RunServerChaosCell executes one workload under one server-fault plan
-// (mig nil = migration off, the paper's fallback-only runtime) and scores
-// it against the cached fault-free result.
-func RunServerChaosCell(pr *ProgramResult, plan *faults.ServerPlan, mig *offrt.Migration, mode string) (*ServerChaosCell, error) {
-	fw := core.NewFramework(core.FastNetwork).WithScale(workloads.Scale, pr.W.CostScale)
-	fw.ServerFaults = plan
-	fw.Migration = mig
-	off, err := fw.RunOffloaded(pr.Compile, pr.W.EvalIO(), offrt.Policy{})
-	if err != nil {
-		return nil, fmt.Errorf("%s under %s: %w", pr.W.Name, plan.String(), err)
-	}
-	return &ServerChaosCell{
-		Workload:     pr.W.Name,
-		Mode:         mode,
-		Plan:         plan.String(),
-		OutputOK:     off.Output == pr.Fast.Output,
-		CodeOK:       off.Code == pr.Fast.Code,
-		MemOK:        off.MemDigest == pr.Fast.MemDigest,
-		Migrations:   off.Stats.Migrations,
-		CrashRetries: off.Stats.CrashRetries,
-		Fallbacks:    off.Stats.Fallbacks,
-	}, nil
-}
 
 // ServerDeathSweep is the server-death chaos campaign: across `seeds`
 // deterministic scenarios, the serving host dies mid-offload — at a
@@ -68,13 +20,13 @@ func RunServerChaosCell(pr *ProgramResult, plan *faults.ServerPlan, mig *offrt.M
 // spare (checkpoint migration when Equation 1 favors it). Every cell must
 // be bit-identical to the fault-free run; which recovery fired is the
 // cell's mode, not its verdict.
-func ServerDeathSweep(seeds int) ([]*ServerChaosCell, error) {
+func ServerDeathSweep(seeds int) ([]*ChaosCell, error) {
 	base, err := Sweep()
 	if err != nil {
 		return nil, err
 	}
 	spare := offrt.DefaultMigration()
-	var cells []*ServerChaosCell
+	var cells []*ChaosCell
 	for i := 0; i < seeds; i++ {
 		pr := base[i%len(base)]
 		// Kill at a seed-dependent point inside the fault-free timeline so
@@ -94,7 +46,9 @@ func ServerDeathSweep(seeds int) ([]*ServerChaosCell, error) {
 			{"fallback", crash, nil},
 			{"migrate", drain, &spare},
 		} {
-			cell, err := RunServerChaosCell(pr, m.plan, m.mig, m.mode)
+			cell, err := RunChaosCell(pr, m.mode+": "+m.plan.String(), func(fw *core.Framework) {
+				fw.ServerFaults, fw.Migration = m.plan, m.mig
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -107,40 +61,23 @@ func ServerDeathSweep(seeds int) ([]*ServerChaosCell, error) {
 // ServerChaosSpecSweep runs every workload of the main sweep under one
 // user-supplied server-fault plan (the -server-faults flag), migration
 // enabled, and returns the per-workload cells.
-func ServerChaosSpecSweep(plan *faults.ServerPlan) ([]*ServerChaosCell, error) {
+func ServerChaosSpecSweep(plan *faults.ServerPlan) ([]*ChaosCell, error) {
 	base, err := Sweep()
 	if err != nil {
 		return nil, err
 	}
 	mig := offrt.DefaultMigration()
-	var cells []*ServerChaosCell
+	var cells []*ChaosCell
 	for _, pr := range base {
-		cell, err := RunServerChaosCell(pr, plan, &mig, "spec")
+		cell, err := RunChaosCell(pr, "spec: "+plan.String(), func(fw *core.Framework) {
+			fw.ServerFaults, fw.Migration = plan, &mig
+		})
 		if err != nil {
 			return nil, err
 		}
 		cells = append(cells, cell)
 	}
 	return cells, nil
-}
-
-// ServerChaosTable renders a server-fault campaign: one row per cell with
-// its recovery counters and equivalence verdict.
-func ServerChaosTable(cells []*ServerChaosCell) *report.Table {
-	t := report.New("Chaos: server-failure equivalence",
-		"program", "mode", "plan", "migrations", "crash retries", "fallbacks", "equal")
-	bad := 0
-	for _, c := range cells {
-		verdict := "yes"
-		if !c.Equal() {
-			verdict = "NO"
-			bad++
-		}
-		t.Add(c.Workload, c.Mode, c.Plan, c.Migrations, c.CrashRetries, c.Fallbacks, verdict)
-	}
-	t.Note("%d cells, %d diverged; migrated, retried and fallen-back runs alike must match the fault-free run bit for bit.",
-		len(cells), bad)
-	return t
 }
 
 // MigrateBenchCell is one seed of the fleet-level migration benchmark:

@@ -7,11 +7,11 @@
 // system the ROADMAP names: every client keeps the paper's dynamic
 // Equation-1 gate, but the break-even point now includes the *queueing
 // delay* a shared server charges (estimate.PlacementMargin, which over a
-// single tier is exactly estimate.ProfitableQueuedMargin), so a busy
-// fleet flips marginal tasks back to local execution. On top sit a
-// pluggable load-balancing dispatcher (random, round-robin, least-loaded,
-// est-aware) and admission control that sheds requests past a queue-depth
-// or wait bound down the existing local-fallback path.
+// single tier is exactly estimate.ProfitableQueued with the margin-scaled
+// queue), so a busy fleet flips marginal tasks back to local execution. On
+// top sit a pluggable load-balancing dispatcher (random, round-robin,
+// least-loaded, est-aware) and admission control that sheds requests past a
+// queue-depth or wait bound down the existing local-fallback path.
 //
 // Everything is seeded-deterministic: the same Config (including Seed)
 // produces byte-identical schedules and statistics, so policy comparisons

@@ -14,9 +14,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files instead of comparing")
 
-// Updating reports whether the test run was invoked with -update.
-func Updating() bool { return *update }
-
 // Check compares got against the golden file testdata/<name> relative to
 // the calling test's package directory. With -update it (re)writes the
 // file instead; without it, a missing or drifted file fails the test with

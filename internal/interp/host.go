@@ -62,8 +62,7 @@ type StdIO struct {
 	// accumulating); 0 keeps everything.
 	MaxBuffered int
 
-	ints   []int64
-	floats []float64
+	ints []int64
 
 	files map[string][]byte
 	fds   map[int32]*fileCursor
@@ -87,9 +86,6 @@ func NewStdIO(ints []int64) *StdIO {
 
 // AddInput appends scanf integer tokens.
 func (h *StdIO) AddInput(vs ...int64) { h.ints = append(h.ints, vs...) }
-
-// AddFloatInput appends scanf float tokens.
-func (h *StdIO) AddFloatInput(vs ...float64) { h.floats = append(h.floats, vs...) }
 
 // AddFile installs an in-memory file.
 func (h *StdIO) AddFile(name string, data []byte) { h.files[name] = data }
@@ -123,14 +119,8 @@ func (h *StdIO) NextInt() (int64, bool) {
 	return v, true
 }
 
-func (h *StdIO) NextFloat() (float64, bool) {
-	if len(h.floats) == 0 {
-		return 0, false
-	}
-	v := h.floats[0]
-	h.floats = h.floats[1:]
-	return v, true
-}
+// NextFloat reports end of input: StdIO feeds integer tokens only.
+func (h *StdIO) NextFloat() (float64, bool) { return 0, false }
 
 func (h *StdIO) Open(name string) (int32, error) {
 	data, ok := h.files[name]
@@ -169,21 +159,20 @@ func (h *StdIO) Close(fd int32) error {
 }
 
 type stdIOSnapshot struct {
-	ints   []int64
-	floats []float64
-	fds    map[int32]fileCursor
-	next   int32
+	ints []int64
+	fds  map[int32]fileCursor
+	next int32
 }
 
-// SnapshotIO checkpoints the consumable input state. Token slices are
-// captured by header only: NextInt/NextFloat re-slice without writing to
-// the backing array, so the snapshot stays valid without copying.
+// SnapshotIO checkpoints the consumable input state. The token slice is
+// captured by header only: NextInt re-slices without writing to the
+// backing array, so the snapshot stays valid without copying.
 func (h *StdIO) SnapshotIO() interface{} {
 	fds := make(map[int32]fileCursor, len(h.fds))
 	for fd, c := range h.fds {
 		fds[fd] = *c
 	}
-	return &stdIOSnapshot{ints: h.ints, floats: h.floats, fds: fds, next: h.next}
+	return &stdIOSnapshot{ints: h.ints, fds: fds, next: h.next}
 }
 
 // RestoreIO rolls the consumable input state back to a SnapshotIO result.
@@ -192,7 +181,7 @@ func (h *StdIO) RestoreIO(v interface{}) {
 	if !ok {
 		return
 	}
-	h.ints, h.floats, h.next = sn.ints, sn.floats, sn.next
+	h.ints, h.next = sn.ints, sn.next
 	h.fds = make(map[int32]*fileCursor, len(sn.fds))
 	for fd, c := range sn.fds {
 		c := c

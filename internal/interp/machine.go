@@ -264,15 +264,6 @@ func (m *Machine) releaseFrame(cf *cfunc, regs []uint64) {
 // FuncAddr returns this machine's address for f.
 func (m *Machine) FuncAddr(f *ir.Func) uint32 { return m.lay.funcAddr[f] }
 
-// FuncAddrByName returns this machine's address for the named function.
-func (m *Machine) FuncAddrByName(name string) (uint32, bool) {
-	f := m.Mod.Func(name)
-	if f == nil {
-		return 0, false
-	}
-	return m.lay.funcAddr[f], true
-}
-
 // FuncAt resolves an address assigned by this machine's linker.
 func (m *Machine) FuncAt(addr uint32) (*ir.Func, bool) {
 	f, ok := m.lay.funcByAddr[addr]

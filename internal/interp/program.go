@@ -117,16 +117,12 @@ type InstanceOption func(*instanceConfig)
 
 type instanceConfig struct {
 	io        IOHost
-	sys       SysHost
 	costScale int64
 	engine    Engine
 }
 
 // WithIO sets the instance's I/O host (defaults to NewStdIO(nil)).
 func WithIO(io IOHost) InstanceOption { return func(c *instanceConfig) { c.io = io } }
-
-// WithSys sets the instance's system host (the offload runtime).
-func WithSys(sys SysHost) InstanceOption { return func(c *instanceConfig) { c.sys = sys } }
 
 // WithCostScale amplifies compute charges (see Config.CostScale).
 func WithCostScale(s int64) InstanceOption { return func(c *instanceConfig) { c.costScale = s } }
@@ -157,7 +153,6 @@ func (p *Program) NewInstance(opts ...InstanceOption) *Machine {
 	if cfg.io != nil {
 		m.IO = cfg.io
 	}
-	m.Sys = cfg.sys
 	m.pools = make([][][]uint64, p.cc.nfuncs)
 	return m
 }

@@ -242,19 +242,6 @@ func (m *Module) Extern(kind ExternKind) *Func {
 	return f
 }
 
-// SortedFuncNames returns the defined (non-extern) function names sorted,
-// for deterministic reports.
-func (m *Module) SortedFuncNames() []string {
-	var names []string
-	for _, f := range m.Funcs {
-		if !f.IsExtern() {
-			names = append(names, f.Nam)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
 // NamedStructs collects every named struct type reachable from the module's
 // globals and instructions, sorted by name; the printer emits their
 // definitions so printed modules are self-contained for the parser.

@@ -168,16 +168,6 @@ func IsInt(t Type) bool { _, ok := t.(*IntType); return ok }
 // IsFloat reports whether t is a floating point type.
 func IsFloat(t Type) bool { _, ok := t.(*FloatType); return ok }
 
-// IsFuncPtr reports whether t is a pointer to a function type.
-func IsFuncPtr(t Type) bool {
-	p, ok := t.(*PointerType)
-	if !ok {
-		return false
-	}
-	_, ok = p.Elem.(*FuncType)
-	return ok
-}
-
 // ClassOf maps a scalar IR type to its architecture primitive class.
 // It panics on aggregate or void types, which have no single class.
 func ClassOf(t Type) arch.Class {

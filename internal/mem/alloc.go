@@ -118,10 +118,3 @@ func (a *Allocator) Free(addr uint32) error {
 	}
 	return a.M.WriteUint(a.Base+adminFree, 4, uint64(blk))
 }
-
-// Brk reports the current bump pointer, i.e. the high-water mark of the
-// heap; the profiler uses it to size prefetch sets.
-func (a *Allocator) Brk() (uint32, error) {
-	v, err := a.M.ReadUint(a.Base+adminBrk, 4)
-	return uint32(v), err
-}

@@ -53,10 +53,6 @@ func TestWithStartTimeResolvesPhase(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	var gateBW []int64
-	debugGate = func(clock simtime.PS, bw int64, ok bool) { gateBW = append(gateBW, bw) }
-	defer func() { debugGate = nil }()
-
 	env := setup(t, link, Policy{}, WithStartTime(start), WithTracer(obs.NewTracer(0)))
 	defer env.sess.Shutdown()
 
@@ -88,6 +84,13 @@ func TestWithStartTimeResolvesPhase(t *testing.T) {
 	env.sess.PerTask[99] = &TaskStats{}
 	if env.sess.Gate(env.mobile, 99) {
 		t.Error("gate offloaded over the degraded phase; it estimated with stale bandwidth")
+	}
+	// The gate event's A2 is the bandwidth the verdict was priced with.
+	var gateBW []int64
+	for _, ev := range env.sess.Tracer.Events() {
+		if ev.Kind == obs.KGate {
+			gateBW = append(gateBW, ev.A2)
+		}
 	}
 	if len(gateBW) == 0 || gateBW[len(gateBW)-1] != 2_000 {
 		t.Errorf("gate saw bandwidths %v, want the phase-1 2000 bps", gateBW)

@@ -1,12 +1,8 @@
 package offrt
 
 import (
-	"errors"
 	"fmt"
 
-	"repro/internal/energy"
-	"repro/internal/interp"
-	"repro/internal/mem"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -64,35 +60,13 @@ func (r Recovery) Validate() error {
 	return nil
 }
 
-// errLinkDown is the terminal failure of one wire RPC after its retry
-// budget is exhausted.
-var errLinkDown = errors.New("link down")
-
-// rpcDeadline is how long the sender waits for evidence of delivery
-// before retransmitting: the estimator-predicted transfer time over the
-// current link regime, scaled by DeadlineSlack and floored.
-func (s *Session) rpcDeadline(link *netsim.Link, size int64) simtime.PS {
-	d := simtime.PS(s.rec.DeadlineSlack * float64(link.TransferTime(size)))
-	if d < s.rec.DeadlineFloor {
-		d = s.rec.DeadlineFloor
-	}
-	return d
-}
-
-// offloadDeadline is the mobile side's patience for a whole offloaded
-// task: predicted server execution time plus predicted communication,
-// scaled like an RPC deadline. When the server abandons a task the link
-// cannot tell the mobile so; this deadline is when the mobile gives up
-// and falls back to local execution. Communication is predicted from the
-// link phase in effect at now — a session that queued behind a fleet (or
-// simply ran long on a time-varying link) must not size its patience from
-// the bandwidth regime it was constructed under.
-func (s *Session) offloadDeadline(spec TaskSpec, now simtime.PS) simtime.PS {
-	est := s.est
-	est.BandwidthBps = s.linkAt(now).BandwidthBps
-	exec := simtime.PS(float64(spec.TimePerInvocation) / est.R)
-	comm := est.CommTime(spec.MemBytes, 1)
-	d := simtime.PS(s.rec.DeadlineSlack * float64(exec+comm))
+// deadline turns a predicted duration into how long its sender waits for
+// evidence before giving up: the prediction scaled by DeadlineSlack and
+// floored. A wire RPC predicts its transfer time over the current link
+// regime (the wait before retransmitting); a whole offloaded task predicts
+// server execution plus communication (see offloadDeadline).
+func (s *Session) deadline(predicted simtime.PS) simtime.PS {
+	d := simtime.PS(s.rec.DeadlineSlack * float64(predicted))
 	if d < s.rec.DeadlineFloor {
 		d = s.rec.DeadlineFloor
 	}
@@ -102,10 +76,11 @@ func (s *Session) offloadDeadline(spec TaskSpec, now simtime.PS) simtime.PS {
 // sendReliable pushes one wire message with deadline-based loss detection
 // and bounded retransmission with exponential backoff. It returns the
 // total elapsed simulated time — transfer attempts, expired deadlines and
-// backoff waits — and a terminal error once the retry budget is spent.
+// backoff waits — and whether the message was delivered; false is terminal:
+// the retry budget is spent and the link is down as far as op can tell.
 // Without a fault injector it reduces to exactly one delivered transfer,
 // bit-identical to the historical Send path.
-func (s *Session) sendReliable(toServer bool, size int64, at simtime.PS, op string) (simtime.PS, error) {
+func (s *Session) sendReliable(toServer bool, size int64, at simtime.PS, op string) (simtime.PS, bool) {
 	var elapsed simtime.PS
 	for attempt := 0; ; attempt++ {
 		now := at + elapsed
@@ -114,17 +89,17 @@ func (s *Session) sendReliable(toServer bool, size int64, at simtime.PS, op stri
 		switch verdict {
 		case netsim.Delivered:
 			s.hRPC.Record(int64(elapsed + d))
-			return elapsed + d, nil
+			return elapsed + d, true
 		case netsim.Dropped:
 			// Nothing arrives; the sender learns only from the deadline.
-			elapsed += s.rpcDeadline(link, size)
+			elapsed += s.deadline(link.TransferTime(size))
 		case netsim.Corrupted:
 			// The frame crosses the wire, then fails its CRC32 check at
 			// the receiver, which requests retransmission.
 			elapsed += d
 		}
 		if attempt >= s.rec.MaxRetries {
-			return elapsed, fmt.Errorf("offrt: %s: %w after %d attempts", op, errLinkDown, attempt+1)
+			return elapsed, false
 		}
 		backoff := s.rec.BackoffBase << attempt
 		elapsed += backoff
@@ -133,109 +108,4 @@ func (s *Session) sendReliable(toServer bool, size int64, at simtime.PS, op stri
 		s.emit(obs.Event{Time: at + elapsed, Kind: obs.KRetry, Track: obs.TrackLink,
 			Name: op, A0: int64(attempt + 1), A1: int64(backoff)})
 	}
-}
-
-// abortTask abandons the current offload after a terminal wire failure on
-// the server side. The rest of the task runs in "ghost mode": every
-// remote service (page faults, remote I/O, finalization) is handled
-// locally in-process with no wire traffic, so the partitioned binary's
-// listen loop completes deterministically and parks at the next Accept —
-// but all its effects are discarded and the mobile re-executes locally.
-func (s *Session) abortTask(op string) {
-	if s.aborted {
-		return
-	}
-	s.aborted = true
-	s.Stats.Aborts++
-	s.emit(obs.Event{Time: s.Server.Clock, Kind: obs.KAbort, Track: obs.TrackServer,
-		Name: op, A0: int64(s.cur.taskID)})
-}
-
-// finishAborted is the ghost-mode finalization: discard the journal and
-// every server-side effect of the abandoned task, and release the mobile
-// with an abort reply instead of a result.
-func (s *Session) finishAborted() error {
-	s.ioJournal = nil
-	s.outBuf = nil
-	for _, pn := range s.Server.Mem.PresentPages() {
-		s.Server.Mem.Drop(pn)
-	}
-	s.Server.Mem.Faults = 0
-	s.Server.Mem.TrackDirty = false
-	// The ghost execution's compute never helped anyone; do not fold it
-	// into the session's Figure-7 attribution.
-	for i := range s.Server.Comp {
-		s.Server.Comp[i] = 0
-	}
-	s.aborted = false
-	s.pendingReply = &reply{aborted: true, retry: s.crashRetry}
-	s.crashRetry = false
-	return nil
-}
-
-// fallbackLocal re-executes an abandoned offload on the mobile device:
-// roll the I/O state back to the pre-offload snapshot, quarantine the
-// gate, and run the task's local arm (the partitioner keeps every offload
-// target callable in the mobile binary — the gate diamond's else branch).
-func (s *Session) fallbackLocal(taskID int32, spec TaskSpec, args []uint64, ioSnap interface{}) (uint64, error) {
-	if ioSnap != nil {
-		if sn, ok := s.Mobile.IO.(interp.IOSnapshotter); ok {
-			sn.RestoreIO(ioSnap)
-		}
-	}
-	s.Stats.Fallbacks++
-	if s.rec.Cooldown > 0 {
-		s.quarantineUntil = s.Mobile.Clock + s.rec.Cooldown
-		s.emit(obs.Event{Time: s.Mobile.Clock, Kind: obs.KQuarantine, Track: obs.TrackMobile,
-			A0: int64(taskID), A1: int64(s.rec.Cooldown)})
-	}
-	s.Recorder.Transition(s.Mobile.Clock, energy.Compute)
-	f := s.Mobile.Mod.Func(spec.Name)
-	if f == nil {
-		return 0, fmt.Errorf("offrt: cannot fall back: no local %s in mobile binary", spec.Name)
-	}
-	begin := s.Mobile.Clock
-	ret, err := s.Mobile.CallFunc(f, args...)
-	s.emit(obs.Event{Time: begin, Dur: s.Mobile.Clock - begin, Kind: obs.KFallback,
-		Track: obs.TrackMobile, Name: spec.Name, A0: int64(taskID)})
-	return ret, err
-}
-
-// commitJournal applies the offload's journaled effects at successful
-// finalization (commit-at-return): first the validated dirty-page
-// write-back, then the remote output in original order. Nothing here can
-// fail halfway — validation happened before the first install — so a
-// partial write-back never corrupts unified memory.
-func (s *Session) commitJournal(pages []PageRecord) {
-	for _, p := range pages {
-		s.Mobile.Mem.InstallPage(p.PN, p.Data)
-	}
-	for _, out := range s.ioJournal {
-		s.Mobile.IO.Write(out)
-	}
-	s.ioJournal = nil
-}
-
-// MemDigest hashes the mobile device's final semantic memory: globals and
-// heap, with both stack regions excluded. Whether a task ran remotely (its
-// frames on the server stack, written back as dirty pages) or locally (on
-// the mobile stack), the dead residue below the stack tops differs while
-// the program's observable memory is identical — so equivalence checks
-// between faulted and fault-free runs compare this digest.
-func (s *Session) MemDigest() uint64 {
-	return s.Mobile.Mem.Digest(mem.StackRanges()...)
-}
-
-// snapshotIO checkpoints the mobile I/O state before an offload when a
-// fault injector or a server-fault plan is active (without either,
-// offloads cannot abort and the snapshot would be dead weight on every
-// invocation).
-func (s *Session) snapshotIO() interface{} {
-	if s.LinkStats.Injector == nil && !s.serverPlan.Active() {
-		return nil
-	}
-	if sn, ok := s.Mobile.IO.(interp.IOSnapshotter); ok {
-		return sn.SnapshotIO()
-	}
-	return nil
 }

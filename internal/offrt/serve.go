@@ -1,0 +1,366 @@
+package offrt
+
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/energy"
+	"repro/internal/interp"
+	"repro/internal/mem"
+	"repro/internal/obs"
+	"repro/internal/simtime"
+)
+
+// radioTail is how long the Wi-Fi radio stays in its high-power state
+// after servicing a request. Programs that issue remote I/O requests
+// more often than this never let the radio drop back to the 1350 mW
+// wait state — the paper's continuous 2000 mW plateau for gobmk
+// (Figure 8(b)), and the reason gobmk and twolf spend *more* battery
+// on the fast network than the slow one despite finishing sooner.
+const radioTail = 150 * simtime.Millisecond
+
+// ---- SysHost: server side ----
+
+// Accept implements the server's blocking accept. It first releases the
+// mobile side with any pending finalization reply, so the server is fully
+// quiescent (parked here) whenever the mobile executes.
+func (s *Session) Accept(m *interp.Machine) int32 {
+	if s.pendingReply != nil {
+		r := *s.pendingReply
+		s.pendingReply = nil
+		s.repCh <- r
+	}
+	req := <-s.reqCh
+	s.cur = req
+	if req.taskID == 0 {
+		return 0
+	}
+	// Initialization, server side: the machine was idle-waiting, so its
+	// clock jumps to the request arrival; the prefetched pages and fresh
+	// dirty tracking come with it (Figure 5 "Initialization").
+	s.Server.Clock = simtime.Max(s.Server.Clock, req.arrival)
+	for _, p := range req.pages {
+		s.Server.Mem.InstallPage(p.PN, p.Data)
+	}
+	s.Server.Mem.TrackDirty = true
+	s.Server.Mem.ClearDirty()
+	// Arm the health monitor for this task and apply any server fault that
+	// already matured — a request landing on a crashed or stalled host
+	// finds out here, not at its first remote service.
+	s.lastBeat = s.Server.Clock
+	s.ewmaGap, s.strikes = 0, 0
+	s.heartbeat("accept")
+	return req.taskID
+}
+
+// Arg returns argument i of the current request.
+func (s *Session) Arg(m *interp.Machine, i int32) uint64 {
+	if int(i) < len(s.cur.args) {
+		return s.cur.args[i]
+	}
+	return 0
+}
+
+// exchange is the one server-initiated exchange every server-side service
+// is made of (Section 4: ask the mobile over the link and wait): the
+// request leg to the mobile under reqOp and, when the service has one
+// (respOp != ""), the reply leg back under respOp, each sent reliably
+// starting from the server clock. The caller books a successful exchange
+// its own way; on a terminal failure of either leg the time burned so far
+// is charged to the server under comp, the task is aborted naming the op
+// that failed, and ok is false — the caller answers from the in-process
+// mobile state and the rest of the task runs in ghost mode.
+func (s *Session) exchange(reqOp, respOp string, reqSize, respSize int64, comp interp.Component) (req, resp simtime.PS, ok bool) {
+	failed := reqOp
+	req, ok = s.sendReliable(false, reqSize, s.Server.Clock, reqOp)
+	if ok && respOp != "" {
+		failed = respOp
+		resp, ok = s.sendReliable(true, respSize, s.Server.Clock+req, respOp)
+	}
+	if !ok {
+		s.Server.AddTime(req+resp, comp)
+		s.abortTask(failed)
+	}
+	return req, resp, ok
+}
+
+// abortTask abandons the current offload after a terminal wire failure on
+// the server side. The rest of the task runs in "ghost mode": every
+// remote service (page faults, remote I/O, finalization) is handled
+// locally in-process with no wire traffic, so the partitioned binary's
+// listen loop completes deterministically and parks at the next Accept —
+// but all its effects are discarded and the mobile re-executes locally.
+func (s *Session) abortTask(op string) {
+	if s.aborted {
+		return
+	}
+	s.aborted = true
+	s.Stats.Aborts++
+	s.emit(obs.Event{Time: s.Server.Clock, Kind: obs.KAbort, Track: obs.TrackServer,
+		Name: op, A0: int64(s.cur.taskID)})
+}
+
+// SendReturn implements finalization: the server sends the return value,
+// the dirty pages, and the updated page table back in one batched,
+// compressed message, then drops its copy of the offloading data. The
+// write-back is journaled: the whole frame is validated (checksum,
+// structure, decompression) before the first page is installed on the
+// mobile device, so a corrupted or partial finalization never taints
+// unified memory (commit-at-return).
+func (s *Session) SendReturn(m *interp.Machine, v uint64) error {
+	s.heartbeat("return")
+	if s.aborted {
+		return s.finishAborted()
+	}
+	dirty := s.Server.Mem.DirtyPages()
+	st := s.PerTask[int(s.cur.taskID)]
+	st.DirtyPages += len(dirty)
+	st.Faults += s.Server.Mem.Faults
+	s.Stats.DirtyPages += len(dirty)
+	s.Stats.Faults += s.Server.Mem.Faults
+
+	s.flushOutput()
+	if s.aborted {
+		// The batched-output flush exhausted its retries.
+		return s.finishAborted()
+	}
+	fin := &Message{Kind: MsgFinalize, TaskID: s.cur.taskID, Ret: v,
+		PageTable: s.Server.Mem.PresentPages()}
+	for _, pn := range dirty {
+		fin.Pages = append(fin.Pages, PageRecord{PN: pn, Data: s.Server.Mem.PageData(pn)})
+	}
+	// The pre-compression payload: a page number and the page, per page.
+	raw := int64(len(fin.Pages)) * (mem.PageSize + 4)
+	s.Stats.RawBytesToMobile += raw
+	if !s.Policy.NoCompress && raw > 0 {
+		// Compression runs on the server only (Section 4): it is far
+		// cheaper there than decompression is on the mobile device.
+		if _, err := fin.CompressPages(); err != nil {
+			return err
+		}
+		// Server-side compression throughput ~1 GB/s: 1 ns per byte.
+		s.Server.AddTime(simtime.PS(raw)*simtime.Nanosecond, interp.CompComm)
+	}
+
+	wireBytes := fin.Encode()
+	wire := int64(len(wireBytes))
+	d, _, ok := s.exchange("finalize", "", wire, 0, interp.CompComm)
+	if !ok {
+		return s.finishAborted()
+	}
+	s.Stats.WriteBackWireBytes += wire
+	s.hWriteBack.Record(int64(d))
+	s.emit(obs.Event{Time: s.Server.Clock, Dur: d, Kind: obs.KWriteBack,
+		Track: obs.TrackServer, A0: int64(len(dirty)), A1: raw, A2: wire})
+	st.TrafficBytes += wire
+
+	// Validate the complete write-back, then commit it atomically on the
+	// mobile device together with the journaled remote output, and
+	// synchronize clocks: the mobile resumes when the finalization
+	// message has arrived.
+	decoded, err := Decode(wireBytes)
+	if err != nil {
+		return fmt.Errorf("offrt: finalize message corrupt: %w", err)
+	}
+	pages, err := decoded.DecompressPages()
+	if err != nil {
+		return fmt.Errorf("offrt: finalize payload corrupt: %w", err)
+	}
+	s.commitJournal(pages)
+	if gap := s.Server.Clock + d - s.Mobile.Clock; gap > 0 {
+		s.Mobile.AddTime(gap, interp.CompComm)
+	}
+	s.Recorder.Pulse(s.Server.Clock, d, energy.RX)
+	s.Recorder.Transition(s.Mobile.Clock, energy.Compute)
+	s.Comp[interp.CompComm] += d
+
+	// Figure 7 attribution: the server's compute/fptr time happened while
+	// the mobile device waited; fold it into the session buckets.
+	s.ServerCompute += s.Server.Comp[interp.CompCompute]
+	s.Comp[interp.CompCompute] += s.Server.Comp[interp.CompCompute]
+	s.Comp[interp.CompFptr] += s.Server.Comp[interp.CompFptr]
+	s.Comp[interp.CompRemoteIO] += s.Server.Comp[interp.CompRemoteIO]
+
+	s.resetServer()
+	s.pendingReply = &reply{ret: decoded.Ret}
+	return nil
+}
+
+// commitJournal applies the offload's journaled effects at successful
+// finalization (commit-at-return): first the validated dirty-page
+// write-back, then the remote output in original order. Nothing here can
+// fail halfway — validation happened before the first install — so a
+// partial write-back never corrupts unified memory.
+func (s *Session) commitJournal(pages []PageRecord) {
+	for _, p := range pages {
+		s.Mobile.Mem.InstallPage(p.PN, p.Data)
+	}
+	for _, out := range s.ioJournal {
+		s.Mobile.IO.Write(out)
+	}
+	s.ioJournal = nil
+}
+
+// finishAborted is the ghost-mode finalization: discard the journal and
+// every server-side effect of the abandoned task, and release the mobile
+// with an abort reply instead of a result. The ghost execution's compute
+// never helped anyone, so none of it is folded into the session's
+// Figure-7 attribution.
+func (s *Session) finishAborted() error {
+	s.ioJournal = nil
+	s.outBuf = nil
+	s.resetServer()
+	s.aborted = false
+	s.pendingReply = &reply{aborted: true, retry: s.crashRetry}
+	s.crashRetry = false
+	return nil
+}
+
+// resetServer terminates the offloading process without keeping the data
+// (Section 4): drop every server page so the next offload starts cold, as
+// in the paper's repeated-invocation traffic numbers, and zero the
+// per-task component buckets.
+func (s *Session) resetServer() {
+	for _, pn := range s.Server.Mem.PresentPages() {
+		s.Server.Mem.Drop(pn)
+	}
+	s.Server.Mem.Faults = 0
+	s.Server.Mem.TrackDirty = false
+	s.Server.Comp = [interp.NumComponents]simtime.PS{}
+}
+
+// servePageFault is the copy-on-demand path: the server stalls for a
+// round trip while the mobile device serves the page.
+func (s *Session) servePageFault(pn uint32) ([]byte, error) {
+	s.heartbeat("page")
+	if !s.mobilePresent[pn] {
+		// The page table shipped at initialization says this page does
+		// not exist on the mobile device: zero-fill locally, no traffic.
+		if !s.aborted {
+			s.emit(obs.Event{Time: s.Server.Clock, Kind: obs.KPageFault,
+				Track: obs.TrackServer, Name: "zero-fill",
+				A0: int64(pn), A1: int64(mem.PageAddr(pn))})
+		}
+		return nil, nil
+	}
+	data := s.Mobile.Mem.PageData(pn)
+	if s.aborted {
+		// Ghost mode: serve the page in-process so the abandoned task can
+		// run to completion; its results are discarded at finalization.
+		return data, nil
+	}
+	reqMsg := &Message{Kind: MsgPageRequest, Addr: mem.PageAddr(pn)}
+	respMsg := &Message{Kind: MsgPageData, Pages: []PageRecord{{PN: pn, Data: data}}}
+	reqSize, respSize := reqMsg.WireSize(), respMsg.WireSize()
+	req, resp, ok := s.exchange("page.request", "page.data", reqSize, respSize, interp.CompComm)
+	if !ok {
+		return data, nil
+	}
+	s.hFault.Record(int64(req + resp))
+	s.emit(obs.Event{Time: s.Server.Clock, Dur: req + resp, Kind: obs.KPageFault,
+		Track: obs.TrackServer, Name: "remote",
+		A0: int64(pn), A1: int64(mem.PageAddr(pn)), A2: reqSize + respSize})
+	s.addTaskTraffic(reqSize + respSize)
+	// The mobile radio pulses: receive the request, transmit the page.
+	s.Recorder.Pulse(s.Server.Clock+req, resp, energy.TX)
+	s.Server.AddTime(req+resp, interp.CompComm)
+	s.Comp[interp.CompComm] += req + resp
+	return data, nil
+}
+
+// ---- SysHost: remote I/O (Section 3.4) ----
+
+// remoteIO crosses the wire for one remote-I/O service: the req message
+// and, when the service has one, its resp, both under op's name. It
+// reports whether the mobile was actually asked. In ghost mode — before
+// the call or because this exchange just aborted the task — it was not:
+// nothing is traced, counted or charged beyond the burned retries, and the
+// caller's in-process answer stands in (the local re-execution redoes the
+// operation for real). payload is the service's traced size; traffic is
+// what Table 4 counts of it, which includes remote-I/O payloads but not
+// file names.
+func (s *Session) remoteIO(op string, req, resp *Message, payload, traffic int64) bool {
+	if s.aborted {
+		return false
+	}
+	respOp, respSize := "", int64(0)
+	if resp != nil {
+		respOp, respSize = op, resp.WireSize()
+	}
+	dReq, dResp, ok := s.exchange(op, respOp, req.WireSize(), respSize, interp.CompRemoteIO)
+	if !ok {
+		return false
+	}
+	d := dReq + dResp
+	s.emit(obs.Event{Time: s.Server.Clock, Dur: d, Kind: obs.KRemoteIO,
+		Track: obs.TrackServer, Name: strings.TrimPrefix(op, "remote."), A0: payload})
+	s.addTaskTraffic(traffic)
+	s.Recorder.Pulse(s.Server.Clock, d+radioTail, energy.IOServe)
+	s.Server.AddTime(d, interp.CompRemoteIO)
+	return true
+}
+
+// addTaskTraffic attributes bytes moved on the current task's behalf to
+// its traffic (Table 4 counts all communication). The current task came
+// through Offload's lookup, and every registered task has a PerTask entry.
+func (s *Session) addTaskTraffic(n int64) {
+	s.PerTask[int(s.cur.taskID)].TrafficBytes += n
+}
+
+// RemoteWrite ships r_printf output to the mobile device, where it is
+// journaled and committed at successful finalization (commit-at-return).
+// With Policy.BatchOutput it only ships once 8 KB have accumulated.
+func (s *Session) RemoteWrite(m *interp.Machine, out string) error {
+	s.heartbeat("printf")
+	s.outBuf = append(s.outBuf, out...)
+	if !s.Policy.BatchOutput || len(s.outBuf) >= 8<<10 {
+		s.flushOutput()
+	}
+	return nil
+}
+
+// flushOutput ships the buffered r_printf output as one message and
+// journals it. Output that cannot be shipped — the link just died, or the
+// task already runs in ghost mode — is dropped: it would be discarded at
+// finalization anyway, and the local re-execution reproduces it.
+func (s *Session) flushOutput() {
+	if len(s.outBuf) == 0 {
+		return
+	}
+	n := int64(len(s.outBuf))
+	if s.remoteIO("remote.printf", &Message{Kind: MsgRemoteWrite, Data: s.outBuf}, nil, n, n) {
+		s.ioJournal = append(s.ioJournal, string(s.outBuf))
+	}
+	s.outBuf = nil
+}
+
+// RemoteOpen opens a file in the mobile environment (round trip).
+func (s *Session) RemoteOpen(m *interp.Machine, name string) (int32, error) {
+	s.heartbeat("open")
+	s.remoteIO("remote.open", &Message{Kind: MsgRemoteOpen, Data: []byte(name)},
+		&Message{Kind: MsgRemoteOpenResp}, int64(len(name)), 0)
+	return s.Mobile.IO.Open(name)
+}
+
+// RemoteRead is a remote input operation: it needs a full round trip plus
+// the data transfer, which is why twolf/gobmk/h264ref show large remote I/O
+// overheads (Section 5.1).
+func (s *Session) RemoteRead(m *interp.Machine, fd int32, n int) ([]byte, error) {
+	s.heartbeat("read")
+	data, err := s.Mobile.IO.Read(fd, n)
+	if err != nil {
+		return nil, err
+	}
+	s.remoteIO("remote.read", &Message{Kind: MsgRemoteRead, FD: fd, N: int32(n)},
+		&Message{Kind: MsgRemoteReadResp, Data: data}, int64(len(data)), int64(len(data)))
+	return data, nil
+}
+
+// RemoteClose closes a mobile-side file.
+func (s *Session) RemoteClose(m *interp.Machine, fd int32) error {
+	s.heartbeat("close")
+	s.remoteIO("remote.close", &Message{Kind: MsgRemoteClose, FD: fd}, nil, 0, 0)
+	return s.Mobile.IO.Close(fd)
+}
+
+var _ interp.SysHost = (*Session)(nil)

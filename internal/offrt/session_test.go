@@ -10,6 +10,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/mem"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/simtime"
 )
@@ -337,16 +338,18 @@ func TestDynamicGateReactsToDegradingNetwork(t *testing.T) {
 		tasks = append(tasks, TaskSpec{TaskID: tg.TaskID, Name: tg.Name,
 			TimePerInvocation: tg.TimePerInvocation, MemBytes: tg.MemBytes})
 	}
-	debugGate = func(clock simtime.PS, bw int64, ok bool) {
-		t.Logf("gate: clock=%v bw=%d ok=%v (degrade at %v)", clock, bw, ok, firstThird)
-	}
-	defer func() { debugGate = nil }()
-	sess, err := NewSession(mobile, server, link, WithTasks(tasks...))
+	tr := obs.NewTracer(0)
+	sess, err := NewSession(mobile, server, link, WithTasks(tasks...), WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sess.RunMobile(); err != nil {
 		t.Fatal(err)
+	}
+	for _, ev := range tr.Events() {
+		if ev.Kind == obs.KGate {
+			t.Logf("gate: clock=%v bw=%d verdict=%s (degrade at %v)", ev.Time, ev.A2, ev.Name, firstThird)
+		}
 	}
 
 	offloads, declines := 0, 0

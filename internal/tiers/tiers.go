@@ -160,14 +160,6 @@ func (t *Topology) TierOf(si int) Tier {
 	return Cloud
 }
 
-// PoolOf returns the given tier's pool.
-func (t *Topology) PoolOf(tier Tier) Pool {
-	if tier == Cloud {
-		return t.Cloud
-	}
-	return t.Edge
-}
-
 // Indices returns the half-open fleet index range [lo, hi) of a tier.
 func (t *Topology) Indices(tier Tier) (lo, hi int) {
 	if tier == Edge {
