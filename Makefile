@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check build vet benchvet fmt test smoke bench golden fuzz chaos profsmoke
+.PHONY: check build vet benchvet benchtest fmt test smoke bench golden fuzz chaos profsmoke
 
 ## check: the tier-1 verification — build, vet (the root module and the
-## nested benchmark module), gofmt cleanliness, the profiler/breakdown CLI
-## smoke, every test under the race detector (the Test*Smoke contract tests
-## included: each states its contract in its own doc comment), and a short
-## fuzz smoke over the hardened wire decoder.
-check: build vet benchvet fmt profsmoke
+## nested benchmark module), the benchmark module's own tests, gofmt
+## cleanliness, the profiler/breakdown CLI smoke, every test under the race
+## detector (the Test*Smoke contract tests included: each states its contract
+## in its own doc comment), and a short fuzz smoke over the hardened wire
+## decoder.
+check: build vet benchvet benchtest fmt profsmoke
 	$(GO) test -race ./...
 	$(GO) test ./internal/offrt/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 
@@ -28,6 +29,13 @@ vet:
 ## change it consumes (offrt sessions, core results) fails here. Runs nothing.
 benchvet:
 	cd bench && $(GO) vet .
+
+## benchtest: run the benchmark module's tests (every workload on shrunken
+## cells, a couple of seconds, writes nothing tracked), so a change that
+## breaks a workload at run time fails here and not first at the benchmark
+## gate.
+benchtest:
+	cd bench && $(GO) test .
 
 ## fmt: every Go file must be gofmt-clean (prints the offenders and fails).
 fmt:

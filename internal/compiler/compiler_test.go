@@ -15,23 +15,22 @@ import (
 func chessProfileAndModule(t *testing.T) (*ir.Module, *profile.Report) {
 	t.Helper()
 	mod := workloads.BuildChess(workloads.DefaultChessConfig())
-	prof := profileModule(t, mod, workloads.ChessInput(5, 2))
+	prof := profileModule(t, mod, interp.WithIO(workloads.ChessInput(5, 2)), interp.WithCostScale(workloads.ChessCostScale))
 	return mod, prof
 }
 
-func profileModule(t *testing.T, mod *ir.Module, io *interp.StdIO) *profile.Report {
+// profileModule profiles a clone of mod on an ARM32 instance, as
+// core.Framework.Profile does.
+func profileModule(t *testing.T, mod *ir.Module, opts ...interp.InstanceOption) *profile.Report {
 	t.Helper()
 	work := mod.Clone("prof")
 	spec := arch.ARM32()
 	ir.Lower(work, spec, spec)
-	m, err := interp.NewMachine(interp.Config{
-		Name: "prof", Spec: spec, Mod: work, IO: io,
-		CostScale: workloads.ChessCostScale, InitUVAGlobals: true,
-	})
+	prog, err := interp.Compile(work, interp.CompileConfig{Name: "prof", Spec: spec, InitUVAGlobals: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := profile.Run(m)
+	prof, err := profile.Run(prog.NewInstance(opts...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +161,7 @@ func TestCompileRejectsUnprofitable(t *testing.T) {
 	b.Ret(b.Call(f))
 	b.Finish()
 
-	work := mod.Clone("p")
-	spec := arch.ARM32()
-	ir.Lower(work, spec, spec)
-	m, _ := interp.NewMachine(interp.Config{Name: "p", Spec: spec, Mod: work})
-	prof, err := profile.Run(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prof := profileModule(t, mod)
 	if _, err := Compile(mod, prof, Default(650_000_000)); err == nil {
 		t.Error("expected 'no profitable target' error")
 	}
@@ -206,14 +198,7 @@ func TestLoopTargetOutlined(t *testing.T) {
 	b.Ret(ir.Int(0))
 	b.Finish()
 
-	work := mod.Clone("p")
-	spec := arch.ARM32()
-	ir.Lower(work, spec, spec)
-	m, _ := interp.NewMachine(interp.Config{Name: "p", Spec: spec, Mod: work, CostScale: 4000})
-	prof, err := profile.Run(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prof := profileModule(t, mod, interp.WithCostScale(4000))
 	opt := Default(650_000_000)
 	res, err := Compile(mod, prof, opt)
 	if err != nil {

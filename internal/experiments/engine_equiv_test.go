@@ -28,18 +28,11 @@ func runWorkloadEngine(t *testing.T, mod *ir.Module, io *interp.StdIO, costScale
 	work := mod.Clone(mod.Name)
 	spec := arch.ARM32()
 	ir.Lower(work, spec, spec)
-	m, err := interp.NewMachine(interp.Config{
-		Name:           "equiv",
-		Spec:           spec,
-		Mod:            work,
-		CostScale:      costScale,
-		IO:             io,
-		InitUVAGlobals: true,
-		Engine:         eng,
-	})
+	prog, err := interp.Compile(work, interp.CompileConfig{Name: "equiv", Spec: spec, InitUVAGlobals: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := prog.NewInstance(interp.WithIO(io), interp.WithCostScale(costScale), interp.WithEngine(eng))
 	var r engineResult
 	r.code, err = m.RunMain()
 	if err != nil {

@@ -118,9 +118,9 @@ type Config struct {
 	// worker shards. Every choice produces bit-identical Results; Shards
 	// only trades wall-clock for cores.
 	Shards int
-	// LinkProfiles names the netsim presets cycled across clients
-	// (client i gets a Clone of profile i mod len). Empty defaults to
-	// {"fast", "slow", "lte"}.
+	// LinkProfiles names the netsim presets cycled across clients: client
+	// i uses profile i mod len, and clients on one profile share a single
+	// immutable Link. Empty defaults to {"fast", "slow", "lte"}.
 	LinkProfiles []string
 
 	// ServerFaults schedules deterministic server faults against pool
@@ -338,22 +338,6 @@ func (c *Config) lookahead() simtime.PS {
 // defaultLinkProfiles is the client-link cycle used when Config leaves
 // LinkProfiles empty.
 var defaultLinkProfiles = []string{"fast", "slow", "lte"}
-
-// ClientLink stamps out client i's private link from the profile cycle:
-// a Clone of profiles[i mod len] named "<profile>#<i>". It is what gives
-// the fleet its heterogeneous client population without repeating phase
-// tables.
-func ClientLink(profiles []string, i int) (*netsim.Link, error) {
-	if len(profiles) == 0 {
-		profiles = defaultLinkProfiles
-	}
-	name := profiles[i%len(profiles)]
-	l, err := netsim.Profile(name)
-	if err != nil {
-		return nil, err
-	}
-	return l.Clone(fmt.Sprintf("%s#%d", name, i)), nil
-}
 
 // rng is a splitmix64 stream: tiny, seedable, and stable across Go
 // versions (math/rand's shuffling internals are not part of its

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/simtime"
 )
@@ -233,28 +234,30 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-// TestClientLinkCycle: clients cycle the profile list and own independent
-// clones.
+// TestClientLinkCycle: clients cycle the profile list (the default one when
+// the config names none), clients on one profile share its link, and an
+// unknown profile is an error.
 func TestClientLinkCycle(t *testing.T) {
-	a, err := ClientLink(nil, 0)
+	cfg := DefaultConfig(7, 2, Random)
+	cfg.LinkProfiles = nil
+	clients, links, err := buildClients(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ClientLink(nil, 3)
-	if err != nil {
-		t.Fatal(err)
+	for i, l := range links {
+		want, _ := netsim.Profile(defaultLinkProfiles[i%len(defaultLinkProfiles)])
+		if l.Name != want.Name || l.BandwidthBps != want.BandwidthBps {
+			t.Errorf("client %d on link %q, want the %q profile", i, l.Name, want.Name)
+		}
+		if clients[i].link != l {
+			t.Errorf("client %d's state and the link table disagree", i)
+		}
 	}
-	if a.Name != "fast#0" || b.Name != "fast#3" {
-		t.Errorf("default cycle names: %q, %q", a.Name, b.Name)
+	if links[0] != links[3] || links[0] == links[1] {
+		t.Errorf("clients 0 and 3 should share the first profile's link, client 1 not")
 	}
-	if a == b {
-		t.Errorf("clients 0 and 3 share a link")
-	}
-	a.BandwidthBps = 1
-	if b.BandwidthBps == 1 {
-		t.Errorf("mutating client 0's link leaked into client 3's")
-	}
-	if _, err := ClientLink([]string{"nope"}, 0); err == nil {
+	cfg.LinkProfiles = []string{"nope"}
+	if _, _, err := buildClients(&cfg); err == nil {
 		t.Errorf("unknown profile accepted")
 	}
 }

@@ -19,9 +19,9 @@ type clientState struct {
 }
 
 // buildClients materializes the client population and the per-client link
-// table. Clients on the same profile share one immutable Link instance —
-// the per-client Clone the old engine made existed only to stamp a
-// distinct name, which at a million clients is real memory.
+// table: client i uses profile i mod len, and clients on the same profile
+// share one immutable Link instance (a private copy per client would, at a
+// million clients, be real memory).
 func buildClients(cfg *Config) ([]clientState, []*netsim.Link, error) {
 	profiles := cfg.LinkProfiles
 	if len(profiles) == 0 {

@@ -54,10 +54,7 @@ func kernelMachine(t testing.TB, mod *ir.Module, eng Engine) (*Machine, *ir.Func
 	work := mod.Clone(mod.Name)
 	spec := arch.ARM32()
 	ir.Lower(work, spec, spec)
-	m, err := NewMachine(Config{Name: "bench", Spec: spec, Mod: work, InitUVAGlobals: true, Engine: eng})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := bind(t, work, CompileConfig{Name: "bench", Spec: spec, InitUVAGlobals: true}, WithEngine(eng))
 	return m, work.Func("kern")
 }
 

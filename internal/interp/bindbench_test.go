@@ -120,18 +120,15 @@ func TestBindBenchJSON(t *testing.T) {
 	if _, err := inst.CallFunc(work.Func("kern")); err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := NewMachine(Config{Name: "bench", Spec: cfg.Spec, Mod: work, InitUVAGlobals: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legacy.CallFunc(work.Func("kern")); err != nil {
+	plain := plainMachine(t, work, cfg)
+	if _, err := plain.CallFunc(work.Func("kern")); err != nil {
 		t.Fatal(err)
 	}
 	sharedRes := inst.Mem.ResidentPrivateBytes()
-	legacyRes := legacy.Mem.ResidentPrivateBytes()
+	plainRes := plain.Mem.ResidentPrivateBytes()
 	savings := 0.0
 	if sharedRes > 0 {
-		savings = float64(legacyRes) / float64(sharedRes)
+		savings = float64(plainRes) / float64(sharedRes)
 	}
 	stats := cache.Stats()
 
@@ -144,7 +141,7 @@ func TestBindBenchJSON(t *testing.T) {
 		BindSpeedup       float64 `json:"bind_speedup_x"`
 		ImageBytes        int     `json:"image_bytes"`
 		ImageUniqueBytes  int     `json:"image_unique_bytes"`
-		LegacyResidentB   int     `json:"private_resident_bytes_per_session"`
+		PlainResidentB    int     `json:"private_resident_bytes_per_session"`
 		SharedResidentB   int     `json:"shared_resident_bytes_per_session"`
 		ResidentSavings   float64 `json:"resident_savings_x"`
 		CacheHits         int64   `json:"cache_hits"`
@@ -159,7 +156,7 @@ func TestBindBenchJSON(t *testing.T) {
 		BindSpeedup:       speedup,
 		ImageBytes:        prog.Image().Bytes(),
 		ImageUniqueBytes:  prog.Image().UniqueBytes(),
-		LegacyResidentB:   legacyRes,
+		PlainResidentB:    plainRes,
 		SharedResidentB:   sharedRes,
 		ResidentSavings:   savings,
 		CacheHits:         stats.Hits,
@@ -183,12 +180,12 @@ func TestBindBenchJSON(t *testing.T) {
 		t.Errorf("cached bind %.0f ns vs first compile %.0f ns: %.1fx, want >= 50x", cachedNs, firstNs, speedup)
 	}
 	if savings < 10 {
-		t.Errorf("resident bytes/session: shared %d vs private %d: %.1fx, want >= 10x", sharedRes, legacyRes, savings)
+		t.Errorf("resident bytes/session: shared %d vs private %d: %.1fx, want >= 10x", sharedRes, plainRes, savings)
 	}
-	if instPages, legacyPages := len(inst.Mem.PresentPages()), len(legacy.Mem.PresentPages()); instPages != legacyPages {
-		t.Errorf("present pages diverged: shared %d, private %d", instPages, legacyPages)
+	if instPages, plainPages := len(inst.Mem.PresentPages()), len(plain.Mem.PresentPages()); instPages != plainPages {
+		t.Errorf("present pages diverged: shared %d, private %d", instPages, plainPages)
 	}
-	if d1, d2 := inst.Mem.Digest(mem.StackRanges()...), legacy.Mem.Digest(mem.StackRanges()...); d1 != d2 {
+	if d1, d2 := inst.Mem.Digest(mem.StackRanges()...), plain.Mem.Digest(mem.StackRanges()...); d1 != d2 {
 		t.Errorf("post-run digest diverged: shared %#x, private %#x", d1, d2)
 	}
 }

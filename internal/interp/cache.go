@@ -42,7 +42,10 @@ type CompilationCache struct {
 	entries map[progKey]*cacheEntry
 	// digests memoizes module content digests by pointer: modules are
 	// immutable after lowering, and printing a large module is the
-	// expensive part of key construction.
+	// expensive part of key construction. Only a module whose bind created
+	// an entry is remembered — the entry's Program pins it anyway, and a
+	// compiled pair bound over and over keeps its pointers — so per-call
+	// clones of one module cannot grow the memo past the entry count.
 	digests map[*ir.Module]uint64
 	hits    int64
 	misses  int64
@@ -83,8 +86,9 @@ func (c *CompilationCache) compile(mod *ir.Module, cfg CompileConfig) (*Program,
 	if mod == nil || cfg.Spec == nil {
 		return compileProgram(mod, cfg) // argument errors are not cacheable
 	}
+	digest, memoized := c.moduleDigest(mod)
 	key := progKey{
-		modDigest:      c.moduleDigest(mod),
+		modDigest:      digest,
 		stackBase:      mod.StackBase,
 		unified:        mod.Unified,
 		spec:           cfg.Spec.Fingerprint(),
@@ -103,6 +107,9 @@ func (c *CompilationCache) compile(mod *ir.Module, cfg CompileConfig) (*Program,
 		e = &cacheEntry{}
 		c.entries[key] = e
 		c.misses++
+		if !memoized {
+			c.digests[mod] = digest
+		}
 	}
 	c.mu.Unlock()
 	e.once.Do(func() { e.prog, e.err = compileProgram(mod, cfg) })
@@ -113,13 +120,15 @@ func (c *CompilationCache) compile(mod *ir.Module, cfg CompileConfig) (*Program,
 // header carries the module's display name, which two otherwise identical
 // compiles (e.g. differently labelled clones) may disagree on; the stack
 // base and unified flag it also carries are keyed explicitly instead.
-func (c *CompilationCache) moduleDigest(mod *ir.Module) uint64 {
+// memoized reports a memo hit; compile decides whether a computed digest is
+// worth remembering.
+func (c *CompilationCache) moduleDigest(mod *ir.Module) (d uint64, memoized bool) {
 	c.mu.Lock()
-	if d, ok := c.digests[mod]; ok {
-		c.mu.Unlock()
-		return d
-	}
+	d, memoized = c.digests[mod]
 	c.mu.Unlock()
+	if memoized {
+		return d, true
+	}
 
 	// Print outside the lock: large modules print slowly, and concurrent
 	// first binds of different modules should not serialize here.
@@ -131,14 +140,10 @@ func (c *CompilationCache) moduleDigest(mod *ir.Module) uint64 {
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
-	d := uint64(offset64)
+	d = offset64
 	for i := 0; i < len(s); i++ {
 		d ^= uint64(s[i])
 		d *= prime64
 	}
-
-	c.mu.Lock()
-	c.digests[mod] = d
-	c.mu.Unlock()
-	return d
+	return d, false
 }

@@ -7,11 +7,7 @@
 // proportional to mutated state, not to the program's footprint.
 package interp
 
-import (
-	"fmt"
-
-	"repro/internal/mem"
-)
+import "repro/internal/mem"
 
 // State is the migratable execution state of a program instance.
 type State struct {
@@ -38,14 +34,10 @@ func (m *Machine) FlushTLBs() {
 	m.wtlb = [tlbWays]tlbEntry{}
 }
 
-// CheckpointState snapshots the machine's migratable state. The machine
-// must be a shared-Program instance (Program.NewInstance): only then can
-// the target re-bind the clean pages the checkpoint omits.
-func (m *Machine) CheckpointState() (*State, error) {
-	if m.prog == nil {
-		return nil, fmt.Errorf("interp(%s): checkpoint requires a shared-Program instance", m.Name)
-	}
-	return &State{SP: m.sp, Mem: m.Mem.Checkpoint()}, nil
+// CheckpointState snapshots the machine's migratable state. The clean pages
+// it omits re-bind from the Program image on the target.
+func (m *Machine) CheckpointState() *State {
+	return &State{SP: m.sp, Mem: m.Mem.Checkpoint()}
 }
 
 // RestoreState restores a checkpoint into the machine's overlay in place,
@@ -60,12 +52,8 @@ func (m *Machine) CheckpointState() (*State, error) {
 // memory, so it travels with the checkpointed pages. The page TLBs are
 // flushed: the restored generation deliberately equals the snapshot's,
 // which a stale cache entry would otherwise match.
-func (m *Machine) RestoreState(s *State) error {
-	if m.prog == nil {
-		return fmt.Errorf("interp(%s): restore requires a shared-Program instance", m.Name)
-	}
+func (m *Machine) RestoreState(s *State) {
 	m.Mem.Restore(s.Mem)
 	m.SetSP(s.SP)
 	m.FlushTLBs()
-	return nil
 }

@@ -137,62 +137,41 @@ type cinstr struct {
 // a Machine recycles this function's register frames through — frames are
 // per-machine state, so shared compiled code carries only the index.
 type cfunc struct {
-	fn       *ir.Func
-	idx      int32
-	compiled bool
-	code     []cinstr
-	traps    []error
+	fn    *ir.Func
+	idx   int32
+	code  []cinstr
+	traps []error
 }
 
 // compiler is the compile-time environment: everything pre-decoding a
-// function body needs, independent of any executing Machine. A private
-// Machine owns an unsealed compiler and may keep compiling lazily; a shared
-// Program seals its compiler after eagerly compiling the whole module, at
-// which point the cfuncs map is immutable and safe for concurrent readers.
+// function body needs, independent of any executing Machine. compileModule
+// fills cfuncs with every function body of the module before the Program is
+// published; from then on the map is only read, so any number of concurrent
+// instances share it.
 type compiler struct {
 	name   string
 	spec   *arch.Spec
 	std    *arch.Spec
 	lay    *linkage
 	cfuncs map[*ir.Func]*cfunc
-	nfuncs int32 // frame-pool indices handed out
-	sealed bool
 }
 
-func newCompiler(name string, spec, std *arch.Spec, lay *linkage, hint int) *compiler {
-	return &compiler{
-		name:   name,
-		spec:   spec,
-		std:    std,
-		lay:    lay,
-		cfuncs: make(map[*ir.Func]*cfunc, hint),
-	}
-}
-
-// shell returns the (possibly not yet compiled) cfunc for f, creating an
-// empty shell on first request so mutually recursive functions can link.
-func (c *compiler) shell(f *ir.Func) *cfunc {
-	cf := c.cfuncs[f]
-	if cf == nil {
-		if c.sealed {
-			panic(fmt.Sprintf("interp(%s): compile of %s after the program was sealed (shared programs compile the whole module eagerly)", c.name, f.Nam))
+// compileModule pre-decodes every function body of mod. All cfuncs exist
+// before the first body is flattened, so direct calls (mutually recursive
+// ones included) link straight to their callee's cfunc.
+func compileModule(name string, spec, std *arch.Spec, lay *linkage, mod *ir.Module) *compiler {
+	c := &compiler{name: name, spec: spec, std: std, lay: lay, cfuncs: make(map[*ir.Func]*cfunc, len(mod.Funcs))}
+	for _, f := range mod.Funcs {
+		if !f.IsExtern() {
+			c.cfuncs[f] = &cfunc{fn: f, idx: int32(len(c.cfuncs))}
 		}
-		cf = &cfunc{fn: f, idx: c.nfuncs}
-		c.nfuncs++
-		c.cfuncs[f] = cf
 	}
-	return cf
-}
-
-// ensureCompiled returns f's compiled form, compiling on first use (bind
-// time for module functions; lazily for functions reached only through a
-// translating function-pointer resolver).
-func (c *compiler) ensureCompiled(f *ir.Func) *cfunc {
-	cf := c.shell(f)
-	if !cf.compiled {
-		c.compileInto(cf)
+	for _, f := range mod.Funcs {
+		if cf := c.cfuncs[f]; cf != nil {
+			c.compileInto(cf)
+		}
 	}
-	return cf
+	return c
 }
 
 // cval resolves an operand to (register slot, inlined constant); slot < 0
@@ -237,9 +216,6 @@ func cdst(in ir.Instr) int32 { return int32(in.(interface{ Slot() int }).Slot())
 // the segment's instructions, followed by their pre-decoded forms. Branch
 // targets are pc indices patched after all blocks are placed.
 func (c *compiler) compileInto(cf *cfunc) {
-	if c.sealed {
-		panic(fmt.Sprintf("interp(%s): compile of %s after the program was sealed", c.name, cf.fn.Nam))
-	}
 	f := cf.fn
 	cost := c.spec.Cost
 	start := make(map[*ir.Block]int32, len(f.Blocks))
@@ -484,7 +460,7 @@ func (c *compiler) compileInto(cf *cfunc) {
 							c.name, in.Callee.Nam, len(in.Args), len(in.Callee.Params)))
 						break instrs
 					}
-					ci.ctarget = c.shell(in.Callee)
+					ci.ctarget = c.cfuncs[in.Callee]
 				}
 				seg = append(seg, ci)
 				flush()
@@ -550,5 +526,4 @@ func (c *compiler) compileInto(cf *cfunc) {
 			cf.code[fx.pc].c = start[fx.dst]
 		}
 	}
-	cf.compiled = true
 }

@@ -22,6 +22,22 @@ type engineRun struct {
 	digest uint64
 }
 
+// observe runs main on m (bound to a *StdIO) and captures the observation.
+func observe(m *Machine) engineRun {
+	r := engineRun{}
+	code, err := m.RunMain()
+	r.code = code
+	if err != nil {
+		r.errStr = err.Error()
+	}
+	r.out = m.IO.(*StdIO).Out.String()
+	r.steps = m.Steps
+	r.clock = m.Clock
+	r.comp = m.Comp
+	r.digest = m.Mem.Digest(mem.StackRanges()...)
+	return r
+}
+
 // runEngines executes mod under both engines on the given spec/std pair
 // and returns the two observations. The module is cloned per run so each
 // machine lowers and links a private copy.
@@ -30,26 +46,8 @@ func runEngines(t *testing.T, mod *ir.Module, spec, std *arch.Spec, costScale in
 	one := func(eng Engine) engineRun {
 		work := mod.Clone(mod.Name + "-" + eng.String())
 		ir.Lower(work, spec, std)
-		io := NewStdIO(nil)
-		m, err := NewMachine(Config{
-			Name: "diff", Spec: spec, Std: std, Mod: work,
-			IO: io, CostScale: costScale, InitUVAGlobals: true, Engine: eng,
-		})
-		if err != nil {
-			t.Fatalf("NewMachine(%v): %v", eng, err)
-		}
-		r := engineRun{}
-		code, err := m.RunMain()
-		r.code = code
-		if err != nil {
-			r.errStr = err.Error()
-		}
-		r.out = io.Out.String()
-		r.steps = m.Steps
-		r.clock = m.Clock
-		r.comp = m.Comp
-		r.digest = m.Mem.Digest(mem.StackRanges()...)
-		return r
+		return observe(bind(t, work, CompileConfig{Name: "diff", Spec: spec, Std: std, InitUVAGlobals: true},
+			WithIO(NewStdIO(nil)), WithCostScale(costScale), WithEngine(eng)))
 	}
 	return one(EngineFast), one(EngineRef)
 }

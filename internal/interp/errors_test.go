@@ -20,11 +20,7 @@ func buildAndRun(t *testing.T, build func(b *ir.Builder)) error {
 	}
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, err := NewMachine(Config{Name: "err", Spec: arch.ARM32(), Mod: mod})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = m.RunMain()
+	_, err := bind(t, mod, CompileConfig{Name: "err", Spec: arch.ARM32()}).RunMain()
 	return err
 }
 
@@ -83,7 +79,7 @@ func TestRunMainRequiresMain(t *testing.T) {
 	b.Ret(ir.Int(1))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "n", Spec: arch.ARM32(), Mod: mod})
+	m := bind(t, mod, CompileConfig{Name: "n", Spec: arch.ARM32()})
 	if _, err := m.RunMain(); err == nil {
 		t.Error("RunMain without main should fail")
 	}
@@ -96,7 +92,7 @@ func TestCallFuncArityChecked(t *testing.T) {
 	b.Ret(b.Add(f.Params[0], f.Params[1]))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "a", Spec: arch.ARM32(), Mod: mod})
+	m := bind(t, mod, CompileConfig{Name: "a", Spec: arch.ARM32()})
 	if _, err := m.CallFunc(f, 1); err == nil {
 		t.Error("wrong arity accepted")
 	}
@@ -110,9 +106,34 @@ func TestUnloweredModuleRejected(t *testing.T) {
 	b.Ret(b.Load(g))
 	b.Finish()
 	// Deliberately skip ir.Lower.
-	m, _ := NewMachine(Config{Name: "raw", Spec: arch.ARM32(), Mod: mod})
-	if _, err := m.RunMain(); err == nil || !strings.Contains(err.Error(), "unlowered") {
-		t.Errorf("unlowered access should be diagnosed, got %v", err)
+	for _, cache := range []*CompilationCache{nil, NewCompilationCache()} {
+		_, err := Compile(mod, CompileConfig{Name: "raw", Spec: arch.ARM32()}, cache)
+		if err == nil || !strings.Contains(err.Error(), "requires a lowered module") {
+			t.Errorf("Compile of an unlowered module should be rejected, got %v", err)
+		}
+	}
+}
+
+// TestCallFuncRejectsForeignFunction: a function of another module (here a
+// clone's) was never compiled against this machine's addresses; both engines
+// refuse it with the same error instead of panicking or interpreting it.
+func TestCallFuncRejectsForeignFunction(t *testing.T) {
+	mod := ir.NewModule("own")
+	buildSum(mod)
+	ir.Lower(mod, arch.ARM32(), arch.ARM32())
+	foreign := mod.Clone("foreign").Func("sum")
+	for _, eng := range []Engine{EngineFast, EngineRef} {
+		m := bind(t, mod, CompileConfig{Name: "own", Spec: arch.ARM32()}, WithEngine(eng))
+		_, err := m.CallFunc(foreign, 3)
+		if want := "interp(own): function sum is not part of this machine's program"; err == nil || err.Error() != want {
+			t.Errorf("%v engine: CallFunc(foreign) = %v, want %q", eng, err, want)
+		}
+		if m.Steps != 0 {
+			t.Errorf("%v engine: executed %d steps of a foreign function", eng, m.Steps)
+		}
+		if got, err := m.CallFunc(mod.Func("sum"), 3); err != nil || got != 3 {
+			t.Errorf("%v engine: own sum(3) = %d, %v", eng, got, err)
+		}
 	}
 }
 
@@ -124,7 +145,7 @@ func TestGateWithoutRuntimeNeverOffloads(t *testing.T) {
 	b.Ret(b.Convert(ir.ConvZExt, g, ir.I32))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "g", Spec: arch.ARM32(), Mod: mod})
+	m := bind(t, mod, CompileConfig{Name: "g", Spec: arch.ARM32()})
 	code, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +164,7 @@ func TestOffloadIntrinsicsRequireRuntime(t *testing.T) {
 		b.Ret(ir.Int(0))
 		b.Finish()
 		ir.Lower(mod, arch.ARM32(), arch.ARM32())
-		m, _ := NewMachine(Config{Name: "x", Spec: arch.ARM32(), Mod: mod})
+		m := bind(t, mod, CompileConfig{Name: "x", Spec: arch.ARM32()})
 		if _, err := m.RunMain(); err == nil {
 			t.Errorf("%v without a runtime should fail", kind)
 		}

@@ -41,11 +41,27 @@ func (m *Machine) RunMain() (int32, error) {
 	return int32(ret), nil
 }
 
-// CallFunc invokes f with the given argument bits. It dispatches to the
-// pre-decoded fast engine unless the machine selected the reference
-// tree-walker or has a profiling Listener attached (which needs the
-// per-block hooks and clock observations only the reference engine makes).
+// CallFunc invokes f, a function of this machine's module, with the given
+// argument bits.
 func (m *Machine) CallFunc(f *ir.Func, args ...uint64) (uint64, error) {
+	if _, ok := m.lay.funcAddr[f]; !ok {
+		return 0, foreignFunc(m.Name, f)
+	}
+	return m.call(f, args)
+}
+
+// foreignFunc is the error for a function that is not part of the program a
+// machine runs (another module's, or a clone's): its code was never compiled
+// against this machine's addresses.
+func foreignFunc(machine string, f *ir.Func) error {
+	return fmt.Errorf("interp(%s): function %s is not part of this machine's program", machine, f.Nam)
+}
+
+// call dispatches to the pre-decoded fast engine unless the machine selected
+// the reference tree-walker or has a profiling Listener attached (which
+// needs the per-block hooks and clock observations only the reference engine
+// makes).
+func (m *Machine) call(f *ir.Func, args []uint64) (uint64, error) {
 	if m.Engine == EngineFast && m.Listener == nil {
 		return m.callFast(f, args)
 	}
@@ -159,7 +175,7 @@ func (m *Machine) execBlock(fr *frame, blk *ir.Block) (next *ir.Block, ret uint6
 			for i, a := range in.Args {
 				args[i] = m.operand(fr, a)
 			}
-			v, cerr := m.CallFunc(in.Callee, args...)
+			v, cerr := m.call(in.Callee, args)
 			if cerr != nil {
 				return nil, 0, false, cerr
 			}

@@ -36,7 +36,7 @@ func (m *Machine) callFast(f *ir.Func, args []uint64) (uint64, error) {
 	if len(args) != len(f.Params) {
 		return 0, fmt.Errorf("interp(%s): call %s with %d args, want %d", m.Name, f.Nam, len(args), len(f.Params))
 	}
-	cf := m.cc.ensureCompiled(f)
+	cf := m.cc.cfuncs[f]
 	regs := m.acquireFrame(cf)
 	for i, p := range f.Params {
 		regs[p.Slot] = args[i]
@@ -55,9 +55,6 @@ func (m *Machine) callFast(f *ir.Func, args []uint64) (uint64, error) {
 // callCompiled invokes a compiled callee from inside the fast loop,
 // evaluating pre-decoded arguments directly into the callee's frame.
 func (m *Machine) callCompiled(cf *cfunc, args []carg, caller []uint64) (uint64, error) {
-	if !cf.compiled {
-		m.cc.compileInto(cf)
-	}
 	regs := m.acquireFrame(cf)
 	for i := range args {
 		regs[cf.fn.Params[i].Slot] = rv(caller, args[i].slot, args[i].imm)
@@ -363,7 +360,11 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 					return 0, fmt.Errorf("interp(%s): call %s with %d args, want %d",
 						m.Name, callee.Nam, len(in.args), len(callee.Params))
 				}
-				v, err = m.callCompiled(m.cc.ensureCompiled(callee), in.args, regs)
+				cf := m.cc.cfuncs[callee]
+				if cf == nil {
+					return 0, foreignFunc(m.Name, callee)
+				}
+				v, err = m.callCompiled(cf, in.args, regs)
 			}
 			if err != nil {
 				return 0, err

@@ -25,14 +25,21 @@ func buildSum(mod *ir.Module) {
 	b.Finish()
 }
 
+// bind compiles the lowered module (uncached) and binds one instance: the
+// tests' way to get a machine is the shipped one.
+func bind(tb testing.TB, mod *ir.Module, cfg CompileConfig, opts ...InstanceOption) *Machine {
+	tb.Helper()
+	prog, err := Compile(mod, cfg, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prog.NewInstance(opts...)
+}
+
 func newMachine(t *testing.T, mod *ir.Module, spec, std *arch.Spec) *Machine {
 	t.Helper()
 	ir.Lower(mod, spec, std)
-	m, err := NewMachine(Config{Name: "test", Spec: spec, Std: std, Mod: mod})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return bind(t, mod, CompileConfig{Name: "test", Spec: spec, Std: std})
 }
 
 func TestRunSum(t *testing.T) {
@@ -74,9 +81,9 @@ func TestCostScaleAmplifies(t *testing.T) {
 	mod := ir.NewModule("s")
 	buildSum(mod)
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m1, _ := NewMachine(Config{Name: "x1", Spec: arch.ARM32(), Mod: mod})
+	m1 := bind(t, mod, CompileConfig{Name: "x1", Spec: arch.ARM32()})
 	m1.RunMain()
-	m2, _ := NewMachine(Config{Name: "x10", Spec: arch.ARM32(), Mod: mod, CostScale: 10})
+	m2 := bind(t, mod, CompileConfig{Name: "x10", Spec: arch.ARM32()}, WithCostScale(10))
 	m2.RunMain()
 	if m2.Clock != 10*m1.Clock {
 		t.Errorf("CostScale=10 clock %v, want exactly 10x %v", m2.Clock, m1.Clock)
@@ -111,10 +118,7 @@ func TestFigure4CrossLayoutBugAndFix(t *testing.T) {
 	mobMod := ir.NewModule("mobile")
 	move := buildMoveProgram(mobMod)
 	ir.Lower(mobMod, arch.ARM32(), arch.ARM32())
-	mobile, err := NewMachine(Config{Name: "mobile", Spec: arch.ARM32(), Mod: mobMod})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mobile := bind(t, mobMod, CompileConfig{Name: "mobile", Spec: arch.ARM32()})
 	addr, err := mobile.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -131,16 +135,12 @@ func TestFigure4CrossLayoutBugAndFix(t *testing.T) {
 		b.Finish()
 		ir.Lower(srvMod, arch.IA32(), std)
 
-		shared := mem.New()
-		shared.Fault = func(pn uint32) ([]byte, error) { return mobile.Mem.PageData(pn), nil }
-		srv, err := NewMachine(Config{Name: "server", Spec: arch.IA32(), Std: std, Mod: srvMod, Mem: shared, FuncBase: mem.FuncBaseServer})
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := bind(t, srvMod, CompileConfig{Name: "server", Spec: arch.IA32(), Std: std, FuncBase: mem.FuncBaseServer})
+		srv.Mem.Fault = func(pn uint32) ([]byte, error) { return mobile.Mem.PageData(pn), nil }
 		if _, err := srv.CallFunc(srvMod.Func("main"), uint64(uint32(addr))); err != nil {
 			t.Fatal(err)
 		}
-		bits, _ := shared.ReadUint(srv.GlobalAddr(srvMod.Global("out")), 8)
+		bits, _ := srv.Mem.ReadUint(srv.GlobalAddr(srvMod.Global("out")), 8)
 		return math.Float64frombits(bits)
 	}
 
@@ -164,7 +164,7 @@ func TestEndiannessTranslation(t *testing.T) {
 	b.Ret(b.Convert(ir.ConvTrunc, b.Convert(ir.ConvBitcast, ip, ir.I64), ir.I32))
 	b.Finish()
 	ir.Lower(mobMod, arch.ARM32(), arch.ARM32())
-	mobile, _ := NewMachine(Config{Name: "m", Spec: arch.ARM32(), Mod: mobMod})
+	mobile := bind(t, mobMod, CompileConfig{Name: "m", Spec: arch.ARM32()})
 	addr, err := mobile.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -177,9 +177,8 @@ func TestEndiannessTranslation(t *testing.T) {
 		sb.Ret(sb.Load(sb.F.Params[0]))
 		sb.Finish()
 		ir.Lower(srvMod, arch.POWER32BE(), std)
-		shared := mem.New()
-		shared.Fault = func(pn uint32) ([]byte, error) { return mobile.Mem.PageData(pn), nil }
-		srv, _ := NewMachine(Config{Name: "s", Spec: arch.POWER32BE(), Std: std, Mod: srvMod, Mem: shared})
+		srv := bind(t, srvMod, CompileConfig{Name: "s", Spec: arch.POWER32BE(), Std: std})
+		srv.Mem.Fault = func(pn uint32) ([]byte, error) { return mobile.Mem.PageData(pn), nil }
 		v, err := srv.CallFunc(srvMod.Func("main"), uint64(uint32(addr)))
 		if err != nil {
 			t.Fatal(err)
@@ -205,10 +204,10 @@ func TestMachineLocalGlobalAddressesDiverge(t *testing.T) {
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
 
-	m1, _ := NewMachine(Config{Name: "mob", Spec: arch.ARM32(), Mod: mod})
+	m1 := bind(t, mod, CompileConfig{Name: "mob", Spec: arch.ARM32()})
 	mod2 := mod.Clone("srv")
 	ir.Lower(mod2, arch.X8664(), arch.ARM32())
-	m2, _ := NewMachine(Config{Name: "srv", Spec: arch.X8664(), Std: arch.ARM32(), Mod: mod2, ShuffleGlobals: true, FuncBase: mem.FuncBaseServer})
+	m2 := bind(t, mod2, CompileConfig{Name: "srv", Spec: arch.X8664(), Std: arch.ARM32(), ShuffleGlobals: true, FuncBase: mem.FuncBaseServer})
 
 	a1 := m1.GlobalAddr(mod.Global("alpha"))
 	a2 := m2.GlobalAddr(mod2.Global("alpha"))
@@ -228,7 +227,7 @@ func TestFunctionAddressesDivergeAndResolve(t *testing.T) {
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
 
-	m1, _ := NewMachine(Config{Name: "mob", Spec: arch.ARM32(), Mod: mod})
+	m1 := bind(t, mod, CompileConfig{Name: "mob", Spec: arch.ARM32()})
 	code, err := m1.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -239,13 +238,23 @@ func TestFunctionAddressesDivergeAndResolve(t *testing.T) {
 
 	mod2 := mod.Clone("srv")
 	ir.Lower(mod2, arch.X8664(), arch.ARM32())
-	m2, _ := NewMachine(Config{Name: "srv", Spec: arch.X8664(), Std: arch.ARM32(), Mod: mod2, FuncBase: mem.FuncBaseServer, ShuffleFuncs: true})
+	m2 := bind(t, mod2, CompileConfig{Name: "srv", Spec: arch.X8664(), Std: arch.ARM32(), FuncBase: mem.FuncBaseServer, ShuffleFuncs: true})
 	if m1.FuncAddr(mod.Func("helper")) == m2.FuncAddr(mod2.Func("helper")) {
 		t.Error("function addresses should differ across machines")
 	}
 	// A mobile address is meaningless on the server without mapping.
 	if _, err := m2.ResolveFptr(m1.FuncAddr(mod.Func("helper")), false); err == nil {
 		t.Error("server resolved a mobile function address without the s2m map")
+	}
+	// A resolver that maps it to the *other* binary's function (instead of
+	// this module's function of the same name, as the runtime's does) is
+	// refused on both engines: that code was compiled for other addresses.
+	for _, eng := range []Engine{EngineFast, EngineRef} {
+		m := bind(t, mod2, CompileConfig{Name: "srv", Spec: arch.X8664(), Std: arch.ARM32()}, WithEngine(eng))
+		m.ResolveFptr = func(uint32, bool) (*ir.Func, error) { return mod.Func("helper"), nil }
+		if _, err := m.RunMain(); err == nil || !strings.Contains(err.Error(), "not part of this machine's program") {
+			t.Errorf("%v engine: indirect call into a foreign function: %v", eng, err)
+		}
 	}
 }
 
@@ -259,7 +268,7 @@ func TestPrintfFormatting(t *testing.T) {
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
 	io := NewStdIO(nil)
-	m, _ := NewMachine(Config{Name: "p", Spec: arch.ARM32(), Mod: mod, IO: io})
+	m := bind(t, mod, CompileConfig{Name: "p", Spec: arch.ARM32()}, WithIO(io))
 	if _, err := m.RunMain(); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +289,7 @@ func TestScanfReadsInput(t *testing.T) {
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
 	io := NewStdIO([]int64{30, 12})
-	m, _ := NewMachine(Config{Name: "s", Spec: arch.ARM32(), Mod: mod, IO: io})
+	m := bind(t, mod, CompileConfig{Name: "s", Spec: arch.ARM32()}, WithIO(io))
 	code, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +313,7 @@ func TestFileIO(t *testing.T) {
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
 	io := NewStdIO(nil)
 	io.AddFile("data.bin", []byte{9, 2, 3, 4})
-	m, _ := NewMachine(Config{Name: "f", Spec: arch.ARM32(), Mod: mod, IO: io})
+	m := bind(t, mod, CompileConfig{Name: "f", Spec: arch.ARM32()}, WithIO(io))
 	code, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +331,7 @@ func TestExitError(t *testing.T) {
 	b.Ret(ir.Int(0))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "e", Spec: arch.ARM32(), Mod: mod})
+	m := bind(t, mod, CompileConfig{Name: "e", Spec: arch.ARM32()})
 	code, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +353,7 @@ func TestMemcpyMemset(t *testing.T) {
 	b.Ret(b.Convert(ir.ConvZExt, b.Load(last), ir.I32))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "m", Spec: arch.ARM32(), Mod: mod})
+	m := bind(t, mod, CompileConfig{Name: "m", Spec: arch.ARM32()})
 	code, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +380,7 @@ func TestGlobalFuncPtrTableInit(t *testing.T) {
 	b.Ret(b.CallPtr(fp, sig, ir.Int(40)))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "t", Spec: arch.ARM32(), Mod: mod})
+	m := bind(t, mod, CompileConfig{Name: "t", Spec: arch.ARM32()})
 	code, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +401,7 @@ func TestStackOverflowDetected(t *testing.T) {
 	b.Ret(b.Call(f, ir.Int(0)))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "o", Spec: arch.ARM32(), Mod: mod})
+	m := bind(t, mod, CompileConfig{Name: "o", Spec: arch.ARM32()})
 	if _, err := m.RunMain(); err == nil || !strings.Contains(err.Error(), "stack overflow") {
 		t.Errorf("expected stack overflow, got %v", err)
 	}
@@ -411,7 +420,7 @@ func TestComponentAccounting(t *testing.T) {
 	b.Ret(ir.Int(0))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "c", Spec: arch.ARM32(), Mod: mod})
+	m := bind(t, mod, CompileConfig{Name: "c", Spec: arch.ARM32()})
 	if _, err := m.RunMain(); err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +442,7 @@ func TestDivisionByZero(t *testing.T) {
 	b.Ret(b.Div(ir.Int(1), ir.Int(0)))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "d", Spec: arch.ARM32(), Mod: mod})
+	m := bind(t, mod, CompileConfig{Name: "d", Spec: arch.ARM32()})
 	if _, err := m.RunMain(); err == nil {
 		t.Error("expected division-by-zero error")
 	}
@@ -451,7 +460,7 @@ func TestConversions(t *testing.T) {
 	b.Ret(b.Convert(ir.ConvFPToInt, b.Mul(fl, ir.Float(-10)), ir.I32)) // 40
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "cv", Spec: arch.ARM32(), Mod: mod})
+	m := bind(t, mod, CompileConfig{Name: "cv", Spec: arch.ARM32()})
 	code, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)

@@ -11,9 +11,9 @@ import (
 )
 
 // linkage is the address assignment one linker produced for one module:
-// per-machine function addresses and loaded global addresses. It is built
-// once (NewMachine or Compile) and read-only afterwards, so a shared
-// Program can hand the same linkage to every instance.
+// per-machine function addresses and loaded global addresses. Compile builds
+// it once and it is read-only afterwards, so a Program hands the same linkage
+// to every instance.
 type linkage struct {
 	// funcAddr assigns this linker's address to each function; inverse in
 	// funcByAddr. Two machines' linkers deliberately disagree.

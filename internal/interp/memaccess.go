@@ -138,10 +138,3 @@ func (m *Machine) readCString(addr uint32) (string, error) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

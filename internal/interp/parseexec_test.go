@@ -17,10 +17,7 @@ func TestParsedModuleExecutesIdentically(t *testing.T) {
 	run := func(m *ir.Module) (int32, int64) {
 		work := m.Clone("run")
 		ir.Lower(work, arch.ARM32(), arch.ARM32())
-		mach, err := NewMachine(Config{Name: "m", Spec: arch.ARM32(), Mod: work})
-		if err != nil {
-			t.Fatal(err)
-		}
+		mach := bind(t, work, CompileConfig{Name: "m", Spec: arch.ARM32()})
 		code, err := mach.RunMain()
 		if err != nil {
 			t.Fatal(err)
@@ -68,10 +65,7 @@ func TestParsedProgramWithIO(t *testing.T) {
 	}
 	ir.Lower(parsed, arch.ARM32(), arch.ARM32())
 	io := NewStdIO(nil)
-	mach, err := NewMachine(Config{Name: "p", Spec: arch.ARM32(), Mod: parsed, IO: io})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mach := bind(t, parsed, CompileConfig{Name: "p", Spec: arch.ARM32()}, WithIO(io))
 	code, err := mach.RunMain()
 	if err != nil {
 		t.Fatal(err)

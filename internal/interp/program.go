@@ -25,9 +25,9 @@ type Program struct {
 }
 
 // CompileConfig selects the architecture binding a module is compiled
-// against. It mirrors the machine-identity subset of Config: everything
-// here is baked into the compiled artifact (addresses, cost aggregates,
-// trap messages, the initial image), so it is part of the cache key.
+// against. Everything here is baked into the compiled artifact (addresses,
+// cost aggregates, trap messages, the initial image), so it is part of the
+// cache key.
 type CompileConfig struct {
 	// Name labels the machines instantiated from this program ("mobile",
 	// "server"); trap messages bake it in.
@@ -59,10 +59,11 @@ func (cfg CompileConfig) withDefaults() CompileConfig {
 
 // Compile builds the shared program artifact for mod under cfg: link,
 // load the initial memory image, and pre-decode every function. The module
-// must already be lowered (ir.Lower) against cfg.Std — shared code cannot
-// compile lazily, so the layout must be final. A non-nil cache memoizes the
-// result under the (module digest, architecture binding) key; concurrent
-// callers of an uncached key block on one compile.
+// must already be lowered (ir.Lower) against cfg.Std — pre-decoding bakes in
+// layout-resolved sizes and strides, and nothing compiles after Compile
+// returns. A non-nil cache memoizes the result under the (module digest,
+// architecture binding) key; concurrent callers of an uncached key block on
+// one compile.
 func Compile(mod *ir.Module, cfg CompileConfig, cache *CompilationCache) (*Program, error) {
 	if cache != nil {
 		return cache.compile(mod, cfg)
@@ -83,23 +84,16 @@ func compileProgram(mod *ir.Module, cfg CompileConfig) (*Program, error) {
 	}
 	lay := newLinkage(mod, cfg.Std, cfg.FuncBase, cfg.ShuffleFuncs, cfg.ShuffleGlobals)
 
-	// Load the initial image into a scratch memory and freeze it. The
-	// scratch memory materializes exactly the pages a NewMachine loader
-	// would, so an instance's present-page set is bit-identical to a
-	// private machine's.
+	// Load the initial image into a scratch memory and freeze it: the
+	// image holds exactly the pages the loader touched, so an instance's
+	// present-page set is that of a machine loaded into plain memory.
 	scratch := mem.New()
 	if err := writeGlobalInits(scratch, mod, cfg.Std, lay, cfg.InitUVAGlobals); err != nil {
 		return nil, err
 	}
 	img := mem.Snapshot(scratch)
 
-	cc := newCompiler(cfg.Name, cfg.Spec, cfg.Std, lay, len(mod.Funcs))
-	for _, f := range mod.Funcs {
-		if !f.IsExtern() {
-			cc.ensureCompiled(f)
-		}
-	}
-	cc.sealed = true
+	cc := compileModule(cfg.Name, cfg.Spec, cfg.Std, lay, mod)
 	return &Program{cfg: cfg, mod: mod, lay: lay, cc: cc, image: img}, nil
 }
 
@@ -124,7 +118,7 @@ type instanceConfig struct {
 // WithIO sets the instance's I/O host (defaults to NewStdIO(nil)).
 func WithIO(io IOHost) InstanceOption { return func(c *instanceConfig) { c.io = io } }
 
-// WithCostScale amplifies compute charges (see Config.CostScale).
+// WithCostScale amplifies compute charges (see Machine.CostScale).
 func WithCostScale(s int64) InstanceOption { return func(c *instanceConfig) { c.costScale = s } }
 
 // WithEngine selects the execution engine. EngineRef instances interpret
@@ -144,15 +138,35 @@ func (p *Program) NewInstance(opts ...InstanceOption) *Machine {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	m := newMachineShell(p.cfg.Name, p.cfg.Spec, p.cfg.Std, p.mod, mem.NewOverlay(p.image), p.lay, p.cc)
-	m.prog = p
-	m.Engine = cfg.engine
+	m := &Machine{
+		Name:      p.cfg.Name,
+		Spec:      p.cfg.Spec,
+		Std:       p.cfg.Std,
+		Mod:       p.mod,
+		Mem:       mem.NewOverlay(p.image),
+		CostScale: 1,
+		IO:        NewStdIO(nil),
+		Engine:    cfg.engine,
+		lay:       p.lay,
+		cc:        p.cc,
+		pools:     make([][][]uint64, len(p.cc.cfuncs)),
+		sp:        p.mod.StackBase,
+		spFloor:   p.mod.StackBase - mem.StackBytes,
+	}
 	if cfg.costScale > 0 {
 		m.CostScale = cfg.costScale
 	}
 	if cfg.io != nil {
 		m.IO = cfg.io
 	}
-	m.pools = make([][][]uint64, p.cc.nfuncs)
+	m.ResolveFptr = func(addr uint32, mapped bool) (*ir.Func, error) {
+		f, ok := m.lay.funcByAddr[addr]
+		if !ok {
+			return nil, fmt.Errorf("interp(%s): no function at address 0x%x (unmapped cross-machine pointer?)", m.Name, addr)
+		}
+		return f, nil
+	}
+	m.Heap = mem.UVAHeap(m.Mem)
+	m.LocalHeap = mem.NewAllocator(m.Mem, mem.LocalBase+0x0100_0000, mem.LocalBase+0x0200_0000)
 	return m
 }

@@ -12,53 +12,39 @@ import (
 
 // runInstance binds one instance of prog and captures the same observation
 // set the engine differential suite compares.
-func runInstance(t *testing.T, prog *Program, eng Engine, costScale int64) engineRun {
-	t.Helper()
-	io := NewStdIO(nil)
-	m := prog.NewInstance(WithIO(io), WithEngine(eng), WithCostScale(costScale))
-	r := engineRun{}
-	code, err := m.RunMain()
-	r.code = code
-	if err != nil {
-		r.errStr = err.Error()
-	}
-	r.out = io.Out.String()
-	r.steps = m.Steps
-	r.clock = m.Clock
-	r.comp = m.Comp
-	r.digest = m.Mem.Digest(mem.StackRanges()...)
-	return r
+func runInstance(prog *Program, eng Engine, costScale int64) engineRun {
+	return observe(prog.NewInstance(WithIO(NewStdIO(nil)), WithEngine(eng), WithCostScale(costScale)))
 }
 
-// runLegacy runs mod on a private NewMachine (the deprecated one-constructor
-// path that copies nothing and shares nothing) as the fidelity baseline.
-func runLegacy(t *testing.T, work *ir.Module, spec, std *arch.Spec, costScale int64) engineRun {
+// plainMachine is the reference the shared-image tests compare instances
+// against: privately compiled code (no cache) over a plain mem.New() page set
+// the loader filled directly — no image, no overlay, no copy-on-write. It
+// lives in test code only; shipped code binds through NewInstance alone.
+func plainMachine(tb testing.TB, mod *ir.Module, cfg CompileConfig, opts ...InstanceOption) *Machine {
+	tb.Helper()
+	prog, err := Compile(mod, cfg, nil)
+	if err != nil {
+		tb.Fatalf("Compile: %v", err)
+	}
+	mm := mem.New()
+	if err := writeGlobalInits(mm, mod, prog.cfg.Std, prog.lay, prog.cfg.InitUVAGlobals); err != nil {
+		tb.Fatalf("load: %v", err)
+	}
+	m := prog.NewInstance(opts...)
+	m.Mem, m.Heap.M, m.LocalHeap.M = mm, mm, mm
+	return m
+}
+
+// runPlain runs mod on a plainMachine as the fidelity baseline.
+func runPlain(t *testing.T, work *ir.Module, spec, std *arch.Spec, costScale int64) engineRun {
 	t.Helper()
-	io := NewStdIO(nil)
-	m, err := NewMachine(Config{
-		Name: "diff", Spec: spec, Std: std, Mod: work,
-		IO: io, CostScale: costScale, InitUVAGlobals: true, Engine: EngineFast,
-	})
-	if err != nil {
-		t.Fatalf("NewMachine: %v", err)
-	}
-	r := engineRun{}
-	code, err := m.RunMain()
-	r.code = code
-	if err != nil {
-		r.errStr = err.Error()
-	}
-	r.out = io.Out.String()
-	r.steps = m.Steps
-	r.clock = m.Clock
-	r.comp = m.Comp
-	r.digest = m.Mem.Digest(mem.StackRanges()...)
-	return r
+	return observe(plainMachine(t, work, CompileConfig{Name: "diff", Spec: spec, Std: std, InitUVAGlobals: true},
+		WithIO(NewStdIO(nil)), WithCostScale(costScale)))
 }
 
 // TestSharedInstanceDifferential reruns the seeded random-program suite on
 // shared-image instances: for every seed and arch binding, a fast and a ref
-// instance of one cached Program must match a private-copy legacy machine
+// instance of one cached Program must match a plain-memory reference machine
 // bit for bit (output, exit code, steps, clock, component buckets, digest).
 // Running two instances off the same Program back to back also pins session
 // isolation — the first instance's writes must not leak into the second.
@@ -75,17 +61,17 @@ func TestSharedInstanceDifferential(t *testing.T) {
 			label := fmt.Sprintf("seed=%d %s/std=%s", seed, sp.spec.Name, sp.std.Name)
 			work := mod.Clone(mod.Name)
 			ir.Lower(work, sp.spec, sp.std)
-			legacy := runLegacy(t, work, sp.spec, sp.std, 1)
+			plain := runPlain(t, work, sp.spec, sp.std, 1)
 			prog, err := Compile(work, CompileConfig{
 				Name: "diff", Spec: sp.spec, Std: sp.std, InitUVAGlobals: true,
 			}, cache)
 			if err != nil {
 				t.Fatalf("%s: Compile: %v", label, err)
 			}
-			compareRuns(t, label+" shared-fast", runInstance(t, prog, EngineFast, 1), legacy)
-			compareRuns(t, label+" shared-ref", runInstance(t, prog, EngineRef, 1), legacy)
+			compareRuns(t, label+" shared-fast", runInstance(prog, EngineFast, 1), plain)
+			compareRuns(t, label+" shared-ref", runInstance(prog, EngineRef, 1), plain)
 			if t.Failed() {
-				t.Fatalf("%s: shared instance diverged from private machine", label)
+				t.Fatalf("%s: shared instance diverged from the plain-memory machine", label)
 			}
 		}
 	}
@@ -98,13 +84,14 @@ func TestSharedInstanceDifferential(t *testing.T) {
 // compile-once/instantiate-many contract: N goroutines bind the same module
 // through one CompilationCache and run their instances in parallel. Exactly
 // one compile may happen, every binder must get the same *Program and shared
-// image pointer, and every run must be bit-identical to a private machine.
+// image pointer, and every run must be bit-identical to the plain-memory
+// reference.
 func TestConcurrentCompileAndRun(t *testing.T) {
 	spec := arch.ARM32()
 	mod := genProgram(777)
 	work := mod.Clone(mod.Name)
 	ir.Lower(work, spec, spec)
-	legacy := runLegacy(t, work, spec, spec, 1)
+	plain := runPlain(t, work, spec, spec, 1)
 
 	const n = 8
 	cache := NewCompilationCache()
@@ -122,20 +109,7 @@ func TestConcurrentCompileAndRun(t *testing.T) {
 				return
 			}
 			progs[i] = prog
-			io := NewStdIO(nil)
-			m := prog.NewInstance(WithIO(io))
-			r := engineRun{}
-			code, err := m.RunMain()
-			r.code = code
-			if err != nil {
-				r.errStr = err.Error()
-			}
-			r.out = io.Out.String()
-			r.steps = m.Steps
-			r.clock = m.Clock
-			r.comp = m.Comp
-			r.digest = m.Mem.Digest(mem.StackRanges()...)
-			runs[i] = r
+			runs[i] = runInstance(prog, EngineFast, 1)
 		}(i)
 	}
 	wg.Wait()
@@ -155,13 +129,14 @@ func TestConcurrentCompileAndRun(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		compareRuns(t, fmt.Sprintf("binder %d", i), runs[i], legacy)
+		compareRuns(t, fmt.Sprintf("binder %d", i), runs[i], plain)
 	}
 }
 
 // TestBindSmoke pins the O(1)-bind contract itself: a fresh instance holds
 // zero private resident bytes (binding must not copy the image), starts from
-// the exact present-page set and memory digest a private machine loads, and
+// the exact present-page set and memory digest the loader leaves in plain
+// memory, and
 // a second Compile of the same module is a cache hit returning the same
 // pointer. `make check` runs this as its bind smoke.
 func TestBindSmoke(t *testing.T) {
@@ -181,24 +156,21 @@ func TestBindSmoke(t *testing.T) {
 		t.Fatalf("fresh instance holds %d private bytes; bind must not copy the image", got)
 	}
 
-	io := NewStdIO(nil)
-	legacy, err := NewMachine(Config{
-		Name: "diff", Spec: spec, Mod: work, IO: io, InitUVAGlobals: true,
-	})
-	if err != nil {
-		t.Fatalf("NewMachine: %v", err)
+	plain := plainMachine(t, work, cfg)
+	if plain.Mem.Image() != nil || plain.cc == inst.cc {
+		t.Fatalf("the reference machine shares the instance's image or code; it must be independent")
 	}
-	lp, ip := legacy.Mem.PresentPages(), inst.Mem.PresentPages()
-	if len(lp) != len(ip) {
-		t.Fatalf("present pages: legacy %d, instance %d", len(lp), len(ip))
+	pp, ip := plain.Mem.PresentPages(), inst.Mem.PresentPages()
+	if len(pp) != len(ip) {
+		t.Fatalf("present pages: plain %d, instance %d", len(pp), len(ip))
 	}
-	for i := range lp {
-		if lp[i] != ip[i] {
-			t.Fatalf("present page %d: legacy %#x, instance %#x", i, lp[i], ip[i])
+	for i := range pp {
+		if pp[i] != ip[i] {
+			t.Fatalf("present page %d: plain %#x, instance %#x", i, pp[i], ip[i])
 		}
 	}
-	if ld, id := legacy.Mem.Digest(), inst.Mem.Digest(); ld != id {
-		t.Fatalf("initial digest: legacy %#x, instance %#x", ld, id)
+	if pd, id := plain.Mem.Digest(), inst.Mem.Digest(); pd != id {
+		t.Fatalf("initial digest: plain %#x, instance %#x", pd, id)
 	}
 	if got := inst.Mem.ResidentPrivateBytes(); got != 0 {
 		t.Fatalf("digest materialized %d private bytes on a read-only instance", got)
@@ -213,5 +185,37 @@ func TestBindSmoke(t *testing.T) {
 	}
 	if s := cache.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Errorf("cache stats = %+v, want 1 hit / 1 miss", s)
+	}
+}
+
+// TestDigestMemoBoundedByEntries: core.RunLocal/Profile clone the module per
+// call into one process-wide cache. Every clone hits the first clone's entry,
+// so only that first module may be remembered — a memo keyed by each clone's
+// pointer would pin a whole lowered module per call, forever, and never hit.
+// A module bound repeatedly through a stable pointer keeps its memo hit.
+func TestDigestMemoBoundedByEntries(t *testing.T) {
+	spec := arch.ARM32()
+	mod := genProgram(99)
+	cache := NewCompilationCache()
+	cfg := CompileConfig{Name: "diff", Spec: spec, InitUVAGlobals: true}
+	var first *ir.Module
+	for i := 0; i < 100; i++ {
+		work := mod.Clone(fmt.Sprintf("clone%d", i))
+		ir.Lower(work, spec, spec)
+		if i == 0 {
+			first = work
+		}
+		if _, err := Compile(work, cfg, cache); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := cache.Stats(); s.Entries != 1 || s.Misses != 1 || s.Hits != 99 {
+		t.Errorf("cache stats = %+v, want 1 entry, 1 miss, 99 hits", s)
+	}
+	if n := len(cache.digests); n != 1 {
+		t.Errorf("digest memo holds %d modules after 100 clones, want 1", n)
+	}
+	if _, memoized := cache.moduleDigest(first); !memoized {
+		t.Error("the module whose bind created the entry is not memoized")
 	}
 }

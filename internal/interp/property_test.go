@@ -22,10 +22,7 @@ func TestRandomIntExpressionsMatchGo(t *testing.T) {
 		for _, spec := range specs {
 			work := mod.Clone("run")
 			ir.Lower(work, spec, spec)
-			m, err := NewMachine(Config{Name: "prop", Spec: spec, Mod: work})
-			if err != nil {
-				return false
-			}
+			m := bind(t, work, CompileConfig{Name: "prop", Spec: spec})
 			got, err := m.CallFunc(work.Func("expr"), uint64(a), uint64(b))
 			if err != nil {
 				return false
@@ -150,10 +147,7 @@ func TestRandomFloatExpressionsMatchGo(t *testing.T) {
 
 		spec := arch.ARM32()
 		ir.Lower(mod, spec, spec)
-		m, err := NewMachine(Config{Name: "fprop", Spec: spec, Mod: mod})
-		if err != nil {
-			return false
-		}
+		m := bind(t, mod, CompileConfig{Name: "fprop", Spec: spec})
 		got, err := m.CallFunc(mod.Func("expr"), math.Float64bits(a), math.Float64bits(b))
 		if err != nil {
 			return false
@@ -200,10 +194,7 @@ func TestMemoryRoundTripAllWidths(t *testing.T) {
 			b.Ret(ir.Int(0))
 			b.Finish()
 			ir.Lower(mod, pr[0], pr[1])
-			m, err := NewMachine(Config{Name: "rt", Spec: pr[0], Std: pr[1], Mod: mod})
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := bind(t, mod, CompileConfig{Name: "rt", Spec: pr[0], Std: pr[1]})
 			if _, err := m.RunMain(); err != nil {
 				t.Fatalf("%s/%s %s: %v", pr[0].Name, pr[1].Name, c.t, err)
 			}

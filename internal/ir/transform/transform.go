@@ -312,10 +312,3 @@ func replaceUses(f *ir.Func, old ir.Instr, new ir.Value) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

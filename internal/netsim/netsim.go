@@ -173,9 +173,7 @@ func CloudWAN() *Link {
 }
 
 // Clone returns an independent deep copy of l (including any phase
-// schedule) renamed to name; an empty name keeps l's. The fleet uses it to
-// stamp out per-client links from one named profile without re-declaring
-// phase tables.
+// schedule) renamed to name; an empty name keeps l's.
 func (l *Link) Clone(name string) *Link {
 	c := *l
 	if name != "" {

@@ -91,7 +91,7 @@ func TestEveryServiceAbortsTheSameWay(t *testing.T) {
 	pol := Policy{NoPrefetch: true}
 
 	tr := obs.NewTracer(1 << 18)
-	clean := twolf.session(t, netsim.Fast80211AC(), pol, WithTracer(tr))
+	clean := twolf.session(t, scaledLink(netsim.Fast80211AC()), pol, WithTracer(tr))
 	wantCode, err := clean.sess.RunMobile()
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestEveryServiceAbortsTheSameWay(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			ftr := obs.NewTracer(1 << 18)
-			env := twolf.session(t, netsim.Fast80211AC(), pol, WithTracer(ftr),
+			env := twolf.session(t, scaledLink(netsim.Fast80211AC()), pol, WithTracer(ftr),
 				WithFaults(faults.MustInjector(faults.Plan{
 					Outages: []faults.Window{{Start: outage, End: 1 << 62}}})))
 			s := env.sess

@@ -167,11 +167,7 @@ func (s *Session) decideMigration(reason string, canFinish bool) {
 		}
 		return
 	}
-	st, err := s.Server.CheckpointState()
-	if err != nil {
-		s.abortTask("migrate.checkpoint")
-		return
-	}
+	st := s.Server.CheckpointState()
 	payload := s.encodeCheckpoint(st)
 	msg := &Message{Kind: MsgCheckpoint, TaskID: s.cur.taskID, SP: st.SP, Data: payload}
 	wire := msg.Encode()
@@ -224,10 +220,7 @@ func (s *Session) shipCheckpoint(reason string, st *interp.State, wire []byte) {
 		s.abortTask("migrate.ship")
 		return
 	}
-	if err := s.Server.RestoreState(restored); err != nil {
-		s.abortTask("migrate.resume")
-		return
-	}
+	s.Server.RestoreState(restored)
 	// The journaled remote output and the batched-output buffer traveled
 	// inside the frame; commit-at-return picks them up on the new host.
 	s.ioJournal = journal

@@ -3,15 +3,12 @@ package offrt
 import (
 	"testing"
 
-	"repro/internal/arch"
-	"repro/internal/compiler"
 	"repro/internal/faults"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/mem"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/profile"
 	"repro/internal/simtime"
 )
 
@@ -58,67 +55,8 @@ func buildChatty() *ir.Module {
 	return mod
 }
 
-type progEnv struct {
-	link       *netsim.Link
-	mobile     *interp.Machine
-	server     *interp.Machine
-	serverProg *interp.Program
-	sess       *Session
-	io         *interp.StdIO
-}
-
-// setupProg is the shared-Program variant of setup: both machines are
-// copy-on-write instances of compiled Programs, which is what checkpoint
-// and restore require (a migration target re-binds the immutable Program
-// image for free, so only private pages ship).
-func setupProg(t *testing.T, link *netsim.Link, pol Policy, extra ...Option) *progEnv {
-	t.Helper()
-	mod := buildChatty()
-
-	work := mod.Clone("prof")
-	mobSpec := arch.ARM32()
-	ir.Lower(work, mobSpec, mobSpec)
-	pm, _ := interp.NewMachine(interp.Config{Name: "prof", Spec: mobSpec, Mod: work, CostScale: 3000, InitUVAGlobals: true})
-	prof, err := profile.Run(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opt := compiler.Default(link.BandwidthBps)
-	cres, err := compiler.Compile(mod, prof, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mobileProg, err := interp.Compile(cres.Mobile, interp.CompileConfig{
-		Name: "mobile", Spec: opt.Mobile, Std: opt.Mobile,
-		FuncBase: mem.FuncBaseMobile, InitUVAGlobals: true,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serverProg, err := interp.Compile(cres.Server, interp.CompileConfig{
-		Name: "server", Spec: opt.Server, Std: opt.Mobile,
-		FuncBase: mem.FuncBaseServer, ShuffleFuncs: true, ShuffleGlobals: true,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io := interp.NewStdIO(nil)
-	mobile := mobileProg.NewInstance(interp.WithIO(io), interp.WithCostScale(3000))
-	server := serverProg.NewInstance(interp.WithCostScale(3000))
-
-	var tasks []TaskSpec
-	for _, tg := range cres.Targets {
-		tasks = append(tasks, TaskSpec{TaskID: tg.TaskID, Name: tg.Name, TimePerInvocation: tg.TimePerInvocation, MemBytes: tg.MemBytes})
-	}
-	opts := append([]Option{WithTasks(tasks...), WithPolicy(pol)}, extra...)
-	sess, err := NewSession(mobile, server, link, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &progEnv{link: link, mobile: mobile, server: server, serverProg: serverProg, sess: sess, io: io}
-}
+// chatty is the migration tests' guest.
+var chatty = guestAt("chatty", buildChatty, 3000)
 
 // cleanRun runs the fault-free reference and returns its output, memory
 // digest, and the [start, start+dur) window of the (single) offload, so
@@ -126,7 +64,7 @@ func setupProg(t *testing.T, link *netsim.Link, pol Policy, extra ...Option) *pr
 func cleanRun(t *testing.T) (out string, digest uint64, start, dur simtime.PS) {
 	t.Helper()
 	tr := obs.NewTracer(0)
-	env := setupProg(t, netsim.Fast80211AC(), Policy{ForceOffload: true}, WithTracer(tr))
+	env := setupFor(t, chatty, netsim.Fast80211AC(), Policy{ForceOffload: true}, WithTracer(tr))
 	if code, err := env.sess.RunMobile(); err != nil || code != 0 {
 		t.Fatalf("clean run: code %d, err %v", code, err)
 	}
@@ -152,7 +90,7 @@ func TestMigrationSmoke(t *testing.T) {
 	plan := &faults.ServerPlan{Events: []faults.ServerEvent{
 		{Kind: faults.Drain, Server: 0, Start: start + dur/2},
 	}}
-	env := setupProg(t, netsim.Fast80211AC(), Policy{ForceOffload: true},
+	env := setupFor(t, chatty, netsim.Fast80211AC(), Policy{ForceOffload: true},
 		WithServerFaults(plan), WithMigration(Migration{Spares: 1, HealthSlack: 4, HealthFloor: 2 * simtime.Millisecond, Strikes: 3}))
 	if code, err := env.sess.RunMobile(); err != nil || code != 0 {
 		t.Fatalf("migrated run: code %d, err %v", code, err)
@@ -184,11 +122,7 @@ func TestMigrationSmoke(t *testing.T) {
 
 	// A freshly-bound instance has mutated nothing: its checkpoint ships
 	// zero pages regardless of how large the Program image is.
-	fresh, err := env.serverProg.NewInstance().CheckpointState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.NumPages() != 0 {
+	if fresh := env.pair.server.NewInstance().CheckpointState(); fresh.NumPages() != 0 {
 		t.Errorf("fresh instance checkpoint ships %d pages, want 0", fresh.NumPages())
 	}
 }
@@ -202,7 +136,7 @@ func TestCrashRetryOnSpare(t *testing.T) {
 	plan := &faults.ServerPlan{Events: []faults.ServerEvent{
 		{Kind: faults.Crash, Server: 0, Start: start + dur/2},
 	}}
-	env := setupProg(t, netsim.Fast80211AC(), Policy{ForceOffload: true},
+	env := setupFor(t, chatty, netsim.Fast80211AC(), Policy{ForceOffload: true},
 		WithServerFaults(plan), WithMigration(Migration{Spares: 1, HealthSlack: 4, HealthFloor: 2 * simtime.Millisecond, Strikes: 3}))
 	if code, err := env.sess.RunMobile(); err != nil || code != 0 {
 		t.Fatalf("crash run: code %d, err %v", code, err)
@@ -229,7 +163,7 @@ func TestCrashFallbackWithoutSpare(t *testing.T) {
 	plan := &faults.ServerPlan{Events: []faults.ServerEvent{
 		{Kind: faults.Crash, Server: 0, Start: start + dur/2},
 	}}
-	env := setupProg(t, netsim.Fast80211AC(), Policy{ForceOffload: true}, WithServerFaults(plan))
+	env := setupFor(t, chatty, netsim.Fast80211AC(), Policy{ForceOffload: true}, WithServerFaults(plan))
 	if code, err := env.sess.RunMobile(); err != nil || code != 0 {
 		t.Fatalf("fallback run: code %d, err %v", code, err)
 	}
@@ -256,7 +190,7 @@ func TestHealthDetectsSlowdown(t *testing.T) {
 	plan := &faults.ServerPlan{Events: []faults.ServerEvent{
 		{Kind: faults.Slowdown, Server: 0, Start: start + dur/4, End: start + 100*dur, Factor: 20},
 	}}
-	env := setupProg(t, netsim.Fast80211AC(), Policy{ForceOffload: true},
+	env := setupFor(t, chatty, netsim.Fast80211AC(), Policy{ForceOffload: true},
 		WithTracer(tr), WithServerFaults(plan),
 		WithMigration(Migration{Spares: 1, HealthSlack: 4, HealthFloor: simtime.Microsecond, Strikes: 2}))
 	if code, err := env.sess.RunMobile(); err != nil || code != 0 {

@@ -4,12 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/compiler"
-	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/mem"
 	"repro/internal/netsim"
-	"repro/internal/profile"
 )
 
 // These tests run the system with one unification/partition mechanism
@@ -54,61 +50,22 @@ func buildStackSensitive() *ir.Module {
 	return mod
 }
 
-func compilePair(t *testing.T, mod *ir.Module, costScale int64) *compiler.Result {
+// runPair runs one forced-offload session over the pair on the fast link.
+func runPair(t *testing.T, p *pair) (int32, error) {
 	t.Helper()
-	work := mod.Clone("prof")
-	spec := arch.ARM32()
-	ir.Lower(work, spec, spec)
-	pm, _ := interp.NewMachine(interp.Config{Name: "p", Spec: spec, Mod: work, CostScale: costScale, InitUVAGlobals: true})
-	prof, err := profile.Run(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cres, err := compiler.Compile(mod, prof, compiler.Default(650_000_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cres
-}
-
-func runPair(t *testing.T, cres *compiler.Result, costScale int64) (int32, error) {
-	t.Helper()
-	mobile, err := interp.NewMachine(interp.Config{
-		Name: "mobile", Spec: arch.ARM32(), Std: arch.ARM32(), Mod: cres.Mobile,
-		FuncBase: mem.FuncBaseMobile, InitUVAGlobals: true, CostScale: costScale,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, err := interp.NewMachine(interp.Config{
-		Name: "server", Spec: arch.X8664(), Std: arch.ARM32(), Mod: cres.Server,
-		FuncBase: mem.FuncBaseServer, ShuffleFuncs: true, ShuffleGlobals: true, CostScale: costScale,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tasks []TaskSpec
-	for _, tg := range cres.Targets {
-		tasks = append(tasks, TaskSpec{TaskID: tg.TaskID, Name: tg.Name,
-			TimePerInvocation: tg.TimePerInvocation, MemBytes: tg.MemBytes})
-	}
-	sess, err := NewSession(mobile, server, netsim.Fast80211AC(),
-		WithTasks(tasks...), WithPolicy(Policy{ForceOffload: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sess.RunMobile()
+	return p.session(t, netsim.Fast80211AC(), Policy{ForceOffload: true}).sess.RunMobile()
 }
 
 func TestStackReallocationIsLoadBearing(t *testing.T) {
-	const cost = 2000
+	guest := guestAt("stack", buildStackSensitive, 2000)
+	bw := netsim.Fast80211AC().BandwidthBps
 
 	// With the compiler's stack reallocation: the caller's local survives.
-	cres := compilePair(t, buildStackSensitive(), cost)
-	if cres.Server.StackBase == cres.Mobile.StackBase {
+	p := partition(t, guest, bw)
+	if p.cres.Server.StackBase == p.cres.Mobile.StackBase {
 		t.Fatal("precondition: compiler should have relocated the server stack")
 	}
-	code, err := runPair(t, cres, cost)
+	code, err := runPair(t, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +76,10 @@ func TestStackReallocationIsLoadBearing(t *testing.T) {
 	// Without it (server stack back at the mobile base): the offloaded
 	// task's frames overwrite the caller's live stack page, and the dirty
 	// write-back carries the corruption home.
-	cres2 := compilePair(t, buildStackSensitive(), cost)
-	cres2.Server.StackBase = cres2.Mobile.StackBase
-	code2, err := runPair(t, cres2, cost)
+	p2 := partition(t, guest, bw)
+	p2.cres.Server.StackBase = p2.cres.Mobile.StackBase
+	p2.bind(t)
+	code2, err := runPair(t, p2)
 	if err == nil && code2 == 42 {
 		t.Fatal("without stack reallocation the caller's local survived; the overlap bug did not manifest")
 	}
@@ -168,10 +126,10 @@ func buildLayoutSensitive() *ir.Module {
 }
 
 func TestLayoutRealignmentIsLoadBearing(t *testing.T) {
-	const cost = 3000
+	guest := guestAt("layout", buildLayoutSensitive, 3000)
+	bw := netsim.Fast80211AC().BandwidthBps
 
-	cres := compilePair(t, buildLayoutSensitive(), cost)
-	want, err := runPair(t, cres, cost)
+	want, err := runPair(t, partition(t, guest, bw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +140,10 @@ func TestLayoutRealignmentIsLoadBearing(t *testing.T) {
 	// Break realignment: re-lower the server binary against an IA32-style
 	// layout that packs the i64 at offset 4 instead of 8 — the Figure 4
 	// situation. The server now reads val from the wrong offset.
-	cres2 := compilePair(t, buildLayoutSensitive(), cost)
-	ir.Lower(cres2.Server, arch.X8664(), arch.IA32())
-	got, err := runPair(t, cres2, cost)
+	p2 := partition(t, guest, bw)
+	ir.Lower(p2.cres.Server, arch.X8664(), arch.IA32())
+	p2.bind(t)
+	got, err := runPair(t, p2)
 	if err == nil && got == want {
 		t.Fatal("without layout realignment the server still read correct data; the Figure 4 bug did not manifest")
 	}

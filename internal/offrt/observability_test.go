@@ -84,22 +84,7 @@ func TestTracedSessionEmitsLifecycleEvents(t *testing.T) {
 // setupTraced is setup() plus an attached tracer and metrics registry.
 func setupTraced(t *testing.T, pol Policy) *testEnv {
 	t.Helper()
-	env := setup(t, netsim.Fast80211AC(), pol)
-	// Rebuild the session with observability attached; setup's session has
-	// not been started, so it holds no goroutine to drain.
-	var tasks []TaskSpec
-	for _, tg := range env.cres.Targets {
-		tasks = append(tasks, TaskSpec{TaskID: tg.TaskID, Name: tg.Name,
-			TimePerInvocation: tg.TimePerInvocation, MemBytes: tg.MemBytes})
-	}
-	sess, err := NewSession(env.mobile, env.server, env.link,
-		WithTasks(tasks...), WithPolicy(pol),
-		WithTracer(obs.NewTracer(0)), WithMetrics(obs.NewMetrics()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.sess = sess
-	return env
+	return setup(t, netsim.Fast80211AC(), pol, WithTracer(obs.NewTracer(0)), WithMetrics(obs.NewMetrics()))
 }
 
 // TestTracedRunMatchesUntracedTiming: attaching a tracer must not perturb
@@ -128,13 +113,8 @@ func TestTracedRunMatchesUntracedTiming(t *testing.T) {
 // offrt.New signature used to take positionally.
 func TestNewSessionIsTheOnlyConstructor(t *testing.T) {
 	env := setup(t, netsim.Fast80211AC(), Policy{ForceOffload: true})
-	var tasks []TaskSpec
-	for _, tg := range env.cres.Targets {
-		tasks = append(tasks, TaskSpec{TaskID: tg.TaskID, Name: tg.Name,
-			TimePerInvocation: tg.TimePerInvocation, MemBytes: tg.MemBytes})
-	}
 	sess, err := NewSession(env.mobile, env.server, env.link,
-		WithTasks(tasks...), WithPolicy(Policy{ForceOffload: true}))
+		WithTasks(env.pair.tasks...), WithPolicy(Policy{ForceOffload: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,114 +4,18 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sort"
-	"sync"
 	"testing"
 
-	"repro/internal/arch"
-	"repro/internal/compiler"
 	"repro/internal/energy"
 	"repro/internal/faults"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/mem"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/profile"
 	"repro/internal/simtime"
 	"repro/internal/tiers"
 	"repro/internal/workloads"
 )
-
-// compiledPair is one Table 4 workload profiled and partitioned once, as
-// shared Programs: sessions bind copy-on-write instances of them, which is
-// also what checkpoint/restore (migration) requires.
-type compiledPair struct {
-	w              *workloads.Workload
-	mobile, server *interp.Program
-	tasks          []TaskSpec
-}
-
-var (
-	pairMu sync.Mutex
-	pairs  = map[string]*compiledPair{}
-)
-
-// workloadPair is pairFor over the named Table 4 workload.
-func workloadPair(t *testing.T, name string) *compiledPair {
-	t.Helper()
-	w := workloads.ByName(name)
-	if w == nil {
-		t.Fatalf("unknown workload %q", name)
-	}
-	return pairFor(t, w)
-}
-
-// pairFor profiles and compiles w on the scaled fast link (one binary pair
-// serves both networks; only the runtime's dynamic estimation differs),
-// memoized by name across tests.
-func pairFor(t *testing.T, w *workloads.Workload) *compiledPair {
-	t.Helper()
-	pairMu.Lock()
-	defer pairMu.Unlock()
-	if p := pairs[w.Name]; p != nil {
-		return p
-	}
-	mod := w.Build()
-	spec := arch.ARM32()
-	work := mod.Clone("prof")
-	ir.Lower(work, spec, spec)
-	pm, err := interp.NewMachine(interp.Config{Name: "prof", Spec: spec, Mod: work,
-		CostScale: w.CostScale, InitUVAGlobals: true, IO: w.ProfileIO()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := profile.Run(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := compiler.Default(netsim.Fast80211AC().Scaled(workloads.Scale).BandwidthBps)
-	cres, err := compiler.Compile(mod, prof, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &compiledPair{w: w}
-	p.mobile, err = interp.Compile(cres.Mobile, interp.CompileConfig{
-		Name: "mobile", Spec: opt.Mobile, Std: opt.Mobile,
-		FuncBase: mem.FuncBaseMobile, InitUVAGlobals: true,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.server, err = interp.Compile(cres.Server, interp.CompileConfig{
-		Name: "server", Spec: opt.Server, Std: opt.Mobile,
-		FuncBase: mem.FuncBaseServer, ShuffleFuncs: true, ShuffleGlobals: true,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tg := range cres.Targets {
-		p.tasks = append(p.tasks, TaskSpec{TaskID: tg.TaskID, Name: tg.Name,
-			TimePerInvocation: tg.TimePerInvocation, MemBytes: tg.MemBytes})
-	}
-	pairs[w.Name] = p
-	return p
-}
-
-// session binds a fresh session over the pair on the evaluation input.
-// link is the unscaled preset; the workload scale is applied here.
-func (p *compiledPair) session(t *testing.T, link *netsim.Link, pol Policy, extra ...Option) *testEnv {
-	t.Helper()
-	io := p.w.EvalIO()
-	mobile := p.mobile.NewInstance(interp.WithIO(io), interp.WithCostScale(p.w.CostScale))
-	server := p.server.NewInstance(interp.WithCostScale(p.w.CostScale))
-	link = link.Scaled(workloads.Scale)
-	opts := append([]Option{WithTasks(p.tasks...), WithPolicy(pol)}, extra...)
-	sess, err := NewSession(mobile, server, link, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &testEnv{link: link, mobile: mobile, server: server, sess: sess, io: io}
-}
 
 // sessionDigest runs the session to completion under a fresh tracer and
 // hashes everything an observer can see of it: the full event stream, the
@@ -196,13 +100,15 @@ func TestSessionTraceDigestPinned(t *testing.T) {
 	mcf := workloadPair(t, "429.mcf")
 	sphinx := workloadPair(t, "482.sphinx3") // 36 r_printf calls per offload
 	sjeng := workloadPair(t, "458.sjeng")    // three invocations
-	chatty := pairFor(t, verbose)
+	fast := func() *netsim.Link { return scaledLink(netsim.Fast80211AC()) }
+	slow := func() *netsim.Link { return scaledLink(netsim.Slow80211N()) }
+	loud := partition(t, verbose, fast().BandwidthBps)
 
 	// Fault instants are placed inside the fault-free fast-link offload.
 	var start, dur simtime.PS
 	{
 		tr := obs.NewTracer(1 << 18)
-		env := twolf.session(t, netsim.Fast80211AC(), Policy{}, WithTracer(tr))
+		env := twolf.session(t, fast(), Policy{}, WithTracer(tr))
 		if _, err := env.sess.RunMobile(); err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +127,6 @@ func TestSessionTraceDigestPinned(t *testing.T) {
 	serverEvent := func(kind faults.ServerKind, at simtime.PS) *faults.ServerPlan {
 		return &faults.ServerPlan{Events: []faults.ServerEvent{{Kind: kind, Server: 0, Start: at}}}
 	}
-	fast, slow := netsim.Fast80211AC, netsim.Slow80211N
 	printfs := func(s *Session) (n int) {
 		for _, e := range s.Tracer.Events() {
 			if e.Kind == obs.KRemoteIO && e.Name == "printf" {
@@ -281,7 +186,7 @@ func TestSessionTraceDigestPinned(t *testing.T) {
 			return sphinx.session(t, fast(), Policy{BatchOutput: true}, WithTracer(tr))
 		}, func(s *Session) bool { return printfs(s) == 1 }, "20:74ce69d8bd73dacb"},
 		{"policy/batch-threshold", func(tr *obs.Tracer) *testEnv {
-			return chatty.session(t, fast(), Policy{BatchOutput: true, ForceOffload: true}, WithTracer(tr))
+			return loud.session(t, fast(), Policy{BatchOutput: true, ForceOffload: true}, WithTracer(tr))
 		}, func(s *Session) bool { return printfs(s) == 3 }, "24:616b11772986afef"},
 		{"policy/unbatched", func(tr *obs.Tracer) *testEnv {
 			return sphinx.session(t, fast(), Policy{}, WithTracer(tr))

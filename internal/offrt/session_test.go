@@ -5,14 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/compiler"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/mem"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/profile"
 	"repro/internal/simtime"
+	"repro/internal/workloads"
 )
 
 // buildHeavy builds a program with one clearly profitable target that
@@ -55,61 +53,8 @@ func buildHeavy() *ir.Module {
 	return mod
 }
 
-type testEnv struct {
-	cres   *compiler.Result
-	link   *netsim.Link
-	mobile *interp.Machine
-	server *interp.Machine
-	sess   *Session
-	io     *interp.StdIO
-}
-
-func setup(t *testing.T, link *netsim.Link, pol Policy, extra ...Option) *testEnv {
-	t.Helper()
-	mod := buildHeavy()
-
-	// Profile.
-	work := mod.Clone("prof")
-	mobSpec := arch.ARM32()
-	ir.Lower(work, mobSpec, mobSpec)
-	pm, _ := interp.NewMachine(interp.Config{Name: "prof", Spec: mobSpec, Mod: work, CostScale: 3000, InitUVAGlobals: true})
-	prof, err := profile.Run(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opt := compiler.Default(link.BandwidthBps)
-	cres, err := compiler.Compile(mod, prof, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	io := interp.NewStdIO(nil)
-	mobile, err := interp.NewMachine(interp.Config{
-		Name: "mobile", Spec: opt.Mobile, Std: opt.Mobile, Mod: cres.Mobile,
-		FuncBase: mem.FuncBaseMobile, InitUVAGlobals: true, IO: io, CostScale: 3000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, err := interp.NewMachine(interp.Config{
-		Name: "server", Spec: opt.Server, Std: opt.Mobile, Mod: cres.Server,
-		FuncBase: mem.FuncBaseServer, ShuffleFuncs: true, ShuffleGlobals: true, CostScale: 3000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tasks []TaskSpec
-	for _, tg := range cres.Targets {
-		tasks = append(tasks, TaskSpec{TaskID: tg.TaskID, Name: tg.Name, TimePerInvocation: tg.TimePerInvocation, MemBytes: tg.MemBytes})
-	}
-	opts := append([]Option{WithTasks(tasks...), WithPolicy(pol)}, extra...)
-	sess, err := NewSession(mobile, server, link, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &testEnv{cres: cres, link: link, mobile: mobile, server: server, sess: sess, io: io}
-}
+// heavy is the suite's default guest: setup partitions it.
+var heavy = guestAt("heavy", buildHeavy, 3000)
 
 func TestOffloadRoundTripSemantics(t *testing.T) {
 	env := setup(t, netsim.Fast80211AC(), Policy{ForceOffload: true})
@@ -248,11 +193,8 @@ func TestDynamicGateReactsToDegradingNetwork(t *testing.T) {
 	// The paper's dynamic estimation exists for "unexpected slow network
 	// environments": when the link degrades mid-run, later invocations of
 	// the same task must be declined while the early ones offload.
-	env := setup(t, netsim.Fast80211AC(), Policy{})
-	// The heavy program calls crunch once; build a session over a module
-	// with three gated invocations instead.
-	env.sess.Shutdown()
-
+	// The heavy program calls crunch once; this one has three gated
+	// invocations.
 	mod := ir.NewModule("thrice")
 	b := ir.NewBuilder(mod)
 	data := b.GlobalVar("data", ir.Ptr(ir.I64))
@@ -282,27 +224,23 @@ func TestDynamicGateReactsToDegradingNetwork(t *testing.T) {
 	b.Ret(ir.Int(0))
 	b.Finish()
 
-	const cost = 40000
 	mkIO := func() *interp.StdIO { return interp.NewStdIO([]int64{1, 1, 1}) }
+	thrice := &workloads.Workload{Name: "thrice", Build: func() *ir.Module { return mod },
+		ProfileIO: mkIO, EvalIO: mkIO, CostScale: 40000}
 
 	// Profile + compile on the healthy link.
-	work := mod.Clone("prof")
-	spec := arch.ARM32()
-	ir.Lower(work, spec, spec)
-	pm, _ := interp.NewMachine(interp.Config{Name: "p", Spec: spec, Mod: work, CostScale: cost, InitUVAGlobals: true, IO: mkIO()})
-	prof, err := profile.Run(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cres, err := compiler.Compile(mod, prof, compiler.Default(netsim.Fast80211AC().BandwidthBps))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := partition(t, thrice, netsim.Fast80211AC().BandwidthBps)
 
 	// Run locally once to learn when the first invocation finishes, then
 	// degrade the link to dial-up speeds right after it.
-	lm, _ := interp.NewMachine(interp.Config{Name: "l", Spec: spec, Mod: mod.Clone("l"), CostScale: cost, InitUVAGlobals: true, IO: mkIO()})
-	ir.Lower(lm.Mod, spec, spec)
+	spec := arch.ARM32()
+	local := mod.Clone("l")
+	ir.Lower(local, spec, spec)
+	lp, err := interp.Compile(local, interp.CompileConfig{Name: "l", Spec: spec, InitUVAGlobals: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm := lp.NewInstance(interp.WithIO(mkIO()), interp.WithCostScale(thrice.CostScale))
 	if _, err := lm.RunMain(); err != nil {
 		t.Fatal(err)
 	}
@@ -319,30 +257,8 @@ func TestDynamicGateReactsToDegradingNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mobile, err := interp.NewMachine(interp.Config{
-		Name: "mobile", Spec: spec, Std: spec, Mod: cres.Mobile,
-		FuncBase: mem.FuncBaseMobile, InitUVAGlobals: true, IO: mkIO(), CostScale: cost,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, err := interp.NewMachine(interp.Config{
-		Name: "server", Spec: arch.X8664(), Std: spec, Mod: cres.Server,
-		FuncBase: mem.FuncBaseServer, ShuffleFuncs: true, ShuffleGlobals: true, CostScale: cost,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tasks []TaskSpec
-	for _, tg := range cres.Targets {
-		tasks = append(tasks, TaskSpec{TaskID: tg.TaskID, Name: tg.Name,
-			TimePerInvocation: tg.TimePerInvocation, MemBytes: tg.MemBytes})
-	}
 	tr := obs.NewTracer(0)
-	sess, err := NewSession(mobile, server, link, WithTasks(tasks...), WithTracer(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := p.session(t, link, Policy{}, WithTracer(tr)).sess
 	if _, err := sess.RunMobile(); err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,22 @@ import (
 	"repro/internal/mem"
 )
 
+// runMain lowers mod for ARM32 and runs main on one bound instance.
+func runMain(t *testing.T, mod *ir.Module) int32 {
+	t.Helper()
+	spec := arch.ARM32()
+	ir.Lower(mod, spec, spec)
+	prog, err := interp.Compile(mod, interp.CompileConfig{Name: "m", Spec: spec}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := prog.NewInstance().RunMain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code
+}
+
 // buildCaller creates: target(x) = x*2; caller() { a = target(21); return a+1 }
 func buildCaller(t *testing.T) (*ir.Module, *ir.Func) {
 	t.Helper()
@@ -41,14 +57,7 @@ func TestPartitionMobileInsertsGate(t *testing.T) {
 		}
 	}
 	// The gated binary still computes the same value locally.
-	spec := arch.ARM32()
-	ir.Lower(mod, spec, spec)
-	m, _ := interp.NewMachine(interp.Config{Name: "m", Spec: spec, Mod: mod})
-	code, err := m.RunMain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 43 {
+	if code := runMain(t, mod); code != 43 {
 		t.Errorf("gated local run = %d, want 43", code)
 	}
 }
@@ -70,14 +79,7 @@ func TestPartitionMobileMultipleSites(t *testing.T) {
 	if err := ir.Verify(mod); err != nil {
 		t.Fatal(err)
 	}
-	spec := arch.ARM32()
-	ir.Lower(mod, spec, spec)
-	m, _ := interp.NewMachine(interp.Config{Name: "m", Spec: spec, Mod: mod})
-	code, err := m.RunMain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 3 {
+	if code := runMain(t, mod); code != 3 {
 		t.Errorf("double-gated run = %d, want 3", code)
 	}
 }
@@ -160,16 +162,7 @@ func TestOutlineLoopExecutesEquivalently(t *testing.T) {
 		b.Finish()
 		return mod
 	}
-	run := func(mod *ir.Module) int32 {
-		spec := arch.ARM32()
-		ir.Lower(mod, spec, spec)
-		m, _ := interp.NewMachine(interp.Config{Name: "m", Spec: spec, Mod: mod})
-		code, err := m.RunMain()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return code
-	}
+	run := func(mod *ir.Module) int32 { return runMain(t, mod) }
 	want := run(build())
 
 	mod := build()
@@ -247,16 +240,7 @@ func TestDemotionMakesEscapingLoopOutlinable(t *testing.T) {
 		b.Finish()
 		return mod
 	}
-	run := func(mod *ir.Module) int32 {
-		spec := arch.ARM32()
-		ir.Lower(mod, spec, spec)
-		m, _ := interp.NewMachine(interp.Config{Name: "m", Spec: spec, Mod: mod})
-		code, err := m.RunMain()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return code
-	}
+	run := func(mod *ir.Module) int32 { return runMain(t, mod) }
 	want := run(build()) // 36*36+1+4 = 1301
 
 	mod := build()

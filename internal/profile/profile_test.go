@@ -44,17 +44,23 @@ func buildChessSkeleton(mod *ir.Module) {
 	b.Finish()
 }
 
+// bind compiles the lowered module and binds one instance.
+func bind(t *testing.T, mod *ir.Module, name string, spec *arch.Spec) *interp.Machine {
+	t.Helper()
+	prog, err := interp.Compile(mod, interp.CompileConfig{Name: name, Spec: spec}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog.NewInstance()
+}
+
 func profiled(t *testing.T) *Report {
 	t.Helper()
 	mod := ir.NewModule("chess")
 	buildChessSkeleton(mod)
 	spec := arch.ARM32()
 	ir.Lower(mod, spec, spec)
-	m, err := interp.NewMachine(interp.Config{Name: "prof", Spec: spec, Mod: mod})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Run(m)
+	r, err := Run(bind(t, mod, "prof", spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +151,7 @@ func TestRecursionNotDoubleCounted(t *testing.T) {
 	b.Finish()
 	spec := arch.ARM32()
 	ir.Lower(mod, spec, spec)
-	m, _ := interp.NewMachine(interp.Config{Name: "rec", Spec: spec, Mod: mod})
-	r, err := Run(m)
+	r, err := Run(bind(t, mod, "rec", spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +173,7 @@ func TestDetachRestoresMachine(t *testing.T) {
 	b.Finish()
 	spec := arch.ARM32()
 	ir.Lower(mod, spec, spec)
-	m, _ := interp.NewMachine(interp.Config{Name: "d", Spec: spec, Mod: mod})
+	m := bind(t, mod, "d", spec)
 	p, err := Attach(m)
 	if err != nil {
 		t.Fatal(err)
