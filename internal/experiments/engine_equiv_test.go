@@ -46,6 +46,30 @@ func runWorkloadEngine(t *testing.T, mod *ir.Module, io *interp.StdIO, costScale
 	return r
 }
 
+// equivProgram is one program of the whole-program differentials, on its
+// profiling input.
+type equivProgram struct {
+	name      string
+	mod       *ir.Module
+	io        func() *interp.StdIO
+	costScale int64
+}
+
+// equivPrograms lists every registered SPEC-like workload plus the chess
+// running example.
+func equivPrograms() []equivProgram {
+	var progs []equivProgram
+	for _, w := range workloads.All() {
+		progs = append(progs, equivProgram{w.Name, w.Build(), w.ProfileIO, w.CostScale})
+	}
+	return append(progs, equivProgram{
+		name:      "chess",
+		mod:       workloads.BuildChess(workloads.DefaultChessConfig()),
+		io:        func() *interp.StdIO { return workloads.ChessInput(5, 1) },
+		costScale: workloads.ChessCostScale,
+	})
+}
+
 // TestEngineEquivalenceAllWorkloads runs every registered SPEC-like workload
 // plus the chess running example under both execution engines and demands
 // bit-identical results: output, exit code, instruction count, simulated
@@ -53,23 +77,7 @@ func runWorkloadEngine(t *testing.T, mod *ir.Module, io *interp.StdIO, costScale
 // "all example programs" leg of the differential acceptance criteria (the
 // random-program leg lives in internal/interp).
 func TestEngineEquivalenceAllWorkloads(t *testing.T) {
-	type prog struct {
-		name      string
-		mod       *ir.Module
-		io        func() *interp.StdIO
-		costScale int64
-	}
-	var progs []prog
-	for _, w := range workloads.All() {
-		progs = append(progs, prog{w.Name, w.Build(), w.ProfileIO, w.CostScale})
-	}
-	progs = append(progs, prog{
-		name:      "chess",
-		mod:       workloads.BuildChess(workloads.DefaultChessConfig()),
-		io:        func() *interp.StdIO { return workloads.ChessInput(5, 1) },
-		costScale: workloads.ChessCostScale,
-	})
-	for _, p := range progs {
+	for _, p := range equivPrograms() {
 		t.Run(p.name, func(t *testing.T) {
 			fast := runWorkloadEngine(t, p.mod, p.io(), p.costScale, interp.EngineFast)
 			ref := runWorkloadEngine(t, p.mod, p.io(), p.costScale, interp.EngineRef)
