@@ -76,9 +76,11 @@ bench:
 	$(GO) run ./cmd/offloadbench -exp tiers -out=$(CURDIR)/BENCH_tiers.json
 
 ## golden: regenerate every golden file (Chrome export, metrics summary,
-## breakdown tables) through the shared goldentest -update flag.
+## breakdown tables, the profile reports of chess and the 17 workloads)
+## through the shared goldentest -update flag.
 golden:
 	$(GO) test ./internal/obs/ ./internal/obs/analyze/ -update
+	$(GO) test ./internal/experiments/ -run '^TestProfileReportsGolden$$' -update
 
 ## profsmoke: end-to-end smoke of the trace-analysis pipeline — a chess
 ## run with the guest profiler and the breakdown report enabled, checking

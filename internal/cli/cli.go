@@ -1,6 +1,6 @@
-// Package cli holds what the offload* commands share: the -cpuprofile,
-// -engine and -bindstats flags with their start-up and tear-down, and the
-// loaders for user-supplied IR files and -stdin token lists.
+// Package cli holds what the offload* commands share: the -cpuprofile and
+// -bindstats flags with their start-up and tear-down, and the loaders for
+// user-supplied IR files and -stdin token lists.
 package cli
 
 import (
@@ -20,29 +20,21 @@ import (
 // Common is the flag set every simulating command carries.
 type Common struct {
 	cpuProfile string
-	engine     string
 	bindStats  bool
 }
 
-// CommonFlags registers -cpuprofile, -engine and -bindstats on fs.
+// CommonFlags registers -cpuprofile and -bindstats on fs.
 func CommonFlags(fs *flag.FlagSet) *Common {
 	c := &Common{}
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the whole run to this path")
-	fs.StringVar(&c.engine, "engine", "fast", "execution engine: fast (pre-decoded) or ref (reference tree-walker)")
 	fs.BoolVar(&c.bindStats, "bindstats", false, "print compilation-cache statistics (programs, hits, misses) after the run")
 	return c
 }
 
-// Start applies the parsed flags: it installs the engine as
-// core.DefaultEngine and starts the CPU profile. The returned stop must run
-// once the command's work is done; it prints the -bindstats line to stdout
-// and closes the profile.
+// Start applies the parsed flags: it starts the CPU profile. The returned
+// stop must run once the command's work is done; it prints the -bindstats
+// line to stdout and closes the profile.
 func (c *Common) Start(stdout io.Writer) (stop func(), err error) {
-	eng, err := interp.ParseEngine(c.engine)
-	if err != nil {
-		return nil, fmt.Errorf("-engine: %w", err)
-	}
-	core.DefaultEngine = eng
 	var prof *os.File
 	if c.cpuProfile != "" {
 		if prof, err = os.Create(c.cpuProfile); err != nil {

@@ -26,7 +26,7 @@ func profileModule(t *testing.T, mod *ir.Module, opts ...interp.InstanceOption) 
 	work := mod.Clone("prof")
 	spec := arch.ARM32()
 	ir.Lower(work, spec, spec)
-	prog, err := interp.Compile(work, interp.CompileConfig{Name: "prof", Spec: spec, InitUVAGlobals: true}, nil)
+	prog, err := interp.Compile(work, interp.CompileConfig{Name: "prof", Spec: spec, InitUVAGlobals: true, Instrument: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

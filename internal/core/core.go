@@ -84,9 +84,9 @@ type Framework struct {
 
 	// Engine selects the interpreter engine for every machine this
 	// framework builds (RunLocal, RunOffloaded, Profile's machine). The
-	// zero value is the pre-decoded fast engine; interp.EngineRef selects
-	// the reference tree-walker. Profiling runs always fall back to the
-	// reference engine internally because the profiler attaches a Listener.
+	// zero value is the pre-decoded fast engine, which is what ships;
+	// interp.EngineRef, the reference tree-walker, is for differential tests
+	// and the benchmark's engine probe.
 	Engine interp.Engine
 
 	// SampleEvery, when positive, attaches a guest sampling profiler with
@@ -104,11 +104,6 @@ type Framework struct {
 	Cache *interp.CompilationCache
 }
 
-// DefaultEngine is the engine NewFramework installs. It exists so entry
-// points (CLIs, experiments) can flip every framework they construct with a
-// single assignment, e.g. from an -engine flag.
-var DefaultEngine = interp.EngineFast
-
 // DefaultCache is the process-wide compilation cache NewFramework installs:
 // frameworks built anywhere in the process (experiments, fleets, CLIs)
 // share compiled programs keyed by (module digest, architecture binding).
@@ -123,7 +118,6 @@ func NewFramework(n Network) *Framework {
 		CostScale: 1,
 		Scale:     1,
 		RemoteIO:  true,
-		Engine:    DefaultEngine,
 		Cache:     DefaultCache,
 	}
 	switch n {
@@ -156,12 +150,13 @@ func (fw *Framework) estParams() estimate.Params {
 }
 
 // Profile runs mod on the mobile machine with the profiling input and
-// returns the hot function/loop report (Section 3.1).
+// returns the hot function/loop report (Section 3.1). The program is compiled
+// with the profiler's hooks woven in, so the run stays on fw.Engine.
 func (fw *Framework) Profile(mod *ir.Module, io *interp.StdIO) (*profile.Report, error) {
 	work := mod.Clone("profile:" + mod.Name)
 	ir.Lower(work, fw.Mobile, fw.Mobile)
 	prog, err := interp.Compile(work, interp.CompileConfig{
-		Name: "profiler", Spec: fw.Mobile, InitUVAGlobals: true,
+		Name: "profiler", Spec: fw.Mobile, InitUVAGlobals: true, Instrument: true,
 	}, fw.Cache)
 	if err != nil {
 		return nil, err

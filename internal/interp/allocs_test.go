@@ -51,29 +51,55 @@ func callKernelModule(iters int64) *ir.Module {
 
 func kernelMachine(t testing.TB, mod *ir.Module, eng Engine) (*Machine, *ir.Func) {
 	t.Helper()
-	work := mod.Clone(mod.Name)
-	spec := arch.ARM32()
-	ir.Lower(work, spec, spec)
-	m := bind(t, work, CompileConfig{Name: "bench", Spec: spec, InitUVAGlobals: true}, WithEngine(eng))
-	return m, work.Func("kern")
+	return kernelMachineCfg(t, mod, CompileConfig{Name: "bench", Spec: arch.ARM32(), InitUVAGlobals: true}, eng)
 }
+
+func kernelMachineCfg(t testing.TB, mod *ir.Module, cfg CompileConfig, eng Engine) (*Machine, *ir.Func) {
+	t.Helper()
+	work := mod.Clone(mod.Name)
+	ir.Lower(work, cfg.Spec, cfg.Spec)
+	return bind(t, work, cfg, WithEngine(eng)), work.Func("kern")
+}
+
+// nopListener is the cheapest possible Listener: what is left of an
+// instrumented run's cost is the engine's own.
+type nopListener struct{}
+
+func (nopListener) EnterFunc(*Machine, *ir.Func)             {}
+func (nopListener) ExitFunc(*Machine, *ir.Func)              {}
+func (nopListener) EnterBlock(*Machine, *ir.Func, *ir.Block) {}
 
 // TestFastEngineZeroAllocSteadyState asserts the fast engine allocates
 // nothing per instruction once warm: loads, stores, binary ops and
 // branches run entirely on the pre-decoded stream, the frame free list and
-// the page-cache fast path (mirrors the PR-1 obs zero-alloc tests).
+// the page-cache fast path (mirrors the PR-1 obs zero-alloc tests). The
+// observed cells run the instrumented program with a Listener and a Touch
+// observer attached: the hooks fire on every block, call, load and store, and
+// the engine stays on that same stream and page cache.
 func TestFastEngineZeroAllocSteadyState(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		mod  *ir.Module
+		name     string
+		mod      *ir.Module
+		observed bool
 	}{
-		{"load-store-bin-branch", loopKernelModule(256)},
-		{"call-return", callKernelModule(256)},
+		{"load-store-bin-branch", loopKernelModule(256), false},
+		{"call-return", callKernelModule(256), false},
+		{"load-store-bin-branch/observed", loopKernelModule(256), true},
+		{"call-return/observed", callKernelModule(256), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, kern := kernelMachine(t, tc.mod, EngineFast)
+			m, kern := kernelMachineCfg(t, tc.mod, CompileConfig{
+				Name: "bench", Spec: arch.ARM32(), InitUVAGlobals: true, Instrument: tc.observed}, EngineFast)
+			touches := 0
+			if tc.observed {
+				m.Listener = nopListener{}
+				m.Mem.Touch = func(uint32) { touches++ }
+			}
 			if _, err := m.CallFunc(kern); err != nil { // warm: fault pages, fill pools
 				t.Fatal(err)
+			}
+			if tc.observed && touches < 256 {
+				t.Fatalf("Touch saw %d accesses of a 256-iteration load/store loop", touches)
 			}
 			allocs := testing.AllocsPerRun(10, func() {
 				if _, err := m.CallFunc(kern); err != nil {

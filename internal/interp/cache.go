@@ -22,6 +22,7 @@ type progKey struct {
 	shuffleFuncs   bool
 	shuffleGlobals bool
 	initUVA        bool
+	instrument     bool
 }
 
 // cacheEntry singleflights one key: the first binder compiles under the
@@ -98,6 +99,7 @@ func (c *CompilationCache) compile(mod *ir.Module, cfg CompileConfig) (*Program,
 		shuffleFuncs:   cfg.ShuffleFuncs,
 		shuffleGlobals: cfg.ShuffleGlobals,
 		initUVA:        cfg.InitUVAGlobals,
+		instrument:     cfg.Instrument,
 	}
 	c.mu.Lock()
 	e, ok := c.entries[key]

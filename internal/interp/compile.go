@@ -11,13 +11,14 @@ import (
 type Engine int
 
 const (
-	// EngineFast pre-decodes every function into a flat instruction array
-	// at bind time and interprets that (the default). A machine with a
-	// Listener attached falls back to the reference engine regardless,
-	// because the profiler needs per-block clock observations.
+	// EngineFast interprets the flat instruction arrays Compile pre-decoded
+	// (the default). A Listener observes it through the hooks of an
+	// instrumented program (CompileConfig.Instrument).
 	EngineFast Engine = iota
-	// EngineRef is the original tree-walking interpreter, kept as the
-	// semantic reference the fast engine is differentially tested against.
+	// EngineRef is the original tree-walking interpreter: the semantic
+	// reference the fast engine is differentially tested against (and the
+	// benchmark's steps/sec probe), not a mode programs are meant to ship
+	// on. It calls a Listener at every join point of any program.
 	EngineRef
 )
 
@@ -26,17 +27,6 @@ func (e Engine) String() string {
 		return "ref"
 	}
 	return "fast"
-}
-
-// ParseEngine parses the -engine CLI flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "fast":
-		return EngineFast, nil
-	case "ref", "reference":
-		return EngineRef, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q (want fast or ref)", s)
 }
 
 // cop is the pre-decoded opcode. The fast engine's hot loop is a switch
@@ -107,6 +97,14 @@ const (
 	cBr      // a = target pc
 	cCondBr  // cond in (a,imm); b = then pc, c = else pc
 	cRet     // aux = 1: value in (a,imm)
+
+	// cEnterBlock reports the entry of block fn.Blocks[aux] to the machine's
+	// Listener. Only an instrumented program contains it, one at each
+	// block's start pc, ahead of the block's first cCharge: the previous
+	// block's last segment was charged in full before its terminator
+	// transferred here, so the hook observes the clock the reference engine
+	// shows its Listener between blocks.
+	cEnterBlock
 )
 
 // carg is one pre-decoded call argument: a caller register slot, or an
@@ -149,18 +147,22 @@ type cfunc struct {
 // published; from then on the map is only read, so any number of concurrent
 // instances share it.
 type compiler struct {
-	name   string
-	spec   *arch.Spec
-	std    *arch.Spec
-	lay    *linkage
-	cfuncs map[*ir.Func]*cfunc
+	name       string
+	spec       *arch.Spec
+	std        *arch.Spec
+	lay        *linkage
+	instrument bool // weave the Listener's block hook into every stream
+	cfuncs     map[*ir.Func]*cfunc
 }
 
 // compileModule pre-decodes every function body of mod. All cfuncs exist
 // before the first body is flattened, so direct calls (mutually recursive
 // ones included) link straight to their callee's cfunc.
-func compileModule(name string, spec, std *arch.Spec, lay *linkage, mod *ir.Module) *compiler {
-	c := &compiler{name: name, spec: spec, std: std, lay: lay, cfuncs: make(map[*ir.Func]*cfunc, len(mod.Funcs))}
+func compileModule(cfg CompileConfig, lay *linkage, mod *ir.Module) *compiler {
+	c := &compiler{
+		name: cfg.Name, spec: cfg.Spec, std: cfg.Std, lay: lay, instrument: cfg.Instrument,
+		cfuncs: make(map[*ir.Func]*cfunc, len(mod.Funcs)),
+	}
 	for _, f := range mod.Funcs {
 		if !f.IsExtern() {
 			c.cfuncs[f] = &cfunc{fn: f, idx: int32(len(c.cfuncs))}
@@ -214,7 +216,9 @@ func cdst(in ir.Instr) int32 { return int32(in.(interface{ Slot() int }).Slot())
 // compileInto flattens cf.fn into cf.code. Each basic block becomes one or
 // more charge segments: a cCharge carrying the aggregate Steps/cycles of
 // the segment's instructions, followed by their pre-decoded forms. Branch
-// targets are pc indices patched after all blocks are placed.
+// targets are pc indices patched after all blocks are placed; an
+// instrumented compile puts a cEnterBlock at each of them, so the entry
+// block and every block transfer fire it.
 func (c *compiler) compileInto(cf *cfunc) {
 	f := cf.fn
 	cost := c.spec.Cost
@@ -246,8 +250,11 @@ func (c *compiler) compileInto(cf *cfunc) {
 		flush()
 	}
 
-	for _, blk := range f.Blocks {
+	for bi, blk := range f.Blocks {
 		start[blk] = int32(len(cf.code))
+		if c.instrument {
+			cf.code = append(cf.code, cinstr{op: cEnterBlock, aux: int32(bi)})
+		}
 		terminated := false
 	instrs:
 		for _, in := range blk.Instrs {

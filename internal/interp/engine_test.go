@@ -259,35 +259,59 @@ func TestEngineDifferentialRandomPrograms(t *testing.T) {
 	}
 }
 
-// TestEngineDifferentialErrors pins error equivalence: both engines must
-// produce the same error text, step count and clock for trapping programs.
-func TestEngineDifferentialErrors(t *testing.T) {
+// errorPrograms are the trapping programs of the differentials: a fault in
+// main, exit() in main, and a divide trap two calls down inside a loop, whose
+// error unwinds through live frames.
+func errorPrograms() map[string]*ir.Module {
 	build := func(f func(b *ir.Builder)) *ir.Module {
 		mod := ir.NewModule("trap")
 		b := ir.NewBuilder(mod)
-		b.NewFunc("main", ir.I32)
 		f(b)
 		b.Finish()
 		return mod
 	}
-	cases := map[string]*ir.Module{
-		"div-zero": build(func(b *ir.Builder) {
+	inMain := func(f func(b *ir.Builder)) *ir.Module {
+		return build(func(b *ir.Builder) {
+			b.NewFunc("main", ir.I32)
+			f(b)
+		})
+	}
+	return map[string]*ir.Module{
+		"div-zero": inMain(func(b *ir.Builder) {
 			p := b.Alloca(ir.I64)
 			b.Store(p, ir.Int64(0))
 			b.Ret(b.Convert(ir.ConvTrunc, b.Div(ir.Int64(7), b.Load(p)), ir.I32))
 		}),
-		"rem-zero": build(func(b *ir.Builder) {
+		"rem-zero": inMain(func(b *ir.Builder) {
 			p := b.Alloca(ir.I64)
 			b.Store(p, ir.Int64(0))
 			b.Ret(b.Convert(ir.ConvTrunc, b.Rem(ir.Int64(7), b.Load(p)), ir.I32))
 		}),
-		"exit": build(func(b *ir.Builder) {
+		"exit": inMain(func(b *ir.Builder) {
 			b.CallExtern(ir.ExternExit, ir.Int(41))
 			b.Ret(ir.Int(0))
 		}),
+		"nested-trap": build(func(b *ir.Builder) {
+			inner := b.NewFunc("inner", ir.I64, ir.P("d", ir.I64))
+			b.Ret(b.Div(ir.Int64(100), inner.Params[0]))
+			outer := b.NewFunc("outer", ir.I64, ir.P("n", ir.I64))
+			acc := b.Alloca(ir.I64)
+			b.Store(acc, ir.Int64(0))
+			b.For("down", ir.Int64(0), ir.Int64(8), ir.Int64(1), func(i ir.Value) {
+				b.Store(acc, b.Add(b.Load(acc), b.Call(inner, b.Sub(outer.Params[0], i))))
+			})
+			b.Ret(b.Load(acc))
+			b.NewFunc("main", ir.I32)
+			b.Ret(b.Convert(ir.ConvTrunc, b.Call(outer, ir.Int64(5)), ir.I32))
+		}),
 	}
+}
+
+// TestEngineDifferentialErrors pins error equivalence: both engines must
+// produce the same error text, step count and clock for trapping programs.
+func TestEngineDifferentialErrors(t *testing.T) {
 	arm := arch.ARM32()
-	for name, mod := range cases {
+	for name, mod := range errorPrograms() {
 		fast, ref := runEngines(t, mod, arm, arm, 1)
 		compareRuns(t, name, fast, ref)
 	}

@@ -57,12 +57,9 @@ func foreignFunc(machine string, f *ir.Func) error {
 	return fmt.Errorf("interp(%s): function %s is not part of this machine's program", machine, f.Nam)
 }
 
-// call dispatches to the pre-decoded fast engine unless the machine selected
-// the reference tree-walker or has a profiling Listener attached (which
-// needs the per-block hooks and clock observations only the reference engine
-// makes).
+// call dispatches on the machine's engine alone.
 func (m *Machine) call(f *ir.Func, args []uint64) (uint64, error) {
-	if m.Engine == EngineFast && m.Listener == nil {
+	if m.Engine == EngineFast {
 		return m.callFast(f, args)
 	}
 	return m.callRef(f, args)

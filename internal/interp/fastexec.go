@@ -41,13 +41,7 @@ func (m *Machine) callFast(f *ir.Func, args []uint64) (uint64, error) {
 	for i, p := range f.Params {
 		regs[p.Slot] = args[i]
 	}
-	if ps := m.sampler; ps != nil {
-		ps.push(f.Nam, m.Clock)
-	}
 	v, err := m.runCompiled(cf, regs)
-	if ps := m.sampler; ps != nil {
-		ps.pop(m.Clock)
-	}
 	m.releaseFrame(cf, regs)
 	return v, err
 }
@@ -59,21 +53,35 @@ func (m *Machine) callCompiled(cf *cfunc, args []carg, caller []uint64) (uint64,
 	for i := range args {
 		regs[cf.fn.Params[i].Slot] = rv(caller, args[i].slot, args[i].imm)
 	}
-	if ps := m.sampler; ps != nil {
-		ps.push(cf.fn.Nam, m.Clock)
-	}
 	v, err := m.runCompiled(cf, regs)
-	if ps := m.sampler; ps != nil {
-		ps.pop(m.Clock)
-	}
 	m.releaseFrame(cf, regs)
 	return v, err
 }
 
+// runCompiled is one activation of cf: the function-entry and function-exit
+// join points around the hot loop. The exit hooks run on every way out —
+// return, trap, exit() unwinding through this frame — as the reference
+// engine's deferred ones do, and at the same clock: a Ret charges nothing
+// and a failing instruction's segment is charged before it executes. A plain
+// run pays one nil compare per hook at entry and one at exit, and nothing
+// anywhere else.
 func (m *Machine) runCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 	spSave := m.sp
 	defer func() { m.sp = spSave }()
-	return m.execCompiled(cf, regs)
+	if l := m.Listener; l != nil {
+		l.EnterFunc(m, cf.fn)
+	}
+	if ps := m.sampler; ps != nil {
+		ps.push(cf.fn.Nam, m.Clock)
+	}
+	v, err := m.execCompiled(cf, regs)
+	if ps := m.sampler; ps != nil {
+		ps.pop(m.Clock)
+	}
+	if l := m.Listener; l != nil {
+		l.ExitFunc(m, cf.fn)
+	}
+	return v, err
 }
 
 // rv reads operand (slot, imm): a register when slot >= 0, else the
@@ -108,13 +116,14 @@ func cmpBits(pred int32, lt, eq bool) uint64 {
 }
 
 // readMem is the aligned scalar read fast path: a TLB hit indexes the
-// resident page array without allocating. Accesses that straddle a page,
-// hit a Touch observer, or miss the TLB on a faulting page fall back to
-// the allocating slow path with identical semantics.
+// resident page array without allocating. A Touch observer is told of the
+// access from here on a hit (on a miss, Page reports it), so profiling keeps
+// the TLB. Accesses that straddle a page fall back to the allocating slow
+// path with identical semantics.
 func (m *Machine) readMem(addr uint32, size int) (uint64, error) {
 	mm := m.Mem
 	off := addr & (mem.PageSize - 1)
-	if mm.Touch == nil && int(off)+size <= mem.PageSize {
+	if int(off)+size <= mem.PageSize {
 		pn := addr >> mem.PageShift
 		e := &m.rtlb[pn&(tlbWays-1)]
 		if e.data == nil || e.pn != pn || e.gen != mm.Gen() {
@@ -123,6 +132,8 @@ func (m *Machine) readMem(addr uint32, size int) (uint64, error) {
 				return 0, err
 			}
 			e.data, e.pn, e.gen = data, pn, mm.Gen()
+		} else if mm.Touch != nil {
+			mm.Touch(pn)
 		}
 		b := e.data[off:]
 		switch size {
@@ -144,7 +155,7 @@ func (m *Machine) readMem(addr uint32, size int) (uint64, error) {
 func (m *Machine) writeMem(addr uint32, size int, v uint64) error {
 	mm := m.Mem
 	off := addr & (mem.PageSize - 1)
-	if mm.Touch == nil && int(off)+size <= mem.PageSize {
+	if int(off)+size <= mem.PageSize {
 		pn := addr >> mem.PageShift
 		e := &m.wtlb[pn&(tlbWays-1)]
 		if e.data == nil || e.pn != pn || e.gen != mm.Gen() || e.track != mm.TrackDirty {
@@ -153,6 +164,8 @@ func (m *Machine) writeMem(addr uint32, size int, v uint64) error {
 				return err
 			}
 			e.data, e.pn, e.gen, e.track = data, pn, mm.Gen(), mm.TrackDirty
+		} else if mm.Touch != nil {
+			mm.Touch(pn)
 		}
 		b := e.data[off:]
 		switch size {
@@ -388,6 +401,11 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 			return 0, nil
 		case cTrap:
 			return 0, cf.traps[in.aux]
+
+		case cEnterBlock:
+			if l := m.Listener; l != nil {
+				l.EnterBlock(m, cf.fn, cf.fn.Blocks[in.aux])
+			}
 
 		default:
 			return 0, fmt.Errorf("interp(%s): invalid compiled opcode %d in %s", m.Name, in.op, cf.fn.Nam)

@@ -72,7 +72,9 @@ type Machine struct {
 	IO  IOHost
 	Sys SysHost
 
-	// Listener, when set, observes calls and block transfers (profiler).
+	// Listener, when set, observes calls and block transfers (profiler). The
+	// fast engine reports block transfers only from an instrumented program
+	// (see Instrumented); the reference engine reports them from any.
 	Listener Listener
 
 	// Tracer, when set, receives task enter/exit events on TraceTrack;
@@ -95,10 +97,9 @@ type Machine struct {
 	// addresses.
 	lay *linkage
 
-	// Engine selects the execution engine. EngineFast (the default)
-	// interprets pre-decoded flat instruction streams; a Listener forces
-	// the reference tree-walker regardless (the profiler needs per-block
-	// clock observations).
+	// Engine selects the execution engine: EngineFast (the default)
+	// interprets the program's pre-decoded flat instruction streams,
+	// EngineRef walks the IR tree. Nothing else decides the dispatch.
 	Engine Engine
 
 	// cc is the program's compiled code (fast engine): every function of the
@@ -115,8 +116,8 @@ type Machine struct {
 	wtlb [tlbWays]tlbEntry
 
 	// sampler, when set via SetSampler, is the guest sampling profiler.
-	// Unlike Listener it works on both engines; every clock-advance site
-	// checks it with a nil-guarded boundary compare.
+	// It needs no instrumented program; every clock-advance site checks it
+	// with a nil-guarded boundary compare.
 	sampler *Sampler
 
 	sp      uint32
@@ -138,6 +139,13 @@ func (m *Machine) acquireFrame(cf *cfunc) []uint64 {
 // releaseFrame returns a frame to the pool.
 func (m *Machine) releaseFrame(cf *cfunc, regs []uint64) {
 	m.pools[cf.idx] = append(m.pools[cf.idx], regs)
+}
+
+// Instrumented reports whether a Listener attached to this machine sees every
+// join point it names: always on the reference engine, on the fast engine
+// only when the program was compiled with CompileConfig.Instrument.
+func (m *Machine) Instrumented() bool {
+	return m.Engine == EngineRef || m.cc.instrument
 }
 
 // FuncAddr returns this machine's address for f.

@@ -45,6 +45,11 @@ type CompileConfig struct {
 	// image. Only the mobile side does this; the server receives those
 	// pages via copy-on-demand.
 	InitUVAGlobals bool
+	// Instrument weaves the Listener's join points into the compiled code:
+	// a block-entry hook at every block's start pc. The profiler needs it;
+	// a plain program's streams carry no hook, so its machines cannot serve
+	// a Listener on the fast engine (Machine.Instrumented).
+	Instrument bool
 }
 
 func (cfg CompileConfig) withDefaults() CompileConfig {
@@ -93,7 +98,7 @@ func compileProgram(mod *ir.Module, cfg CompileConfig) (*Program, error) {
 	}
 	img := mem.Snapshot(scratch)
 
-	cc := compileModule(cfg.Name, cfg.Spec, cfg.Std, lay, mod)
+	cc := compileModule(cfg, lay, mod)
 	return &Program{cfg: cfg, mod: mod, lay: lay, cc: cc, image: img}, nil
 }
 

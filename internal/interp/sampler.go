@@ -247,8 +247,8 @@ func (s *Sampler) TopFuncs() []FuncStat {
 
 // SetSampler attaches (or, with nil, detaches) a sampling profiler to the
 // machine. Attribution starts at the machine's current Clock. Unlike a
-// profiling Listener, a sampler works on both engines and keeps the fast
-// engine's hot loop allocation-free.
+// profiling Listener, a sampler needs no instrumented program; it works on
+// both engines and keeps the fast engine's hot loop allocation-free.
 func (m *Machine) SetSampler(s *Sampler) {
 	m.sampler = s
 	if s != nil {

@@ -86,7 +86,9 @@ type Memory struct {
 	TrackDirty bool
 
 	// Touch, when set, observes every page access; the profiler uses it to
-	// measure candidate memory footprints (Table 3 "Mem. Size").
+	// measure candidate memory footprints (Table 3 "Mem. Size"). Accesses
+	// through Memory's own methods report here; the interpreter's page cache
+	// reports its hits itself (see Gen).
 	Touch func(pn uint32)
 
 	// Faults counts copy-on-demand faults served via Fault.
@@ -206,8 +208,9 @@ func (m *Memory) readPage(pn uint32) (*[PageSize]byte, error) {
 
 // Gen returns the invalidation generation. A cached page pointer obtained
 // from Page or DirtyPage stays valid (and, for DirtyPage, stays marked
-// dirty) as long as Gen is unchanged, Touch is nil, and — for write caches —
-// TrackDirty has not been toggled.
+// dirty) as long as Gen is unchanged and — for write caches — TrackDirty has
+// not been toggled. An access made through such a pointer bypasses Touch:
+// while Touch is set, the holder reports the page itself.
 func (m *Memory) Gen() uint64 { return m.gen }
 
 // Page returns the resident data array of page pn, faulting it in as

@@ -42,7 +42,7 @@ func partition(t *testing.T, w *workloads.Workload, bandwidthBps int64) *pair {
 	work := mod.Clone("prof")
 	spec := arch.ARM32()
 	ir.Lower(work, spec, spec)
-	profProg, err := interp.Compile(work, interp.CompileConfig{Name: "prof", Spec: spec, InitUVAGlobals: true}, nil)
+	profProg, err := interp.Compile(work, interp.CompileConfig{Name: "prof", Spec: spec, InitUVAGlobals: true, Instrument: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

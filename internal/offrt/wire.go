@@ -87,6 +87,7 @@ const MaxWireBytes = 1 << 30
 // link and request a retransmission instead of interpreting garbage.
 func (m *Message) Encode() []byte {
 	var buf bytes.Buffer
+	buf.Grow(int(m.WireSize()))
 	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
 	w := func(v interface{}) { binary.Write(&buf, binary.LittleEndian, v) }
 	w(uint8(m.Kind))
@@ -244,10 +245,18 @@ func firstErr(errs ...error) error {
 	return nil
 }
 
-// WireSize returns the encoded size without materializing page payloads
-// twice; it is what the session charges to the link.
+// wireFixedBytes is what every frame carries besides its variable-length
+// fields: the length prefix, the scalar fields (kind 1, TaskID 4, SP 4, Addr
+// 4, FD 4, N 4, Ret 8, compression flag 1), the four element counts and the
+// CRC.
+const wireFixedBytes = 4 + (1 + 4 + 4 + 4 + 4 + 4 + 8 + 1) + 4*4 + 4
+
+// WireSize returns len(m.Encode()) without encoding anything; it is what the
+// session charges to the link. A page record is always a full page on the
+// wire, whatever its Data holds.
 func (m *Message) WireSize() int64 {
-	return int64(len(m.Encode()))
+	return wireFixedBytes + 8*int64(len(m.Args)) + 4*int64(len(m.PageTable)) +
+		(4+mem.PageSize)*int64(len(m.Pages)) + int64(len(m.Data))
 }
 
 // CompressPages deflates a page set into the message's Data field and
@@ -255,6 +264,7 @@ func (m *Message) WireSize() int64 {
 // mobile side reverses it with DecompressPages.
 func (m *Message) CompressPages() (rawBytes int64, err error) {
 	var raw bytes.Buffer
+	raw.Grow(len(m.Pages) * (4 + mem.PageSize))
 	for _, p := range m.Pages {
 		var hdr [4]byte
 		binary.LittleEndian.PutUint32(hdr[:], p.PN)

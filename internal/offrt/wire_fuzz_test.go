@@ -8,8 +8,9 @@ import (
 )
 
 // FuzzDecode throws arbitrary byte soup at the wire decoder. The decoder
-// must never panic, and anything it accepts must re-encode to a frame
-// that decodes to the same message (the envelope is canonical).
+// must never panic, and anything it accepts must re-encode to a frame of
+// exactly WireSize bytes that decodes to the same message (the envelope is
+// canonical).
 func FuzzDecode(f *testing.F) {
 	seedMsgs := []*Message{
 		{Kind: MsgOffloadRequest, TaskID: 1, SP: 0xfff0, Args: []uint64{1, 2, 3},
@@ -38,6 +39,9 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		re := m.Encode()
+		if m.WireSize() != int64(len(re)) {
+			t.Fatalf("WireSize %d, encoded %d bytes: %+v", m.WireSize(), len(re), m)
+		}
 		m2, err := Decode(re)
 		if err != nil {
 			t.Fatalf("accepted frame did not re-encode cleanly: %v", err)

@@ -34,6 +34,9 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 	for _, m := range msgs {
 		enc := m.Encode()
+		if m.WireSize() != int64(len(enc)) {
+			t.Errorf("%v: WireSize %d, encoded %d bytes", m.Kind, m.WireSize(), len(enc))
+		}
 		got, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("%v: %v", m.Kind, err)
@@ -151,6 +154,29 @@ func TestWireSizeTracksPayload(t *testing.T) {
 	}
 	if small > 64 {
 		t.Errorf("envelope overhead %d bytes, want compact (<64)", small)
+	}
+}
+
+// TestWireSizeIsEncodedLength holds the closed form to the encoder for every
+// message kind with every variable-length field populated, and for page
+// records the encoder pads (short, empty) or cuts (long) to a full page.
+func TestWireSizeIsEncodedLength(t *testing.T) {
+	for k := MsgOffloadRequest; k <= MsgCheckpoint; k++ {
+		m := &Message{Kind: k, TaskID: int32(k), SP: 0x7fff_0000, Args: make([]uint64, int(k)),
+			PageTable: make([]uint32, 3*int(k)), Addr: 0x2000_0000, FD: 3, N: 9, Ret: 1 << 40,
+			Compressed: k%2 == 0, Data: bytes.Repeat([]byte{byte(k)}, 17*int(k)),
+			Pages: []PageRecord{
+				{PN: 1, Data: make([]byte, mem.PageSize)},
+				{PN: 2, Data: []byte("short")},
+				{PN: 3},
+				{PN: 4, Data: make([]byte, mem.PageSize+100)},
+			}[:int(k)%5]}
+		if got, want := m.WireSize(), int64(len(m.Encode())); got != want {
+			t.Errorf("%v: WireSize %d, encoded %d bytes", k, got, want)
+		}
+	}
+	if got, want := (&Message{}).WireSize(), int64(len((&Message{}).Encode())); got != want {
+		t.Errorf("empty message: WireSize %d, encoded %d bytes", got, want)
 	}
 }
 

@@ -10,6 +10,7 @@ package profile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -75,7 +76,7 @@ type Stats struct {
 	// double-counted: time accumulates only when the outermost activation
 	// exits.
 	active  int
-	pageSet map[uint32]struct{}
+	pageSet pageSet
 }
 
 // Report is the result of one profiling run.
@@ -130,19 +131,41 @@ type Profiler struct {
 
 	funcStats map[*ir.Func]*Stats
 	loopStats map[*analysis.Loop]*Stats
-	loopInfo  map[*ir.Func]*funcLoops
+	loopInfo  map[*ir.Func]innerLoops
 
-	// Active candidate activations, innermost last.
-	stack []*activation
+	// Active function activations, innermost last.
+	stack []activation
+
+	// lastPage is the page of the latest recorded touch while the innermost
+	// live region is still the one that recorded it (or one that has since
+	// absorbed it), so that touching it again adds nothing; noPage once a
+	// region has opened.
+	lastPage uint32
 }
+
+// noPage is no page's number: addresses are 32 bits, page numbers 20.
+const noPage = ^uint32(0)
+
+// pageSet is the set of pages a live region has seen. It is allocated on the
+// first touch: most activations of small helpers touch nothing.
+type pageSet map[uint32]struct{}
+
+// Page accounting: the live regions nest — every open loop of every
+// activation on the stack, innermost last — and a page touched while a
+// region is live counts for it and for every region enclosing it. A touch
+// is therefore recorded once, in the innermost live region, and a region
+// that closes hands its set to the region enclosing it (absorb); the
+// candidate's footprint is the union over its closed activations
+// (mergePages). One touch costs one set insert whatever the stack depth.
 
 type activation struct {
 	stats   *Stats
+	fn      *ir.Func
+	inner   innerLoops // fn's loop structure
 	entered simtime.PS
-	pages   map[uint32]struct{}
+	pages   pageSet
 	// loops currently active within this function activation.
-	loops []*loopActivation
-	fn    *ir.Func
+	loops []loopActivation
 	cur   *analysis.Loop // innermost loop containing the current block
 	// calleeTime accumulates time spent in functions this activation
 	// called, for self-time accounting.
@@ -153,24 +176,27 @@ type loopActivation struct {
 	stats   *Stats
 	loop    *analysis.Loop
 	entered simtime.PS
-	pages   map[uint32]struct{}
+	pages   pageSet
 }
 
-type funcLoops struct {
-	forest *analysis.LoopForest
-	// inner maps each block to its innermost containing loop (nil if
-	// none).
-	inner map[*ir.Block]*analysis.Loop
-}
+// innerLoops maps each block of one function to its innermost containing
+// loop (nil if none).
+type innerLoops map[*ir.Block]*analysis.Loop
 
 // Attach builds a profiler for m and registers its hooks. Call Detach when
-// done.
+// done. m must report every join point the profiler listens on: a
+// fast-engine machine needs a program compiled with
+// interp.CompileConfig.Instrument.
 func Attach(m *interp.Machine) (*Profiler, error) {
+	if !m.Instrumented() {
+		return nil, fmt.Errorf("profile: machine %s runs a program compiled without profiling hooks (set interp.CompileConfig.Instrument)", m.Name)
+	}
 	p := &Profiler{
 		machine:   m,
 		funcStats: make(map[*ir.Func]*Stats),
 		loopStats: make(map[*analysis.Loop]*Stats),
-		loopInfo:  make(map[*ir.Func]*funcLoops),
+		loopInfo:  make(map[*ir.Func]innerLoops),
+		lastPage:  noPage,
 	}
 	for _, f := range m.Mod.Funcs {
 		if f.IsExtern() {
@@ -181,16 +207,16 @@ func Attach(m *interp.Machine) (*Profiler, error) {
 			return nil, err
 		}
 		forest := analysis.FindLoops(cfg, analysis.Dominators(cfg))
-		fl := &funcLoops{forest: forest, inner: make(map[*ir.Block]*analysis.Loop)}
+		inner := make(innerLoops)
 		// Loops are sorted outermost-first; later (inner) assignments win.
 		for _, l := range forest.Loops {
 			for b := range l.Blocks {
-				if cur := fl.inner[b]; cur == nil || len(l.Blocks) < len(cur.Blocks) {
-					fl.inner[b] = l
+				if cur := inner[b]; cur == nil || len(l.Blocks) < len(cur.Blocks) {
+					inner[b] = l
 				}
 			}
 		}
-		p.loopInfo[f] = fl
+		p.loopInfo[f] = inner
 		p.funcStats[f] = &Stats{Candidate: Candidate{Kind: KindFunc, Fn: f}}
 		for _, l := range forest.Loops {
 			p.loopStats[l] = &Stats{Candidate: Candidate{Kind: KindLoop, Fn: f, Loop: l}}
@@ -208,11 +234,34 @@ func (p *Profiler) Detach() {
 }
 
 func (p *Profiler) onTouch(pn uint32) {
-	for _, act := range p.stack {
-		act.pages[pn] = struct{}{}
-		for _, la := range act.loops {
-			la.pages[pn] = struct{}{}
-		}
+	if pn == p.lastPage || len(p.stack) == 0 {
+		return
+	}
+	set := p.stack[len(p.stack)-1].innermost()
+	if *set == nil {
+		*set = make(pageSet)
+	}
+	(*set)[pn] = struct{}{}
+	p.lastPage = pn
+}
+
+// innermost returns the page set of the activation's innermost live region:
+// its innermost open loop, else the activation itself.
+func (a *activation) innermost() *pageSet {
+	if n := len(a.loops); n > 0 {
+		return &a.loops[n-1].pages
+	}
+	return &a.pages
+}
+
+// absorb adds the pages of a region that just closed to the region enclosing
+// it. src is dead afterwards, so the larger of the two maps is kept.
+func absorb(dst *pageSet, src pageSet) {
+	if len(*dst) < len(src) {
+		*dst, src = src, *dst
+	}
+	for pn := range src {
+		(*dst)[pn] = struct{}{}
 	}
 }
 
@@ -224,36 +273,34 @@ func (p *Profiler) EnterFunc(m *interp.Machine, f *ir.Func) {
 	}
 	st.Invocations++
 	st.active++
-	p.stack = append(p.stack, &activation{
-		stats:   st,
-		entered: m.Clock,
-		pages:   make(map[uint32]struct{}),
-		fn:      f,
-	})
+	p.stack = append(p.stack, activation{stats: st, fn: f, inner: p.loopInfo[f], entered: m.Clock})
+	p.lastPage = noPage
 }
 
 // ExitFunc implements interp.Listener.
 func (p *Profiler) ExitFunc(m *interp.Machine, f *ir.Func) {
-	if len(p.stack) == 0 {
+	n := len(p.stack)
+	if n == 0 {
 		return
 	}
-	act := p.stack[len(p.stack)-1]
-	p.stack = p.stack[:len(p.stack)-1]
+	act := &p.stack[n-1]
 	// Close any loops still active (function returned from inside a loop).
-	for i := len(act.loops) - 1; i >= 0; i-- {
-		p.closeLoop(m, act, act.loops[i])
+	for len(act.loops) > 0 {
+		p.closeLoop(m, act)
 	}
-	act.loops = nil
 	act.stats.active--
 	elapsed := m.Clock - act.entered
 	if act.stats.active == 0 {
 		act.stats.Time += elapsed
 	}
 	act.stats.SelfTime += elapsed - act.calleeTime
-	if len(p.stack) > 0 {
-		p.stack[len(p.stack)-1].calleeTime += elapsed
-	}
 	mergePages(act.stats, act.pages)
+	if n > 1 {
+		caller := &p.stack[n-2]
+		caller.calleeTime += elapsed
+		absorb(caller.innermost(), act.pages)
+	}
+	p.stack = p.stack[:n-1]
 }
 
 // EnterBlock implements interp.Listener: it tracks loop entry and exit by
@@ -262,65 +309,51 @@ func (p *Profiler) EnterBlock(m *interp.Machine, f *ir.Func, b *ir.Block) {
 	if len(p.stack) == 0 {
 		return
 	}
-	act := p.stack[len(p.stack)-1]
+	act := &p.stack[len(p.stack)-1]
 	if act.fn != f {
 		return
 	}
-	fl := p.loopInfo[f]
-	target := fl.inner[b]
+	target := act.inner[b]
 	if target == act.cur {
 		// Re-entering the header of the current loop is a new iteration,
 		// not a new activation; nothing to do.
 		return
 	}
 	// Close loops that do not contain the new block.
-	for len(act.loops) > 0 {
-		top := act.loops[len(act.loops)-1]
-		if loopContains(top.loop, target) {
-			break
-		}
-		p.closeLoop(m, act, top)
-		act.loops = act.loops[:len(act.loops)-1]
+	for len(act.loops) > 0 && !loopContains(act.loops[len(act.loops)-1].loop, target) {
+		p.closeLoop(m, act)
 	}
-	// Open loops from the outside in until we reach the target.
-	var toOpen []*analysis.Loop
-	for l := target; l != nil; l = l.Parent {
-		if len(act.loops) > 0 && act.loops[len(act.loops)-1].loop == l {
-			break
-		}
-		already := false
-		for _, la := range act.loops {
-			if la.loop == l {
-				already = true
-				break
-			}
-		}
-		if already {
-			break
-		}
-		toOpen = append(toOpen, l)
+	// Open the loops between the innermost one still open (it contains the
+	// target) and the target; they are found from the inside out and must
+	// stack from the outside in.
+	var top *analysis.Loop
+	base := len(act.loops)
+	if base > 0 {
+		top = act.loops[base-1].loop
 	}
-	for i := len(toOpen) - 1; i >= 0; i-- {
-		l := toOpen[i]
+	for l := target; l != top; l = l.Parent {
 		st := p.loopStats[l]
 		st.Invocations++
 		st.active++
-		act.loops = append(act.loops, &loopActivation{
-			stats:   st,
-			loop:    l,
-			entered: m.Clock,
-			pages:   make(map[uint32]struct{}),
-		})
+		act.loops = append(act.loops, loopActivation{stats: st, loop: l, entered: m.Clock})
+		p.lastPage = noPage
 	}
+	slices.Reverse(act.loops[base:])
 	act.cur = target
 }
 
-func (p *Profiler) closeLoop(m *interp.Machine, act *activation, la *loopActivation) {
+// closeLoop closes the activation's innermost open loop.
+func (p *Profiler) closeLoop(m *interp.Machine, act *activation) {
+	n := len(act.loops) - 1
+	la := &act.loops[n]
 	la.stats.active--
 	if la.stats.active == 0 {
 		la.stats.Time += m.Clock - la.entered
 	}
 	mergePages(la.stats, la.pages)
+	pages := la.pages
+	act.loops = act.loops[:n]
+	absorb(act.innermost(), pages)
 }
 
 func loopContains(outer, inner *analysis.Loop) bool {
@@ -332,13 +365,14 @@ func loopContains(outer, inner *analysis.Loop) bool {
 	return false
 }
 
-func mergePages(st *Stats, pages map[uint32]struct{}) {
-	// Approximate distinct pages across invocations with the maximum
-	// single-invocation footprint plus growth: we count pages not yet
-	// attributed. Exact cross-invocation dedup would need a global set per
-	// candidate; keep one.
+// mergePages adds one closed activation's pages to its candidate's
+// footprint: the distinct pages over all of the candidate's activations.
+func mergePages(st *Stats, pages pageSet) {
+	if len(pages) == 0 {
+		return
+	}
 	if st.pageSet == nil {
-		st.pageSet = make(map[uint32]struct{})
+		st.pageSet = make(pageSet)
 	}
 	for pn := range pages {
 		st.pageSet[pn] = struct{}{}
