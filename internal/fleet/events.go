@@ -122,8 +122,11 @@ type schedQueue struct {
 	seq laneSeq
 }
 
+// newSchedQueue starts the heap at one event per lane, about its working
+// size from the first wave on: a client has one pending event at a time —
+// its ready event, or the arrive/finish of its one request in flight.
 func newSchedQueue(base int32, lanes int) *schedQueue {
-	return &schedQueue{seq: newLaneSeq(base, lanes)}
+	return &schedQueue{eventQueue: eventQueue{h: make([]event, 0, lanes)}, seq: newLaneSeq(base, lanes)}
 }
 
 func (q *schedQueue) sched(t simtime.PS, kind uint8, lane, si int32, j *job) {

@@ -93,22 +93,32 @@ func (s *server) advance(now simtime.PS) {
 	}
 }
 
+// execTime is a task's service time on a server of speed r: tm is its
+// mobile execution time.
+func execTime(tm simtime.PS, r float64) simtime.PS {
+	return simtime.PS(float64(tm) / r)
+}
+
 // execTime is the task's service time at this server's speed.
 func (s *server) execTime(tm simtime.PS) simtime.PS {
-	return simtime.PS(float64(tm) / s.spec.R)
+	return execTime(tm, s.spec.R)
+}
+
+// outstanding is all the work the server owes at instant now, summed
+// over its slots: remaining service of running jobs, the full service of
+// queued ones, and in-flight reservations. Running jobs always have
+// finish >= now (their evFinish has not fired), so the incremental form
+// equals the per-job walk exactly.
+func (s *server) outstanding(now simtime.PS) simtime.PS {
+	return s.reserved + s.queExec + s.finSum - simtime.PS(len(s.running))*now
 }
 
 // estWait estimates the queueing delay a request dispatched now would
-// face: all outstanding work (remaining service of running jobs, the full
-// service of queued ones, and in-flight reservations) spread across the
-// slots. This is the live load signal the dispatcher exposes — to its own
-// policies, to the admission bound, and to the est-aware gate. Running
-// jobs always have finish >= now (their evFinish has not fired), so the
-// incremental form below equals the per-job walk exactly.
+// face: the outstanding work spread across the slots. This is the live
+// load signal the dispatcher exposes — to its own policies, to the
+// admission bound, and to the est-aware gate.
 func (s *server) estWait(now simtime.PS) simtime.PS {
-	left := s.reserved + s.queExec
-	left += s.finSum - simtime.PS(len(s.running))*now
-	return left / simtime.PS(s.spec.Slots)
+	return s.outstanding(now) / simtime.PS(s.spec.Slots)
 }
 
 // estWaitAt is the walk form of estWait for *future* instants — the fault
@@ -255,6 +265,7 @@ type machine struct {
 	topo      *tiers.Topology
 	wan       *netsim.Link
 	wanRTT    simtime.PS // both fixed round-trip costs of the WAN leg
+	minShip   simtime.PS // what any WAN transfer costs at least (0 on an ideal link)
 	crossTier bool
 	hWaitTier [2]*obs.Histogram
 	mWaitTier [2]*obs.Histogram
@@ -314,6 +325,9 @@ func newMachine(cfg *Config, links []*netsim.Link, st *Stats) *machine {
 		m.topo = cfg.Tiers
 		m.wan = m.topo.WAN()
 		m.wanRTT = 2 * (m.wan.Latency + m.wan.PerMessage)
+		if m.wan.BandwidthBps != 0 {
+			m.minShip = m.wan.Latency + m.wan.PerMessage
+		}
 		mode := m.topo.EffectiveMode()
 		m.crossTier = cfg.Migrate && mode == tiers.ThreeWay
 		nEdge, _ := m.topo.Indices(tiers.Cloud)

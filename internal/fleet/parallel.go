@@ -77,7 +77,8 @@ func runSharded(cfg Config) (*Result, error) {
 	for s := range shards {
 		lo := int32(s * cfg.Clients / nShards)
 		hi := int32((s + 1) * cfg.Clients / nShards)
-		sh := &shard{id: s, lo: lo, hi: hi, q: newSchedQueue(lo, int(hi-lo)), st: NewStats()}
+		sh := &shard{id: s, lo: lo, hi: hi, q: newSchedQueue(lo, int(hi-lo)),
+			st: NewStats(int(hi-lo) * cfg.RequestsPerClient)}
 		for ci := lo; ci < hi; ci++ {
 			owner[ci] = int32(s)
 			// Stagger the first wave by one think time per client — the
@@ -88,7 +89,7 @@ func runSharded(cfg Config) (*Result, error) {
 	}
 
 	nc := int32(cfg.Clients)
-	cst := NewStats()
+	cst := NewStats(0) // server-side counters only: completions are recorded by the shards
 	m := newMachine(&cfg, links, cst)
 	cq := newWindowQueue(nc, len(cfg.Servers))
 	m.sched = func(t simtime.PS, kind uint8, si int32, j *job) {
@@ -206,7 +207,7 @@ func runSharded(cfg Config) (*Result, error) {
 	// Per-shard end-of-run invariants: a drained simulation must leave no
 	// shard holding queued events, undelivered mail, or unissued requests
 	// (the per-server reserved==0/busy==0 checks run in finishRun).
-	total := NewStats()
+	total := NewStats(cfg.Clients * cfg.RequestsPerClient)
 	total.Merge(cst)
 	now := coordMax
 	for s, sh := range shards {

@@ -324,12 +324,13 @@ func (m *machine) forward(j *job, ti int, remTm, at simtime.PS, transit uint8, d
 // caller's own path runs.
 func (m *machine) replace(j *job, candidates []int, remTm, at, bar simtime.PS, transit uint8, deadline simtime.PS) int {
 	ti, bestTotal := -1, simtime.PS(0)
+	memo := execMemo{tm: remTm}
 	for _, i := range candidates {
 		s := m.servers[i]
 		if s.down {
 			continue
 		}
-		total := s.estWaitAt(at) + s.execTime(remTm)
+		total := s.estWaitAt(at) + memo.at(s.spec.R)
 		if ti < 0 || total < bestTotal {
 			ti, bestTotal = i, total
 		}
@@ -389,53 +390,12 @@ func (m *machine) demote(now simtime.PS, si int32, j *job, stay simtime.PS, volu
 // server ei: checkpoint on the cloud server, ship the state one WAN leg,
 // resume mid-task on the edge — PR 7's drain migration machinery turned
 // into a voluntary cross-tier move. Unlike replace, the target is fixed
-// and the search is over *jobs*: the candidate maximizing the finish
-// gain wins (ties by dispatch order), and the gain must exceed the ship
-// time itself: the hysteresis that keeps a job from oscillating between
-// tiers on marginal estimates. Promoted jobs carry recovery=true, so
-// admission cannot demote them again — each offload crosses the WAN at
-// most twice. trigger is the JobID whose completion freed the slot — the
-// promoted job's causal parent in the span model.
+// and the search is over *jobs* (promotionCandidate). Promoted jobs carry
+// recovery=true, so admission cannot demote them again — each offload
+// crosses the WAN at most twice. trigger is the JobID whose completion
+// freed the slot — the promoted job's causal parent in the span model.
 func (m *machine) promote(now simtime.PS, ei int32, trigger int64) {
-	e := m.servers[ei]
-	var best *job
-	bi, bestRunning := -1, false
-	var bestGain simtime.PS
-	consider := func(j *job, ci int, running bool, stay simtime.PS, remTm simtime.PS) {
-		ship := m.wan.TransferTime(j.mem)
-		at := now + ship
-		move := at + e.estWaitAt(at) + e.execTime(remTm) + j.adown
-		gain := stay - move
-		if gain <= ship {
-			return
-		}
-		if best == nil || gain > bestGain || (gain == bestGain && j.seq < best.seq) {
-			best, bi, bestRunning, bestGain = j, ci, running, gain
-		}
-	}
-	for _, ci := range m.cloudIdx {
-		c := m.servers[ci]
-		if c.down {
-			continue
-		}
-		// Running jobs win only when the edge out-executes the cloud for
-		// what remains (rare under cloud R > edge R); queued jobs win
-		// whenever skipping the cloud backlog buys more than the WAN ship
-		// — the common case the freed-slot trigger exists for.
-		for _, j := range c.running {
-			if j.cancelled || j.finish <= now {
-				continue
-			}
-			remTm := simtime.PS(float64(j.finish-now) * c.spec.R)
-			consider(j, ci, true, j.finish+j.down, remTm)
-		}
-		if c.busy >= c.spec.Slots {
-			backlog := c.estWaitAt(now)
-			for _, j := range c.queue {
-				consider(j, ci, false, now+backlog+j.exec+j.down, j.tm)
-			}
-		}
-	}
+	best, bi, bestRunning, _ := m.promotionCandidate(now, m.servers[ei])
 	if best == nil {
 		return
 	}
@@ -465,4 +425,74 @@ func (m *machine) promote(now simtime.PS, ei int32, trigger int64) {
 	if !bestRunning {
 		m.freeJob(best)
 	}
+}
+
+// promotionCandidate searches the live cloud servers for the job that
+// gains most from moving to edge server e at instant now: the job, its
+// server's index, whether it is running there (else queued), and the
+// gain. The gain is the finish instant of staying minus that of moving
+// (ship one WAN leg, queue at e as estWaitAt prices it, execute what
+// remains at e's speed, reply over the access link alone); the largest
+// wins, ties by dispatch order, and it must exceed the ship time itself —
+// the hysteresis that keeps a job from oscillating between tiers on
+// marginal estimates. A nil job means nobody qualifies.
+//
+// The search runs at every edge finish that leaves an empty queue, so it
+// does not walk what cannot win. Queued jobs win whenever skipping the
+// cloud backlog buys more than the WAN ship — the case the freed-slot
+// trigger exists for. A running job wins only when the edge out-executes
+// the cloud for what remains: on a cloud server its reply leg is
+// down = adown + wan.TransferTime(mem) = adown + ship (handleIntent and
+// replyLeg both build it so), which cancels the move's ship and reply and
+// leaves, with d = finish - now and Rc, Re the two servers' speeds,
+//
+//	gain = d - e.estWaitAt(at) - e.execTime(remTm),  remTm = trunc(d*Rc).
+//
+// For Rc >= Re >= 1, execTime(remTm) = trunc(remTm/Re) > d - 2 up to the
+// three float roundings (each under 2^10 ps for any int64 d), and
+// estWaitAt >= 0: the gain stays under 2^12 ps and can never exceed a ship
+// that costs m.minShip >= 1 us before the first payload byte. Those
+// servers' running jobs are skipped; an ideal WAN (minShip 0), a
+// sub-microsecond one or a slower cloud takes the full walk.
+func (m *machine) promotionCandidate(now simtime.PS, e *server) (best *job, bi int, bestRunning bool, bestGain simtime.PS) {
+	bi = -1
+	consider := func(j *job, ci int, running bool, stay simtime.PS, remTm simtime.PS) {
+		ship := m.wan.TransferTime(j.mem)
+		at := now + ship
+		// estWaitAt >= 0: a move that loses against an idle e loses, so
+		// only a job that clears that bound pays for the walk.
+		gain := stay - (at + e.execTime(remTm) + j.adown)
+		if gain <= ship {
+			return
+		}
+		if gain -= e.estWaitAt(at); gain <= ship {
+			return
+		}
+		if best == nil || gain > bestGain || (gain == bestGain && j.seq < best.seq) {
+			best, bi, bestRunning, bestGain = j, ci, running, gain
+		}
+	}
+	shipDominates := e.spec.R >= 1 && m.minShip >= simtime.Microsecond
+	for _, ci := range m.cloudIdx {
+		c := m.servers[ci]
+		if c.down {
+			continue
+		}
+		if !(shipDominates && c.spec.R >= e.spec.R) {
+			for _, j := range c.running {
+				if j.cancelled || j.finish <= now {
+					continue
+				}
+				remTm := simtime.PS(float64(j.finish-now) * c.spec.R)
+				consider(j, ci, true, j.finish+j.down, remTm)
+			}
+		}
+		if c.busy >= c.spec.Slots {
+			backlog := c.estWaitAt(now)
+			for _, j := range c.queue {
+				consider(j, ci, false, now+backlog+j.exec+j.down, j.tm)
+			}
+		}
+	}
+	return best, bi, bestRunning, bestGain
 }

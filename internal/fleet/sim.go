@@ -136,7 +136,7 @@ func runSequential(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := NewStats()
+	st := NewStats(cfg.Clients * cfg.RequestsPerClient)
 	m := newMachine(&cfg, links, st)
 	nc := int32(cfg.Clients)
 	q := newSchedQueue(0, cfg.Clients+len(cfg.Servers))

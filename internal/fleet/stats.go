@@ -3,7 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -57,9 +57,11 @@ type Stats struct {
 	E2E *obs.Histogram
 }
 
-// NewStats returns an empty tally.
-func NewStats() *Stats {
-	return &Stats{E2E: obs.NewHistogram()}
+// NewStats returns an empty tally with room for the latencies of that many
+// completions: an engine lane knows how many requests it will record, so
+// the population never regrows mid-run.
+func NewStats(completions int) *Stats {
+	return &Stats{E2E: obs.NewHistogram(), Latencies: make([]simtime.PS, 0, completions)}
 }
 
 // Merge folds o into s. Safe when o is nil.
@@ -277,7 +279,7 @@ func percentile(sorted []simtime.PS, q float64) simtime.PS {
 // finish derives the aggregate fields from the raw latency population and
 // final server states.
 func (r *Result) finish(latencies []simtime.PS, servers []*server, makespan simtime.PS) {
-	sort.Slice(latencies, func(a, b int) bool { return latencies[a] < latencies[b] })
+	slices.Sort(latencies)
 	r.P50Ms = percentile(latencies, 0.50).Millis()
 	r.P99Ms = percentile(latencies, 0.99).Millis()
 	var sum simtime.PS

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/simtime"
@@ -25,8 +27,8 @@ func TestStatsMergeExact(t *testing.T) {
 		})
 	}
 
-	whole := NewStats()
-	parts := []*Stats{NewStats(), NewStats(), NewStats()}
+	whole := NewStats(0)
+	parts := []*Stats{NewStats(0), NewStats(0), NewStats(0)}
 	for i, msg := range msgs {
 		whole.record(msg)
 		parts[i%len(parts)].record(msg)
@@ -34,7 +36,7 @@ func TestStatsMergeExact(t *testing.T) {
 	whole.Requests = len(msgs)
 	parts[0].Requests = len(msgs) // counters add; park the total on one part
 
-	merged := NewStats()
+	merged := NewStats(0)
 	for _, p := range parts {
 		merged.Merge(p)
 	}
@@ -65,11 +67,50 @@ func TestStatsMergeExact(t *testing.T) {
 // TestStatsMergeNil: merging nil is a no-op, never a panic — shards that
 // error out hand the coordinator a nil Stats.
 func TestStatsMergeNil(t *testing.T) {
-	s := NewStats()
+	s := NewStats(0)
 	s.record(doneMsg{kind: outOffload, done: simtime.Millisecond})
 	before := s.Offloads
 	s.Merge(nil)
 	if s.Offloads != before {
 		t.Error("merging nil changed counters")
+	}
+}
+
+// TestFinishSortOrderIndependent: the latency aggregates are functions of
+// the sorted population alone, and ascending order of integers is unique
+// — so sorting with slices.Sort gives, bit for bit, what the reflective
+// sort.Slice it replaced gave, duplicates and arrival order
+// notwithstanding. GeomeanMs sums floats in population order, which is
+// why the bits (not a tolerance) are compared.
+func TestFinishSortOrderIndependent(t *testing.T) {
+	r := entityStream(18, 4)
+	pop := make([]simtime.PS, 5000)
+	for i := range pop {
+		// A narrow range: most values occur several times.
+		pop[i] = simtime.PS(1+r.intn(700)) * simtime.Millisecond / 7
+	}
+	ref := append([]simtime.PS(nil), pop...)
+	sort.Slice(ref, func(a, b int) bool { return ref[a] < ref[b] })
+
+	var got, want Result
+	got.finish(pop, nil, simtime.Second)
+	want.P50Ms = percentile(ref, 0.50).Millis()
+	want.P99Ms = percentile(ref, 0.99).Millis()
+	var sum simtime.PS
+	logSum := 0.0
+	for _, l := range ref {
+		sum += l
+		logSum += math.Log(l.Millis())
+	}
+	want.MeanMs = (sum / simtime.PS(len(ref))).Millis()
+	want.GeomeanMs = math.Exp(logSum / float64(len(ref)))
+	for _, f := range []struct {
+		name      string
+		got, want float64
+	}{{"P50Ms", got.P50Ms, want.P50Ms}, {"P99Ms", got.P99Ms, want.P99Ms},
+		{"MeanMs", got.MeanMs, want.MeanMs}, {"GeomeanMs", got.GeomeanMs, want.GeomeanMs}} {
+		if math.Float64bits(f.got) != math.Float64bits(f.want) {
+			t.Errorf("%s = %v, the sort.Slice population gives %v", f.name, f.got, f.want)
+		}
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 )
 
 // Chrome trace_event exporter. The output loads directly into
@@ -189,7 +189,7 @@ func flowEvents(events []Event) []chromeEvent {
 		}
 		spans[ev.Job] = append(spans[ev.Job], ev)
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	slices.Sort(ids)
 
 	var out []chromeEvent
 	for _, id := range ids {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/simtime"
@@ -75,7 +76,7 @@ func AssembleSpans(events []Event) []*JobTrace {
 		}
 		byJob[ev.Job] = append(byJob[ev.Job], ev)
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	slices.Sort(ids)
 
 	out := make([]*JobTrace, 0, len(ids))
 	for _, id := range ids {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"repro/internal/mem"
 )
@@ -259,6 +260,13 @@ func (m *Message) WireSize() int64 {
 		(4+mem.PageSize)*int64(len(m.Pages)) + int64(len(m.Data))
 }
 
+// deflaters recycles CompressPages' BestSpeed writers. A flate.Writer
+// carries about 1.2 MB of compressor state that NewWriter zeroes and one
+// offload return then throws away; Reset rewinds a used writer to the state
+// NewWriter leaves, so a recycled writer emits the bytes a fresh one would.
+// A writer that failed mid-stream is dropped, not returned.
+var deflaters sync.Pool
+
 // CompressPages deflates a page set into the message's Data field and
 // drops the raw pages, returning the raw (pre-compression) size. The
 // mobile side reverses it with DecompressPages.
@@ -279,8 +287,10 @@ func (m *Message) CompressPages() (rawBytes int64, err error) {
 	}
 	rawBytes = int64(raw.Len())
 	var comp bytes.Buffer
-	w, err := flate.NewWriter(&comp, flate.BestSpeed)
-	if err != nil {
+	w, _ := deflaters.Get().(*flate.Writer)
+	if w != nil {
+		w.Reset(&comp)
+	} else if w, err = flate.NewWriter(&comp, flate.BestSpeed); err != nil {
 		return rawBytes, err
 	}
 	if _, err := w.Write(raw.Bytes()); err != nil {
@@ -289,26 +299,39 @@ func (m *Message) CompressPages() (rawBytes int64, err error) {
 	if err := w.Close(); err != nil {
 		return rawBytes, err
 	}
+	deflaters.Put(w)
 	m.Pages = nil
 	m.Data = comp.Bytes()
 	m.Compressed = true
 	return rawBytes, nil
 }
 
+// inflateGuess is the compression ratio DecompressPages sizes its first
+// buffer for. Dirty guest pages deflate between 3x (dense arrays) and
+// over 100x (mostly-zero heaps); guessing low costs the sparse payloads a
+// few doublings, guessing high would commit memory that dense ones — or a
+// hostile one — never fill.
+const inflateGuess = 4
+
 // DecompressPages inflates a finalization payload back into page records.
 func (m *Message) DecompressPages() ([]PageRecord, error) {
 	if !m.Compressed {
 		return m.Pages, nil
 	}
-	r := flate.NewReader(bytes.NewReader(m.Data))
-	raw, err := io.ReadAll(r)
-	if err != nil {
+	// The output buffer starts at a size taken from the payload in hand —
+	// never from a length field the peer wrote — and doubles from there,
+	// where io.ReadAll would start at 512 bytes and regrow by quarters. The
+	// returned records alias it, so it is not recycled.
+	var buf bytes.Buffer
+	buf.Grow(inflateGuess * len(m.Data))
+	if _, err := buf.ReadFrom(flate.NewReader(bytes.NewReader(m.Data))); err != nil {
 		return nil, err
 	}
+	raw := buf.Bytes()
 	if len(raw)%(4+mem.PageSize) != 0 {
 		return nil, fmt.Errorf("offrt: corrupt page payload (%d bytes)", len(raw))
 	}
-	var out []PageRecord
+	out := make([]PageRecord, 0, len(raw)/(4+mem.PageSize))
 	for off := 0; off < len(raw); off += 4 + mem.PageSize {
 		out = append(out, PageRecord{
 			PN:   binary.LittleEndian.Uint32(raw[off:]),

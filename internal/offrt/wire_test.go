@@ -2,7 +2,9 @@ package offrt
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"testing"
 	"testing/quick"
@@ -136,6 +138,100 @@ func TestCompressDecompressPages(t *testing.T) {
 		if !bytes.Equal(p.Data, page) {
 			t.Error("page content drifted through compression")
 		}
+	}
+}
+
+// TestCompressPagesPooledWriterIdentical: CompressPages takes its deflate
+// writer from a pool, and what a recycled writer emits must be, byte for
+// byte, what a fresh one emits — the compressed size is charged to the
+// link, so a drift would move every simulated transfer time. Each subtest
+// pushes a run of unlike page sets (sparse, dense, short pages that need
+// padding, a large set right before a small one) through the pool back to
+// back; the subtests run in parallel so the race detector sees the pool
+// used from several goroutines at once.
+func TestCompressPagesPooledWriterIdentical(t *testing.T) {
+	pageSet := func(seed uint32, k int) []PageRecord {
+		n := 1 + (k*7+int(seed))%23
+		if k%5 == 4 {
+			n = 100 // well past the deflate window
+		}
+		x := seed*2654435761 + uint32(k)
+		pages := make([]PageRecord, n)
+		for i := range pages {
+			size := mem.PageSize
+			if (i+k)%4 == 3 {
+				size = 1 + (i*997+k)%mem.PageSize // a short page: padded on the wire
+			}
+			data := make([]byte, size)
+			switch (i + k) % 3 {
+			case 0: // mostly-zero heap page
+				for j := 0; j < len(data); j += 64 + i {
+					data[j] = byte(j + k)
+				}
+			case 1: // dense pseudo-random data
+				for j := range data {
+					x = x*1664525 + 1013904223
+					data[j] = byte(x >> 24)
+				}
+			default: // a repeated record
+				for j := range data {
+					data[j] = byte(j % (3 + k))
+				}
+			}
+			pages[i] = PageRecord{PN: uint32(1000*k + i), Data: data}
+		}
+		return pages
+	}
+	for g := uint32(0); g < 4; g++ {
+		t.Run(fmt.Sprintf("stream%d", g), func(t *testing.T) {
+			t.Parallel()
+			for k := 0; k < 12; k++ {
+				pages := pageSet(g, k)
+				// What a writer nobody has used makes of the same records.
+				var raw, want bytes.Buffer
+				for _, p := range pages {
+					var hdr [4]byte
+					binary.LittleEndian.PutUint32(hdr[:], p.PN)
+					raw.Write(hdr[:])
+					raw.Write(p.Data)
+					raw.Write(make([]byte, mem.PageSize-len(p.Data)))
+				}
+				w, err := flate.NewWriter(&want, flate.BestSpeed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.Write(raw.Bytes())
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				m := &Message{Kind: MsgFinalize, Pages: pages}
+				rawBytes, err := m.CompressPages()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rawBytes != int64(raw.Len()) {
+					t.Fatalf("set %d: raw size %d, want %d", k, rawBytes, raw.Len())
+				}
+				if !bytes.Equal(m.Data, want.Bytes()) {
+					t.Fatalf("set %d: pooled writer emitted %d bytes that differ from a fresh writer's %d",
+						k, len(m.Data), want.Len())
+				}
+				got, err := m.DecompressPages()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(pages) {
+					t.Fatalf("set %d: %d pages back, sent %d", k, len(got), len(pages))
+				}
+				for i, p := range got {
+					off := i * (4 + mem.PageSize)
+					if p.PN != pages[i].PN || !bytes.Equal(p.Data, raw.Bytes()[off+4:off+4+mem.PageSize]) {
+						t.Fatalf("set %d: page %d drifted through the round trip", k, i)
+					}
+				}
+			}
+		})
 	}
 }
 
