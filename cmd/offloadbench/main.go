@@ -4,18 +4,19 @@
 //	offloadbench -exp all
 //	offloadbench -exp fleet -clients=64 -servers=4 -policy=est-aware
 //	offloadbench -exp fleetscale -clients 1000000 -shards 0
-//	offloadbench -exp tiers -edge-servers 4 -cloud-servers 1 -out BENCH_tiers.json
+//	offloadbench -exp tiers -edge-servers 8 -cloud-servers 2 -out /tmp/tiers8x2.json
 //
 // -exp takes a name from the experiments catalogue, or "all" for the
 // paper's own tables and figures; offloadbench -help lists every name with
 // a one-line description. An experiment that produces a machine-readable
 // bench record writes it to -out (nothing is written without -out), and
-// the write is refused while the record's floor fails, so a BENCH_*.json
-// file always demonstrates the claim it gates. -shards selects the engine
-// everywhere fleet simulations run: -1 forces the sequential reference, 0
-// auto-sizes to the CPU count, n >= 1 pins n worker shards — results are
-// bit-identical across all of them. For one program in depth (trace,
-// metrics, critical path, profile) use offloadrun.
+// the write is refused while the record's floor fails. The committed
+// BENCH_*.json records of the default configurations are golden files of
+// go test ./internal/experiments, not -out targets. -shards selects the
+// engine everywhere fleet simulations run: -1 forces the sequential
+// reference, 0 auto-sizes to the CPU count, n >= 1 pins n worker shards —
+// results are bit-identical across all of them. For one program in depth
+// (trace, metrics, critical path, profile) use offloadrun.
 package main
 
 import (

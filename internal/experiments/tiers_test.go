@@ -9,8 +9,9 @@ import (
 
 // TestTierSweepFloor runs the committed benchmark configuration end to
 // end: the floor must hold (3-way at or under both static baselines on
-// both aggregates, shard parity, non-vacuous migration) and the sweep
-// must be deterministic in the seed.
+// both aggregates, shard parity, non-vacuous migration) over one cell per
+// (load, mode). That the sweep is deterministic in the seed is
+// TestCommittedRecords' byte-compare.
 func TestTierSweepFloor(t *testing.T) {
 	b, err := TierSweep(TierBenchLoads(), 4, 1, 1)
 	if err != nil {
@@ -21,21 +22,6 @@ func TestTierSweepFloor(t *testing.T) {
 	}
 	if got, want := len(b.Cells), len(TierBenchLoads())*len(tiers.Modes()); got != want {
 		t.Fatalf("sweep produced %d cells, want %d", got, want)
-	}
-	a, err := BenchJSON(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := TierSweep(TierBenchLoads(), 4, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := BenchJSON(b2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(c) {
-		t.Error("tier sweep is not deterministic in the seed")
 	}
 }
 

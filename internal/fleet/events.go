@@ -59,9 +59,9 @@ func (l *laneSeq) next(lane int32) int32 {
 }
 
 // eventQueue is a plain binary min-heap over the (t, lane, seq) order.
-// It replaces the old container/heap implementation: value-typed events
-// avoid the interface boxing that allocated on every push, which matters
-// when the pending set is hundreds of thousands of events.
+// It is hand-rolled rather than container/heap: value-typed events avoid
+// the interface boxing that allocates on every push, which matters when
+// the pending set is hundreds of thousands of events.
 type eventQueue struct {
 	h []event
 }

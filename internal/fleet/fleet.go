@@ -257,13 +257,11 @@ func (c *Config) Validate() error {
 	if c.Exemplars < 0 {
 		return fmt.Errorf("fleet: negative exemplar count %d (0 disables the tail sampler)", c.Exemplars)
 	}
-	if c.Shards > 0 {
-		if _, _, err := buildClients(c); err != nil {
-			return err
-		}
-		if c.lookahead() < 1 {
-			return fmt.Errorf("fleet: sharded engine needs lookahead >= 1ps (think floor + min(TmMin, link floor)); zero-cost links with zero think times leave the conservative window empty")
-		}
+	if _, err := linkProfiles(c); err != nil {
+		return err
+	}
+	if c.Shards > 0 && c.lookahead() < 1 {
+		return fmt.Errorf("fleet: sharded engine needs lookahead >= 1ps (think floor + min(TmMin, link floor)); zero-cost links with zero think times leave the conservative window empty")
 	}
 	if err := c.ServerFaults.Validate(); err != nil {
 		return err
@@ -306,15 +304,8 @@ func (c *Config) thinkFloor() simtime.PS {
 // barrier safe.
 func (c *Config) lookahead() simtime.PS {
 	step := c.Workload.TmMin
-	profiles := c.LinkProfiles
-	if len(profiles) == 0 {
-		profiles = defaultLinkProfiles
-	}
-	for _, name := range profiles {
-		l, err := netsim.Profile(name)
-		if err != nil {
-			continue // Validate rejects unknown profiles via buildClients
-		}
+	profiles, _ := linkProfiles(c) // Validate rejects unknown profiles
+	for _, l := range profiles {
 		// TransferTime charges Latency + PerMessage on every leg unless
 		// the active bandwidth is 0 (the ideal-link convention: transfers
 		// are free). Phases vary only bandwidth, so a single zero-bandwidth
@@ -339,6 +330,24 @@ func (c *Config) lookahead() simtime.PS {
 // LinkProfiles empty.
 var defaultLinkProfiles = []string{"fast", "slow", "lte"}
 
+// linkProfiles resolves the config's client-link cycle to netsim presets,
+// one Link per name, in order.
+func linkProfiles(cfg *Config) ([]*netsim.Link, error) {
+	names := cfg.LinkProfiles
+	if len(names) == 0 {
+		names = defaultLinkProfiles
+	}
+	links := make([]*netsim.Link, len(names))
+	for i, name := range names {
+		l, err := netsim.Profile(name)
+		if err != nil {
+			return nil, err
+		}
+		links[i] = l
+	}
+	return links, nil
+}
+
 // rng is a splitmix64 stream: tiny, seedable, and stable across Go
 // versions (math/rand's shuffling internals are not part of its
 // compatibility promise, and determinism here is load-bearing).
@@ -352,10 +361,9 @@ const dispatcherEntity = ^uint64(0)
 // mixing the id through two rounds of the splitmix64 finalizer. Streams
 // depend only on (seed, id) — never on draw interleaving or on how many
 // other entities exist — so shard count cannot change a single workload
-// draw. The old derivation xor'ed the seed with id multiples of the
-// golden-ratio increment, which made every client's stream a linear
-// offset of its neighbors' on the same splitmix64 orbit; mixing breaks
-// that correlation.
+// draw. The id is mixed, not just xor'ed in as a multiple of the
+// golden-ratio increment: that would make every client's stream a linear
+// offset of its neighbors' on the same splitmix64 orbit.
 func entityStream(seed, id uint64) rng {
 	return rng{s: mix64(seed ^ mix64(id^0x9E3779B97F4A7C15))}
 }

@@ -260,6 +260,12 @@ func TestClientLinkCycle(t *testing.T) {
 	if _, _, err := buildClients(&cfg); err == nil {
 		t.Errorf("unknown profile accepted")
 	}
+	for _, shards := range []int{0, 2} {
+		cfg.Shards = shards
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "nope") {
+			t.Errorf("Validate with shards=%d accepted an unknown profile: %v", shards, err)
+		}
+	}
 }
 
 // TestPercentile pins the nearest-rank convention.

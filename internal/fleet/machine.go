@@ -66,9 +66,9 @@ type server struct {
 	reserved simtime.PS
 
 	// finSum and queExec keep estWait O(1): the sum of running jobs'
-	// absolute finish instants and of queued jobs' service times. The old
-	// engine walked both slices per estimate — per dispatch, per server —
-	// which at fleet scale was the hottest loop in the simulator.
+	// absolute finish instants and of queued jobs' service times. Walking
+	// both slices per estimate — per dispatch, per server — is at fleet
+	// scale the hottest loop in the simulator.
 	finSum  simtime.PS
 	queExec simtime.PS
 

@@ -23,17 +23,9 @@ type clientState struct {
 // share one immutable Link instance (a private copy per client would, at a
 // million clients, be real memory).
 func buildClients(cfg *Config) ([]clientState, []*netsim.Link, error) {
-	profiles := cfg.LinkProfiles
-	if len(profiles) == 0 {
-		profiles = defaultLinkProfiles
-	}
-	base := make([]*netsim.Link, len(profiles))
-	for i, name := range profiles {
-		l, err := netsim.Profile(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		base[i] = l
+	base, err := linkProfiles(cfg)
+	if err != nil {
+		return nil, nil, err
 	}
 	clients := make([]clientState, cfg.Clients)
 	links := make([]*netsim.Link, cfg.Clients)

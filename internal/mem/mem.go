@@ -146,7 +146,7 @@ func (m *Memory) basePage(pn uint32) (*[PageSize]byte, bool) {
 // getPage returns the private page for pn with write intent: a shared base
 // page is copied into the private set first (copy-on-write, bumping gen —
 // readers may have cached the shared array), and a truly absent page goes
-// through the legacy fault/zero-fill path.
+// through the fault/zero-fill path.
 func (m *Memory) getPage(pn uint32) (*page, error) {
 	if p, ok := m.pages[pn]; ok {
 		if m.Touch != nil {
@@ -184,7 +184,7 @@ func (m *Memory) getPage(pn uint32) (*page, error) {
 
 // readPage returns pn's resident array for reading: the private page if one
 // exists, the shared image's array otherwise (no copy, no gen bump). A page
-// absent from both materializes through the legacy fault/zero-fill path, so
+// absent from both materializes through the fault/zero-fill path, so
 // a plain memory and an overlay observe identical present-page sets.
 func (m *Memory) readPage(pn uint32) (*[PageSize]byte, error) {
 	if p, ok := m.pages[pn]; ok {

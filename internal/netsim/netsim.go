@@ -172,19 +172,6 @@ func CloudWAN() *Link {
 	}
 }
 
-// Clone returns an independent deep copy of l (including any phase
-// schedule) renamed to name; an empty name keeps l's.
-func (l *Link) Clone(name string) *Link {
-	c := *l
-	if name != "" {
-		c.Name = name
-	}
-	if len(l.Phases) > 0 {
-		c.Phases = append([]Phase(nil), l.Phases...)
-	}
-	return &c
-}
-
 // profiles is the preset registry, in the order Profiles reports (and the
 // resolver's error message enumerates).
 var profiles = []struct {
@@ -297,22 +284,12 @@ func (v Verdict) String() string {
 // TotalBytes returns traffic in both directions.
 func (s *LinkStats) TotalBytes() int64 { return s.BytesToServer + s.BytesToMobile }
 
-// Send accounts one message of size bytes in the given direction, departing
-// at instant at, and returns its transfer time. It keeps the historical
-// infallible contract: injected drops and corruptions are ignored (only
-// latency spikes show), so callers that cannot recover still simulate a
-// reliable link. Recovery-aware callers use TrySend.
-func (s *LinkStats) Send(l *Link, toServer bool, size int64, at simtime.PS) simtime.PS {
-	d, _ := s.TrySend(l, toServer, size, at)
-	return d
-}
-
-// TrySend accounts one message like Send and additionally reports its
-// delivery verdict under the installed fault injector. Lost and corrupted
-// messages still consume radio time and count as traffic — the sender's
-// radio transmitted them; only the receiver never (usefully) saw them.
-// Without an injector the verdict is always Delivered and the behavior is
-// bit-identical to the historical Send.
+// TrySend accounts one message of size bytes in the given direction,
+// departing at instant at, and returns its transfer time and its delivery
+// verdict under the installed fault injector. Lost and corrupted messages
+// still consume radio time and count as traffic — the sender's radio
+// transmitted them; only the receiver never (usefully) saw them. Without
+// an injector the verdict is always Delivered.
 func (s *LinkStats) TrySend(l *Link, toServer bool, size int64, at simtime.PS) (simtime.PS, Verdict) {
 	d := l.TransferTime(size)
 	verdict := Delivered

@@ -58,8 +58,11 @@ func TestScaledPreservesRatios(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	var st LinkStats
 	l := Fast80211AC()
-	d1 := st.Send(l, true, 5000, 0)
-	d2 := st.Send(l, false, 7000, d1)
+	d1, v1 := st.TrySend(l, true, 5000, 0)
+	d2, v2 := st.TrySend(l, false, 7000, d1)
+	if v1 != Delivered || v2 != Delivered {
+		t.Errorf("verdicts without an injector = %v/%v, want delivered", v1, v2)
+	}
 	if st.MsgsToServer != 1 || st.MsgsToMobile != 1 {
 		t.Errorf("message counts = %d/%d, want 1/1", st.MsgsToServer, st.MsgsToMobile)
 	}
@@ -268,30 +271,5 @@ func TestProfilePresets(t *testing.T) {
 				t.Errorf("Profile error %q does not mention preset %q", err, name)
 			}
 		}
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	l := Slow80211N()
-	if err := l.SetPhases(
-		Phase{Until: simtime.Second, BandwidthBps: 110_000_000},
-		Phase{Until: 2 * simtime.Second, BandwidthBps: 9_000_000},
-	); err != nil {
-		t.Fatal(err)
-	}
-	c := l.Clone("client-0")
-	if c.Name != "client-0" {
-		t.Errorf("clone name = %q", c.Name)
-	}
-	if len(c.Phases) != 2 {
-		t.Fatalf("clone lost the phase schedule: %v", c.Phases)
-	}
-	c.Phases[1].BandwidthBps = 1
-	if l.Phases[1].BandwidthBps != 9_000_000 {
-		t.Error("mutating the clone's phases reached the original")
-	}
-	keep := l.Clone("")
-	if keep.Name != l.Name {
-		t.Errorf("empty clone name should keep %q, got %q", l.Name, keep.Name)
 	}
 }

@@ -78,8 +78,7 @@ func (s *Session) deadline(predicted simtime.PS) simtime.PS {
 // total elapsed simulated time — transfer attempts, expired deadlines and
 // backoff waits — and whether the message was delivered; false is terminal:
 // the retry budget is spent and the link is down as far as op can tell.
-// Without a fault injector it reduces to exactly one delivered transfer,
-// bit-identical to the historical Send path.
+// Without a fault injector it reduces to exactly one delivered transfer.
 func (s *Session) sendReliable(toServer bool, size int64, at simtime.PS, op string) (simtime.PS, bool) {
 	var elapsed simtime.PS
 	for attempt := 0; ; attempt++ {
