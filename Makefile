@@ -63,11 +63,13 @@ bench:
 ## golden: regenerate every golden file (Chrome export, metrics summary,
 ## breakdown tables, the profile reports of chess and the 17 workloads, the
 ## four simulated BENCH_*.json records at the repo root, `offloadbench -exp
-## all`'s stdout) through the shared goldentest -update flag. A record whose
-## floor fails is not rewritten.
+## all`'s stdout, the guest sampler's folded profiles of the call kernel and
+## offloaded chess) through the shared goldentest -update flag. A record
+## whose floor fails is not rewritten.
 golden:
 	$(GO) test ./internal/obs/ ./internal/obs/analyze/ -update
-	$(GO) test ./internal/experiments/ -run '^(TestProfileReportsGolden|TestCommittedRecords|TestPaperArtifactsGolden)$$' -update
+	$(GO) test ./internal/interp/ -run '^TestSamplerGoldenCallKernel$$' -update
+	$(GO) test ./internal/experiments/ -run '^(TestProfileReportsGolden|TestCommittedRecords|TestPaperArtifactsGolden|TestSamplerChessGolden)$$' -update
 
 ## fuzz: a longer fuzzing session over the wire decoder.
 fuzz:

@@ -1,9 +1,12 @@
 package interp
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/goldentest"
 	"repro/internal/simtime"
 )
 
@@ -146,4 +149,21 @@ func TestSamplerEnabledSteadyAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("sampler-enabled steady state: %.1f allocs/run, want 0", allocs)
 	}
+}
+
+// TestSamplerGoldenCallKernel pins the fast engine's sampling instants. A
+// tick attributes the interval since the last one to the stack it finds, so
+// the folded weights depend on exactly where the clock advances and in what
+// order relative to calls and returns; at the 7 ns period (about ten ticks a
+// loop iteration) nearly every segment's charge crosses a boundary.
+// Regenerate (`make golden`) only for an intended change to when the fast
+// engine charges.
+func TestSamplerGoldenCallKernel(t *testing.T) {
+	var buf bytes.Buffer
+	for _, period := range []simtime.PS{simtime.Microsecond, 7 * simtime.Nanosecond} {
+		s, clock := runSampled(t, EngineFast, period)
+		fmt.Fprintf(&buf, "== period=%d samples=%d total=%d clock=%d\n%s",
+			int64(period), s.Samples(), s.Total(), int64(clock), s.Folded())
+	}
+	goldentest.Check(t, "sampler_callkernel.golden", buf.Bytes())
 }
