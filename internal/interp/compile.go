@@ -36,30 +36,21 @@ type cop uint8
 const (
 	cInvalid cop = iota
 
-	// cCharge applies one straight-line segment's aggregate cost: aux
-	// counts the IR instructions (Steps), imm their summed cycle charge
-	// (including Swap/Widen layout charges). A segment ends after every
-	// instruction whose execution can observe the clock or fail (memory
-	// access, call, alloca, integer divide), so the clock any such
-	// instruction sees is bit-identical to the reference engine's
-	// charge-per-instruction interleaving.
-	cCharge
 	// cTrap returns the precomputed error traps[aux].
 	cTrap
 
 	cAlloca // imm = aligned size; c = dst; aux = stack-overflow trap
 
-	// Loads: address in (a,imm); b = byte size; c = dst.
-	cLoadSExt // aux = significant bits (sign-extended integer)
-	cLoadZExt // pointers: zero-extend
+	// Loads: address in (a,imm); b = byte size; c = dst; imm2 = the mask of
+	// the low b bytes.
+	cLoad     // integers, pointers, f64: sign-extend from bit 64-aux (aux = 0: as loaded)
 	cLoadF32  // promote f32 bits to f64 register form
-	cLoadF64
-	cLoadSlow // ref = *ir.Load; unlowered, big-endian or exotic accesses
+	cLoadSlow // refs[aux] = *ir.Load; unlowered, big-endian or exotic accesses
 
 	// Stores: address in (a,imm); value in (b,imm2); aux = byte size.
 	cStoreInt
 	cStoreF32
-	cStoreSlow // ref = *ir.Store
+	cStoreSlow // refs[aux] = *ir.Store (every other store: aux = byte size)
 
 	// Binary ops: x in (a,imm), y in (b,imm2), dst in c.
 	cAdd
@@ -92,18 +83,17 @@ const (
 	cFPToInt // aux = bits
 	cFPTrunc
 
-	cCall    // callee/ctarget/args; c = dst (-1 discards)
-	cCallInd // fn addr in (a,imm); aux = 1 when Mapped; args; c = dst
+	cCall    // calls[aux] = callee/ctarget/args; c = dst (-1 discards)
+	cCallInd // fn addr in (a,imm); b = 1 when Mapped; calls[aux] = args; c = dst
 	cBr      // a = target pc
 	cCondBr  // cond in (a,imm); b = then pc, c = else pc
 	cRet     // aux = 1: value in (a,imm)
 
 	// cEnterBlock reports the entry of block fn.Blocks[aux] to the machine's
 	// Listener. Only an instrumented program contains it, one at each
-	// block's start pc, ahead of the block's first cCharge: the previous
-	// block's last segment was charged in full before its terminator
-	// transferred here, so the hook observes the clock the reference engine
-	// shows its Listener between blocks.
+	// block's start pc: the previous block's terminator carried the charge of
+	// its last segment here, and the hook settles it first, so it observes
+	// the clock the reference engine shows its Listener between blocks.
 	cEnterBlock
 )
 
@@ -114,31 +104,53 @@ type carg struct {
 	imm  uint64
 }
 
-// cinstr is one fixed-size pre-decoded instruction. Operand convention:
-// X in (a,imm), Y in (b,imm2) — slot < 0 selects the inlined constant —
-// destination slot in c, static extras (bits, predicate, stride, size,
-// trap index, branch target) in aux/a/b/c as each opcode documents.
+// cinstr is one fixed-size (48-byte) pre-decoded instruction. Operand
+// convention: X in (a,imm), Y in (b,imm2) — slot < 0 selects the inlined
+// constant — destination slot in c, static extras (bits, predicate, stride,
+// size, trap or side-table index, branch target) in aux/a/b/c as each opcode
+// documents. What only a call or a slow-path access needs lives in the
+// function's side tables (cfunc.calls, cfunc.refs), not in every instruction.
+//
+// steps and cycles are the charge of the straight-line segment this
+// instruction ends, zero on every other instruction: the IR instructions the
+// segment counts for (Steps) and their summed cycle cost (Swap/Widen layout
+// charges included). A segment ends at every instruction whose execution can
+// observe the clock or fail (memory access, call, alloca, integer divide,
+// trap) and at every terminator, and the engine adds the charge before it
+// executes the instruction, so the clock any such instruction sees is
+// bit-identical to the reference engine's charge-per-instruction
+// interleaving.
 type cinstr struct {
 	op      cop
-	aux     int32
+	steps   int32
 	a, b, c int32
+	aux     int32
 	imm     uint64
 	imm2    uint64
+	cycles  int64
+}
+
+// ccall is the call-site data of one cCall or cCallInd: the pre-decoded
+// arguments and, for a direct call, the callee with its compiled body
+// (ctarget is nil for an extern).
+type ccall struct {
 	args    []carg
 	callee  *ir.Func
 	ctarget *cfunc
-	ref     ir.Instr
 }
 
 // cfunc is one function compiled against one linkage (operands inline
 // linker-assigned global and function addresses). idx names the frame pool
 // a Machine recycles this function's register frames through — frames are
-// per-machine state, so shared compiled code carries only the index.
+// per-machine state, so shared compiled code carries only the index. traps,
+// calls and refs are the side tables instructions index through aux.
 type cfunc struct {
 	fn    *ir.Func
 	idx   int32
 	code  []cinstr
 	traps []error
+	calls []ccall
+	refs  []ir.Instr
 }
 
 // compiler is the compile-time environment: everything pre-decoding a
@@ -214,11 +226,11 @@ func (c *compiler) cargs(args []ir.Value) []carg {
 func cdst(in ir.Instr) int32 { return int32(in.(interface{ Slot() int }).Slot()) }
 
 // compileInto flattens cf.fn into cf.code. Each basic block becomes one or
-// more charge segments: a cCharge carrying the aggregate Steps/cycles of
-// the segment's instructions, followed by their pre-decoded forms. Branch
-// targets are pc indices patched after all blocks are placed; an
-// instrumented compile puts a cEnterBlock at each of them, so the entry
-// block and every block transfer fire it.
+// more charge segments: the pre-decoded forms of the segment's instructions,
+// the last of which carries their aggregate Steps/cycles. Branch targets are
+// pc indices patched after all blocks are placed; an instrumented compile
+// puts a cEnterBlock at each of them, so the entry block and every block
+// transfer fire it.
 func (c *compiler) compileInto(cf *cfunc) {
 	f := cf.fn
 	cost := c.spec.Cost
@@ -233,17 +245,25 @@ func (c *compiler) compileInto(cf *cfunc) {
 	var seg []cinstr
 	var segCycles int64
 	var segSteps int32
+	// flush ends the segment at the instruction appended last.
 	flush := func() {
-		if segSteps > 0 {
-			cf.code = append(cf.code, cinstr{op: cCharge, aux: segSteps, imm: uint64(segCycles)})
-			segCycles, segSteps = 0, 0
-		}
+		last := &seg[len(seg)-1]
+		last.steps, last.cycles = segSteps, segCycles
+		segCycles, segSteps = 0, 0
 		cf.code = append(cf.code, seg...)
 		seg = seg[:0]
 	}
 	newTrap := func(err error) int32 {
 		cf.traps = append(cf.traps, err)
 		return int32(len(cf.traps) - 1)
+	}
+	newRef := func(in ir.Instr) int32 {
+		cf.refs = append(cf.refs, in)
+		return int32(len(cf.refs) - 1)
+	}
+	newCall := func(cc ccall) int32 {
+		cf.calls = append(cf.calls, cc)
+		return int32(len(cf.calls) - 1)
 	}
 	trap := func(err error) {
 		seg = append(seg, cinstr{op: cTrap, aux: newTrap(err)})
@@ -281,22 +301,23 @@ func (c *compiler) compileInto(cf *cfunc) {
 				ci := cinstr{c: cdst(in), b: int32(in.Lay.Size)}
 				ci.a, ci.imm = c.cval(in.Ptr)
 				if in.Lay.Size == 0 || c.std.Endian != arch.Little {
-					ci.op, ci.ref = cLoadSlow, in
+					ci.op, ci.aux = cLoadSlow, newRef(in)
 				} else {
+					ci.imm2 = ^uint64(0) >> (64 - 8*uint(in.Lay.Size))
 					switch t := in.Elem.(type) {
 					case *ir.IntType:
-						ci.op = cLoadSExt
-						ci.aux = int32(min(t.Bits, in.Lay.Size*8))
+						ci.op = cLoad
+						ci.aux = int32(64 - min(t.Bits, in.Lay.Size*8))
 					case *ir.PointerType:
-						ci.op = cLoadZExt
+						ci.op = cLoad // addresses zero-extend
 					case *ir.FloatType:
 						if t.Bits == 32 {
 							ci.op = cLoadF32
 						} else {
-							ci.op = cLoadF64
+							ci.op = cLoad
 						}
 					default:
-						ci.op, ci.ref = cLoadSlow, in
+						ci.op, ci.aux = cLoadSlow, newRef(in)
 					}
 				}
 				seg = append(seg, ci)
@@ -314,7 +335,7 @@ func (c *compiler) compileInto(cf *cfunc) {
 				ci.a, ci.imm = c.cval(in.Ptr)
 				ci.b, ci.imm2 = c.cval(in.Val)
 				if in.Lay.Size == 0 || c.std.Endian != arch.Little {
-					ci.op, ci.ref = cStoreSlow, in
+					ci.op, ci.aux = cStoreSlow, newRef(in)
 				} else if ft, ok := in.Val.Type().(*ir.FloatType); ok && ft.Bits == 32 {
 					ci.op = cStoreF32
 				} else {
@@ -460,56 +481,56 @@ func (c *compiler) compileInto(cf *cfunc) {
 
 			case *ir.Call:
 				segCycles += cost.Cycles(arch.OpCall)
-				ci := cinstr{op: cCall, c: cdst(in), callee: in.Callee, args: c.cargs(in.Args)}
+				cc := ccall{args: c.cargs(in.Args), callee: in.Callee}
 				if !in.Callee.IsExtern() {
 					if len(in.Args) != len(in.Callee.Params) {
 						trap(fmt.Errorf("interp(%s): call %s with %d args, want %d",
 							c.name, in.Callee.Nam, len(in.Args), len(in.Callee.Params)))
 						break instrs
 					}
-					ci.ctarget = c.cfuncs[in.Callee]
+					cc.ctarget = c.cfuncs[in.Callee]
 				}
-				seg = append(seg, ci)
+				seg = append(seg, cinstr{op: cCall, c: cdst(in), aux: newCall(cc)})
 				flush()
 
 			case *ir.CallInd:
 				segCycles += cost.Cycles(arch.OpCallInd)
-				ci := cinstr{op: cCallInd, c: cdst(in), args: c.cargs(in.Args)}
+				ci := cinstr{op: cCallInd, c: cdst(in), aux: newCall(ccall{args: c.cargs(in.Args)})}
 				ci.a, ci.imm = c.cval(in.Fn)
 				if in.Mapped {
-					ci.aux = 1
+					ci.b = 1
 				}
 				seg = append(seg, ci)
 				flush()
 
 			case *ir.Br:
 				segCycles += cost.Cycles(arch.OpBranch)
+				seg = append(seg, cinstr{op: cBr})
 				flush()
-				fixups = append(fixups, fixup{pc: len(cf.code), field: 0, dst: in.Dst})
-				cf.code = append(cf.code, cinstr{op: cBr})
+				fixups = append(fixups, fixup{pc: len(cf.code) - 1, field: 0, dst: in.Dst})
 				terminated = true
 				break instrs
 
 			case *ir.CondBr:
 				segCycles += cost.Cycles(arch.OpBranch)
-				flush()
 				ci := cinstr{op: cCondBr}
 				ci.a, ci.imm = c.cval(in.Cond)
+				seg = append(seg, ci)
+				flush()
 				fixups = append(fixups,
-					fixup{pc: len(cf.code), field: 1, dst: in.Then},
-					fixup{pc: len(cf.code), field: 2, dst: in.Else})
-				cf.code = append(cf.code, ci)
+					fixup{pc: len(cf.code) - 1, field: 1, dst: in.Then},
+					fixup{pc: len(cf.code) - 1, field: 2, dst: in.Else})
 				terminated = true
 				break instrs
 
 			case *ir.Ret:
-				flush() // Ret itself charges nothing
-				ci := cinstr{op: cRet}
+				ci := cinstr{op: cRet} // counts as a step, charges no cycles
 				if in.Val != nil {
 					ci.aux = 1
 					ci.a, ci.imm = c.cval(in.Val)
 				}
-				cf.code = append(cf.code, ci)
+				seg = append(seg, ci)
+				flush()
 				terminated = true
 				break instrs
 

@@ -236,6 +236,31 @@ func genProgram(seed int64) *ir.Module {
 	return mod
 }
 
+// diffCell is one program on one arch binding of the hook- and
+// observer-level differentials.
+type diffCell struct {
+	label     string
+	mod       *ir.Module
+	spec, std *arch.Spec
+}
+
+// diffCells lists the seeded random programs on every arch binding of
+// diffSpecs, plus the trapping programs on ARM32.
+func diffCells(seeds int) []diffCell {
+	var cells []diffCell
+	for seed := 0; seed < seeds; seed++ {
+		mod := genProgram(int64(seed))
+		for _, sp := range diffSpecs() {
+			cells = append(cells, diffCell{fmt.Sprintf("seed=%d %s/std=%s", seed, sp.spec.Name, sp.std.Name), mod, sp.spec, sp.std})
+		}
+	}
+	arm := arch.ARM32()
+	for name, mod := range errorPrograms() {
+		cells = append(cells, diffCell{name, mod, arm, arm})
+	}
+	return cells
+}
+
 // TestEngineDifferentialRandomPrograms drives >=100 seeded random programs
 // through the fast and reference engines across the arch matrix, asserting
 // identical output, exit code, Steps, Clock, component buckets and

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/ir"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/simtime"
 )
@@ -126,11 +127,7 @@ func (m *Machine) callExtern(f *ir.Func, args []uint64) (uint64, error) {
 	case ir.ExternMemset:
 		dst, c, n := uint32(args[0]), byte(args[1]), int(int32(args[2]))
 		m.chargeN(arch.OpStore, int64(n)/64+1, CompCompute)
-		fill := make([]byte, n)
-		for i := range fill {
-			fill[i] = c
-		}
-		return uint64(dst), m.Mem.WriteBytes(dst, fill)
+		return uint64(dst), m.memset(dst, c, n)
 
 	case ir.ExternAsm, ir.ExternSyscall, ir.ExternUnknown:
 		// Machine-specific work: legal on the machine it was written for.
@@ -192,6 +189,27 @@ func (m *Machine) callExtern(f *ir.Func, args []uint64) (uint64, error) {
 		return args[0], nil
 	}
 	return 0, fmt.Errorf("interp(%s): call to unimplemented extern %s", m.Name, f.Nam)
+}
+
+// memset fills n bytes at dst with c, one page at a time from a page of c on
+// the stack: each page is written — faulted in, touched, dirtied — once and
+// in ascending order, as one WriteBytes of the whole range would.
+func (m *Machine) memset(dst uint32, c byte, n int) error {
+	var fill [mem.PageSize]byte
+	if c != 0 {
+		for i := range fill {
+			fill[i] = c
+		}
+	}
+	for n > 0 {
+		k := min(n, mem.PageSize-int(dst&(mem.PageSize-1)))
+		if err := m.Mem.WriteBytes(dst, fill[:k]); err != nil {
+			return err
+		}
+		dst += uint32(k)
+		n -= k
+	}
+	return nil
 }
 
 // formatPrintf implements the printf subset the workloads use:

@@ -11,11 +11,14 @@ import (
 	"repro/internal/simtime"
 )
 
-// tlbWays sizes the direct-mapped page caches. A handful of entries keeps
-// loops that alternate between a data page and an accumulator page from
-// thrashing a single slot; indexing by the low page-number bits spreads
-// adjacent pages across distinct entries.
-const tlbWays = 4
+// tlbWays sizes the direct-mapped page caches; indexing by the low
+// page-number bits spreads adjacent pages across distinct entries. The plain
+// (local and offloaded) runs of one paper sweep miss 6.66 M times with 4
+// entries, 2.64 M with 16, 1.25 M with 64 and 0.83 M with 256; nearly all of
+// what is left at 64 is another page in the slot (streaming through an
+// array), a few hundred are a stale generation. The two caches are 4 KiB of
+// Machine that NewInstance zeroes.
+const tlbWays = 64
 
 // tlbEntry is one slot of the page cache: a page's resident data array,
 // revalidated against the memory's invalidation generation on every access.
@@ -82,6 +85,49 @@ func (m *Machine) runCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 		l.ExitFunc(m, cf.fn)
 	}
 	return v, err
+}
+
+// settle applies the charge the fast loop has accumulated since the last
+// settle — steps IR instructions, cycles of compute — to the machine, as the
+// per-instruction charges of the reference engine would have by now:
+// cycles*CostScale*CyclePS distributes over the sum of the segments' cycles
+// (mod 2^64), so settling many segments at once lands on the same clock as
+// settling each. It does not look at the sampler: with one attached the loop
+// settles — and ticks — at every segment end, and no other site has anything
+// pending.
+func (m *Machine) settle(steps, cycles int64) {
+	m.Steps += steps
+	d := simtime.PS(cycles*m.CostScale) * simtime.PS(m.Spec.CyclePS)
+	m.Clock += d
+	m.Comp[CompCompute] += d
+}
+
+// rhit and whit report whether the cached entry serves an access to page pn
+// without the machine's help: readMem and writeMem stay the only miss path
+// and the only place an entry is filled. A flushed entry matches page 0 at
+// generation 0 but has no data.
+func (e *tlbEntry) rhit(pn uint32, mm *mem.Memory) bool {
+	return e.pn == pn && e.gen == mm.Gen() && e.data != nil
+}
+
+func (e *tlbEntry) whit(pn uint32, mm *mem.Memory) bool {
+	return e.pn == pn && e.gen == mm.Gen() && e.track == mm.TrackDirty && e.data != nil
+}
+
+// storeLE is the little-endian scalar store of both the in-loop hit path and
+// writeMem. size is 1, 2, 4 or 8 (a lowered scalar); the common ones are
+// tested first.
+func storeLE(b []byte, size int, v uint64) {
+	switch size {
+	case 8:
+		binary.LittleEndian.PutUint64(b, v)
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	case 1:
+		b[0] = byte(v)
+	default:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	}
 }
 
 // rv reads operand (slot, imm): a register when slot >= 0, else the
@@ -167,41 +213,46 @@ func (m *Machine) writeMem(addr uint32, size int, v uint64) error {
 		} else if mm.Touch != nil {
 			mm.Touch(pn)
 		}
-		b := e.data[off:]
-		switch size {
-		case 1:
-			b[0] = byte(v)
-		case 2:
-			binary.LittleEndian.PutUint16(b, uint16(v))
-		case 4:
-			binary.LittleEndian.PutUint32(b, uint32(v))
-		default:
-			binary.LittleEndian.PutUint64(b, v)
-		}
+		storeLE(e.data[off:], size, v)
 		return nil
 	}
 	return mm.WriteUint(addr, size, v)
 }
 
 // execCompiled is the fast engine's hot loop: a switch over the small
-// pre-decoded opcode enum, with aggregate charging per straight-line
-// segment (see cCharge).
+// pre-decoded opcode enum. Segment charges (cinstr.steps/cycles) accumulate
+// in two locals and are settled into the Machine only ahead of something that
+// can read its Clock, Steps or Comp: a call (compiled, extern or indirect),
+// a Listener hook, every way out of the loop, and a memory access that
+// leaves the loop — a TLB miss or page-straddling access can reach the
+// mem.Fault handler, a slow-path access always goes through Memory. Pure
+// register instructions and branches never settle.
+//
+// With a sampler or a Touch observer attached the loop is eager: it settles
+// at every segment end, takes the sampler's tick there — ticks belong where
+// the clock advances — and sends every access through readMem/writeMem,
+// which report a hit's page to the observer (it reads the clock). Both then
+// see exactly the instants of per-segment charging. They are looked at once
+// per activation: attach them between top-level calls.
 func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 	code := cf.code
+	mm := m.Mem
+	eager := m.sampler != nil || mm.Touch != nil
+	var pendSteps, pendCycles int64
 	pc := int32(0)
 	for {
 		in := &code[pc]
 		pc++
-		switch in.op {
-		case cCharge:
-			m.Steps += int64(in.aux)
-			d := simtime.PS(int64(in.imm)*m.CostScale) * simtime.PS(m.Spec.CyclePS)
-			m.Clock += d
-			m.Comp[CompCompute] += d
+		pendSteps += int64(in.steps)
+		pendCycles += in.cycles
+		if eager && in.steps != 0 {
+			m.settle(pendSteps, pendCycles)
+			pendSteps, pendCycles = 0, 0
 			if s := m.sampler; s != nil && m.Clock >= s.next {
 				s.take(m.Clock)
 			}
-
+		}
+		switch in.op {
 		case cAdd:
 			regs[in.c] = rv(regs, in.a, in.imm) + rv(regs, in.b, in.imm2)
 		case cSub:
@@ -211,12 +262,14 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 		case cDiv:
 			y := int64(rv(regs, in.b, in.imm2))
 			if y == 0 {
+				m.settle(pendSteps, pendCycles)
 				return 0, cf.traps[in.aux]
 			}
 			regs[in.c] = uint64(int64(rv(regs, in.a, in.imm)) / y)
 		case cRem:
 			y := int64(rv(regs, in.b, in.imm2))
 			if y == 0 {
+				m.settle(pendSteps, pendCycles)
 				return 0, cf.traps[in.aux]
 			}
 			regs[in.c] = uint64(int64(rv(regs, in.a, in.imm)) % y)
@@ -273,69 +326,78 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 		case cAlloca:
 			size := uint32(in.imm)
 			if m.sp < m.spFloor+size {
+				m.settle(pendSteps, pendCycles)
 				return 0, cf.traps[in.aux]
 			}
 			m.sp -= size
 			regs[in.c] = uint64(m.sp)
 
-		case cLoadSExt:
-			raw, err := m.readMem(uint32(rv(regs, in.a, in.imm)), int(in.b))
-			if err != nil {
-				return 0, err
+		case cLoad, cLoadF32:
+			addr := uint32(rv(regs, in.a, in.imm))
+			pn, off := addr>>mem.PageShift, addr&(mem.PageSize-1)
+			var raw uint64
+			if e := &m.rtlb[pn&(tlbWays-1)]; !eager && off <= mem.PageSize-8 && e.rhit(pn, mm) {
+				// Eight bytes from here stay inside the page whatever the
+				// access size: read them all and keep the low ones.
+				raw = binary.LittleEndian.Uint64(e.data[off:]) & in.imm2
+			} else {
+				m.settle(pendSteps, pendCycles)
+				pendSteps, pendCycles = 0, 0
+				var err error
+				if raw, err = m.readMem(addr, int(in.b)); err != nil {
+					return 0, err
+				}
 			}
-			regs[in.c] = signExtend(raw, int(in.aux))
-		case cLoadZExt:
-			raw, err := m.readMem(uint32(rv(regs, in.a, in.imm)), int(in.b))
-			if err != nil {
-				return 0, err
-			}
-			regs[in.c] = raw
-		case cLoadF32:
-			raw, err := m.readMem(uint32(rv(regs, in.a, in.imm)), int(in.b))
-			if err != nil {
-				return 0, err
-			}
-			regs[in.c] = math.Float64bits(float64(math.Float32frombits(uint32(raw))))
-		case cLoadF64:
-			raw, err := m.readMem(uint32(rv(regs, in.a, in.imm)), int(in.b))
-			if err != nil {
-				return 0, err
+			if in.op == cLoadF32 {
+				raw = math.Float64bits(float64(math.Float32frombits(uint32(raw))))
+			} else {
+				raw = uint64(int64(raw<<(in.aux&63)) >> (in.aux & 63))
 			}
 			regs[in.c] = raw
 		case cLoadSlow:
-			ld := in.ref.(*ir.Load)
+			m.settle(pendSteps, pendCycles)
+			pendSteps, pendCycles = 0, 0
+			ld := cf.refs[in.aux].(*ir.Load)
 			bits, err := m.loadScalarNoCharge(uint32(rv(regs, in.a, in.imm)), ld.Elem, ld.Lay)
 			if err != nil {
 				return 0, err
 			}
 			regs[in.c] = bits
 
-		case cStoreInt:
-			if err := m.writeMem(uint32(rv(regs, in.a, in.imm)), int(in.aux), rv(regs, in.b, in.imm2)); err != nil {
-				return 0, err
+		case cStoreInt, cStoreF32:
+			v := rv(regs, in.b, in.imm2)
+			if in.op == cStoreF32 {
+				v = uint64(math.Float32bits(float32(math.Float64frombits(v))))
 			}
-		case cStoreF32:
-			v := uint64(math.Float32bits(float32(math.Float64frombits(rv(regs, in.b, in.imm2)))))
-			if err := m.writeMem(uint32(rv(regs, in.a, in.imm)), int(in.aux), v); err != nil {
-				return 0, err
+			addr := uint32(rv(regs, in.a, in.imm))
+			pn, off := addr>>mem.PageShift, addr&(mem.PageSize-1)
+			if e := &m.wtlb[pn&(tlbWays-1)]; !eager && int(off)+int(in.aux) <= mem.PageSize && e.whit(pn, mm) {
+				storeLE(e.data[off:], int(in.aux), v)
+			} else {
+				m.settle(pendSteps, pendCycles)
+				pendSteps, pendCycles = 0, 0
+				if err := m.writeMem(addr, int(in.aux), v); err != nil {
+					return 0, err
+				}
 			}
 		case cStoreSlow:
-			st := in.ref.(*ir.Store)
+			m.settle(pendSteps, pendCycles)
+			pendSteps, pendCycles = 0, 0
+			st := cf.refs[in.aux].(*ir.Store)
 			if err := m.storeScalarNoCharge(uint32(rv(regs, in.a, in.imm)), st.Val.Type(), st.Lay, rv(regs, in.b, in.imm2)); err != nil {
 				return 0, err
 			}
 
 		case cCall:
+			m.settle(pendSteps, pendCycles)
+			pendSteps, pendCycles = 0, 0
+			call := &cf.calls[in.aux]
 			var v uint64
 			var err error
-			if in.ctarget != nil {
-				v, err = m.callCompiled(in.ctarget, in.args, regs)
+			if call.ctarget != nil {
+				v, err = m.callCompiled(call.ctarget, call.args, regs)
 			} else {
-				ea := make([]uint64, len(in.args))
-				for i := range in.args {
-					ea[i] = rv(regs, in.args[i].slot, in.args[i].imm)
-				}
-				v, err = m.callExtern(in.callee, ea)
+				v, err = m.callExtern(call.callee, externArgs(call.args, regs))
 			}
 			if err != nil {
 				return 0, err
@@ -345,7 +407,9 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 			}
 
 		case cCallInd:
-			if in.aux != 0 {
+			m.settle(pendSteps, pendCycles)
+			pendSteps, pendCycles = 0, 0
+			if in.b != 0 {
 				// Function pointer translation (Section 3.4); its cost is
 				// the Fig. 7 "fptr" component.
 				d := simtime.PS(m.Spec.Cost.Cycles(arch.OpFptrMap)*m.CostScale) * simtime.PS(m.Spec.CyclePS)
@@ -356,28 +420,25 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 				}
 			}
 			addr := uint32(rv(regs, in.a, in.imm))
-			callee, rerr := m.ResolveFptr(addr, in.aux != 0)
+			callee, rerr := m.ResolveFptr(addr, in.b != 0)
 			if rerr != nil {
 				return 0, rerr
 			}
+			args := cf.calls[in.aux].args
 			var v uint64
 			var err error
 			if callee.IsExtern() {
-				ea := make([]uint64, len(in.args))
-				for i := range in.args {
-					ea[i] = rv(regs, in.args[i].slot, in.args[i].imm)
-				}
-				v, err = m.callExtern(callee, ea)
+				v, err = m.callExtern(callee, externArgs(args, regs))
 			} else {
-				if len(in.args) != len(callee.Params) {
+				if len(args) != len(callee.Params) {
 					return 0, fmt.Errorf("interp(%s): call %s with %d args, want %d",
-						m.Name, callee.Nam, len(in.args), len(callee.Params))
+						m.Name, callee.Nam, len(args), len(callee.Params))
 				}
-				cf := m.cc.cfuncs[callee]
-				if cf == nil {
+				target := m.cc.cfuncs[callee]
+				if target == nil {
 					return 0, foreignFunc(m.Name, callee)
 				}
-				v, err = m.callCompiled(cf, in.args, regs)
+				v, err = m.callCompiled(target, args, regs)
 			}
 			if err != nil {
 				return 0, err
@@ -395,20 +456,35 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 				pc = in.c
 			}
 		case cRet:
+			m.settle(pendSteps, pendCycles)
 			if in.aux != 0 {
 				return rv(regs, in.a, in.imm), nil
 			}
 			return 0, nil
 		case cTrap:
+			m.settle(pendSteps, pendCycles)
 			return 0, cf.traps[in.aux]
 
 		case cEnterBlock:
+			m.settle(pendSteps, pendCycles)
+			pendSteps, pendCycles = 0, 0
 			if l := m.Listener; l != nil {
 				l.EnterBlock(m, cf.fn, cf.fn.Blocks[in.aux])
 			}
 
 		default:
+			m.settle(pendSteps, pendCycles)
 			return 0, fmt.Errorf("interp(%s): invalid compiled opcode %d in %s", m.Name, in.op, cf.fn.Nam)
 		}
 	}
+}
+
+// externArgs evaluates a call site's pre-decoded arguments for an extern,
+// which takes them as a slice.
+func externArgs(args []carg, regs []uint64) []uint64 {
+	ea := make([]uint64, len(args))
+	for i := range args {
+		ea[i] = rv(regs, args[i].slot, args[i].imm)
+	}
+	return ea
 }

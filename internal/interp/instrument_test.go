@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
@@ -56,23 +55,7 @@ func TestInstrumentedHooksMatchReferenceEngine(t *testing.T) {
 	if testing.Short() {
 		seeds = 8
 	}
-	type cell struct {
-		label     string
-		mod       *ir.Module
-		spec, std *arch.Spec
-	}
-	var cells []cell
-	for seed := 0; seed < seeds; seed++ {
-		mod := genProgram(int64(seed))
-		for _, sp := range diffSpecs() {
-			cells = append(cells, cell{fmt.Sprintf("seed=%d %s/std=%s", seed, sp.spec.Name, sp.std.Name), mod, sp.spec, sp.std})
-		}
-	}
-	arm := arch.ARM32()
-	for name, mod := range errorPrograms() {
-		cells = append(cells, cell{name, mod, arm, arm})
-	}
-	for _, c := range cells {
+	for _, c := range diffCells(seeds) {
 		work := c.mod.Clone(c.mod.Name)
 		ir.Lower(work, c.spec, c.std)
 		cfg := CompileConfig{Name: "diff", Spec: c.spec, Std: c.std, InitUVAGlobals: true}

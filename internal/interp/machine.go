@@ -117,7 +117,8 @@ type Machine struct {
 
 	// sampler, when set via SetSampler, is the guest sampling profiler.
 	// It needs no instrumented program; every clock-advance site checks it
-	// with a nil-guarded boundary compare.
+	// with a nil-guarded boundary compare, and the fast loop settles its
+	// segment charges at every segment end while one is attached.
 	sampler *Sampler
 
 	sp      uint32

@@ -248,7 +248,11 @@ func (s *Sampler) TopFuncs() []FuncStat {
 // SetSampler attaches (or, with nil, detaches) a sampling profiler to the
 // machine. Attribution starts at the machine's current Clock. Unlike a
 // profiling Listener, a sampler needs no instrumented program; it works on
-// both engines and keeps the fast engine's hot loop allocation-free.
+// both engines and keeps the fast engine's hot loop allocation-free. Attach
+// it between top-level calls: the fast engine looks for a sampler when a
+// function activation begins, and one already running keeps deferring its
+// segment charges, so its ticks would land at its next call, return or
+// page-cache miss instead of at each segment end.
 func (m *Machine) SetSampler(s *Sampler) {
 	m.sampler = s
 	if s != nil {

@@ -1,0 +1,218 @@
+package interp
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"repro/internal/arch"
+	"repro/internal/ir"
+	"repro/internal/mem"
+	"repro/internal/simtime"
+)
+
+// observation is what host code can read off a machine when it is called.
+type observation struct {
+	where string
+	clock simtime.PS
+	steps int64
+	comp  [NumComponents]simtime.PS
+}
+
+// hostObserver is every kind of host code a plain machine calls into — the
+// memory's fault handler, the I/O host, the runtime attachment — recording
+// the machine's counters on each call. It embeds the real StdIO so programs
+// behave as usual; the SysHost half declines every gate and serves remote
+// output and files locally.
+type hostObserver struct {
+	*StdIO
+	m   *Machine
+	log []observation
+}
+
+func (h *hostObserver) note(format string, args ...any) {
+	h.log = append(h.log, observation{fmt.Sprintf(format, args...), h.m.Clock, h.m.Steps, h.m.Comp})
+}
+
+func (h *hostObserver) Write(s string) { h.note("io.write %q", s); h.StdIO.Write(s) }
+
+func (h *hostObserver) Gate(m *Machine, id int32) bool { h.note("sys.gate %d", id); return false }
+func (h *hostObserver) Offload(*Machine, int32, []uint64) (uint64, error) {
+	return 0, fmt.Errorf("offload after a declined gate")
+}
+func (h *hostObserver) Accept(*Machine) int32             { return 0 }
+func (h *hostObserver) Arg(*Machine, int32) uint64        { return 0 }
+func (h *hostObserver) SendReturn(*Machine, uint64) error { return nil }
+func (h *hostObserver) RemoteWrite(m *Machine, s string) error {
+	h.note("sys.rwrite %q", s)
+	h.StdIO.Write(s)
+	return nil
+}
+func (h *hostObserver) RemoteOpen(m *Machine, name string) (int32, error) {
+	h.note("sys.ropen %s", name)
+	return h.StdIO.Open(name)
+}
+func (h *hostObserver) RemoteRead(m *Machine, fd int32, n int) ([]byte, error) {
+	h.note("sys.rread %d", n)
+	return h.StdIO.Read(fd, n)
+}
+func (h *hostObserver) RemoteClose(m *Machine, fd int32) error {
+	h.note("sys.rclose")
+	return h.StdIO.Close(fd)
+}
+
+// observed runs main on m with a hostObserver in every host seat. Every page
+// the loader placed is taken away first and handed back by the fault handler
+// on first touch, so loads and stores all over the program — not only the
+// first stack access — leave the loop through the miss path mid-segment.
+func observed(m *Machine) (engineRun, []observation) {
+	h := &hostObserver{StdIO: NewStdIO(nil), m: m}
+	h.SyntheticFile("in.dat", 300, 7)
+	m.IO, m.Sys = h, h
+	saved := make(map[uint32][]byte)
+	for _, pn := range m.Mem.PresentPages() {
+		saved[pn] = slices.Clone(m.Mem.PageData(pn))
+		m.Mem.Drop(pn)
+	}
+	m.Mem.Fault = func(pn uint32) ([]byte, error) {
+		h.note("fault %#x", pn)
+		return saved[pn], nil
+	}
+	r := engineRun{}
+	code, err := m.RunMain()
+	r.code = code
+	if err != nil {
+		r.errStr = err.Error()
+	}
+	r.out, r.steps, r.clock, r.comp = h.Out.String(), m.Steps, m.Clock, m.Comp
+	r.digest = m.Mem.Digest(mem.StackRanges()...)
+	return r, h.log
+}
+
+// sysExternProgram mixes arithmetic and memory traffic over a two-page array
+// with the externs that reach the SysHost: the gate, remote output and a
+// remote file read, each in the middle of a loop body.
+func sysExternProgram() *ir.Module {
+	mod := ir.NewModule("sysext")
+	b := ir.NewBuilder(mod)
+	arr := b.GlobalVar("arr", ir.Array(ir.I64, 1024))
+	buf := b.GlobalVar("buf", ir.Array(ir.I8, 64))
+	b.NewFunc("main", ir.I32)
+	acc := b.Alloca(ir.I64)
+	b.Store(acc, ir.Int64(1))
+	fd := b.CallExtern(ir.ExternRemoteFileOpen, b.Str("in.dat"))
+	b.For("i", ir.Int64(0), ir.Int64(24), ir.Int64(1), func(i ir.Value) {
+		k := b.And(b.Mul(i, ir.Int64(97)), ir.Int64(1023))
+		v := b.Add(b.Mul(b.Load(b.Index(arr, k)), ir.Int64(3)), b.Load(acc))
+		g := b.CallExtern(ir.ExternGate, ir.Int(1))
+		v = b.Add(v, b.Convert(ir.ConvZExt, g, ir.I64))
+		b.Store(b.Index(arr, b.Xor(k, ir.Int64(512))), v)
+		n := b.CallExtern(ir.ExternRemoteFileRead, fd, b.Index(buf, ir.Int64(0)), ir.Int(16))
+		v = b.Add(v, b.Convert(ir.ConvSExt, b.Load(b.Index(buf, ir.Int64(3))), ir.I64))
+		b.Store(acc, b.Add(v, b.Convert(ir.ConvSExt, n, ir.I64)))
+		b.CallExtern(ir.ExternRemotePrintf, b.Str("i=%d v=%d\n"), i, v)
+	})
+	b.CallExtern(ir.ExternRemoteFileClose, fd)
+	b.Ret(b.Convert(ir.ConvTrunc, b.Load(acc), ir.I32))
+	b.Finish()
+	return mod
+}
+
+// TestPlainMachineObserversMatchReferenceEngine is the contract deferred
+// settling leans on: on an uninstrumented fast machine with no Listener,
+// Touch observer or sampler — the configuration that defers — every call out
+// of the engine into host code (the mem.Fault handler, IOHost.Write, each
+// SysHost service) must find the Clock, Steps and Comp the reference engine
+// shows at the same call, over the seeded random programs, the trapping
+// programs and a program built around the runtime's externs. A segment
+// charge still pending at any of those calls shows up as a smaller clock.
+func TestPlainMachineObserversMatchReferenceEngine(t *testing.T) {
+	seeds := 40
+	if testing.Short() {
+		seeds = 8
+	}
+	cells := diffCells(seeds)
+	for _, sp := range diffSpecs() {
+		cells = append(cells, diffCell{fmt.Sprintf("sys-externs %s/std=%s", sp.spec.Name, sp.std.Name), sysExternProgram(), sp.spec, sp.std})
+	}
+	faults, writes, sys := 0, 0, 0
+	for _, c := range cells {
+		work := c.mod.Clone(c.mod.Name)
+		ir.Lower(work, c.spec, c.std)
+		cfg := CompileConfig{Name: "diff", Spec: c.spec, Std: c.std, InitUVAGlobals: true}
+		fastRun, fastLog := observed(bind(t, work, cfg))
+		refRun, refLog := observed(bind(t, work, cfg, WithEngine(EngineRef)))
+		compareRuns(t, c.label, fastRun, refRun)
+		if !slices.Equal(fastLog, refLog) {
+			i := 0
+			for i < len(fastLog) && i < len(refLog) && fastLog[i] == refLog[i] {
+				i++
+			}
+			t.Fatalf("%s: host observations diverge at call %d of %d/%d:\n fast: %+v\n  ref: %+v", c.label, i,
+				len(fastLog), len(refLog), fastLog[min(i, len(fastLog)-1)], refLog[min(i, len(refLog)-1)])
+		}
+		for _, o := range fastLog {
+			switch o.where[:3] {
+			case "fau":
+				faults++
+			case "io.":
+				writes++
+			case "sys":
+				sys++
+			}
+		}
+	}
+	if faults == 0 || writes == 0 || sys == 0 {
+		t.Errorf("vacuous: %d fault, %d io.write and %d sys observations", faults, writes, sys)
+	}
+}
+
+// TestCinstrSize pins the pre-decoded instruction at 48 bytes: the hot loop
+// strides over these, and call-only or slow-path-only fields belong in the
+// function's side tables.
+func TestCinstrSize(t *testing.T) {
+	if size := unsafe.Sizeof(cinstr{}); size > 48 {
+		t.Errorf("cinstr is %d bytes, want <= 48", size)
+	}
+}
+
+// TestSegmentChargeOnLastInstruction: every compiled stream carries its
+// charges on segment-ending instructions only — a register-only instruction
+// never does — and they add up to the function's instruction count.
+func TestSegmentChargeOnLastInstruction(t *testing.T) {
+	spec := arch.ARM32()
+	work := genProgram(3)
+	ir.Lower(work, spec, spec)
+	for _, instrument := range []bool{false, true} {
+		prog, err := Compile(work, CompileConfig{Name: "p", Spec: spec, InitUVAGlobals: true, Instrument: instrument}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f, cf := range prog.cc.cfuncs {
+			var steps int64
+			for i := range cf.code {
+				in := &cf.code[i]
+				steps += int64(in.steps)
+				switch in.op {
+				case cAlloca, cLoad, cLoadF32, cLoadSlow, cStoreInt, cStoreF32, cStoreSlow,
+					cDiv, cRem, cCall, cCallInd, cBr, cCondBr, cRet, cTrap:
+					if in.steps == 0 {
+						t.Errorf("%s pc %d: segment-ending op %d carries no charge", f.Nam, i, in.op)
+					}
+				default:
+					if in.steps != 0 || in.cycles != 0 {
+						t.Errorf("%s pc %d: op %d carries a charge mid-segment", f.Nam, i, in.op)
+					}
+				}
+			}
+			var want int64
+			for _, blk := range f.Blocks {
+				want += int64(len(blk.Instrs))
+			}
+			if steps != want {
+				t.Errorf("%s (instrument=%v): charges count %d steps, the function has %d instructions", f.Nam, instrument, steps, want)
+			}
+		}
+	}
+}

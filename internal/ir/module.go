@@ -11,6 +11,10 @@ type Block struct {
 	Nam    string
 	Parent *Func
 	Instrs []Instr
+
+	// Index is the block's position in Parent.Blocks, assigned by Renumber,
+	// so per-block tables can be slices rather than maps keyed by *Block.
+	Index int
 }
 
 // Name returns the block's label.
@@ -94,15 +98,16 @@ func (f *Func) NewBlock(name string) *Block {
 }
 
 // Renumber assigns value slots to parameters and value-producing
-// instructions. It must be called after structural mutation and before
-// interpretation.
+// instructions, and each block its Index. It must be called after structural
+// mutation and before interpretation.
 func (f *Func) Renumber() {
 	n := 0
 	for _, p := range f.Params {
 		p.Slot = n
 		n++
 	}
-	for _, b := range f.Blocks {
+	for i, b := range f.Blocks {
+		b.Index = i
 		for _, in := range b.Instrs {
 			if _, isVoid := in.Type().(*VoidType); isVoid {
 				in.base().id = -1

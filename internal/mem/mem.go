@@ -88,14 +88,15 @@ type Memory struct {
 	// Touch, when set, observes every page access; the profiler uses it to
 	// measure candidate memory footprints (Table 3 "Mem. Size"). Accesses
 	// through Memory's own methods report here; the interpreter's page cache
-	// reports its hits itself (see Gen).
+	// reports its hits itself (see Gen). The interpreter looks at the field
+	// when a function activation begins: set it between top-level calls.
 	Touch func(pn uint32)
 
 	// Faults counts copy-on-demand faults served via Fault.
 	Faults int
 
 	// gen counts structural changes that can invalidate cached page
-	// pointers: page replacement (InstallPage), removal (Drop, Reset),
+	// pointers: page installation (InstallPage), removal (Drop, Reset),
 	// dirty-bit clearing (ClearDirty), and copy-on-write materialization
 	// (the private copy supersedes the shared array a reader may have
 	// cached). Faulting an absent page in does not bump it — existing page
@@ -247,25 +248,38 @@ func (m *Memory) HasPage(pn uint32) bool {
 	return ok
 }
 
-// PageData returns a copy of page pn's content, zeroes if absent. It does
-// not fault, touch, or dirty anything — it is the transfer-side read used
-// when serving another machine's copy-on-demand request.
+// PageData returns page pn's content as a read-only view of the resident
+// array — the private page if there is one, else the shared image's — or nil
+// if the page is absent (it would read as zeroes). It does not fault, touch,
+// or dirty anything — it is the transfer-side read used when serving another
+// machine's copy-on-demand request. The view aliases live memory: the caller
+// encodes, compresses or copies it before this memory's machine runs again,
+// and never writes through it.
 func (m *Memory) PageData(pn uint32) []byte {
-	out := make([]byte, PageSize)
 	if p, ok := m.pages[pn]; ok {
-		copy(out, p.data[:])
-	} else if src, ok := m.basePage(pn); ok {
-		copy(out, src[:])
+		return p.data[:]
 	}
-	return out
+	if src, ok := m.basePage(pn); ok {
+		return src[:]
+	}
+	return nil
 }
 
-// InstallPage overwrites page pn with data (length <= PageSize), marking it
-// clean. Used for prefetch and dirty write-back application.
+// InstallPage overwrites page pn with data (length <= PageSize, the rest of
+// the page reads as zeroes), marking it clean. Used for prefetch and dirty
+// write-back application. The page owns its bytes — data is copied, into the
+// existing private page when there is one — so the caller may recycle data
+// at once; cached page pointers are invalidated either way (Gen).
 func (m *Memory) InstallPage(pn uint32, data []byte) {
-	p := &page{}
-	copy(p.data[:], data)
-	m.pages[pn] = p
+	p, ok := m.pages[pn]
+	if ok {
+		clear(p.data[copy(p.data[:], data):])
+		p.dirty = false
+	} else {
+		p = &page{}
+		copy(p.data[:], data)
+		m.pages[pn] = p
+	}
 	delete(m.masked, pn)
 	m.gen++
 }

@@ -359,3 +359,47 @@ func TestSortedPageLists(t *testing.T) {
 		}
 	}
 }
+
+// TestInstallPageOverwritesPrivatePageInPlace: installing over a page the
+// memory already holds privately — every dirty page written back to the
+// mobile — reuses that page instead of allocating a second one and orphaning
+// the first. The content is replaced, a short payload's tail reads as zeroes,
+// the page is clean, cached pointers are invalidated (Gen), and a checkpoint
+// taken before still holds the old bytes: snapshots own their copies.
+func TestInstallPageOverwritesPrivatePageInPlace(t *testing.T) {
+	m := New()
+	m.TrackDirty = true
+	pn := PageNum(HeapBase)
+	old := bytes.Repeat([]byte{0xab}, PageSize)
+	if err := m.WriteBytes(PageAddr(pn), old); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.DirtyPages(); len(got) != 1 || got[0] != pn {
+		t.Fatalf("DirtyPages before install = %v, want [%#x]", got, pn)
+	}
+	snap := m.Checkpoint()
+	before, gen := &m.PageData(pn)[0], m.Gen()
+
+	m.InstallPage(pn, []byte("short"))
+
+	want := make([]byte, PageSize)
+	copy(want, "short")
+	if !bytes.Equal(m.PageData(pn), want) {
+		t.Error("installed page is not the payload followed by zeroes")
+	}
+	if got := m.DirtyPages(); len(got) != 0 {
+		t.Errorf("DirtyPages after install = %v, want none", got)
+	}
+	if m.Gen() == gen {
+		t.Error("InstallPage did not bump Gen")
+	}
+	if &m.PageData(pn)[0] != before {
+		t.Error("InstallPage over a private page allocated a second page")
+	}
+	if len(snap.Pages) != 1 || !snap.Pages[0].Dirty || !bytes.Equal(snap.Pages[0].Data, old) {
+		t.Error("an earlier Checkpoint changed when its page was overwritten")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { m.InstallPage(pn, old) }); allocs != 0 {
+		t.Errorf("InstallPage over a private page: %.0f allocs, want 0", allocs)
+	}
+}

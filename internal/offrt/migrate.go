@@ -284,6 +284,15 @@ func (s *Session) encodeCheckpoint(st *interp.State) []byte {
 	return buf.Bytes()
 }
 
+func firstErr(errs ...error) error {
+	for _, e := range errs {
+		if e != nil {
+			return e
+		}
+	}
+	return nil
+}
+
 // decodeCheckpoint reverses encodeCheckpoint, validating every declared
 // count against the bytes actually present.
 func (s *Session) decodeCheckpoint(msg *Message) (*interp.State, []string, []byte, error) {

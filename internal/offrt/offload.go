@@ -34,6 +34,12 @@ func (s *Session) Offload(m *interp.Machine, taskID int32, args []uint64) (uint6
 	// consume the same input.
 	ioSnap := s.snapshotIO()
 
+	// The request frame is recycled: Accept has installed (copied) the
+	// decoded pages before the server runs, so once an attempt's reply is in
+	// — or the request was never delivered — nothing aliases the frame.
+	frame := getFrame()
+	defer frames.Put(frame)
+
 	// remote is set once a server's finalization delivered the result; any
 	// other way out of the attempt loop ends in local re-execution.
 	var ret uint64
@@ -69,7 +75,8 @@ func (s *Session) Offload(m *interp.Machine, taskID int32, args []uint64) (uint6
 
 		// The request crosses the wire for real: encode, charge the encoded
 		// size, decode on the server side and install the prefetched pages.
-		wire := req.Encode()
+		wire := req.AppendEncode((*frame)[:0])
+		*frame = wire
 		d, delivered := s.sendReliable(true, int64(len(wire)), s.Mobile.Clock, "offload.request")
 		s.Recorder.Transition(s.Mobile.Clock, energy.TX)
 		s.Mobile.AddTime(d, interp.CompComm)

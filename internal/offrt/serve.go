@@ -42,6 +42,7 @@ func (s *Session) Accept(m *interp.Machine) int32 {
 	for _, p := range req.pages {
 		s.Server.Mem.InstallPage(p.PN, p.Data)
 	}
+	s.cur.pages = nil // they alias the request frame, which the mobile recycles
 	s.Server.Mem.TrackDirty = true
 	s.Server.Mem.ClearDirty()
 	// Arm the health monitor for this task and apply any server fault that
@@ -130,7 +131,7 @@ func (s *Session) SendReturn(m *interp.Machine, v uint64) error {
 		fin.Pages = append(fin.Pages, PageRecord{PN: pn, Data: s.Server.Mem.PageData(pn)})
 	}
 	// The pre-compression payload: a page number and the page, per page.
-	raw := int64(len(fin.Pages)) * (mem.PageSize + 4)
+	raw := int64(len(fin.Pages)) * pageRecordBytes
 	s.Stats.RawBytesToMobile += raw
 	if !s.Policy.NoCompress && raw > 0 {
 		// Compression runs on the server only (Section 4): it is far
@@ -142,7 +143,12 @@ func (s *Session) SendReturn(m *interp.Machine, v uint64) error {
 		s.Server.AddTime(simtime.PS(raw)*simtime.Nanosecond, interp.CompComm)
 	}
 
-	wireBytes := fin.Encode()
+	// The frame is recycled when SendReturn returns: by then the journal is
+	// committed (InstallPage copied every page) or the task aborted.
+	frame := getFrame()
+	defer frames.Put(frame)
+	wireBytes := fin.AppendEncode(*frame)
+	*frame = wireBytes
 	wire := int64(len(wireBytes))
 	d, _, ok := s.exchange("finalize", "", wire, 0, interp.CompComm)
 	if !ok {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/mem"
@@ -73,72 +75,134 @@ type Message struct {
 	Compressed bool
 }
 
+// pageRecordBytes is one page record, in a frame or in a compressed payload
+// before deflation: the page number and the full page.
+const pageRecordBytes = 4 + mem.PageSize
+
 // MaxWireBytes bounds one encoded message. The largest legitimate frames
 // are offload requests carrying a prefetched working set and finalization
 // messages carrying compressed dirty pages; even unscaled workloads stay
 // far below 1 GiB, so anything bigger is a malformed or hostile frame.
 const MaxWireBytes = 1 << 30
 
-// Encode serializes the message as
+// zeroPage pads a page record whose Data is shorter than a page.
+var zeroPage [mem.PageSize]byte
+
+// Encode serializes the message into a fresh buffer; see AppendEncode.
+func (m *Message) Encode() []byte {
+	return m.AppendEncode(nil)
+}
+
+// AppendEncode appends the message to dst as
 //
 //	[4-byte length][body][4-byte CRC32 (IEEE) of body]
 //
-// with the length prefix counting everything after itself (body + CRC).
-// The checksum lets the receiver detect payload corruption on a faulty
-// link and request a retransmission instead of interpreting garbage.
-func (m *Message) Encode() []byte {
-	var buf bytes.Buffer
-	buf.Grow(int(m.WireSize()))
-	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	w := func(v interface{}) { binary.Write(&buf, binary.LittleEndian, v) }
-	w(uint8(m.Kind))
-	w(m.TaskID)
-	w(m.SP)
-	w(uint32(len(m.Args)))
+// with the length prefix counting everything after itself (body + CRC), and
+// returns the extended slice. The checksum lets the receiver detect payload
+// corruption on a faulty link and request a retransmission instead of
+// interpreting garbage. dst grows at most once, to the frame's WireSize, and
+// whatever it held past its length is overwritten, so a recycled buffer
+// yields the bytes a fresh one would.
+func (m *Message) AppendEncode(dst []byte) []byte {
+	le := binary.LittleEndian
+	dst = slices.Grow(dst, int(m.WireSize()))
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0) // length placeholder
+	dst = append(dst, uint8(m.Kind))
+	dst = le.AppendUint32(dst, uint32(m.TaskID))
+	dst = le.AppendUint32(dst, m.SP)
+	dst = le.AppendUint32(dst, uint32(len(m.Args)))
 	for _, a := range m.Args {
-		w(a)
+		dst = le.AppendUint64(dst, a)
 	}
-	w(uint32(len(m.PageTable)))
+	dst = le.AppendUint32(dst, uint32(len(m.PageTable)))
 	for _, pn := range m.PageTable {
-		w(pn)
+		dst = le.AppendUint32(dst, pn)
 	}
-	w(uint32(len(m.Pages)))
+	dst = le.AppendUint32(dst, uint32(len(m.Pages)))
 	for _, p := range m.Pages {
-		w(p.PN)
-		data := p.Data
-		if len(data) != mem.PageSize {
-			padded := make([]byte, mem.PageSize)
-			copy(padded, data)
-			data = padded
-		}
-		buf.Write(data)
+		dst = le.AppendUint32(dst, p.PN)
+		dst = appendPage(dst, p.Data)
 	}
-	w(m.Addr)
-	w(m.FD)
-	w(m.N)
-	w(m.Ret)
+	dst = le.AppendUint32(dst, m.Addr)
+	dst = le.AppendUint32(dst, uint32(m.FD))
+	dst = le.AppendUint32(dst, uint32(m.N))
+	dst = le.AppendUint64(dst, m.Ret)
 	var comp uint8
 	if m.Compressed {
 		comp = 1
 	}
-	w(comp)
-	w(uint32(len(m.Data)))
-	buf.Write(m.Data)
+	dst = append(dst, comp)
+	dst = le.AppendUint32(dst, uint32(len(m.Data)))
+	dst = append(dst, m.Data...)
 
-	sum := crc32.ChecksumIEEE(buf.Bytes()[4:])
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], sum)
-	buf.Write(crc[:])
+	dst = le.AppendUint32(dst, crc32.ChecksumIEEE(dst[start+4:]))
+	le.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
+}
 
-	out := buf.Bytes()
-	binary.LittleEndian.PutUint32(out[:4], uint32(len(out)-4))
+// appendPage appends exactly one page: data cut or zero-padded to PageSize.
+func appendPage(dst, data []byte) []byte {
+	n := min(len(data), mem.PageSize)
+	dst = append(dst, data[:n]...)
+	return append(dst, zeroPage[n:]...)
+}
+
+// cursor walks a frame body front to back. A read past the end yields zeroes
+// and sets short; Decode checks it after each group of fixed fields, and
+// checks every declared count against rest() before taking what it counts.
+type cursor struct {
+	b     []byte
+	short bool
+}
+
+func (c *cursor) rest() int64 { return int64(len(c.b)) }
+
+// take returns the next n bytes, aliasing the frame, or nil if fewer remain.
+func (c *cursor) take(n int) []byte {
+	if len(c.b) < n {
+		c.short = true
+		c.b = nil
+		return nil
+	}
+	out := c.b[:n:n]
+	c.b = c.b[n:]
 	return out
 }
+
+func (c *cursor) u8() uint8 {
+	if b := c.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (c *cursor) u32() uint32 {
+	if b := c.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (c *cursor) u64() uint64 {
+	if b := c.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// errTruncated is a frame whose body ends inside a fixed field.
+var errTruncated = errors.New("offrt: truncated message body")
 
 // Decode parses and validates one encoded message. It never panics on
 // hostile input: the frame length, CRC32 checksum, message kind and every
 // declared element count are checked against the bytes actually present
-// before any allocation sized from them.
+// before anything is sized from or sliced by them.
+//
+// The message aliases b: each page record's Data and the Data payload are
+// subslices of the frame, not copies. Whoever recycles or rewrites the frame
+// must be done with them first — installed into a Memory (InstallPage
+// copies), inflated, or copied out.
 func Decode(b []byte) (*Message, error) {
 	if len(b) < 8 {
 		return nil, fmt.Errorf("offrt: short message (%d bytes)", len(b))
@@ -155,95 +219,86 @@ func Decode(b []byte) (*Message, error) {
 	if got := crc32.ChecksumIEEE(body); got != wantSum {
 		return nil, fmt.Errorf("offrt: checksum mismatch (got %08x, frame says %08x)", got, wantSum)
 	}
-	r := bytes.NewReader(body)
+	r := cursor{b: body}
 	m := &Message{}
-	var kind, comp uint8
-	var nArgs, nPT, nPages, nData uint32
-	rd := func(v interface{}) error { return binary.Read(r, binary.LittleEndian, v) }
-	if err := firstErr(
-		rd(&kind), rd(&m.TaskID), rd(&m.SP), rd(&nArgs),
-	); err != nil {
-		return nil, err
+	kind := r.u8()
+	m.TaskID, m.SP = int32(r.u32()), r.u32()
+	nArgs := r.u32()
+	if r.short {
+		return nil, errTruncated
 	}
 	if kind == 0 || MsgKind(kind) > MsgCheckpoint {
 		return nil, fmt.Errorf("offrt: unknown message kind %d", kind)
 	}
 	m.Kind = MsgKind(kind)
-	if nArgs > 1<<16 || int64(nArgs)*8 > int64(r.Len()) {
+	if nArgs > 1<<16 || int64(nArgs)*8 > r.rest() {
 		return nil, fmt.Errorf("offrt: absurd arg count %d", nArgs)
 	}
 	if nArgs > 0 {
-		m.Args = make([]uint64, 0, nArgs)
-	}
-	for i := uint32(0); i < nArgs; i++ {
-		var a uint64
-		if err := rd(&a); err != nil {
-			return nil, err
+		m.Args = make([]uint64, nArgs)
+		for i := range m.Args {
+			m.Args[i] = r.u64()
 		}
-		m.Args = append(m.Args, a)
 	}
-	if err := rd(&nPT); err != nil {
-		return nil, err
+	nPT := r.u32()
+	if r.short {
+		return nil, errTruncated
 	}
-	if nPT > 1<<24 || int64(nPT)*4 > int64(r.Len()) {
+	if nPT > 1<<24 || int64(nPT)*4 > r.rest() {
 		return nil, fmt.Errorf("offrt: absurd page table size %d", nPT)
 	}
 	if nPT > 0 {
-		m.PageTable = make([]uint32, 0, nPT)
-	}
-	for i := uint32(0); i < nPT; i++ {
-		var pn uint32
-		if err := rd(&pn); err != nil {
-			return nil, err
+		m.PageTable = make([]uint32, nPT)
+		for i := range m.PageTable {
+			m.PageTable[i] = r.u32()
 		}
-		m.PageTable = append(m.PageTable, pn)
 	}
-	if err := rd(&nPages); err != nil {
-		return nil, err
+	nPages := r.u32()
+	if r.short {
+		return nil, errTruncated
 	}
-	if nPages > 1<<20 || int64(nPages)*(4+mem.PageSize) > int64(r.Len()) {
+	if nPages > 1<<20 || int64(nPages)*pageRecordBytes > r.rest() {
 		return nil, fmt.Errorf("offrt: absurd page count %d", nPages)
 	}
 	if nPages > 0 {
-		m.Pages = make([]PageRecord, 0, nPages)
-	}
-	for i := uint32(0); i < nPages; i++ {
-		var pn uint32
-		if err := rd(&pn); err != nil {
-			return nil, err
+		m.Pages = make([]PageRecord, nPages)
+		for i := range m.Pages {
+			m.Pages[i] = PageRecord{PN: r.u32(), Data: r.take(mem.PageSize)}
 		}
-		data := make([]byte, mem.PageSize)
-		if _, err := io.ReadFull(r, data); err != nil {
-			return nil, err
-		}
-		m.Pages = append(m.Pages, PageRecord{PN: pn, Data: data})
 	}
-	if err := firstErr(rd(&m.Addr), rd(&m.FD), rd(&m.N), rd(&m.Ret), rd(&comp), rd(&nData)); err != nil {
-		return nil, err
+	m.Addr, m.FD, m.N, m.Ret = r.u32(), int32(r.u32()), int32(r.u32()), r.u64()
+	comp := r.u8()
+	nData := r.u32()
+	if r.short {
+		return nil, errTruncated
 	}
 	if comp > 1 {
 		return nil, fmt.Errorf("offrt: bad compression flag %d", comp)
 	}
 	m.Compressed = comp == 1
-	if int64(nData) != int64(r.Len()) {
-		return nil, fmt.Errorf("offrt: trailing data mismatch: declared %d, have %d", nData, r.Len())
+	if int64(nData) != r.rest() {
+		return nil, fmt.Errorf("offrt: trailing data mismatch: declared %d, have %d", nData, r.rest())
 	}
 	if nData > 0 {
-		m.Data = make([]byte, nData)
-		if _, err := io.ReadFull(r, m.Data); err != nil {
-			return nil, err
-		}
+		m.Data = r.take(int(nData))
 	}
 	return m, nil
 }
 
-func firstErr(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
+// frames recycles the encode buffers of the two page-carrying messages (the
+// offload request and the finalization): multi-megabyte frames that would
+// otherwise be faulted in and zeroed fresh for every offload. A frame goes
+// back once nothing decoded from it is still needed — Decode's result
+// aliases it.
+var frames sync.Pool
+
+// getFrame returns an empty frame buffer, recycled if one is available.
+func getFrame() *[]byte {
+	if f, _ := frames.Get().(*[]byte); f != nil {
+		*f = (*f)[:0]
+		return f
 	}
-	return nil
+	return new([]byte)
 }
 
 // wireFixedBytes is what every frame carries besides its variable-length
@@ -257,7 +312,7 @@ const wireFixedBytes = 4 + (1 + 4 + 4 + 4 + 4 + 4 + 8 + 1) + 4*4 + 4
 // wire, whatever its Data holds.
 func (m *Message) WireSize() int64 {
 	return wireFixedBytes + 8*int64(len(m.Args)) + 4*int64(len(m.PageTable)) +
-		(4+mem.PageSize)*int64(len(m.Pages)) + int64(len(m.Data))
+		pageRecordBytes*int64(len(m.Pages)) + int64(len(m.Data))
 }
 
 // deflaters recycles CompressPages' BestSpeed writers. A flate.Writer
@@ -269,23 +324,12 @@ var deflaters sync.Pool
 
 // CompressPages deflates a page set into the message's Data field and
 // drops the raw pages, returning the raw (pre-compression) size. The
-// mobile side reverses it with DecompressPages.
+// mobile side reverses it with DecompressPages. Each record is streamed
+// into the deflater as it is — a BestSpeed writer buffers a 64 KiB window
+// before it compresses anything, so its output does not depend on how the
+// input was cut into Writes.
 func (m *Message) CompressPages() (rawBytes int64, err error) {
-	var raw bytes.Buffer
-	raw.Grow(len(m.Pages) * (4 + mem.PageSize))
-	for _, p := range m.Pages {
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], p.PN)
-		raw.Write(hdr[:])
-		data := p.Data
-		if len(data) != mem.PageSize {
-			padded := make([]byte, mem.PageSize)
-			copy(padded, data)
-			data = padded
-		}
-		raw.Write(data)
-	}
-	rawBytes = int64(raw.Len())
+	rawBytes = int64(len(m.Pages)) * pageRecordBytes
 	var comp bytes.Buffer
 	w, _ := deflaters.Get().(*flate.Writer)
 	if w != nil {
@@ -293,8 +337,15 @@ func (m *Message) CompressPages() (rawBytes int64, err error) {
 	} else if w, err = flate.NewWriter(&comp, flate.BestSpeed); err != nil {
 		return rawBytes, err
 	}
-	if _, err := w.Write(raw.Bytes()); err != nil {
-		return rawBytes, err
+	var hdr [4]byte // escapes through Write: one for the call, not one a page
+	for _, p := range m.Pages {
+		binary.LittleEndian.PutUint32(hdr[:], p.PN)
+		n := min(len(p.Data), mem.PageSize)
+		for _, part := range [][]byte{hdr[:], p.Data[:n], zeroPage[n:]} {
+			if _, err := w.Write(part); err != nil {
+				return rawBytes, err
+			}
+		}
 	}
 	if err := w.Close(); err != nil {
 		return rawBytes, err
@@ -307,36 +358,65 @@ func (m *Message) CompressPages() (rawBytes int64, err error) {
 }
 
 // inflateGuess is the compression ratio DecompressPages sizes its first
-// buffer for. Dirty guest pages deflate between 3x (dense arrays) and
+// slab for. Dirty guest pages deflate between 3x (dense arrays) and
 // over 100x (mostly-zero heaps); guessing low costs the sparse payloads a
-// few doublings, guessing high would commit memory that dense ones — or a
+// few more slabs, guessing high would commit memory that dense ones — or a
 // hostile one — never fill.
 const inflateGuess = 4
 
-// DecompressPages inflates a finalization payload back into page records.
+// inflater is a recyclable flate reader together with the byte source it is
+// bound to: Reset re-aims fr at src, and src at the next payload.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+}
+
+// inflaters recycles DecompressPages' readers (a flate reader carries its
+// 32 KiB window and Huffman tables). Reset rewinds a used reader to the
+// state NewReader leaves; one that failed mid-stream is dropped anyway.
+var inflaters sync.Pool
+
+// DecompressPages inflates a finalization payload back into page records,
+// one record at a time into slabs the records alias (so the slabs are not
+// recycled). A slab's size is taken from the payload in hand — never from a
+// length field the peer wrote — and a full slab is followed by a new one,
+// not regrown, so no inflated byte is copied a second time.
 func (m *Message) DecompressPages() ([]PageRecord, error) {
 	if !m.Compressed {
 		return m.Pages, nil
 	}
-	// The output buffer starts at a size taken from the payload in hand —
-	// never from a length field the peer wrote — and doubles from there,
-	// where io.ReadAll would start at 512 bytes and regrow by quarters. The
-	// returned records alias it, so it is not recycled.
-	var buf bytes.Buffer
-	buf.Grow(inflateGuess * len(m.Data))
-	if _, err := buf.ReadFrom(flate.NewReader(bytes.NewReader(m.Data))); err != nil {
+	inf, _ := inflaters.Get().(*inflater)
+	if inf == nil {
+		inf = &inflater{}
+		inf.fr = flate.NewReader(&inf.src)
+	}
+	inf.src.Reset(m.Data)
+	if err := inf.fr.(flate.Resetter).Reset(&inf.src, nil); err != nil {
 		return nil, err
 	}
-	raw := buf.Bytes()
-	if len(raw)%(4+mem.PageSize) != 0 {
-		return nil, fmt.Errorf("offrt: corrupt page payload (%d bytes)", len(raw))
+	slabRecords := max(1, inflateGuess*len(m.Data)/pageRecordBytes)
+	var out []PageRecord
+	var slab []byte
+	for {
+		if len(slab) == 0 {
+			slab = make([]byte, slabRecords*pageRecordBytes)
+			out = slices.Grow(out, slabRecords)
+		}
+		rec := slab[:pageRecordBytes:pageRecordBytes]
+		n, err := io.ReadFull(inf.fr, rec)
+		if err == io.EOF {
+			break
+		}
+		if err == io.ErrUnexpectedEOF {
+			return nil, fmt.Errorf("offrt: corrupt page payload (%d bytes)", len(out)*pageRecordBytes+n)
+		}
+		if err != nil {
+			return nil, err
+		}
+		slab = slab[pageRecordBytes:]
+		out = append(out, PageRecord{PN: binary.LittleEndian.Uint32(rec), Data: rec[4:]})
 	}
-	out := make([]PageRecord, 0, len(raw)/(4+mem.PageSize))
-	for off := 0; off < len(raw); off += 4 + mem.PageSize {
-		out = append(out, PageRecord{
-			PN:   binary.LittleEndian.Uint32(raw[off:]),
-			Data: raw[off+4 : off+4+mem.PageSize],
-		})
-	}
+	inf.src.Reset(nil)
+	inflaters.Put(inf)
 	return out, nil
 }

@@ -32,6 +32,11 @@ func FuzzDecode(f *testing.F) {
 	f.Add(append(append([]byte(nil), enc...), 0xde, 0xad))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	// A body that ends inside each fixed field, behind a valid length prefix
+	// and checksum: the cursor's territory.
+	for _, frame := range truncatedHeaderFrames() {
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Decode(b)

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -142,9 +143,11 @@ func TestCompressDecompressPages(t *testing.T) {
 }
 
 // TestCompressPagesPooledWriterIdentical: CompressPages takes its deflate
-// writer from a pool, and what a recycled writer emits must be, byte for
-// byte, what a fresh one emits — the compressed size is charged to the
-// link, so a drift would move every simulated transfer time. Each subtest
+// writer from a pool and streams each record into it in pieces (page number,
+// page bytes, zero padding), and what comes out must be, byte for byte, what
+// a fresh writer makes of the concatenated records in one Write — the
+// compressed size is charged to the link, so a drift would move every
+// simulated transfer time. Each subtest
 // pushes a run of unlike page sets (sparse, dense, short pages that need
 // padding, a large set right before a small one) through the pool back to
 // back; the subtests run in parallel so the race detector sees the pool
@@ -330,4 +333,229 @@ func TestDecodeRejectsMalformedStructure(t *testing.T) {
 			t.Errorf("hostile count at offset %d accepted", off)
 		}
 	}
+}
+
+// wirePageSet is the page population the wire-path tests and
+// BenchmarkWirePages move: dense pseudo-random pages and sparse mostly-zero
+// heap pages, alternating, resident in a Memory so PageData hands out views.
+func wirePageSet(n int) (*mem.Memory, []uint32) {
+	src := mem.New()
+	x := uint32(12345)
+	pns := make([]uint32, n)
+	buf := make([]byte, mem.PageSize)
+	for i := range pns {
+		clear(buf)
+		if i%2 == 0 {
+			for j := range buf {
+				x = x*1664525 + 1013904223
+				buf[j] = byte(x >> 24)
+			}
+		} else {
+			for j := 0; j < len(buf); j += 96 {
+				buf[j] = byte(j + i)
+			}
+		}
+		pns[i] = mem.PageNum(mem.HeapBase) + uint32(i)
+		src.InstallPage(pns[i], buf)
+	}
+	return src, pns
+}
+
+func pageRecords(src *mem.Memory, pns []uint32) []PageRecord {
+	pages := make([]PageRecord, len(pns))
+	for i, pn := range pns {
+		pages[i] = PageRecord{PN: pn, Data: src.PageData(pn)}
+	}
+	return pages
+}
+
+// TestAppendEncodeIntoRecycledBuffer: a frame encoded into a recycled buffer
+// — full of another frame's bytes, too small, or already holding a prefix —
+// is byte for byte the frame a fresh Encode produces. The encoded size is
+// charged to the link and the CRC covers every byte, so stale buffer content
+// leaking into a frame would show here first.
+func TestAppendEncodeIntoRecycledBuffer(t *testing.T) {
+	src, pns := wirePageSet(6)
+	msgs := []*Message{
+		{Kind: MsgOffloadRequest, TaskID: 3, SP: 0x7fff_e000, Args: []uint64{1, 1 << 62},
+			PageTable: pns, Pages: pageRecords(src, pns)},
+		{Kind: MsgFinalize, Ret: 9, Pages: []PageRecord{
+			{PN: 1, Data: []byte("short")}, {PN: 2}, {PN: 3, Data: make([]byte, mem.PageSize+100)}}},
+		{Kind: MsgRemoteWrite, Data: []byte("score 42\n")},
+		{Kind: MsgShutdown},
+	}
+	for _, m := range msgs {
+		want := m.Encode()
+		garbage := bytes.Repeat([]byte{0xa5}, len(want)+512)
+		if got := m.AppendEncode(garbage[:0]); !bytes.Equal(got, want) {
+			t.Errorf("%v: encoding into a garbage-filled buffer differs from a fresh Encode", m.Kind)
+		}
+		if got := m.AppendEncode(garbage[: 0 : len(want)/2]); !bytes.Equal(got, want) {
+			t.Errorf("%v: encoding into a too-small buffer differs from a fresh Encode", m.Kind)
+		}
+		got := m.AppendEncode(garbage[:7])
+		if !bytes.Equal(got[:7], garbage[:7]) || !bytes.Equal(got[7:], want) {
+			t.Errorf("%v: appending after a prefix did not leave the prefix and the fresh frame", m.Kind)
+		}
+	}
+}
+
+// TestReleasedFrameDoesNotReachMemory: Decode's records alias the frame, and
+// the runtime recycles the frame as soon as they are installed — so nothing
+// installed may still point into it. Both directions: the request path and
+// the compressed return path are driven into a Memory, the frame is then
+// poisoned, and the Memory must still hold what was sent.
+func TestReleasedFrameDoesNotReachMemory(t *testing.T) {
+	src, pns := wirePageSet(8)
+	for _, compress := range []bool{false, true} {
+		m := &Message{Kind: MsgFinalize, Pages: pageRecords(src, pns)}
+		if compress {
+			if _, err := m.CompressPages(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frame := m.AppendEncode(nil)
+		got, err := Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages, err := got.DecompressPages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pages) != len(pns) {
+			t.Fatalf("compress=%v: %d pages decoded, sent %d", compress, len(pages), len(pns))
+		}
+		dst := mem.New()
+		for _, p := range pages {
+			dst.InstallPage(p.PN, p.Data)
+		}
+		for i := range frame {
+			frame[i] = 0xff
+		}
+		for _, pn := range pns {
+			if !bytes.Equal(dst.PageData(pn), src.PageData(pn)) {
+				t.Fatalf("compress=%v: page %#x changed when its released frame was overwritten", compress, pn)
+			}
+		}
+	}
+}
+
+// TestWirePathAllocationBudget pins the page path's allocation shape: the
+// encoder writes into the buffer it is given, the decoder allocates the
+// message and its three tables and nothing per page, and a page moved from
+// one Memory to another through the request path costs the receiving
+// Memory's page and no other page-sized allocation.
+func TestWirePathAllocationBudget(t *testing.T) {
+	const n = 256
+	src, pns := wirePageSet(n)
+	req := &Message{Kind: MsgOffloadRequest, TaskID: 1, Args: []uint64{7}, PageTable: pns, Pages: pageRecords(src, pns)}
+	frame := make([]byte, 0, req.WireSize())
+	if allocs := testing.AllocsPerRun(10, func() { frame = req.AppendEncode(frame[:0]) }); allocs != 0 {
+		t.Errorf("AppendEncode into a sized buffer: %.0f allocs, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 4 {
+		t.Errorf("Decode of a %d-page frame: %.0f allocs, want <= 4 (the message, Args, PageTable, Pages)", n, allocs)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	msg := &Message{Kind: MsgOffloadRequest, PageTable: pns, Pages: pageRecords(src, pns)}
+	got, err := Decode(msg.AppendEncode(frame[:0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := mem.New()
+	for _, p := range got.Pages {
+		dst.InstallPage(p.PN, p.Data)
+	}
+	runtime.ReadMemStats(&after)
+	if perPage := float64(after.TotalAlloc-before.TotalAlloc) / n; perPage > 1.5*mem.PageSize {
+		t.Errorf("request path allocated %.0f bytes per page moved, want one page (<= %d)", perPage, 3*mem.PageSize/2)
+	}
+	if !bytes.Equal(dst.PageData(pns[n-1]), src.PageData(pns[n-1])) {
+		t.Error("page drifted through the request path")
+	}
+}
+
+// TestDecodeRejectsTruncatedFixedFields cuts a frame's body at every byte in
+// turn — inside each fixed field, count and element (resealed, so length
+// prefix and checksum are valid): the cursor must refuse every one of them,
+// never read past the body.
+func TestDecodeRejectsTruncatedFixedFields(t *testing.T) {
+	for _, frame := range truncatedHeaderFrames() {
+		if _, err := Decode(frame); err == nil {
+			t.Errorf("body cut to %d bytes accepted", len(frame)-8)
+		}
+	}
+}
+
+// truncatedHeaderFrames returns one valid-looking frame per truncation point
+// of a small message's body: every proper prefix of it, with a fresh length
+// prefix and checksum.
+func truncatedHeaderFrames() [][]byte {
+	full := (&Message{Kind: MsgOffloadRequest, TaskID: 2, SP: 0xfff0, Args: []uint64{5},
+		PageTable: []uint32{10}, Ret: 1, Data: []byte{1}}).Encode()
+	body := full[4 : len(full)-4]
+	var out [][]byte
+	for cut := 0; cut < len(body); cut++ {
+		f := binary.LittleEndian.AppendUint32(nil, uint32(cut+4))
+		f = append(f, body[:cut]...)
+		out = append(out, binary.LittleEndian.AppendUint32(f, crc32.ChecksumIEEE(body[:cut])))
+	}
+	return out
+}
+
+// BenchmarkWirePages is the page path's in-process number: 256 dense and 256
+// sparse pages moved from one Memory to another the way a session moves
+// them. "request" is the prefetch direction (PageData views encoded into a
+// pooled frame, decoded, installed); "return" is the write-back direction
+// (compressed, encoded, decoded, inflated, installed over the pages already
+// there). MB/s counts raw page bytes moved.
+func BenchmarkWirePages(b *testing.B) {
+	const n = 512
+	src, pns := wirePageSet(n)
+	move := func(b *testing.B, dst *mem.Memory, compress bool) {
+		m := &Message{Kind: MsgFinalize, PageTable: pns, Pages: pageRecords(src, pns)}
+		if compress {
+			if _, err := m.CompressPages(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		frame := getFrame()
+		*frame = m.AppendEncode(*frame)
+		got, err := Decode(*frame)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pages, err := got.DecompressPages()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range pages {
+			dst.InstallPage(p.PN, p.Data)
+		}
+		frames.Put(frame)
+	}
+	b.Run("request", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(n * mem.PageSize)
+		for i := 0; i < b.N; i++ {
+			move(b, mem.New(), false) // the server starts every offload empty
+		}
+	})
+	b.Run("return", func(b *testing.B) {
+		dst := mem.New()
+		move(b, dst, true) // the mobile already holds the pages written back
+		b.ReportAllocs()
+		b.SetBytes(n * mem.PageSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			move(b, dst, true)
+		}
+	})
 }

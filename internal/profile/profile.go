@@ -179,9 +179,9 @@ type loopActivation struct {
 	pages   pageSet
 }
 
-// innerLoops maps each block of one function to its innermost containing
-// loop (nil if none).
-type innerLoops map[*ir.Block]*analysis.Loop
+// innerLoops holds, for each block of one function by ir.Block.Index, its
+// innermost containing loop (nil if none).
+type innerLoops []*analysis.Loop
 
 // Attach builds a profiler for m and registers its hooks. Call Detach when
 // done. m must report every join point the profiler listens on: a
@@ -207,12 +207,17 @@ func Attach(m *interp.Machine) (*Profiler, error) {
 			return nil, err
 		}
 		forest := analysis.FindLoops(cfg, analysis.Dominators(cfg))
-		inner := make(innerLoops)
+		inner := make(innerLoops, len(f.Blocks))
+		for i, b := range f.Blocks {
+			if b.Index != i {
+				return nil, fmt.Errorf("profile: %s.%s has a stale block index (run Renumber after mutating the function)", f.Nam, b.Nam)
+			}
+		}
 		// Loops are sorted outermost-first; later (inner) assignments win.
 		for _, l := range forest.Loops {
 			for b := range l.Blocks {
-				if cur := inner[b]; cur == nil || len(l.Blocks) < len(cur.Blocks) {
-					inner[b] = l
+				if cur := inner[b.Index]; cur == nil || len(l.Blocks) < len(cur.Blocks) {
+					inner[b.Index] = l
 				}
 			}
 		}
@@ -313,7 +318,7 @@ func (p *Profiler) EnterBlock(m *interp.Machine, f *ir.Func, b *ir.Block) {
 	if act.fn != f {
 		return
 	}
-	target := act.inner[b]
+	target := act.inner[b.Index]
 	if target == act.cur {
 		// Re-entering the header of the current loop is a new iteration,
 		// not a new activation; nothing to do.
