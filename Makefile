@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet benchvet benchtest fmt test smoke bench golden fuzz chaos
+.PHONY: check build vet benchvet benchtest fmt test smoke bench fleetbench golden fuzz chaos
 
 ## check: the tier-1 verification — build, vet (the root module and the
 ## nested benchmark module), the benchmark module's own tests, gofmt
@@ -59,6 +59,14 @@ bench:
 	$(GO) test -run '^$$' -bench 'PageFaultTrace' -benchmem ./internal/obs/
 	BENCH_JSON=$(CURDIR)/BENCH_interp.json $(GO) test ./internal/interp/ -run '^TestBenchJSON$$' -count=1 -v
 	BENCH_BIND_JSON=$(CURDIR)/BENCH_bind.json $(GO) test ./internal/interp/ -run '^TestBindBenchJSON$$' -count=1 -v
+
+## fleetbench: the fleet engine in process, host-timed, nothing written —
+## the benchmark's two fleet cells (sequential, sharded, and the overload
+## cell's local-only set-up run), the ready queue's hold model and the
+## latency sort against slices.Sort. Three iterations each: compare two
+## commits by alternating their test binaries, not from one run.
+fleetbench:
+	$(GO) test -run '^$$' -bench 'FleetCell|ReadyQueue|SortLatencies' -benchtime 3x -benchmem ./internal/fleet/
 
 ## golden: regenerate every golden file (Chrome export, metrics summary,
 ## breakdown tables, the profile reports of chess and the 17 workloads, the

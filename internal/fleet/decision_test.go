@@ -62,13 +62,13 @@ func TestFlatIsOneTierTopology(t *testing.T) {
 	}
 }
 
-// traceDigest runs cfg with an unbounded-enough tracer and hashes the
-// complete event stream, field by field, in emission order.
-func traceDigest(t *testing.T, cfg Config) string {
+// traceDigest runs cfg on an engine with an unbounded-enough tracer and
+// hashes the complete event stream, field by field, in emission order.
+func traceDigest(t *testing.T, cfg Config, engine func(Config) (*Result, error)) string {
 	t.Helper()
 	tr := obs.NewTracer(1 << 18)
 	cfg.Tracer = tr
-	res, err := Run(cfg)
+	res, err := engine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,8 @@ func traceDigest(t *testing.T, cfg Config) string {
 // chaos cell — retry, migration, tier-move and exemplar span events. The
 // digests were recorded before the intent paths and the re-placement
 // operations were unified; any reordering, dropped or altered event in
-// either the flat or the tiered stream changes them.
+// either the flat or the tiered stream changes them. The single-heap
+// oracle must hash to the same digests as the engine Run picks.
 func TestTraceDigestPinned(t *testing.T) {
 	flat := func(pol Policy) Config {
 		cfg := DefaultConfig(48, 2, pol)
@@ -128,8 +129,11 @@ func TestTraceDigestPinned(t *testing.T) {
 		{"flat/chaos", flatChaos, "821:6a3846130fed7153"},
 		{"tiered/chaos", chaos, "6995:ef6b564647dc57f6"},
 	} {
-		if got := traceDigest(t, tc.cfg); got != tc.want {
+		if got := traceDigest(t, tc.cfg, Run); got != tc.want {
 			t.Errorf("%s: trace digest %s, want %s", tc.name, got, tc.want)
+		}
+		if got := traceDigest(t, tc.cfg, runSequentialRef); got != tc.want {
+			t.Errorf("%s: single-heap reference trace digest %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

@@ -1,10 +1,14 @@
 package fleet
 
 import (
+	"math/bits"
+
 	"repro/internal/simtime"
 )
 
-// Event kinds of the discrete-event state machine.
+// Event kinds of the discrete-event state machine. The engines queue ready
+// events as readyEv entries; evReady tags them only in the single-heap
+// test oracle.
 const (
 	evReady  uint8 = iota // a client is ready to issue its next request
 	evArrive              // an offload request reaches its server
@@ -17,7 +21,9 @@ const (
 // intrinsic to the simulation rather than an artifact of a global push
 // counter: the lane is the entity the event belongs to (client id for
 // ready events, clients+serverIndex for server-side events) and seq is
-// the per-lane push ordinal. Both engines assign identical keys to
+// the per-lane push ordinal. Client lanes never hold two events, so the
+// engines queue them as bare (t, lane) entries (readyQueue) and only
+// server lanes carry events. Both engines assign identical keys to
 // identical logical events, which is what lets the sharded engine merge
 // per-shard streams back into the sequential engine's exact total order —
 // and why equal-time events tie-break by (lane, seq), not by whichever
@@ -115,22 +121,134 @@ func (q *eventQueue) siftDown(i int) {
 }
 
 // schedQueue is an eventQueue that assigns lane ordinals at push time —
-// the scheduling front-end used by the sequential engine (all lanes) and
-// by each shard (its own client lanes).
+// the sequential engine's scheduling front-end for its server lanes.
 type schedQueue struct {
 	eventQueue
 	seq laneSeq
 }
 
-// newSchedQueue starts the heap at one event per lane, about its working
-// size from the first wave on: a client has one pending event at a time —
-// its ready event, or the arrive/finish of its one request in flight.
 func newSchedQueue(base int32, lanes int) *schedQueue {
 	return &schedQueue{eventQueue: eventQueue{h: make([]event, 0, lanes)}, seq: newLaneSeq(base, lanes)}
 }
 
 func (q *schedQueue) sched(t simtime.PS, kind uint8, lane, si int32, j *job) {
 	q.push(event{t: t, lane: lane, seq: q.seq.next(lane), si: si, kind: kind, j: j})
+}
+
+// readyEv is one pending client ready event: the instant and the client
+// lane, nothing else. A client lane holds at most one pending event — its
+// ready event; while its one request is in flight the arrive/finish events
+// live on server lanes — so (t, lane) is already a total order over pending
+// ready events and the push ordinal, job pointer, server index and kind an
+// event carries would be dead weight. Half the size keeps a hundred
+// thousand pending entries inside L2.
+type readyEv struct {
+	t    simtime.PS
+	lane int32
+	_    int32
+}
+
+// lt is 1 if a sorts before b in the event order (t, lane, seq) restricted
+// to lanes that never hold two events, else 0, computed without a branch:
+// sibling comparisons in a heap are coin flips, and the mispredictions cost
+// more than the cache misses did. It is the borrow out of the 128-bit
+// subtraction (a.t:a.lane) - (b.t:b.lane), t's sign bit flipped so that the
+// unsigned borrow follows the signed order (lanes are never negative).
+func (a readyEv) lt(b readyEv) uint64 {
+	const sign = 1 << 63
+	_, borrow := bits.Sub64(uint64(uint32(a.lane)), uint64(uint32(b.lane)), 0)
+	_, borrow = bits.Sub64(uint64(a.t)^sign, uint64(b.t)^sign, borrow)
+	return borrow
+}
+
+func (a readyEv) before(b readyEv) bool { return a.lt(b) != 0 }
+
+// readyQueue is a 4-ary min-heap of ready events: the four children of a
+// node are 64 contiguous bytes, and the tree over the same entries is half
+// as deep as a binary one. Both engines merge it with a server-event queue
+// as two sorted streams; client lanes sort before every server lane, so the
+// merge takes a ready event whenever its instant is not later.
+//
+// Capacity is fixed at the lane count. A push beyond it means some client
+// holds two pending events, which would make the (t, lane) order ambiguous:
+// that panics, always, like finishRun's slot-accounting checks.
+type readyQueue struct {
+	h []readyEv
+}
+
+func newReadyQueue(lanes int) *readyQueue {
+	return &readyQueue{h: make([]readyEv, readyRoot, readyRoot+lanes)}
+}
+
+// readyRoot is the root's index in the backing array: with three unused
+// entries in front, the children of the node at p are 4(p-2) … 4(p-2)+3, a
+// group that starts on a 64-byte boundary whenever the array does (Go
+// page-aligns every allocation large enough for this to matter).
+const readyRoot = 3
+
+func (q *readyQueue) len() int     { return len(q.h) - readyRoot }
+func (q *readyQueue) top() readyEv { return q.h[readyRoot] }
+func (q *readyQueue) empty() bool  { return len(q.h) == readyRoot }
+
+func (q *readyQueue) push(t simtime.PS, lane int32) {
+	i := len(q.h)
+	if i == cap(q.h) {
+		panic("fleet: more pending ready events than client lanes")
+	}
+	h := q.h[:i+1]
+	ev := readyEv{t: t, lane: lane}
+	for i > readyRoot {
+		p := i/4 + 2
+		if !ev.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+	q.h = h
+}
+
+func (q *readyQueue) pop() readyEv {
+	h := q.h
+	top := h[readyRoot]
+	n := len(h) - 1
+	ev := h[n]
+	h = h[:n]
+	q.h = h
+	if n == readyRoot {
+		return top
+	}
+	// Sift the hole at the root down to where the former last entry fits.
+	i := readyRoot
+	for {
+		c := 4 * (i - 2)
+		if c >= n {
+			break
+		}
+		m := c
+		if c+4 <= n {
+			// A full group: the smaller of each pair, then the smaller of
+			// those two, as index arithmetic (a if lt is 0, b if 1).
+			g := h[c : c+4 : c+4]
+			a := g[1].lt(g[0])
+			b := 2 + g[3].lt(g[2])
+			m = c + int(a^((a^b)&-g[b].lt(g[a])))
+		} else {
+			for k := c + 1; k < n; k++ {
+				if h[k].before(h[m]) {
+					m = k
+				}
+			}
+		}
+		if !h[m].before(ev) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = ev
+	return top
 }
 
 // maxPS is the +infinity sentinel of the simulated clock.

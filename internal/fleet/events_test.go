@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"cmp"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/simtime"
 )
@@ -93,6 +96,81 @@ func TestWindowQueueMatchesHeap(t *testing.T) {
 				i, got[i].t, got[i].lane, got[i].seq, want[i].t, want[i].lane, want[i].seq)
 		}
 	}
+}
+
+// TestReadyEvSize pins the ready queue's entry at 16 bytes: four children
+// to a cache line and a hundred thousand pending clients inside L2 are
+// what the queue was split off the event heap for.
+func TestReadyEvSize(t *testing.T) {
+	if got := unsafe.Sizeof(readyEv{}); got != 16 {
+		t.Errorf("readyEv is %d bytes, want 16", got)
+	}
+}
+
+// TestReadyQueueMatchesSort: under random interleavings of pushes and pops,
+// with instants drawn from so few values that most pops break a tie, the
+// queue always yields the (t, lane) minimum of what is pending.
+func TestReadyQueueMatchesSort(t *testing.T) {
+	const lanes = 300
+	r := entityStream(21, 0)
+	q := newReadyQueue(lanes)
+	var pending []readyEv
+	free := make([]int32, lanes) // lanes with no pending event
+	for i := range free {
+		free[i] = int32(i)
+	}
+	pop := func() {
+		slices.SortFunc(pending, func(a, b readyEv) int {
+			return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.lane, b.lane))
+		})
+		if top := q.top(); top != pending[0] {
+			t.Fatalf("top is (%v, %d), the pending minimum is (%v, %d)", top.t, top.lane, pending[0].t, pending[0].lane)
+		}
+		if got := q.pop(); got != pending[0] {
+			t.Fatalf("popped (%v, %d), the pending minimum is (%v, %d)", got.t, got.lane, pending[0].t, pending[0].lane)
+		}
+		free = append(free, pending[0].lane)
+		pending = pending[1:]
+	}
+	for op := 0; op < 20000; op++ {
+		// Push-heavy until the lanes fill, so the heap is exercised at
+		// every depth it can reach.
+		if len(free) > 0 && (len(pending) == 0 || r.intn(5) < 3) {
+			k := r.intn(len(free))
+			lane := free[k]
+			free[k] = free[len(free)-1]
+			free = free[:len(free)-1]
+			at := simtime.PS(r.intn(12)) * simtime.Millisecond
+			q.push(at, lane)
+			pending = append(pending, readyEv{t: at, lane: lane})
+		} else {
+			pop()
+		}
+		if q.len() != len(pending) {
+			t.Fatalf("queue holds %d events, %d are pending", q.len(), len(pending))
+		}
+	}
+	for len(pending) > 0 {
+		pop()
+	}
+	if !q.empty() {
+		t.Errorf("queue still holds %d events after every pending one popped", q.len())
+	}
+}
+
+// TestReadyQueueOverflowPanics: one more pending ready event than lanes
+// means a client holds two, which the (t, lane) order cannot tell apart —
+// the queue must refuse rather than grow.
+func TestReadyQueueOverflowPanics(t *testing.T) {
+	q := newReadyQueue(2)
+	q.push(1, 0)
+	q.push(2, 1)
+	defer func() {
+		if recover() == nil {
+			t.Error("a third ready event on two lanes did not panic")
+		}
+	}()
+	q.push(3, 0)
 }
 
 // TestEntityStreamIndependence guards the satellite RNG fix: the old

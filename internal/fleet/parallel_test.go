@@ -13,7 +13,14 @@ import (
 // marshalResult canonicalizes a run for byte-level comparison.
 func marshalResult(t *testing.T, cfg Config) []byte {
 	t.Helper()
-	res, err := Run(cfg)
+	return marshalEngine(t, cfg, Run)
+}
+
+// marshalEngine is marshalResult on a given engine (Run, or the test-only
+// single-heap reference).
+func marshalEngine(t *testing.T, cfg Config, engine func(Config) (*Result, error)) []byte {
+	t.Helper()
+	res, err := engine(cfg)
 	if err != nil {
 		t.Fatalf("shards=%d: %v", cfg.Shards, err)
 	}
@@ -25,10 +32,11 @@ func marshalResult(t *testing.T, cfg Config) []byte {
 }
 
 // TestShardCountInvariance is the engine-equivalence regression: the
-// sharded engine must produce byte-identical Results to the sequential
-// reference for every shard count, across policies, under faults with
-// migration, and with the adaptive controller riding a diurnal curve.
-// This is what licenses using Shards as a pure wall-clock knob.
+// sequential engine (shards 0) and the sharded engine at every shard count
+// must produce Results byte-identical to the single-heap oracle's, across
+// policies, under faults with migration, and with the adaptive controller
+// riding a diurnal curve. This is what licenses using Shards as a pure
+// wall-clock knob, and keeping ready events as bare (t, lane) entries.
 func TestShardCountInvariance(t *testing.T) {
 	variants := map[string]func(Config) Config{
 		"plain": func(c Config) Config { return c },
@@ -51,12 +59,12 @@ func TestShardCountInvariance(t *testing.T) {
 		for _, pol := range Policies() {
 			cfg := mutate(DefaultConfig(64, 4, pol))
 			cfg.Seed = 9
-			ref := marshalResult(t, cfg)
-			for _, shards := range []int{1, 2, 3, 4, 8, 64} {
+			ref := marshalEngine(t, cfg, runSequentialRef)
+			for _, shards := range []int{0, 1, 2, 3, 4, 8, 64} {
 				c := cfg
 				c.Shards = shards
 				if got := marshalResult(t, c); string(got) != string(ref) {
-					t.Errorf("%s/%s: shards=%d diverged from sequential", name, pol, shards)
+					t.Errorf("%s/%s: shards=%d diverged from the single-heap reference", name, pol, shards)
 				}
 			}
 		}
@@ -73,7 +81,7 @@ func TestShardCountInvariance(t *testing.T) {
 	tcfg.Seed = 9
 	tcfg.Exemplars = 8
 	tcfg.Tracer = obs.NewTracer(1 << 17)
-	tref, err := Run(tcfg)
+	tref, err := runSequentialRef(tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +97,34 @@ func TestShardCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
+	for _, shards := range []int{0, 1, 2, 4, 8} {
 		c := tcfg
 		c.Shards = shards
 		c.Tracer = obs.NewTracer(1 << 17)
 		if got := marshalResult(t, c); string(got) != string(refJSON) {
-			t.Errorf("tiers: shards=%d diverged from sequential", shards)
+			t.Errorf("tiers: shards=%d diverged from the single-heap reference", shards)
+		}
+	}
+}
+
+// TestShardOfInvertsShardLo: completions are mailed to shardOf(client), so
+// it must name the shard whose [shardLo(s), shardLo(s+1)) range holds the
+// client, for every split including the uneven ones.
+func TestShardOfInvertsShardLo(t *testing.T) {
+	for clients := 1; clients <= 130; clients++ {
+		for nShards := 1; nShards <= min(clients, 17); nShards++ {
+			for s := 0; s < nShards; s++ {
+				lo, hi := shardLo(s, clients, nShards), shardLo(s+1, clients, nShards)
+				if lo >= hi {
+					t.Fatalf("%d clients / %d shards: shard %d is empty", clients, nShards, s)
+				}
+				for ci := lo; ci < hi; ci++ {
+					if got := shardOf(ci, clients, nShards); got != s {
+						t.Fatalf("%d clients / %d shards: client %d is in shard %d's range, shardOf says %d",
+							clients, nShards, ci, s, got)
+					}
+				}
+			}
 		}
 	}
 }

@@ -1,0 +1,48 @@
+package fleet
+
+import "repro/internal/simtime"
+
+// runSequentialRef is the single-heap engine the two-queue runSequential
+// replaced, kept as its oracle: every lane — clients and servers — in one
+// schedQueue of full 32-byte events ordered by (t, lane, seq). It never
+// assumes a client lane holds one event, so if that invariant broke the
+// per-lane ordinal would still order the two and the engines would
+// diverge from it here.
+func runSequentialRef(cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	clients, links, err := buildClients(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	st := NewStats(cfg.Clients * cfg.RequestsPerClient)
+	m := newMachine(&cfg, links, st)
+	nc := int32(cfg.Clients)
+	q := newSchedQueue(0, cfg.Clients+len(cfg.Servers))
+	m.sched = func(t simtime.PS, kind uint8, si int32, j *job) {
+		q.sched(t, kind, nc+si, si, j)
+	}
+	m.emit = func(msg doneMsg) {
+		next := applyDone(&cfg, &clients[msg.ci], msg, st)
+		q.sched(next, evReady, msg.ci, 0, nil)
+	}
+	for i := range clients {
+		q.sched(nextThink(&cfg, &clients[i], 0), evReady, int32(i), 0, nil)
+	}
+	m.scheduleFaults()
+
+	var now simtime.PS
+	for !q.empty() {
+		ev := q.pop()
+		now = ev.t
+		if ev.kind == evReady {
+			if in, ok := issueReady(&cfg, &clients[ev.lane], ev.lane, ev.t, st); ok {
+				m.handleIntent(in)
+			}
+			continue
+		}
+		m.handleServerEvent(ev)
+	}
+	return m.finishRun(st, now)
+}

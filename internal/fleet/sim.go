@@ -81,13 +81,14 @@ func issueReady(cfg *Config, cs *clientState, ci int32, now simtime.PS, st *Stat
 	tm := cs.rng.rangePS(cfg.Workload.TmMin, cfg.Workload.TmMax)
 	mem := cs.rng.rangeI64(cfg.Workload.MemMin, cfg.Workload.MemMax)
 	link := cs.link.At(now)
+	leg := link.TransferTime(mem) // the same link at the same instant prices both directions alike
 	return intent{
 		t:    now,
 		ci:   ci,
 		tm:   tm,
 		mem:  mem,
-		up:   link.TransferTime(mem),
-		down: link.TransferTime(mem),
+		up:   leg,
+		down: leg,
 		bw:   link.BandwidthBps,
 		rtt:  2 * (link.Latency + link.PerMessage),
 		job:  int64(ci)*int64(cfg.RequestsPerClient) + ord,
@@ -119,10 +120,11 @@ func Run(cfg Config) (*Result, error) {
 	return runSequential(cfg)
 }
 
-// runSequential is the single-heap reference engine: one event queue over
-// every lane, the machine's handlers invoked inline. It is kept as the
-// differential oracle for the sharded engine — same state machine, no
-// concurrency anywhere.
+// runSequential is the lookahead-free reference engine: the clients' ready
+// events in one queue, the server lanes' events in another, merged in
+// (t, lane, seq) order with the machine's handlers invoked inline. It is
+// kept as the differential oracle for the sharded engine — same state
+// machine, no concurrency anywhere.
 func runSequential(cfg Config) (*Result, error) {
 	clients, links, err := buildClients(&cfg)
 	if err != nil {
@@ -131,31 +133,38 @@ func runSequential(cfg Config) (*Result, error) {
 	st := NewStats(cfg.Clients * cfg.RequestsPerClient)
 	m := newMachine(&cfg, links, st)
 	nc := int32(cfg.Clients)
-	q := newSchedQueue(0, cfg.Clients+len(cfg.Servers))
+	rq := newReadyQueue(cfg.Clients)
+	q := newSchedQueue(nc, len(cfg.Servers))
 	m.sched = func(t simtime.PS, kind uint8, si int32, j *job) {
 		q.sched(t, kind, nc+si, si, j)
 	}
 	m.emit = func(msg doneMsg) {
-		next := applyDone(&cfg, &clients[msg.ci], msg, st)
-		q.sched(next, evReady, msg.ci, 0, nil)
+		rq.push(applyDone(&cfg, &clients[msg.ci], msg, st), msg.ci)
 	}
 
 	// Stagger the fleet's first wave by one think time per client.
 	for i := range clients {
-		q.sched(nextThink(&cfg, &clients[i], 0), evReady, int32(i), 0, nil)
+		rq.push(nextThink(&cfg, &clients[i], 0), int32(i))
 	}
 	m.scheduleFaults()
 
 	var now simtime.PS
-	for !q.empty() {
-		ev := q.pop()
-		now = ev.t
-		if ev.kind == evReady {
+	for {
+		// Client lanes sort before every server lane, so at equal
+		// instants the ready event goes first.
+		if !rq.empty() && (q.empty() || rq.top().t <= q.top().t) {
+			ev := rq.pop()
+			now = ev.t
 			if in, ok := issueReady(&cfg, &clients[ev.lane], ev.lane, ev.t, st); ok {
 				m.handleIntent(in)
 			}
 			continue
 		}
+		if q.empty() {
+			break
+		}
+		ev := q.pop()
+		now = ev.t
 		m.handleServerEvent(ev)
 	}
 	return m.finishRun(st, now)

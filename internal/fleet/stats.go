@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/obs"
@@ -11,14 +12,13 @@ import (
 )
 
 // Stats is the raw, mergeable tally one engine lane accumulates while a
-// run is in flight: outcome counters, the latency population, and the
-// end-to-end latency histogram. The sequential engine keeps a single
-// Stats; the sharded engine gives each shard (and the coordinator) its
-// own and merges them at the end. Merging is exact — counters add, the
-// latency population concatenates (every aggregate in Result is computed
-// after a sort, so order never matters), and the histogram merges
-// bucket-wise — so the merged Stats is indistinguishable from one that
-// observed every completion itself.
+// run is in flight: outcome counters and the latency population. The
+// sequential engine keeps a single Stats; the sharded engine gives each
+// shard (and the coordinator) its own and merges them at the end. Merging
+// is exact — counters add and the latency population concatenates (every
+// aggregate in Result, the E2E histogram snapshot included, is computed
+// after a sort, so order never matters) — so the merged Stats is
+// indistinguishable from one that observed every completion itself.
 type Stats struct {
 	// Client-side outcome counters.
 	Requests  int
@@ -53,15 +53,13 @@ type Stats struct {
 	// Latencies is the end-to-end latency population (decision to result
 	// in hand), one entry per completed request.
 	Latencies []simtime.PS
-	// E2E is the same population as a mergeable histogram.
-	E2E *obs.Histogram
 }
 
 // NewStats returns an empty tally with room for the latencies of that many
 // completions: an engine lane knows how many requests it will record, so
 // the population never regrows mid-run.
 func NewStats(completions int) *Stats {
-	return &Stats{E2E: obs.NewHistogram(), Latencies: make([]simtime.PS, 0, completions)}
+	return &Stats{Latencies: make([]simtime.PS, 0, completions)}
 }
 
 // Merge folds o into s. Safe when o is nil.
@@ -84,14 +82,12 @@ func (s *Stats) Merge(o *Stats) {
 	s.Demotions += o.Demotions
 	s.Events += o.Events
 	s.Latencies = append(s.Latencies, o.Latencies...)
-	s.E2E.Merge(o.E2E)
 }
 
 // record tallies one completion message.
 func (s *Stats) record(msg doneMsg) {
 	lat := msg.done - msg.decide
 	s.Latencies = append(s.Latencies, lat)
-	s.E2E.Record(int64(lat))
 	switch msg.kind {
 	case outOffload:
 		s.Offloads++
@@ -185,7 +181,8 @@ type Result struct {
 	// reflect what an arriving request actually experiences.
 	QueueWait obs.HistSnapshot `json:"queue_wait_hist"`
 	// E2E is the end-to-end latency distribution (ps) over every
-	// completed request, streamed through per-shard histograms.
+	// completed request: what a histogram that recorded each latency would
+	// snapshot to, derived from the sorted population.
 	E2E obs.HistSnapshot `json:"e2e_hist"`
 
 	// TraceDropped surfaces the tracer ring's overwrite count, so a bench
@@ -235,7 +232,6 @@ func (m *machine) finishRun(st *Stats, now simtime.PS) (*Result, error) {
 		Events:         st.Events,
 	}
 	res.QueueWait = m.hWait.Snapshot()
-	res.E2E = st.E2E.Snapshot()
 	if m.topo != nil {
 		res.TierMode = string(m.topo.EffectiveMode())
 		res.EdgeServers = m.topo.Edge.Servers
@@ -276,10 +272,90 @@ func percentile(sorted []simtime.PS, q float64) simtime.PS {
 	return sorted[i]
 }
 
+// Population sizes below which sortLatencies hands over to a comparison
+// sort: a radix pass costs a 256-entry histogram whatever the size.
+const (
+	radixMinLen    = 512 // whole populations under this go to slices.Sort
+	radixInsertion = 48  // buckets under this are insertion-sorted
+)
+
+// sortLatencies sorts the population ascending, in place: an American-flag
+// (in-place MSD) radix sort from the top byte of the largest value's
+// significant bits down, about twice as fast as a comparison sort at a
+// million entries and with no scratch buffer. Ascending order of integers
+// is unique, so the result is slices.Sort's, element for element.
+func sortLatencies(v []simtime.PS) {
+	if len(v) < radixMinLen {
+		slices.Sort(v)
+		return
+	}
+	lo, hi := v[0], v[0]
+	for _, x := range v {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	if lo < 0 { // never in a run (latencies are done - decide); radix digits assume unsigned
+		slices.Sort(v)
+		return
+	}
+	radixSort(v, uint(max(bits.Len64(uint64(hi))-8, 0)))
+}
+
+// radixSort permutes v into its 256 buckets by the byte at shift, then
+// sorts each bucket by the next byte down.
+func radixSort(v []simtime.PS, shift uint) {
+	var count, next, end [256]int
+	for _, x := range v {
+		count[uint8(x>>shift)]++
+	}
+	off := 0
+	for b, c := range count {
+		next[b] = off
+		off += c
+		end[b] = off
+	}
+	for b := range next {
+		for next[b] < end[b] {
+			// Cycle the entry at the bucket's cursor through the buckets
+			// it and its successors belong to, until one lands that
+			// belongs here.
+			x := v[next[b]]
+			for d := uint8(x >> shift); int(d) != b; d = uint8(x >> shift) {
+				x, v[next[d]] = v[next[d]], x
+				next[d]++
+			}
+			v[next[b]] = x
+			next[b]++
+		}
+	}
+	if shift == 0 {
+		return
+	}
+	// Fewer than eight bits left: the next byte overlaps this one, which is
+	// harmless (the shared bits are equal within a bucket).
+	shift = max(shift, 8) - 8
+	for b, c := range count {
+		switch bucket := v[end[b]-c : end[b]]; {
+		case c < 2:
+		case c < radixInsertion:
+			for i := 1; i < c; i++ {
+				x := bucket[i]
+				j := i
+				for ; j > 0 && bucket[j-1] > x; j-- {
+					bucket[j] = bucket[j-1]
+				}
+				bucket[j] = x
+			}
+		default:
+			radixSort(bucket, shift)
+		}
+	}
+}
+
 // finish derives the aggregate fields from the raw latency population and
 // final server states.
 func (r *Result) finish(latencies []simtime.PS, servers []*server, makespan simtime.PS) {
-	slices.Sort(latencies)
+	sortLatencies(latencies)
+	r.E2E = obs.SnapshotSorted(latencies)
 	r.P50Ms = percentile(latencies, 0.50).Millis()
 	r.P99Ms = percentile(latencies, 0.99).Millis()
 	var sum simtime.PS

@@ -3,6 +3,7 @@ package fleet
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // TestStatsMergeExact is the merge-exactness contract the sharded engine
 // relies on: recording a completion population split across several Stats
 // and merging must be indistinguishable from one Stats observing every
-// message itself — counters, latency population, and histogram snapshot.
+// message itself — counters and latency population.
 func TestStatsMergeExact(t *testing.T) {
 	r := entityStream(7, 0)
 	var msgs []doneMsg
@@ -54,11 +55,7 @@ func TestStatsMergeExact(t *testing.T) {
 	if !reflect.DeepEqual(sortPS(merged.Latencies), sortPS(whole.Latencies)) {
 		t.Error("merged latency population differs from the whole-run population")
 	}
-	if !reflect.DeepEqual(merged.E2E.Snapshot(), whole.E2E.Snapshot()) {
-		t.Error("merged histogram snapshot differs from the whole-run snapshot")
-	}
 	merged.Latencies, whole.Latencies = nil, nil
-	merged.E2E, whole.E2E = nil, nil
 	if !reflect.DeepEqual(merged, whole) {
 		t.Errorf("merged counters %+v != whole-run counters %+v", merged, whole)
 	}
@@ -111,6 +108,48 @@ func TestFinishSortOrderIndependent(t *testing.T) {
 		{"MeanMs", got.MeanMs, want.MeanMs}, {"GeomeanMs", got.GeomeanMs, want.GeomeanMs}} {
 		if math.Float64bits(f.got) != math.Float64bits(f.want) {
 			t.Errorf("%s = %v, the sort.Slice population gives %v", f.name, f.got, f.want)
+		}
+	}
+}
+
+// TestSortLatenciesMatchesSlicesSort: the in-place radix sort must leave
+// exactly what slices.Sort leaves, at every size class it switches
+// algorithm on and for every population shape that stresses a radix pass.
+func TestSortLatenciesMatchesSlicesSort(t *testing.T) {
+	r := entityStream(21, 1)
+	shapes := map[string]func(i, n int) simtime.PS{
+		"0-5s":      func(int, int) simtime.PS { return simtime.PS(r.next() % uint64(5*simtime.Second)) },
+		"under 256": func(int, int) simtime.PS { return simtime.PS(r.intn(256)) },
+		"all equal": func(int, int) simtime.PS { return 1234567 * simtime.Microsecond },
+		"sorted":    func(i, _ int) simtime.PS { return simtime.PS(i) * 997 * simtime.Microsecond },
+		"reversed":  func(i, n int) simtime.PS { return simtime.PS(n-i) * 997 * simtime.Microsecond },
+		// Most entries share their upper bytes: deep buckets, many duplicates.
+		"narrow": func(int, int) simtime.PS { return 3*simtime.Second + simtime.PS(r.intn(700)) },
+		"one negative": func(i, _ int) simtime.PS {
+			if i == 0 {
+				return -7
+			}
+			return simtime.PS(r.next() % uint64(5*simtime.Second))
+		},
+	}
+	sizes := []int{0, 1, 2, radixInsertion - 1, radixInsertion, radixInsertion + 1,
+		radixMinLen - 1, radixMinLen, radixMinLen + 1, 100_000}
+	for name, gen := range shapes {
+		ns := sizes
+		if name == "0-5s" && !testing.Short() {
+			ns = append(slices.Clone(sizes), 1_000_000) // the overload cell's population
+		}
+		for _, n := range ns {
+			got := make([]simtime.PS, n)
+			for i := range got {
+				got[i] = gen(i, n)
+			}
+			want := slices.Clone(got)
+			slices.Sort(want)
+			sortLatencies(got)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s, %d entries: sortLatencies differs from slices.Sort", name, n)
+			}
 		}
 	}
 }

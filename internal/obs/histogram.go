@@ -90,37 +90,6 @@ func (h *Histogram) Record(v int64) {
 	h.buckets[bucketIndex(v)].Add(1)
 }
 
-// Merge folds every observation recorded in o into h. The merge is exact:
-// bucket counts, count and sum add, max takes the larger, so a histogram
-// assembled by merging per-shard histograms snapshots identically to one
-// that recorded the same observations through a single instance. This is
-// what lets the sharded fleet engine stream stats through shard-local
-// histograms and still produce the sequential engine's numbers. Safe on
-// nil (either side) and for concurrent use.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	if c := o.count.Load(); c != 0 {
-		h.count.Add(c)
-	}
-	if s := o.sum.Load(); s != 0 {
-		h.sum.Add(s)
-	}
-	om := o.max.Load()
-	for {
-		old := h.max.Load()
-		if om <= old || h.max.CompareAndSwap(old, om) {
-			break
-		}
-	}
-	for i := range o.buckets {
-		if c := o.buckets[i].Load(); c != 0 {
-			h.buckets[i].Add(c)
-		}
-	}
-}
-
 // Count returns the number of recorded observations; 0 on nil.
 func (h *Histogram) Count() int64 {
 	if h == nil {
@@ -164,6 +133,32 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	s.P50 = h.quantile(0.50, s.Count, s.Max)
 	s.P90 = h.quantile(0.90, s.Count, s.Max)
 	s.P99 = h.quantile(0.99, s.Count, s.Max)
+	return s
+}
+
+// SnapshotSorted returns what a Histogram holds after recording every
+// value of an ascending slice, without the histogram: a caller that keeps
+// its whole population sorted anyway (the fleet's latency list) need not
+// also stream it through bucket counters. bucketIndex is monotone, so the
+// bucket of the rank-th value is the bucket Histogram.quantile's cumulative
+// walk stops in; negatives clamp to zero exactly as Record clamps them.
+func SnapshotSorted[T ~int64](sorted []T) HistSnapshot {
+	var s HistSnapshot
+	n := len(sorted)
+	if n == 0 {
+		return s
+	}
+	s.Count = int64(n)
+	for _, v := range sorted {
+		s.Sum += max(int64(v), 0)
+	}
+	s.Max = max(int64(sorted[n-1]), 0)
+	quantile := func(q float64) int64 {
+		rank := max(int64(math.Ceil(q*float64(n))), 1)
+		v := max(int64(sorted[rank-1]), 0)
+		return min(bucketUpper(bucketIndex(v)), s.Max)
+	}
+	s.P50, s.P90, s.P99 = quantile(0.50), quantile(0.90), quantile(0.99)
 	return s
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -178,33 +179,44 @@ func TestEventsWraparound(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeExact: merging shards must be indistinguishable from
-// one histogram that recorded everything — the property the fleet's
-// sharded engine relies on to stream statistics without a global lock.
-func TestHistogramMergeExact(t *testing.T) {
-	whole := NewHistogram()
-	parts := []*Histogram{NewHistogram(), NewHistogram(), NewHistogram()}
-	v := int64(1)
-	for i := 0; i < 5000; i++ {
-		v = (v*6364136223846793005 + 1442695040888963407) & math.MaxInt64
-		whole.Record(v)
-		parts[i%len(parts)].Record(v)
+// TestSnapshotSortedMatchesHistogram: SnapshotSorted must return what a
+// Histogram snapshots to after recording the same population one value at
+// a time — the property that lets the fleet derive Result.E2E from the
+// latency list it sorts anyway.
+func TestSnapshotSortedMatchesHistogram(t *testing.T) {
+	lcg := func(n int, mask int64) []int64 {
+		out := make([]int64, n)
+		v := int64(1)
+		for i := range out {
+			v = (v*6364136223846793005 + 1442695040888963407) & math.MaxInt64
+			out[i] = v & mask
+		}
+		return out
 	}
-	merged := NewHistogram()
-	for _, p := range parts {
-		merged.Merge(p)
+	// Twelve orders of magnitude: each value keeps a different number of
+	// its low bits.
+	wide := lcg(5000, math.MaxInt64)
+	for i := range wide {
+		wide[i] >>= uint(23 + i%40)
 	}
-	if got, want := merged.Snapshot(), whole.Snapshot(); got != want {
-		t.Errorf("merged snapshot %+v != whole-run snapshot %+v", got, want)
-	}
-
-	// Nil on either side is a no-op, never a panic.
-	var nilH *Histogram
-	nilH.Merge(merged)
-	before := merged.Snapshot()
-	merged.Merge(nil)
-	merged.Merge(NewHistogram())
-	if merged.Snapshot() != before {
-		t.Error("merging nil/empty changed the snapshot")
+	for name, pop := range map[string][]int64{
+		"empty":       nil,
+		"one":         {123456789},
+		"exact":       lcg(300, 15),
+		"one bucket":  {1000, 1000, 1000, 1001},
+		"wide":        wide,
+		"full range":  lcg(5000, math.MaxInt64),
+		"negative":    append(lcg(100, 1<<40-1), -5),
+		"all clamped": {-3, -2, -1},
+	} {
+		h := NewHistogram()
+		for _, v := range pop {
+			h.Record(v)
+		}
+		sorted := slices.Clone(pop)
+		slices.Sort(sorted)
+		if got, want := SnapshotSorted(sorted), h.Snapshot(); got != want {
+			t.Errorf("%s: SnapshotSorted %+v != recorded histogram %+v", name, got, want)
+		}
 	}
 }
