@@ -1,6 +1,7 @@
 package offrt
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/mem"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -55,8 +57,32 @@ func sessionDigest(t *testing.T, mk func(tr *obs.Tracer) *testEnv) (string, *tes
 		s.Comp, s.ServerCompute, env.mobile.Clock, env.server.Clock)
 	fmt.Fprintf(h, "energy %x %x\n",
 		s.Recorder.EnergyMJ(energy.FastModel()), s.Recorder.EnergyMJ(energy.SlowModel()))
-	fmt.Fprintf(h, "exit %d digest %x output %q\n", code, s.MemDigest(), env.io.Out.String())
+	fmt.Fprintf(h, "exit %d memory %x output %q\n", code, memFingerprint(s.Mobile.Mem), env.io.Out.String())
 	return fmt.Sprintf("%d:%x", tr.Len(), h.Sum(nil)[:8]), env
+}
+
+// memFingerprint hashes the memory Session.MemDigest covers — the present
+// pages in order, stacks and all-zero pages left out — with SHA-256 instead
+// of mem.Digest, so the pins below hold whatever hash function Digest uses.
+func memFingerprint(mm *mem.Memory) []byte {
+	h := sha256.New()
+	zero := make([]byte, mem.PageSize)
+pages:
+	for _, pn := range mm.PresentPages() {
+		lo := mem.PageAddr(pn)
+		for _, r := range mem.StackRanges() {
+			if lo < r.Hi && lo+mem.PageSize > r.Lo {
+				continue pages
+			}
+		}
+		data := mm.PageData(pn)
+		if bytes.Equal(data, zero) {
+			continue
+		}
+		fmt.Fprintf(h, "%d:", pn)
+		h.Write(data)
+	}
+	return h.Sum(nil)
 }
 
 // verbose is a program whose one offload target prints ~19 KB in short
@@ -91,9 +117,10 @@ var verbose = &workloads.Workload{
 // TestSessionTraceDigestPinned pins the session's whole observable
 // behaviour — the offrt counterpart of the fleet's TestTraceDigestPinned.
 // The digests were recorded before the seven server-side services were
-// folded onto one remote-service primitive; any reordered, dropped or
-// altered event, any counter, clock, energy or output byte that moves on
-// any of these session shapes changes them.
+// folded onto one remote-service primitive, and re-recorded — same code,
+// same sessions — when the memory term became memFingerprint; any reordered,
+// dropped or altered event, any counter, clock, energy, memory or output byte
+// that moves on any of these session shapes changes them.
 func TestSessionTraceDigestPinned(t *testing.T) {
 	twolf := workloadPair(t, "300.twolf") // remote open/read/close + r_printf
 	gzip := workloadPair(t, "164.gzip")   // starred: declines on 802.11n
@@ -145,18 +172,18 @@ func TestSessionTraceDigestPinned(t *testing.T) {
 	}{
 		{"remote-io/fast", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr), WithMetrics(obs.NewMetrics()))
-		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:96e76a15a0c0e9ef"},
+		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:0c1b672ecbc0f237"},
 		{"remote-io/slow", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, slow(), Policy{}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:e3d174915360726b"},
+		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:a7cfd13fac9c17b3"},
 		{"decline/gzip-slow", func(tr *obs.Tracer) *testEnv {
 			return gzip.session(t, slow(), Policy{}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.Declines > 0 && s.Stats.Offloads == 0 }, "3:2f8199ca7b2c78d6"},
+		}, func(s *Session) bool { return s.Stats.Declines > 0 && s.Stats.Offloads == 0 }, "3:4967e639305932a2"},
 		{"link-outage", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr), WithFaults(faults.MustInjector(outage)))
 		}, func(s *Session) bool {
 			return s.Stats.Aborts == 1 && s.Stats.Fallbacks == 1 && s.Stats.Retries > 0 && s.quarantineUntil > 0
-		}, "1015:5a9b932f2fb89b28"},
+		}, "1015:9271c85f5e559c1e"},
 		{"dead-link/quarantine", func(tr *obs.Tracer) *testEnv {
 			// The offload request itself never arrives: fallback without the
 			// server, then the cool-down declines the later invocations.
@@ -164,39 +191,39 @@ func TestSessionTraceDigestPinned(t *testing.T) {
 			rec.Cooldown = simtime.FromSeconds(3600)
 			return sjeng.session(t, fast(), Policy{}, WithTracer(tr), WithRecovery(rec),
 				WithFaults(faults.MustInjector(faults.Plan{Outages: []faults.Window{{Start: 0, End: 1 << 62}}})))
-		}, func(s *Session) bool { return s.Stats.Aborts == 0 && s.Stats.Fallbacks == 1 && s.Stats.Declines == 2 }, "21:9808158f0358e10d"},
+		}, func(s *Session) bool { return s.Stats.Aborts == 0 && s.Stats.Fallbacks == 1 && s.Stats.Declines == 2 }, "21:d7b0b489fd2324e5"},
 		{"crash-retry", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr),
 				WithServerFaults(serverEvent(faults.Crash, mid)), WithMigration(DefaultMigration()))
-		}, func(s *Session) bool { return s.Stats.CrashRetries == 1 && s.Stats.Fallbacks == 0 }, "2584:f5b696e98f0745dc"},
+		}, func(s *Session) bool { return s.Stats.CrashRetries == 1 && s.Stats.Fallbacks == 0 }, "2584:1774244e745fc9f0"},
 		{"drain-decline", func(tr *obs.Tracer) *testEnv {
 			// twolf's evaluation input outruns its profile, so Equation 1 sees
 			// no remaining work worth shipping: the drain aborts to fallback.
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr),
 				WithServerFaults(serverEvent(faults.Drain, mid)), WithMigration(DefaultMigration()))
-		}, func(s *Session) bool { return s.Stats.Migrations == 0 && s.Stats.Aborts == 1 && s.Stats.Fallbacks == 1 }, "867:68f30cbe9b67f8b2"},
+		}, func(s *Session) bool { return s.Stats.Migrations == 0 && s.Stats.Aborts == 1 && s.Stats.Fallbacks == 1 }, "867:7d5630fc1cfe4276"},
 		{"drain-migrate", func(tr *obs.Tracer) *testEnv {
 			return mcf.session(t, fast(), Policy{}, WithTracer(tr),
 				WithServerFaults(serverEvent(faults.Drain, simtime.Second)), WithMigration(DefaultMigration()))
-		}, func(s *Session) bool { return s.Stats.Migrations == 1 && s.Stats.Fallbacks == 0 }, "23:392099fb8bc04718"},
+		}, func(s *Session) bool { return s.Stats.Migrations == 1 && s.Stats.Fallbacks == 0 }, "23:16d0e636bd8df372"},
 		{"tiers/3way", func(tr *obs.Tracer) *testEnv {
 			return mcf.session(t, fast(), Policy{}, WithTracer(tr), WithTiers(tiers.Default(2, 1)))
-		}, func(s *Session) bool { return s.Stats.EdgePlaced+s.Stats.CloudPlaced > 0 }, "19:75535ee157794160"},
+		}, func(s *Session) bool { return s.Stats.EdgePlaced+s.Stats.CloudPlaced > 0 }, "19:c919a47a013be435"},
 		{"policy/batch-output", func(tr *obs.Tracer) *testEnv {
 			return sphinx.session(t, fast(), Policy{BatchOutput: true}, WithTracer(tr))
-		}, func(s *Session) bool { return printfs(s) == 1 }, "20:74ce69d8bd73dacb"},
+		}, func(s *Session) bool { return printfs(s) == 1 }, "20:100312b79f1653d9"},
 		{"policy/batch-threshold", func(tr *obs.Tracer) *testEnv {
 			return loud.session(t, fast(), Policy{BatchOutput: true, ForceOffload: true}, WithTracer(tr))
-		}, func(s *Session) bool { return printfs(s) == 3 }, "24:616b11772986afef"},
+		}, func(s *Session) bool { return printfs(s) == 3 }, "24:4d831020a20ad6de"},
 		{"policy/unbatched", func(tr *obs.Tracer) *testEnv {
 			return sphinx.session(t, fast(), Policy{}, WithTracer(tr))
-		}, func(s *Session) bool { return printfs(s) == 36 }, "160:f04d1ac9df579c59"},
+		}, func(s *Session) bool { return printfs(s) == 36 }, "160:88821fec74e7026c"},
 		{"policy/no-compress", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{NoCompress: true}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.WriteBackWireBytes >= s.Stats.RawBytesToMobile }, "1673:0a1118b7ae9d0b30"},
+		}, func(s *Session) bool { return s.Stats.WriteBackWireBytes >= s.Stats.RawBytesToMobile }, "1673:4b060cdf80d022d9"},
 		{"policy/no-prefetch", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{NoPrefetch: true}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.PrefetchPages == 0 && s.Stats.Faults > 1 }, "1697:6cf1b94f77944c05"},
+		}, func(s *Session) bool { return s.Stats.PrefetchPages == 0 && s.Stats.Faults > 1 }, "1697:935e2306647ee319"},
 	} {
 		got, env := sessionDigest(t, tc.mk)
 		if !tc.exercised(env.sess) {
