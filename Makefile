@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet benchvet benchtest fmt test smoke bench fleetbench golden fuzz chaos
+.PHONY: check build vet benchvet benchtest fmt test smoke bench fleetbench guestbench golden fuzz chaos
 
 ## check: the tier-1 verification — build, vet (the root module and the
 ## nested benchmark module), the benchmark module's own tests, gofmt
@@ -67,6 +67,16 @@ bench:
 ## commits by alternating their test binaries, not from one run.
 fleetbench:
 	$(GO) test -run '^$$' -bench 'FleetCell|ReadyQueue|SortLatencies' -benchtime 3x -benchmem ./internal/fleet/
+
+## guestbench: the guest hot path in process, host-timed, one thread,
+## nothing written — the three engine kernels (fast vs reference), the
+## semantic-memory digest, and the 17 Table 4 programs on their profiling
+## inputs plain vs profiled (the profiler's overhead is the ratio of those two
+## rows). Compare two commits by alternating their test binaries and taking
+## minima, not from one run.
+guestbench:
+	$(GO) test -run '^$$' -bench 'InterpLoop|LoadStore|CallReturn|Digest' -benchtime 0.3s -cpu 1 ./internal/interp/
+	$(GO) test -run '^$$' -bench 'ProfileRun' -benchtime 5x -cpu 1 ./internal/profile/
 
 ## golden: regenerate every golden file (Chrome export, metrics summary,
 ## breakdown tables, the profile reports of chess and the 17 workloads, the

@@ -61,21 +61,24 @@ func kernelMachineCfg(t testing.TB, mod *ir.Module, cfg CompileConfig, eng Engin
 	return bind(t, work, cfg, WithEngine(eng)), work.Func("kern")
 }
 
-// nopListener is the cheapest possible Listener: what is left of an
-// instrumented run's cost is the engine's own.
-type nopListener struct{}
+// regionListener does what the cheapest footprint observer must: every
+// function entry opens a region, so it invalidates the page caches to have
+// the region's pages reported to Touch again. What is left of an instrumented
+// run's cost is the engine's own.
+type regionListener struct{ opened int }
 
-func (nopListener) EnterFunc(*Machine, *ir.Func)             {}
-func (nopListener) ExitFunc(*Machine, *ir.Func)              {}
-func (nopListener) EnterBlock(*Machine, *ir.Func, *ir.Block) {}
+func (l *regionListener) EnterFunc(m *Machine, _ *ir.Func)       { l.opened++; m.Mem.Invalidate() }
+func (*regionListener) ExitFunc(*Machine, *ir.Func)              {}
+func (*regionListener) EnterBlock(*Machine, *ir.Func, *ir.Block) {}
 
 // TestFastEngineZeroAllocSteadyState asserts the fast engine allocates
 // nothing per instruction once warm: loads, stores, binary ops and
 // branches run entirely on the pre-decoded stream, the frame free list and
 // the page-cache fast path (mirrors the PR-1 obs zero-alloc tests). The
 // observed cells run the instrumented program with a Listener and a Touch
-// observer attached: the hooks fire on every block, call, load and store, and
-// the engine stays on that same stream and page cache.
+// observer attached: the hooks fire on every block and call, every page-cache
+// fill is reported — again after each invalidation, never on a hit — and the
+// engine stays on that same stream and page cache.
 func TestFastEngineZeroAllocSteadyState(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -90,17 +93,15 @@ func TestFastEngineZeroAllocSteadyState(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m, kern := kernelMachineCfg(t, tc.mod, CompileConfig{
 				Name: "bench", Spec: arch.ARM32(), InitUVAGlobals: true, Instrument: tc.observed}, EngineFast)
-			touches := 0
+			touches, regions := 0, &regionListener{}
 			if tc.observed {
-				m.Listener = nopListener{}
+				m.Listener = regions
 				m.Mem.Touch = func(uint32) { touches++ }
 			}
 			if _, err := m.CallFunc(kern); err != nil { // warm: fault pages, fill pools
 				t.Fatal(err)
 			}
-			if tc.observed && touches < 256 {
-				t.Fatalf("Touch saw %d accesses of a 256-iteration load/store loop", touches)
-			}
+			touches, regions.opened = 0, 0
 			allocs := testing.AllocsPerRun(10, func() {
 				if _, err := m.CallFunc(kern); err != nil {
 					t.Fatal(err)
@@ -108,6 +109,12 @@ func TestFastEngineZeroAllocSteadyState(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("fast engine steady state: %.1f allocs/run, want 0", allocs)
+			}
+			// Each region refills what its invalidation emptied — at least one
+			// page a run, at most the kernels' four pages in both caches a
+			// region — and the loop kernel's 256 iterations are one region.
+			if tc.observed && (touches < 11 || touches > 8*regions.opened) {
+				t.Errorf("Touch saw %d pages in %d regions over 11 steady-state runs", touches, regions.opened)
 			}
 		})
 	}

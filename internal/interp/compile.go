@@ -51,6 +51,8 @@ const (
 	cStoreInt
 	cStoreF32
 	cStoreSlow // refs[aux] = *ir.Store (every other store: aux = byte size)
+	// cStoreIntBr is a cStoreInt fused with the cBr behind it (see fuse).
+	cStoreIntBr
 
 	// Binary ops: x in (a,imm), y in (b,imm2), dst in c.
 	cAdd
@@ -72,6 +74,10 @@ const (
 	cCmpS // signed integers
 	cCmpU // pointers (unsigned)
 	cCmpF // floats
+	// cCmpSBr and cCmpUBr are the integer compares fused with the cCondBr
+	// behind them, which tests their result (see fuse).
+	cCmpSBr
+	cCmpUBr
 
 	cIndexAddr // base in (a,imm), index in (b,imm2), stride in aux
 
@@ -119,7 +125,7 @@ type carg struct {
 // trap) and at every terminator, and the engine adds the charge before it
 // executes the instruction, so the clock any such instruction sees is
 // bit-identical to the reference engine's charge-per-instruction
-// interleaving.
+// interleaving. Only those opcodes look at steps and cycles.
 type cinstr struct {
 	op      cop
 	steps   int32
@@ -552,6 +558,31 @@ func (c *compiler) compileInto(cf *cfunc) {
 			cf.code[fx.pc].b = start[fx.dst]
 		case 2:
 			cf.code[fx.pc].c = start[fx.dst]
+		}
+	}
+	fuse(cf.code)
+}
+
+// fuse is the peephole behind the engine's three fused opcodes, the hottest
+// dispatch pairs of the paper sweep: an integer compare followed by the
+// conditional branch on its result (every loop condition) and a store
+// followed by an unconditional branch (every loop latch that writes its
+// induction variable back). Only the first instruction's opcode changes. The
+// branch stays where it is, at pc+1, and the fused case reads its charge and
+// targets from there, so cinstr does not grow and the stream still holds one
+// instruction per IR instruction; nothing jumps to the branch itself, because
+// branch targets are block starts and it shares a block with the instruction
+// before it.
+func fuse(code []cinstr) {
+	for pc := 0; pc+1 < len(code); pc++ {
+		in, next := &code[pc], &code[pc+1]
+		switch {
+		case in.op == cCmpS && next.op == cCondBr && next.a == in.c:
+			in.op = cCmpSBr
+		case in.op == cCmpU && next.op == cCondBr && next.a == in.c:
+			in.op = cCmpUBr
+		case in.op == cStoreInt && next.op == cBr:
+			in.op = cStoreIntBr
 		}
 	}
 }

@@ -93,13 +93,22 @@ func (m *Machine) runCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 // cycles*CostScale*CyclePS distributes over the sum of the segments' cycles
 // (mod 2^64), so settling many segments at once lands on the same clock as
 // settling each. It does not look at the sampler: with one attached the loop
-// settles — and ticks — at every segment end, and no other site has anything
-// pending.
+// settles — and ticks — at every segment end (settleTick), and no other site
+// has anything pending.
 func (m *Machine) settle(steps, cycles int64) {
 	m.Steps += steps
 	d := simtime.PS(cycles*m.CostScale) * simtime.PS(m.Spec.CyclePS)
 	m.Clock += d
 	m.Comp[CompCompute] += d
+}
+
+// settleTick is settle at a segment end: an attached sampler takes the tick
+// the advanced clock has reached there, where per-segment charging would.
+func (m *Machine) settleTick(steps, cycles int64) {
+	m.settle(steps, cycles)
+	if s := m.sampler; s != nil && m.Clock >= s.next {
+		s.take(m.Clock)
+	}
 }
 
 // rhit and whit report whether the cached entry serves an access to page pn
@@ -162,10 +171,10 @@ func cmpBits(pred int32, lt, eq bool) uint64 {
 }
 
 // readMem is the aligned scalar read fast path: a TLB hit indexes the
-// resident page array without allocating. A Touch observer is told of the
-// access from here on a hit (on a miss, Page reports it), so profiling keeps
-// the TLB. Accesses that straddle a page fall back to the allocating slow
-// path with identical semantics.
+// resident page array without allocating. A Touch observer hears of the page
+// when the entry is filled (Page reports it) and not on a hit; it calls
+// Memory.Invalidate to be told again. Accesses that straddle a page fall back
+// to the allocating slow path with identical semantics.
 func (m *Machine) readMem(addr uint32, size int) (uint64, error) {
 	mm := m.Mem
 	off := addr & (mem.PageSize - 1)
@@ -178,8 +187,6 @@ func (m *Machine) readMem(addr uint32, size int) (uint64, error) {
 				return 0, err
 			}
 			e.data, e.pn, e.gen = data, pn, mm.Gen()
-		} else if mm.Touch != nil {
-			mm.Touch(pn)
 		}
 		b := e.data[off:]
 		switch size {
@@ -210,8 +217,6 @@ func (m *Machine) writeMem(addr uint32, size int, v uint64) error {
 				return err
 			}
 			e.data, e.pn, e.gen, e.track = data, pn, mm.Gen(), mm.TrackDirty
-		} else if mm.Touch != nil {
-			mm.Touch(pn)
 		}
 		storeLE(e.data[off:], size, v)
 		return nil
@@ -220,38 +225,34 @@ func (m *Machine) writeMem(addr uint32, size int, v uint64) error {
 }
 
 // execCompiled is the fast engine's hot loop: a switch over the small
-// pre-decoded opcode enum. Segment charges (cinstr.steps/cycles) accumulate
-// in two locals and are settled into the Machine only ahead of something that
-// can read its Clock, Steps or Comp: a call (compiled, extern or indirect),
-// a Listener hook, every way out of the loop, and a memory access that
-// leaves the loop — a TLB miss or page-straddling access can reach the
-// mem.Fault handler, a slow-path access always goes through Memory. Pure
-// register instructions and branches never settle.
+// pre-decoded opcode enum. A segment's charge (cinstr.steps/cycles) is added
+// by the opcode that ends it — the ones compileInto flushes on: memory
+// accesses, calls, alloca, integer divides, traps and terminators — so a pure
+// register instruction does no charge work at all. Charges accumulate in two
+// locals and are settled into the Machine only ahead of something that can
+// read its Clock, Steps or Comp: a call (compiled, extern or indirect), a
+// Listener hook, every way out of the loop, and a memory access that leaves
+// the loop — a TLB miss or page-straddling access can reach the mem.Fault
+// handler or a Touch observer, a slow-path access always goes through Memory.
 //
-// With a sampler or a Touch observer attached the loop is eager: it settles
-// at every segment end, takes the sampler's tick there — ticks belong where
-// the clock advances — and sends every access through readMem/writeMem,
-// which report a hit's page to the observer (it reads the clock). Both then
-// see exactly the instants of per-segment charging. They are looked at once
-// per activation: attach them between top-level calls.
+// A fused opcode (cCmpSBr, cCmpUBr, cStoreIntBr) does its own work and then
+// that of the branch compileInto left behind it at code[pc], the branch's
+// segment charge included: one dispatch for two instructions, each charged
+// and — with a sampler — ticked where it would have been.
+//
+// With a sampler attached every segment end settles and takes the sampler's
+// tick — ticks belong where the clock advances — so the sampler sees exactly
+// the instants of per-segment charging. It is looked at once per activation:
+// attach it between top-level calls.
 func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 	code := cf.code
 	mm := m.Mem
-	eager := m.sampler != nil || mm.Touch != nil
+	sampled := m.sampler != nil
 	var pendSteps, pendCycles int64
 	pc := int32(0)
 	for {
 		in := &code[pc]
 		pc++
-		pendSteps += int64(in.steps)
-		pendCycles += in.cycles
-		if eager && in.steps != 0 {
-			m.settle(pendSteps, pendCycles)
-			pendSteps, pendCycles = 0, 0
-			if s := m.sampler; s != nil && m.Clock >= s.next {
-				s.take(m.Clock)
-			}
-		}
 		switch in.op {
 		case cAdd:
 			regs[in.c] = rv(regs, in.a, in.imm) + rv(regs, in.b, in.imm2)
@@ -260,6 +261,12 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 		case cMul:
 			regs[in.c] = rv(regs, in.a, in.imm) * rv(regs, in.b, in.imm2)
 		case cDiv:
+			pendSteps += int64(in.steps)
+			pendCycles += in.cycles
+			if sampled {
+				m.settleTick(pendSteps, pendCycles)
+				pendSteps, pendCycles = 0, 0
+			}
 			y := int64(rv(regs, in.b, in.imm2))
 			if y == 0 {
 				m.settle(pendSteps, pendCycles)
@@ -267,6 +274,12 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 			}
 			regs[in.c] = uint64(int64(rv(regs, in.a, in.imm)) / y)
 		case cRem:
+			pendSteps += int64(in.steps)
+			pendCycles += in.cycles
+			if sampled {
+				m.settleTick(pendSteps, pendCycles)
+				pendSteps, pendCycles = 0, 0
+			}
 			y := int64(rv(regs, in.b, in.imm2))
 			if y == 0 {
 				m.settle(pendSteps, pendCycles)
@@ -304,6 +317,27 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 			fy := math.Float64frombits(rv(regs, in.b, in.imm2))
 			regs[in.c] = cmpBits(in.aux, fx < fy, fx == fy)
 
+		case cCmpSBr, cCmpUBr:
+			x, y := rv(regs, in.a, in.imm), rv(regs, in.b, in.imm2)
+			lt := x < y
+			if in.op == cCmpSBr {
+				lt = int64(x) < int64(y)
+			}
+			cond := cmpBits(in.aux, lt, x == y)
+			regs[in.c] = cond
+			br := &code[pc]
+			pendSteps += int64(br.steps)
+			pendCycles += br.cycles
+			if sampled {
+				m.settleTick(pendSteps, pendCycles)
+				pendSteps, pendCycles = 0, 0
+			}
+			if cond != 0 {
+				pc = br.b
+			} else {
+				pc = br.c
+			}
+
 		case cIndexAddr:
 			base := rv(regs, in.a, in.imm)
 			idx := int64(rv(regs, in.b, in.imm2))
@@ -324,6 +358,12 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 			regs[in.c] = math.Float64bits(float64(float32(math.Float64frombits(rv(regs, in.a, in.imm)))))
 
 		case cAlloca:
+			pendSteps += int64(in.steps)
+			pendCycles += in.cycles
+			if sampled {
+				m.settleTick(pendSteps, pendCycles)
+				pendSteps, pendCycles = 0, 0
+			}
 			size := uint32(in.imm)
 			if m.sp < m.spFloor+size {
 				m.settle(pendSteps, pendCycles)
@@ -333,15 +373,17 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 			regs[in.c] = uint64(m.sp)
 
 		case cLoad, cLoadF32:
+			pendSteps += int64(in.steps)
+			pendCycles += in.cycles
 			addr := uint32(rv(regs, in.a, in.imm))
 			pn, off := addr>>mem.PageShift, addr&(mem.PageSize-1)
 			var raw uint64
-			if e := &m.rtlb[pn&(tlbWays-1)]; !eager && off <= mem.PageSize-8 && e.rhit(pn, mm) {
+			if e := &m.rtlb[pn&(tlbWays-1)]; !sampled && off <= mem.PageSize-8 && e.rhit(pn, mm) {
 				// Eight bytes from here stay inside the page whatever the
 				// access size: read them all and keep the low ones.
 				raw = binary.LittleEndian.Uint64(e.data[off:]) & in.imm2
 			} else {
-				m.settle(pendSteps, pendCycles)
+				m.settleTick(pendSteps, pendCycles)
 				pendSteps, pendCycles = 0, 0
 				var err error
 				if raw, err = m.readMem(addr, int(in.b)); err != nil {
@@ -355,7 +397,7 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 			}
 			regs[in.c] = raw
 		case cLoadSlow:
-			m.settle(pendSteps, pendCycles)
+			m.settleTick(pendSteps+int64(in.steps), pendCycles+in.cycles)
 			pendSteps, pendCycles = 0, 0
 			ld := cf.refs[in.aux].(*ir.Load)
 			bits, err := m.loadScalarNoCharge(uint32(rv(regs, in.a, in.imm)), ld.Elem, ld.Lay)
@@ -364,24 +406,36 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 			}
 			regs[in.c] = bits
 
-		case cStoreInt, cStoreF32:
+		case cStoreInt, cStoreF32, cStoreIntBr:
+			pendSteps += int64(in.steps)
+			pendCycles += in.cycles
 			v := rv(regs, in.b, in.imm2)
 			if in.op == cStoreF32 {
 				v = uint64(math.Float32bits(float32(math.Float64frombits(v))))
 			}
 			addr := uint32(rv(regs, in.a, in.imm))
 			pn, off := addr>>mem.PageShift, addr&(mem.PageSize-1)
-			if e := &m.wtlb[pn&(tlbWays-1)]; !eager && int(off)+int(in.aux) <= mem.PageSize && e.whit(pn, mm) {
+			if e := &m.wtlb[pn&(tlbWays-1)]; !sampled && int(off)+int(in.aux) <= mem.PageSize && e.whit(pn, mm) {
 				storeLE(e.data[off:], int(in.aux), v)
 			} else {
-				m.settle(pendSteps, pendCycles)
+				m.settleTick(pendSteps, pendCycles)
 				pendSteps, pendCycles = 0, 0
 				if err := m.writeMem(addr, int(in.aux), v); err != nil {
 					return 0, err
 				}
 			}
+			if in.op == cStoreIntBr {
+				br := &code[pc]
+				pendSteps += int64(br.steps)
+				pendCycles += br.cycles
+				if sampled {
+					m.settleTick(pendSteps, pendCycles)
+					pendSteps, pendCycles = 0, 0
+				}
+				pc = br.a
+			}
 		case cStoreSlow:
-			m.settle(pendSteps, pendCycles)
+			m.settleTick(pendSteps+int64(in.steps), pendCycles+in.cycles)
 			pendSteps, pendCycles = 0, 0
 			st := cf.refs[in.aux].(*ir.Store)
 			if err := m.storeScalarNoCharge(uint32(rv(regs, in.a, in.imm)), st.Val.Type(), st.Lay, rv(regs, in.b, in.imm2)); err != nil {
@@ -389,7 +443,7 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 			}
 
 		case cCall:
-			m.settle(pendSteps, pendCycles)
+			m.settleTick(pendSteps+int64(in.steps), pendCycles+in.cycles)
 			pendSteps, pendCycles = 0, 0
 			call := &cf.calls[in.aux]
 			var v uint64
@@ -407,7 +461,7 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 			}
 
 		case cCallInd:
-			m.settle(pendSteps, pendCycles)
+			m.settleTick(pendSteps+int64(in.steps), pendCycles+in.cycles)
 			pendSteps, pendCycles = 0, 0
 			if in.b != 0 {
 				// Function pointer translation (Section 3.4); its cost is
@@ -448,21 +502,33 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 			}
 
 		case cBr:
+			pendSteps += int64(in.steps)
+			pendCycles += in.cycles
+			if sampled {
+				m.settleTick(pendSteps, pendCycles)
+				pendSteps, pendCycles = 0, 0
+			}
 			pc = in.a
 		case cCondBr:
+			pendSteps += int64(in.steps)
+			pendCycles += in.cycles
+			if sampled {
+				m.settleTick(pendSteps, pendCycles)
+				pendSteps, pendCycles = 0, 0
+			}
 			if rv(regs, in.a, in.imm) != 0 {
 				pc = in.b
 			} else {
 				pc = in.c
 			}
 		case cRet:
-			m.settle(pendSteps, pendCycles)
+			m.settleTick(pendSteps+int64(in.steps), pendCycles+in.cycles)
 			if in.aux != 0 {
 				return rv(regs, in.a, in.imm), nil
 			}
 			return 0, nil
 		case cTrap:
-			m.settle(pendSteps, pendCycles)
+			m.settleTick(pendSteps+int64(in.steps), pendCycles+in.cycles)
 			return 0, cf.traps[in.aux]
 
 		case cEnterBlock:

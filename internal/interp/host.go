@@ -87,17 +87,34 @@ func NewStdIO(ints []int64) *StdIO {
 // AddInput appends scanf integer tokens.
 func (h *StdIO) AddInput(vs ...int64) { h.ints = append(h.ints, vs...) }
 
-// AddFile installs an in-memory file.
-func (h *StdIO) AddFile(name string, data []byte) { h.files[name] = data }
+// The synthetic files' generator is the 32-bit LCG next(s) = lcgA*s + lcgC.
+// Four steps of it are again one affine step, lcgA4*s + lcgC4 (mod 2^32),
+// which lets four interleaved lanes produce the serial stream without one
+// multiply waiting for the last.
+const (
+	lcgA  = 1664525
+	lcgC  = 1013904223
+	lcgA4 = lcgA * lcgA * lcgA * lcgA % (1 << 32)
+	lcgC4 = lcgC * (lcgA*lcgA*lcgA + lcgA*lcgA + lcgA + 1) % (1 << 32)
+)
 
 // SyntheticFile installs a deterministic pseudo-random file of the given
-// size, standing in for SPEC reference inputs.
+// size, standing in for SPEC reference inputs: byte i is the top byte of the
+// LCG's state after i+1 steps from seed|1.
 func (h *StdIO) SyntheticFile(name string, size int, seed uint32) {
 	data := make([]byte, size)
-	s := seed | 1
-	for i := range data {
-		s = s*1664525 + 1013904223
+	s0 := (seed|1)*lcgA + lcgC
+	s1 := s0*lcgA + lcgC
+	s2 := s1*lcgA + lcgC
+	s3 := s2*lcgA + lcgC
+	i := 0
+	for ; i+4 <= size; i += 4 {
+		data[i], data[i+1], data[i+2], data[i+3] = byte(s0>>24), byte(s1>>24), byte(s2>>24), byte(s3>>24)
+		s0, s1, s2, s3 = s0*lcgA4+lcgC4, s1*lcgA4+lcgC4, s2*lcgA4+lcgC4, s3*lcgA4+lcgC4
+	}
+	for _, s := range []uint32{s0, s1, s2}[:size-i] {
 		data[i] = byte(s >> 24)
+		i++
 	}
 	h.files[name] = data
 }

@@ -469,3 +469,26 @@ func TestConversions(t *testing.T) {
 		t.Errorf("conversion chain = %d, want 40", code)
 	}
 }
+
+// TestSyntheticFileIsTheSerialLCG holds the four-lane generator to its
+// one-line definition at every remainder of four and across a long file.
+func TestSyntheticFileIsTheSerialLCG(t *testing.T) {
+	sizes := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1<<20 + 3}
+	for _, seed := range []uint32{0, 7, 0x2468ace0, ^uint32(0)} {
+		for _, size := range sizes {
+			io := NewStdIO(nil)
+			io.SyntheticFile("f", size, seed)
+			got := io.files["f"]
+			if len(got) != size {
+				t.Fatalf("seed %d size %d: file has %d bytes", seed, size, len(got))
+			}
+			s := seed | 1
+			for i := range got {
+				s = s*1664525 + 1013904223
+				if got[i] != byte(s>>24) {
+					t.Fatalf("seed %d size %d: byte %d is %#x, the serial generator gives %#x", seed, size, i, got[i], byte(s>>24))
+				}
+			}
+		}
+	}
+}

@@ -158,9 +158,6 @@ func (m *Machine) FuncAt(addr uint32) (*ir.Func, bool) {
 	return f, ok
 }
 
-// GlobalAddr returns the loaded address of g on this machine.
-func (m *Machine) GlobalAddr(g *ir.Global) uint32 { return m.lay.globalAddr[g] }
-
 func alignUp32(n, a uint32) uint32 { return (n + a - 1) / a * a }
 
 // charge advances the clock by the cost of op, amplified by CostScale, and

@@ -119,6 +119,28 @@ func sysExternProgram() *ir.Module {
 	return mod
 }
 
+// fusedStoreProgram's only store is the last instruction before an
+// unconditional branch — compiled as one cStoreIntBr — and the first access
+// to its page: the fault it takes is served from inside the fused opcode.
+func fusedStoreProgram() *ir.Module {
+	mod := ir.NewModule("fusedstore")
+	b := ir.NewBuilder(mod)
+	flag := b.GlobalVar("flag", ir.I64, ir.Int64(5))
+	far := b.GlobalVar("far", ir.Array(ir.I64, 2048))
+	b.NewFunc("main", ir.I32)
+	v := b.Load(flag)
+	b.If(b.Cmp(ir.NE, v, ir.Int64(0)), func() {
+		b.Store(b.Index(far, ir.Int64(fusedStoreIndex)), b.Mul(v, ir.Int64(3)))
+	}, nil)
+	b.Ret(b.Convert(ir.ConvTrunc, b.Load(b.Index(far, ir.Int64(fusedStoreIndex))), ir.I32))
+	b.Finish()
+	return mod
+}
+
+// fusedStoreIndex puts the store two pages past far's first element, clear of
+// the page flag is read from.
+const fusedStoreIndex = 1024
+
 // TestPlainMachineObserversMatchReferenceEngine is the contract deferred
 // settling leans on: on an uninstrumented fast machine with no Listener,
 // Touch observer or sampler — the configuration that defers — every call out
@@ -126,7 +148,10 @@ func sysExternProgram() *ir.Module {
 // SysHost service) must find the Clock, Steps and Comp the reference engine
 // shows at the same call, over the seeded random programs, the trapping
 // programs and a program built around the runtime's externs. A segment
-// charge still pending at any of those calls shows up as a smaller clock.
+// charge still pending at any of those calls shows up as a smaller clock. A
+// fused opcode must not overshoot either: the handler of a store that faults
+// inside cStoreIntBr sees the clock without the charge of the branch behind
+// it (fusedStoreProgram), which the reference engine has not reached yet.
 func TestPlainMachineObserversMatchReferenceEngine(t *testing.T) {
 	seeds := 40
 	if testing.Short() {
@@ -135,13 +160,33 @@ func TestPlainMachineObserversMatchReferenceEngine(t *testing.T) {
 	cells := diffCells(seeds)
 	for _, sp := range diffSpecs() {
 		cells = append(cells, diffCell{fmt.Sprintf("sys-externs %s/std=%s", sp.spec.Name, sp.std.Name), sysExternProgram(), sp.spec, sp.std})
+		cells = append(cells, diffCell{fmt.Sprintf("fused-store %s/std=%s", sp.spec.Name, sp.std.Name), fusedStoreProgram(), sp.spec, sp.std})
 	}
-	faults, writes, sys := 0, 0, 0
+	faults, writes, sys, fusedFaults := 0, 0, 0, 0
 	for _, c := range cells {
 		work := c.mod.Clone(c.mod.Name)
 		ir.Lower(work, c.spec, c.std)
 		cfg := CompileConfig{Name: "diff", Spec: c.spec, Std: c.std, InitUVAGlobals: true}
-		fastRun, fastLog := observed(bind(t, work, cfg))
+		fast := bind(t, work, cfg)
+		fastRun, fastLog := observed(fast)
+		if far := work.Global("far"); far != nil && c.std.Endian == arch.Little {
+			var stores []cop
+			for _, in := range fast.cc.cfuncs[work.Func("main")].code {
+				switch in.op {
+				case cStoreInt, cStoreF32, cStoreSlow, cStoreIntBr:
+					stores = append(stores, in.op)
+				}
+			}
+			if !slices.Equal(stores, []cop{cStoreIntBr}) {
+				t.Fatalf("%s: main's stores compile to %v, want one cStoreIntBr", c.label, stores)
+			}
+			want := fmt.Sprintf("fault %#x", mem.PageNum(fast.GlobalAddr(far)+8*fusedStoreIndex))
+			for _, o := range fastLog {
+				if o.where == want {
+					fusedFaults++
+				}
+			}
+		}
 		refRun, refLog := observed(bind(t, work, cfg, WithEngine(EngineRef)))
 		compareRuns(t, c.label, fastRun, refRun)
 		if !slices.Equal(fastLog, refLog) {
@@ -163,8 +208,8 @@ func TestPlainMachineObserversMatchReferenceEngine(t *testing.T) {
 			}
 		}
 	}
-	if faults == 0 || writes == 0 || sys == 0 {
-		t.Errorf("vacuous: %d fault, %d io.write and %d sys observations", faults, writes, sys)
+	if faults == 0 || writes == 0 || sys == 0 || fusedFaults == 0 {
+		t.Errorf("vacuous: %d fault (%d inside a fused store), %d io.write and %d sys observations", faults, fusedFaults, writes, sys)
 	}
 }
 
@@ -178,8 +223,10 @@ func TestCinstrSize(t *testing.T) {
 }
 
 // TestSegmentChargeOnLastInstruction: every compiled stream carries its
-// charges on segment-ending instructions only — a register-only instruction
-// never does — and they add up to the function's instruction count.
+// charges on segment-ending instructions only — the opcodes the engine charges
+// from; a register-only instruction never does, a fused compare included —
+// and they add up to the function's instruction count. A fused opcode is
+// always followed by the branch it executes, and no branch targets that one.
 func TestSegmentChargeOnLastInstruction(t *testing.T) {
 	spec := arch.ARM32()
 	work := genProgram(3)
@@ -189,13 +236,23 @@ func TestSegmentChargeOnLastInstruction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		fused := 0
 		for f, cf := range prog.cc.cfuncs {
 			var steps int64
+			targets := make(map[int32]bool)
+			for i := range cf.code {
+				switch in := &cf.code[i]; in.op {
+				case cBr:
+					targets[in.a] = true
+				case cCondBr:
+					targets[in.b], targets[in.c] = true, true
+				}
+			}
 			for i := range cf.code {
 				in := &cf.code[i]
 				steps += int64(in.steps)
 				switch in.op {
-				case cAlloca, cLoad, cLoadF32, cLoadSlow, cStoreInt, cStoreF32, cStoreSlow,
+				case cAlloca, cLoad, cLoadF32, cLoadSlow, cStoreInt, cStoreF32, cStoreSlow, cStoreIntBr,
 					cDiv, cRem, cCall, cCallInd, cBr, cCondBr, cRet, cTrap:
 					if in.steps == 0 {
 						t.Errorf("%s pc %d: segment-ending op %d carries no charge", f.Nam, i, in.op)
@@ -203,6 +260,30 @@ func TestSegmentChargeOnLastInstruction(t *testing.T) {
 				default:
 					if in.steps != 0 || in.cycles != 0 {
 						t.Errorf("%s pc %d: op %d carries a charge mid-segment", f.Nam, i, in.op)
+					}
+				}
+				behind := cInvalid
+				switch in.op {
+				case cCmpSBr, cCmpUBr:
+					behind = cCondBr
+				case cStoreIntBr:
+					behind = cBr
+				case cCmpS, cCmpU:
+					if next := cf.code[i+1]; next.op == cCondBr && next.a == in.c {
+						t.Errorf("%s pc %d: compare and the branch on it were left unfused", f.Nam, i)
+					}
+				case cStoreInt:
+					if cf.code[i+1].op == cBr {
+						t.Errorf("%s pc %d: store and the branch behind it were left unfused", f.Nam, i)
+					}
+				}
+				if behind != cInvalid {
+					fused++
+					if next := cf.code[i+1]; next.op != behind || (behind == cCondBr && next.a != in.c) {
+						t.Errorf("%s pc %d: fused op %d is followed by op %d", f.Nam, i, in.op, next.op)
+					}
+					if targets[int32(i+1)] {
+						t.Errorf("%s pc %d: the branch of fused op %d is a branch target", f.Nam, i+1, in.op)
 					}
 				}
 			}
@@ -213,6 +294,9 @@ func TestSegmentChargeOnLastInstruction(t *testing.T) {
 			if steps != want {
 				t.Errorf("%s (instrument=%v): charges count %d steps, the function has %d instructions", f.Nam, instrument, steps, want)
 			}
+		}
+		if fused == 0 {
+			t.Errorf("instrument=%v: no fused opcode in the program", instrument)
 		}
 	}
 }

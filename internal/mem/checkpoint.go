@@ -47,10 +47,8 @@ func (m *Memory) Checkpoint() *Checkpoint {
 	}
 	slices.Sort(pns)
 	for _, pn := range pns {
-		p := m.pages[pn]
-		data := make([]byte, PageSize)
-		copy(data, p.data[:])
-		c.Pages = append(c.Pages, CheckpointPage{PN: pn, Dirty: p.dirty, Data: data})
+		_, dirty := m.dirty[pn]
+		c.Pages = append(c.Pages, CheckpointPage{PN: pn, Dirty: dirty, Data: slices.Clone(m.pages[pn][:])})
 	}
 	for pn := range m.masked {
 		c.Masked = append(c.Masked, pn)
@@ -66,11 +64,15 @@ func (m *Memory) Checkpoint() *Checkpoint {
 // target and restores into it, after which Digest, DirtyPages, and
 // PresentPages match the source exactly.
 func (m *Memory) Restore(c *Checkpoint) {
-	m.pages = make(map[uint32]*page, len(c.Pages))
+	m.pages = make(map[uint32]*[PageSize]byte, len(c.Pages))
+	m.dirty = nil
 	for _, cp := range c.Pages {
-		p := &page{dirty: cp.Dirty}
-		copy(p.data[:], cp.Data)
+		p := new([PageSize]byte)
+		copy(p[:], cp.Data)
 		m.pages[cp.PN] = p
+		if cp.Dirty {
+			m.markDirty(cp.PN)
+		}
 	}
 	m.masked = nil
 	if len(c.Masked) > 0 {

@@ -10,6 +10,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 )
 
@@ -39,22 +40,22 @@ func Snapshot(m *Memory) *Image {
 	byContent := make(map[uint64][]*[PageSize]byte)
 	zeroSeen := false
 	for pn, p := range m.pages {
-		if pageIsZero(&p.data) {
+		if pageIsZero(p) {
 			img.pages[pn] = &zeroPage
 			zeroSeen = true
 			continue
 		}
-		h := pageHash(&p.data)
+		h := pageHash(p)
 		var arr *[PageSize]byte
 		for _, cand := range byContent[h] {
-			if bytes.Equal(cand[:], p.data[:]) {
+			if bytes.Equal(cand[:], p[:]) {
 				arr = cand
 				break
 			}
 		}
 		if arr == nil {
 			arr = new([PageSize]byte)
-			*arr = p.data
+			*arr = *p
 			byContent[h] = append(byContent[h], arr)
 			img.uniqueBytes += PageSize
 		}
@@ -100,7 +101,7 @@ func (im *Image) UniqueBytes() int { return im.uniqueBytes }
 // pageIsZero scans a page word-wise for any set bit.
 func pageIsZero(p *[PageSize]byte) bool {
 	for i := 0; i < PageSize; i += 8 {
-		if p[i]|p[i+1]|p[i+2]|p[i+3]|p[i+4]|p[i+5]|p[i+6]|p[i+7] != 0 {
+		if binary.LittleEndian.Uint64(p[i:]) != 0 {
 			return false
 		}
 	}

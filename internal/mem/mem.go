@@ -64,7 +64,13 @@ type FaultHandler func(pn uint32) ([]byte, error)
 // into the private page set, so many sessions instantiated from one program
 // image pay resident bytes only for what they actually mutate.
 type Memory struct {
-	pages map[uint32]*page
+	// pages is the private page set. A page is exactly PageSize bytes — one
+	// allocator size class — so its dirty bit lives beside it, in dirty.
+	pages map[uint32]*[PageSize]byte
+
+	// dirty is the set of private pages written since the last ClearDirty
+	// (maintained only while TrackDirty is on).
+	dirty map[uint32]struct{}
 
 	// base, when set, is the shared read-only image this memory overlays.
 	// A page absent from the private set is served from base (unless
@@ -85,11 +91,13 @@ type Memory struct {
 	// TrackDirty enables dirty-bit maintenance on writes.
 	TrackDirty bool
 
-	// Touch, when set, observes every page access; the profiler uses it to
-	// measure candidate memory footprints (Table 3 "Mem. Size"). Accesses
-	// through Memory's own methods report here; the interpreter's page cache
-	// reports its hits itself (see Gen). The interpreter looks at the field
-	// when a function activation begins: set it between top-level calls.
+	// Touch, when set, observes page accesses; the profiler uses it to
+	// measure candidate memory footprints (Table 3 "Mem. Size"). Every access
+	// through Memory's own methods reports here. The holder of a cached page
+	// pointer (the interpreter's page caches, see Gen) reports a page when it
+	// fills an entry and never on a hit: an observer that needs to see a page
+	// again — the profiler, whenever a region opens — calls Invalidate, and
+	// the next access to each page misses and is reported.
 	Touch func(pn uint32)
 
 	// Faults counts copy-on-demand faults served via Fault.
@@ -100,18 +108,13 @@ type Memory struct {
 	// dirty-bit clearing (ClearDirty), and copy-on-write materialization
 	// (the private copy supersedes the shared array a reader may have
 	// cached). Faulting an absent page in does not bump it — existing page
-	// arrays never move.
+	// arrays never move. Invalidate bumps it with no structural change.
 	gen uint64
-}
-
-type page struct {
-	data  [PageSize]byte
-	dirty bool
 }
 
 // New returns an empty memory with zero-fill fault behaviour.
 func New() *Memory {
-	return &Memory{pages: make(map[uint32]*page)}
+	return &Memory{pages: make(map[uint32]*[PageSize]byte)}
 }
 
 // NewOverlay returns a memory whose initial content is the shared image:
@@ -119,7 +122,7 @@ func New() *Memory {
 // an image page copies it into this memory (copy-on-write). The image is
 // never modified.
 func NewOverlay(img *Image) *Memory {
-	return &Memory{pages: make(map[uint32]*page), base: img}
+	return &Memory{pages: make(map[uint32]*[PageSize]byte), base: img}
 }
 
 // Image returns the shared base image this memory overlays, or nil for a
@@ -127,8 +130,9 @@ func NewOverlay(img *Image) *Memory {
 func (m *Memory) Image() *Image { return m.base }
 
 // ResidentPrivateBytes returns the bytes of private (per-memory) page
-// storage: pages faulted, written (copy-on-write), or installed here.
-// Shared image pages read through the overlay cost nothing.
+// storage: pages faulted, written (copy-on-write), or installed here, each
+// an allocation of exactly PageSize bytes. Shared image pages read through
+// the overlay cost nothing.
 func (m *Memory) ResidentPrivateBytes() int { return len(m.pages) * PageSize }
 
 // basePage returns the shared image's array for pn, if this memory is an
@@ -148,7 +152,7 @@ func (m *Memory) basePage(pn uint32) (*[PageSize]byte, bool) {
 // page is copied into the private set first (copy-on-write, bumping gen —
 // readers may have cached the shared array), and a truly absent page goes
 // through the fault/zero-fill path.
-func (m *Memory) getPage(pn uint32) (*page, error) {
+func (m *Memory) getPage(pn uint32) (*[PageSize]byte, error) {
 	if p, ok := m.pages[pn]; ok {
 		if m.Touch != nil {
 			m.Touch(pn)
@@ -156,7 +160,8 @@ func (m *Memory) getPage(pn uint32) (*page, error) {
 		return p, nil
 	}
 	if src, ok := m.basePage(pn); ok {
-		p := &page{data: *src}
+		p := new([PageSize]byte)
+		*p = *src
 		m.pages[pn] = p
 		m.gen++
 		if m.Touch != nil {
@@ -164,7 +169,7 @@ func (m *Memory) getPage(pn uint32) (*page, error) {
 		}
 		return p, nil
 	}
-	p := &page{}
+	p := new([PageSize]byte)
 	if m.Fault != nil {
 		data, err := m.Fault(pn)
 		if err != nil {
@@ -172,7 +177,7 @@ func (m *Memory) getPage(pn uint32) (*page, error) {
 		}
 		m.Faults++
 		if data != nil {
-			copy(p.data[:], data)
+			copy(p[:], data)
 		}
 	}
 	m.pages[pn] = p
@@ -192,7 +197,7 @@ func (m *Memory) readPage(pn uint32) (*[PageSize]byte, error) {
 		if m.Touch != nil {
 			m.Touch(pn)
 		}
-		return &p.data, nil
+		return p, nil
 	}
 	if src, ok := m.basePage(pn); ok {
 		if m.Touch != nil {
@@ -200,19 +205,29 @@ func (m *Memory) readPage(pn uint32) (*[PageSize]byte, error) {
 		}
 		return src, nil
 	}
-	p, err := m.getPage(pn)
-	if err != nil {
-		return nil, err
+	return m.getPage(pn)
+}
+
+// markDirty records a write to private page pn while TrackDirty is on.
+func (m *Memory) markDirty(pn uint32) {
+	if m.dirty == nil {
+		m.dirty = make(map[uint32]struct{})
 	}
-	return &p.data, nil
+	m.dirty[pn] = struct{}{}
 }
 
 // Gen returns the invalidation generation. A cached page pointer obtained
 // from Page or DirtyPage stays valid (and, for DirtyPage, stays marked
 // dirty) as long as Gen is unchanged and — for write caches — TrackDirty has
-// not been toggled. An access made through such a pointer bypasses Touch:
-// while Touch is set, the holder reports the page itself.
+// not been toggled. An access made through such a pointer bypasses Touch;
+// Page and DirtyPage reported the page when the pointer was obtained, and
+// Invalidate makes every holder obtain it again.
 func (m *Memory) Gen() uint64 { return m.gen }
+
+// Invalidate advances the generation and changes nothing else: every cached
+// page pointer goes stale, so the next access to each page comes back through
+// Page or DirtyPage — and is reported to Touch.
+func (m *Memory) Invalidate() { m.gen++ }
 
 // Page returns the resident data array of page pn, faulting it in as
 // needed. The pointer aliases live memory: it observes later writes and is
@@ -233,19 +248,9 @@ func (m *Memory) DirtyPage(pn uint32) (*[PageSize]byte, error) {
 		return nil, err
 	}
 	if m.TrackDirty {
-		p.dirty = true
+		m.markDirty(pn)
 	}
-	return &p.data, nil
-}
-
-// HasPage reports whether pn is present without faulting it in. Unmasked
-// base image pages count as present.
-func (m *Memory) HasPage(pn uint32) bool {
-	if _, ok := m.pages[pn]; ok {
-		return true
-	}
-	_, ok := m.basePage(pn)
-	return ok
+	return p, nil
 }
 
 // PageData returns page pn's content as a read-only view of the resident
@@ -257,7 +262,7 @@ func (m *Memory) HasPage(pn uint32) bool {
 // and never writes through it.
 func (m *Memory) PageData(pn uint32) []byte {
 	if p, ok := m.pages[pn]; ok {
-		return p.data[:]
+		return p[:]
 	}
 	if src, ok := m.basePage(pn); ok {
 		return src[:]
@@ -271,13 +276,12 @@ func (m *Memory) PageData(pn uint32) []byte {
 // existing private page when there is one — so the caller may recycle data
 // at once; cached page pointers are invalidated either way (Gen).
 func (m *Memory) InstallPage(pn uint32, data []byte) {
-	p, ok := m.pages[pn]
-	if ok {
-		clear(p.data[copy(p.data[:], data):])
-		p.dirty = false
+	if p, ok := m.pages[pn]; ok {
+		clear(p[copy(p[:], data):])
+		delete(m.dirty, pn)
 	} else {
-		p = &page{}
-		copy(p.data[:], data)
+		p = new([PageSize]byte)
+		copy(p[:], data)
 		m.pages[pn] = p
 	}
 	delete(m.masked, pn)
@@ -312,9 +316,9 @@ func (m *Memory) WriteBytes(addr uint32, data []byte) error {
 			return err
 		}
 		po := int(addr+uint32(off)) & (PageSize - 1)
-		n := copy(p.data[po:], data[off:])
+		n := copy(p[po:], data[off:])
 		if m.TrackDirty {
-			p.dirty = true
+			m.markDirty(pn)
 		}
 		off += n
 	}
@@ -350,10 +354,8 @@ func (m *Memory) WriteUint(addr uint32, size int, v uint64) error {
 // ClearDirty.
 func (m *Memory) DirtyPages() []uint32 {
 	var out []uint32
-	for pn, p := range m.pages {
-		if p.dirty {
-			out = append(out, pn)
-		}
+	for pn := range m.dirty {
+		out = append(out, pn)
 	}
 	slices.Sort(out)
 	return out
@@ -361,9 +363,7 @@ func (m *Memory) DirtyPages() []uint32 {
 
 // ClearDirty resets all dirty bits.
 func (m *Memory) ClearDirty() {
-	for _, p := range m.pages {
-		p.dirty = false
-	}
+	clear(m.dirty)
 	m.gen++
 }
 
@@ -395,6 +395,7 @@ func (m *Memory) PresentPages() []uint32 {
 // next touch faults or zero-fills exactly as on a plain memory.
 func (m *Memory) Drop(pn uint32) {
 	delete(m.pages, pn)
+	delete(m.dirty, pn)
 	if m.base != nil && m.base.Has(pn) {
 		if m.masked == nil {
 			m.masked = make(map[uint32]struct{})
@@ -407,7 +408,8 @@ func (m *Memory) Drop(pn uint32) {
 // Reset discards all pages and counters. An overlay also detaches from its
 // base image: after Reset the memory is a plain empty page set.
 func (m *Memory) Reset() {
-	m.pages = make(map[uint32]*page)
+	m.pages = make(map[uint32]*[PageSize]byte)
+	m.dirty = nil
 	m.base = nil
 	m.masked = nil
 	m.Faults = 0
@@ -432,17 +434,21 @@ func StackRanges() []Range {
 	}
 }
 
-// Digest returns an FNV-1a hash of the memory image, iterating present
-// pages in sorted order and skipping all-zero pages — an absent page and
-// a zero-filled one hash identically, matching the copy-on-demand
-// zero-fill semantics. Two runs that end in the same logical memory state
-// digest equal even if they faulted different page sets in. Pages
-// overlapping any skip range are left out of the hash.
+// Digest returns a hash of the memory image, iterating present pages in
+// sorted order and skipping all-zero pages — an absent page and a zero-filled
+// one hash identically, matching the copy-on-demand zero-fill semantics. Two
+// runs that end in the same logical memory state digest equal even if they
+// faulted different page sets in. Pages overlapping any skip range are left
+// out of the hash. The value is good for comparing two memories and nothing
+// else: it is not stable across versions of this package.
 //
-// On an overlay, untouched base image pages are hashed through the shared
-// array directly — digesting never copies them into the private set — and
-// the zero-page fast path recognizes the canonical shared zero page by
-// pointer, without scanning it.
+// The hash is FNV-1a's xor-then-multiply taken a little-endian word at a
+// time, with a xor-shift after each multiply to carry the high bits back
+// down; every step is a bijection of the running hash, so two images that
+// differ in one word digest differently. On an overlay, untouched base image
+// pages are hashed through the shared array directly — digesting never copies
+// them into the private set — and the canonical shared zero page is
+// recognized by pointer, without reading it.
 func (m *Memory) Digest(skip ...Range) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -457,40 +463,20 @@ pages:
 				continue pages
 			}
 		}
-		var data *[PageSize]byte
-		if p, ok := m.pages[pn]; ok {
-			// Private pages are mutable; scan for the all-zero skip.
-			data = &p.data
-			zero := true
-			for i := 0; i < PageSize; i += 8 {
-				if binary.LittleEndian.Uint64(data[i:]) != 0 {
-					zero = false
-					break
-				}
-			}
-			if zero {
-				continue
-			}
-		} else {
-			src, ok := m.basePage(pn)
-			if !ok {
-				continue
-			}
-			// Image pages are immutable and content-deduped: all-zero
-			// pages alias the canonical zero page, so a pointer test
-			// replaces the scan.
-			if src == &zeroPage {
-				continue
-			}
-			data = src
+		data, ok := m.pages[pn]
+		if !ok {
+			data, ok = m.basePage(pn)
 		}
-		for i := 0; i < 4; i++ {
-			h ^= uint64(byte(pn >> (8 * i)))
-			h *= prime64
+		// Image pages are content-deduped: all-zero ones alias the canonical
+		// zero page. Private pages are mutable and have to be scanned.
+		if !ok || data == &zeroPage || pageIsZero(data) {
+			continue
 		}
-		for _, b := range data {
-			h ^= uint64(b)
-			h *= prime64
+		h = (h ^ uint64(pn)) * prime64
+		h ^= h >> 32
+		for i := 0; i < PageSize; i += 8 {
+			h = (h ^ binary.LittleEndian.Uint64(data[i:])) * prime64
+			h ^= h >> 32
 		}
 	}
 	return h

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -45,7 +46,7 @@ func TestCrossPageAccess(t *testing.T) {
 	if v != 0x0102030405060708 {
 		t.Errorf("cross-page read = 0x%x", v)
 	}
-	if !m.HasPage(0) || !m.HasPage(1) {
+	if m.PageData(0) == nil || m.PageData(1) == nil {
 		t.Error("both straddled pages should be present")
 	}
 }
@@ -114,7 +115,7 @@ func TestInstallAndDropPage(t *testing.T) {
 		t.Errorf("installed page content = 0x%x, want 0xAB", v)
 	}
 	m.Drop(42)
-	if m.HasPage(42) {
+	if m.PageData(42) != nil {
 		t.Error("Drop left page present")
 	}
 }
@@ -277,6 +278,50 @@ func TestGenerationCounter(t *testing.T) {
 	if m.Gen() == g3 {
 		t.Error("Reset must bump gen")
 	}
+
+	// Invalidate bumps it and changes nothing a program or a transfer sees.
+	m.TrackDirty = true
+	if err := m.WriteUint(PageAddr(5), 8, 42); err != nil {
+		t.Fatal(err)
+	}
+	g4, digest, faults := m.Gen(), m.Digest(), m.Faults
+	m.Invalidate()
+	if m.Gen() == g4 {
+		t.Error("Invalidate must bump gen: that is all it is for")
+	}
+	if d := m.DirtyPages(); len(d) != 1 || d[0] != 5 || m.Digest() != digest || m.Faults != faults ||
+		len(m.PresentPages()) != 1 || m.ResidentPrivateBytes() != PageSize {
+		t.Errorf("Invalidate changed the memory: dirty %v present %v faults %d", d, m.PresentPages(), m.Faults)
+	}
+}
+
+// TestDirtyBitFollowsThePage: the dirty bits live beside the pages (a page is
+// exactly PageSize bytes), so every way a page leaves or is replaced must
+// take its bit along: InstallPage marks clean, Drop forgets, Reset forgets
+// all, and a dropped page that faults back in comes back clean.
+func TestDirtyBitFollowsThePage(t *testing.T) {
+	m := New()
+	m.TrackDirty = true
+	for _, pn := range []uint32{3, 4, 5} {
+		if err := m.WriteUint(PageAddr(pn), 4, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.InstallPage(3, []byte{1})
+	m.Drop(4)
+	if d := m.DirtyPages(); len(d) != 1 || d[0] != 5 {
+		t.Errorf("DirtyPages after InstallPage(3) and Drop(4) = %v, want [5]", d)
+	}
+	if _, err := m.Page(4); err != nil {
+		t.Fatal(err)
+	}
+	if d := m.DirtyPages(); len(d) != 1 || d[0] != 5 {
+		t.Errorf("a dropped page read back in is dirty: %v", d)
+	}
+	m.Reset()
+	if d := m.DirtyPages(); len(d) != 0 {
+		t.Errorf("DirtyPages after Reset = %v", d)
+	}
 }
 
 // TestPageAndDirtyPage exercises the fast-path accessors: Page faults the
@@ -314,7 +359,7 @@ func TestPageAndDirtyPage(t *testing.T) {
 			t.Error("Page (read accessor) must not dirty the page")
 		}
 	}
-	if !m.HasPage(9) {
+	if m.PageData(9) == nil {
 		t.Error("Page should have faulted page 9 in")
 	}
 }
@@ -338,6 +383,28 @@ func TestDigestZeroPageEquivalence(t *testing.T) {
 	}
 	if m.Digest() != empty {
 		t.Error("all-zero resident page must digest like an absent page")
+	}
+}
+
+// TestDigestSeparatesPositions: the word-at-a-time hash must still tell where
+// a byte sits — in which page, which word of it and which byte of the word —
+// and what it is.
+func TestDigestSeparatesPositions(t *testing.T) {
+	seen := make(map[uint64]string)
+	for _, pn := range []uint32{4, 5, 1 << 19} {
+		for _, off := range []uint32{0, 1, 7, 8, 9, 4088, PageSize - 1} {
+			for _, b := range []uint64{1, 0x80, 0xFF} {
+				m := New()
+				if err := m.WriteUint(PageAddr(pn)+off, 1, b); err != nil {
+					t.Fatal(err)
+				}
+				where := fmt.Sprintf("byte %#x at page %d offset %d", b, pn, off)
+				if other, dup := seen[m.Digest()]; dup {
+					t.Errorf("%s digests like %s", where, other)
+				}
+				seen[m.Digest()] = where
+			}
+		}
 	}
 }
 

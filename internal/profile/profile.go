@@ -157,6 +157,14 @@ type pageSet map[uint32]struct{}
 // that closes hands its set to the region enclosing it (absorb); the
 // candidate's footprint is the union over its closed activations
 // (mergePages). One touch costs one set insert whatever the stack depth.
+//
+// The machine's page caches report a page when they fill an entry, not on
+// every hit (mem.Memory.Touch), so a region that opens invalidates them
+// (regionOpened): its first access to each page misses and is reported.
+// Closing needs nothing — a hit is on an entry filled since the last region
+// opened, so its page is already in the set of the region that was innermost
+// then, and absorb has since handed that set to whichever region is
+// innermost now.
 
 type activation struct {
 	stats   *Stats
@@ -270,6 +278,13 @@ func absorb(dst *pageSet, src pageSet) {
 	}
 }
 
+// regionOpened starts the page accounting of a region that just became the
+// innermost live one: nothing seen so far counts as seen by it.
+func (p *Profiler) regionOpened(m *interp.Machine) {
+	p.lastPage = noPage
+	m.Mem.Invalidate()
+}
+
 // EnterFunc implements interp.Listener.
 func (p *Profiler) EnterFunc(m *interp.Machine, f *ir.Func) {
 	st := p.funcStats[f]
@@ -279,7 +294,7 @@ func (p *Profiler) EnterFunc(m *interp.Machine, f *ir.Func) {
 	st.Invocations++
 	st.active++
 	p.stack = append(p.stack, activation{stats: st, fn: f, inner: p.loopInfo[f], entered: m.Clock})
-	p.lastPage = noPage
+	p.regionOpened(m)
 }
 
 // ExitFunc implements interp.Listener.
@@ -341,7 +356,7 @@ func (p *Profiler) EnterBlock(m *interp.Machine, f *ir.Func, b *ir.Block) {
 		st.Invocations++
 		st.active++
 		act.loops = append(act.loops, loopActivation{stats: st, loop: l, entered: m.Clock})
-		p.lastPage = noPage
+		p.regionOpened(m)
 	}
 	slices.Reverse(act.loops[base:])
 	act.cur = target
