@@ -38,7 +38,7 @@ func (s *Session) Offload(m *interp.Machine, taskID int32, args []uint64) (uint6
 	// decoded pages before the server runs, so once an attempt's reply is in
 	// — or the request was never delivered — nothing aliases the frame.
 	frame := getFrame()
-	defer frames.Put(frame)
+	defer frames.put(frame)
 
 	// remote is set once a server's finalization delivered the result; any
 	// other way out of the attempt loop ends in local re-execution.

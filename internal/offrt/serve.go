@@ -146,7 +146,7 @@ func (s *Session) SendReturn(m *interp.Machine, v uint64) error {
 	// The frame is recycled when SendReturn returns: by then the journal is
 	// committed (InstallPage copied every page) or the task aborted.
 	frame := getFrame()
-	defer frames.Put(frame)
+	defer frames.put(frame)
 	wireBytes := fin.AppendEncode(*frame)
 	*frame = wireBytes
 	wire := int64(len(wireBytes))

@@ -285,16 +285,56 @@ func Decode(b []byte) (*Message, error) {
 	return m, nil
 }
 
+// recycler is a free list of the page path's reusable values: frames,
+// deflaters, inflaters. It is not a sync.Pool because the collector empties
+// a Pool on its own schedule: a sweep whose collections happened to fall
+// between two offloads allocated its multi-megabyte frames again, the same
+// sweep a moment later did not, and what a run allocated varied by 10 % with
+// nothing in it changed. A recycler keeps what it is given until it is taken
+// — at most recyclerCap values, the rest are dropped — so what a run
+// allocates depends on its offloads alone.
+type recycler[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// recyclerCap is how many values a recycler holds. A session has two frames
+// in flight at most (the request and its finalization) and one compressor
+// state; sessions sharing a process beyond that allocate their own.
+const recyclerCap = 4
+
+// get takes the value put last, or nil if none is held.
+func (r *recycler[T]) get() *T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := len(r.free)
+	if n == 0 {
+		return nil
+	}
+	v := r.free[n-1]
+	r.free[n-1] = nil
+	r.free = r.free[:n-1]
+	return v
+}
+
+func (r *recycler[T]) put(v *T) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.free) < recyclerCap {
+		r.free = append(r.free, v)
+	}
+}
+
 // frames recycles the encode buffers of the two page-carrying messages (the
 // offload request and the finalization): multi-megabyte frames that would
 // otherwise be faulted in and zeroed fresh for every offload. A frame goes
 // back once nothing decoded from it is still needed — Decode's result
 // aliases it.
-var frames sync.Pool
+var frames recycler[[]byte]
 
 // getFrame returns an empty frame buffer, recycled if one is available.
 func getFrame() *[]byte {
-	if f, _ := frames.Get().(*[]byte); f != nil {
+	if f := frames.get(); f != nil {
 		*f = (*f)[:0]
 		return f
 	}
@@ -320,7 +360,7 @@ func (m *Message) WireSize() int64 {
 // offload return then throws away; Reset rewinds a used writer to the state
 // NewWriter leaves, so a recycled writer emits the bytes a fresh one would.
 // A writer that failed mid-stream is dropped, not returned.
-var deflaters sync.Pool
+var deflaters recycler[flate.Writer]
 
 // CompressPages deflates a page set into the message's Data field and
 // drops the raw pages, returning the raw (pre-compression) size. The
@@ -331,7 +371,7 @@ var deflaters sync.Pool
 func (m *Message) CompressPages() (rawBytes int64, err error) {
 	rawBytes = int64(len(m.Pages)) * pageRecordBytes
 	var comp bytes.Buffer
-	w, _ := deflaters.Get().(*flate.Writer)
+	w := deflaters.get()
 	if w != nil {
 		w.Reset(&comp)
 	} else if w, err = flate.NewWriter(&comp, flate.BestSpeed); err != nil {
@@ -350,7 +390,7 @@ func (m *Message) CompressPages() (rawBytes int64, err error) {
 	if err := w.Close(); err != nil {
 		return rawBytes, err
 	}
-	deflaters.Put(w)
+	deflaters.put(w)
 	m.Pages = nil
 	m.Data = comp.Bytes()
 	m.Compressed = true
@@ -374,7 +414,7 @@ type inflater struct {
 // inflaters recycles DecompressPages' readers (a flate reader carries its
 // 32 KiB window and Huffman tables). Reset rewinds a used reader to the
 // state NewReader leaves; one that failed mid-stream is dropped anyway.
-var inflaters sync.Pool
+var inflaters recycler[inflater]
 
 // DecompressPages inflates a finalization payload back into page records,
 // one record at a time into slabs the records alias (so the slabs are not
@@ -385,7 +425,7 @@ func (m *Message) DecompressPages() ([]PageRecord, error) {
 	if !m.Compressed {
 		return m.Pages, nil
 	}
-	inf, _ := inflaters.Get().(*inflater)
+	inf := inflaters.get()
 	if inf == nil {
 		inf = &inflater{}
 		inf.fr = flate.NewReader(&inf.src)
@@ -417,6 +457,6 @@ func (m *Message) DecompressPages() ([]PageRecord, error) {
 		out = append(out, PageRecord{PN: binary.LittleEndian.Uint32(rec), Data: rec[4:]})
 	}
 	inf.src.Reset(nil)
-	inflaters.Put(inf)
+	inflaters.put(inf)
 	return out, nil
 }

@@ -142,6 +142,33 @@ func TestCompressDecompressPages(t *testing.T) {
 	}
 }
 
+// TestRecyclerHoldsAcrossCollections: what the page path recycles must not
+// depend on the collector. A value put back is the next one taken however
+// many collections ran in between (a sync.Pool is empty after two), the list
+// is last-in first-out, and beyond recyclerCap a put is dropped.
+func TestRecyclerHoldsAcrossCollections(t *testing.T) {
+	var r recycler[[]byte]
+	if r.get() != nil {
+		t.Fatal("an empty recycler returned a value")
+	}
+	vals := make([]*[]byte, recyclerCap+2)
+	for i := range vals {
+		vals[i] = new([]byte)
+		r.put(vals[i])
+	}
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	for i := recyclerCap - 1; i >= 0; i-- {
+		if got := r.get(); got != vals[i] {
+			t.Fatalf("get after three collections: not the value put at position %d", i)
+		}
+	}
+	if r.get() != nil {
+		t.Fatalf("recycler held more than recyclerCap = %d values", recyclerCap)
+	}
+}
+
 // TestCompressPagesPooledWriterIdentical: CompressPages takes its deflate
 // writer from a pool and streams each record into it in pieces (page number,
 // page bytes, zero padding), and what comes out must be, byte for byte, what
@@ -539,7 +566,7 @@ func BenchmarkWirePages(b *testing.B) {
 		for _, p := range pages {
 			dst.InstallPage(p.PN, p.Data)
 		}
-		frames.Put(frame)
+		frames.put(frame)
 	}
 	b.Run("request", func(b *testing.B) {
 		b.ReportAllocs()
