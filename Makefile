@@ -62,11 +62,12 @@ bench:
 
 ## fleetbench: the fleet engine in process, host-timed, nothing written —
 ## the benchmark's two fleet cells (sequential, sharded, and the overload
-## cell's local-only set-up run), the ready queue's hold model and the
+## cell's local-only set-up run), one est-aware pick through the load index
+## against the walk it replaced, the ready queue's hold model and the
 ## latency sort against slices.Sort. Three iterations each: compare two
 ## commits by alternating their test binaries, not from one run.
 fleetbench:
-	$(GO) test -run '^$$' -bench 'FleetCell|ReadyQueue|SortLatencies' -benchtime 3x -benchmem ./internal/fleet/
+	$(GO) test -run '^$$' -bench 'FleetCell|Pick|ReadyQueue|SortLatencies' -benchtime 3x -benchmem ./internal/fleet/
 
 ## guestbench: the guest hot path in process, host-timed, one thread,
 ## nothing written — the three engine kernels (fast vs reference), the

@@ -274,19 +274,6 @@ func (p *ServerPlan) DrainAt(server int, at simtime.PS) bool {
 	return false
 }
 
-// CrashTime returns the server's crash instant, if it has one scheduled.
-func (p *ServerPlan) CrashTime(server int) (simtime.PS, bool) {
-	if p == nil {
-		return 0, false
-	}
-	for _, e := range p.Events {
-		if e.Kind == Crash && e.Server == server {
-			return e.Start, true
-		}
-	}
-	return 0, false
-}
-
 // StallUntil returns the end of the stall window covering the instant, if
 // the server is stalled at it.
 func (p *ServerPlan) StallUntil(server int, at simtime.PS) (simtime.PS, bool) {

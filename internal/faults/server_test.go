@@ -62,9 +62,6 @@ func TestServerPlanQueries(t *testing.T) {
 	if p.CrashAt(1, 299*ms) || !p.CrashAt(1, 300*ms) || p.CrashAt(0, simtime.Second) {
 		t.Fatal("CrashAt wrong")
 	}
-	if at, ok := p.CrashTime(1); !ok || at != 300*ms {
-		t.Fatalf("CrashTime = %v, %v", at, ok)
-	}
 	if p.DrainAt(3, 999*ms) || !p.DrainAt(3, simtime.Second) {
 		t.Fatal("DrainAt wrong")
 	}

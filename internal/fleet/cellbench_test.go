@@ -75,6 +75,135 @@ func BenchmarkFleetCell(b *testing.B) {
 	}
 }
 
+// walkPick is the est-aware pick as it shipped before the load index (PR
+// 18's scan): every live candidate priced, the divide skipped for one that
+// cannot lead, execTime memoized per speed. BenchmarkPick's baseline; the
+// correctness oracle is pickAmongRef.
+func walkPick(servers []*server, candidates []int, now, tm, transfer simtime.PS) (int, simtime.PS) {
+	best, bestWait, bestTotal := -1, simtime.PS(0), simtime.PS(0)
+	memo := execMemo{tm: tm}
+	for _, i := range candidates {
+		s := servers[i]
+		if s.down {
+			continue
+		}
+		exec := memo.at(s.spec.R)
+		left := s.outstanding(now)
+		slots := simtime.PS(s.spec.Slots)
+		if best >= 0 && left >= (bestTotal-transfer-exec)*slots {
+			continue
+		}
+		w := left / slots
+		if total := transfer + w + exec; best < 0 || total < bestTotal {
+			best, bestWait, bestTotal = i, w, total
+		}
+	}
+	return best, bestWait
+}
+
+// execMemo is walkPick's cache of execTime(tm, R) for the last two distinct
+// speeds the walk met — enough for the pools the constructors build (a tier
+// is one run of equal specs, DefaultServers alternates two speeds).
+type execMemo struct {
+	tm   simtime.PS
+	r    [2]float64 // zero is no valid speed (Validate), so empty entries never hit
+	exec [2]simtime.PS
+}
+
+func (c *execMemo) at(r float64) simtime.PS {
+	if r == c.r[0] {
+		return c.exec[0]
+	}
+	if r == c.r[1] {
+		return c.exec[1]
+	}
+	c.r[1], c.exec[1] = c.r[0], c.exec[0]
+	c.r[0], c.exec[0] = r, execTime(c.tm, r)
+	return c.exec[0]
+}
+
+// BenchmarkPick is one est-aware decision with the bookkeeping a dispatch
+// does to the winner — reserve, then the arrival's release and start or
+// enqueue, and one earlier arrival leaving again so the load stays put —
+// through the load index (refresh of the marked servers included) and
+// through the walk it replaced, at 16, 160 and 1024 servers of two specs:
+// every live server saturated, half of them with free slots, a tenth of
+// them down. An iteration is 100 000 decisions, so the fleetbench target's
+// fixed -benchtime 3x measures enough of them; read ns/pick.
+func BenchmarkPick(b *testing.B) {
+	const slots, picks = 4, 100_000
+	now := 10 * simtime.Second
+	for _, n := range []int{16, 160, 1024} {
+		for _, shape := range []string{"saturated", "half-open", "tenth-down"} {
+			for _, via := range []string{"index", "walk"} {
+				b.Run(fmt.Sprintf("%d/%s/%s", n, shape, via), func(b *testing.B) {
+					r := entityStream(23, uint64(n))
+					servers := make([]*server, n)
+					all := make([]int, n)
+					for i := range servers {
+						s := &server{spec: ServerSpec{R: poolSpeeds[i%2], Slots: slots}, id: i}
+						busy := slots
+						if shape == "half-open" && i%2 == 1 {
+							busy = slots / 2
+						}
+						for k := 0; k < busy; k++ {
+							j := &job{finish: now + r.rangePS(0, simtime.Second)}
+							s.running, s.finSum = append(s.running, j), s.finSum+j.finish
+						}
+						if busy == slots {
+							s.queExec = r.rangePS(0, 2*simtime.Second)
+						}
+						s.down = shape == "tenth-down" && i%10 == 0
+						servers[i], all[i] = s, i
+					}
+					pick := func(tm, transfer simtime.PS) (int, simtime.PS) {
+						return walkPick(servers, all, now, tm, transfer)
+					}
+					if via == "index" {
+						ix := newLoadIndex(servers, all)
+						pick = func(tm, transfer simtime.PS) (int, simtime.PS) { return ix.pick(now, tm, transfer) }
+					}
+					// landed holds the last arrivals; the oldest leaves as a
+					// new one lands.
+					type arrival struct {
+						s *server
+						j *job
+					}
+					landed := make([]arrival, 64)
+					for i := range landed {
+						landed[i].j = &job{}
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N*picks; i++ {
+						tm := simtime.PS(200+i%800) * simtime.Millisecond
+						si, _ := pick(tm, 30*simtime.Millisecond)
+						s := servers[si]
+						a := &landed[i%len(landed)]
+						if a.s != nil {
+							if a.j.finish != 0 {
+								a.s.dropRunning(a.j)
+							} else {
+								a.s.removeQueued(a.j)
+							}
+						}
+						*a.j = job{exec: s.execTime(tm)}
+						a.s = s
+						s.reserve(a.j.exec)
+						s.release(a.j.exec)
+						if len(s.running) < slots {
+							a.j.finish = now + a.j.exec
+							s.start(a.j)
+						} else {
+							s.enqueue(a.j)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*picks), "ns/pick")
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkReadyQueue is the hold model of the engines' client lane: a
 // queue kept at a fixed number of pending ready events, each hold one pop
 // and one push of that client a think-time later. An iteration turns the

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"fmt"
+
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -83,6 +85,26 @@ type server struct {
 	// down marks a crashed or draining server: the dispatcher routes
 	// around it and arrivals already in flight are relocated.
 	down bool
+
+	// id is the server's pool index. ix is the loadIndex filing this
+	// server (nil for one outside every candidate set), pos its candidate
+	// position there and stale whether ix already lists it for re-filing.
+	// down, running, reserved, queExec and finSum are what the index reads:
+	// only the methods below write them, and each ends in mark.
+	id    int
+	ix    *loadIndex
+	pos   int32
+	stale bool
+}
+
+// mark tells the server's index its load changed. Nothing is recomputed
+// here: the position joins the index's stale list once, and the next query
+// re-files it.
+func (s *server) mark() {
+	if s.ix != nil && !s.stale {
+		s.stale = true
+		s.ix.stale = append(s.ix.stale, s.pos)
+	}
 }
 
 // advance integrates the utilization clock to now.
@@ -108,7 +130,9 @@ func (s *server) execTime(tm simtime.PS) simtime.PS {
 // over its slots: remaining service of running jobs, the full service of
 // queued ones, and in-flight reservations. Running jobs always have
 // finish >= now (their evFinish has not fired), so the incremental form
-// equals the per-job walk exactly.
+// equals the per-job walk exactly. That, and reserved >= 0 (release
+// panics below it), make the sum non-negative — the two invariants
+// loadIndex's clock-free key relies on.
 func (s *server) outstanding(now simtime.PS) simtime.PS {
 	return s.reserved + s.queExec + s.finSum - simtime.PS(len(s.running))*now
 }
@@ -135,6 +159,23 @@ func (s *server) estWaitAt(at simtime.PS) simtime.PS {
 	return left / simtime.PS(s.spec.Slots)
 }
 
+// reserve books the service time of a request routed here and still in
+// flight; release returns it when the request lands. A release beyond
+// what was reserved is the slot-accounting leak Result.finish reports at
+// the end of a run, caught where it happens.
+func (s *server) reserve(exec simtime.PS) {
+	s.reserved += exec
+	s.mark()
+}
+
+func (s *server) release(exec simtime.PS) {
+	s.reserved -= exec
+	if s.reserved < 0 {
+		panic(fmt.Sprintf("fleet: server %d released %v more than was reserved on it", s.id, -s.reserved))
+	}
+	s.mark()
+}
+
 // enqueue appends to the run queue under the discipline's bookkeeping.
 func (s *server) enqueue(j *job) {
 	s.queue = append(s.queue, j)
@@ -142,6 +183,7 @@ func (s *server) enqueue(j *job) {
 	if len(s.queue) > s.maxDepth {
 		s.maxDepth = len(s.queue)
 	}
+	s.mark()
 }
 
 // pop removes the next queued job under the discipline: FIFO takes the
@@ -159,6 +201,7 @@ func (s *server) pop(d Discipline) *job {
 	j := s.queue[best]
 	s.queue = append(s.queue[:best], s.queue[best+1:]...)
 	s.queExec -= j.exec
+	s.mark()
 	return j
 }
 
@@ -169,9 +212,17 @@ func (s *server) removeQueued(j *job) {
 		if q == j {
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
 			s.queExec -= j.exec
+			s.mark()
 			return
 		}
 	}
+}
+
+// start puts a job whose finish instant is set into a slot.
+func (s *server) start(j *job) {
+	s.running = append(s.running, j)
+	s.finSum += j.finish
+	s.mark()
 }
 
 // dropRunning removes a completed job from the slot list.
@@ -180,9 +231,24 @@ func (s *server) dropRunning(j *job) {
 		if r == j {
 			s.running = append(s.running[:i], s.running[i+1:]...)
 			s.finSum -= j.finish
+			s.mark()
 			return
 		}
 	}
+}
+
+// takeDown takes a crashed or draining server out of rotation and detaches
+// what it held: the queue always, and with stop the jobs in its slots too
+// (a crash loses them, a migrating drain ships them; otherwise they finish
+// in place).
+func (s *server) takeDown(stop bool) (running, queued []*job) {
+	s.down = true
+	queued, s.queue, s.queExec = s.queue, nil, 0
+	if stop {
+		running, s.running, s.finSum, s.busy = s.running, nil, 0, 0
+	}
+	s.mark()
+	return running, queued
 }
 
 // shedNoticeBytes is the size of the admission-reject notification the
@@ -257,6 +323,10 @@ type machine struct {
 	allIdx   []int
 	edgeIdx  []int
 	cloudIdx []int
+	// edgeLoad and cloudLoad index edgeIdx and cloudIdx for the picks (and
+	// cloudLoad for demotion's re-placement bound).
+	edgeLoad  *loadIndex
+	cloudLoad *loadIndex
 
 	// Tiered-topology state (nil/zero in a flat fleet). wan and wanRTT
 	// cache the topology's backhaul so the dispatch hot path never
@@ -296,7 +366,7 @@ type machine struct {
 func newMachine(cfg *Config, links []*netsim.Link, st *Stats) *machine {
 	servers := make([]*server, len(cfg.Servers))
 	for i, spec := range cfg.Servers {
-		servers[i] = &server{spec: spec}
+		servers[i] = &server{spec: spec, id: i}
 	}
 	m := &machine{
 		cfg:      cfg,
@@ -344,6 +414,8 @@ func newMachine(cfg *Config, links []*netsim.Link, st *Stats) *machine {
 			cfg.Metrics.Histogram("lat.queue_wait_cloud_ps"),
 		}
 	}
+	m.edgeLoad = newLoadIndex(servers, m.edgeIdx)
+	m.cloudLoad = newLoadIndex(servers, m.cloudIdx)
 	return m
 }
 

@@ -44,7 +44,7 @@ func (m *machine) handleIntent(in intent) {
 	now := in.t
 
 	var edge, cloud estimate.TierOption
-	ei, ew := m.disp.pickAmong(m.servers, m.edgeIdx, now, in.tm, in.up, in.down)
+	ei, ew := m.disp.pickAmong(m.edgeLoad, now, in.tm, in.up, in.down)
 	if ei >= 0 {
 		edge = estimate.TierOption{OK: true, Queue: ew,
 			P: estimate.Params{R: m.servers[ei].spec.R, BandwidthBps: in.bw, RTT: in.rtt}}
@@ -62,7 +62,7 @@ func (m *machine) handleIntent(in intent) {
 	ci, cw, wanLeg := -1, simtime.PS(0), simtime.PS(0)
 	if len(m.cloudIdx) > 0 {
 		wanLeg = m.wan.TransferTime(in.mem)
-		ci, cw = m.disp.pickAmong(m.servers, m.cloudIdx, now, in.tm, in.up+wanLeg, in.down+wanLeg)
+		ci, cw = m.disp.pickAmong(m.cloudLoad, now, in.tm, in.up+wanLeg, in.down+wanLeg)
 		if ci >= 0 {
 			cloud = estimate.TierOption{OK: true, Queue: cw,
 				P: estimate.Params{R: m.servers[ci].spec.R,
@@ -117,7 +117,7 @@ func (m *machine) handleIntent(in intent) {
 		client: in.ci, tm: in.tm, mem: in.mem, exec: exec,
 		decide: now, down: down, adown: in.down, tier: m.tierOf(si), seq: m.jobSeq,
 		deadline: now + simtime.PS(deadlineSlack*float64(up+exec+down))}
-	srv.reserved += j.exec
+	srv.reserve(j.exec)
 	m.sched(now+up, evArrive, int32(si), j)
 }
 
@@ -132,10 +132,7 @@ func (m *machine) handleArrive(now simtime.PS, si int32, j *job) {
 	// or a slot instead. This runs even when the server is down — a
 	// reservation against a dead server is exactly the slot-accounting
 	// leak the end-of-run invariant guards.
-	s.reserved -= j.exec
-	if s.reserved < 0 {
-		s.reserved = 0
-	}
+	s.release(j.exec)
 	// The transit that delivered this arrival (uplink, WAN ship, resend)
 	// closes here.
 	j.rec.mark(now, j.pend, -1)
@@ -227,8 +224,7 @@ func (m *machine) startJob(si int32, j *job, t simtime.PS) {
 		fin = start + simtime.PS(float64(j.exec)*p.SlowFactor(int(si), start))
 	}
 	j.finish = fin
-	s.running = append(s.running, j)
-	s.finSum += fin
+	s.start(j)
 	m.sched(j.finish, evFinish, si, j)
 }
 
@@ -307,7 +303,7 @@ func (m *machine) forward(j *job, ti int, remTm, at simtime.PS, transit uint8, d
 		client: j.client, tm: j.tm, mem: j.mem, exec: t.execTime(remTm),
 		decide: j.decide, down: down, adown: j.adown, tier: tier,
 		seq: m.jobSeq, recovery: true, deadline: deadline}
-	t.reserved += nj.exec
+	t.reserve(nj.exec)
 	m.sched(at, evArrive, int32(ti), nj)
 }
 
@@ -322,15 +318,33 @@ func (m *machine) forward(j *job, ti int, remTm, at simtime.PS, transit uint8, d
 // falling back, and must strictly beat it. On a win one continuation is
 // forwarded and the target index returned; otherwise -1, and the
 // caller's own path runs.
-func (m *machine) replace(j *job, candidates []int, remTm, at, bar simtime.PS, transit uint8, deadline simtime.PS) int {
+//
+// The walk prices every live candidate's running list, and under demote
+// it runs at every saturated edge arrival to lose nineteen times in
+// twenty. The candidates are those of ix, one tier's index, or with a nil
+// ix the whole pool (fault recovery re-places anywhere, across the tiers).
+// One tier shares one reply leg, so there the race is
+// total < bar - at - down for some candidate, and when ix.mayBeat rules
+// that out no walk can win. When it cannot, the walk runs as ever and
+// alone picks the target.
+func (m *machine) replace(j *job, ix *loadIndex, remTm, at, bar simtime.PS, transit uint8, deadline simtime.PS) int {
+	candidates := m.allIdx
+	if ix != nil {
+		candidates = ix.cand
+		if len(candidates) == 0 {
+			return -1
+		}
+		if down, _ := m.replyLeg(j, candidates[0]); !ix.mayBeat(at, remTm, bar-at-down) {
+			return -1
+		}
+	}
 	ti, bestTotal := -1, simtime.PS(0)
-	memo := execMemo{tm: remTm}
 	for _, i := range candidates {
 		s := m.servers[i]
 		if s.down {
 			continue
 		}
-		total := s.estWaitAt(at) + memo.at(s.spec.R)
+		total := s.estWaitAt(at) + s.execTime(remTm)
 		if ti < 0 || total < bestTotal {
 			ti, bestTotal = i, total
 		}
@@ -351,7 +365,7 @@ func (m *machine) replace(j *job, candidates []int, remTm, at, bar simtime.PS, t
 // localAt is the better estimate — a loaded pool, or no survivor at all,
 // makes local the better recovery. The victim is not forced remote.
 func (m *machine) relocate(j *job, remTm simtime.PS, at, localAt simtime.PS, transit uint8) bool {
-	if m.replace(j, m.allIdx, remTm, at, localAt+j.tm, transit, 0) >= 0 {
+	if m.replace(j, nil, remTm, at, localAt+j.tm, transit, 0) >= 0 {
 		return true
 	}
 	j.rec.mark(localAt, segDetect, -1)
@@ -374,7 +388,7 @@ func (m *machine) demote(now simtime.PS, si int32, j *job, stay simtime.PS, volu
 	if voluntary {
 		bar -= ship
 	}
-	ti := m.replace(j, m.cloudIdx, j.tm, now+ship, bar, segWanShip, j.deadline)
+	ti := m.replace(j, m.cloudLoad, j.tm, now+ship, bar, segWanShip, j.deadline)
 	if ti < 0 {
 		return false
 	}
@@ -440,7 +454,9 @@ func (m *machine) promote(now simtime.PS, ei int32, trigger int64) {
 // The search runs at every edge finish that leaves an empty queue, so it
 // does not walk what cannot win. Queued jobs win whenever skipping the
 // cloud backlog buys more than the WAN ship — the case the freed-slot
-// trigger exists for. A running job wins only when the edge out-executes
+// trigger exists for — and a server's backlog (estWaitAt, a walk of its
+// running list) is priced only once it has a queued job to price it for.
+// A running job wins only when the edge out-executes
 // the cloud for what remains: on a cloud server its reply leg is
 // down = adown + wan.TransferTime(mem) = adown + ship (handleIntent and
 // replyLeg both build it so), which cancels the move's ship and reply and
@@ -487,7 +503,7 @@ func (m *machine) promotionCandidate(now simtime.PS, e *server) (best *job, bi i
 				consider(j, ci, true, j.finish+j.down, remTm)
 			}
 		}
-		if c.busy >= c.spec.Slots {
+		if len(c.queue) > 0 && c.busy >= c.spec.Slots {
 			backlog := c.estWaitAt(now)
 			for _, j := range c.queue {
 				consider(j, ci, false, now+backlog+j.exec+j.down, j.tm)

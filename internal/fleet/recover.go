@@ -69,19 +69,13 @@ func (m *machine) handleCrash(now simtime.PS, si int32) {
 	m.st.Events++
 	s := m.servers[si]
 	s.advance(now)
-	s.down = true
 	m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KServerFault, Track: obs.TrackFleet,
 		Name: "crash", A0: int64(si), A1: int64(len(s.running)), A2: int64(len(s.queue))})
-	victims := append(append([]*job(nil), s.running...), s.queue...)
-	for _, j := range s.running {
+	running, queued := s.takeDown(true)
+	for _, j := range running {
 		j.cancelled = true
 	}
-	s.busy = 0
-	s.running = nil
-	s.finSum = 0
-	s.queue = nil
-	s.queExec = 0
-	for _, j := range victims {
+	for _, j := range append(running, queued...) {
 		// State died with the server, so recovery is a full re-send:
 		// the health monitor flags the crash after detectDelay and the
 		// client re-uploads its snapshot to the relocation target (or
@@ -122,12 +116,9 @@ func (m *machine) handleDrain(now simtime.PS, si int32) {
 	m.st.Events++
 	s := m.servers[si]
 	s.advance(now)
-	s.down = true
 	m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KServerFault, Track: obs.TrackFleet,
 		Name: "drain", A0: int64(si), A1: int64(len(s.running)), A2: int64(len(s.queue))})
-	queued := s.queue
-	s.queue = nil
-	s.queExec = 0
+	running, queued := s.takeDown(m.cfg.Migrate)
 	if !m.cfg.Migrate {
 		// Running jobs finish in place (a drain announces shutdown, it
 		// does not kill state), but the queue is abandoned: each waiting
@@ -147,13 +138,9 @@ func (m *machine) handleDrain(now simtime.PS, si int32) {
 	// over the backhaul, resuming mid-task on the target — only the
 	// *remaining* mobile-time travels. Queued jobs forward whole (they
 	// had not started) without a client round trip.
-	running := s.running
 	for _, j := range running {
 		j.cancelled = true
 	}
-	s.busy = 0
-	s.running = nil
-	s.finSum = 0
 	for _, j := range running {
 		remTm := simtime.PS(0)
 		if j.finish > now {

@@ -21,7 +21,6 @@ import (
 	"repro/internal/estimate"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/simtime"
 )
 
 // Tier identifies one level of the offload hierarchy.
@@ -204,11 +203,4 @@ func (t *Topology) CloudParams(access estimate.Params) estimate.Params {
 		BandwidthBps: CombineBps(access.BandwidthBps, wan.BandwidthBps),
 		RTT:          access.RTT + 2*(wan.Latency+wan.PerMessage),
 	}
-}
-
-// ShipTime is the one-way WAN cost of moving size bytes between tiers:
-// the backhaul leg a cloud-bound dispatch adds on top of the access
-// link, and the checkpoint-shipping cost of a cross-tier migration.
-func (t *Topology) ShipTime(size int64) simtime.PS {
-	return t.WAN().TransferTime(size)
 }

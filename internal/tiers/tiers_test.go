@@ -112,14 +112,14 @@ func TestCloudParamsMatchesPerLegCharges(t *testing.T) {
 	}
 }
 
-func TestShipTime(t *testing.T) {
+func TestWANBackhaulOverride(t *testing.T) {
 	topo := Default(1, 1)
-	if got, want := topo.ShipTime(1<<20), topo.WAN().TransferTime(1<<20); got != want {
-		t.Errorf("ShipTime = %v, want %v", got, want)
+	if got, want := topo.WAN().TransferTime(1<<20), netsim.CloudWAN().TransferTime(1<<20); got != want {
+		t.Errorf("default WAN ships 1 MiB in %v, want CloudWAN's %v", got, want)
 	}
 	// An explicit backhaul overrides the default.
 	topo.Backhaul = netsim.Backhaul()
-	if got, want := topo.ShipTime(1<<20), netsim.Backhaul().TransferTime(1<<20); got != want {
-		t.Errorf("ShipTime over explicit backhaul = %v, want %v", got, want)
+	if topo.WAN() != topo.Backhaul {
+		t.Errorf("WAN() = %v, want the explicit backhaul", topo.WAN())
 	}
 }
