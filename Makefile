@@ -7,8 +7,10 @@ GO ?= go
 ## cleanliness, every test under the race detector (the Test*Smoke contract
 ## tests included: each states its contract in its own doc comment; the
 ## committed BENCH_{fleet,migrate,tiers,fleet_scale}.json records and
-## `offloadbench -exp all`'s stdout are byte-compared there too), and a
-## short fuzz smoke over the hardened wire decoder.
+## `offloadbench -exp all`'s stdout are byte-compared there too; the root
+## package's TestExportedFuncsHaveShippedCallers fails on an exported
+## internal/ function that only tests call), and a short fuzz smoke over the
+## hardened wire decoder.
 check: build vet benchvet benchtest fmt
 	$(GO) test -race ./...
 	$(GO) test ./internal/offrt/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s

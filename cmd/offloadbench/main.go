@@ -68,6 +68,9 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if err := p.Validate(); err != nil {
+		return err
+	}
 	stop, err := common.Start(stdout)
 	if err != nil {
 		return err

@@ -87,3 +87,35 @@ func TestOutIsTheOnlyWriter(t *testing.T) {
 		t.Errorf("-out wrote\n%s\nwant BenchJSON(FleetSweep)\n%s", got, want)
 	}
 }
+
+// TestFlagValuesAreValidated: a flag value no experiment can run with is
+// refused by name before anything runs (-migrate-seeds 0 used to print a
+// table of NaNs and exit 0, -clients -5 silently ran 64 clients).
+func TestFlagValuesAreValidated(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the error; "" = accepted
+	}{
+		{[]string{"-exp", "table2"}, ""},
+		{[]string{"-exp", "table2", "-clients", "0"}, ""},
+		{[]string{"-exp", "migrate", "-migrate-seeds", "0"}, "-migrate-seeds"},
+		{[]string{"-exp", "migrate", "-migrate-seeds", "-3"}, "-migrate-seeds"},
+		{[]string{"-exp", "fleet", "-clients", "-5"}, "-clients"},
+		{[]string{"-exp", "fleet", "-servers", "0"}, "-servers"},
+		{[]string{"-exp", "fleet", "-exemplars", "-1"}, "-exemplars"},
+		{[]string{"-exp", "table1", "-depth", "0"}, "-depth"},
+		{[]string{"-exp", "tiers", "-edge-servers", "-1"}, "-edge-servers"},
+		{[]string{"-exp", "tiers", "-cloud-servers", "-1"}, "-cloud-servers"},
+		{[]string{"-exp", "tiers", "-edge-servers", "0", "-cloud-servers", "0"}, "both be 0"},
+	} {
+		out, err := runIn(t, t.TempDir(), tc.args...)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v: %v", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%v: error %v, want one naming %q", tc.args, err, tc.want)
+		case tc.want != "" && out != "":
+			t.Errorf("%v: printed %q before refusing", tc.args, out)
+		}
+	}
+}

@@ -103,9 +103,6 @@ func (s *Spec) Align(c Class) int { return s.align[c] }
 // Only ClassPtr varies between the architectures modelled here.
 func (s *Spec) Size(c Class) int { return s.size[c] }
 
-// CycleTime returns the duration of n cycles in picoseconds.
-func (s *Spec) CycleTime(n int64) int64 { return n * s.CyclePS }
-
 func (s *Spec) String() string {
 	return fmt.Sprintf("%s(%d-bit, %s-endian)", s.Name, s.PointerBytes*8, s.Endian)
 }

@@ -38,13 +38,6 @@ func TestPerformanceRatioInTable1Band(t *testing.T) {
 	}
 }
 
-func TestCycleTime(t *testing.T) {
-	s := X8664()
-	if got := s.CycleTime(1000); got != 1000*s.CyclePS {
-		t.Errorf("CycleTime(1000) = %d, want %d", got, 1000*s.CyclePS)
-	}
-}
-
 func TestCostTableSetAndGet(t *testing.T) {
 	tab := DefaultCosts()
 	if tab.Cycles(OpIntDiv) <= tab.Cycles(OpIntALU) {

@@ -111,6 +111,7 @@ func TestBreakdownMatchesSessionStats(t *testing.T) {
 // output, and the samplers must still attribute every picosecond of both
 // clocks across the aborted offload and its local fallback.
 func TestProfileFaultsTiersCompose(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs an offloaded execution")
 	}

@@ -17,7 +17,7 @@ import (
 // field is one flag, and an experiment ignores the ones it has no use for.
 type Params struct {
 	Depth        int64  // -depth: maximum chess difficulty (table1)
-	Clients      int    // -clients: concurrent mobile clients; 0 = 64, or 1000000 for fleetscale
+	Clients      int    // -clients: concurrent mobile clients; 0 = the experiment's default (64, or 1000000 for fleetscale)
 	Servers      int    // -servers: server pool size (fleet, migrate)
 	Policy       string // -policy: one dispatch policy, or "all" (fleet)
 	Seed         uint64 // -seed: simulation seed (fleet, tiers)
@@ -36,6 +36,30 @@ type Params struct {
 func DefaultParams() Params {
 	return Params{Depth: 11, Servers: 4, Policy: "all", Seed: 1,
 		MigrateSeeds: 10, EdgeServers: 4, CloudServers: 1}
+}
+
+// Validate rejects flag values no experiment can run with, naming the
+// flag. -clients 0 is valid: it asks for the experiment's own default.
+func (p Params) Validate() error {
+	switch {
+	case p.Depth < 1:
+		return fmt.Errorf("-depth must be at least 1, got %d", p.Depth)
+	case p.Clients < 0:
+		return fmt.Errorf("-clients must not be negative (0 = the experiment's default), got %d", p.Clients)
+	case p.Servers < 1:
+		return fmt.Errorf("-servers must be at least 1, got %d", p.Servers)
+	case p.Exemplars < 0:
+		return fmt.Errorf("-exemplars must not be negative, got %d", p.Exemplars)
+	case p.MigrateSeeds < 1:
+		return fmt.Errorf("-migrate-seeds must be at least 1, got %d", p.MigrateSeeds)
+	case p.EdgeServers < 0:
+		return fmt.Errorf("-edge-servers must not be negative, got %d", p.EdgeServers)
+	case p.CloudServers < 0:
+		return fmt.Errorf("-cloud-servers must not be negative, got %d", p.CloudServers)
+	case p.EdgeServers+p.CloudServers == 0:
+		return fmt.Errorf("-edge-servers and -cloud-servers must not both be 0")
+	}
+	return nil
 }
 
 func (p Params) clients(def int) int {

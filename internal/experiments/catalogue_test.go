@@ -43,6 +43,9 @@ func TestCatalogueInvariants(t *testing.T) {
 	if _, err := Select("nope"); err == nil || !strings.Contains(err.Error(), "fig6a") {
 		t.Errorf("Select(nope) error %v does not list the catalogue names", err)
 	}
+	if err := DefaultParams().Validate(); err != nil {
+		t.Errorf("the flag defaults do not validate: %v", err)
+	}
 }
 
 type flooredRecord struct {

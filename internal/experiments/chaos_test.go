@@ -16,6 +16,7 @@ import (
 // to its fault-free run — and at least one cell sweep-wide must have
 // exercised the local fallback path (fallback.local trace events > 0).
 func TestChaosEquivalence(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("chaos sweep is slow")
 	}
@@ -63,6 +64,7 @@ func TestChaosEquivalence(t *testing.T) {
 // same observational equivalence as the fixed grid: graceful degradation
 // must hold for arbitrary fault schedules, not just the curated ones.
 func TestChaosPropertyRandomPlans(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("chaos property sweep is slow")
 	}

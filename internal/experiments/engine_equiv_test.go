@@ -77,6 +77,7 @@ func equivPrograms() []equivProgram {
 // "all example programs" leg of the differential acceptance criteria (the
 // random-program leg lives in internal/interp).
 func TestEngineEquivalenceAllWorkloads(t *testing.T) {
+	t.Parallel()
 	for _, p := range equivPrograms() {
 		t.Run(p.name, func(t *testing.T) {
 			fast := runWorkloadEngine(t, p.mod, p.io(), p.costScale, interp.EngineFast)

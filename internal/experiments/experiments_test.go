@@ -298,6 +298,7 @@ func TestTable5RendersAllSystems(t *testing.T) {
 }
 
 func TestAblationEffects(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs several offloaded executions")
 	}

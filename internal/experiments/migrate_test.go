@@ -12,6 +12,7 @@ import (
 // output, exit code and semantic memory must be bit-identical to the
 // fault-free run.
 func TestChaosServerDeath(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("server-death sweep is slow")
 	}

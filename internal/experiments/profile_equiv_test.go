@@ -49,6 +49,7 @@ func renderReport(buf *bytes.Buffer, name string, rep *profile.Report) {
 // engines drive the same profiler); this golden can. Regenerate with `make
 // golden` only for an intended change to what the profiler measures.
 func TestProfileReportsGolden(t *testing.T) {
+	t.Parallel()
 	var buf bytes.Buffer
 	for _, p := range equivPrograms() {
 		renderReport(&buf, p.name, profileProgram(t, p))
@@ -62,6 +63,7 @@ func TestProfileReportsGolden(t *testing.T) {
 // to a reference-engine instance of the same program must produce deeply
 // equal reports — every time, count and page set of every candidate.
 func TestProfileEngineEquivalenceAllWorkloads(t *testing.T) {
+	t.Parallel()
 	for _, p := range equivPrograms() {
 		t.Run(p.name, func(t *testing.T) {
 			work := p.mod.Clone(p.mod.Name)

@@ -17,6 +17,7 @@ import (
 // intended behaviour change; BENCH_interp.json and BENCH_bind.json are host
 // measurements and belong to `make bench`.
 func TestCommittedRecords(t *testing.T) {
+	t.Parallel()
 	scale := DefaultParams()
 	scale.Exemplars = 64
 	for _, rec := range []struct {
@@ -59,6 +60,7 @@ func TestCommittedRecords(t *testing.T) {
 // nothing moved. Regenerate with `make golden` only for an intended change
 // to a simulated number or a table layout.
 func TestPaperArtifactsGolden(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full 17-program sweep")
 	}

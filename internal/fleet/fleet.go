@@ -40,24 +40,6 @@ type ServerSpec struct {
 	Slots int
 }
 
-// Discipline orders a server's run queue.
-type Discipline uint8
-
-const (
-	// FIFO serves queued requests in arrival order.
-	FIFO Discipline = iota
-	// SJF serves the shortest (estimated server execution time) first,
-	// breaking ties by arrival order.
-	SJF
-)
-
-func (d Discipline) String() string {
-	if d == SJF {
-		return "sjf"
-	}
-	return "fifo"
-}
-
 // Admission bounds what a server accepts. A request failing either bound
 // at arrival is shed: the client is notified and re-executes locally,
 // exactly the runtime's local-fallback path.
@@ -104,8 +86,6 @@ type Config struct {
 	Servers []ServerSpec
 	// Policy is the dispatcher's load-balancing policy.
 	Policy Policy
-	// Queue selects the servers' run-queue discipline.
-	Queue Discipline
 	// Admission bounds what servers accept.
 	Admission Admission
 	// Adaptive, when enabled, turns the Admission bounds into the
@@ -154,10 +134,8 @@ type Config struct {
 	Exemplars int
 
 	// Tracer receives fleet.dispatch / fleet.queue / fleet.shed events
-	// (plus per-request gate decisions); Metrics receives the end-of-run
-	// gauges. Both may be nil.
-	Tracer  *obs.Tracer
-	Metrics *obs.Metrics
+	// (plus per-request gate decisions). It may be nil.
+	Tracer *obs.Tracer
 }
 
 // DefaultServers builds a heterogeneous pool of n servers: fast machines

@@ -87,7 +87,7 @@ func TestLoadIndexMatchesReference(t *testing.T) {
 					now = j.finish
 					fs.dropRunning(j)
 					if len(fs.queue) > 0 && r.intn(8) > 0 {
-						next := fs.pop(Discipline(r.intn(2)))
+						next := fs.pop()
 						next.finish = now + next.exec
 						fs.start(next)
 					}

@@ -176,7 +176,7 @@ func (s *server) release(exec simtime.PS) {
 	s.mark()
 }
 
-// enqueue appends to the run queue under the discipline's bookkeeping.
+// enqueue appends to the run queue.
 func (s *server) enqueue(j *job) {
 	s.queue = append(s.queue, j)
 	s.queExec += j.exec
@@ -186,20 +186,10 @@ func (s *server) enqueue(j *job) {
 	s.mark()
 }
 
-// pop removes the next queued job under the discipline: FIFO takes the
-// oldest, SJF the shortest service time (ties by arrival order).
-func (s *server) pop(d Discipline) *job {
-	best := 0
-	if d == SJF {
-		for i := 1; i < len(s.queue); i++ {
-			if s.queue[i].exec < s.queue[best].exec ||
-				(s.queue[i].exec == s.queue[best].exec && s.queue[i].seq < s.queue[best].seq) {
-				best = i
-			}
-		}
-	}
-	j := s.queue[best]
-	s.queue = append(s.queue[:best], s.queue[best+1:]...)
+// pop removes the oldest queued job: servers run their queues FIFO.
+func (s *server) pop() *job {
+	j := s.queue[0]
+	s.queue = append(s.queue[:0], s.queue[1:]...)
 	s.queExec -= j.exec
 	s.mark()
 	return j
@@ -338,7 +328,6 @@ type machine struct {
 	minShip   simtime.PS // what any WAN transfer costs at least (0 on an ideal link)
 	crossTier bool
 	hWaitTier [2]*obs.Histogram
-	mWaitTier [2]*obs.Histogram
 
 	// Live admission bounds and gate margin: copies of cfg.Admission and
 	// 1.0 under static control, steered by ctrl when adaptive.
@@ -348,7 +337,6 @@ type machine struct {
 
 	st    *Stats // server-side counters (client-side outcomes live in the shards)
 	hWait *obs.Histogram
-	mWait *obs.Histogram
 
 	// samp is the tail sampler (nil unless Config.Exemplars > 0). It
 	// lives in the machine because every completion is delivered here in
@@ -378,7 +366,6 @@ func newMachine(cfg *Config, links []*netsim.Link, st *Stats) *machine {
 		margin:   1,
 		st:       st,
 		hWait:    obs.NewHistogram(),
-		mWait:    cfg.Metrics.Histogram("lat.queue_wait_ps"),
 		samp:     newSampler(cfg),
 	}
 	if cfg.Adaptive.Enabled {
@@ -409,10 +396,6 @@ func newMachine(cfg *Config, links []*netsim.Link, st *Stats) *machine {
 			m.edgeIdx = nil
 		}
 		m.hWaitTier = [2]*obs.Histogram{obs.NewHistogram(), obs.NewHistogram()}
-		m.mWaitTier = [2]*obs.Histogram{
-			cfg.Metrics.Histogram("lat.queue_wait_edge_ps"),
-			cfg.Metrics.Histogram("lat.queue_wait_cloud_ps"),
-		}
 	}
 	m.edgeLoad = newLoadIndex(servers, m.edgeIdx)
 	m.cloudLoad = newLoadIndex(servers, m.cloudIdx)
@@ -421,11 +404,8 @@ func newMachine(cfg *Config, links []*netsim.Link, st *Stats) *machine {
 
 func (m *machine) recordWait(si int32, w simtime.PS) {
 	m.hWait.Record(int64(w))
-	m.mWait.Record(int64(w))
 	if m.topo != nil {
-		t := m.topo.TierOf(int(si))
-		m.hWaitTier[t].Record(int64(w))
-		m.mWaitTier[t].Record(int64(w))
+		m.hWaitTier[m.topo.TierOf(int(si))].Record(int64(w))
 	}
 }
 

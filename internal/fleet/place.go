@@ -255,7 +255,7 @@ func (m *machine) handleFinish(now simtime.PS, si int32, j *job) {
 	m.complete(j.rec, doneMsg{ci: j.client, kind: outOffload, tier: j.tier, missed: missed, decide: j.decide, done: done})
 	m.freeJob(j)
 	if len(s.queue) > 0 && s.busy < s.spec.Slots {
-		next := s.pop(m.cfg.Queue)
+		next := s.pop()
 		wait := now - next.enq
 		s.waitPS += wait
 		m.recordWait(si, wait)

@@ -216,7 +216,7 @@ func (m *machine) finishRun(st *Stats, now simtime.PS) (*Result, error) {
 	cfg := m.cfg
 	res := &Result{
 		Policy:         string(cfg.Policy),
-		Queue:          cfg.Queue.String(),
+		Queue:          "fifo",
 		Clients:        cfg.Clients,
 		Servers:        len(cfg.Servers),
 		Seed:           cfg.Seed,
@@ -245,14 +245,12 @@ func (m *machine) finishRun(st *Stats, now simtime.PS) (*Result, error) {
 		res.QueueWaitEdge, res.QueueWaitCloud = &eh, &ch
 	}
 	res.finish(st.Latencies, m.servers, now)
-	res.publish(cfg.Metrics, m.servers)
 	if m.samp != nil {
 		// Flush the retained exemplars' span trees last: the ring keeps
 		// newest, so the trees survive whatever the live stream dropped.
 		res.Exemplars = m.samp.flush(cfg.Tracer)
 	}
 	res.TraceDropped = cfg.Tracer.Dropped()
-	cfg.Tracer.PublishDropped(cfg.Metrics)
 	return res, nil
 }
 
@@ -392,35 +390,5 @@ func (r *Result) finish(latencies []simtime.PS, servers []*server, makespan simt
 	}
 	if queued > 0 {
 		r.AvgQueueWaitMs = (waited / simtime.PS(queued)).Millis()
-	}
-}
-
-// publish exposes the run's gauges on a metrics registry (no-op on nil):
-// shed rate, queue depth and per-server utilization, the fleet analogue of
-// the session-level counters offrt publishes at Shutdown.
-func (r *Result) publish(m *obs.Metrics, servers []*server) {
-	if m == nil {
-		return
-	}
-	m.Counter("fleet.requests").Set(int64(r.Requests))
-	m.Counter("fleet.offloads").Set(int64(r.Offloads))
-	m.Counter("fleet.dispatched").Set(int64(r.Dispatched))
-	m.Counter("fleet.declines").Set(int64(r.Declines))
-	m.Counter("fleet.sheds").Set(int64(r.Sheds))
-	m.Counter("fleet.fallbacks").Set(int64(r.Fallbacks))
-	m.Counter("fleet.migrations").Set(int64(r.Migrations))
-	m.Counter("fleet.retried").Set(int64(r.Retried))
-	if r.TierMode != "" {
-		m.Counter("fleet.tier.edge_offloads").Set(int64(r.EdgeOffloads))
-		m.Counter("fleet.tier.cloud_offloads").Set(int64(r.CloudOffloads))
-		m.Counter("fleet.tier.promotions").Set(int64(r.Promotions))
-		m.Counter("fleet.tier.demotions").Set(int64(r.Demotions))
-	}
-	m.Counter("fleet.shed_rate_milli").Set(int64(1000 * float64(r.Sheds) / float64(r.Requests)))
-	m.Counter("fleet.queue_depth.max").Set(int64(r.MaxQueueDepth))
-	m.Counter("fleet.queue_wait_ms.avg").Set(int64(r.AvgQueueWaitMs))
-	for i, s := range servers {
-		m.Counter(fmt.Sprintf("fleet.server.%d.util_milli", i)).Set(int64(10 * r.ServerUtilPct[i]))
-		m.Counter(fmt.Sprintf("fleet.server.%d.served", i)).Set(int64(s.served))
 	}
 }

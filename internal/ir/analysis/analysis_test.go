@@ -82,8 +82,8 @@ func TestDominators(t *testing.T) {
 	if dom.Dominates(condJ, condI) {
 		t.Error("inner loop header must not dominate outer header")
 	}
-	if dom.Idom(bodyI) != condI {
-		t.Errorf("idom(for_i.body) = %v, want for_i.cond", dom.Idom(bodyI).Nam)
+	if dom.idom[bodyI] != condI {
+		t.Errorf("idom(for_i.body) = %v, want for_i.cond", dom.idom[bodyI].Nam)
 	}
 }
 
@@ -173,10 +173,6 @@ func TestCallGraphDirectAndIndirect(t *testing.T) {
 		if !reach[m.Func(want)] {
 			t.Errorf("%s should be reachable from main", want)
 		}
-	}
-	callers := cg.Callers(pawn)
-	if len(callers) != 1 || callers[0] != caller {
-		t.Errorf("Callers(evalPawn) = %v, want [think]", callers)
 	}
 }
 

@@ -101,18 +101,3 @@ func (cg *CallGraph) Reachable(roots ...*ir.Func) map[*ir.Func]bool {
 	}
 	return out
 }
-
-// Callers inverts the callee map.
-func (cg *CallGraph) Callers(target *ir.Func) []*ir.Func {
-	var out []*ir.Func
-	for _, f := range cg.Module.Funcs {
-		for _, c := range cg.Callees[f] {
-			if c == target {
-				out = append(out, f)
-				break
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Nam < out[j].Nam })
-	return out
-}

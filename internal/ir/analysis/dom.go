@@ -58,10 +58,6 @@ func Dominators(g *CFG) *DomTree {
 	return &DomTree{cfg: g, idom: idom}
 }
 
-// Idom returns the immediate dominator of b; the entry block is its own
-// immediate dominator.
-func (d *DomTree) Idom(b *ir.Block) *ir.Block { return d.idom[b] }
-
 // Dominates reports whether a dominates b (reflexively).
 func (d *DomTree) Dominates(a, b *ir.Block) bool {
 	for {

@@ -45,20 +45,6 @@ type JobTrace struct {
 	Complete bool
 }
 
-// Walk visits every span of the trace depth-first in time order.
-func (jt *JobTrace) Walk(fn func(*Span)) {
-	var rec func(s *Span)
-	rec = func(s *Span) {
-		fn(s)
-		for _, c := range s.Children {
-			rec(c)
-		}
-	}
-	for _, r := range jt.Roots {
-		rec(r)
-	}
-}
-
 // AssembleSpans groups the stream's job-attributed events (Job != 0) into
 // per-job causal span trees, returned sorted by job id. It never panics on
 // a truncated or wrapped stream: whatever subset of a job's events

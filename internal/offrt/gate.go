@@ -4,7 +4,6 @@ import (
 	"repro/internal/estimate"
 	"repro/internal/interp"
 	"repro/internal/obs"
-	"repro/internal/simtime"
 	"repro/internal/tiers"
 )
 
@@ -29,24 +28,14 @@ func (s *Session) Gate(m *interp.Machine, taskID int32) bool {
 	if !ok {
 		return false
 	}
-	// Dynamic estimation uses the *current* network bandwidth — and, when
-	// the session serves against a shared fleet, the dispatcher's current
-	// queueing delay — which is the whole point of deciding at run time
-	// (Section 4, generalized to shared servers). The decision itself is
-	// the 3-way placement over {local, edge, cloud}: without a topology
-	// the cloud option is absent and Placement reduces exactly to the
-	// paper's binary ProfitableQueued gate.
+	// Dynamic estimation uses the *current* network bandwidth, which is
+	// the whole point of deciding at run time (Section 4). The decision
+	// itself is the 3-way placement over {local, edge, cloud}: without a
+	// topology the cloud option is absent and Placement reduces exactly to
+	// the paper's binary gate (ProfitableQueued with an empty queue).
 	est := s.est
 	est.BandwidthBps = s.linkAt(m.Clock).BandwidthBps
-	var queue simtime.PS
-	if s.load != nil {
-		exec := spec.TimePerInvocation
-		if est.R > 0 {
-			exec = simtime.PS(float64(exec) / est.R)
-		}
-		queue = s.load.EstQueueDelay(m.Clock, exec)
-	}
-	edge := estimate.TierOption{OK: true, P: est, Queue: queue}
+	edge := estimate.TierOption{OK: true, P: est}
 	var cloud estimate.TierOption
 	if s.topo != nil {
 		mode := s.topo.EffectiveMode()
@@ -69,8 +58,7 @@ func (s *Session) Gate(m *interp.Machine, taskID int32) bool {
 			s.Stats.CloudPlaced++
 		}
 		s.emit(obs.Event{Time: m.Clock, Kind: obs.KTierPlace, Track: obs.TrackMobile,
-			Name: choice.String(), A0: int64(spec.TimePerInvocation), A1: spec.MemBytes,
-			A2: int64(queue)})
+			Name: choice.String(), A0: int64(spec.TimePerInvocation), A1: spec.MemBytes})
 	}
 	if choice == estimate.PlaceLocal {
 		return s.verdict(m, taskID, "decline", est)

@@ -26,7 +26,6 @@ import (
 	"repro/internal/estimate"
 	"repro/internal/interp"
 	"repro/internal/mem"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/simtime"
 )
@@ -37,9 +36,6 @@ type Migration struct {
 	// one. Each migration or crash-retry consumes one; with none left the
 	// runtime degrades to the paper's local fallback.
 	Spares int
-	// Backhaul is the server-to-server link checkpoints ship over
-	// (default netsim.Backhaul()).
-	Backhaul *netsim.Link
 	// HealthSlack and HealthFloor define a deadline overrun: a heartbeat
 	// gap counts as overrun when it exceeds HealthSlack x the EWMA of
 	// recent gaps plus HealthFloor. The floor keeps fast-beating tasks

@@ -137,9 +137,6 @@ func TestNewSessionRejectsBadInputs(t *testing.T) {
 	if _, err := NewSession(env.mobile, env.server, nil); err == nil {
 		t.Error("nil link accepted")
 	}
-	if _, err := NewSession(env.mobile, env.server, env.link, WithEstimatorRatio(-1)); err == nil {
-		t.Error("negative estimator ratio accepted")
-	}
 	bad := netsim.Fast80211AC()
 	bad.Phases = []netsim.Phase{
 		{Until: 100, BandwidthBps: 1}, {Until: 50, BandwidthBps: 2},

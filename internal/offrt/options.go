@@ -9,19 +9,8 @@ import (
 	"repro/internal/interp"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/simtime"
 	"repro/internal/tiers"
 )
-
-// LoadSignal is the dispatcher-side load view a server fleet exposes to
-// sessions: the estimated queueing delay an offload dispatched at instant
-// now would face, given its predicted server-side execution time. The
-// dynamic gate charges it on top of Equation 1's communication cost, so a
-// busy fleet flips marginal tasks back to local execution.
-// fleet.Pool implements it.
-type LoadSignal interface {
-	EstQueueDelay(now simtime.PS, exec simtime.PS) simtime.PS
-}
 
 // config collects NewSession's functional options.
 type config struct {
@@ -29,11 +18,7 @@ type config struct {
 	tasks      []TaskSpec
 	tracer     *obs.Tracer
 	metrics    *obs.Metrics
-	ratio      float64
 	injector   *faults.Injector
-	rec        *Recovery
-	load       LoadSignal
-	start      simtime.PS
 	serverPlan *faults.ServerPlan
 	mig        *Migration
 	topo       *tiers.Topology
@@ -62,29 +47,11 @@ func WithTracer(tr *obs.Tracer) Option { return func(c *config) { c.tracer = tr 
 // session statistics (and per-task numbers) into it.
 func WithMetrics(m *obs.Metrics) Option { return func(c *config) { c.metrics = m } }
 
-// WithEstimatorRatio overrides the server/mobile performance ratio R of
-// Equation 1; 0 (the default) derives it from the two machines' cycle
-// times. It is the only ratio override.
-func WithEstimatorRatio(r float64) Option { return func(c *config) { c.ratio = r } }
-
 // WithFaults installs a deterministic link fault injector: every wire
 // transfer consults it and may be dropped, corrupted or delayed, and the
 // session's recovery layer (deadlines, retries, local fallback) takes
 // over from there. A nil injector leaves the link perfectly reliable.
 func WithFaults(in *faults.Injector) Option { return func(c *config) { c.injector = in } }
-
-// WithRecovery replaces the failure-recovery policy (see DefaultRecovery
-// for what sessions use otherwise).
-func WithRecovery(r Recovery) Option { return func(c *config) { c.rec = &r } }
-
-// WithFleet constructs the session against a shared server fleet instead
-// of a dedicated peer: the dynamic gate consults the fleet's live load
-// signal and declines offloads whose queueing delay would erase the gain.
-// A nil signal leaves the session in its dedicated-server shape. Like every
-// session knob this is a NewSession option — NewSession is the single
-// session constructor, and a fleet dispatcher passes WithFleet alongside
-// WithStartTime when admitting a client.
-func WithFleet(load LoadSignal) Option { return func(c *config) { c.load = load } }
 
 // WithServerFaults installs a deterministic *server*-fault schedule:
 // slowdowns, stalls, crashes and scheduled drains injected on the simtime
@@ -115,14 +82,6 @@ func WithMigration(m Migration) Option { return func(c *config) { c.mig = &m } }
 // cloud option is absent.
 func WithTiers(topo *tiers.Topology) Option { return func(c *config) { c.topo = topo } }
 
-// WithStartTime places the session at instant t on the shared simulated
-// timeline instead of 0: both machines' clocks, the energy recorder, and
-// the initial link-phase resolution all start there. A fleet dispatcher
-// admitting a queued client mid-run passes this to NewSession (typically
-// with WithFleet), so every time-varying quantity (link phases above all)
-// is evaluated against the regime actually in effect.
-func WithStartTime(t simtime.PS) Option { return func(c *config) { c.start = t } }
-
 // NewSession builds a session over the given machines and link. The server
 // machine must not be started yet; Session runs it. The link's phase
 // schedule is validated here — a misordered schedule would silently
@@ -141,19 +100,6 @@ func NewSession(mobile, server *interp.Machine, link *netsim.Link, opts ...Optio
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.ratio < 0 {
-		return nil, fmt.Errorf("offrt: estimator ratio must be non-negative, got %g", cfg.ratio)
-	}
-	if cfg.start < 0 {
-		return nil, fmt.Errorf("offrt: start time must be non-negative, got %v", cfg.start)
-	}
-	rec := DefaultRecovery()
-	if cfg.rec != nil {
-		rec = *cfg.rec
-		if err := rec.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	if err := cfg.serverPlan.Validate(); err != nil {
 		return nil, fmt.Errorf("offrt: invalid server-fault plan: %w", err)
 	}
@@ -171,9 +117,6 @@ func NewSession(mobile, server *interp.Machine, link *netsim.Link, opts ...Optio
 	} else {
 		mig.Spares = 0 // no WithMigration: single host, fallback-only recovery
 	}
-	if mig.Backhaul == nil {
-		mig.Backhaul = netsim.Backhaul()
-	}
 
 	s := &Session{
 		Mobile:   mobile,
@@ -187,16 +130,15 @@ func NewSession(mobile, server *interp.Machine, link *netsim.Link, opts ...Optio
 		reqCh:    make(chan request),
 		repCh:    make(chan reply),
 		doneCh:   make(chan error, 1),
-		Recorder: energy.NewRecorder(cfg.start, energy.Compute),
-		rec:      rec,
-		load:     cfg.load,
+		Recorder: energy.NewRecorder(0, energy.Compute),
+		rec:      DefaultRecovery(),
 		topo:     cfg.topo,
 
 		serverPlan: cfg.serverPlan,
 		mig:        mig,
 		migOn:      migOn,
 		hosts:      1 + mig.Spares,
-		backhaul:   mig.Backhaul,
+		backhaul:   netsim.Backhaul(),
 	}
 	// Latency histograms live in the metrics registry so Summary() renders
 	// them next to the counters; Histogram is nil-safe on a nil registry.
@@ -206,20 +148,12 @@ func NewSession(mobile, server *interp.Machine, link *netsim.Link, opts ...Optio
 	s.hWriteBack = cfg.metrics.Histogram("lat.write_back_ps")
 	s.hE2E = cfg.metrics.Histogram("lat.offload.e2e_ps")
 	s.hMigrate = cfg.metrics.Histogram("lat.migration_ps")
-	// Sessions joining a shared timeline mid-run (fleet clients) begin at
-	// their admission instant, not 0.
-	mobile.Clock = simtime.Max(mobile.Clock, cfg.start)
-	server.Clock = simtime.Max(server.Clock, cfg.start)
 	for _, t := range cfg.tasks {
 		s.tasks[int32(t.TaskID)] = t
 		s.PerTask[t.TaskID] = &TaskStats{}
 	}
-	r := cfg.ratio
-	if r == 0 {
-		r = float64(mobile.Spec.CyclePS) / float64(server.Spec.CyclePS)
-	}
 	s.est = estimate.Params{
-		R:            r,
+		R:            float64(mobile.Spec.CyclePS) / float64(server.Spec.CyclePS),
 		BandwidthBps: link.BandwidthBps,
 		RTT:          2 * (link.Latency + link.PerMessage),
 	}
@@ -232,12 +166,9 @@ func NewSession(mobile, server *interp.Machine, link *netsim.Link, opts ...Optio
 	mobile.Tracer, mobile.TraceTrack = cfg.tracer, obs.TrackMobile
 	server.Tracer, server.TraceTrack = cfg.tracer, obs.TrackServer
 
-	// Resolve the initial link phase at the session's start instant: a
-	// session admitted at t > 0 must not trace (or estimate against) the
-	// phase-0 regime.
-	idx, bw := link.PhaseAt(cfg.start)
+	idx, bw := link.PhaseAt(0)
 	s.lastPhase = idx
-	s.Tracer.Emit(obs.Event{Time: cfg.start, Kind: obs.KLinkPhase, Track: obs.TrackLink,
+	s.Tracer.Emit(obs.Event{Time: 0, Kind: obs.KLinkPhase, Track: obs.TrackLink,
 		A0: bw, A1: int64(idx)})
 
 	mobile.Sys = s

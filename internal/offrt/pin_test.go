@@ -187,10 +187,10 @@ func TestSessionTraceDigestPinned(t *testing.T) {
 		{"dead-link/quarantine", func(tr *obs.Tracer) *testEnv {
 			// The offload request itself never arrives: fallback without the
 			// server, then the cool-down declines the later invocations.
-			rec := DefaultRecovery()
-			rec.Cooldown = simtime.FromSeconds(3600)
-			return sjeng.session(t, fast(), Policy{}, WithTracer(tr), WithRecovery(rec),
+			env := sjeng.session(t, fast(), Policy{}, WithTracer(tr),
 				WithFaults(faults.MustInjector(faults.Plan{Outages: []faults.Window{{Start: 0, End: 1 << 62}}})))
+			env.sess.rec.Cooldown = simtime.FromSeconds(3600)
+			return env
 		}, func(s *Session) bool { return s.Stats.Aborts == 0 && s.Stats.Fallbacks == 1 && s.Stats.Declines == 2 }, "21:d7b0b489fd2324e5"},
 		{"crash-retry", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr),

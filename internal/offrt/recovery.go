@@ -1,8 +1,6 @@
 package offrt
 
 import (
-	"fmt"
-
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -43,21 +41,6 @@ func DefaultRecovery() Recovery {
 		DeadlineFloor: 5 * simtime.Millisecond,
 		Cooldown:      2 * simtime.Second,
 	}
-}
-
-// Validate rejects configurations the retry loop cannot run with.
-func (r Recovery) Validate() error {
-	if r.MaxRetries < 0 {
-		return fmt.Errorf("offrt: negative MaxRetries %d", r.MaxRetries)
-	}
-	if r.BackoffBase < 0 || r.DeadlineFloor < 0 || r.Cooldown < 0 {
-		return fmt.Errorf("offrt: negative recovery durations (backoff %v, floor %v, cooldown %v)",
-			r.BackoffBase, r.DeadlineFloor, r.Cooldown)
-	}
-	if r.DeadlineSlack < 1 {
-		return fmt.Errorf("offrt: DeadlineSlack %g < 1 would time out in-flight transfers", r.DeadlineSlack)
-	}
-	return nil
 }
 
 // deadline turns a predicted duration into how long its sender waits for

@@ -104,11 +104,6 @@ type Session struct {
 	// decision over {local, edge, cloud} (see WithTiers).
 	topo *tiers.Topology
 
-	// load, when set, is the fleet dispatcher's live load signal: the
-	// gate charges its estimated queueing delay on top of communication,
-	// so a busy fleet flips marginal tasks back to local execution.
-	load LoadSignal
-
 	// rec is the failure-recovery policy (deadlines, retries, quarantine).
 	rec Recovery
 
