@@ -90,7 +90,8 @@ func TestOutIsTheOnlyWriter(t *testing.T) {
 
 // TestFlagValuesAreValidated: a flag value no experiment can run with is
 // refused by name before anything runs (-migrate-seeds 0 used to print a
-// table of NaNs and exit 0, -clients -5 silently ran 64 clients).
+// table of NaNs and exit 0, -clients -5 silently ran 64 clients, -shards -7
+// the sequential engine).
 func TestFlagValuesAreValidated(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -103,6 +104,7 @@ func TestFlagValuesAreValidated(t *testing.T) {
 		{[]string{"-exp", "fleet", "-clients", "-5"}, "-clients"},
 		{[]string{"-exp", "fleet", "-servers", "0"}, "-servers"},
 		{[]string{"-exp", "fleet", "-exemplars", "-1"}, "-exemplars"},
+		{[]string{"-exp", "fleet", "-shards", "-7"}, "-shards"},
 		{[]string{"-exp", "table1", "-depth", "0"}, "-depth"},
 		{[]string{"-exp", "tiers", "-edge-servers", "-1"}, "-edge-servers"},
 		{[]string{"-exp", "tiers", "-cloud-servers", "-1"}, "-cloud-servers"},

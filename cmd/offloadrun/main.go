@@ -62,21 +62,11 @@ func (o *observability) attach(fw *core.Framework) {
 	fw.Tracer, fw.Metrics = o.tracer, o.metrics
 	fw.Faults = o.faults
 	fw.ServerFaults = o.serverFaults
-	fw.Migration = o.migration()
+	fw.Migrate = o.migrate
 	fw.Tiers = o.topo
 	if o.profileFile != "" {
 		fw.SampleEvery = interp.DefaultSamplePeriod
 	}
-}
-
-// migration is the -migrate policy: nil keeps the paper's fallback-only
-// runtime.
-func (o *observability) migration() *offrt.Migration {
-	if !o.migrate {
-		return nil
-	}
-	m := offrt.DefaultMigration()
-	return &m
 }
 
 // reportRun prints/writes the per-run analysis artifacts for the offloaded
@@ -178,6 +168,12 @@ func run(args []string, stdout io.Writer) error {
 	tiersMode := fs.String("tiers", "", "place offloads over the mobile -> edge -> cloud hierarchy: 3way, edge-only or cloud-only (empty keeps the classic binary gate)")
 	common := cli.CommonFlags(fs)
 	fs.Parse(args) // ExitOnError: a bad flag or -help ends the process here
+	switch {
+	case *cost < 1:
+		return fmt.Errorf("-cost must be at least 1, got %d", *cost)
+	case o.exemplars < 0:
+		return fmt.Errorf("-exemplars must not be negative (0 keeps every job), got %d", o.exemplars)
+	}
 
 	stop, err := common.Start(stdout)
 	if err != nil {
@@ -239,7 +235,7 @@ func runWorkload(name string, showOut bool, o *observability) error {
 		o.attach(fw)
 		// The server-fault plan is not part of this run: it is replayed
 		// below and scored against this result as the fault-free reference.
-		fw.ServerFaults, fw.Migration = nil, nil
+		fw.ServerFaults, fw.Migrate = nil, false
 	})
 	if err != nil {
 		return err
@@ -262,7 +258,7 @@ func runWorkload(name string, showOut bool, o *observability) error {
 	}
 	if o.serverFaults != nil {
 		cell, err := experiments.RunChaosCell(r, o.serverFaults.String(), func(fw *core.Framework) {
-			fw.ServerFaults, fw.Migration = o.serverFaults, o.migration()
+			fw.ServerFaults, fw.Migrate = o.serverFaults, o.migrate
 		})
 		if err != nil {
 			return fmt.Errorf("-server-faults: %w", err)

@@ -46,3 +46,26 @@ func TestStdinRejectsNonInteger(t *testing.T) {
 		t.Errorf("run = %v, want %s", err, want)
 	}
 }
+
+// TestFlagValuesAreValidated: an out-of-range number is refused by flag
+// name before anything runs (-cost 0 used to run at cost 1, -exemplars -3
+// to keep every job).
+func TestFlagValuesAreValidated(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-ir", "../../examples/irprogram/matmul.ir", "-stdin", "200,200", "-cost", "0"}, "-cost"},
+		{[]string{"-w", "chess", "-cost", "-4"}, "-cost"},
+		{[]string{"-w", "chess", "-exemplars", "-3", "-critpath"}, "-exemplars"},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want one naming %q", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q before refusing", tc.args, out.String())
+		}
+	}
+}

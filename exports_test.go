@@ -2,12 +2,13 @@ package repro_test
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -23,22 +24,20 @@ var unshippedExports = map[string]string{
 	"analysis.VerifyModuleSSA":     "the SSA verifier the pipeline tests call after every pass",
 }
 
-// TestExportedFuncsHaveShippedCallers: an exported package-level function
-// under internal/ is referred to by some non-test Go file of the
-// repository (bench/, cmd/ and examples/ included), or it is listed in
-// unshippedExports with a reason; an entry of that list which does have a
-// shipped reference fails too, so the list can only shrink to what is
-// true. A reference is a bare identifier in the declaring package or a
-// pkg.Name selector through a file's import of it. Methods and struct
-// fields are out of reach on purpose: the same name on two types makes a
-// syntactic check lie.
-func TestExportedFuncsHaveShippedCallers(t *testing.T) {
-	type parsed struct {
-		dir  string // slash-separated, relative to the repository root
-		file *ast.File
-	}
-	var files []parsed
+// unwrittenFields are the exported fields of internal/ structs that no
+// shipped code writes, each with the reason it stays.
+var unwrittenFields = map[string]string{
+	"core.Framework.Engine": "read by bench/guest.go's engine probe (the benchmark module is read-only here) until ROADMAP item 3(d) retires the reference engine",
+}
+
+// shippedPackages parses every non-test Go file of the repository (bench/,
+// cmd/ and examples/ included) and type-checks it, package by package, the
+// repository's own imports resolved to the packages checked here and the
+// standard library's from source. The result records every identifier's
+// object and every composite literal's type.
+func shippedPackages(t *testing.T) (map[string]*types.Package, []*ast.File, *types.Info) {
 	fset := token.NewFileSet()
+	src := map[string][]*ast.File{} // import path -> files
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -56,90 +55,215 @@ func TestExportedFuncsHaveShippedCallers(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		files = append(files, parsed{filepath.ToSlash(filepath.Dir(p)), f})
+		path := "repro/" + filepath.ToSlash(filepath.Dir(p)) // bench/ is module repro/bench
+		src[path] = append(src[path], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l := &loader{
+		fset: fset,
+		src:  src,
+		pkgs: map[string]*types.Package{},
+		std:  importer.ForCompiler(fset, "source", nil),
+		info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Uses:  map[*ast.Ident]types.Object{},
+		},
+	}
+	var files []*ast.File
+	for path, pf := range src {
+		if _, err := l.Import(path); err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+		files = append(files, pf...)
+	}
+	return l.pkgs, files, l.info
+}
 
-	type fn struct{ dir, name string } // an exported func and its internal/ directory
-	pkgName := map[string]string{}     // internal/ directory -> package name
-	notBare := map[*ast.Ident]bool{}   // a declaration's own name, or the Sel of a selector
-	refs := map[fn]int{}               // shipped references
-	for _, pf := range files {
-		if !strings.HasPrefix(pf.dir, "internal/") {
+// loader is the types.Importer behind shippedPackages.
+type loader struct {
+	fset *token.FileSet
+	src  map[string][]*ast.File
+	pkgs map[string]*types.Package
+	std  types.Importer
+	info *types.Info
+}
+
+func (l *loader) Import(path string) (*types.Package, error) {
+	if p := l.pkgs[path]; p != nil {
+		return p, nil
+	}
+	files, ok := l.src[path]
+	if !ok {
+		return l.std.Import(path)
+	}
+	conf := types.Config{Importer: l}
+	p, err := conf.Check(path, l.fset, files, l.info)
+	if err == nil {
+		l.pkgs[path] = p
+	}
+	return p, err
+}
+
+// TestExportedFuncsHaveShippedCallers holds two rules over the type-checked
+// non-test code of the repository, each with its allowlist:
+//
+//   - an exported package-level function under internal/ is referred to by
+//     some shipped file, or it is listed in unshippedExports;
+//   - an exported field of a struct declared under internal/ is written by
+//     some shipped file, or it is listed in unwrittenFields. A write is a
+//     composite-literal key, an unkeyed composite literal of the struct, or
+//     the field at the root of an assignment's left side, of ++/--, of & or
+//     of a pointer-receiver method call's receiver.
+//
+// An allowlist entry that is no longer needed, or names nothing, fails too,
+// so both lists can only shrink to what is true. Methods stay outside: an
+// interface a type satisfies calls them without naming them.
+func TestExportedFuncsHaveShippedCallers(t *testing.T) {
+	pkgs, files, info := shippedPackages(t)
+
+	funcs := map[types.Object]string{}  // exported internal/ function -> pkg.Name
+	fields := map[types.Object]string{} // exported internal/ struct field -> pkg.Type.Field
+	for path, p := range pkgs {
+		if !strings.HasPrefix(path, "repro/internal/") {
 			continue
 		}
-		pkgName[pf.dir] = pf.file.Name.Name
-		for _, decl := range pf.file.Decls {
-			if d, ok := decl.(*ast.FuncDecl); ok && d.Recv == nil && d.Name.IsExported() {
-				notBare[d.Name] = true
-				refs[fn{pf.dir, d.Name.Name}] = 0
-			}
-		}
-	}
-	count := func(f fn) {
-		if _, ok := refs[f]; ok {
-			refs[f]++
-		}
-	}
-	for _, pf := range files {
-		imported := map[string]string{} // local name -> internal/ directory
-		for _, imp := range pf.file.Imports {
-			ipath, _ := strconv.Unquote(imp.Path.Value)
-			dir, ok := strings.CutPrefix(ipath, "repro/")
-			if !ok || pkgName[dir] == "" {
-				continue
-			}
-			local := pkgName[dir]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imported[local] = dir
-		}
-		ast.Inspect(pf.file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				notBare[n.Sel] = true
-				if x, ok := n.X.(*ast.Ident); ok && imported[x.Name] != "" {
-					count(fn{imported[x.Name], n.Sel.Name})
+		for _, name := range p.Scope().Names() {
+			switch obj := p.Scope().Lookup(name).(type) {
+			case *types.Func:
+				if obj.Exported() {
+					funcs[obj] = p.Name() + "." + name
 				}
-			case *ast.Ident:
-				if !notBare[n] {
-					count(fn{pf.dir, n.Name})
+			case *types.TypeName:
+				if st, ok := obj.Type().Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						if f := st.Field(i); f.Exported() {
+							fields[f] = p.Name() + "." + name + "." + f.Name()
+						}
+					}
+				}
+			}
+		}
+	}
+
+	called := map[types.Object]bool{}
+	for _, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			called[fn.Origin()] = true
+		}
+	}
+	written := map[types.Object]bool{}
+	write := func(e ast.Expr) { markWritten(info, written, e) }
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				st := litStruct(info, n)
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if k, ok := kv.Key.(*ast.Ident); ok {
+							if v, ok := info.Uses[k].(*types.Var); ok && v.IsField() {
+								written[v.Origin()] = true
+							}
+						}
+					} else if st != nil && i < st.NumFields() {
+						written[st.Field(i).Origin()] = true
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					write(lhs)
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					write(n.X)
+				}
+			case *ast.CallExpr:
+				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+					if fn, ok := info.Uses[sel.Sel].(*types.Func); ok {
+						if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+							if _, ptr := recv.Type().(*types.Pointer); ptr {
+								write(sel.X)
+							}
+						}
+					}
 				}
 			}
 			return true
 		})
 	}
 
-	var unreferenced, stale []string
-	listed := map[string]bool{}
-	for f, n := range refs {
-		name := pkgName[f.dir] + "." + f.name
-		_, allowed := unshippedExports[name]
-		listed[name] = true
-		switch {
-		case n == 0 && !allowed:
-			unreferenced = append(unreferenced, name+" ("+f.dir+")")
-		case n > 0 && allowed:
-			stale = append(stale, name)
+	check := func(what string, decl map[types.Object]string, used map[types.Object]bool, allow map[string]string, fix string) {
+		var missing, stale []string
+		listed := map[string]bool{}
+		for obj, name := range decl {
+			_, allowed := allow[name]
+			listed[name] = true
+			switch {
+			case !used[obj] && !allowed:
+				missing = append(missing, name+" ("+obj.Pkg().Path()+")")
+			case used[obj] && allowed:
+				stale = append(stale, name)
+			}
+		}
+		for name := range allow {
+			if !listed[name] {
+				stale = append(stale, name+" (no such "+what+")")
+			}
+		}
+		sort.Strings(missing)
+		sort.Strings(stale)
+		if len(missing) > 0 {
+			t.Errorf("%s:\n  %s", fix, strings.Join(missing, "\n  "))
+		}
+		if len(stale) > 0 {
+			t.Errorf("allowlisted %ss that ship (or name nothing): drop them from the list:\n  %s", what, strings.Join(stale, "\n  "))
 		}
 	}
-	for name := range unshippedExports {
-		if !listed[name] {
-			stale = append(stale, name+" (no such function)")
+	check("function", funcs, called, unshippedExports,
+		"exported functions under internal/ that no non-test file refers to — delete them with the tests that exist only to reach them, or list a genuine seam in unshippedExports with its reason")
+	check("field", fields, written, unwrittenFields,
+		"exported fields of internal/ structs that no non-test file writes — delete them with their branches (a field shipped code sets to one value is a constant), or list one in unwrittenFields with its reason")
+}
+
+// markWritten marks the fields an expression writes through: the field
+// selected at its root and, up to the first pointer indirection, the fields
+// holding the struct values it sits in (s.Stats.Retries++ writes Retries
+// and Stats). Parentheses and indexing are peeled off (x.F[i] writes F).
+func markWritten(info *types.Info, written map[types.Object]bool, e ast.Expr) {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			v, _ := info.Uses[x.Sel].(*types.Var)
+			if v == nil || !v.IsField() {
+				return
+			}
+			written[v.Origin()] = true
+			if _, ptr := info.TypeOf(x.X).Underlying().(*types.Pointer); ptr {
+				return
+			}
+			e = x.X
+		default:
+			return
 		}
 	}
-	sort.Strings(unreferenced)
-	sort.Strings(stale)
-	if len(unreferenced) > 0 {
-		t.Errorf("exported functions under internal/ that no non-test file refers to — delete them with the tests that exist only to reach them, or list a genuine seam in unshippedExports with its reason:\n  %s",
-			strings.Join(unreferenced, "\n  "))
+}
+
+// litStruct is the struct type a composite literal builds, seen through
+// the pointer of an elided &T in a []*T literal; nil for other literals.
+func litStruct(info *types.Info, lit *ast.CompositeLit) *types.Struct {
+	typ := info.Types[lit].Type
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
 	}
-	if len(stale) > 0 {
-		t.Errorf("unshippedExports entries that have a shipped reference (or name nothing): drop them from the list:\n  %s",
-			strings.Join(stale, "\n  "))
-	}
+	st, _ := typ.Underlying().(*types.Struct)
+	return st
 }

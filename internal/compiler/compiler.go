@@ -33,8 +33,6 @@ type Options struct {
 	// RemoteIO enables the Section 3.4 remote I/O manager (on by default
 	// in Default()).
 	RemoteIO bool
-	// MaxTargets bounds how many tasks are selected; 0 means no bound.
-	MaxTargets int
 	// MinGain drops candidates whose predicted gain is below this
 	// threshold: offloading a sub-millisecond task is never worth the
 	// code-size and bookkeeping cost, even when Equation 1 is positive.
@@ -342,9 +340,6 @@ func selectTargets(m *ir.Module, cg *analysis.CallGraph, fres *filter.Result, pr
 	covered := make(map[*ir.Func]bool) // functions already inside a picked target
 	for i := range cands {
 		c := &cands[i]
-		if opt.MaxTargets > 0 && len(picked) >= opt.MaxTargets {
-			break
-		}
 		if covered[c.sel.fn] {
 			continue // nested in (or equal to) an already-picked target
 		}

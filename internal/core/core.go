@@ -50,10 +50,8 @@ type Framework struct {
 	Power  energy.PowerModel
 
 	// CostScale amplifies interpreter costs so small kernels model
-	// paper-scale execution times; Scale divides network bandwidth to
-	// match memory footprints shrunk by the same factor.
+	// paper-scale execution times (see WithScale).
 	CostScale int64
-	Scale     int
 
 	// RemoteIO toggles the Section 3.4 remote I/O optimization.
 	RemoteIO bool
@@ -72,10 +70,10 @@ type Framework struct {
 	// (slowdown, stall, crash, drain) against every offloaded run's server.
 	// Nil leaves the server perfectly healthy.
 	ServerFaults *faults.ServerPlan
-	// Migration, when non-nil, enables mid-flight offload migration: on a
-	// detected server fault the session checkpoints, ships and resumes the
-	// task on a spare instance instead of falling back locally.
-	Migration *offrt.Migration
+	// Migrate enables mid-flight offload migration: on a detected server
+	// fault the session checkpoints, ships and resumes the task on a spare
+	// instance instead of falling back locally.
+	Migrate bool
 	// Tiers, when non-nil, places a hierarchical edge/cloud topology
 	// behind every offloaded run's gate: decisions become the 3-way
 	// placement over {local, edge, cloud} instead of the binary
@@ -116,7 +114,6 @@ func NewFramework(n Network) *Framework {
 		Mobile:    arch.ARM32(),
 		Server:    arch.X8664(),
 		CostScale: 1,
-		Scale:     1,
 		RemoteIO:  true,
 		Cache:     DefaultCache,
 	}
@@ -132,10 +129,9 @@ func NewFramework(n Network) *Framework {
 }
 
 // WithScale applies the common memory/bandwidth scale factor (workloads
-// shrink footprints by Scale; the link shrinks bandwidth to match, so all
-// time ratios are preserved).
+// shrink footprints by scale; the link shrinks bandwidth to match, so all
+// time ratios are preserved) and the workload's cost amplification.
 func (fw *Framework) WithScale(scale int, costScale int64) *Framework {
-	fw.Scale = scale
 	fw.CostScale = costScale
 	fw.Link = fw.Link.Scaled(scale)
 	return fw
@@ -358,8 +354,8 @@ func (fw *Framework) RunOffloaded(cres *compiler.Result, io *interp.StdIO, pol o
 	if fw.ServerFaults != nil {
 		opts = append(opts, offrt.WithServerFaults(fw.ServerFaults))
 	}
-	if fw.Migration != nil {
-		opts = append(opts, offrt.WithMigration(*fw.Migration))
+	if fw.Migrate {
+		opts = append(opts, offrt.WithMigration())
 	}
 	if fw.Tiers != nil {
 		opts = append(opts, offrt.WithTiers(fw.Tiers))

@@ -5,7 +5,9 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/interp"
+	"repro/internal/netsim"
 	"repro/internal/offrt"
+	"repro/internal/simtime"
 	"repro/internal/workloads"
 )
 
@@ -120,14 +122,17 @@ func TestChessLocalFallbackGateDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With the gate disabled, the offloading-enabled binary runs fully
-	// locally and must behave identically to the original binary.
-	off, err := fw.RunOffloaded(cres, workloads.ChessInput(7, 2), offrt.Policy{DisableGate: true})
+	// Over a 1 kbps link Equation 1 charges every invocation more
+	// communication than the server could save, so the dynamic gate declines
+	// them all: the offloading-enabled binary runs fully locally and must
+	// behave identically to the original binary.
+	fw.Link = &netsim.Link{Name: "1kbps", BandwidthBps: 1000, Latency: simtime.Millisecond}
+	off, err := fw.RunOffloaded(cres, workloads.ChessInput(7, 2), offrt.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Offloaded() {
-		t.Error("gate disabled but a task offloaded")
+	if off.Offloaded() || off.Stats.Declines == 0 {
+		t.Errorf("gate should decline every invocation: %d offloads, %d declines", off.Stats.Offloads, off.Stats.Declines)
 	}
 	if off.Output != local.Output {
 		t.Errorf("local-path output differs:\n%s\nvs\n%s", head(off.Output), head(local.Output))

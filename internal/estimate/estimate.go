@@ -30,6 +30,12 @@ type Params struct {
 	RTT simtime.PS
 }
 
+// DeadlineSlack multiplies a predicted duration into how long its waiter
+// holds on before concluding the other side is gone: the offload runtime's
+// per-RPC and per-task deadlines and the fleet client's dispatch deadline
+// all scale the estimator's own prediction by it.
+const DeadlineSlack = 3
+
 // CommTime returns Tc for moving memBytes twice (mobile->server and back),
 // invocations times.
 func (p Params) CommTime(memBytes int64, invocations int) simtime.PS {
@@ -49,21 +55,11 @@ func (p Params) IdealGain(tm simtime.PS) simtime.PS {
 	return simtime.PS(float64(tm) * (1 - 1/p.R))
 }
 
-// Gain evaluates Equation 1.
-func (p Params) Gain(tm simtime.PS, memBytes int64, invocations int) simtime.PS {
-	return p.IdealGain(tm) - p.CommTime(memBytes, invocations)
-}
-
-// Profitable reports whether Equation 1 predicts a positive gain.
-func (p Params) Profitable(tm simtime.PS, memBytes int64, invocations int) bool {
-	return p.Gain(tm, memBytes, invocations) > 0
-}
-
 // RemoteTime estimates the end-to-end remote completion time of one
 // invocation: the two memory transfers of Equation 1, the server-side
 // execution Tm/R, and the queueing delay a loaded server currently
 // charges. With queue = 0 it is exactly the remote side of Equation 1
-// (RemoteTime < Tm iff Profitable), so the single-server gate and the
+// (RemoteTime < Tm iff Evaluate's Tg > 0), so the single-server gate and the
 // fleet's contention-aware gate agree on an idle fleet.
 func (p Params) RemoteTime(tm simtime.PS, memBytes int64, queue simtime.PS) simtime.PS {
 	exec := tm
@@ -73,7 +69,7 @@ func (p Params) RemoteTime(tm simtime.PS, memBytes int64, queue simtime.PS) simt
 	return p.CommTime(memBytes, 1) + exec + queue
 }
 
-// ProfitableQueued generalizes Profitable to shared servers: offloading
+// ProfitableQueued generalizes Equation 1 to shared servers: offloading
 // wins only if it still beats local execution after the dispatcher's
 // current queueing delay is charged on top of communication.
 func (p Params) ProfitableQueued(tm simtime.PS, memBytes int64, queue simtime.PS) bool {
@@ -88,7 +84,8 @@ type Estimate struct {
 	Tg     simtime.PS // net gain
 }
 
-// Evaluate fills an Estimate for one candidate.
+// Evaluate fills an Estimate for one candidate: Tg is Equation 1, and the
+// task is profitable to offload when it is positive.
 func (p Params) Evaluate(tm simtime.PS, memBytes int64, invocations int) Estimate {
 	ideal := p.IdealGain(tm)
 	tc := p.CommTime(memBytes, invocations)
@@ -228,17 +225,16 @@ func (c MigrationChoice) String() string {
 // 3-way choice. remaining is the task's remaining work in mobile time;
 // slowFactor is the current server's compute-time inflation (1 = healthy,
 // +Inf or <= 0 = dead); cost is the MigrationCost of shipping the
-// checkpoint (pass canMigrate = false when no viable target exists).
-// It returns the choice minimizing estimated completion:
+// checkpoint to the spare the caller holds (without one the runtime falls
+// back without asking). It returns the choice minimizing estimated
+// completion:
 //
 //	T_finish   = (remaining/R) * slowFactor
 //	T_migrate  = cost + remaining/R
 //	T_fallback = remaining (mobile re-execution of what's left)
 //
-// A dead or draining server cannot Finish; with no target, the decision
-// degenerates to the recovery layer's migrate-vs-fallback coin with only
-// one side.
-func (p Params) MigrationDecision(remaining simtime.PS, slowFactor float64, cost simtime.PS, canFinish, canMigrate bool) MigrationChoice {
+// A dead or draining server cannot Finish.
+func (p Params) MigrationDecision(remaining simtime.PS, slowFactor float64, cost simtime.PS, canFinish bool) MigrationChoice {
 	exec := remaining
 	if p.R > 0 {
 		exec = simtime.PS(float64(remaining) / p.R)
@@ -250,10 +246,8 @@ func (p Params) MigrationDecision(remaining simtime.PS, slowFactor float64, cost
 			best, choice = t, Finish
 		}
 	}
-	if canMigrate {
-		if t := cost + exec; t < best {
-			best, choice = t, Migrate
-		}
+	if t := cost + exec; t < best {
+		choice = Migrate
 	}
 	return choice
 }

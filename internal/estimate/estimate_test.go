@@ -46,27 +46,30 @@ func TestTable3Selection(t *testing.T) {
 	// profitable; for_j loses to its 36 invocations and getPlayerTurn to
 	// its tiny execution time.
 	p := table3Params()
-	if !p.Profitable(simtime.FromSeconds(26.0), 12_000_000, 3) {
+	if p.Evaluate(simtime.FromSeconds(26.0), 12_000_000, 3).Tg <= 0 {
 		t.Error("getAITurn should be profitable")
 	}
-	if p.Profitable(simtime.FromSeconds(25.0), 12_000_000, 36) {
+	if p.Evaluate(simtime.FromSeconds(25.0), 12_000_000, 36).Tg > 0 {
 		t.Error("for_j should NOT be profitable (repeated communication)")
 	}
-	if p.Profitable(simtime.FromSeconds(1.5), 10_000_000, 3) {
+	if p.Evaluate(simtime.FromSeconds(1.5), 10_000_000, 3).Tg > 0 {
 		t.Error("getPlayerTurn should NOT be profitable")
 	}
 }
 
 func TestGainMonotonicity(t *testing.T) {
 	p := table3Params()
-	base := p.Gain(simtime.FromSeconds(10), 1_000_000, 1)
-	if p.Gain(simtime.FromSeconds(20), 1_000_000, 1) <= base {
+	gain := func(sec float64, mem int64, inv int) simtime.PS {
+		return p.Evaluate(simtime.FromSeconds(sec), mem, inv).Tg
+	}
+	base := gain(10, 1_000_000, 1)
+	if gain(20, 1_000_000, 1) <= base {
 		t.Error("gain should grow with task time")
 	}
-	if p.Gain(simtime.FromSeconds(10), 50_000_000, 1) >= base {
+	if gain(10, 50_000_000, 1) >= base {
 		t.Error("gain should shrink with memory size")
 	}
-	if p.Gain(simtime.FromSeconds(10), 1_000_000, 10) >= base {
+	if gain(10, 1_000_000, 10) >= base {
 		t.Error("gain should shrink with invocation count")
 	}
 }
@@ -76,17 +79,17 @@ func TestFasterNetworkHelps(t *testing.T) {
 	fast := Params{R: 5.8, BandwidthBps: 844_000_000}
 	tm := simtime.FromSeconds(15.3)
 	mem := int64(150_000_000) // gzip-like
-	if slow.Profitable(tm, mem, 1) {
+	if slow.Evaluate(tm, mem, 1).Tg > 0 {
 		t.Error("gzip-like task should be rejected on slow network (Fig. 6 star)")
 	}
-	if !fast.Profitable(tm, mem, 1) {
+	if fast.Evaluate(tm, mem, 1).Tg <= 0 {
 		t.Error("gzip-like task should be accepted on fast network")
 	}
 }
 
 func TestDegenerateParams(t *testing.T) {
 	p := Params{R: 0, BandwidthBps: 0}
-	if p.Gain(simtime.FromSeconds(1), 1000, 1) != 0 {
+	if p.Evaluate(simtime.FromSeconds(1), 1000, 1).Tg != 0 {
 		t.Error("degenerate params should yield zero gain")
 	}
 }
@@ -96,8 +99,8 @@ func TestRemoteTimeMatchesEquationOne(t *testing.T) {
 	tm := simtime.FromSeconds(2)
 	mem := int64(4 << 20)
 	// With an empty queue the queued gate must agree with Equation 1.
-	if p.Profitable(tm, mem, 1) != p.ProfitableQueued(tm, mem, 0) {
-		t.Error("ProfitableQueued(queue=0) disagrees with Profitable")
+	if (p.Evaluate(tm, mem, 1).Tg > 0) != p.ProfitableQueued(tm, mem, 0) {
+		t.Error("ProfitableQueued(queue=0) disagrees with Equation 1")
 	}
 	base := p.RemoteTime(tm, mem, 0)
 	if want := p.CommTime(mem, 1) + simtime.PS(float64(tm)/p.R); base != want {

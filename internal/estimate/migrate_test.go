@@ -34,26 +34,23 @@ func TestMigrationDecision(t *testing.T) {
 		slowFactor float64
 		cost       simtime.PS
 		canFinish  bool
-		canMigrate bool
 		want       MigrationChoice
 	}{
 		// Healthy server: riding it out beats paying any migration cost.
-		{"healthy", 1, smallCkpt, true, true, Finish},
+		{"healthy", 1, smallCkpt, true, Finish},
 		// 10x slowdown: 1s to finish in place vs ~100ms + small ship.
-		{"heavy-slowdown", 10, smallCkpt, true, true, Migrate},
+		{"heavy-slowdown", 10, smallCkpt, true, Migrate},
 		// Mild slowdown: finish (110ms) still beats migrate (100ms + cost)
 		// when the checkpoint is big.
-		{"mild-slowdown-big-ckpt", 1.1, 20 * simtime.Millisecond, true, true, Finish},
+		{"mild-slowdown-big-ckpt", 1.1, 20 * simtime.Millisecond, true, Finish},
 		// Crash: can't finish, migration wins over mobile re-execution.
-		{"crash-with-spare", 0, smallCkpt, false, true, Migrate},
-		// Crash with no viable target: local fallback is all that's left.
-		{"crash-no-spare", 0, 0, false, false, Fallback},
+		{"crash-with-spare", 0, smallCkpt, false, Migrate},
 		// Drain excludes finish even though the server still computes.
-		{"drain", 1, smallCkpt, false, true, Migrate},
+		{"drain", 1, smallCkpt, false, Migrate},
 		// Migration cost so high that re-executing locally is cheaper.
-		{"absurd-ship-cost", 0, 2 * remaining, false, true, Fallback},
+		{"absurd-ship-cost", 0, 2 * remaining, false, Fallback},
 	} {
-		if got := p.MigrationDecision(remaining, tc.slowFactor, tc.cost, tc.canFinish, tc.canMigrate); got != tc.want {
+		if got := p.MigrationDecision(remaining, tc.slowFactor, tc.cost, tc.canFinish); got != tc.want {
 			t.Errorf("%s: MigrationDecision = %v, want %v", tc.name, got, tc.want)
 		}
 	}

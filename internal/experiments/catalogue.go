@@ -48,6 +48,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("-clients must not be negative (0 = the experiment's default), got %d", p.Clients)
 	case p.Servers < 1:
 		return fmt.Errorf("-servers must be at least 1, got %d", p.Servers)
+	case p.Shards < -1:
+		return fmt.Errorf("-shards must be -1 (sequential), 0 (one per CPU) or a shard count, got %d", p.Shards)
 	case p.Exemplars < 0:
 		return fmt.Errorf("-exemplars must not be negative, got %d", p.Exemplars)
 	case p.MigrateSeeds < 1:

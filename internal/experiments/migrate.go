@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/fleet"
-	"repro/internal/offrt"
 	"repro/internal/report"
 	"repro/internal/simtime"
 )
@@ -25,7 +24,6 @@ func ServerDeathSweep(seeds int) ([]*ChaosCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	spare := offrt.DefaultMigration()
 	var cells []*ChaosCell
 	for i := 0; i < seeds; i++ {
 		pr := base[i%len(base)]
@@ -40,14 +38,14 @@ func ServerDeathSweep(seeds int) ([]*ChaosCell, error) {
 		for _, m := range []struct {
 			mode string
 			plan *faults.ServerPlan
-			mig  *offrt.Migration
+			mig  bool
 		}{
-			{"retry", crash, &spare},
-			{"fallback", crash, nil},
-			{"migrate", drain, &spare},
+			{"retry", crash, true},
+			{"fallback", crash, false},
+			{"migrate", drain, true},
 		} {
 			cell, err := RunChaosCell(pr, m.mode+": "+m.plan.String(), func(fw *core.Framework) {
-				fw.ServerFaults, fw.Migration = m.plan, m.mig
+				fw.ServerFaults, fw.Migrate = m.plan, m.mig
 			})
 			if err != nil {
 				return nil, err
@@ -66,11 +64,10 @@ func ServerChaosSpecSweep(plan *faults.ServerPlan) ([]*ChaosCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	mig := offrt.DefaultMigration()
 	var cells []*ChaosCell
 	for _, pr := range base {
 		cell, err := RunChaosCell(pr, "spec: "+plan.String(), func(fw *core.Framework) {
-			fw.ServerFaults, fw.Migration = plan, &mig
+			fw.ServerFaults, fw.Migrate = plan, true
 		})
 		if err != nil {
 			return nil, err

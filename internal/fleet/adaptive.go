@@ -1,76 +1,41 @@
 package fleet
 
 import (
-	"fmt"
-
 	"repro/internal/simtime"
 )
 
-// Adaptive configures the admission-control feedback loop. When Enabled,
+// Adaptive switches on the admission-control feedback loop. When Enabled,
 // the static Admission bounds become the controller's starting point and
-// every Period of simulated time the controller re-tunes three knobs
-// inside the configured ranges: the queue-depth bound, the estimated-wait
-// bound, and the est-aware gate's queueing-signal margin. This is the
-// fleet analogue of the SmartNIC simulator's per-round threshold
-// adjustment: observe what the last round let through and what it cost,
-// then move the threshold instead of pinning it.
+// every adaptPeriod of simulated time the controller re-tunes three knobs
+// inside fixed ranges: the queue-depth bound, the estimated-wait bound, and
+// the est-aware gate's queueing-signal margin. This is the fleet analogue
+// of the SmartNIC simulator's per-round threshold adjustment: observe what
+// the last round let through and what it cost, then move the threshold
+// instead of pinning it.
 type Adaptive struct {
 	Enabled bool
-	// Period is the controller's adjustment interval on the simulated
-	// clock.
-	Period simtime.PS
-	// MinQueue/MaxQueue bound the adaptive queue-depth limit. MinQueue
-	// must be >= 1: the controller may never cross into 0, which the
-	// Admission contract reserves for "unbounded".
-	MinQueue, MaxQueue int
-	// MinWait/MaxWait bound the adaptive estimated-wait limit.
-	MinWait, MaxWait simtime.PS
-	// MinMargin/MaxMargin bound the est-aware gate margin (1 charges the
-	// raw load signal; larger values distrust it).
-	MinMargin, MaxMargin float64
 }
 
-// DefaultAdaptive is the standard controller tuning: quarter-second
-// reaction time, bounds wide enough to span everything the static
-// defaults would pin, margin free to grow eightfold under pressure but
-// never below neutral.
-func DefaultAdaptive() Adaptive {
-	return Adaptive{
-		Enabled:   true,
-		Period:    250 * simtime.Millisecond,
-		MinQueue:  2,
-		MaxQueue:  64,
-		MinWait:   250 * simtime.Millisecond,
-		MaxWait:   8 * simtime.Second,
-		MinMargin: 1,
-		MaxMargin: 8,
-	}
-}
+// DefaultAdaptive is the controller switched on.
+func DefaultAdaptive() Adaptive { return Adaptive{Enabled: true} }
 
-func (a *Adaptive) validate() error {
-	if !a.Enabled {
-		return nil
-	}
-	if a.Period <= 0 {
-		return fmt.Errorf("fleet: adaptive admission needs a positive period, got %v", a.Period)
-	}
-	if a.MinQueue < 1 || a.MaxQueue < a.MinQueue {
-		return fmt.Errorf("fleet: adaptive queue bounds [%d, %d] invalid (min >= 1, max >= min)", a.MinQueue, a.MaxQueue)
-	}
-	if a.MinWait < 1 || a.MaxWait < a.MinWait {
-		return fmt.Errorf("fleet: adaptive wait bounds [%v, %v] invalid", a.MinWait, a.MaxWait)
-	}
-	if a.MinMargin <= 0 || a.MaxMargin < a.MinMargin {
-		return fmt.Errorf("fleet: adaptive margin bounds [%g, %g] invalid", a.MinMargin, a.MaxMargin)
-	}
-	return nil
-}
+// The controller's tuning: quarter-second reaction time, bounds wide enough
+// to span everything the static defaults would pin, margin free to grow
+// eightfold under pressure but never below neutral. The queue floor is 1 or
+// more: the controller may never cross into 0, which the Admission contract
+// reserves for "unbounded".
+const (
+	adaptPeriod                    = 250 * simtime.Millisecond
+	adaptMinQueue, adaptMaxQueue   = 2, 64
+	adaptMinWait                   = 250 * simtime.Millisecond
+	adaptMaxWait                   = 8 * simtime.Second
+	adaptMinMargin, adaptMaxMargin = 1.0, 8.0
+)
 
 // controller runs the Adaptive feedback loop. It lives on the machine, so
 // both engines step it from the same handlers in the same global event
 // order: the control trajectory is part of the deterministic schedule.
 type controller struct {
-	cfg  Adaptive
 	next simtime.PS // next period boundary
 
 	// Live knob values, mirrored into machine.adm / machine.margin after
@@ -85,13 +50,13 @@ type controller struct {
 	misses   int
 }
 
-func newController(a Adaptive, seed Admission) *controller {
-	c := &controller{cfg: a, next: a.Period, queue: seed.MaxQueue, wait: seed.MaxWait, margin: 1}
+func newController(seed Admission) *controller {
+	c := &controller{next: adaptPeriod, queue: seed.MaxQueue, wait: seed.MaxWait, margin: 1}
 	if c.queue == 0 {
-		c.queue = a.MaxQueue
+		c.queue = adaptMaxQueue
 	}
 	if c.wait == 0 {
-		c.wait = a.MaxWait
+		c.wait = adaptMaxWait
 	}
 	c.clampKnobs()
 	return c
@@ -139,22 +104,7 @@ func (c *controller) step(busy, slots int) {
 }
 
 func (c *controller) clampKnobs() {
-	if c.queue < c.cfg.MinQueue {
-		c.queue = c.cfg.MinQueue
-	}
-	if c.queue > c.cfg.MaxQueue {
-		c.queue = c.cfg.MaxQueue
-	}
-	if c.wait < c.cfg.MinWait {
-		c.wait = c.cfg.MinWait
-	}
-	if c.wait > c.cfg.MaxWait {
-		c.wait = c.cfg.MaxWait
-	}
-	if c.margin < c.cfg.MinMargin {
-		c.margin = c.cfg.MinMargin
-	}
-	if c.margin > c.cfg.MaxMargin {
-		c.margin = c.cfg.MaxMargin
-	}
+	c.queue = min(max(c.queue, adaptMinQueue), adaptMaxQueue)
+	c.wait = min(max(c.wait, adaptMinWait), adaptMaxWait)
+	c.margin = min(max(c.margin, adaptMinMargin), adaptMaxMargin)
 }

@@ -8,14 +8,8 @@ import (
 
 // TestControllerStep is the table-driven contract of one control decision:
 // what the knobs do under pressure, under a clean period with headroom,
-// and in the dead zone between.
+// and in the dead zone between, against the shipped bounds.
 func TestControllerStep(t *testing.T) {
-	base := Adaptive{
-		Enabled: true, Period: 250 * simtime.Millisecond,
-		MinQueue: 1, MaxQueue: 100,
-		MinWait: simtime.Millisecond, MaxWait: 100 * simtime.Second,
-		MinMargin: 0.5, MaxMargin: 16,
-	}
 	cases := []struct {
 		name          string
 		sheds, misses int
@@ -45,12 +39,16 @@ func TestControllerStep(t *testing.T) {
 			wantQueue: 16, wantWait: 4 * simtime.Second, wantMargin: 2},
 		{name: "pressure clamps at the floor",
 			sheds: 1, busy: 8, slots: 8,
-			queue0: 1, wait0: simtime.Millisecond, margin0: 16,
-			wantQueue: 1, wantWait: simtime.Millisecond, wantMargin: 16},
+			queue0: adaptMinQueue, wait0: adaptMinWait, margin0: adaptMaxMargin,
+			wantQueue: adaptMinQueue, wantWait: adaptMinWait, wantMargin: adaptMaxMargin},
+		{name: "relief clamps at the ceiling and the margin floor",
+			busy: 0, slots: 8,
+			queue0: adaptMaxQueue, wait0: adaptMaxWait, margin0: adaptMinMargin,
+			wantQueue: adaptMaxQueue, wantWait: adaptMaxWait, wantMargin: adaptMinMargin},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := &controller{cfg: base, queue: tc.queue0, wait: tc.wait0, margin: tc.margin0}
+			c := &controller{queue: tc.queue0, wait: tc.wait0, margin: tc.margin0}
 			c.sheds, c.misses = tc.sheds, tc.misses
 			c.step(tc.busy, tc.slots)
 			if c.queue != tc.wantQueue {
@@ -69,69 +67,30 @@ func TestControllerStep(t *testing.T) {
 	}
 }
 
-// TestControllerBoundsProperty drives the controller with random counter
-// sequences and occupancy and checks the knobs never escape their
-// configured ranges — in particular the queue bound never reaches 0, which
-// the Admission contract reserves for "unbounded".
+// TestControllerBoundsProperty drives the controller from random seed
+// admissions through random counter sequences and occupancy and checks the
+// knobs never escape the shipped ranges — in particular the queue bound
+// never reaches 0, which the Admission contract reserves for "unbounded".
 func TestControllerBoundsProperty(t *testing.T) {
 	r := entityStream(99, 0)
 	for trial := 0; trial < 200; trial++ {
-		a := Adaptive{
-			Enabled: true, Period: 250 * simtime.Millisecond,
-			MinQueue: 1 + r.intn(4), MaxQueue: 8 + r.intn(64),
-			MinWait:   simtime.PS(1 + r.intn(int(simtime.Second))),
-			MaxMargin: 1 + 8*r.float(),
-		}
-		a.MaxWait = a.MinWait * simtime.PS(1+r.intn(20))
-		a.MinMargin = a.MaxMargin * r.float()
-		if a.MinMargin == 0 {
-			a.MinMargin = 0.1
-		}
-		if err := a.validate(); err != nil {
-			t.Fatalf("trial %d generated an invalid config: %v", trial, err)
-		}
-		c := newController(a, Admission{MaxQueue: r.intn(100), MaxWait: simtime.PS(r.intn(int(10 * simtime.Second)))})
-		for step := 0; step < 50; step++ {
+		c := newController(Admission{MaxQueue: r.intn(100), MaxWait: simtime.PS(r.intn(int(10 * simtime.Second)))})
+		for step := 0; step <= 50; step++ {
+			if c.queue < adaptMinQueue || c.queue > adaptMaxQueue {
+				t.Fatalf("trial %d step %d: queue %d escaped [%d, %d]", trial, step, c.queue, adaptMinQueue, adaptMaxQueue)
+			}
+			if c.wait < adaptMinWait || c.wait > adaptMaxWait {
+				t.Fatalf("trial %d step %d: wait %v escaped [%v, %v]", trial, step, c.wait, adaptMinWait, adaptMaxWait)
+			}
+			if c.margin < adaptMinMargin || c.margin > adaptMaxMargin {
+				t.Fatalf("trial %d step %d: margin %g escaped [%g, %g]", trial, step, c.margin, adaptMinMargin, adaptMaxMargin)
+			}
 			c.sheds = r.intn(3)
 			c.misses = r.intn(3)
 			c.offloads = r.intn(10)
 			slots := 1 + r.intn(32)
 			c.step(r.intn(slots+1), slots)
-			if c.queue < a.MinQueue || c.queue > a.MaxQueue {
-				t.Fatalf("trial %d step %d: queue %d escaped [%d, %d]", trial, step, c.queue, a.MinQueue, a.MaxQueue)
-			}
-			if c.wait < a.MinWait || c.wait > a.MaxWait {
-				t.Fatalf("trial %d step %d: wait %v escaped [%v, %v]", trial, step, c.wait, a.MinWait, a.MaxWait)
-			}
-			if c.margin < a.MinMargin || c.margin > a.MaxMargin {
-				t.Fatalf("trial %d step %d: margin %g escaped [%g, %g]", trial, step, c.margin, a.MinMargin, a.MaxMargin)
-			}
 		}
-	}
-}
-
-// TestAdaptiveValidate rejects malformed controller configs.
-func TestAdaptiveValidate(t *testing.T) {
-	ok := DefaultAdaptive()
-	if err := ok.validate(); err != nil {
-		t.Fatalf("default adaptive config invalid: %v", err)
-	}
-	bad := []Adaptive{
-		{Enabled: true}, // zero period
-		func(a Adaptive) Adaptive { a.MinQueue = 0; return a }(DefaultAdaptive()),  // queue bound may reach "unbounded"
-		func(a Adaptive) Adaptive { a.MaxQueue = 1; return a }(DefaultAdaptive()),  // max < min
-		func(a Adaptive) Adaptive { a.MinWait = 0; return a }(DefaultAdaptive()),   // zero wait floor
-		func(a Adaptive) Adaptive { a.MinMargin = 0; return a }(DefaultAdaptive()), // zero margin floor
-		func(a Adaptive) Adaptive { a.MaxMargin = 0.5; return a }(DefaultAdaptive()),
-	}
-	for i, a := range bad {
-		if err := a.validate(); err == nil {
-			t.Errorf("case %d: invalid config %+v passed validation", i, a)
-		}
-	}
-	off := Adaptive{} // disabled: everything else may be zero
-	if err := off.validate(); err != nil {
-		t.Errorf("disabled adaptive config rejected: %v", err)
 	}
 }
 

@@ -311,12 +311,12 @@ func TestPickAmongZeroAlloc(t *testing.T) {
 // leg is its access leg plus the WAN transfer of its footprint).
 func promoteState(r *rng, edgeR, cloudR float64, wan *netsim.Link) (*machine, simtime.PS, *server) {
 	topo := &tiers.Topology{
-		Edge:     tiers.Pool{Servers: 1 + r.intn(3), R: edgeR, Slots: 1 + r.intn(3)},
-		Cloud:    tiers.Pool{Servers: 1 + r.intn(6), R: cloudR, Slots: 1 + r.intn(4)},
-		Backhaul: wan,
+		Edge:  tiers.Pool{Servers: 1 + r.intn(3), R: edgeR, Slots: 1 + r.intn(3)},
+		Cloud: tiers.Pool{Servers: 1 + r.intn(6), R: cloudR, Slots: 1 + r.intn(4)},
 	}
 	cfg := TieredConfig(8, topo)
 	m := newMachine(&cfg, nil, NewStats(0))
+	m.setWAN(wan)
 	now := r.rangePS(simtime.Second, 20*simtime.Second)
 	var seq int64
 	cloudJob := func(c *server) *job {

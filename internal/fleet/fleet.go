@@ -226,9 +226,6 @@ func (c *Config) Validate() error {
 	if w.DiurnalAmp > 0 && w.DiurnalPeriod <= 0 {
 		return fmt.Errorf("fleet: diurnal workload needs a positive period, got %v", w.DiurnalPeriod)
 	}
-	if err := c.Adaptive.validate(); err != nil {
-		return err
-	}
 	if c.Shards < 0 {
 		return fmt.Errorf("fleet: negative shard count %d (0 selects the sequential engine)", c.Shards)
 	}

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/netsim"
 	"repro/internal/simtime"
 	"repro/internal/tiers"
 )
@@ -184,9 +183,8 @@ func TestReplaceBoundIsExact(t *testing.T) {
 		}
 		nEdge := 1 + r.intn(len(servers)-1)
 		cfg := TieredConfig(8, &tiers.Topology{
-			Edge:     tiers.Pool{Servers: nEdge, R: 3, Slots: 1},
-			Cloud:    tiers.Pool{Servers: len(servers) - nEdge, R: 8, Slots: 1},
-			Backhaul: netsim.CloudWAN(),
+			Edge:  tiers.Pool{Servers: nEdge, R: 3, Slots: 1},
+			Cloud: tiers.Pool{Servers: len(servers) - nEdge, R: 8, Slots: 1},
 		})
 		m := newMachine(&cfg, nil, NewStats(0))
 		m.servers = servers

@@ -31,9 +31,11 @@ type job struct {
 	down   simtime.PS // reply transfer time over the client's link
 	seq    int64      // FIFO tie-break (dispatch order)
 	// deadline is the client's patience for the whole offload, fixed at
-	// dispatch like offrt's offloadDeadline: slack times the predicted
-	// transfer + execution + reply. Without the migration control plane
-	// this expiry is the client's only way to learn its server died.
+	// dispatch like offrt's offloadDeadline: estimate.DeadlineSlack times
+	// the predicted transfer + execution + reply. Without the migration
+	// control plane this expiry is the client's only way to learn its
+	// server died — a crash costs the client its remaining patience, not
+	// the monitor's five milliseconds.
 	deadline simtime.PS
 	// cancelled tombstones a job whose server died mid-service: its
 	// already-scheduled evFinish must fire as a no-op, because its slot and
@@ -369,7 +371,7 @@ func newMachine(cfg *Config, links []*netsim.Link, st *Stats) *machine {
 		samp:     newSampler(cfg),
 	}
 	if cfg.Adaptive.Enabled {
-		m.ctrl = newController(cfg.Adaptive, cfg.Admission)
+		m.ctrl = newController(cfg.Admission)
 		m.adm = Admission{MaxQueue: m.ctrl.queue, MaxWait: m.ctrl.wait}
 		m.margin = m.ctrl.margin
 	}
@@ -380,11 +382,7 @@ func newMachine(cfg *Config, links []*netsim.Link, st *Stats) *machine {
 	m.edgeIdx = m.allIdx
 	if cfg.Tiers != nil {
 		m.topo = cfg.Tiers
-		m.wan = m.topo.WAN()
-		m.wanRTT = 2 * (m.wan.Latency + m.wan.PerMessage)
-		if m.wan.BandwidthBps != 0 {
-			m.minShip = m.wan.Latency + m.wan.PerMessage
-		}
+		m.setWAN(m.topo.WAN())
 		mode := m.topo.EffectiveMode()
 		m.crossTier = cfg.Migrate && mode == tiers.ThreeWay
 		nEdge, _ := m.topo.Indices(tiers.Cloud)
@@ -400,6 +398,16 @@ func newMachine(cfg *Config, links []*netsim.Link, st *Stats) *machine {
 	m.edgeLoad = newLoadIndex(servers, m.edgeIdx)
 	m.cloudLoad = newLoadIndex(servers, m.cloudIdx)
 	return m
+}
+
+// setWAN installs the edge<->cloud backhaul and caches its fixed costs.
+func (m *machine) setWAN(wan *netsim.Link) {
+	m.wan = wan
+	m.wanRTT = 2 * (wan.Latency + wan.PerMessage)
+	m.minShip = 0
+	if wan.BandwidthBps != 0 {
+		m.minShip = wan.Latency + wan.PerMessage
+	}
 }
 
 func (m *machine) recordWait(si int32, w simtime.PS) {
@@ -469,7 +477,7 @@ func (m *machine) stepCtrl(now simtime.PS) {
 			slots += s.spec.Slots
 		}
 		c.step(busy, slots)
-		c.next += c.cfg.Period
+		c.next += adaptPeriod
 		m.adm = Admission{MaxQueue: c.queue, MaxWait: c.wait}
 		m.margin = c.margin
 	}

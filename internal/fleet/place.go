@@ -116,7 +116,7 @@ func (m *machine) handleIntent(in intent) {
 	*j = job{id: in.job, rec: m.samp.rec(in.job, in), pend: segUplink,
 		client: in.ci, tm: in.tm, mem: in.mem, exec: exec,
 		decide: now, down: down, adown: in.down, tier: m.tierOf(si), seq: m.jobSeq,
-		deadline: now + simtime.PS(deadlineSlack*float64(up+exec+down))}
+		deadline: now + simtime.PS(estimate.DeadlineSlack*float64(up+exec+down))}
 	srv.reserve(j.exec)
 	m.sched(now+up, evArrive, int32(si), j)
 }

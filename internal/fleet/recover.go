@@ -17,15 +17,6 @@ import (
 // Drains are announced and pay the same small notification delay.
 const detectDelay = 5 * simtime.Millisecond
 
-// deadlineSlack mirrors offrt's DefaultRecovery().DeadlineSlack: a client
-// without the control plane waits slack times its predicted end-to-end
-// offload time (upload + server execution + reply) before concluding the
-// server is gone and re-executing locally. This is the fallback-only
-// failure detector — deadline expiry, not heartbeats — and the reason
-// fast recovery needs the monitor: a crash costs the client its remaining
-// patience, not five milliseconds.
-const deadlineSlack = 3
-
 // scheduleFaults seeds the server-fault timeline. Crash and drain are
 // events; slowdowns and stalls are consulted lazily when jobs start.
 func (m *machine) scheduleFaults() {

@@ -26,14 +26,14 @@ type ConstFloat struct {
 // ConstNull is the null pointer of a specific pointer type.
 type ConstNull struct{ Typ *PointerType }
 
-// ConstUVA is a compile-time-known address in the unified virtual address
-// space. The memory unification pass (Section 3.2) assigns referenced
-// globals fixed UVA homes; their address-of uses become ConstUVA values so
-// both binaries agree on where the data lives.
+// ConstUVA is a literal address in the unified virtual address space, the
+// parser's uva(0x...) operand: an i8* both binaries resolve to the same
+// bytes without translation. No pass creates one — memory unification
+// (Section 3.2) gives referenced globals their UVA homes through
+// Global.Home and Global.UVAAddr, and their uses stay global references.
 type ConstUVA struct {
 	Typ  *PointerType
 	Addr uint32
-	Note string // e.g. the reallocated global's name, for printing
 }
 
 func (c *ConstInt) Type() Type   { return c.Typ }
@@ -44,12 +44,7 @@ func (c *ConstUVA) Type() Type   { return c.Typ }
 func (c *ConstInt) Ident() string   { return fmt.Sprintf("%s %d", c.Typ, c.V) }
 func (c *ConstFloat) Ident() string { return fmt.Sprintf("%s %g", c.Typ, c.V) }
 func (c *ConstNull) Ident() string  { return "null" }
-func (c *ConstUVA) Ident() string {
-	if c.Note != "" {
-		return fmt.Sprintf("uva(0x%x /*%s*/)", c.Addr, c.Note)
-	}
-	return fmt.Sprintf("uva(0x%x)", c.Addr)
-}
+func (c *ConstUVA) Ident() string   { return fmt.Sprintf("uva(0x%x)", c.Addr) }
 
 // Int returns an i32 constant, the most common case.
 func Int(v int64) *ConstInt { return &ConstInt{Typ: I32, V: v} }

@@ -111,12 +111,11 @@ func TestEveryServiceAbortsTheSameWay(t *testing.T) {
 		t.Fatalf("fault-free run has no %v %q event #%d", kind, name, nth)
 		return 0
 	}
-	rec := DefaultRecovery()
 	var backoffs simtime.PS
-	for i := 0; i < rec.MaxRetries; i++ {
-		backoffs += rec.BackoffBase << i
+	for i := 0; i < maxRetries; i++ {
+		backoffs += backoffBase << i
 	}
-	minElapsed := simtime.PS(rec.MaxRetries+1)*rec.DeadlineFloor + backoffs
+	minElapsed := simtime.PS(maxRetries+1)*deadlineFloor + backoffs
 
 	for _, tc := range []struct {
 		op string

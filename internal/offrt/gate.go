@@ -11,9 +11,6 @@ import (
 // re-evaluates Equation 1 with the current network bandwidth, avoiding
 // offload in unfavourable conditions (gzip on 802.11n is the paper's star).
 func (s *Session) Gate(m *interp.Machine, taskID int32) bool {
-	if s.Policy.DisableGate {
-		return false
-	}
 	s.beginJob()
 	if m.Clock < s.quarantineUntil {
 		// Post-abort cool-down: the link just failed an offload, don't

@@ -30,49 +30,20 @@ import (
 	"repro/internal/simtime"
 )
 
-// Migration tunes the mid-flight migration layer.
-type Migration struct {
-	// Spares is how many standby hosts can take over beyond the initial
-	// one. Each migration or crash-retry consumes one; with none left the
-	// runtime degrades to the paper's local fallback.
-	Spares int
-	// HealthSlack and HealthFloor define a deadline overrun: a heartbeat
-	// gap counts as overrun when it exceeds HealthSlack x the EWMA of
-	// recent gaps plus HealthFloor. The floor keeps fast-beating tasks
-	// from flagging microscopic jitter.
-	HealthSlack float64
-	HealthFloor simtime.PS
-	// Strikes is how many *consecutive* overruns arm a migration — the
-	// hysteresis that keeps a transient slowdown from causing thrash.
-	Strikes int
-}
-
-// DefaultMigration is the migration policy WithMigration starts from.
-func DefaultMigration() Migration {
-	return Migration{
-		Spares:      1,
-		HealthSlack: 4,
-		HealthFloor: 2 * simtime.Millisecond,
-		Strikes:     3,
-	}
-}
-
-// Validate rejects configurations the health monitor cannot run with.
-func (m Migration) Validate() error {
-	if m.Spares < 0 {
-		return fmt.Errorf("offrt: negative migration spares %d", m.Spares)
-	}
-	if m.HealthSlack < 1 {
-		return fmt.Errorf("offrt: HealthSlack %g < 1 would flag healthy heartbeats", m.HealthSlack)
-	}
-	if m.HealthFloor < 0 {
-		return fmt.Errorf("offrt: negative HealthFloor %v", m.HealthFloor)
-	}
-	if m.Strikes < 1 {
-		return fmt.Errorf("offrt: Strikes %d < 1 disables hysteresis entirely", m.Strikes)
-	}
-	return nil
-}
+// The migration layer's tuning under WithMigration. One spare host stands
+// by beyond the initial one: a migration or crash-retry consumes it, and
+// with none left the runtime degrades to the paper's local fallback. A
+// heartbeat gap counts as overrun when it exceeds healthSlack x the EWMA of
+// recent gaps plus healthFloor (the floor keeps fast-beating tasks from
+// flagging microscopic jitter), and healthStrikes *consecutive* overruns
+// arm a migration — the hysteresis that keeps a transient slowdown from
+// causing thrash.
+const (
+	spareHosts    = 1
+	healthSlack   = 4
+	healthFloor   = 2 * simtime.Millisecond
+	healthStrikes = 3
+)
 
 // heartbeat runs at every remote-service boundary on the server side: it
 // applies any scheduled server fault that matured since the last beat,
@@ -133,12 +104,12 @@ func (s *Session) heartbeat(op string) {
 		if s.ewmaGap == 0 {
 			s.ewmaGap = float64(gap)
 		} else {
-			allowed := simtime.PS(s.mig.HealthSlack*s.ewmaGap) + s.mig.HealthFloor
+			allowed := simtime.PS(healthSlack*s.ewmaGap) + healthFloor
 			if gap > allowed {
 				s.strikes++
 				s.emit(obs.Event{Time: now, Kind: obs.KHealth, Track: obs.TrackServer,
 					Name: op, A0: int64(gap), A1: int64(allowed), A2: int64(s.strikes)})
-				if s.strikes >= s.mig.Strikes {
+				if s.strikes >= healthStrikes {
 					s.decideMigration("health", true)
 				}
 			} else {
@@ -181,7 +152,7 @@ func (s *Session) decideMigration(reason string, canFinish bool) {
 	if remaining < 0 {
 		remaining = 0
 	}
-	switch s.est.MigrationDecision(remaining, s.serverPlan.SlowFactor(s.hostID, s.Server.Clock), cost, canFinish, true) {
+	switch s.est.MigrationDecision(remaining, s.serverPlan.SlowFactor(s.hostID, s.Server.Clock), cost, canFinish) {
 	case estimate.Finish:
 		// Ride it out; demand K fresh overruns before re-deciding.
 		s.strikes = 0

@@ -91,7 +91,7 @@ func TestMigrationSmoke(t *testing.T) {
 		{Kind: faults.Drain, Server: 0, Start: start + dur/2},
 	}}
 	env := setupFor(t, chatty, netsim.Fast80211AC(), Policy{ForceOffload: true},
-		WithServerFaults(plan), WithMigration(Migration{Spares: 1, HealthSlack: 4, HealthFloor: 2 * simtime.Millisecond, Strikes: 3}))
+		WithServerFaults(plan), WithMigration())
 	if code, err := env.sess.RunMobile(); err != nil || code != 0 {
 		t.Fatalf("migrated run: code %d, err %v", code, err)
 	}
@@ -137,7 +137,7 @@ func TestCrashRetryOnSpare(t *testing.T) {
 		{Kind: faults.Crash, Server: 0, Start: start + dur/2},
 	}}
 	env := setupFor(t, chatty, netsim.Fast80211AC(), Policy{ForceOffload: true},
-		WithServerFaults(plan), WithMigration(Migration{Spares: 1, HealthSlack: 4, HealthFloor: 2 * simtime.Millisecond, Strikes: 3}))
+		WithServerFaults(plan), WithMigration())
 	if code, err := env.sess.RunMobile(); err != nil || code != 0 {
 		t.Fatalf("crash run: code %d, err %v", code, err)
 	}
@@ -180,7 +180,7 @@ func TestCrashFallbackWithoutSpare(t *testing.T) {
 }
 
 // TestHealthDetectsSlowdown: a scheduled slowdown inflates heartbeat gaps
-// past the EWMA deadline; after the configured consecutive strikes the
+// past the EWMA deadline; after healthStrikes consecutive overruns the
 // session migrates away from the degraded host, and the run stays
 // bit-identical.
 func TestHealthDetectsSlowdown(t *testing.T) {
@@ -191,8 +191,7 @@ func TestHealthDetectsSlowdown(t *testing.T) {
 		{Kind: faults.Slowdown, Server: 0, Start: start + dur/4, End: start + 100*dur, Factor: 20},
 	}}
 	env := setupFor(t, chatty, netsim.Fast80211AC(), Policy{ForceOffload: true},
-		WithTracer(tr), WithServerFaults(plan),
-		WithMigration(Migration{Spares: 1, HealthSlack: 4, HealthFloor: simtime.Microsecond, Strikes: 2}))
+		WithTracer(tr), WithServerFaults(plan), WithMigration())
 	if code, err := env.sess.RunMobile(); err != nil || code != 0 {
 		t.Fatalf("slowdown run: code %d, err %v", code, err)
 	}

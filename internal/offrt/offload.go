@@ -158,7 +158,7 @@ func (s *Session) offloadDeadline(spec TaskSpec, now simtime.PS) simtime.PS {
 	est.BandwidthBps = s.linkAt(now).BandwidthBps
 	exec := simtime.PS(float64(spec.TimePerInvocation) / est.R)
 	comm := est.CommTime(spec.MemBytes, 1)
-	return s.deadline(exec + comm)
+	return deadline(exec + comm)
 }
 
 // fallbackLocal re-executes an abandoned offload on the mobile device:
@@ -168,11 +168,9 @@ func (s *Session) offloadDeadline(spec TaskSpec, now simtime.PS) simtime.PS {
 func (s *Session) fallbackLocal(taskID int32, spec TaskSpec, args []uint64, ioSnap interface{}) (uint64, error) {
 	s.restoreIO(ioSnap)
 	s.Stats.Fallbacks++
-	if s.rec.Cooldown > 0 {
-		s.quarantineUntil = s.Mobile.Clock + s.rec.Cooldown
-		s.emit(obs.Event{Time: s.Mobile.Clock, Kind: obs.KQuarantine, Track: obs.TrackMobile,
-			A0: int64(taskID), A1: int64(s.rec.Cooldown)})
-	}
+	s.quarantineUntil = s.Mobile.Clock + s.cooldown
+	s.emit(obs.Event{Time: s.Mobile.Clock, Kind: obs.KQuarantine, Track: obs.TrackMobile,
+		A0: int64(taskID), A1: int64(s.cooldown)})
 	s.Recorder.Transition(s.Mobile.Clock, energy.Compute)
 	f := s.Mobile.Mod.Func(spec.Name)
 	if f == nil {

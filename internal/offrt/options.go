@@ -20,7 +20,7 @@ type config struct {
 	metrics    *obs.Metrics
 	injector   *faults.Injector
 	serverPlan *faults.ServerPlan
-	mig        *Migration
+	migrate    bool
 	topo       *tiers.Topology
 }
 
@@ -68,7 +68,7 @@ func WithServerFaults(p *faults.ServerPlan) Option { return func(c *config) { c.
 // pages only), ships it over the backhaul and resumes on the next host.
 // Without this option the session keeps the paper's behavior — any server
 // failure degrades to local fallback.
-func WithMigration(m Migration) Option { return func(c *config) { c.mig = &m } }
+func WithMigration() Option { return func(c *config) { c.migrate = true } }
 
 // WithTiers places a hierarchical topology behind the session's gate:
 // instead of the binary Equation-1 question, every decision scores
@@ -106,16 +106,9 @@ func NewSession(mobile, server *interp.Machine, link *netsim.Link, opts ...Optio
 	if err := cfg.topo.Validate(); err != nil {
 		return nil, fmt.Errorf("offrt: invalid tier topology: %w", err)
 	}
-	mig := DefaultMigration()
-	migOn := false
-	if cfg.mig != nil {
-		mig = *cfg.mig
-		if err := mig.Validate(); err != nil {
-			return nil, err
-		}
-		migOn = mig.Spares > 0
-	} else {
-		mig.Spares = 0 // no WithMigration: single host, fallback-only recovery
+	hosts := 1 // no WithMigration: single host, fallback-only recovery
+	if cfg.migrate {
+		hosts += spareHosts
 	}
 
 	s := &Session{
@@ -131,13 +124,12 @@ func NewSession(mobile, server *interp.Machine, link *netsim.Link, opts ...Optio
 		repCh:    make(chan reply),
 		doneCh:   make(chan error, 1),
 		Recorder: energy.NewRecorder(0, energy.Compute),
-		rec:      DefaultRecovery(),
+		cooldown: quarantineCooldown,
 		topo:     cfg.topo,
 
 		serverPlan: cfg.serverPlan,
-		mig:        mig,
-		migOn:      migOn,
-		hosts:      1 + mig.Spares,
+		migOn:      cfg.migrate,
+		hosts:      hosts,
 		backhaul:   netsim.Backhaul(),
 	}
 	// Latency histograms live in the metrics registry so Summary() renders

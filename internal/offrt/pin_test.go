@@ -189,22 +189,22 @@ func TestSessionTraceDigestPinned(t *testing.T) {
 			// server, then the cool-down declines the later invocations.
 			env := sjeng.session(t, fast(), Policy{}, WithTracer(tr),
 				WithFaults(faults.MustInjector(faults.Plan{Outages: []faults.Window{{Start: 0, End: 1 << 62}}})))
-			env.sess.rec.Cooldown = simtime.FromSeconds(3600)
+			env.sess.cooldown = simtime.FromSeconds(3600)
 			return env
 		}, func(s *Session) bool { return s.Stats.Aborts == 0 && s.Stats.Fallbacks == 1 && s.Stats.Declines == 2 }, "21:d7b0b489fd2324e5"},
 		{"crash-retry", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr),
-				WithServerFaults(serverEvent(faults.Crash, mid)), WithMigration(DefaultMigration()))
+				WithServerFaults(serverEvent(faults.Crash, mid)), WithMigration())
 		}, func(s *Session) bool { return s.Stats.CrashRetries == 1 && s.Stats.Fallbacks == 0 }, "2584:1774244e745fc9f0"},
 		{"drain-decline", func(tr *obs.Tracer) *testEnv {
 			// twolf's evaluation input outruns its profile, so Equation 1 sees
 			// no remaining work worth shipping: the drain aborts to fallback.
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr),
-				WithServerFaults(serverEvent(faults.Drain, mid)), WithMigration(DefaultMigration()))
+				WithServerFaults(serverEvent(faults.Drain, mid)), WithMigration())
 		}, func(s *Session) bool { return s.Stats.Migrations == 0 && s.Stats.Aborts == 1 && s.Stats.Fallbacks == 1 }, "867:7d5630fc1cfe4276"},
 		{"drain-migrate", func(tr *obs.Tracer) *testEnv {
 			return mcf.session(t, fast(), Policy{}, WithTracer(tr),
-				WithServerFaults(serverEvent(faults.Drain, simtime.Second)), WithMigration(DefaultMigration()))
+				WithServerFaults(serverEvent(faults.Drain, simtime.Second)), WithMigration())
 		}, func(s *Session) bool { return s.Stats.Migrations == 1 && s.Stats.Fallbacks == 0 }, "23:16d0e636bd8df372"},
 		{"tiers/3way", func(tr *obs.Tracer) *testEnv {
 			return mcf.session(t, fast(), Policy{}, WithTracer(tr), WithTiers(tiers.Default(2, 1)))

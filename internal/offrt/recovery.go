@@ -1,59 +1,43 @@
 package offrt
 
 import (
+	"repro/internal/estimate"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/simtime"
 )
 
-// Recovery tunes the failure-recovery layer: how loss is detected
-// (deadlines), how hard the runtime retries (bounded exponential backoff)
-// and how long the gate is quarantined after an abandoned offload.
+// The failure-recovery policy: how loss is detected (deadlines, the
+// estimator's prediction scaled by estimate.DeadlineSlack), how hard the
+// runtime retries (bounded exponential backoff) and how long the gate is
+// quarantined after an abandoned offload.
 //
 // The wire RPCs are all idempotent — page fetches and remote reads return
 // the same bytes on retransmission, remote output is journaled and only
 // committed once at finalization — so blind retransmission is safe.
-type Recovery struct {
-	// MaxRetries bounds retransmissions per RPC beyond the first attempt.
-	MaxRetries int
-	// BackoffBase is the wait before the first retry; retry i waits
-	// BackoffBase << i (exponential).
-	BackoffBase simtime.PS
-	// DeadlineSlack multiplies the predicted transfer time into the
-	// per-RPC loss-detection deadline (Section 5.1's estimator already
-	// predicts transfer time from live bandwidth; the deadline reuses it).
-	DeadlineSlack float64
-	// DeadlineFloor is the minimum deadline, covering RTT jitter on links
+const (
+	// maxRetries bounds retransmissions per RPC beyond the first attempt.
+	maxRetries = 3
+	// backoffBase is the wait before the first retry; retry i waits
+	// backoffBase << i (exponential).
+	backoffBase = 2 * simtime.Millisecond
+	// deadlineFloor is the minimum deadline, covering RTT jitter on links
 	// fast enough that the predicted transfer time alone is tiny.
-	DeadlineFloor simtime.PS
-	// Cooldown quarantines the gate after an abandoned offload: every
-	// gate decision inside the window declines, so a flapping link does
-	// not trap the program in repeated offload-abort-fallback cycles.
-	Cooldown simtime.PS
-}
-
-// DefaultRecovery is the recovery policy sessions start from.
-func DefaultRecovery() Recovery {
-	return Recovery{
-		MaxRetries:    3,
-		BackoffBase:   2 * simtime.Millisecond,
-		DeadlineSlack: 3,
-		DeadlineFloor: 5 * simtime.Millisecond,
-		Cooldown:      2 * simtime.Second,
-	}
-}
+	deadlineFloor = 5 * simtime.Millisecond
+	// quarantineCooldown quarantines the gate after an abandoned offload:
+	// every gate decision inside the window declines, so a flapping link
+	// does not trap the program in repeated offload-abort-fallback cycles.
+	quarantineCooldown = 2 * simtime.Second
+)
 
 // deadline turns a predicted duration into how long its sender waits for
-// evidence before giving up: the prediction scaled by DeadlineSlack and
-// floored. A wire RPC predicts its transfer time over the current link
-// regime (the wait before retransmitting); a whole offloaded task predicts
-// server execution plus communication (see offloadDeadline).
-func (s *Session) deadline(predicted simtime.PS) simtime.PS {
-	d := simtime.PS(s.rec.DeadlineSlack * float64(predicted))
-	if d < s.rec.DeadlineFloor {
-		d = s.rec.DeadlineFloor
-	}
-	return d
+// evidence before giving up: the prediction scaled by
+// estimate.DeadlineSlack and floored. A wire RPC predicts its transfer time
+// over the current link regime (the wait before retransmitting); a whole
+// offloaded task predicts server execution plus communication (see
+// offloadDeadline).
+func deadline(predicted simtime.PS) simtime.PS {
+	return max(simtime.PS(estimate.DeadlineSlack*float64(predicted)), deadlineFloor)
 }
 
 // sendReliable pushes one wire message with deadline-based loss detection
@@ -74,16 +58,16 @@ func (s *Session) sendReliable(toServer bool, size int64, at simtime.PS, op stri
 			return elapsed + d, true
 		case netsim.Dropped:
 			// Nothing arrives; the sender learns only from the deadline.
-			elapsed += s.deadline(link.TransferTime(size))
+			elapsed += deadline(link.TransferTime(size))
 		case netsim.Corrupted:
 			// The frame crosses the wire, then fails its CRC32 check at
 			// the receiver, which requests retransmission.
 			elapsed += d
 		}
-		if attempt >= s.rec.MaxRetries {
+		if attempt >= maxRetries {
 			return elapsed, false
 		}
-		backoff := s.rec.BackoffBase << attempt
+		backoff := backoffBase << attempt
 		elapsed += backoff
 		s.hBackoff.Record(int64(backoff))
 		s.Stats.Retries++

@@ -221,17 +221,3 @@ func TestRecoveryMetricsPublished(t *testing.T) {
 		}
 	}
 }
-
-// TestRecoveryValidate: a session's recovery policy is DefaultRecovery(),
-// so that one value must be a policy the retry loop can run with — no
-// negative retry count or duration, and a deadline slack that does not
-// time out transfers still in flight.
-func TestRecoveryValidate(t *testing.T) {
-	r := DefaultRecovery()
-	if r.MaxRetries < 0 || r.BackoffBase < 0 || r.DeadlineFloor < 0 || r.Cooldown < 0 {
-		t.Errorf("DefaultRecovery has a negative bound: %+v", r)
-	}
-	if r.DeadlineSlack < 1 {
-		t.Errorf("DeadlineSlack %g < 1 would time out in-flight transfers", r.DeadlineSlack)
-	}
-}

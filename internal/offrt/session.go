@@ -41,9 +41,6 @@ type TaskSpec struct {
 
 // Policy tunes runtime behaviour.
 type Policy struct {
-	// DisableGate forces local execution (the paper's "local" baseline
-	// runs the plain binary instead, but this is useful for tests).
-	DisableGate bool
 	// ForceOffload skips the dynamic estimation and always offloads.
 	ForceOffload bool
 	// NoCompress disables the server->mobile compression.
@@ -104,8 +101,10 @@ type Session struct {
 	// decision over {local, edge, cloud} (see WithTiers).
 	topo *tiers.Topology
 
-	// rec is the failure-recovery policy (deadlines, retries, quarantine).
-	rec Recovery
+	// cooldown is how long the gate stays quarantined after an abandoned
+	// offload: quarantineCooldown, held per session so an in-package test
+	// can stretch it.
+	cooldown simtime.PS
 
 	// ---- mid-flight migration (see migrate.go) ----
 
@@ -113,7 +112,6 @@ type Session struct {
 	// the host the in-flight offload currently runs on (each migration or
 	// crash-retry advances it to the next spare), hosts bounds it.
 	serverPlan *faults.ServerPlan
-	mig        Migration
 	migOn      bool
 	hostID     int
 	hosts      int

@@ -96,10 +96,6 @@ type Topology struct {
 	// low fleet indices [0, Edge.Servers), cloud servers follow.
 	Edge  Pool
 	Cloud Pool
-	// Backhaul is the edge<->cloud WAN link every cloud-bound byte (and
-	// every cross-tier migration) crosses in series with the client's
-	// access link. Nil defaults to netsim.CloudWAN().
-	Backhaul *netsim.Link
 }
 
 // Default returns the standard experiment topology: a small nearby edge
@@ -167,13 +163,10 @@ func (t *Topology) Indices(tier Tier) (lo, hi int) {
 	return t.Edge.Servers, t.Total()
 }
 
-// WAN resolves the backhaul link (CloudWAN when unset).
-func (t *Topology) WAN() *netsim.Link {
-	if t.Backhaul != nil {
-		return t.Backhaul
-	}
-	return netsim.CloudWAN()
-}
+// WAN is the edge<->cloud backhaul every cloud-bound byte (and every
+// cross-tier migration) crosses in series with the client's access link:
+// netsim.CloudWAN().
+func (t *Topology) WAN() *netsim.Link { return netsim.CloudWAN() }
 
 // CombineBps is the serial-path effective bandwidth of two links
 // crossed back to back: wire times add, so the rates combine

@@ -111,15 +111,3 @@ func TestCloudParamsMatchesPerLegCharges(t *testing.T) {
 		}
 	}
 }
-
-func TestWANBackhaulOverride(t *testing.T) {
-	topo := Default(1, 1)
-	if got, want := topo.WAN().TransferTime(1<<20), netsim.CloudWAN().TransferTime(1<<20); got != want {
-		t.Errorf("default WAN ships 1 MiB in %v, want CloudWAN's %v", got, want)
-	}
-	// An explicit backhaul overrides the default.
-	topo.Backhaul = netsim.Backhaul()
-	if topo.WAN() != topo.Backhaul {
-		t.Errorf("WAN() = %v, want the explicit backhaul", topo.WAN())
-	}
-}
