@@ -121,7 +121,7 @@ func (q *eventQueue) siftDown(i int) {
 }
 
 // schedQueue is an eventQueue that assigns lane ordinals at push time —
-// the sequential engine's scheduling front-end for its server lanes.
+// both engines' scheduling front-end for their server lanes.
 type schedQueue struct {
 	eventQueue
 	seq laneSeq
@@ -253,74 +253,3 @@ func (q *readyQueue) pop() readyEv {
 
 // maxPS is the +infinity sentinel of the simulated clock.
 const maxPS = simtime.PS(1<<63 - 1)
-
-// windowQueue is the sharded coordinator's two-tier scheduler: a small
-// heap holds only the events due inside the current conservative window,
-// everything later sits in an unordered overflow buffer that is swept
-// once per window. The sequential engine's single heap spans every
-// pending event (~one per client), so each operation walks a
-// cache-hostile log N path; here the heap stays window-sized and
-// L2-resident, and the sweep touches each far-future event once per
-// window instead of once per heap level. Ordering is unaffected: events
-// enter the heap before their window is processed, and the heap resolves
-// the full (t, lane, seq) key.
-type windowQueue struct {
-	cur     eventQueue
-	future  []event
-	fmin    simtime.PS
-	horizon simtime.PS
-	seq     laneSeq
-}
-
-func newWindowQueue(base int32, lanes int) *windowQueue {
-	return &windowQueue{fmin: maxPS, seq: newLaneSeq(base, lanes)}
-}
-
-func (q *windowQueue) sched(t simtime.PS, kind uint8, lane, si int32, j *job) {
-	ev := event{t: t, lane: lane, seq: q.seq.next(lane), si: si, kind: kind, j: j}
-	if t < q.horizon {
-		q.cur.push(ev)
-		return
-	}
-	q.future = append(q.future, ev)
-	if t < q.fmin {
-		q.fmin = t
-	}
-}
-
-// advance opens the window ending at horizon: due overflow events move
-// into the heap (swap-removal; their relative order is restored by the
-// heap's full key).
-func (q *windowQueue) advance(horizon simtime.PS) {
-	q.horizon = horizon
-	if q.fmin >= horizon {
-		return
-	}
-	fmin := maxPS
-	f := q.future
-	for i := 0; i < len(f); {
-		if f[i].t < horizon {
-			q.cur.push(f[i])
-			f[i] = f[len(f)-1]
-			f = f[:len(f)-1]
-			continue
-		}
-		if f[i].t < fmin {
-			fmin = f[i].t
-		}
-		i++
-	}
-	q.future = f
-	q.fmin = fmin
-}
-
-// minPending is the earliest event anywhere in the queue (maxPS if empty).
-func (q *windowQueue) minPending() simtime.PS {
-	min := q.fmin
-	if !q.cur.empty() && q.cur.top().t < min {
-		min = q.cur.top().t
-	}
-	return min
-}
-
-func (q *windowQueue) pending() bool { return !q.cur.empty() || len(q.future) > 0 }

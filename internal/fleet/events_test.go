@@ -55,49 +55,6 @@ func TestEventOrderTieBreak(t *testing.T) {
 	}
 }
 
-// TestWindowQueueMatchesHeap: the coordinator's two-tier scheduler must
-// replay exactly the plain heap's order regardless of how events straddle
-// window boundaries.
-func TestWindowQueueMatchesHeap(t *testing.T) {
-	plain := newSchedQueue(0, 8)
-	wq := newWindowQueue(0, 8)
-	r := entityStream(42, 0)
-	type src struct {
-		t    simtime.PS
-		lane int32
-	}
-	var evs []src
-	for i := 0; i < 500; i++ {
-		evs = append(evs, src{t: simtime.PS(r.intn(1000)) * simtime.Millisecond, lane: int32(r.intn(8))})
-	}
-	for _, e := range evs {
-		plain.sched(e.t, evReady, e.lane, 0, nil)
-		wq.sched(e.t, evReady, e.lane, 0, nil)
-	}
-
-	var want []event
-	for !plain.empty() {
-		want = append(want, plain.pop())
-	}
-	var got []event
-	for wq.pending() {
-		horizon := wq.minPending() + 50*simtime.Millisecond
-		wq.advance(horizon)
-		for !wq.cur.empty() && wq.cur.top().t < horizon {
-			got = append(got, wq.cur.pop())
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("window queue yielded %d events, heap %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].t != want[i].t || got[i].lane != want[i].lane || got[i].seq != want[i].seq {
-			t.Fatalf("event %d: window queue (%v,%d,%d) != heap (%v,%d,%d)",
-				i, got[i].t, got[i].lane, got[i].seq, want[i].t, want[i].lane, want[i].seq)
-		}
-	}
-}
-
 // TestReadyEvSize pins the ready queue's entry at 16 bytes: four children
 // to a cache line and a hundred thousand pending clients inside L2 are
 // what the queue was split off the event heap for.

@@ -2,24 +2,32 @@ package fleet
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/simtime"
 )
 
 // The sharded parallel engine.
 //
-// Clients partition into contiguous shards, each owning a private event
-// heap over its clients' ready events. Execution alternates between two
+// Clients partition into contiguous shards, each owning a private ready
+// queue over its clients' ready events. Execution alternates between two
 // phases under a conservative time-window barrier on the shared simtime
 // clock:
 //
 //   - parallel phase: every shard drains its mailbox of completions
 //     (doneMsg), then processes its ready events up to the window
 //     horizon, appending the resulting decision intents to its outbox in
-//     (t, lane, seq) order;
+//     (t, lane) order;
 //   - serial phase: the coordinator merges the sorted outboxes with its
 //     own server-lane event queue and feeds the shared machine in exact
 //     global key order, mailing completions back to the owning shards.
+//
+// The parallel phase is help-first: the coordinator claims and steps
+// shards itself while nShards-1 helper goroutines, poked without
+// blocking, claim what it has not reached. A window with little client
+// work is finished before any helper wakes; the coordinator parks only
+// when a helper took the window's last step.
 //
 // The horizon is min-pending + lookahead, where the lookahead is the
 // cheapest possible chain from any processed event back to a client's
@@ -100,7 +108,7 @@ func runSharded(cfg Config) (*Result, error) {
 	nc := int32(cfg.Clients)
 	cst := NewStats(0) // server-side counters only: completions are recorded by the shards
 	m := newMachine(&cfg, links, cst)
-	cq := newWindowQueue(nc, len(cfg.Servers))
+	cq := newSchedQueue(nc, len(cfg.Servers))
 	m.sched = func(t simtime.PS, kind uint8, si int32, j *job) {
 		cq.sched(t, kind, nc+si, si, j)
 	}
@@ -113,36 +121,60 @@ func runSharded(cfg Config) (*Result, error) {
 	la := cfg.lookahead()
 	thinkFloor := cfg.thinkFloor()
 
-	// Workers block between phases; channel send/recv orders every access
-	// to shard state, so coordinator reads of heaps/outboxes and writes
-	// to inboxes never race the workers.
-	start := make([]chan simtime.PS, nShards)
-	done := make(chan int, nShards)
-	for i := range start {
-		start[i] = make(chan simtime.PS, 1)
-	}
-	for i, sh := range shards {
-		go func(i int, sh *shard) {
-			for horizon := range start[i] {
-				sh.step(&cfg, clients, horizon)
-				done <- i
+	// A window's steps are handed out by claim and counted down by left.
+	// The atomics order every access to shard state: a step's writes come
+	// before its decrement, the coordinator reads the shards only after the
+	// last decrement, and it writes horizon and the inboxes only before the
+	// stores that open the next window. A helper woken late finds claim
+	// spent and goes back to sleep, or helps the window that is open.
+	var (
+		horizon     simtime.PS
+		claim, left atomic.Int32
+	)
+	// stepClaimed steps shards until none is left to claim and reports
+	// whether it took the window's last step.
+	stepClaimed := func() bool {
+		for i := claim.Add(1) - 1; int(i) < nShards; i = claim.Add(1) - 1 {
+			shards[i].step(&cfg, clients, horizon)
+			if left.Add(-1) == 0 {
+				return true
 			}
-		}(i, sh)
+		}
+		return false
+	}
+	finished := make(chan struct{}, 1)
+	pokes := make([]chan struct{}, nShards-1)
+	var helpers sync.WaitGroup
+	helpers.Add(len(pokes))
+	for i := range pokes {
+		pokes[i] = make(chan struct{}, 1)
+		go func(poke <-chan struct{}) {
+			defer helpers.Done()
+			for range poke {
+				if stepClaimed() {
+					finished <- struct{}{}
+				}
+			}
+		}(pokes[i])
 	}
 	defer func() {
-		for i := range start {
-			close(start[i])
+		for _, p := range pokes {
+			close(p)
 		}
+		helpers.Wait()
 	}()
 
 	var coordMax simtime.PS
+	var windows, waits int
 	idx := make([]int, nShards) // each outbox's merge cursor, reset per window
 	for {
-		// The earliest pending instant anywhere: shard heaps, the
+		// The earliest pending instant anywhere: shard queues, the
 		// coordinator queue, and undelivered completions (whose ready
 		// events cannot fire before done + the scaled think floor).
-		tmin := cq.minPending()
-		idle := !cq.pending()
+		tmin, idle := maxPS, cq.empty()
+		if !idle {
+			tmin = cq.top().t
+		}
 		for _, sh := range shards {
 			if !sh.q.empty() {
 				idle = false
@@ -160,14 +192,19 @@ func runSharded(cfg Config) (*Result, error) {
 		if idle {
 			break
 		}
-		horizon := tmin + la
-		cq.advance(horizon)
-
-		for i := range shards {
-			start[i] <- horizon
+		horizon = tmin + la
+		left.Store(int32(nShards))
+		claim.Store(0)
+		for _, p := range pokes {
+			select {
+			case p <- struct{}{}:
+			default:
+			}
 		}
-		for range shards {
-			<-done
+		windows++
+		if !stepClaimed() {
+			<-finished
+			waits++
 		}
 
 		// Serial phase: feed the machine the union of shard intents and
@@ -190,11 +227,11 @@ func runSharded(cfg Config) (*Result, error) {
 					bi, bt, bc = s, in.t, in.ci
 				}
 			}
-			haveEv := !cq.cur.empty() && cq.cur.top().t < horizon
+			haveEv := !cq.empty() && cq.top().t < horizon
 			if bi < 0 && !haveEv {
 				break
 			}
-			if bi >= 0 && (!haveEv || bt <= cq.cur.top().t) {
+			if bi >= 0 && (!haveEv || bt <= cq.top().t) {
 				in := shards[bi].out[idx[bi]]
 				idx[bi]++
 				if in.t > coordMax {
@@ -203,7 +240,7 @@ func runSharded(cfg Config) (*Result, error) {
 				m.handleIntent(in)
 				continue
 			}
-			ev := cq.cur.pop()
+			ev := cq.pop()
 			if ev.t > coordMax {
 				coordMax = ev.t
 			}
@@ -236,5 +273,10 @@ func runSharded(cfg Config) (*Result, error) {
 			now = sh.maxT
 		}
 	}
-	return m.finishRun(total, now)
+	res, err := m.finishRun(total, now)
+	if err != nil {
+		return nil, err
+	}
+	res.windows, res.waits = windows, waits
+	return res, nil
 }

@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -103,6 +105,77 @@ func TestShardCountInvariance(t *testing.T) {
 		c.Tracer = obs.NewTracer(1 << 17)
 		if got := marshalResult(t, c); string(got) != string(refJSON) {
 			t.Errorf("tiers: shards=%d diverged from the single-heap reference", shards)
+		}
+	}
+}
+
+// TestShardStepperInvariance: which goroutine steps a shard is up to the
+// scheduler — the coordinator alone under one P, the coordinator and the
+// helpers interleaved under four, with late helpers landing in whichever
+// window is open. The Result must not depend on it. The dense cell has a
+// zero think floor, so the lookahead is the link floor alone and the run
+// is thousands of short windows.
+func TestShardStepperInvariance(t *testing.T) {
+	plain := DefaultConfig(64, 4, EstAware)
+	plain.Seed = 9
+	tiered := tieredBenchConfig(96, tiers.ThreeWay)
+	tiered.Seed = 9
+	tiered.Exemplars = 8
+	dense := plain
+	dense.Workload.ThinkMin = 0
+	cells := []struct {
+		name   string
+		cfg    Config
+		shards []int
+	}{
+		{"plain", plain, []int{2, 8, 64}},
+		{"tiered", tiered, []int{2, 8, 64}},
+		{"dense", dense, []int{8}},
+	}
+	// run gives every traced run a ring of its own.
+	run := func(cfg Config, engine func(Config) (*Result, error)) []byte {
+		if cfg.Exemplars > 0 {
+			cfg.Tracer = obs.NewTracer(1 << 17)
+		}
+		return marshalEngine(t, cfg, engine)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range cells {
+		ref := run(c.cfg, runSequentialRef)
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			for _, shards := range c.shards {
+				cfg := c.cfg
+				cfg.Shards = shards
+				if got := run(cfg, Run); string(got) != string(ref) {
+					t.Errorf("%s: GOMAXPROCS=%d shards=%d diverged from the single-heap reference", c.name, procs, shards)
+				}
+			}
+		}
+	}
+	dense.Shards = 8
+	res, err := Run(dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.windows < res.Requests {
+		t.Errorf("dense cell ran %d windows for %d requests: not the many-window case it is meant to be",
+			res.windows, res.Requests)
+	}
+}
+
+// TestShardedRunReleasesHelpers: a sharded Run must not leave its helper
+// goroutines behind.
+func TestShardedRunReleasesHelpers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := DefaultConfig(64, 4, EstAware)
+	cfg.Shards = 8
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines a second after a sharded run, %d before it", runtime.NumGoroutine(), before)
 		}
 	}
 }

@@ -193,6 +193,12 @@ type Result struct {
 	// only): per-job critical-path decompositions whose segments sum exactly
 	// to the job's end-to-end latency.
 	Exemplars []Exemplar `json:"exemplars,omitempty"`
+
+	// windows counts the sharded engine's conservative windows and waits
+	// the ones whose last shard step a helper took, so the coordinator
+	// parked. Host-side, and unexported so no record carries them; the
+	// sequential engine leaves both zero.
+	windows, waits int
 }
 
 // finishRun checks the end-of-run invariants and assembles the Result
