@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -14,6 +17,35 @@ import (
 // These tests are the reproduction's scientific assertions: they check that
 // the regenerated tables and figures have the *shape* the paper reports —
 // who wins, by roughly what factor, and where the crossovers fall.
+
+// TestMain starts the two campaigns most of the suite reads, Sweep and
+// Ablation, side by side before the first test, instead of one after the
+// other inside whichever test asks first. Each is started only when a test
+// that reads it is selected, so a -run of other tests pays for neither, and
+// that test waits for it (both are sync.Once).
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if !testing.Short() {
+		if selected("TestTable4MatchesPaperShape") {
+			go Sweep()
+		}
+		if selected("TestOutputBatchingAblation") {
+			go Ablation()
+		}
+	}
+	os.Exit(m.Run())
+}
+
+// selected reports whether -run and -skip let the named top-level test run.
+func selected(name string) bool {
+	matches := func(flagName string) bool {
+		pat := strings.Split(flag.Lookup(flagName).Value.String(), "/")[0]
+		re, err := regexp.Compile(pat)
+		return err == nil && re.MatchString(name)
+	}
+	skip := flag.Lookup("test.skip").Value.String() != "" && matches("test.skip")
+	return matches("test.run") && !skip
+}
 
 func sweep(t *testing.T) []*ProgramResult {
 	t.Helper()
@@ -92,6 +124,7 @@ func TestTable3SelectsGetAITurn(t *testing.T) {
 }
 
 func TestTable4MatchesPaperShape(t *testing.T) {
+	t.Parallel()
 	rs := sweep(t)
 	for _, r := range rs {
 		name := r.W.Name
@@ -354,6 +387,7 @@ func TestCrossArchBitIdentical(t *testing.T) {
 }
 
 func TestOutputBatchingAblation(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs several offloaded executions")
 	}

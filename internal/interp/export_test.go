@@ -6,6 +6,3 @@ import "repro/internal/ir"
 
 // GlobalAddr returns the loaded address of g on this machine.
 func (m *Machine) GlobalAddr(g *ir.Global) uint32 { return m.lay.globalAddr[g] }
-
-// AddFile installs an in-memory file.
-func (h *StdIO) AddFile(name string, data []byte) { h.files[name] = data }

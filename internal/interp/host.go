@@ -8,7 +8,9 @@ import (
 // IOHost provides the local I/O environment of one machine: stdout, stdin
 // tokens for scanf, and an in-memory file system. On the mobile device this
 // is the user's real environment; offloaded code reaches it through the
-// remote I/O manager (Section 3.4).
+// remote I/O manager (Section 3.4). The bytes Read returns are valid until
+// the next call on the same host: a caller copies them out (into guest
+// memory) before it calls again.
 type IOHost interface {
 	Write(s string)
 	NextInt() (int64, bool)
@@ -54,7 +56,8 @@ type IOSnapshotter interface {
 }
 
 // StdIO is the default IOHost: an output buffer, a token queue for scanf,
-// and a deterministic in-memory file system.
+// and a deterministic file system of synthetic files, generated as they are
+// read.
 type StdIO struct {
 	Out    strings.Builder
 	OutLen int64
@@ -64,21 +67,27 @@ type StdIO struct {
 
 	ints []int64
 
-	files map[string][]byte
+	files map[string]fileCursor // each file's cursor at its first byte
 	fds   map[int32]*fileCursor
 	next  int32
+	// scratch holds the bytes the last Read returned; it grows to the
+	// largest read and is overwritten by the next.
+	scratch []byte
 }
 
+// fileCursor is a position in a synthetic file: the file's size, the read
+// position, and the LCG state after pos steps, from which the next byte is
+// one step. It is a plain value, so a snapshot copies the whole of it.
 type fileCursor struct {
-	data []byte
-	pos  int
+	size, pos int
+	state     uint32
 }
 
 // NewStdIO builds a host with the given scanf integer inputs.
 func NewStdIO(ints []int64) *StdIO {
 	return &StdIO{
 		ints:  ints,
-		files: make(map[string][]byte),
+		files: make(map[string]fileCursor),
 		fds:   make(map[int32]*fileCursor),
 		next:  3,
 	}
@@ -100,23 +109,32 @@ const (
 
 // SyntheticFile installs a deterministic pseudo-random file of the given
 // size, standing in for SPEC reference inputs: byte i is the top byte of the
-// LCG's state after i+1 steps from seed|1.
+// LCG's state after i+1 steps from seed|1. No byte of it exists until it is
+// read.
 func (h *StdIO) SyntheticFile(name string, size int, seed uint32) {
-	data := make([]byte, size)
-	s0 := (seed|1)*lcgA + lcgC
-	s1 := s0*lcgA + lcgC
-	s2 := s1*lcgA + lcgC
-	s3 := s2*lcgA + lcgC
+	h.files[name] = fileCursor{size: size, state: seed | 1}
+}
+
+// lcgFill writes the next len(dst) bytes of the stream whose state is s and
+// returns the state after the last of them.
+func lcgFill(dst []byte, s uint32) uint32 {
 	i := 0
-	for ; i+4 <= size; i += 4 {
-		data[i], data[i+1], data[i+2], data[i+3] = byte(s0>>24), byte(s1>>24), byte(s2>>24), byte(s3>>24)
-		s0, s1, s2, s3 = s0*lcgA4+lcgC4, s1*lcgA4+lcgC4, s2*lcgA4+lcgC4, s3*lcgA4+lcgC4
+	if len(dst) >= 4 {
+		s0 := s*lcgA + lcgC
+		s1 := s0*lcgA + lcgC
+		s2 := s1*lcgA + lcgC
+		s3 := s2*lcgA + lcgC
+		for ; i+4 <= len(dst); i += 4 {
+			dst[i], dst[i+1], dst[i+2], dst[i+3] = byte(s0>>24), byte(s1>>24), byte(s2>>24), byte(s3>>24)
+			s = s3
+			s0, s1, s2, s3 = s0*lcgA4+lcgC4, s1*lcgA4+lcgC4, s2*lcgA4+lcgC4, s3*lcgA4+lcgC4
+		}
 	}
-	for _, s := range []uint32{s0, s1, s2}[:size-i] {
-		data[i] = byte(s >> 24)
-		i++
+	for ; i < len(dst); i++ {
+		s = s*lcgA + lcgC
+		dst[i] = byte(s >> 24)
 	}
-	h.files[name] = data
+	return s
 }
 
 func (h *StdIO) Write(s string) {
@@ -140,30 +158,33 @@ func (h *StdIO) NextInt() (int64, bool) {
 func (h *StdIO) NextFloat() (float64, bool) { return 0, false }
 
 func (h *StdIO) Open(name string) (int32, error) {
-	data, ok := h.files[name]
+	c, ok := h.files[name]
 	if !ok {
 		return 0, fmt.Errorf("io: no such file %q", name)
 	}
 	fd := h.next
 	h.next++
-	h.fds[fd] = &fileCursor{data: data}
+	h.fds[fd] = &c
 	return fd, nil
 }
 
+// Read generates the next n bytes of the file (fewer at its end) into the
+// host's scratch buffer, so what it returns is overwritten by the next Read.
 func (h *StdIO) Read(fd int32, n int) ([]byte, error) {
 	c, ok := h.fds[fd]
 	if !ok {
 		return nil, fmt.Errorf("io: read on closed fd %d", fd)
 	}
-	if c.pos >= len(c.data) {
+	if c.pos >= c.size {
 		return nil, nil // EOF
 	}
-	end := c.pos + n
-	if end > len(c.data) {
-		end = len(c.data)
+	n = max(0, min(n, c.size-c.pos))
+	if cap(h.scratch) < n {
+		h.scratch = make([]byte, n)
 	}
-	out := c.data[c.pos:end]
-	c.pos = end
+	out := h.scratch[:n]
+	c.state = lcgFill(out, c.state)
+	c.pos += n
 	return out, nil
 }
 

@@ -1,7 +1,9 @@
 package interp
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -312,14 +314,15 @@ func TestFileIO(t *testing.T) {
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
 	io := NewStdIO(nil)
-	io.AddFile("data.bin", []byte{9, 2, 3, 4})
+	io.SyntheticFile("data.bin", 4, 9)
 	m := bind(t, mod, CompileConfig{Name: "f", Spec: arch.ARM32()}, WithIO(io))
 	code, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code != 4+9 {
-		t.Errorf("read result = %d, want 13", code)
+	b0 := int32(serialLCG(9, 1)[0])
+	if code != 4+b0 {
+		t.Errorf("read result = %d, want %d (4 bytes read, the first %d)", code, 4+b0, b0)
 	}
 }
 
@@ -470,25 +473,126 @@ func TestConversions(t *testing.T) {
 	}
 }
 
-// TestSyntheticFileIsTheSerialLCG holds the four-lane generator to its
-// one-line definition at every remainder of four and across a long file.
+// serialLCG is a synthetic file's one-line definition: byte i is the top
+// byte of the LCG's state after i+1 steps from seed|1.
+func serialLCG(seed uint32, size int) []byte {
+	out := make([]byte, size)
+	s := seed | 1
+	for i := range out {
+		s = s*1664525 + 1013904223
+		out[i] = byte(s >> 24)
+	}
+	return out
+}
+
+// readAll reads fd to EOF in chunks of the given size, copying each chunk
+// out before the next Read overwrites it.
+func readAll(t *testing.T, io *StdIO, fd int32, chunk int) []byte {
+	t.Helper()
+	var got []byte
+	for {
+		b, err := io.Read(fd, chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) == 0 {
+			return got
+		}
+		if len(b) > chunk {
+			t.Fatalf("Read(%d) returned %d bytes", chunk, len(b))
+		}
+		got = append(got, b...)
+	}
+}
+
+// TestSyntheticFileIsTheSerialLCG holds the four-lane generator, as Read
+// produces it, to its one-line definition: at every remainder of four and
+// across a long file, in chunks from one byte to past the end, for two
+// cursors on one file read in step, and across a SnapshotIO/RestoreIO taken
+// in the middle of the file.
 func TestSyntheticFileIsTheSerialLCG(t *testing.T) {
 	sizes := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1<<20 + 3}
+	chunks := []int{1, 2, 3, 4, 5, 7, 64, 4099, 1 << 21}
 	for _, seed := range []uint32{0, 7, 0x2468ace0, ^uint32(0)} {
 		for _, size := range sizes {
-			io := NewStdIO(nil)
-			io.SyntheticFile("f", size, seed)
-			got := io.files["f"]
-			if len(got) != size {
-				t.Fatalf("seed %d size %d: file has %d bytes", seed, size, len(got))
-			}
-			s := seed | 1
-			for i := range got {
-				s = s*1664525 + 1013904223
-				if got[i] != byte(s>>24) {
-					t.Fatalf("seed %d size %d: byte %d is %#x, the serial generator gives %#x", seed, size, i, got[i], byte(s>>24))
+			want := serialLCG(seed, size)
+			for _, chunk := range chunks {
+				if size > 1<<16 && chunk < 64 {
+					continue // a megabyte a byte at a time proves nothing the small files do not
+				}
+				io := NewStdIO(nil)
+				io.SyntheticFile("f", size, seed)
+				fd, err := io.Open("f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := readAll(t, io, fd, chunk); !bytes.Equal(got, want) {
+					t.Fatalf("seed %d size %d chunk %d: read %d bytes that differ from the serial generator", seed, size, chunk, len(got))
 				}
 			}
 		}
+	}
+
+	const size = 10_007
+	want := serialLCG(0x164, size)
+	io := NewStdIO(nil)
+	io.SyntheticFile("f", size, 0x164)
+	a, _ := io.Open("f")
+	b, _ := io.Open("f")
+	var gotA, gotB []byte
+	for i := 0; len(gotA) < size || len(gotB) < size; i++ {
+		ra, _ := io.Read(a, 3+i%5)
+		gotA = append(gotA, ra...)
+		rb, _ := io.Read(b, 1000)
+		gotB = append(gotB, rb...)
+	}
+	if !bytes.Equal(gotA, want) || !bytes.Equal(gotB, want) {
+		t.Fatal("two cursors on one file, read in step, do not each see the serial stream")
+	}
+
+	io = NewStdIO(nil)
+	io.SyntheticFile("f", size, 0x164)
+	fd, _ := io.Open("f")
+	head, _ := io.Read(fd, 4001)
+	head = bytes.Clone(head)
+	snap := io.SnapshotIO()
+	first := readAll(t, io, fd, 333)
+	io.RestoreIO(snap)
+	again := readAll(t, io, fd, 4096)
+	if !bytes.Equal(append(head, first...), want) || !bytes.Equal(first, again) {
+		t.Fatal("reading on after RestoreIO does not repeat the stream from the snapshot's position")
+	}
+}
+
+// TestSyntheticFileReadAllocatesTheReadNotTheFile: a synthetic file is made
+// as it is read, into a buffer the size of the largest read. Reading a 4 MiB
+// file in 4 KiB chunks allocates a few kilobytes, and reading it whole
+// allocates about the file once.
+func TestSyntheticFileReadAllocatesTheReadNotTheFile(t *testing.T) {
+	const size, chunk = 4 << 20, 4 << 10
+	allocated := func(chunk int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		io := NewStdIO(nil)
+		io.SyntheticFile("f", size, 0x401)
+		fd, err := io.Open("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < size; {
+			b, err := io.Read(fd, chunk)
+			if err != nil || len(b) == 0 {
+				t.Fatalf("read at %d: %d bytes, %v", n, len(b), err)
+			}
+			n += len(b)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if got := allocated(chunk); got > 16*chunk {
+		t.Errorf("reading a %d-byte file in %d-byte chunks allocated %d bytes, want O(chunk) (<= %d)", size, chunk, got, 16*chunk)
+	}
+	if got := allocated(size); got > size+size/4 {
+		t.Errorf("reading a %d-byte file whole allocated %d bytes, want about one file", size, got)
 	}
 }

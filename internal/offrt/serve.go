@@ -144,11 +144,13 @@ func (s *Session) SendReturn(m *interp.Machine, v uint64) error {
 	}
 
 	// The frame is recycled when SendReturn returns: by then the journal is
-	// committed (InstallPage copied every page) or the task aborted.
+	// committed (InstallPage copied every page) or the task aborted. The
+	// compressed payload goes back as soon as the frame holds a copy.
 	frame := getFrame()
 	defer frames.put(frame)
 	wireBytes := fin.AppendEncode(*frame)
 	*frame = wireBytes
+	fin.release()
 	wire := int64(len(wireBytes))
 	d, _, ok := s.exchange("finalize", "", wire, 0, interp.CompComm)
 	if !ok {
@@ -160,19 +162,12 @@ func (s *Session) SendReturn(m *interp.Machine, v uint64) error {
 		Track: obs.TrackServer, A0: int64(len(dirty)), A1: raw, A2: wire})
 	st.TrafficBytes += wire
 
-	// Validate the complete write-back, then commit it atomically on the
-	// mobile device together with the journaled remote output, and
-	// synchronize clocks: the mobile resumes when the finalization
-	// message has arrived.
-	decoded, err := Decode(wireBytes)
+	// Commit the write-back on the mobile device and synchronize clocks:
+	// the mobile resumes when the finalization message has arrived.
+	ret, err := s.receiveWriteBack(wireBytes)
 	if err != nil {
-		return fmt.Errorf("offrt: finalize message corrupt: %w", err)
+		return err
 	}
-	pages, err := decoded.DecompressPages()
-	if err != nil {
-		return fmt.Errorf("offrt: finalize payload corrupt: %w", err)
-	}
-	s.commitJournal(pages)
 	if gap := s.Server.Clock + d - s.Mobile.Clock; gap > 0 {
 		s.Mobile.AddTime(gap, interp.CompComm)
 	}
@@ -188,8 +183,27 @@ func (s *Session) SendReturn(m *interp.Machine, v uint64) error {
 	s.Comp[interp.CompRemoteIO] += s.Server.Comp[interp.CompRemoteIO]
 
 	s.resetServer()
-	s.pendingReply = &reply{ret: decoded.Ret}
+	s.pendingReply = &reply{ret: ret}
 	return nil
+}
+
+// receiveWriteBack is the mobile side of finalization. It validates the
+// complete write-back — checksum, structure, and the inflation of every
+// page — and only then commits it atomically together with the journaled
+// remote output; a frame that fails any check changes nothing. It returns
+// the task's result.
+func (s *Session) receiveWriteBack(frame []byte) (uint64, error) {
+	decoded, err := Decode(frame)
+	if err != nil {
+		return 0, fmt.Errorf("offrt: finalize message corrupt: %w", err)
+	}
+	pages, err := decoded.DecompressPages()
+	if err != nil {
+		return 0, fmt.Errorf("offrt: finalize payload corrupt: %w", err)
+	}
+	s.commitJournal(pages)
+	decoded.release()
+	return decoded.Ret, nil
 }
 
 // commitJournal applies the offload's journaled effects at successful

@@ -73,6 +73,12 @@ type Message struct {
 	Ret        uint64
 	Data       []byte // remote I/O payload, or compressed page payload
 	Compressed bool
+
+	// What CompressPages and DecompressPages took from their recyclers for
+	// this message: the buffer Data aliases after CompressPages, and the
+	// slabs DecompressPages' records alias. release gives them back.
+	comp  *bytes.Buffer
+	slabs []*[]byte
 }
 
 // pageRecordBytes is one page record, in a frame or in a compressed payload
@@ -286,11 +292,12 @@ func Decode(b []byte) (*Message, error) {
 }
 
 // recycler is a free list of the page path's reusable values: frames,
-// deflaters, inflaters. It is not a sync.Pool because the collector empties
-// a Pool on its own schedule: a sweep whose collections happened to fall
-// between two offloads allocated its multi-megabyte frames again, the same
-// sweep a moment later did not, and what a run allocated varied by 10 % with
-// nothing in it changed. A recycler keeps what it is given until it is taken
+// deflaters and their output buffers, inflaters and their slabs. It is not
+// a sync.Pool because the collector empties a Pool on its own schedule: a
+// sweep whose collections happened to fall between two offloads allocated
+// its multi-megabyte frames again, the same sweep a moment later did not,
+// and what a run allocated varied by 10 % with nothing in it changed. A
+// recycler keeps what it is given until it is taken
 // — at most recyclerCap values, the rest are dropped — so what a run
 // allocates depends on its offloads alone.
 type recycler[T any] struct {
@@ -299,8 +306,10 @@ type recycler[T any] struct {
 }
 
 // recyclerCap is how many values a recycler holds. A session has two frames
-// in flight at most (the request and its finalization) and one compressor
-// state; sessions sharing a process beyond that allocate their own.
+// in flight at most (the request and its finalization), one compressor state
+// and its output buffer, and a write-back of up to recyclerCap×slabPages
+// pages inflates into recycled slabs; sessions sharing a process beyond that,
+// and larger write-backs, allocate their own.
 const recyclerCap = 4
 
 // get takes the value put last, or nil if none is held.
@@ -362,19 +371,31 @@ func (m *Message) WireSize() int64 {
 // A writer that failed mid-stream is dropped, not returned.
 var deflaters recycler[flate.Writer]
 
+// deflateBufs recycles the buffers CompressPages deflates into. A buffer
+// goes back once the payload is encoded into a frame (release); one that
+// grew past maxDeflateBuf is dropped there instead, so a process keeps its
+// common write-backs' buffers and not its largest one's.
+var deflateBufs recycler[bytes.Buffer]
+
+const maxDeflateBuf = 1 << 20
+
 // CompressPages deflates a page set into the message's Data field and
 // drops the raw pages, returning the raw (pre-compression) size. The
 // mobile side reverses it with DecompressPages. Each record is streamed
 // into the deflater as it is — a BestSpeed writer buffers a 64 KiB window
 // before it compresses anything, so its output does not depend on how the
-// input was cut into Writes.
+// input was cut into Writes. Data aliases a recycled buffer until release.
 func (m *Message) CompressPages() (rawBytes int64, err error) {
 	rawBytes = int64(len(m.Pages)) * pageRecordBytes
-	var comp bytes.Buffer
+	comp := deflateBufs.get()
+	if comp == nil {
+		comp = new(bytes.Buffer)
+	}
+	comp.Reset()
 	w := deflaters.get()
 	if w != nil {
-		w.Reset(&comp)
-	} else if w, err = flate.NewWriter(&comp, flate.BestSpeed); err != nil {
+		w.Reset(comp)
+	} else if w, err = flate.NewWriter(comp, flate.BestSpeed); err != nil {
 		return rawBytes, err
 	}
 	var hdr [4]byte // escapes through Write: one for the call, not one a page
@@ -392,23 +413,18 @@ func (m *Message) CompressPages() (rawBytes int64, err error) {
 	}
 	deflaters.put(w)
 	m.Pages = nil
-	m.Data = comp.Bytes()
+	m.Data, m.comp = comp.Bytes(), comp
 	m.Compressed = true
 	return rawBytes, nil
 }
 
-// inflateGuess is the compression ratio DecompressPages sizes its first
-// slab for. Dirty guest pages deflate between 3x (dense arrays) and
-// over 100x (mostly-zero heaps); guessing low costs the sparse payloads a
-// few more slabs, guessing high would commit memory that dense ones — or a
-// hostile one — never fill.
-const inflateGuess = 4
-
 // inflater is a recyclable flate reader together with the byte source it is
-// bound to: Reset re-aims fr at src, and src at the next payload.
+// bound to: Reset re-aims fr at src, and src at the next payload. pn holds
+// the page number of the record being inflated.
 type inflater struct {
 	src bytes.Reader
 	fr  io.ReadCloser
+	pn  [4]byte
 }
 
 // inflaters recycles DecompressPages' readers (a flate reader carries its
@@ -416,11 +432,25 @@ type inflater struct {
 // state NewReader leaves; one that failed mid-stream is dropped anyway.
 var inflaters recycler[inflater]
 
+// slabPages is how many inflated pages one slab holds: 256 KiB, so the
+// slabs a recycler keeps come to 1 MiB.
+const slabPages = 64
+
+// inflateSlabs recycles DecompressPages' slabs. They go back once their
+// pages are installed (release); a write-back of more than
+// recyclerCap×slabPages pages allocates the slabs beyond those, and they
+// are dropped there, so what stays retained is bounded and not the largest
+// write-back a process has seen.
+var inflateSlabs recycler[[]byte]
+
 // DecompressPages inflates a finalization payload back into page records,
-// one record at a time into slabs the records alias (so the slabs are not
-// recycled). A slab's size is taken from the payload in hand — never from a
-// length field the peer wrote — and a full slab is followed by a new one,
-// not regrown, so no inflated byte is copied a second time.
+// one page at a time into fixed-size slabs the records alias — recycled
+// ones first, then fresh ones, never regrown, so no inflated byte is copied
+// a second time. A payload that inflates to more records than the message's
+// PageTable lists is corrupt: the dirty pages a server writes back are a
+// subset of the pages it holds, and without that bound a frame under
+// MaxWireBytes could inflate a thousandfold. The records stay valid until
+// release.
 func (m *Message) DecompressPages() ([]PageRecord, error) {
 	if !m.Compressed {
 		return m.Pages, nil
@@ -434,29 +464,69 @@ func (m *Message) DecompressPages() ([]PageRecord, error) {
 	if err := inf.fr.(flate.Resetter).Reset(&inf.src, nil); err != nil {
 		return nil, err
 	}
-	slabRecords := max(1, inflateGuess*len(m.Data)/pageRecordBytes)
 	var out []PageRecord
 	var slab []byte
 	for {
-		if len(slab) == 0 {
-			slab = make([]byte, slabRecords*pageRecordBytes)
-			out = slices.Grow(out, slabRecords)
-		}
-		rec := slab[:pageRecordBytes:pageRecordBytes]
-		n, err := io.ReadFull(inf.fr, rec)
-		if err == io.EOF {
+		if _, err := io.ReadFull(inf.fr, inf.pn[:]); err == io.EOF {
 			break
+		} else if err != nil {
+			return nil, m.inflateFailed(len(out), err)
 		}
-		if err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("offrt: corrupt page payload (%d bytes)", len(out)*pageRecordBytes+n)
+		if len(out) == len(m.PageTable) {
+			m.release()
+			return nil, fmt.Errorf("offrt: corrupt page payload (more records than the %d-page table)", len(m.PageTable))
 		}
-		if err != nil {
-			return nil, err
+		if len(slab) == 0 {
+			slab = m.takeSlab()
+			out = slices.Grow(out, slabPages)
 		}
-		slab = slab[pageRecordBytes:]
-		out = append(out, PageRecord{PN: binary.LittleEndian.Uint32(rec), Data: rec[4:]})
+		page := slab[:mem.PageSize:mem.PageSize]
+		if _, err := io.ReadFull(inf.fr, page); err != nil {
+			return nil, m.inflateFailed(len(out), err)
+		}
+		slab = slab[mem.PageSize:]
+		out = append(out, PageRecord{PN: binary.LittleEndian.Uint32(inf.pn[:]), Data: page})
 	}
 	inf.src.Reset(nil)
 	inflaters.put(inf)
 	return out, nil
+}
+
+// takeSlab returns an empty slab, recycled if one is available, and holds it
+// for m until release.
+func (m *Message) takeSlab() []byte {
+	s := inflateSlabs.get()
+	if s == nil {
+		s = new([]byte)
+		*s = make([]byte, slabPages*mem.PageSize)
+	}
+	m.slabs = append(m.slabs, s)
+	return *s
+}
+
+// inflateFailed gives back the slabs of a payload that stopped inflating
+// after n whole records, and names the failure.
+func (m *Message) inflateFailed(n int, err error) error {
+	m.release()
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("offrt: corrupt page payload (ends inside record %d)", n)
+	}
+	return err
+}
+
+// release gives back what CompressPages and DecompressPages took for m: the
+// buffer Data aliases, and the slabs under every record DecompressPages
+// returned. The caller is done with both — the payload encoded into a
+// frame, the records installed (InstallPage copies).
+func (m *Message) release() {
+	if m.comp != nil {
+		if m.comp.Cap() <= maxDeflateBuf {
+			deflateBufs.put(m.comp)
+		}
+		m.comp, m.Data = nil, nil
+	}
+	for _, s := range m.slabs {
+		inflateSlabs.put(s)
+	}
+	m.slabs = nil
 }

@@ -10,7 +10,8 @@ import (
 // FuzzDecode throws arbitrary byte soup at the wire decoder. The decoder
 // must never panic, and anything it accepts must re-encode to a frame of
 // exactly WireSize bytes that decodes to the same message (the envelope is
-// canonical).
+// canonical). A compressed payload it accepts must inflate to no more
+// records than the message's page table lists, or be refused.
 func FuzzDecode(f *testing.F) {
 	seedMsgs := []*Message{
 		{Kind: MsgOffloadRequest, TaskID: 1, SP: 0xfff0, Args: []uint64{1, 2, 3},
@@ -37,6 +38,8 @@ func FuzzDecode(f *testing.F) {
 	for _, frame := range truncatedHeaderFrames() {
 		f.Add(frame)
 	}
+	// A payload that inflates a thousandfold past its one-entry page table.
+	f.Add(zeroBomb().Encode())
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Decode(b)
@@ -55,6 +58,12 @@ func FuzzDecode(f *testing.F) {
 			len(m2.Args) != len(m.Args) || len(m2.PageTable) != len(m.PageTable) ||
 			len(m2.Pages) != len(m.Pages) || !bytes.Equal(m2.Data, m.Data) {
 			t.Fatalf("re-encode round trip changed message: %+v vs %+v", m, m2)
+		}
+		if m.Compressed {
+			if pages, err := m.DecompressPages(); err == nil && len(pages) > len(m.PageTable) {
+				t.Fatalf("payload inflated to %d records over a %d-page table", len(pages), len(m.PageTable))
+			}
+			m.release()
 		}
 	})
 }

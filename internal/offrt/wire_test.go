@@ -7,10 +7,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"runtime"
+	"runtime/metrics"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/mem"
+	"repro/internal/netsim"
 )
 
 func TestMessageRoundTrip(t *testing.T) {
@@ -111,7 +114,7 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 func TestCompressDecompressPages(t *testing.T) {
 	// A repetitive page compresses well and restores exactly.
 	page := bytes.Repeat([]byte{0x11, 0x22}, mem.PageSize/2)
-	m := &Message{Kind: MsgFinalize,
+	m := &Message{Kind: MsgFinalize, PageTable: []uint32{4, 9},
 		Pages: []PageRecord{{PN: 4, Data: page}, {PN: 9, Data: page}}}
 	raw, err := m.CompressPages()
 	if err != nil {
@@ -235,7 +238,7 @@ func TestCompressPagesPooledWriterIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				m := &Message{Kind: MsgFinalize, Pages: pages}
+				m := &Message{Kind: MsgFinalize, PageTable: pageTable(pages), Pages: pages}
 				rawBytes, err := m.CompressPages()
 				if err != nil {
 					t.Fatal(err)
@@ -260,6 +263,7 @@ func TestCompressPagesPooledWriterIdentical(t *testing.T) {
 						t.Fatalf("set %d: page %d drifted through the round trip", k, i)
 					}
 				}
+				m.release()
 			}
 		})
 	}
@@ -396,6 +400,34 @@ func pageRecords(src *mem.Memory, pns []uint32) []PageRecord {
 	return pages
 }
 
+// pageTable lists the page numbers of a record set: the smallest page table
+// a finalization carrying them may have.
+func pageTable(pages []PageRecord) []uint32 {
+	pns := make([]uint32, len(pages))
+	for i, p := range pages {
+		pns[i] = p.PN
+	}
+	return pns
+}
+
+// deflated is raw deflated at the highest ratio, the way a hostile peer
+// would pack a payload.
+func deflated(raw []byte) []byte {
+	var b bytes.Buffer
+	w, _ := flate.NewWriter(&b, flate.BestCompression)
+	w.Write(raw)
+	w.Close()
+	return b.Bytes()
+}
+
+// zeroBomb is a finalization whose payload inflates to 1 000 all-zero page
+// records — 4 MB from a few kilobytes — over a one-entry page table: 999
+// records more than an honest server can write back.
+func zeroBomb() *Message {
+	return &Message{Kind: MsgFinalize, Ret: 1, PageTable: []uint32{1}, Compressed: true,
+		Data: deflated(make([]byte, 1000*pageRecordBytes))}
+}
+
 // TestAppendEncodeIntoRecycledBuffer: a frame encoded into a recycled buffer
 // — full of another frame's bytes, too small, or already holding a prefix —
 // is byte for byte the frame a fresh Encode produces. The encoded size is
@@ -435,7 +467,7 @@ func TestAppendEncodeIntoRecycledBuffer(t *testing.T) {
 func TestReleasedFrameDoesNotReachMemory(t *testing.T) {
 	src, pns := wirePageSet(8)
 	for _, compress := range []bool{false, true} {
-		m := &Message{Kind: MsgFinalize, Pages: pageRecords(src, pns)}
+		m := &Message{Kind: MsgFinalize, PageTable: pns, Pages: pageRecords(src, pns)}
 		if compress {
 			if _, err := m.CompressPages(); err != nil {
 				t.Fatal(err)
@@ -465,6 +497,103 @@ func TestReleasedFrameDoesNotReachMemory(t *testing.T) {
 				t.Fatalf("compress=%v: page %#x changed when its released frame was overwritten", compress, pn)
 			}
 		}
+	}
+}
+
+// TestReleasedSlabDoesNotReachMemory: the compressed payload lives in a
+// recycled buffer that goes back once the frame holds a copy, and the
+// inflated records in recycled slabs that go back once they are installed.
+// Both are poisoned right after their release: the frame must still decode
+// to what was sent, and the Memory must still hold it.
+func TestReleasedSlabDoesNotReachMemory(t *testing.T) {
+	src, pns := wirePageSet(2*slabPages + 3) // three slabs, the last one partly filled
+	fin := &Message{Kind: MsgFinalize, PageTable: pns, Pages: pageRecords(src, pns)}
+	if _, err := fin.CompressPages(); err != nil {
+		t.Fatal(err)
+	}
+	frame := fin.AppendEncode(nil)
+	payload := fin.comp.Bytes()
+	fin.release()
+	for i := range payload {
+		payload[i] = 0xff
+	}
+
+	got, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages, err := got.DecompressPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pages) != len(pns) || len(got.slabs) != 3 {
+		t.Fatalf("%d pages in %d slabs, want %d in 3", len(pages), len(got.slabs), len(pns))
+	}
+	dst := mem.New()
+	for _, p := range pages {
+		dst.InstallPage(p.PN, p.Data)
+	}
+	held := got.slabs
+	got.release()
+	for _, s := range held {
+		for i := range *s {
+			(*s)[i] = 0xff
+		}
+	}
+	for _, pn := range pns {
+		if !bytes.Equal(dst.PageData(pn), src.PageData(pn)) {
+			t.Fatalf("page %#x changed when its released slab was overwritten", pn)
+		}
+	}
+}
+
+// TestBadWriteBackChangesNothing is commit-at-return on the mobile side of
+// finalization. A frame that is corrupt (its checksum, or a payload that is
+// not deflate), truncated (the payload ends inside a record) or over-long
+// (it inflates to more records than its page table lists) is refused before
+// the first page is installed: mobile memory is as it was, and the journaled
+// output is not committed. The honest frame beside them installs and commits.
+func TestBadWriteBackChangesNothing(t *testing.T) {
+	env := setup(t, netsim.Fast80211AC(), Policy{})
+	s, mobile := env.sess, env.mobile.Mem
+	pn := mobile.PresentPages()[0]
+	page := bytes.Repeat([]byte{0x5a}, mem.PageSize)
+	record := append(binary.LittleEndian.AppendUint32(nil, pn), page...)
+	finalize := func(pt []uint32, payload []byte) []byte {
+		return (&Message{Kind: MsgFinalize, Ret: 7, PageTable: pt, Compressed: true, Data: payload}).Encode()
+	}
+	honest := finalize([]uint32{pn}, deflated(record))
+	flipped := bytes.Clone(honest)
+	flipped[len(flipped)/2] ^= 0x40
+	for _, c := range []struct {
+		name, want string
+		frame      []byte
+	}{
+		{"checksum", "checksum mismatch", flipped},
+		{"not deflate", "finalize payload corrupt", finalize([]uint32{pn}, []byte("not deflate"))},
+		{"truncated", "corrupt page payload", finalize([]uint32{pn, pn + 1}, deflated(append(record, record[:100]...)))},
+		{"over-long", "corrupt page payload", zeroBomb().Encode()},
+	} {
+		s.ioJournal = []string{"journaled\n"}
+		gen, digest, out := mobile.Gen(), mobile.Digest(), env.io.Out.String()
+		if _, err := s.receiveWriteBack(c.frame); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
+		}
+		if mobile.Gen() != gen || mobile.Digest() != digest {
+			t.Errorf("%s: a refused write-back installed pages", c.name)
+		}
+		if env.io.Out.String() != out {
+			t.Errorf("%s: a refused write-back committed the journaled output", c.name)
+		}
+	}
+
+	s.ioJournal = []string{"journaled\n"}
+	ret, err := s.receiveWriteBack(honest)
+	if err != nil || ret != 7 {
+		t.Fatalf("honest write-back: ret %d, %v", ret, err)
+	}
+	if !bytes.Equal(mobile.PageData(pn), page) || !strings.HasSuffix(env.io.Out.String(), "journaled\n") {
+		t.Error("the honest write-back did not install its page and commit the journal")
 	}
 }
 
@@ -507,6 +636,66 @@ func TestWirePathAllocationBudget(t *testing.T) {
 	if !bytes.Equal(dst.PageData(pns[n-1]), src.PageData(pns[n-1])) {
 		t.Error("page drifted through the request path")
 	}
+
+	// The return direction, the way SendReturn runs it: compressed into a
+	// recycled buffer, encoded into a recycled frame, inflated into recycled
+	// slabs and installed over pages the mobile already holds. After one
+	// warm-up the recyclers hold everything a write-back of this size needs,
+	// so what it allocates is the decoded message, its page table and the
+	// record list, and no page-sized buffer.
+	if n > recyclerCap*slabPages {
+		t.Fatalf("%d pages do not fit the %d recycled slab pages", n, recyclerCap*slabPages)
+	}
+	recs := pageRecords(src, pns)
+	writeBack := func() {
+		fin := &Message{Kind: MsgFinalize, PageTable: pns, Pages: recs}
+		if _, err := fin.CompressPages(); err != nil {
+			t.Fatal(err)
+		}
+		frame := getFrame()
+		*frame = fin.AppendEncode(*frame)
+		fin.release()
+		got, err := Decode(*frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages, err := got.DecompressPages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pages {
+			dst.InstallPage(p.PN, p.Data)
+		}
+		got.release()
+		frames.put(frame)
+	}
+	writeBack()
+	bigBefore := allocsOver(32 << 10)
+	runtime.ReadMemStats(&before)
+	writeBack()
+	runtime.ReadMemStats(&after)
+	if big := allocsOver(32<<10) - bigBefore; big != 0 {
+		t.Errorf("a warm write-back of %d pages made %d allocations over 32 KiB (a slab, a frame or a compressor buffer), want 0", n, big)
+	}
+	if total := after.TotalAlloc - before.TotalAlloc; total > 128*n {
+		t.Errorf("a warm write-back of %d pages allocated %d bytes, want no page-sized buffer per page (<= %d)", n, total, 128*n)
+	}
+}
+
+// allocsOver counts the heap allocations of more than size bytes the process
+// has made. runtime/metrics buckets them by size class, so size should be a
+// class size.
+func allocsOver(size float64) uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs-by-size:bytes"}}
+	metrics.Read(s)
+	h := s[0].Value.Float64Histogram()
+	var n uint64
+	for i, c := range h.Counts {
+		if h.Buckets[i] > size {
+			n += c
+		}
+	}
+	return n
 }
 
 // TestDecodeRejectsTruncatedFixedFields cuts a frame's body at every byte in
@@ -540,9 +729,10 @@ func truncatedHeaderFrames() [][]byte {
 // BenchmarkWirePages is the page path's in-process number: 256 dense and 256
 // sparse pages moved from one Memory to another the way a session moves
 // them. "request" is the prefetch direction (PageData views encoded into a
-// pooled frame, decoded, installed); "return" is the write-back direction
-// (compressed, encoded, decoded, inflated, installed over the pages already
-// there). MB/s counts raw page bytes moved.
+// recycled frame, decoded, installed); "return" is the write-back direction
+// (compressed into a recycled buffer, encoded, decoded, inflated into
+// recycled slabs, installed over the pages already there). MB/s counts raw
+// page bytes moved.
 func BenchmarkWirePages(b *testing.B) {
 	const n = 512
 	src, pns := wirePageSet(n)
@@ -555,6 +745,7 @@ func BenchmarkWirePages(b *testing.B) {
 		}
 		frame := getFrame()
 		*frame = m.AppendEncode(*frame)
+		m.release()
 		got, err := Decode(*frame)
 		if err != nil {
 			b.Fatal(err)
@@ -566,6 +757,7 @@ func BenchmarkWirePages(b *testing.B) {
 		for _, p := range pages {
 			dst.InstallPage(p.PN, p.Data)
 		}
+		got.release()
 		frames.put(frame)
 	}
 	b.Run("request", func(b *testing.B) {
