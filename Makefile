@@ -16,8 +16,9 @@ check: build vet benchvet benchtest fmt
 	$(GO) test ./internal/offrt/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 
 ## smoke: the quick loop — only the Test*Smoke contract tests (O(1) bind,
-## shard invariance at 10k clients, mid-offload migration, multi-tier
-## placement, span tracing), without the race detector.
+## the fleet engine against its single-heap oracle at 10k clients,
+## mid-offload migration, multi-tier placement, span tracing), without the
+## race detector.
 smoke:
 	$(GO) test -run 'Smoke$$' -count=1 ./...
 
@@ -63,8 +64,8 @@ bench:
 	BENCH_BIND_JSON=$(CURDIR)/BENCH_bind.json $(GO) test ./internal/interp/ -run '^TestBindBenchJSON$$' -count=1 -v
 
 ## fleetbench: the fleet engine in process, host-timed, nothing written —
-## the benchmark's two fleet cells (sequential, sharded, and the overload
-## cell's local-only set-up run), one est-aware pick through the load index
+## the benchmark's two fleet cells (plus the overload cell's local-only
+## set-up run), one est-aware pick through the load index
 ## against the walk it replaced, the ready queue's hold model and the
 ## latency sort against slices.Sort. Three iterations each: compare two
 ## commits by alternating their test binaries, not from one run.

@@ -3,7 +3,7 @@
 //
 //	offloadbench -exp all
 //	offloadbench -exp fleet -clients=64 -servers=4 -policy=est-aware
-//	offloadbench -exp fleetscale -clients 1000000 -shards 0
+//	offloadbench -exp fleetscale -clients 1000000
 //	offloadbench -exp tiers -edge-servers 8 -cloud-servers 2 -out /tmp/tiers8x2.json
 //
 // -exp takes a name from the experiments catalogue, or "all" for the
@@ -12,10 +12,8 @@
 // bench record writes it to -out (nothing is written without -out), and
 // the write is refused while the record's floor fails. The committed
 // BENCH_*.json records of the default configurations are golden files of
-// go test ./internal/experiments, not -out targets. -shards selects the
-// engine everywhere fleet simulations run: -1 forces the sequential
-// reference, 0 auto-sizes to the CPU count, n >= 1 pins n worker shards —
-// results are bit-identical across all of them. For one program in depth
+// go test ./internal/experiments, not -out targets. Fleet simulations run
+// on one event engine, deterministic in the seed. For one program in depth
 // (trace, metrics, critical path, profile) use offloadrun.
 package main
 
@@ -46,7 +44,6 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&p.Servers, "servers", p.Servers, "with -exp fleet/migrate: size of the server pool")
 	fs.StringVar(&p.Policy, "policy", p.Policy, "with -exp fleet: dispatch policy (random, round-robin, least-loaded, est-aware) or all")
 	fs.Uint64Var(&p.Seed, "seed", p.Seed, "with -exp fleet/tiers: simulation seed")
-	fs.IntVar(&p.Shards, "shards", p.Shards, "fleet engine: -1 sequential reference, 0 one shard per CPU, n >= 1 that many shards (bit-identical results)")
 	fs.StringVar(&p.ServerFaults, "server-faults", p.ServerFaults, "with -exp chaos: server-fault spec (e.g. crash=0@300ms,slow=0@100ms-2sx3); runs the workloads under it with migration enabled")
 	fs.IntVar(&p.MigrateSeeds, "migrate-seeds", p.MigrateSeeds, "with -exp migrate: number of benchmark seeds")
 	fs.IntVar(&p.EdgeServers, "edge-servers", p.EdgeServers, "with -exp tiers: edge pool size (low-RTT, modest compute)")

@@ -73,9 +73,7 @@ func TestOutIsTheOnlyWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shard count 0 is the sequential reference; the record is
-	// bit-identical at any shard count, so it stands for the CLI's default.
-	sweep, err := experiments.FleetSweep([]int{8}, 2, 1, 0)
+	sweep, err := experiments.FleetSweep([]int{8}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +88,7 @@ func TestOutIsTheOnlyWriter(t *testing.T) {
 
 // TestFlagValuesAreValidated: a flag value no experiment can run with is
 // refused by name before anything runs (-migrate-seeds 0 used to print a
-// table of NaNs and exit 0, -clients -5 silently ran 64 clients, -shards -7
-// the sequential engine).
+// table of NaNs and exit 0, -clients -5 silently ran 64 clients).
 func TestFlagValuesAreValidated(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -104,7 +101,6 @@ func TestFlagValuesAreValidated(t *testing.T) {
 		{[]string{"-exp", "fleet", "-clients", "-5"}, "-clients"},
 		{[]string{"-exp", "fleet", "-servers", "0"}, "-servers"},
 		{[]string{"-exp", "fleet", "-exemplars", "-1"}, "-exemplars"},
-		{[]string{"-exp", "fleet", "-shards", "-7"}, "-shards"},
 		{[]string{"-exp", "table1", "-depth", "0"}, "-depth"},
 		{[]string{"-exp", "tiers", "-edge-servers", "-1"}, "-edge-servers"},
 		{[]string{"-exp", "tiers", "-cloud-servers", "-1"}, "-cloud-servers"},

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -21,7 +20,6 @@ type Params struct {
 	Servers      int    // -servers: server pool size (fleet, migrate)
 	Policy       string // -policy: one dispatch policy, or "all" (fleet)
 	Seed         uint64 // -seed: simulation seed (fleet, tiers)
-	Shards       int    // -shards: -1 sequential reference, 0 one shard per CPU, n >= 1 that many
 	Exemplars    int    // -exemplars: tail-sampler K per retention category, 0 = off (fleet, fleetscale)
 	CritPath     bool   // -critpath: print the retained exemplars' critical paths (fleet)
 	MigrateSeeds int    // -migrate-seeds: number of benchmark seeds (migrate)
@@ -48,8 +46,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("-clients must not be negative (0 = the experiment's default), got %d", p.Clients)
 	case p.Servers < 1:
 		return fmt.Errorf("-servers must be at least 1, got %d", p.Servers)
-	case p.Shards < -1:
-		return fmt.Errorf("-shards must be -1 (sequential), 0 (one per CPU) or a shard count, got %d", p.Shards)
 	case p.Exemplars < 0:
 		return fmt.Errorf("-exemplars must not be negative, got %d", p.Exemplars)
 	case p.MigrateSeeds < 1:
@@ -69,20 +65,6 @@ func (p Params) clients(def int) int {
 		return p.Clients
 	}
 	return def
-}
-
-// engineShards maps -shards onto fleet.Config.Shards: -1 picks the
-// sequential reference engine (Shards 0), 0 sizes the sharded engine to
-// the machine, and a positive count is passed through.
-func (p Params) engineShards() int {
-	switch {
-	case p.Shards < 0:
-		return 0
-	case p.Shards == 0:
-		return runtime.NumCPU()
-	default:
-		return p.Shards
-	}
 }
 
 // Metric is one headline number of an artifact, named as the root
@@ -140,7 +122,7 @@ var Catalogue = []Experiment{
 	{"crossarch", "x86-64 vs big-endian 32-bit server, bit-identical output", true, runCrossArch},
 	{"chaos", "fault-injection campaign; with -server-faults, server-fault equivalence", false, runChaos},
 	{"fleet", "dispatch-policy comparison over a shared server pool (BENCH_fleet.json)", false, runFleet},
-	{"fleetscale", "million-client headline, engine parity, adaptive admission, exemplars (BENCH_fleet_scale.json)", false, runFleetScale},
+	{"fleetscale", "million-client headline, adaptive admission, exemplars (BENCH_fleet_scale.json)", false, runFleetScale},
 	{"migrate", "mid-offload migration vs fallback-only recovery (BENCH_migrate.json)", false,
 		func(p Params) (*Artifact, error) {
 			return recorded(MigrateSweep(p.MigrateSeeds, p.clients(64), p.Servers))
@@ -295,15 +277,14 @@ func runChaos(p Params) (*Artifact, error) {
 }
 
 // runFleetScale appends what the record must not hold: how long the
-// headline cell took on this host, on which engine.
+// headline cell took on this host.
 func runFleetScale(p Params) (*Artifact, error) {
-	shards := p.engineShards()
-	b, elapsed, err := ScaleSweep(p.clients(1_000_000), shards, p.Exemplars)
+	b, elapsed, err := ScaleSweep(p.clients(1_000_000), p.Exemplars)
 	if err != nil {
 		return nil, err
 	}
-	host := fmt.Sprintf("\nbig cell on this host: %.2f s, %.0f events/s, shards %d (host-dependent: not in the record)",
-		elapsed.Seconds(), float64(b.Big.Events)/elapsed.Seconds(), shards)
+	host := fmt.Sprintf("\nbig cell on this host: %.2f s, %.0f events/s (host-dependent: not in the record)",
+		elapsed.Seconds(), float64(b.Big.Events)/elapsed.Seconds())
 	return &Artifact{Text: b.Table().String() + host, Record: b}, nil
 }
 
@@ -320,7 +301,7 @@ func runFleet(p Params) (*Artifact, error) {
 		}
 		pols, deepDive = []fleet.Policy{pol}, pol
 	}
-	results, err := FleetSweep([]int{p.clients(64)}, p.Servers, p.Seed, p.engineShards(), pols...)
+	results, err := FleetSweep([]int{p.clients(64)}, p.Servers, p.Seed, pols...)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +323,6 @@ func runFleet(p Params) (*Artifact, error) {
 func fleetExemplars(p Params, pol fleet.Policy) (string, error) {
 	cfg := fleet.DefaultConfig(p.clients(64), p.Servers, pol)
 	cfg.Seed = p.Seed
-	cfg.Shards = p.engineShards()
 	cfg.Exemplars = p.Exemplars
 	tr := obs.NewTracer(0)
 	cfg.Tracer = tr

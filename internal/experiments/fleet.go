@@ -11,10 +11,8 @@ import (
 // policy over each client count, against the same heterogeneous pool and
 // seed, so the policy columns differ only in routing decisions. Results
 // come back in (clients, policy) order and are fully deterministic in the
-// seed — the bench artifact is diffable across runs, and because the
-// engines are bit-identical, across shard counts too (shards 0 runs the
-// sequential reference engine).
-func FleetSweep(clients []int, servers int, seed uint64, shards int, policies ...fleet.Policy) ([]*fleet.Result, error) {
+// seed — the bench artifact is diffable across runs.
+func FleetSweep(clients []int, servers int, seed uint64, policies ...fleet.Policy) ([]*fleet.Result, error) {
 	if len(policies) == 0 {
 		policies = fleet.Policies()
 	}
@@ -23,7 +21,6 @@ func FleetSweep(clients []int, servers int, seed uint64, shards int, policies ..
 		for _, pol := range policies {
 			cfg := fleet.DefaultConfig(n, servers, pol)
 			cfg.Seed = seed
-			cfg.Shards = shards
 			res, err := fleet.Run(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("fleet sweep %s n=%d: %w", pol, n, err)

@@ -10,7 +10,7 @@ import (
 // 4-server cell: contention-aware dispatch beats random on the tail, and
 // the load-blind policies overrun admission (nonzero sheds).
 func TestFleetAcceptanceCell(t *testing.T) {
-	res, err := FleetSweep([]int{64}, 4, 1, 0, fleet.Random, fleet.EstAware)
+	res, err := FleetSweep([]int{64}, 4, 1, fleet.Random, fleet.EstAware)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -12,11 +11,9 @@ import (
 )
 
 // The fleet-scale experiment: a production-sized client population through
-// the discrete-event engine, whether the sharded engine is a pure
-// wall-clock knob (bit-identical results), and whether adaptive admission
-// earns its keep on a diurnal load curve. Its record holds simulated values
-// only; engine throughput (sequential vs sharded events/s) is measured by
-// bench/ (fleet.par_speedup_x) and BenchmarkFleetCell.
+// the discrete-event engine, and whether adaptive admission earns its keep
+// on a diurnal load curve. Its record holds simulated values only; engine
+// throughput (events/s) is measured by bench/ and BenchmarkFleetCell.
 
 // ScaleCell is the simulated outcome of one engine run.
 type ScaleCell struct {
@@ -60,10 +57,8 @@ type ExemplarCell struct {
 
 // ScaleBench is the machine-readable record committed as
 // BENCH_fleet_scale.json. Every field is determined by the sweep's
-// parameters: the same bytes on any host, at any shard count.
+// parameters: the same bytes on any host.
 type ScaleBench struct {
-	Parity string `json:"parity"` // "ok" after the cross-engine byte-identity gate
-
 	// Big is the headline run: a million clients over sixteen servers.
 	Big ScaleCell `json:"big"`
 
@@ -77,10 +72,9 @@ type ScaleBench struct {
 // scaleConfig is the shared workload of the scale cells: est-aware policy
 // (the most expensive dispatcher — it prices every server per decision)
 // over a 16-server heterogeneous pool.
-func scaleConfig(clients, rpc, shards int) fleet.Config {
+func scaleConfig(clients, rpc int) fleet.Config {
 	cfg := fleet.DefaultConfig(clients, 16, fleet.EstAware)
 	cfg.RequestsPerClient = rpc
-	cfg.Shards = shards
 	return cfg
 }
 
@@ -90,8 +84,8 @@ func scaleConfig(clients, rpc, shards int) fleet.Config {
 // category, how many assemble into complete span trees whose root
 // duration matches the recorded latency, and on how many the
 // critical-path segments sum exactly to the end-to-end latency.
-func exemplarCell(clients, shards, k int) (*ExemplarCell, error) {
-	cfg := scaleConfig(clients, 10, shards)
+func exemplarCell(clients, k int) (*ExemplarCell, error) {
+	cfg := scaleConfig(clients, 10)
 	cfg.Exemplars = k
 	tr := obs.NewTracer(0)
 	cfg.Tracer = tr
@@ -131,48 +125,20 @@ func exemplarCell(clients, shards, k int) (*ExemplarCell, error) {
 }
 
 // ScaleSweep runs the fleet-scale experiment. clients sizes the headline
-// cell; shards is fleet.Config.Shards for every cell after the parity gate
-// (0 = the sequential reference engine); exemplars > 0 adds the
-// tail-sampling cell retaining that many jobs per category. Beside the
-// record it returns the host time the headline cell took — for the
-// terminal only, it is not part of the record.
-func ScaleSweep(clients, shards, exemplars int) (*ScaleBench, time.Duration, error) {
+// cell; exemplars > 0 adds the tail-sampling cell retaining that many jobs
+// per category. Beside the record it returns the host time the headline
+// cell took — for the terminal only, it is not part of the record.
+func ScaleSweep(clients, exemplars int) (*ScaleBench, time.Duration, error) {
 	b := &ScaleBench{}
-
-	// Parity gate: prove the engines agree byte for byte on a cell small
-	// enough to run across several shard counts and every policy.
-	for _, pol := range fleet.Policies() {
-		cfg := fleet.DefaultConfig(64, 4, pol)
-		cfg.Seed = 9
-		var ref []byte
-		for _, s := range []int{0, 1, 4} {
-			c := cfg
-			c.Shards = s
-			res, err := fleet.Run(c)
-			if err != nil {
-				return nil, 0, fmt.Errorf("parity %s shards=%d: %w", pol, s, err)
-			}
-			bs, err := json.Marshal(res)
-			if err != nil {
-				return nil, 0, err
-			}
-			if s == 0 {
-				ref = bs
-			} else if string(bs) != string(ref) {
-				return nil, 0, fmt.Errorf("parity: %s shards=%d diverged from sequential", pol, s)
-			}
-		}
-	}
-	b.Parity = "ok"
 
 	if exemplars > 0 {
 		var err error
-		if b.Exemplar, err = exemplarCell(100_000, shards, exemplars); err != nil {
+		if b.Exemplar, err = exemplarCell(100_000, exemplars); err != nil {
 			return nil, 0, err
 		}
 	}
 
-	big := scaleConfig(clients, 3, shards) // a million clients need fewer requests each to stay in budget
+	big := scaleConfig(clients, 3) // a million clients need fewer requests each to stay in budget
 	t0 := time.Now()
 	res, err := fleet.Run(big)
 	if err != nil {
@@ -191,7 +157,6 @@ func ScaleSweep(clients, shards, exemplars int) (*ScaleBench, time.Duration, err
 			cfg.RequestsPerClient = 20
 			cfg.Workload.DiurnalAmp = 0.8
 			cfg.Workload.DiurnalPeriod = 4 * simtime.Second
-			cfg.Shards = shards
 			if adaptive {
 				cfg.Adaptive = fleet.DefaultAdaptive()
 			}
@@ -218,15 +183,12 @@ func ScaleSweep(clients, shards, exemplars int) (*ScaleBench, time.Duration, err
 	return b, elapsed, nil
 }
 
-// CheckFloor enforces the record's acceptance bar: the engines must have
-// agreed byte for byte, adaptive admission must strictly reduce sheds +
-// deadline misses on every diurnal seed without losing 5% of throughput,
-// and the exemplar cell must retain the slowest jobs as complete, exactly
-// decomposed span trees inside the trace-ring bound.
+// CheckFloor enforces the record's acceptance bar: adaptive admission must
+// strictly reduce sheds + deadline misses on every diurnal seed without
+// losing 5% of throughput, and the exemplar cell must retain the slowest
+// jobs as complete, exactly decomposed span trees inside the trace-ring
+// bound.
 func (b *ScaleBench) CheckFloor() error {
-	if b.Parity != "ok" {
-		return fmt.Errorf("fleetscale: parity gate did not run")
-	}
 	for _, c := range b.Adaptive {
 		static, adaptive := c.StaticSheds+c.StaticMisses, c.AdaptiveSheds+c.AdaptiveMisses
 		if static == 0 {
@@ -264,7 +226,7 @@ func (b *ScaleBench) CheckFloor() error {
 
 // Table renders the record for the terminal.
 func (b *ScaleBench) Table() *report.Table {
-	t := report.New(fmt.Sprintf("Fleet scale: engine parity %s", b.Parity),
+	t := report.New("Fleet scale",
 		"cell", "clients", "servers", "req/client", "events", "p99 (ms)", "sheds")
 	c := b.Big
 	t.Add("big", c.Clients, c.Servers, c.Requests, c.Events, c.P99Ms, c.Sheds)

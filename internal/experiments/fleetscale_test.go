@@ -10,7 +10,6 @@ import (
 func TestScaleFloorRejects(t *testing.T) {
 	healthy := func() *ScaleBench {
 		return &ScaleBench{
-			Parity: "ok",
 			Adaptive: []AdaptiveCell{{Seed: 1,
 				StaticSheds: 80, StaticMisses: 320, StaticRPS: 100,
 				AdaptiveSheds: 7, AdaptiveMisses: 4, AdaptiveRPS: 100}},
@@ -26,7 +25,6 @@ func TestScaleFloorRejects(t *testing.T) {
 		mutate func(*ScaleBench)
 		want   string
 	}{
-		{"parity", func(b *ScaleBench) { b.Parity = "" }, "parity gate"},
 		{"adaptive loses", func(b *ScaleBench) { b.Adaptive[0].AdaptiveSheds = 400 }, "not below static"},
 		{"adaptive ties", func(b *ScaleBench) { b.Adaptive[0].AdaptiveSheds, b.Adaptive[0].AdaptiveMisses = 80, 320 }, "not below static"},
 		{"no pressure", func(b *ScaleBench) { b.Adaptive[0].StaticSheds, b.Adaptive[0].StaticMisses = 0, 0 }, "vacuous"},

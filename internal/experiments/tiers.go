@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -31,10 +29,9 @@ type TierBenchCell struct {
 }
 
 // TierBench is the committed BENCH_tiers.json record: the topology, the
-// per-cell results, the per-mode aggregates the floor check runs
+// per-cell results, and the per-mode aggregates the floor check runs
 // against (p99 as the mean over loads, geomean as the geometric mean
-// over loads), and the shard-parity verdict of re-running every 3-way
-// cell through the sharded engine.
+// over loads).
 type TierBench struct {
 	EdgeServers  int     `json:"edge_servers"`
 	EdgeSlots    int     `json:"edge_slots"`
@@ -52,11 +49,6 @@ type TierBench struct {
 	EdgeOnlyGeoMs  float64 `json:"edge_only_geomean_ms"`
 	CloudOnlyP99Ms float64 `json:"cloud_only_p99_ms"`
 	CloudOnlyGeoMs float64 `json:"cloud_only_geomean_ms"`
-
-	// ShardParity is true when every 3-way cell re-run through the
-	// sharded engine (4 shards) marshalled byte-identically to the
-	// sequential reference.
-	ShardParity bool `json:"shard_parity"`
 }
 
 // tierBenchTopology is the benchmark's hierarchy: a pool of modest edge
@@ -91,17 +83,14 @@ func tierBenchConfig(clients int, topo *tiers.Topology, seed uint64) fleet.Confi
 // through all three placement modes over the same topology, workload and
 // seed, so the mode columns differ only in which tiers the gate may use
 // and whether cross-tier migration may correct the placement later. The
-// 3-way cells additionally re-run through the sharded engine, feeding
-// the record's shard-parity verdict. The committed record uses the
-// default 4-edge/1-cloud geometry; other geometries run the same sweep
-// but are not guaranteed to hold the floor.
+// committed record uses the default 4-edge/1-cloud geometry; other
+// geometries run the same sweep but are not guaranteed to hold the floor.
 func TierSweep(loads []int, edgeServers, cloudServers int, seed uint64) (*TierBench, error) {
 	topo := tierBenchTopology(tiers.ThreeWay, edgeServers, cloudServers)
 	bench := &TierBench{
 		EdgeServers: topo.Edge.Servers, EdgeSlots: topo.Edge.Slots, EdgeR: topo.Edge.R,
 		CloudServers: topo.Cloud.Servers, CloudSlots: topo.Cloud.Slots, CloudR: topo.Cloud.R,
-		Seed:        seed,
-		ShardParity: true,
+		Seed: seed,
 	}
 	type agg struct {
 		sumP99, logGeo float64
@@ -128,26 +117,6 @@ func TierSweep(loads []int, edgeServers, cloudServers int, seed uint64) (*TierBe
 			}
 			a.sumP99 += res.P99Ms
 			a.logGeo += math.Log(res.GeomeanMs)
-
-			if mode == tiers.ThreeWay {
-				ref, err := json.Marshal(res)
-				if err != nil {
-					return nil, err
-				}
-				scfg := cfg
-				scfg.Shards = 4
-				sres, err := fleet.Run(scfg)
-				if err != nil {
-					return nil, fmt.Errorf("tier sweep sharded n=%d: %w", n, err)
-				}
-				got, err := json.Marshal(sres)
-				if err != nil {
-					return nil, err
-				}
-				if !bytes.Equal(ref, got) {
-					bench.ShardParity = false
-				}
-			}
 		}
 	}
 	n := float64(len(loads))
@@ -163,8 +132,7 @@ func TierSweep(loads []int, edgeServers, cloudServers int, seed uint64) (*TierBe
 
 // CheckFloor enforces the benchmark's acceptance bar: 3-way est-aware
 // placement must hold both aggregate tails at or under each static
-// baseline, the sharded engine must have agreed byte for byte on every
-// 3-way cell, and the cross-tier migration machinery must actually have
+// baseline, and the cross-tier migration machinery must actually have
 // fired somewhere in the sweep (a placement win with idle promotion and
 // demotion paths would not exercise what the benchmark claims to).
 func (b *TierBench) CheckFloor() error {
@@ -175,9 +143,6 @@ func (b *TierBench) CheckFloor() error {
 	if b.ThreeWayGeoMs > b.EdgeOnlyGeoMs || b.ThreeWayGeoMs > b.CloudOnlyGeoMs {
 		return fmt.Errorf("tier bench: geomean floor broken: 3way %.2f ms vs edge-only %.2f ms, cloud-only %.2f ms",
 			b.ThreeWayGeoMs, b.EdgeOnlyGeoMs, b.CloudOnlyGeoMs)
-	}
-	if !b.ShardParity {
-		return fmt.Errorf("tier bench: sharded engine diverged from the sequential reference on a 3-way cell")
 	}
 	moved := 0
 	for _, c := range b.Cells {
@@ -203,7 +168,23 @@ func (b *TierBench) Table() *report.Table {
 		b.ThreeWayP99Ms, b.EdgeOnlyP99Ms, b.CloudOnlyP99Ms)
 	t.Note("aggregate geomean: 3way %.1f ms vs edge-only %.1f ms, cloud-only %.1f ms",
 		b.ThreeWayGeoMs, b.EdgeOnlyGeoMs, b.CloudOnlyGeoMs)
-	t.Note("shard parity: %v (every 3-way cell re-run on 4 shards, compared byte for byte)", b.ShardParity)
+	// The floor averages p99 over loads; name every load where that mean
+	// hides a 3-way loss to a static mode.
+	lost := false
+	for _, c := range b.Cells {
+		if c.Mode != string(tiers.ThreeWay) {
+			continue
+		}
+		for _, o := range b.Cells {
+			if o.Clients == c.Clients && o.Mode != c.Mode && o.P99Ms < c.P99Ms {
+				t.Note("3way loses p99 at %d clients: %.1f ms vs %.1f ms %s", c.Clients, c.P99Ms, o.P99Ms, o.Mode)
+				lost = true
+			}
+		}
+	}
+	if lost && b.ThreeWayP99Ms <= min(b.EdgeOnlyP99Ms, b.CloudOnlyP99Ms) {
+		t.Note("the aggregate p99 floor passes only on the mean over loads")
+	}
 	return t
 }
 

@@ -33,8 +33,8 @@ const (
 )
 
 // controller runs the Adaptive feedback loop. It lives on the machine, so
-// both engines step it from the same handlers in the same global event
-// order: the control trajectory is part of the deterministic schedule.
+// the handlers step it in the global (t, lane, seq) event order: the
+// control trajectory is part of the deterministic schedule.
 type controller struct {
 	next simtime.PS // next period boundary
 

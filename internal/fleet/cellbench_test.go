@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -20,9 +19,7 @@ import (
 // The configurations are copies of bench/fleet.go's overloadConfig,
 // tieredChaosConfig and localOnly at seed 1 (bench/ is a module of its own
 // and cannot be imported); keep them in step by hand. overload/local is the
-// run the harness times as the overload workload's setup_s. The sharded
-// rows also report windows/op and waits/op, the sharded engine's window
-// barrier.
+// run the harness times as the overload workload's setup_s.
 func BenchmarkFleetCell(b *testing.B) {
 	overload := DefaultConfig(100000, 16, EstAware)
 	overload.RequestsPerClient = 10
@@ -51,37 +48,23 @@ func BenchmarkFleetCell(b *testing.B) {
 	local := overload
 	local.Servers = []ServerSpec{{R: 0.01, Slots: 1}}
 
-	shards := min(runtime.GOMAXPROCS(0), 4) // the harness's shardCount
 	for _, cell := range []struct {
-		name   string
-		cfg    Config
-		shards int
+		name string
+		cfg  Config
 	}{
-		{"overload/seq", overload, 0}, {"overload/sharded", overload, shards}, {"overload/local", local, 0},
-		{"tiered/seq", tiered, 0}, {"tiered/sharded", tiered, shards},
+		{"overload/seq", overload}, {"overload/local", local}, {"tiered/seq", tiered},
 	} {
 		b.Run(cell.name, func(b *testing.B) {
-			cfg := cell.cfg
-			cfg.Shards = cell.shards
 			b.ReportAllocs()
 			var events int64
-			var windows, waits int
 			for i := 0; i < b.N; i++ {
-				res, err := Run(cfg)
+				res, err := Run(cell.cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
 				events = res.Events
-				windows += res.windows
-				waits += res.waits
 			}
 			b.ReportMetric(float64(events), "events")
-			if cfg.Shards > 0 {
-				// The window barrier: windows run, and the windows in which
-				// the coordinator parked for a helper's last step.
-				b.ReportMetric(float64(windows)/float64(b.N), "windows/op")
-				b.ReportMetric(float64(waits)/float64(b.N), "waits/op")
-			}
 		})
 	}
 }

@@ -14,51 +14,48 @@ import (
 // TestFlatIsOneTierTopology is the differential behind the single intent
 // path: a homogeneous flat pool and the same pool described as an
 // edge-only topology with no cloud must make every decision identically —
-// same gate verdicts, same dispatches, same sheds, same latencies — on
-// both engines. Only the tier-labelled Result fields may differ.
+// same gate verdicts, same dispatches, same sheds, same latencies. Only the
+// tier-labelled Result fields may differ.
 func TestFlatIsOneTierTopology(t *testing.T) {
 	const n, r, slots = 3, 4.0, 2
-	for _, shards := range []int{0, 4} {
-		flat := DefaultConfig(64, n, EstAware)
-		flat.Seed = 9
-		flat.Shards = shards
-		// A wait bound tight enough that est-aware routing still sheds.
-		flat.Admission = Admission{MaxQueue: 2, MaxWait: 300 * simtime.Millisecond}
-		for i := range flat.Servers {
-			flat.Servers[i] = ServerSpec{R: r, Slots: slots}
-		}
-		tiered := flat
-		tiered.Tiers = &tiers.Topology{Mode: tiers.EdgeOnly,
-			Edge: tiers.Pool{Servers: n, R: r, Slots: slots}}
-		tiered.Servers = TieredServers(tiered.Tiers)
+	flat := DefaultConfig(64, n, EstAware)
+	flat.Seed = 9
+	// A wait bound tight enough that est-aware routing still sheds.
+	flat.Admission = Admission{MaxQueue: 2, MaxWait: 300 * simtime.Millisecond}
+	for i := range flat.Servers {
+		flat.Servers[i] = ServerSpec{R: r, Slots: slots}
+	}
+	tiered := flat
+	tiered.Tiers = &tiers.Topology{Mode: tiers.EdgeOnly,
+		Edge: tiers.Pool{Servers: n, R: r, Slots: slots}}
+	tiered.Servers = TieredServers(tiered.Tiers)
 
-		a, err := Run(flat)
-		if err != nil {
-			t.Fatalf("shards=%d flat: %v", shards, err)
-		}
-		b, err := Run(tiered)
-		if err != nil {
-			t.Fatalf("shards=%d one-tier: %v", shards, err)
-		}
-		if a.Sheds == 0 || a.Declines == 0 || a.Offloads == 0 {
-			t.Fatalf("shards=%d: cell too tame to compare (%d offloads, %d declines, %d sheds)",
-				shards, a.Offloads, a.Declines, a.Sheds)
-		}
-		type counts struct {
-			Requests, Dispatched, Offloads, Declines, Sheds, Fallbacks int
-			Events                                                     int64
-		}
-		ca := counts{a.Requests, a.Dispatched, a.Offloads, a.Declines, a.Sheds, a.Fallbacks, a.Events}
-		cb := counts{b.Requests, b.Dispatched, b.Offloads, b.Declines, b.Sheds, b.Fallbacks, b.Events}
-		if ca != cb {
-			t.Errorf("shards=%d: flat %+v != one-tier %+v", shards, ca, cb)
-		}
-		if fmt.Sprint(a.E2E) != fmt.Sprint(b.E2E) {
-			t.Errorf("shards=%d: end-to-end latency distributions differ", shards)
-		}
-		if fmt.Sprint(a.QueueWait) != fmt.Sprint(b.QueueWait) {
-			t.Errorf("shards=%d: queue-wait distributions differ", shards)
-		}
+	a, err := Run(flat)
+	if err != nil {
+		t.Fatalf("flat: %v", err)
+	}
+	b, err := Run(tiered)
+	if err != nil {
+		t.Fatalf("one-tier: %v", err)
+	}
+	if a.Sheds == 0 || a.Declines == 0 || a.Offloads == 0 {
+		t.Fatalf("cell too tame to compare (%d offloads, %d declines, %d sheds)",
+			a.Offloads, a.Declines, a.Sheds)
+	}
+	type counts struct {
+		Requests, Dispatched, Offloads, Declines, Sheds, Fallbacks int
+		Events                                                     int64
+	}
+	ca := counts{a.Requests, a.Dispatched, a.Offloads, a.Declines, a.Sheds, a.Fallbacks, a.Events}
+	cb := counts{b.Requests, b.Dispatched, b.Offloads, b.Declines, b.Sheds, b.Fallbacks, b.Events}
+	if ca != cb {
+		t.Errorf("flat %+v != one-tier %+v", ca, cb)
+	}
+	if fmt.Sprint(a.E2E) != fmt.Sprint(b.E2E) {
+		t.Error("end-to-end latency distributions differ")
+	}
+	if fmt.Sprint(a.QueueWait) != fmt.Sprint(b.QueueWait) {
+		t.Error("queue-wait distributions differ")
 	}
 }
 

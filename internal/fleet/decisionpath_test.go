@@ -315,7 +315,7 @@ func promoteState(r *rng, edgeR, cloudR float64, wan *netsim.Link) (*machine, si
 		Cloud: tiers.Pool{Servers: 1 + r.intn(6), R: cloudR, Slots: 1 + r.intn(4)},
 	}
 	cfg := TieredConfig(8, topo)
-	m := newMachine(&cfg, nil, NewStats(0))
+	m := newMachine(&cfg, nil, newStats(0))
 	m.setWAN(wan)
 	now := r.rangePS(simtime.Second, 20*simtime.Second)
 	var seq int64

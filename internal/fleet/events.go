@@ -6,7 +6,7 @@ import (
 	"repro/internal/simtime"
 )
 
-// Event kinds of the discrete-event state machine. The engines queue ready
+// Event kinds of the discrete-event state machine. The engine queues ready
 // events as readyEv entries; evReady tags them only in the single-heap
 // test oracle.
 const (
@@ -22,12 +22,12 @@ const (
 // counter: the lane is the entity the event belongs to (client id for
 // ready events, clients+serverIndex for server-side events) and seq is
 // the per-lane push ordinal. Client lanes never hold two events, so the
-// engines queue them as bare (t, lane) entries (readyQueue) and only
-// server lanes carry events. Both engines assign identical keys to
-// identical logical events, which is what lets the sharded engine merge
-// per-shard streams back into the sequential engine's exact total order —
-// and why equal-time events tie-break by (lane, seq), not by whichever
-// heap insertion happened first.
+// engine queues them as bare (t, lane) entries (readyQueue) and only
+// server lanes carry events. The engine and the single-heap test oracle
+// assign identical keys to identical logical events, so merging the two
+// queues replays the one heap's exact total order — and equal-time events
+// tie-break by (lane, seq), not by whichever heap insertion happened
+// first, so the schedule is a property of the configuration.
 type event struct {
 	t    simtime.PS
 	j    *job
@@ -121,7 +121,7 @@ func (q *eventQueue) siftDown(i int) {
 }
 
 // schedQueue is an eventQueue that assigns lane ordinals at push time —
-// both engines' scheduling front-end for their server lanes.
+// the engine's scheduling front-end for its server lanes.
 type schedQueue struct {
 	eventQueue
 	seq laneSeq
@@ -165,9 +165,9 @@ func (a readyEv) before(b readyEv) bool { return a.lt(b) != 0 }
 
 // readyQueue is a 4-ary min-heap of ready events: the four children of a
 // node are 64 contiguous bytes, and the tree over the same entries is half
-// as deep as a binary one. Both engines merge it with a server-event queue
-// as two sorted streams; client lanes sort before every server lane, so the
-// merge takes a ready event whenever its instant is not later.
+// as deep as a binary one. The engine merges it with the server-event
+// queue as two sorted streams; client lanes sort before every server lane,
+// so the merge takes a ready event whenever its instant is not later.
 //
 // Capacity is fixed at the lane count. A push beyond it means some client
 // holds two pending events, which would make the (t, lane) order ambiguous:
@@ -250,6 +250,3 @@ func (q *readyQueue) pop() readyEv {
 	h[i] = ev
 	return top
 }
-
-// maxPS is the +infinity sentinel of the simulated clock.
-const maxPS = simtime.PS(1<<63 - 1)

@@ -12,7 +12,7 @@ import (
 // TestEventOrderTieBreak pins the intrinsic total order: equal-time events
 // pop by (lane, seq), independent of push order. The old heap broke ties
 // by a global insertion counter, which made the schedule an artifact of
-// who pushed first — impossible to reproduce from per-shard streams.
+// who pushed first — impossible to reproduce from two queues merged.
 func TestEventOrderTieBreak(t *testing.T) {
 	q := newSchedQueue(0, 4)
 	at := 100 * simtime.Millisecond

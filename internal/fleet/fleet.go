@@ -93,10 +93,10 @@ type Config struct {
 	Adaptive Adaptive
 	// Workload is the synthetic request population.
 	Workload WorkloadModel
-	// Shards selects the engine: 0 (the zero value) runs the sequential
-	// reference engine, n >= 1 runs the sharded parallel engine with n
-	// worker shards. Every choice produces bit-identical Results; Shards
-	// only trades wall-clock for cores.
+	// Shards is ignored: nothing reads it. It selected the sharded engine,
+	// which is gone, and stays only because the repository benchmark's
+	// fleet workloads (bench/fleet.go) still write it; it goes with that
+	// writer when ROADMAP item 3 revises the benchmark.
 	Shards int
 	// LinkProfiles names the netsim presets cycled across clients: client
 	// i uses profile i mod len, and clients on one profile share a single
@@ -130,7 +130,7 @@ type Config struct {
 	// slowest-K jobs, the K worst of each anomaly class (shed / migrated /
 	// faulted) and a K-sized seeded baseline, flushed into the Tracer ring
 	// at end of run. Zero (the default) records nothing extra. Retention
-	// is deterministic and shard-invariant.
+	// is deterministic: it follows the (t, lane, seq) event order.
 	Exemplars int
 
 	// Tracer receives fleet.dispatch / fleet.queue / fleet.shed events
@@ -226,17 +226,11 @@ func (c *Config) Validate() error {
 	if w.DiurnalAmp > 0 && w.DiurnalPeriod <= 0 {
 		return fmt.Errorf("fleet: diurnal workload needs a positive period, got %v", w.DiurnalPeriod)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("fleet: negative shard count %d (0 selects the sequential engine)", c.Shards)
-	}
 	if c.Exemplars < 0 {
 		return fmt.Errorf("fleet: negative exemplar count %d (0 disables the tail sampler)", c.Exemplars)
 	}
 	if _, err := linkProfiles(c); err != nil {
 		return err
-	}
-	if c.Shards > 0 && c.lookahead() < 1 {
-		return fmt.Errorf("fleet: sharded engine needs lookahead >= 1ps (think floor + min(TmMin, link floor)); zero-cost links with zero think times leave the conservative window empty")
 	}
 	if err := c.ServerFaults.Validate(); err != nil {
 		return err
@@ -253,52 +247,6 @@ func (c *Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-// thinkFloor is the smallest pause any completion-to-next-request chain
-// can exhibit: the think-time floor, deflated by the diurnal peak (and
-// one ps for float truncation slack).
-func (c *Config) thinkFloor() simtime.PS {
-	think := c.Workload.ThinkMin
-	if c.Workload.DiurnalAmp > 0 {
-		think = simtime.PS(float64(think)/(1+c.Workload.DiurnalAmp)) - 1
-		if think < 0 {
-			think = 0
-		}
-	}
-	return think
-}
-
-// lookahead is the sharded engine's conservative window size: a lower
-// bound on the delay between any processed event and the earliest client
-// ready event it can cause. Every completion path charges at least the
-// think floor plus either a full local execution (declines, sheds,
-// fallbacks: >= TmMin) or the reply leg of an offload (>= the cheapest
-// link's fixed per-message cost). Events inside a window therefore never
-// generate work before the window's end, which is what makes the
-// barrier safe.
-func (c *Config) lookahead() simtime.PS {
-	step := c.Workload.TmMin
-	profiles, _ := linkProfiles(c) // Validate rejects unknown profiles
-	for _, l := range profiles {
-		// TransferTime charges Latency + PerMessage on every leg unless
-		// the active bandwidth is 0 (the ideal-link convention: transfers
-		// are free). Phases vary only bandwidth, so a single zero-bandwidth
-		// regime anywhere collapses the link's floor to 0.
-		floor := l.Latency + l.PerMessage
-		if l.BandwidthBps == 0 {
-			floor = 0
-		}
-		for _, ph := range l.Phases {
-			if ph.BandwidthBps == 0 {
-				floor = 0
-			}
-		}
-		if floor < step {
-			step = floor
-		}
-	}
-	return c.thinkFloor() + step
 }
 
 // defaultLinkProfiles is the client-link cycle used when Config leaves
@@ -335,10 +283,11 @@ const dispatcherEntity = ^uint64(0)
 // entityStream derives entity id's private stream from the run seed by
 // mixing the id through two rounds of the splitmix64 finalizer. Streams
 // depend only on (seed, id) — never on draw interleaving or on how many
-// other entities exist — so shard count cannot change a single workload
-// draw. The id is mixed, not just xor'ed in as a multiple of the
-// golden-ratio increment: that would make every client's stream a linear
-// offset of its neighbors' on the same splitmix64 orbit.
+// other entities exist — so what other clients do cannot change a single
+// one of this client's workload draws. The id is mixed, not just xor'ed in
+// as a multiple of the golden-ratio increment: that would make every
+// client's stream a linear offset of its neighbors' on the same splitmix64
+// orbit.
 func entityStream(seed, id uint64) rng {
 	return rng{s: mix64(seed ^ mix64(id^0x9E3779B97F4A7C15))}
 }

@@ -186,7 +186,7 @@ func TestReplaceBoundIsExact(t *testing.T) {
 			Edge:  tiers.Pool{Servers: nEdge, R: 3, Slots: 1},
 			Cloud: tiers.Pool{Servers: len(servers) - nEdge, R: 8, Slots: 1},
 		})
-		m := newMachine(&cfg, nil, NewStats(0))
+		m := newMachine(&cfg, nil, newStats(0))
 		m.servers = servers
 		m.cloudLoad = newLoadIndex(servers, m.cloudIdx)
 		sent := -1

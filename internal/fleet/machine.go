@@ -256,9 +256,9 @@ const (
 )
 
 // doneMsg tells a client its request completed. It is the only message
-// that crosses from the server-side machine back to client-side state:
-// the sequential engine applies it inline, the sharded engine mails it to
-// the owning shard at the window boundary.
+// that crosses from the server-side machine back to client-side state,
+// and the engine applies it inline: the client draws its next think time
+// from its own stream and its ready event joins the client-lane queue.
 type doneMsg struct {
 	ci     int32
 	kind   uint8
@@ -278,8 +278,8 @@ const (
 
 // intent is a client's decision instant crossing into the machine: one
 // ready event's draws, priced over the client's own link. Everything the
-// dispatch/gate path needs travels by value so the machine never touches
-// client state.
+// dispatch/gate path needs travels by value, so the machine never touches
+// client state and no machine decision can reach a client's stream.
 type intent struct {
 	t    simtime.PS
 	tm   simtime.PS
@@ -292,13 +292,12 @@ type intent struct {
 	ci   int32
 }
 
-// machine is the server-side state machine shared by both engines:
-// dispatcher, Equation-1 gate, admission control, slots/queues and the
-// fault/recovery plane. Every mutation of global state happens here, in
-// strict (t, lane, seq) event order regardless of engine — the sequential
-// driver feeds it from one heap, the sharded driver from a deterministic
-// merge of per-shard streams — which is what makes the engines
-// bit-identical.
+// machine is the server-side state machine: dispatcher, Equation-1 gate,
+// admission control, slots/queues and the fault/recovery plane. Every
+// mutation of global state happens here, in strict (t, lane, seq) event
+// order — the engine feeds it the merge of the client-lane and server-lane
+// queues, the single-heap test oracle one heap of both — which is what
+// makes the two bit-identical.
 type machine struct {
 	cfg      *Config
 	servers  []*server
@@ -337,13 +336,13 @@ type machine struct {
 	margin float64
 	ctrl   *controller
 
-	st    *Stats // server-side counters (client-side outcomes live in the shards)
+	st    *stats // the run's tally, shared with the client-side handlers
 	hWait *obs.Histogram
 
 	// samp is the tail sampler (nil unless Config.Exemplars > 0). It
-	// lives in the machine because every completion is delivered here in
-	// the serial core, whose event order is bit-identical across engines
-	// — which makes the retained exemplar set shard-invariant for free.
+	// lives in the machine because every completion is delivered here, in
+	// the (t, lane, seq) event order — which makes the retained exemplar
+	// set a property of the configuration for free.
 	samp *sampler
 
 	sched func(t simtime.PS, kind uint8, si int32, j *job)
@@ -353,7 +352,7 @@ type machine struct {
 	free   []*job
 }
 
-func newMachine(cfg *Config, links []*netsim.Link, st *Stats) *machine {
+func newMachine(cfg *Config, links []*netsim.Link, st *stats) *machine {
 	servers := make([]*server, len(cfg.Servers))
 	for i, spec := range cfg.Servers {
 		servers[i] = &server{spec: spec, id: i}
@@ -460,8 +459,8 @@ func (m *machine) complete(r *jobRec, msg doneMsg) {
 }
 
 // stepCtrl advances the adaptive controller across any period boundaries
-// up to now. Both engines call it from the same handlers in the same
-// global event order, so the control trajectory is deterministic.
+// up to now. It runs from the handlers in the global (t, lane, seq) event
+// order, so the control trajectory is deterministic.
 func (m *machine) stepCtrl(now simtime.PS) {
 	c := m.ctrl
 	if c == nil {

@@ -16,7 +16,7 @@ func runSequentialRef(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := NewStats(cfg.Clients * cfg.RequestsPerClient)
+	st := newStats(cfg.Clients * cfg.RequestsPerClient)
 	m := newMachine(&cfg, links, st)
 	nc := int32(cfg.Clients)
 	q := newSchedQueue(0, cfg.Clients+len(cfg.Servers))

@@ -9,9 +9,9 @@ import (
 
 // clientState is one simulated mobile device. Client-side logic (workload
 // draws from the client's private stream, link pricing, completion
-// bookkeeping) touches no global simulation state, which is what lets the
-// sharded engine run it on worker goroutines: any interleaving of
-// different clients' handlers is equivalent.
+// bookkeeping) touches no other client's state and no server state, so a
+// client's draws depend only on its own stream and on the instants of its
+// own events — never on how many other clients there are or what they did.
 type clientState struct {
 	rng       rng
 	link      *netsim.Link
@@ -65,7 +65,7 @@ func (w *WorkloadModel) loadAt(t simtime.PS) float64 {
 // issueReady runs one ready event: if the client still owes requests, it
 // draws the task (Tm, M), prices the transfer legs over its own link at
 // this instant, and returns the decision intent for the machine.
-func issueReady(cfg *Config, cs *clientState, ci int32, now simtime.PS, st *Stats) (intent, bool) {
+func issueReady(cfg *Config, cs *clientState, ci int32, now simtime.PS, st *stats) (intent, bool) {
 	st.Events++
 	if cs.remaining == 0 {
 		return intent{}, false
@@ -75,8 +75,7 @@ func issueReady(cfg *Config, cs *clientState, ci int32, now simtime.PS, st *Stat
 	// The logical JobID: fixed here, at issue time, from (client, ordinal)
 	// alone — 1-based so id 0 stays "unattributed" — and carried through
 	// every continuation of the request's life. Being a pure function of
-	// the client's identity, it is identical under every engine and shard
-	// count.
+	// the client's identity, it does not depend on event order at all.
 	ord := int64(cfg.RequestsPerClient - cs.remaining)
 	tm := cs.rng.rangePS(cfg.Workload.TmMin, cfg.Workload.TmMax)
 	mem := cs.rng.rangeI64(cfg.Workload.MemMin, cfg.Workload.MemMax)
@@ -97,40 +96,34 @@ func issueReady(cfg *Config, cs *clientState, ci int32, now simtime.PS, st *Stat
 
 // applyDone records one completed request on the client and returns when
 // its next ready event fires.
-func applyDone(cfg *Config, cs *clientState, msg doneMsg, st *Stats) simtime.PS {
+func applyDone(cfg *Config, cs *clientState, msg doneMsg, st *stats) simtime.PS {
 	st.Events++
 	st.record(msg)
 	return msg.done + nextThink(cfg, cs, msg.done)
 }
 
 // Run executes one fleet simulation to completion and returns its
-// statistics. The run is strictly deterministic in cfg (including Seed
-// and Shards): Shards == 0 runs the sequential reference engine, any
-// Shards >= 1 runs the sharded parallel engine, and every choice produces
-// bit-identical Results — per-entity RNG streams and the intrinsic
-// (t, lane, seq) event order make the schedule a property of the
-// configuration, not of the execution strategy.
+// statistics. The run is strictly deterministic in cfg (including Seed):
+// per-entity RNG streams and the intrinsic (t, lane, seq) event order make
+// the schedule a property of the configuration, not of how the engine
+// queues its events.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Shards > 0 {
-		return runSharded(cfg)
-	}
 	return runSequential(cfg)
 }
 
-// runSequential is the lookahead-free reference engine: the clients' ready
-// events in one queue, the server lanes' events in another, merged in
-// (t, lane, seq) order with the machine's handlers invoked inline. It is
-// kept as the differential oracle for the sharded engine — same state
-// machine, no concurrency anywhere.
+// runSequential is the engine: the clients' ready events in one queue, the
+// server lanes' events in another, merged in (t, lane, seq) order with the
+// machine's handlers invoked inline on one goroutine. Its test oracle,
+// runSequentialRef, keeps every lane in one heap.
 func runSequential(cfg Config) (*Result, error) {
 	clients, links, err := buildClients(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	st := NewStats(cfg.Clients * cfg.RequestsPerClient)
+	st := newStats(cfg.Clients * cfg.RequestsPerClient)
 	m := newMachine(&cfg, links, st)
 	nc := int32(cfg.Clients)
 	rq := newReadyQueue(cfg.Clients)

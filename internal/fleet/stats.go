@@ -11,15 +11,11 @@ import (
 	"repro/internal/tiers"
 )
 
-// Stats is the raw, mergeable tally one engine lane accumulates while a
-// run is in flight: outcome counters and the latency population. The
-// sequential engine keeps a single Stats; the sharded engine gives each
-// shard (and the coordinator) its own and merges them at the end. Merging
-// is exact — counters add and the latency population concatenates (every
-// aggregate in Result, the E2E histogram snapshot included, is computed
-// after a sort, so order never matters) — so the merged Stats is
-// indistinguishable from one that observed every completion itself.
-type Stats struct {
+// stats is the raw tally a run accumulates while in flight: outcome
+// counters and the latency population. The engine keeps one per run,
+// shared by the client-side handlers and the machine, and finishRun turns
+// it into the Result.
+type stats struct {
 	// Client-side outcome counters.
 	Requests  int
 	Offloads  int
@@ -46,8 +42,8 @@ type Stats struct {
 	Demotions  int
 
 	// Events counts state-machine transitions (every processed event,
-	// decision intent, and delivered completion) — the engine-invariant
-	// work measure the scale benchmarks report as events/sec.
+	// decision intent, and delivered completion) — the work measure the
+	// scale benchmarks report as events/sec.
 	Events int64
 
 	// Latencies is the end-to-end latency population (decision to result
@@ -55,37 +51,15 @@ type Stats struct {
 	Latencies []simtime.PS
 }
 
-// NewStats returns an empty tally with room for the latencies of that many
-// completions: an engine lane knows how many requests it will record, so
-// the population never regrows mid-run.
-func NewStats(completions int) *Stats {
-	return &Stats{Latencies: make([]simtime.PS, 0, completions)}
-}
-
-// Merge folds o into s. Safe when o is nil.
-func (s *Stats) Merge(o *Stats) {
-	if o == nil {
-		return
-	}
-	s.Requests += o.Requests
-	s.Offloads += o.Offloads
-	s.Declines += o.Declines
-	s.Sheds += o.Sheds
-	s.Fallbacks += o.Fallbacks
-	s.DeadlineMisses += o.DeadlineMisses
-	s.EdgeOffloads += o.EdgeOffloads
-	s.CloudOffloads += o.CloudOffloads
-	s.Dispatched += o.Dispatched
-	s.Migrations += o.Migrations
-	s.Retried += o.Retried
-	s.Promotions += o.Promotions
-	s.Demotions += o.Demotions
-	s.Events += o.Events
-	s.Latencies = append(s.Latencies, o.Latencies...)
+// newStats returns an empty tally with room for the latencies of that many
+// completions: a run knows how many requests it will record, so the
+// population never regrows mid-run.
+func newStats(completions int) *stats {
+	return &stats{Latencies: make([]simtime.PS, 0, completions)}
 }
 
 // record tallies one completion message.
-func (s *Stats) record(msg doneMsg) {
+func (s *stats) record(msg doneMsg) {
 	lat := msg.done - msg.decide
 	s.Latencies = append(s.Latencies, lat)
 	switch msg.kind {
@@ -151,9 +125,10 @@ type Result struct {
 	// dispatch-time deadline — completions the client had already given
 	// up on. The adaptive admission controller treats these as overruns.
 	DeadlineMisses int `json:"deadline_misses"`
-	// Events is the total state-machine transition count, identical
-	// across engines and shard counts; events per wall-clock second is
-	// the scale benchmark's throughput metric.
+	// Events is the total state-machine transition count, a property of
+	// the configuration alone (the single-heap test oracle counts the
+	// same); events per wall-clock second is the scale benchmark's
+	// throughput metric.
 	Events int64 `json:"events"`
 
 	// LocalRate is the fraction of requests that ran on the client
@@ -193,17 +168,11 @@ type Result struct {
 	// only): per-job critical-path decompositions whose segments sum exactly
 	// to the job's end-to-end latency.
 	Exemplars []Exemplar `json:"exemplars,omitempty"`
-
-	// windows counts the sharded engine's conservative windows and waits
-	// the ones whose last shard step a helper took, so the coordinator
-	// parked. Host-side, and unexported so no record carries them; the
-	// sequential engine leaves both zero.
-	windows, waits int
 }
 
 // finishRun checks the end-of-run invariants and assembles the Result
-// from the merged stats.
-func (m *machine) finishRun(st *Stats, now simtime.PS) (*Result, error) {
+// from the run's tally.
+func (m *machine) finishRun(st *stats, now simtime.PS) (*Result, error) {
 	for i, s := range m.servers {
 		s.advance(now)
 		// Slot-accounting invariants: every reservation must have

@@ -2,76 +2,12 @@ package fleet
 
 import (
 	"math"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/simtime"
 )
-
-// TestStatsMergeExact is the merge-exactness contract the sharded engine
-// relies on: recording a completion population split across several Stats
-// and merging must be indistinguishable from one Stats observing every
-// message itself — counters and latency population.
-func TestStatsMergeExact(t *testing.T) {
-	r := entityStream(7, 0)
-	var msgs []doneMsg
-	for i := 0; i < 2000; i++ {
-		decide := simtime.PS(r.intn(1_000_000_000))
-		msgs = append(msgs, doneMsg{
-			ci:     int32(i),
-			kind:   uint8(r.intn(4)),
-			missed: r.intn(5) == 0,
-			decide: decide,
-			done:   decide + simtime.PS(1+r.intn(2_000_000_000)),
-		})
-	}
-
-	whole := NewStats(0)
-	parts := []*Stats{NewStats(0), NewStats(0), NewStats(0)}
-	for i, msg := range msgs {
-		whole.record(msg)
-		parts[i%len(parts)].record(msg)
-	}
-	whole.Requests = len(msgs)
-	parts[0].Requests = len(msgs) // counters add; park the total on one part
-
-	merged := NewStats(0)
-	for _, p := range parts {
-		merged.Merge(p)
-	}
-	// The latency population may arrive in any order — every aggregate is
-	// computed after a sort — so compare as multisets via sorting copies.
-	sortPS := func(v []simtime.PS) []simtime.PS {
-		out := append([]simtime.PS(nil), v...)
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && out[j] < out[j-1]; j-- {
-				out[j], out[j-1] = out[j-1], out[j]
-			}
-		}
-		return out
-	}
-	if !reflect.DeepEqual(sortPS(merged.Latencies), sortPS(whole.Latencies)) {
-		t.Error("merged latency population differs from the whole-run population")
-	}
-	merged.Latencies, whole.Latencies = nil, nil
-	if !reflect.DeepEqual(merged, whole) {
-		t.Errorf("merged counters %+v != whole-run counters %+v", merged, whole)
-	}
-}
-
-// TestStatsMergeNil: merging nil is a no-op, never a panic — shards that
-// error out hand the coordinator a nil Stats.
-func TestStatsMergeNil(t *testing.T) {
-	s := NewStats(0)
-	s.record(doneMsg{kind: outOffload, done: simtime.Millisecond})
-	before := s.Offloads
-	s.Merge(nil)
-	if s.Offloads != before {
-		t.Error("merging nil changed counters")
-	}
-}
 
 // TestFinishSortOrderIndependent: the latency aggregates are functions of
 // the sorted population alone, and ascending order of integers is unique

@@ -26,11 +26,11 @@ import (
 // seeded baseline population. Retention is decided by total orders on
 // (latency, id) and on a per-entity hash from entityStream(seed, id) —
 // both independent of observation order — and every decision runs in the
-// serial machine core, so the retained set is bit-identical across shard
-// counts by construction. At end of run the retained trees flush into
-// the existing bounded tracer ring as KJob/KJobSeg span events; a
-// million-client sweep keeps exemplar traces inside the same ring that
-// already bounds the live stream.
+// machine, in the (t, lane, seq) event order, so the retained set is a
+// property of the configuration by construction. At end of run the
+// retained trees flush into the existing bounded tracer ring as
+// KJob/KJobSeg span events; a million-client sweep keeps exemplar traces
+// inside the same ring that already bounds the live stream.
 
 // Segment labels a jobRec mark closes.
 const (
@@ -155,8 +155,9 @@ type setEntry struct {
 
 // keepSet retains the k highest-scored recs seen so far. Scores are
 // unique (b embeds the job id), so the surviving set is a property of the
-// observed population, not of observation order — the shard-invariance
-// argument.
+// observed population, not of observation order — why the single-heap
+// test oracle, which observes in the same order by another route, retains
+// the same set.
 type keepSet struct {
 	k  int
 	es []setEntry // sorted ascending by (a, b)
