@@ -198,28 +198,122 @@ func BenchmarkPick(b *testing.B) {
 	}
 }
 
-// BenchmarkReadyQueue is the hold model of the engines' client lane: a
+// BenchmarkReadyQueue is the hold model of the engine's client lane: a
 // queue kept at a fixed number of pending ready events, each hold one pop
-// and one push of that client a think-time later. An iteration turns the
-// whole queue over once (as many holds as are pending), so a fixed
-// -benchtime 3x still measures millions of them.
+// and one push of that client a think-time later, on the calendar queue
+// and on the 4-ary heap it replaced. An iteration turns the whole queue
+// over once (as many holds as are pending), so a fixed -benchtime 3x still
+// measures millions of them.
 func BenchmarkReadyQueue(b *testing.B) {
+	const thinkMin, thinkMax = 500 * simtime.Millisecond, 2 * simtime.Second
 	for _, pending := range []int{100_000, 1_000_000} {
-		b.Run(fmt.Sprint(pending), func(b *testing.B) {
-			r := entityStream(1, 0)
-			think := func() simtime.PS { return r.rangePS(500*simtime.Millisecond, 2*simtime.Second) }
-			q := newReadyQueue(pending)
-			for lane := 0; lane < pending; lane++ {
-				q.push(think(), int32(lane))
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N*pending; i++ {
-				ev := q.pop()
-				q.push(ev.t+think(), ev.lane)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pending), "ns/hold")
-		})
+		for _, shape := range []string{"heap", "calendar"} {
+			b.Run(fmt.Sprintf("%d/%s", pending, shape), func(b *testing.B) {
+				r := entityStream(1, 0)
+				think := func() simtime.PS { return r.rangePS(thinkMin, thinkMax) }
+				holds := b.N * pending
+				// One loop per shape: a call through an interface would tax
+				// both rows alike and shrink the ratio between them.
+				if shape == "heap" {
+					q := newHeapQueue(pending)
+					for lane := 0; lane < pending; lane++ {
+						q.push(think(), int32(lane))
+					}
+					b.ResetTimer()
+					for i := 0; i < holds; i++ {
+						ev := q.pop()
+						q.push(ev.t+think(), ev.lane)
+					}
+				} else {
+					q := newReadyQueue(pending, thinkMax)
+					for lane := 0; lane < pending; lane++ {
+						q.push(think(), int32(lane))
+					}
+					b.ResetTimer()
+					for i := 0; i < holds; i++ {
+						ev := q.pop()
+						q.push(ev.t+think(), ev.lane)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(holds), "ns/hold")
+			})
+		}
 	}
+}
+
+// heapQueue is the client lane's queue as it shipped before the calendar
+// queue: a 4-ary min-heap of ready events, the four children of a node 64
+// contiguous bytes, the min of four chosen without a branch.
+// BenchmarkReadyQueue's baseline.
+type heapQueue struct {
+	h []readyEv
+}
+
+// heapRoot is the root's index in the backing array: with three unused
+// entries in front, the children of the node at p are 4(p-2) … 4(p-2)+3, a
+// group that starts on a 64-byte boundary whenever the array does.
+const heapRoot = 3
+
+func newHeapQueue(lanes int) *heapQueue {
+	return &heapQueue{h: make([]readyEv, heapRoot, heapRoot+lanes)}
+}
+
+func (q *heapQueue) push(t simtime.PS, lane int32) {
+	h := q.h[:len(q.h)+1]
+	i := len(h) - 1
+	ev := readyEv{t: t, lane: lane}
+	for i > heapRoot {
+		p := i/4 + 2
+		if !ev.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+	q.h = h
+}
+
+func (q *heapQueue) pop() readyEv {
+	h := q.h
+	top := h[heapRoot]
+	n := len(h) - 1
+	ev := h[n]
+	h = h[:n]
+	q.h = h
+	if n == heapRoot {
+		return top
+	}
+	// Sift the hole at the root down to where the former last entry fits.
+	i := heapRoot
+	for {
+		c := 4 * (i - 2)
+		if c >= n {
+			break
+		}
+		m := c
+		if c+4 <= n {
+			// A full group: the smaller of each pair, then the smaller of
+			// those two, as index arithmetic (a if lt is 0, b if 1).
+			g := h[c : c+4 : c+4]
+			a := g[1].lt(g[0])
+			b := 2 + g[3].lt(g[2])
+			m = c + int(a^((a^b)&-g[b].lt(g[a])))
+		} else {
+			for k := c + 1; k < n; k++ {
+				if h[k].before(h[m]) {
+					m = k
+				}
+			}
+		}
+		if !h[m].before(ev) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = ev
+	return top
 }
 
 // BenchmarkSortLatencies sorts a million latencies between 0 and 5 s, the

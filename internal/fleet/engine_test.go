@@ -33,34 +33,75 @@ func marshalEngine(t *testing.T, cfg Config, engine func(Config) (*Result, error
 
 // TestEngineMatchesReference is the engine-equivalence regression: Run's
 // two-queue engine must produce Results byte-identical to the single-heap
-// oracle's, across policies, under faults with migration, and with the
-// adaptive controller riding a diurnal curve. This is what licenses
-// keeping ready events as bare (t, lane) entries in a queue of their own.
+// oracle's, across policies, under faults with migration, with the
+// adaptive controller riding a diurnal curve, and on the ready queue's
+// rare paths — an unbounded backlog behind a silent crash, whose victims'
+// next ready events land past the calendar's ring on its far list, and
+// zero think times with tiny tasks, whose next ready events land in the
+// bucket being consumed (each guarded: the path must fire under some
+// policy). This is what licenses keeping ready events as bare (t, lane)
+// entries in a calendar of their own.
 func TestEngineMatchesReference(t *testing.T) {
-	variants := map[string]func(Config) Config{
-		"plain": func(c Config) Config { return c },
-		"faults": func(c Config) Config {
+	variants := []struct {
+		name   string
+		mutate func(Config) Config
+		path   func(readyPaths) int // the ready-queue path the variant exists to reach
+	}{
+		{name: "plain", mutate: func(c Config) Config { return c }},
+		{name: "faults", mutate: func(c Config) Config {
 			c.ServerFaults = &faults.ServerPlan{Events: []faults.ServerEvent{
 				{Kind: faults.Crash, Server: 0, Start: 800 * simtime.Millisecond},
 				{Kind: faults.Drain, Server: 2, Start: 1200 * simtime.Millisecond},
 			}}
 			c.Migrate = true
 			return c
-		},
-		"adaptive": func(c Config) Config {
+		}},
+		{name: "adaptive", mutate: func(c Config) Config {
 			c.Adaptive = DefaultAdaptive()
 			c.Workload.DiurnalAmp = 0.6
 			c.Workload.DiurnalPeriod = 2 * simtime.Second
 			return c
-		},
+		}},
+		{name: "backlog", mutate: func(c Config) Config {
+			// The load-blind policies pile every request onto two servers,
+			// and one dies silently: its victims' clients wait out their
+			// offload deadlines, seconds on, before running locally.
+			c.Admission = Admission{}
+			c.Servers = DefaultServers(2)
+			c.ServerFaults = &faults.ServerPlan{Events: []faults.ServerEvent{
+				{Kind: faults.Crash, Server: 1, Start: 1500 * simtime.Millisecond},
+			}}
+			return c
+		}, path: func(p readyPaths) int { return min(p.far, p.spills) }},
+		{name: "zero-think", mutate: func(c Config) Config {
+			c.Workload.ThinkMin = 0
+			c.Workload.TmMin = simtime.Millisecond
+			return c
+		}, path: func(p readyPaths) int { return p.inserts }},
 	}
-	for name, mutate := range variants {
+	for _, v := range variants {
+		fired := 0
 		for _, pol := range Policies() {
-			cfg := mutate(DefaultConfig(64, 4, pol))
+			cfg := v.mutate(DefaultConfig(64, 4, pol))
 			cfg.Seed = 9
-			if got, ref := marshalResult(t, cfg), marshalEngine(t, cfg, runSequentialRef); string(got) != string(ref) {
-				t.Errorf("%s/%s: Run diverged from the single-heap reference", name, pol)
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			got, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref := marshalEngine(t, cfg, runSequentialRef); string(got) != string(ref) {
+				t.Errorf("%s/%s: Run diverged from the single-heap reference", v.name, pol)
+			}
+			if v.path != nil {
+				fired += v.path(res.readyPaths)
+				t.Logf("%s/%s: ready-queue paths %+v", v.name, pol, res.readyPaths)
+			}
+		}
+		if v.path != nil && fired == 0 {
+			t.Errorf("%s: the ready queue never took the path the variant exists to reach", v.name)
 		}
 	}
 

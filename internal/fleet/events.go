@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/simtime"
 )
@@ -140,8 +141,8 @@ func (q *schedQueue) sched(t simtime.PS, kind uint8, lane, si int32, j *job) {
 // ready event; while its one request is in flight the arrive/finish events
 // live on server lanes — so (t, lane) is already a total order over pending
 // ready events and the push ordinal, job pointer, server index and kind an
-// event carries would be dead weight. Half the size keeps a hundred
-// thousand pending entries inside L2.
+// event carries would be dead weight. It is the entry of the ready queue's
+// run buffer.
 type readyEv struct {
 	t    simtime.PS
 	lane int32
@@ -149,11 +150,10 @@ type readyEv struct {
 }
 
 // lt is 1 if a sorts before b in the event order (t, lane, seq) restricted
-// to lanes that never hold two events, else 0, computed without a branch:
-// sibling comparisons in a heap are coin flips, and the mispredictions cost
-// more than the cache misses did. It is the borrow out of the 128-bit
-// subtraction (a.t:a.lane) - (b.t:b.lane), t's sign bit flipped so that the
-// unsigned borrow follows the signed order (lanes are never negative).
+// to lanes that never hold two events, else 0, computed without a branch.
+// It is the borrow out of the 128-bit subtraction (a.t:a.lane) -
+// (b.t:b.lane), t's sign bit flipped so that the unsigned borrow follows
+// the signed order (lanes are never negative).
 func (a readyEv) lt(b readyEv) uint64 {
 	const sign = 1 << 63
 	_, borrow := bits.Sub64(uint64(uint32(a.lane)), uint64(uint32(b.lane)), 0)
@@ -163,90 +163,277 @@ func (a readyEv) lt(b readyEv) uint64 {
 
 func (a readyEv) before(b readyEv) bool { return a.lt(b) != 0 }
 
-// readyQueue is a 4-ary min-heap of ready events: the four children of a
-// node are 64 contiguous bytes, and the tree over the same entries is half
-// as deep as a binary one. The engine merges it with the server-event
+// compareReady is the same order as a comparison, for slices.SortFunc.
+func compareReady(a, b readyEv) int { return int(b.lt(a)) - int(a.lt(b)) }
+
+// readyQueue is a calendar queue (Brown, CACM 1988) of ready events,
+// threaded through the lanes. The engine merges it with the server-event
 // queue as two sorted streams; client lanes sort before every server lane,
 // so the merge takes a ready event whenever its instant is not later.
 //
-// Capacity is fixed at the lane count. A push beyond it means some client
-// holds two pending events, which would make the (t, lane) order ambiguous:
-// that panics, always, like finishRun's slot-accounting checks.
+// Time is cut into buckets 1<<shift ps wide, and a ring of slots holds the
+// buckets after the one being consumed, bucket b in slot b&mask. A lane
+// holds at most one pending event, so the storage is per lane: the
+// instant in at, the link to the next lane of the same bucket in next. A
+// slot is the head of such a list, and a bitmap marks the slots that hold
+// one. A push is three stores. When the run buffer — the bucket being
+// consumed, sorted — is exhausted, the cursor moves to the next occupied
+// slot, walks its list into the buffer and sorts it.
+//
+// An event in or before the bucket being consumed (the engine pushes one
+// whenever a server event at an earlier instant follows a peek) is a
+// sorted insert into the run. An event a whole ring or more past the
+// cursor goes on one far list, which spills into the ring once the cursor
+// reaches its earliest bucket. So every pending event is in exactly one
+// place: the run (buckets up to the cursor's), the ring (the slots-1
+// buckets after it) or the far list (later), and pop always takes the run's
+// head.
+//
+// A second pending event on one lane would make the (t, lane) order
+// ambiguous: it panics, always, like finishRun's slot-accounting checks.
 type readyQueue struct {
-	h []readyEv
+	at   []simtime.PS // per lane: the pending instant
+	next []int32      // per lane: the next lane of its list, listEnd, or laneFree
+	head []int32      // per slot: the first lane of its bucket, or listEnd
+	occ  []uint64     // bit s: slot s holds a list
+
+	shift uint  // bucket(t) = t >> shift
+	mask  int64 // slots - 1, slots a power of two
+	cur   int64 // the bucket being consumed
+
+	run []readyEv // sorted; run[pos:] are every pending event of bucket ≤ cur
+	pos int
+
+	far    int32      // lanes pushed a ring or more past the cursor, listEnd if none
+	farMin simtime.PS // the earliest instant on far
+
+	n     int
+	paths readyPaths
 }
 
-func newReadyQueue(lanes int) *readyQueue {
-	return &readyQueue{h: make([]readyEv, readyRoot, readyRoot+lanes)}
+// readyPaths counts how often the queue took each of its rare paths; the
+// property tests require every one of them to have run.
+type readyPaths struct {
+	inserts int // pushes into the bucket being consumed
+	early   int // of those, pushes into a bucket before it
+	far     int // pushes onto the far list
+	spills  int // far-list spills into the ring
+	wraps   int // cursor moves that wrap past the ring's last slot
+	gaps    int // whole bitmap words of empty slots skipped
+	sorts   int // buckets too large for insertion sort
 }
 
-// readyRoot is the root's index in the backing array: with three unused
-// entries in front, the children of the node at p are 4(p-2) … 4(p-2)+3, a
-// group that starts on a 64-byte boundary whenever the array does (Go
-// page-aligns every allocation large enough for this to matter).
-const readyRoot = 3
+const (
+	listEnd  int32 = -1 // no further lane
+	laneFree int32 = -2 // next: the lane holds no pending event
+)
 
-func (q *readyQueue) len() int     { return len(q.h) - readyRoot }
-func (q *readyQueue) top() readyEv { return q.h[readyRoot] }
-func (q *readyQueue) empty() bool  { return len(q.h) == readyRoot }
+// bucketFill is how many pending events a bucket is sized to hold, were
+// they spread evenly over the ring; small enough that insertion sort is
+// the right sort, large enough that the cursor rarely meets an empty slot.
+const bucketFill = 8
 
-func (q *readyQueue) push(t simtime.PS, lane int32) {
-	i := len(q.h)
-	if i == cap(q.h) {
-		panic("fleet: more pending ready events than client lanes")
+// insertionSortMax is the largest bucket insertion sort takes.
+const insertionSortMax = 24
+
+// newReadyQueue sizes a calendar for lanes pending events, each at most
+// horizon past the instant being consumed when it is pushed (later ones
+// are correct but take the far list). Buckets are about bucketFill events
+// wide, and the ring is a power of two of at least two slots that covers
+// the horizon — unless that takes more than one slot per two lanes, when
+// buckets widen instead, so the queue stays within the 16 bytes per lane
+// of the heap it replaced: 12 per lane, at most 2 per lane of ring, and
+// the run buffer.
+func newReadyQueue(lanes int, horizon simtime.PS) *readyQueue {
+	h := uint64(max(horizon, 1))
+	maxSlots := 2
+	for maxSlots*4 <= lanes {
+		maxSlots *= 2
 	}
-	h := q.h[:i+1]
-	ev := readyEv{t: t, lane: lane}
-	for i > readyRoot {
-		p := i/4 + 2
-		if !ev.before(h[p]) {
+	width := float64(h) * bucketFill / float64(lanes)
+	var shift uint
+	for shift < 62 && float64(uint64(2)<<shift) <= width {
+		shift++
+	}
+	slots := 2
+	for shift < 62 {
+		// A push at most horizon past an instant of bucket cur lands at most
+		// h>>shift + 1 buckets past it, and the ring holds mask of them.
+		need := h>>shift + 2
+		for uint64(slots) < need && slots < maxSlots {
+			slots *= 2
+		}
+		if uint64(slots) >= need {
 			break
 		}
-		h[i] = h[p]
-		i = p
+		shift++
 	}
-	h[i] = ev
-	q.h = h
+	q := &readyQueue{
+		at:    make([]simtime.PS, lanes),
+		next:  make([]int32, lanes),
+		head:  make([]int32, slots),
+		occ:   make([]uint64, (slots+63)/64),
+		shift: shift,
+		mask:  int64(slots - 1),
+		run:   make([]readyEv, 0, 4*bucketFill),
+		far:   listEnd,
+	}
+	for i := range q.next {
+		q.next[i] = laneFree
+	}
+	for i := range q.head {
+		q.head[i] = listEnd
+	}
+	return q
+}
+
+func (q *readyQueue) len() int    { return q.n }
+func (q *readyQueue) empty() bool { return q.n == 0 }
+
+// top is the earliest pending event. The queue must not be empty.
+func (q *readyQueue) top() readyEv {
+	if q.pos == len(q.run) {
+		q.advance()
+	}
+	return q.run[q.pos]
 }
 
 func (q *readyQueue) pop() readyEv {
-	h := q.h
-	top := h[readyRoot]
-	n := len(h) - 1
-	ev := h[n]
-	h = h[:n]
-	q.h = h
-	if n == readyRoot {
-		return top
+	ev := q.top()
+	q.pos++
+	q.n--
+	q.next[ev.lane] = laneFree
+	return ev
+}
+
+func (q *readyQueue) push(t simtime.PS, lane int32) {
+	if q.next[lane] != laneFree {
+		panic("fleet: a client lane holds two pending ready events")
 	}
-	// Sift the hole at the root down to where the former last entry fits.
-	i := readyRoot
-	for {
-		c := 4 * (i - 2)
-		if c >= n {
-			break
-		}
-		m := c
-		if c+4 <= n {
-			// A full group: the smaller of each pair, then the smaller of
-			// those two, as index arithmetic (a if lt is 0, b if 1).
-			g := h[c : c+4 : c+4]
-			a := g[1].lt(g[0])
-			b := 2 + g[3].lt(g[2])
-			m = c + int(a^((a^b)&-g[b].lt(g[a])))
-		} else {
-			for k := c + 1; k < n; k++ {
-				if h[k].before(h[m]) {
-					m = k
-				}
+	q.n++
+	q.at[lane] = t
+	b := int64(t >> q.shift)
+	switch d := b - q.cur; {
+	case d <= 0:
+		q.insertRun(readyEv{t: t, lane: lane}, d < 0)
+	case d <= q.mask:
+		q.link(b&q.mask, lane)
+	default:
+		q.linkFar(t, lane)
+		q.paths.far++
+	}
+}
+
+// link puts lane on ring slot s's list.
+func (q *readyQueue) link(s int64, lane int32) {
+	q.next[lane] = q.head[s]
+	q.head[s] = lane
+	q.occ[s>>6] |= 1 << (s & 63)
+}
+
+func (q *readyQueue) linkFar(t simtime.PS, lane int32) {
+	if q.far == listEnd || t < q.farMin {
+		q.farMin = t
+	}
+	q.next[lane] = q.far
+	q.far = lane
+}
+
+// insertRun is a push into the bucket being consumed, or before it: a
+// sorted insert after the run's cursor.
+func (q *readyQueue) insertRun(ev readyEv, early bool) {
+	q.next[ev.lane] = listEnd
+	if q.pos == len(q.run) {
+		q.run, q.pos = q.run[:0], 0
+	}
+	r := append(q.run, ev)
+	i := len(r) - 1
+	for i > q.pos && ev.before(r[i-1]) {
+		r[i] = r[i-1]
+		i--
+	}
+	r[i] = ev
+	q.run = r
+	q.paths.inserts++
+	if early {
+		q.paths.early++
+	}
+}
+
+// advance moves the cursor to the next bucket that holds an event and sorts
+// that bucket into the run. The run is exhausted and the queue is not
+// empty.
+func (q *readyQueue) advance() {
+	q.run, q.pos = q.run[:0], 0
+	b, ok := q.nextBucket()
+	if q.far != listEnd && (!ok || int64(q.farMin>>q.shift) <= b) {
+		b = int64(q.farMin >> q.shift)
+		q.spill(b)
+	}
+	q.cur = b
+	s := b & q.mask
+	r := q.run
+	for l := q.head[s]; l != listEnd; l = q.next[l] {
+		r = append(r, readyEv{t: q.at[l], lane: l})
+	}
+	q.head[s] = listEnd
+	q.occ[s>>6] &^= 1 << (s & 63)
+	if len(r) <= insertionSortMax {
+		for i := 1; i < len(r); i++ {
+			ev, j := r[i], i
+			for ; j > 0 && ev.before(r[j-1]); j-- {
+				r[j] = r[j-1]
 			}
+			r[j] = ev
 		}
-		if !h[m].before(ev) {
-			break
-		}
-		h[i] = h[m]
-		i = m
+	} else {
+		slices.SortFunc(r, compareReady)
+		q.paths.sorts++
 	}
-	h[i] = ev
-	return top
+	q.run = r
+}
+
+// nextBucket is the first bucket after the cursor's whose ring slot holds a
+// list, found through the bitmap; false if the ring is empty. The cursor's
+// own slot is always empty: its events are in the run.
+func (q *readyQueue) nextBucket() (int64, bool) {
+	start := (q.cur + 1) & q.mask
+	w := start >> 6
+	word := q.occ[w] &^ (1<<(start&63) - 1)
+	// The last word read is start's own again, whole: the slots before
+	// start are the end of the ring.
+	for i := 0; word == 0; i++ {
+		if i == len(q.occ) {
+			return 0, false
+		}
+		if i > 0 {
+			q.paths.gaps++
+		}
+		if w++; w == int64(len(q.occ)) {
+			w = 0
+		}
+		word = q.occ[w]
+	}
+	s := w<<6 | int64(bits.TrailingZeros64(word))
+	if s < start {
+		q.paths.wraps++
+	}
+	return q.cur + 1 + (s-start)&q.mask, true
+}
+
+// spill moves every far-list event within a ring of bucket cur, the
+// cursor's next, onto the ring, and keeps the rest on the far list.
+func (q *readyQueue) spill(cur int64) {
+	l := q.far
+	q.far = listEnd
+	for l != listEnd {
+		nx := q.next[l]
+		if t := q.at[l]; int64(t>>q.shift)-cur <= q.mask {
+			q.link(int64(t>>q.shift)&q.mask, l)
+		} else {
+			q.linkFar(t, l)
+		}
+		l = nx
+	}
+	q.paths.spills++
 }

@@ -55,79 +55,176 @@ func TestEventOrderTieBreak(t *testing.T) {
 	}
 }
 
-// TestReadyEvSize pins the ready queue's entry at 16 bytes: four children
-// to a cache line and a hundred thousand pending clients inside L2 are
-// what the queue was split off the event heap for.
+// TestReadyEvSize pins the ready queue's run-buffer entry at 16 bytes,
+// (t, lane) and padding: the bucket sorts move whole entries, and the
+// queue's storage budget (TestReadyQueueStorageBound) leaves the run buffer
+// only what the per-lane arrays and the ring do not use.
 func TestReadyEvSize(t *testing.T) {
 	if got := unsafe.Sizeof(readyEv{}); got != 16 {
 		t.Errorf("readyEv is %d bytes, want 16", got)
 	}
 }
 
-// TestReadyQueueMatchesSort: under random interleavings of pushes and pops,
-// with instants drawn from so few values that most pops break a tie, the
-// queue always yields the (t, lane) minimum of what is pending.
+// TestReadyQueueMatchesSort: under random interleavings of pushes and pops
+// the calendar queue always yields the (t, lane) minimum of what is
+// pending, and at the end the rest in sorted order. Fill phases alternate
+// with drain phases, so the ring is by turns crowded and nearly empty, and
+// instants are drawn to reach every path the queue has: few instants on a
+// quarter-bucket grid (ties, pushes into the bucket being consumed or
+// before it), anywhere on the ring, past it (the far list), and — after a
+// peek has moved the cursor on — before the top. The queue's path counters
+// and a count of tied pops must show each case ran.
 func TestReadyQueueMatchesSort(t *testing.T) {
-	const lanes = 300
+	const lanes = 1024
 	r := entityStream(21, 0)
-	q := newReadyQueue(lanes)
+	q := newReadyQueue(lanes, 2*simtime.Second)
+	width := simtime.PS(1) << q.shift
+	ring := width * simtime.PS(q.mask)
+	if len(q.occ) < 3 {
+		t.Fatalf("ring of %d slots: too small for gaps of a whole bitmap word", q.mask+1)
+	}
 	var pending []readyEv
 	free := make([]int32, lanes) // lanes with no pending event
 	for i := range free {
 		free[i] = int32(i)
 	}
-	pop := func() {
-		slices.SortFunc(pending, func(a, b readyEv) int {
-			return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.lane, b.lane))
-		})
-		if top := q.top(); top != pending[0] {
-			t.Fatalf("top is (%v, %d), the pending minimum is (%v, %d)", top.t, top.lane, pending[0].t, pending[0].lane)
-		}
-		if got := q.pop(); got != pending[0] {
-			t.Fatalf("popped (%v, %d), the pending minimum is (%v, %d)", got.t, got.lane, pending[0].t, pending[0].lane)
-		}
-		free = append(free, pending[0].lane)
-		pending = pending[1:]
+	order := func(a, b readyEv) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.lane, b.lane))
 	}
-	for op := 0; op < 20000; op++ {
-		// Push-heavy until the lanes fill, so the heap is exercised at
-		// every depth it can reach.
-		if len(free) > 0 && (len(pending) == 0 || r.intn(5) < 3) {
-			k := r.intn(len(free))
-			lane := free[k]
-			free[k] = free[len(free)-1]
-			free = free[:len(free)-1]
-			at := simtime.PS(r.intn(12)) * simtime.Millisecond
-			q.push(at, lane)
-			pending = append(pending, readyEv{t: at, lane: lane})
-		} else {
-			pop()
+	var clock simtime.PS // the last popped instant
+	ties := 0
+	pop := func(want readyEv) {
+		if top := q.top(); top != want {
+			t.Fatalf("top is (%v, %d), the pending minimum is (%v, %d)", top.t, top.lane, want.t, want.lane)
 		}
+		if got := q.pop(); got != want {
+			t.Fatalf("popped (%v, %d), the pending minimum is (%v, %d)", got.t, got.lane, want.t, want.lane)
+		}
+		if want.t == clock {
+			ties++
+		}
+		clock = want.t
+		free = append(free, want.lane)
+		i := slices.Index(pending, want)
+		pending[i] = pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+	}
+	for op := 0; op < 60_000; op++ {
+		pushes := 4 // of 5 ops while filling
+		if (op/5000)%2 == 1 {
+			pushes = 1
+		}
+		if len(free) == 0 || (len(pending) > 0 && r.intn(5) >= pushes) {
+			pop(slices.MinFunc(pending, order))
+			continue
+		}
+		k := r.intn(len(free))
+		lane := free[k]
+		free[k] = free[len(free)-1]
+		free = free[:len(free)-1]
+		var at simtime.PS
+		switch c := r.intn(20); {
+		case c < 8:
+			at = clock/(width/4)*(width/4) + simtime.PS(r.intn(12))*(width/4)
+		case c < 16:
+			at = clock + r.rangePS(0, ring)
+		case c < 18:
+			at = clock + ring + r.rangePS(0, 3*ring)
+		default:
+			at = clock
+			if len(pending) > 0 {
+				at += r.rangePS(0, q.top().t-clock)
+			}
+		}
+		q.push(at, lane)
+		pending = append(pending, readyEv{t: at, lane: lane})
 		if q.len() != len(pending) {
 			t.Fatalf("queue holds %d events, %d are pending", q.len(), len(pending))
 		}
 	}
-	for len(pending) > 0 {
-		pop()
+	slices.SortFunc(pending, order)
+	for _, want := range slices.Clone(pending) {
+		pop(want)
 	}
 	if !q.empty() {
 		t.Errorf("queue still holds %d events after every pending one popped", q.len())
 	}
+	p := q.paths
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"tied pops", ties},
+		{"pushes into the bucket being consumed", p.inserts},
+		{"pushes before the bucket being consumed", p.early},
+		{"far-list pushes", p.far},
+		{"far-list spills", p.spills},
+		{"ring wrap-arounds", p.wraps},
+		{"empty bitmap words skipped", p.gaps},
+		{"buckets past insertion sort", p.sorts},
+	} {
+		if c.n == 0 {
+			t.Errorf("no %s: the test missed that path", c.name)
+		}
+	}
+	t.Logf("%d tied pops, paths %+v", ties, p)
 }
 
-// TestReadyQueueOverflowPanics: one more pending ready event than lanes
-// means a client holds two, which the (t, lane) order cannot tell apart —
-// the queue must refuse rather than grow.
+// TestReadyQueueOverflowPanics: a second pending ready event on one lane
+// is ambiguous in the (t, lane) order — the queue must refuse it wherever
+// the first one waits (the run, the ring, the far list) and however full
+// the queue is.
 func TestReadyQueueOverflowPanics(t *testing.T) {
-	q := newReadyQueue(2)
-	q.push(1, 0)
-	q.push(2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("a third ready event on two lanes did not panic")
+	mustPanic := func(name string, q *readyQueue, at simtime.PS, lane int32) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: a second ready event on lane %d did not panic", name, lane)
+			}
+		}()
+		q.push(at, lane)
+	}
+	full := newReadyQueue(2, simtime.Second)
+	full.push(1, 0)
+	full.push(2, 1)
+	mustPanic("full", full, 3, 0)
+
+	for _, first := range []struct {
+		name string
+		at   simtime.PS
+	}{{"run", 0}, {"ring", simtime.Second / 2}, {"far", 10 * simtime.Second}} {
+		q := newReadyQueue(64, simtime.Second)
+		q.push(first.at, 5)
+		mustPanic(first.name, q, first.at, 5)
+	}
+}
+
+// TestReadyQueueStorageBound: at the overload cell's sizing the calendar's
+// backing arrays — per lane, ring, bitmap and the run buffer at its
+// high-water mark after a turnover of holds — stay within the 16 bytes per
+// lane of the heap it replaced, plus a constant, so neither alloc_mb nor
+// peak_rss_mb creeps up through the ring.
+func TestReadyQueueStorageBound(t *testing.T) {
+	const slack = 4 << 10
+	for _, lanes := range []int{64, 100_000, 1_000_000} {
+		w := DefaultConfig(lanes, 16, EstAware).Workload
+		q := newReadyQueue(lanes, w.TmMax+w.ThinkMax)
+		r := entityStream(3, uint64(lanes))
+		for lane := 0; lane < lanes; lane++ {
+			q.push(r.rangePS(w.ThinkMin, w.ThinkMax), int32(lane))
 		}
-	}()
-	q.push(3, 0)
+		for i := 0; i < lanes; i++ {
+			ev := q.pop()
+			q.push(ev.t+r.rangePS(w.TmMin, w.TmMax)+r.rangePS(w.ThinkMin, w.ThinkMax), ev.lane)
+		}
+		bytes := cap(q.at)*int(unsafe.Sizeof(q.at[0])) + cap(q.next)*int(unsafe.Sizeof(q.next[0])) +
+			cap(q.head)*int(unsafe.Sizeof(q.head[0])) + cap(q.occ)*int(unsafe.Sizeof(q.occ[0])) +
+			cap(q.run)*int(unsafe.Sizeof(q.run[0]))
+		if bound := 16*lanes + slack; bytes > bound {
+			t.Errorf("%d lanes: the queue holds %d bytes, over 16 B a lane plus %d (%d)", lanes, bytes, slack, bound)
+		}
+		t.Logf("%d lanes: %d slots, %.2f B a lane, run buffer %d", lanes, q.mask+1, float64(bytes)/float64(lanes), cap(q.run))
+	}
 }
 
 // TestEntityStreamIndependence guards the satellite RNG fix: the old

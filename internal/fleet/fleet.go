@@ -20,6 +20,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/faults"
 	"repro/internal/netsim"
@@ -206,6 +207,11 @@ func (c *Config) Validate() error {
 	}
 	if len(c.Servers) == 0 {
 		return fmt.Errorf("fleet: empty server pool")
+	}
+	// Every client and every server is an event lane with an int32 id.
+	if c.Clients+len(c.Servers) > math.MaxInt32 {
+		return fmt.Errorf("fleet: %d clients + %d servers exceed the %d event lanes an int32 lane id can name",
+			c.Clients, len(c.Servers), math.MaxInt32)
 	}
 	for i, s := range c.Servers {
 		if s.R <= 0 || s.Slots <= 0 {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -191,6 +192,18 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("bad config %d accepted: %+v", i, cfg)
 		}
+	}
+
+	// Lane ids are int32: clients and servers together may fill them, not
+	// one past. Validate alone: a run would build the whole population.
+	cfg := DefaultConfig(4, 2, Random)
+	cfg.Clients = math.MaxInt32 - 2
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("%d clients on 2 servers rejected: %v", cfg.Clients, err)
+	}
+	cfg.Clients++
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "int32 lane id") {
+		t.Errorf("%d clients on 2 servers: got %v, want the int32 lane bound named", cfg.Clients, err)
 	}
 }
 

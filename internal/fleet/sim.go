@@ -114,8 +114,8 @@ func Run(cfg Config) (*Result, error) {
 	return runSequential(cfg)
 }
 
-// runSequential is the engine: the clients' ready events in one queue, the
-// server lanes' events in another, merged in (t, lane, seq) order with the
+// runSequential is the engine: the clients' ready events in a calendar
+// queue, the server lanes' events in a heap, merged in (t, lane, seq) order with the
 // machine's handlers invoked inline on one goroutine. Its test oracle,
 // runSequentialRef, keeps every lane in one heap.
 func runSequential(cfg Config) (*Result, error) {
@@ -126,7 +126,12 @@ func runSequential(cfg Config) (*Result, error) {
 	st := newStats(cfg.Clients * cfg.RequestsPerClient)
 	m := newMachine(&cfg, links, st)
 	nc := int32(cfg.Clients)
-	rq := newReadyQueue(cfg.Clients)
+	// A client that runs its request locally is ready again at most the
+	// longest task plus the longest think, stretched by the diurnal trough,
+	// after its decision instant; the calendar's ring covers that. Remote
+	// completions can land later, on the queue's far list.
+	w := &cfg.Workload
+	rq := newReadyQueue(cfg.Clients, w.TmMax+simtime.PS(float64(w.ThinkMax)/(1-w.DiurnalAmp)))
 	q := newSchedQueue(nc, len(cfg.Servers))
 	m.sched = func(t simtime.PS, kind uint8, si int32, j *job) {
 		q.sched(t, kind, nc+si, si, j)
@@ -160,5 +165,9 @@ func runSequential(cfg Config) (*Result, error) {
 		now = ev.t
 		m.handleServerEvent(ev)
 	}
-	return m.finishRun(st, now)
+	res, err := m.finishRun(st, now)
+	if res != nil {
+		res.readyPaths = rq.paths
+	}
+	return res, err
 }

@@ -149,7 +149,9 @@ type Result struct {
 	ServerUtilPct []float64 `json:"server_util_pct"`
 	// MaxQueueDepth is the deepest run queue observed anywhere.
 	MaxQueueDepth int `json:"max_queue_depth"`
-	// AvgQueueWaitMs averages the queueing delay over jobs that waited.
+	// AvgQueueWaitMs averages the queueing delay over every job that
+	// entered a server slot: a job that started on arrival counts as a
+	// zero wait.
 	AvgQueueWaitMs float64 `json:"avg_queue_wait_ms"`
 	// QueueWait is the full queue-wait distribution (ps): every dispatched
 	// job records, jobs that start immediately record 0, so the quantiles
@@ -168,6 +170,10 @@ type Result struct {
 	// only): per-job critical-path decompositions whose segments sum exactly
 	// to the job's end-to-end latency.
 	Exemplars []Exemplar `json:"exemplars,omitempty"`
+
+	// readyPaths is which rare paths the engine's ready queue took, for the
+	// tests that must show a configuration reaches them.
+	readyPaths readyPaths
 }
 
 // finishRun checks the end-of-run invariants and assembles the Result
