@@ -65,10 +65,12 @@ bench:
 
 ## fleetbench: the fleet engine in process, host-timed, nothing written —
 ## the benchmark's two fleet cells (plus the overload cell's local-only
-## set-up run), one est-aware pick through the load index
-## against the walk it replaced, the ready queue's hold model (rows
-## `calendar`, the queue the engine runs, and `heap`, the 4-ary heap it
-## replaced) and the latency sort against slices.Sort. Three iterations
+## set-up run) and a million clients of two requests each (`million/seq`,
+## the fleetscale regime, where the per-client layout weighs most), one
+## est-aware pick through the load index against the walk it replaced, the
+## ready queue's hold model (rows `calendar`, the queue the engine runs over
+## bare client records, and `heap`, the 4-ary heap it replaced) and the
+## latency sort against slices.Sort. Three iterations
 ## each: compare two commits by alternating their test binaries, not from
 ## one run.
 fleetbench:

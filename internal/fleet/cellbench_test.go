@@ -19,10 +19,15 @@ import (
 // The configurations are copies of bench/fleet.go's overloadConfig,
 // tieredChaosConfig and localOnly at seed 1 (bench/ is a module of its own
 // and cannot be imported); keep them in step by hand. overload/local is the
-// run the harness times as the overload workload's setup_s.
+// run the harness times as the overload workload's setup_s. million/seq is
+// not a harness cell: it is the fleetscale regime, a million clients of two
+// requests each, where the per-client layout weighs most.
 func BenchmarkFleetCell(b *testing.B) {
 	overload := DefaultConfig(100000, 16, EstAware)
 	overload.RequestsPerClient = 10
+
+	million := DefaultConfig(1_000_000, 16, EstAware)
+	million.RequestsPerClient = 2
 
 	const edge, cloud = 128, 32
 	tiered := TieredConfig(1536, tiers.Default(edge, cloud))
@@ -53,6 +58,7 @@ func BenchmarkFleetCell(b *testing.B) {
 		cfg  Config
 	}{
 		{"overload/seq", overload}, {"overload/local", local}, {"tiered/seq", tiered},
+		{"million/seq", million},
 	} {
 		b.Run(cell.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -201,7 +207,8 @@ func BenchmarkPick(b *testing.B) {
 // BenchmarkReadyQueue is the hold model of the engine's client lane: a
 // queue kept at a fixed number of pending ready events, each hold one pop
 // and one push of that client a think-time later, on the calendar queue
-// and on the 4-ary heap it replaced. An iteration turns the whole queue
+// (over bare client records, which hold its instants) and on the 4-ary heap
+// it replaced. An iteration turns the whole queue
 // over once (as many holds as are pending), so a fixed -benchtime 3x still
 // measures millions of them.
 func BenchmarkReadyQueue(b *testing.B) {
@@ -225,7 +232,7 @@ func BenchmarkReadyQueue(b *testing.B) {
 						q.push(ev.t+think(), ev.lane)
 					}
 				} else {
-					q := newReadyQueue(pending, thinkMax)
+					q := newReadyQueue(make([]clientState, pending), thinkMax)
 					for lane := 0; lane < pending; lane++ {
 						q.push(think(), int32(lane))
 					}

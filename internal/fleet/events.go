@@ -173,12 +173,18 @@ func compareReady(a, b readyEv) int { return int(b.lt(a)) - int(a.lt(b)) }
 //
 // Time is cut into buckets 1<<shift ps wide, and a ring of slots holds the
 // buckets after the one being consumed, bucket b in slot b&mask. A lane
-// holds at most one pending event, so the storage is per lane: the
-// instant in at, the link to the next lane of the same bucket in next. A
-// slot is the head of such a list, and a bitmap marks the slots that hold
-// one. A push is three stores. When the run buffer — the bucket being
-// consumed, sorted — is exhausted, the cursor moves to the next occupied
-// slot, walks its list into the buffer and sorts it.
+// holds at most one pending event, so the storage is per lane: the instant
+// in the lane's client record (clientState.at), the link to the next lane
+// of the same bucket in next. A slot is the head of such a list, and a
+// bitmap marks the slots that hold one. A push is three stores. When the
+// run buffer — the bucket being consumed, sorted — is exhausted, the
+// cursor moves to the next occupied slot, walks its list into the buffer
+// and sorts it. The walk reads each lane's instant from its record, so it
+// also loads the line issueReady reads next.
+//
+// next stays an array of its own: the walk is a chain of dependent loads
+// through it, and at 4 B a lane the chain stays in few lines. Folding it
+// into the record made the walk three times slower.
 //
 // An event in or before the bucket being consumed (the engine pushes one
 // whenever a server event at an earlier instant follows a peek) is a
@@ -192,10 +198,10 @@ func compareReady(a, b readyEv) int { return int(b.lt(a)) - int(a.lt(b)) }
 // A second pending event on one lane would make the (t, lane) order
 // ambiguous: it panics, always, like finishRun's slot-accounting checks.
 type readyQueue struct {
-	at   []simtime.PS // per lane: the pending instant
-	next []int32      // per lane: the next lane of its list, listEnd, or laneFree
-	head []int32      // per slot: the first lane of its bucket, or listEnd
-	occ  []uint64     // bit s: slot s holds a list
+	cl   []clientState // per lane: the record whose at is the pending instant
+	next []int32       // per lane: the next lane of its list, listEnd, or laneFree
+	head []int32       // per slot: the first lane of its bucket, or listEnd
+	occ  []uint64      // bit s: slot s holds a list
 
 	shift uint  // bucket(t) = t >> shift
 	mask  int64 // slots - 1, slots a power of two
@@ -236,15 +242,15 @@ const bucketFill = 8
 // insertionSortMax is the largest bucket insertion sort takes.
 const insertionSortMax = 24
 
-// newReadyQueue sizes a calendar for lanes pending events, each at most
-// horizon past the instant being consumed when it is pushed (later ones
-// are correct but take the far list). Buckets are about bucketFill events
-// wide, and the ring is a power of two of at least two slots that covers
-// the horizon — unless that takes more than one slot per two lanes, when
-// buckets widen instead, so the queue stays within the 16 bytes per lane
-// of the heap it replaced: 12 per lane, at most 2 per lane of ring, and
-// the run buffer.
-func newReadyQueue(lanes int, horizon simtime.PS) *readyQueue {
+// newReadyQueue sizes a calendar for one lane per client record, each
+// pending event at most horizon past the instant being consumed when it is
+// pushed (later ones are correct but take the far list). Buckets are about
+// bucketFill events wide, and the ring is a power of two of at least two
+// slots that covers the horizon — unless that takes more than one slot per
+// two lanes, when buckets widen instead, so the queue's own arrays stay
+// within 8 bytes a lane: 4 of next, at most 2 of ring, and the run buffer.
+func newReadyQueue(cl []clientState, horizon simtime.PS) *readyQueue {
+	lanes := len(cl)
 	h := uint64(max(horizon, 1))
 	maxSlots := 2
 	for maxSlots*4 <= lanes {
@@ -269,7 +275,7 @@ func newReadyQueue(lanes int, horizon simtime.PS) *readyQueue {
 		shift++
 	}
 	q := &readyQueue{
-		at:    make([]simtime.PS, lanes),
+		cl:    cl,
 		next:  make([]int32, lanes),
 		head:  make([]int32, slots),
 		occ:   make([]uint64, (slots+63)/64),
@@ -311,7 +317,7 @@ func (q *readyQueue) push(t simtime.PS, lane int32) {
 		panic("fleet: a client lane holds two pending ready events")
 	}
 	q.n++
-	q.at[lane] = t
+	q.cl[lane].at = t
 	b := int64(t >> q.shift)
 	switch d := b - q.cur; {
 	case d <= 0:
@@ -374,7 +380,7 @@ func (q *readyQueue) advance() {
 	s := b & q.mask
 	r := q.run
 	for l := q.head[s]; l != listEnd; l = q.next[l] {
-		r = append(r, readyEv{t: q.at[l], lane: l})
+		r = append(r, readyEv{t: q.cl[l].at, lane: l})
 	}
 	q.head[s] = listEnd
 	q.occ[s>>6] &^= 1 << (s & 63)
@@ -428,7 +434,7 @@ func (q *readyQueue) spill(cur int64) {
 	q.far = listEnd
 	for l != listEnd {
 		nx := q.next[l]
-		if t := q.at[l]; int64(t>>q.shift)-cur <= q.mask {
+		if t := q.cl[l].at; int64(t>>q.shift)-cur <= q.mask {
 			q.link(int64(t>>q.shift)&q.mask, l)
 		} else {
 			q.linkFar(t, l)

@@ -65,6 +65,16 @@ func TestReadyEvSize(t *testing.T) {
 	}
 }
 
+// TestClientStateSize pins the client record at 24 bytes: the pending
+// instant, the stream, the request counter and the profile index. It is the
+// one per-client array the event loop walks besides the ready queue's links,
+// so every byte added here is a million bytes on the fleetscale cell.
+func TestClientStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(clientState{}); got != 24 {
+		t.Errorf("clientState is %d bytes, want 24", got)
+	}
+}
+
 // TestReadyQueueMatchesSort: under random interleavings of pushes and pops
 // the calendar queue always yields the (t, lane) minimum of what is
 // pending, and at the end the rest in sorted order. Fill phases alternate
@@ -77,7 +87,7 @@ func TestReadyEvSize(t *testing.T) {
 func TestReadyQueueMatchesSort(t *testing.T) {
 	const lanes = 1024
 	r := entityStream(21, 0)
-	q := newReadyQueue(lanes, 2*simtime.Second)
+	q := newReadyQueue(make([]clientState, lanes), 2*simtime.Second)
 	width := simtime.PS(1) << q.shift
 	ring := width * simtime.PS(q.mask)
 	if len(q.occ) < 3 {
@@ -184,7 +194,7 @@ func TestReadyQueueOverflowPanics(t *testing.T) {
 		}()
 		q.push(at, lane)
 	}
-	full := newReadyQueue(2, simtime.Second)
+	full := newReadyQueue(make([]clientState, 2), simtime.Second)
 	full.push(1, 0)
 	full.push(2, 1)
 	mustPanic("full", full, 3, 0)
@@ -193,22 +203,23 @@ func TestReadyQueueOverflowPanics(t *testing.T) {
 		name string
 		at   simtime.PS
 	}{{"run", 0}, {"ring", simtime.Second / 2}, {"far", 10 * simtime.Second}} {
-		q := newReadyQueue(64, simtime.Second)
+		q := newReadyQueue(make([]clientState, 64), simtime.Second)
 		q.push(first.at, 5)
 		mustPanic(first.name, q, first.at, 5)
 	}
 }
 
 // TestReadyQueueStorageBound: at the overload cell's sizing the calendar's
-// backing arrays — per lane, ring, bitmap and the run buffer at its
-// high-water mark after a turnover of holds — stay within the 16 bytes per
-// lane of the heap it replaced, plus a constant, so neither alloc_mb nor
-// peak_rss_mb creeps up through the ring.
+// own backing arrays — the lane links, ring, bitmap and the run buffer at
+// its high-water mark after a turnover of holds — stay within 8 bytes a
+// lane plus a constant, so neither alloc_mb nor peak_rss_mb creeps up
+// through the ring. The instants live in the client records, which the
+// queue does not own and which TestClientStateSize holds to 24 bytes.
 func TestReadyQueueStorageBound(t *testing.T) {
 	const slack = 4 << 10
 	for _, lanes := range []int{64, 100_000, 1_000_000} {
 		w := DefaultConfig(lanes, 16, EstAware).Workload
-		q := newReadyQueue(lanes, w.TmMax+w.ThinkMax)
+		q := newReadyQueue(make([]clientState, lanes), simtime.PS(w.horizon()))
 		r := entityStream(3, uint64(lanes))
 		for lane := 0; lane < lanes; lane++ {
 			q.push(r.rangePS(w.ThinkMin, w.ThinkMax), int32(lane))
@@ -217,11 +228,11 @@ func TestReadyQueueStorageBound(t *testing.T) {
 			ev := q.pop()
 			q.push(ev.t+r.rangePS(w.TmMin, w.TmMax)+r.rangePS(w.ThinkMin, w.ThinkMax), ev.lane)
 		}
-		bytes := cap(q.at)*int(unsafe.Sizeof(q.at[0])) + cap(q.next)*int(unsafe.Sizeof(q.next[0])) +
+		bytes := cap(q.next)*int(unsafe.Sizeof(q.next[0])) +
 			cap(q.head)*int(unsafe.Sizeof(q.head[0])) + cap(q.occ)*int(unsafe.Sizeof(q.occ[0])) +
 			cap(q.run)*int(unsafe.Sizeof(q.run[0]))
-		if bound := 16*lanes + slack; bytes > bound {
-			t.Errorf("%d lanes: the queue holds %d bytes, over 16 B a lane plus %d (%d)", lanes, bytes, slack, bound)
+		if bound := 8*lanes + slack; bytes > bound {
+			t.Errorf("%d lanes: the queue holds %d bytes, over 8 B a lane plus %d (%d)", lanes, bytes, slack, bound)
 		}
 		t.Logf("%d lanes: %d slots, %.2f B a lane, run buffer %d", lanes, q.mask+1, float64(bytes)/float64(lanes), cap(q.run))
 	}

@@ -69,7 +69,8 @@ type WorkloadModel struct {
 	// traffic swings between (1-Amp)x and (1+Amp)x the baseline over each
 	// period — the daily tide the adaptive admission controller is tuned
 	// against. Amp 0 (the zero value) keeps the flat workload; Amp must
-	// stay below 1.
+	// stay below 1, and far enough below it that the stretched think
+	// ThinkMax/(1-Amp) stays within the clock (Validate).
 	DiurnalAmp    float64
 	DiurnalPeriod simtime.PS
 }
@@ -205,6 +206,10 @@ func (c *Config) Validate() error {
 	if c.Clients <= 0 || c.RequestsPerClient <= 0 {
 		return fmt.Errorf("fleet: need at least one client and one request, got %d x %d", c.Clients, c.RequestsPerClient)
 	}
+	// A client counts the requests it still owes in an int32.
+	if c.RequestsPerClient > math.MaxInt32 {
+		return fmt.Errorf("fleet: %d requests per client exceed the int32 request counter", c.RequestsPerClient)
+	}
 	if len(c.Servers) == 0 {
 		return fmt.Errorf("fleet: empty server pool")
 	}
@@ -232,6 +237,10 @@ func (c *Config) Validate() error {
 	if w.DiurnalAmp > 0 && w.DiurnalPeriod <= 0 {
 		return fmt.Errorf("fleet: diurnal workload needs a positive period, got %v", w.DiurnalPeriod)
 	}
+	if h := w.horizon(); h > maxHorizon {
+		return fmt.Errorf("fleet: workload horizon TmMax + ThinkMax/(1-DiurnalAmp) = %.4g ps exceeds %d ps, 1/1024 of the clock's range",
+			h, int64(maxHorizon))
+	}
 	if c.Exemplars < 0 {
 		return fmt.Errorf("fleet: negative exemplar count %d (0 disables the tail sampler)", c.Exemplars)
 	}
@@ -254,6 +263,13 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// maxHorizon bounds WorkloadModel.horizon: 1/1024 of the picosecond
+// clock's range, about 2.5 simulated hours. A think stretched past the
+// range converts to a negative duration, which would put a ready event
+// before the clock; under the bound a client runs a thousand local request
+// cycles back to back before its instants come near the range.
+const maxHorizon = math.MaxInt64 / 1024
 
 // defaultLinkProfiles is the client-link cycle used when Config leaves
 // LinkProfiles empty.

@@ -205,6 +205,43 @@ func TestConfigValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "int32 lane id") {
 		t.Errorf("%d clients on 2 servers: got %v, want the int32 lane bound named", cfg.Clients, err)
 	}
+
+	// A client counts its requests in an int32.
+	cfg = DefaultConfig(4, 2, Random)
+	cfg.RequestsPerClient = math.MaxInt32
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("%d requests per client rejected: %v", cfg.RequestsPerClient, err)
+	}
+	cfg.RequestsPerClient++
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "int32 request counter") {
+		t.Errorf("%d requests per client: got %v, want the int32 counter bound named", cfg.RequestsPerClient, err)
+	}
+
+	// The diurnal trough stretches the longest think by 1/(1-Amp): an
+	// amplitude a hair below 1 stretches it past the clock, and nextThink
+	// would hand back a negative think. The tiered cells' 0.6 is far inside.
+	cfg = DefaultConfig(4, 2, Random)
+	cfg.Workload.DiurnalPeriod = simtime.Second
+	for _, amp := range []float64{0.6, 0.999} {
+		cfg.Workload.DiurnalAmp = amp
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("diurnal amplitude %g rejected: %v", amp, err)
+		}
+	}
+	cfg.Workload.DiurnalAmp = 1 - 1e-12
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "horizon") {
+		t.Errorf("diurnal amplitude 1-1e-12: got %v, want the horizon bound named", err)
+	}
+	// The bound is on the horizon itself, amplitude or none.
+	cfg.Workload.DiurnalAmp = 0
+	cfg.Workload.ThinkMax = maxHorizon - cfg.Workload.TmMax
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("a horizon of exactly %d ps rejected: %v", int64(maxHorizon), err)
+	}
+	cfg.Workload.ThinkMax += simtime.Second
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "horizon") {
+		t.Errorf("a horizon a second past the bound: got %v, want the horizon bound named", err)
+	}
 }
 
 // TestParsePolicy round-trips every policy name and rejects unknowns.
@@ -221,25 +258,30 @@ func TestParsePolicy(t *testing.T) {
 }
 
 // TestClientLinkCycle: clients cycle the profile list (the default one when
-// the config names none), clients on one profile share its link, and an
-// unknown profile is an error.
+// the config names none) by index, the record's profile index and the
+// machine's client mod len rule name the same link, clients on one profile
+// share it, and an unknown profile is an error.
 func TestClientLinkCycle(t *testing.T) {
 	cfg := DefaultConfig(7, 2, Random)
 	cfg.LinkProfiles = nil
-	clients, links, err := buildClients(&cfg)
+	clients, profiles, err := buildClients(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, l := range links {
+	if len(profiles) != len(defaultLinkProfiles) {
+		t.Fatalf("%d profiles built, want one per default name (%d)", len(profiles), len(defaultLinkProfiles))
+	}
+	for i, cs := range clients {
+		l := profiles[cs.prof]
 		want, _ := netsim.Profile(defaultLinkProfiles[i%len(defaultLinkProfiles)])
 		if l.Name != want.Name || l.BandwidthBps != want.BandwidthBps {
 			t.Errorf("client %d on link %q, want the %q profile", i, l.Name, want.Name)
 		}
-		if clients[i].link != l {
-			t.Errorf("client %d's state and the link table disagree", i)
+		if m := profiles[clientProfile(int32(i), len(profiles))]; m != l {
+			t.Errorf("client %d: its record names link %q, the machine's rule %q", i, l.Name, m.Name)
 		}
 	}
-	if links[0] != links[3] || links[0] == links[1] {
+	if profiles[clients[0].prof] != profiles[clients[3].prof] || profiles[clients[0].prof] == profiles[clients[1].prof] {
 		t.Errorf("clients 0 and 3 should share the first profile's link, client 1 not")
 	}
 	cfg.LinkProfiles = []string{"nope"}

@@ -312,3 +312,34 @@ func TestLoadFieldsWrittenOnlyByServerMethods(t *testing.T) {
 		t.Errorf("found %d writes inside server methods, want 13: the guard no longer sees them all", inMethods)
 	}
 }
+
+// TestServerRemovalsOfAbsentJobsPanic: removing a job a server does not
+// hold is a bookkeeping bug, and dropRunning and removeQueued panic on it,
+// like release, instead of returning with finSum, queExec and the load
+// index still counting a job that is gone — or never counted one that is
+// elsewhere. Each is tried with the job held in the server's other list,
+// and on an empty server.
+func TestServerRemovalsOfAbsentJobsPanic(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	s := &server{spec: ServerSpec{R: 3, Slots: 1}, id: 4}
+	running := &job{id: 1, exec: simtime.Second, finish: 2 * simtime.Second}
+	queued := &job{id: 2, exec: 3 * simtime.Second}
+	s.start(running)
+	s.enqueue(queued)
+	mustPanic("dropRunning of a queued job", func() { s.dropRunning(queued) })
+	mustPanic("removeQueued of a running job", func() { s.removeQueued(running) })
+	if s.finSum != running.finish || s.queExec != queued.exec {
+		t.Errorf("a refused removal moved the load: finSum %v queExec %v, want %v and %v", s.finSum, s.queExec, running.finish, queued.exec)
+	}
+	empty := &server{spec: ServerSpec{R: 3, Slots: 1}}
+	mustPanic("dropRunning on an empty server", func() { empty.dropRunning(running) })
+	mustPanic("removeQueued on an empty server", func() { empty.removeQueued(queued) })
+}

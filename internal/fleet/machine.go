@@ -198,7 +198,9 @@ func (s *server) pop() *job {
 }
 
 // removeQueued unlinks one specific queued job (cross-tier promotion
-// pulls from the middle of the queue, not from its head).
+// pulls from the middle of the queue, not from its head). A job that is not
+// queued here is a bookkeeping bug: it panics, like release, rather than
+// leave queExec and the load index wrong.
 func (s *server) removeQueued(j *job) {
 	for i, q := range s.queue {
 		if q == j {
@@ -208,6 +210,7 @@ func (s *server) removeQueued(j *job) {
 			return
 		}
 	}
+	panic(fmt.Sprintf("fleet: server %d removes job %d, which is not in its queue", s.id, j.id))
 }
 
 // start puts a job whose finish instant is set into a slot.
@@ -217,7 +220,8 @@ func (s *server) start(j *job) {
 	s.mark()
 }
 
-// dropRunning removes a completed job from the slot list.
+// dropRunning removes a completed job from the slot list. A job that is
+// not running here panics, like removeQueued.
 func (s *server) dropRunning(j *job) {
 	for i, r := range s.running {
 		if r == j {
@@ -227,6 +231,7 @@ func (s *server) dropRunning(j *job) {
 			return
 		}
 	}
+	panic(fmt.Sprintf("fleet: server %d drops job %d, which is not in its slots", s.id, j.id))
 }
 
 // takeDown takes a crashed or draining server out of rotation and detaches
@@ -301,7 +306,7 @@ type intent struct {
 type machine struct {
 	cfg      *Config
 	servers  []*server
-	links    []*netsim.Link // per-client links, immutable during the run
+	profiles []*netsim.Link // the client link profiles, shared and immutable (buildClients)
 	disp     dispatcher
 	backhaul *netsim.Link
 
@@ -352,7 +357,7 @@ type machine struct {
 	free   []*job
 }
 
-func newMachine(cfg *Config, links []*netsim.Link, st *stats) *machine {
+func newMachine(cfg *Config, profiles []*netsim.Link, st *stats) *machine {
 	servers := make([]*server, len(cfg.Servers))
 	for i, spec := range cfg.Servers {
 		servers[i] = &server{spec: spec, id: i}
@@ -360,7 +365,7 @@ func newMachine(cfg *Config, links []*netsim.Link, st *stats) *machine {
 	m := &machine{
 		cfg:      cfg,
 		servers:  servers,
-		links:    links,
+		profiles: profiles,
 		disp:     dispatcher{policy: cfg.Policy, rng: entityStream(cfg.Seed, dispatcherEntity)},
 		backhaul: netsim.Backhaul(),
 		adm:      cfg.Admission,

@@ -72,8 +72,10 @@ func (m *machine) handleIntent(in intent) {
 	}
 	if ei < 0 && ci < 0 {
 		// The whole pool is down or draining: nothing to offload to.
-		m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KGate, Track: obs.TrackFleet,
-			Name: "pool-down", A0: int64(in.tm), A1: in.mem, Job: in.job})
+		if tr := m.cfg.Tracer; tr != nil {
+			tr.Emit(obs.Event{Time: now, Kind: obs.KGate, Track: obs.TrackFleet,
+				Name: "pool-down", A0: int64(in.tm), A1: in.mem, Job: in.job})
+		}
 		m.runLocal(in, outFallback)
 		return
 	}
@@ -91,14 +93,18 @@ func (m *machine) handleIntent(in intent) {
 	}
 	// The verdict's trace record is the one flat/tiered difference: a
 	// tiered fleet logs every placement, a flat one only its declines
-	// (mirroring offrt.Session.Gate).
-	if m.topo != nil {
-		m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KTierPlace, Track: obs.TrackFleet,
-			Name: choice.String(), A0: int64(in.ci), A1: int64(si), A2: int64(est), A3: int64(wait),
-			Job: in.job})
-	} else if si < 0 {
-		m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KGate, Track: obs.TrackFleet,
-			Name: "decline", A0: int64(in.tm), A1: in.mem, A2: in.bw, A3: int64(ew), Job: in.job})
+	// (mirroring offrt.Session.Gate). Every Emit in the machine sits behind
+	// a nil test: Emit is not inlined, so without one a run with no tracer
+	// would still build and copy a 96-byte Event per decline.
+	if tr := m.cfg.Tracer; tr != nil {
+		if m.topo != nil {
+			tr.Emit(obs.Event{Time: now, Kind: obs.KTierPlace, Track: obs.TrackFleet,
+				Name: choice.String(), A0: int64(in.ci), A1: int64(si), A2: int64(est), A3: int64(wait),
+				Job: in.job})
+		} else if si < 0 {
+			tr.Emit(obs.Event{Time: now, Kind: obs.KGate, Track: obs.TrackFleet,
+				Name: "decline", A0: int64(in.tm), A1: in.mem, A2: in.bw, A3: int64(ew), Job: in.job})
+		}
 	}
 	if si < 0 {
 		// Local won the race: no tier's RemoteTime beats Tm.
@@ -107,9 +113,11 @@ func (m *machine) handleIntent(in intent) {
 	}
 	srv := m.servers[si]
 	m.st.Dispatched++
-	m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KDispatch, Track: obs.TrackFleet,
-		Name: string(m.cfg.Policy), A0: int64(in.ci), A1: int64(si),
-		A2: int64(len(srv.queue)), A3: int64(wait), Job: in.job})
+	if tr := m.cfg.Tracer; tr != nil {
+		tr.Emit(obs.Event{Time: now, Kind: obs.KDispatch, Track: obs.TrackFleet,
+			Name: string(m.cfg.Policy), A0: int64(in.ci), A1: int64(si),
+			A2: int64(len(srv.queue)), A3: int64(wait), Job: in.job})
+	}
 	exec := srv.execTime(in.tm)
 	m.jobSeq++
 	j := m.newJob()
@@ -144,8 +152,10 @@ func (m *machine) handleArrive(now simtime.PS, si int32, j *job) {
 		j.rec.fault()
 		if m.cfg.Migrate && m.relocate(j, j.tm, now+detectDelay, now+detectDelay, segDetect) {
 			m.st.Retried++
-			m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KRetry, Track: obs.TrackFleet,
-				Name: "redispatch", A0: int64(j.client), A1: int64(si), Job: j.id})
+			if tr := m.cfg.Tracer; tr != nil {
+				tr.Emit(obs.Event{Time: now, Kind: obs.KRetry, Track: obs.TrackFleet,
+					Name: "redispatch", A0: int64(j.client), A1: int64(si), Job: j.id})
+			}
 		} else if !m.cfg.Migrate {
 			j.rec.mark(now+detectDelay, segDetect, -1)
 			m.expireLocal(j, now+detectDelay)
@@ -165,7 +175,7 @@ func (m *machine) handleArrive(now simtime.PS, si int32, j *job) {
 	if !j.recovery &&
 		((m.adm.MaxQueue > 0 && depth >= m.adm.MaxQueue && s.busy >= s.spec.Slots) ||
 			(m.adm.MaxWait > 0 && s.estWait(now) > m.adm.MaxWait)) {
-		notice := m.links[j.client].At(now).TransferTime(shedNoticeBytes)
+		notice := m.profiles[clientProfile(j.client, len(m.profiles))].At(now).TransferTime(shedNoticeBytes)
 		// A saturated edge demotes the arrival to the cloud tier instead
 		// of shedding it, when the WAN detour still beats the local
 		// fallback the shed would force.
@@ -174,8 +184,10 @@ func (m *machine) handleArrive(now simtime.PS, si int32, j *job) {
 			return
 		}
 		m.ctrl.noteShed()
-		m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KShed, Track: obs.TrackFleet,
-			A0: int64(j.client), A1: int64(si), A2: int64(depth), Job: j.id})
+		if tr := m.cfg.Tracer; tr != nil {
+			tr.Emit(obs.Event{Time: now, Kind: obs.KShed, Track: obs.TrackFleet,
+				A0: int64(j.client), A1: int64(si), A2: int64(depth), Job: j.id})
+		}
 		// Local fallback: the client hears the reject, then runs the
 		// task itself.
 		if r := j.rec; r != nil {
@@ -260,8 +272,10 @@ func (m *machine) handleFinish(now simtime.PS, si int32, j *job) {
 		s.waitPS += wait
 		m.recordWait(si, wait)
 		next.rec.mark(now, segQueue, si)
-		m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KQueue, Track: obs.TrackFleet,
-			A0: int64(next.client), A1: int64(si), A2: int64(wait), Job: next.id})
+		if tr := m.cfg.Tracer; tr != nil {
+			tr.Emit(obs.Event{Time: now, Kind: obs.KQueue, Track: obs.TrackFleet,
+				A0: int64(next.client), A1: int64(si), A2: int64(wait), Job: next.id})
+		}
 		m.startJob(si, next, now)
 	}
 	// A drained edge queue is the promotion trigger: if this finish left
@@ -393,9 +407,11 @@ func (m *machine) demote(now simtime.PS, si int32, j *job, stay simtime.PS, volu
 		return false
 	}
 	m.st.Demotions++
-	m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KTierMigrate, Track: obs.TrackFleet,
-		Name: "demote", A0: int64(j.client), A1: int64(si), A2: int64(ti), A3: int64(ship),
-		Job: j.id})
+	if tr := m.cfg.Tracer; tr != nil {
+		tr.Emit(obs.Event{Time: now, Kind: obs.KTierMigrate, Track: obs.TrackFleet,
+			Name: "demote", A0: int64(j.client), A1: int64(si), A2: int64(ti), A3: int64(ship),
+			Job: j.id})
+	}
 	j.rec.migrate()
 	return true
 }
@@ -432,9 +448,11 @@ func (m *machine) promote(now simtime.PS, ei int32, trigger int64) {
 	}
 	ship := m.wan.TransferTime(best.mem)
 	m.st.Promotions++
-	m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KTierMigrate, Track: obs.TrackFleet,
-		Name: "promote", A0: int64(best.client), A1: int64(bi), A2: int64(ei), A3: int64(ship),
-		Job: best.id, Parent: trigger})
+	if tr := m.cfg.Tracer; tr != nil {
+		tr.Emit(obs.Event{Time: now, Kind: obs.KTierMigrate, Track: obs.TrackFleet,
+			Name: "promote", A0: int64(best.client), A1: int64(bi), A2: int64(ei), A3: int64(ship),
+			Job: best.id, Parent: trigger})
+	}
 	m.forward(best, int(ei), remTm, now+ship, segWanShip, best.deadline)
 	if !bestRunning {
 		m.freeJob(best)

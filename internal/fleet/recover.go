@@ -60,8 +60,10 @@ func (m *machine) handleCrash(now simtime.PS, si int32) {
 	m.st.Events++
 	s := m.servers[si]
 	s.advance(now)
-	m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KServerFault, Track: obs.TrackFleet,
-		Name: "crash", A0: int64(si), A1: int64(len(s.running)), A2: int64(len(s.queue))})
+	if tr := m.cfg.Tracer; tr != nil {
+		tr.Emit(obs.Event{Time: now, Kind: obs.KServerFault, Track: obs.TrackFleet,
+			Name: "crash", A0: int64(si), A1: int64(len(s.running)), A2: int64(len(s.queue))})
+	}
 	running, queued := s.takeDown(true)
 	for _, j := range running {
 		j.cancelled = true
@@ -84,11 +86,14 @@ func (m *machine) handleCrash(now simtime.PS, si int32) {
 		}
 		if m.cfg.Migrate {
 			j.rec.mark(now+detectDelay, segDetect, -1)
-			reup := m.links[j.client].At(now + detectDelay).TransferTime(j.mem)
+			link := m.profiles[clientProfile(j.client, len(m.profiles))]
+			reup := link.At(now + detectDelay).TransferTime(j.mem)
 			if m.relocate(j, j.tm, now+detectDelay+reup, now+detectDelay, segResend) {
 				m.st.Retried++
-				m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KRetry, Track: obs.TrackFleet,
-					Name: "resend", A0: int64(j.client), A1: int64(si), Job: j.id})
+				if tr := m.cfg.Tracer; tr != nil {
+					tr.Emit(obs.Event{Time: now, Kind: obs.KRetry, Track: obs.TrackFleet,
+						Name: "resend", A0: int64(j.client), A1: int64(si), Job: j.id})
+				}
 			}
 		} else {
 			m.expireLocal(j, now+detectDelay)
@@ -107,8 +112,10 @@ func (m *machine) handleDrain(now simtime.PS, si int32) {
 	m.st.Events++
 	s := m.servers[si]
 	s.advance(now)
-	m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KServerFault, Track: obs.TrackFleet,
-		Name: "drain", A0: int64(si), A1: int64(len(s.running)), A2: int64(len(s.queue))})
+	if tr := m.cfg.Tracer; tr != nil {
+		tr.Emit(obs.Event{Time: now, Kind: obs.KServerFault, Track: obs.TrackFleet,
+			Name: "drain", A0: int64(si), A1: int64(len(s.running)), A2: int64(len(s.queue))})
+	}
 	running, queued := s.takeDown(m.cfg.Migrate)
 	if !m.cfg.Migrate {
 		// Running jobs finish in place (a drain announces shutdown, it
@@ -145,8 +152,10 @@ func (m *machine) handleDrain(now simtime.PS, si int32) {
 		if m.relocate(j, remTm, now+ship, now+detectDelay, segWanShip) {
 			m.st.Migrations++
 			j.rec.migrate()
-			m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KMigrateShip, Track: obs.TrackFleet,
-				A0: int64(j.client), A1: int64(si), A2: j.mem, A3: int64(ship), Job: j.id})
+			if tr := m.cfg.Tracer; tr != nil {
+				tr.Emit(obs.Event{Time: now, Kind: obs.KMigrateShip, Track: obs.TrackFleet,
+					A0: int64(j.client), A1: int64(si), A2: j.mem, A3: int64(ship), Job: j.id})
+			}
 		}
 	}
 	for _, j := range queued {
@@ -156,8 +165,10 @@ func (m *machine) handleDrain(now simtime.PS, si int32) {
 		}
 		if m.relocate(j, j.tm, now+m.backhaulShip(j.mem), now+detectDelay, segWanShip) {
 			m.st.Retried++
-			m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KRetry, Track: obs.TrackFleet,
-				Name: "forward", A0: int64(j.client), A1: int64(si), Job: j.id})
+			if tr := m.cfg.Tracer; tr != nil {
+				tr.Emit(obs.Event{Time: now, Kind: obs.KRetry, Track: obs.TrackFleet,
+					Name: "forward", A0: int64(j.client), A1: int64(si), Job: j.id})
+			}
 		}
 		m.freeJob(j)
 	}

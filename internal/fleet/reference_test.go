@@ -12,12 +12,12 @@ func runSequentialRef(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	clients, links, err := buildClients(&cfg)
+	clients, profiles, err := buildClients(&cfg)
 	if err != nil {
 		return nil, err
 	}
 	st := newStats(cfg.Clients * cfg.RequestsPerClient)
-	m := newMachine(&cfg, links, st)
+	m := newMachine(&cfg, profiles, st)
 	nc := int32(cfg.Clients)
 	q := newSchedQueue(0, cfg.Clients+len(cfg.Servers))
 	m.sched = func(t simtime.PS, kind uint8, si int32, j *job) {
@@ -37,7 +37,7 @@ func runSequentialRef(cfg Config) (*Result, error) {
 		ev := q.pop()
 		now = ev.t
 		if ev.kind == evReady {
-			if in, ok := issueReady(&cfg, &clients[ev.lane], ev.lane, ev.t, st); ok {
+			if in, ok := issueReady(&cfg, &clients[ev.lane], profiles, ev.lane, ev.t, st); ok {
 				m.handleIntent(in)
 			}
 			continue

@@ -7,38 +7,47 @@ import (
 	"repro/internal/simtime"
 )
 
-// clientState is one simulated mobile device. Client-side logic (workload
-// draws from the client's private stream, link pricing, completion
-// bookkeeping) touches no other client's state and no server state, so a
-// client's draws depend only on its own stream and on the instants of its
-// own events — never on how many other clients there are or what they did.
+// clientState is one simulated mobile device, in one 24-byte record: the
+// instant of its pending ready event, its private stream, the requests it
+// still owes and the index of its link profile. Client-side logic
+// (workload draws from the client's private stream, link pricing,
+// completion bookkeeping) touches no other client's state and no server
+// state, so a client's draws depend only on its own stream and on the
+// instants of its own events — never on how many other clients there are
+// or what they did.
+//
+// at belongs to the ready queue, which stores and reads it while the
+// client is pending (readyQueue). Keeping it in the record means the
+// queue's bucket walk loads the line issueReady and applyDone touch next.
 type clientState struct {
+	at        simtime.PS
 	rng       rng
-	link      *netsim.Link
-	remaining int
+	remaining int32
+	prof      int32 // the client's link is profiles[prof]
 }
 
-// buildClients materializes the client population and the per-client link
-// table: client i uses profile i mod len, and clients on the same profile
-// share one immutable Link instance (a private copy per client would, at a
-// million clients, be real memory).
+// buildClients materializes the client population and the link profile
+// table: client i uses profile i mod len (clientProfile), and clients on
+// the same profile share one immutable Link instance (a private copy per
+// client would, at a million clients, be real memory).
 func buildClients(cfg *Config) ([]clientState, []*netsim.Link, error) {
-	base, err := linkProfiles(cfg)
+	profiles, err := linkProfiles(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	clients := make([]clientState, cfg.Clients)
-	links := make([]*netsim.Link, cfg.Clients)
 	for i := range clients {
-		links[i] = base[i%len(base)]
 		clients[i] = clientState{
 			rng:       entityStream(cfg.Seed, uint64(i)),
-			link:      links[i],
-			remaining: cfg.RequestsPerClient,
+			remaining: int32(cfg.RequestsPerClient),
+			prof:      clientProfile(int32(i), len(profiles)),
 		}
 	}
-	return clients, links, nil
+	return clients, profiles, nil
 }
+
+// clientProfile is the index of client ci's link in a table of n profiles.
+func clientProfile(ci int32, n int) int32 { return ci % int32(n) }
 
 // nextThink draws the client's pause before its next request, issued at
 // instant at. Under a diurnal workload the draw is scaled by the inverse
@@ -62,10 +71,19 @@ func (w *WorkloadModel) loadAt(t simtime.PS) float64 {
 	return 1 + w.DiurnalAmp*math.Sin(2*math.Pi*float64(t)/float64(w.DiurnalPeriod))
 }
 
+// horizon is how long after its decision instant a client that runs its
+// request locally is ready again, at most: the longest task plus the
+// longest think, stretched by the diurnal trough. It is a float so that
+// Validate can reject a horizon past the clock's range before anything
+// converts it.
+func (w *WorkloadModel) horizon() float64 {
+	return float64(w.TmMax) + float64(w.ThinkMax)/(1-w.DiurnalAmp)
+}
+
 // issueReady runs one ready event: if the client still owes requests, it
 // draws the task (Tm, M), prices the transfer legs over its own link at
 // this instant, and returns the decision intent for the machine.
-func issueReady(cfg *Config, cs *clientState, ci int32, now simtime.PS, st *stats) (intent, bool) {
+func issueReady(cfg *Config, cs *clientState, profiles []*netsim.Link, ci int32, now simtime.PS, st *stats) (intent, bool) {
 	st.Events++
 	if cs.remaining == 0 {
 		return intent{}, false
@@ -76,10 +94,10 @@ func issueReady(cfg *Config, cs *clientState, ci int32, now simtime.PS, st *stat
 	// alone — 1-based so id 0 stays "unattributed" — and carried through
 	// every continuation of the request's life. Being a pure function of
 	// the client's identity, it does not depend on event order at all.
-	ord := int64(cfg.RequestsPerClient - cs.remaining)
+	ord := int64(cfg.RequestsPerClient) - int64(cs.remaining)
 	tm := cs.rng.rangePS(cfg.Workload.TmMin, cfg.Workload.TmMax)
 	mem := cs.rng.rangeI64(cfg.Workload.MemMin, cfg.Workload.MemMax)
-	link := cs.link.At(now)
+	link := profiles[cs.prof].At(now)
 	leg := link.TransferTime(mem) // the same link at the same instant prices both directions alike
 	return intent{
 		t:    now,
@@ -119,19 +137,16 @@ func Run(cfg Config) (*Result, error) {
 // machine's handlers invoked inline on one goroutine. Its test oracle,
 // runSequentialRef, keeps every lane in one heap.
 func runSequential(cfg Config) (*Result, error) {
-	clients, links, err := buildClients(&cfg)
+	clients, profiles, err := buildClients(&cfg)
 	if err != nil {
 		return nil, err
 	}
 	st := newStats(cfg.Clients * cfg.RequestsPerClient)
-	m := newMachine(&cfg, links, st)
+	m := newMachine(&cfg, profiles, st)
 	nc := int32(cfg.Clients)
-	// A client that runs its request locally is ready again at most the
-	// longest task plus the longest think, stretched by the diurnal trough,
-	// after its decision instant; the calendar's ring covers that. Remote
-	// completions can land later, on the queue's far list.
-	w := &cfg.Workload
-	rq := newReadyQueue(cfg.Clients, w.TmMax+simtime.PS(float64(w.ThinkMax)/(1-w.DiurnalAmp)))
+	// The calendar's ring covers the horizon; remote completions can land
+	// later, on the queue's far list.
+	rq := newReadyQueue(clients, simtime.PS(cfg.Workload.horizon()))
 	q := newSchedQueue(nc, len(cfg.Servers))
 	m.sched = func(t simtime.PS, kind uint8, si int32, j *job) {
 		q.sched(t, kind, nc+si, si, j)
@@ -153,7 +168,7 @@ func runSequential(cfg Config) (*Result, error) {
 		if !rq.empty() && (q.empty() || rq.top().t <= q.top().t) {
 			ev := rq.pop()
 			now = ev.t
-			if in, ok := issueReady(&cfg, &clients[ev.lane], ev.lane, ev.t, st); ok {
+			if in, ok := issueReady(&cfg, &clients[ev.lane], profiles, ev.lane, ev.t, st); ok {
 				m.handleIntent(in)
 			}
 			continue

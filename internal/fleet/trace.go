@@ -344,12 +344,14 @@ func (sp *sampler) flush(tr *obs.Tracer) []Exemplar {
 		}
 		prev := r.decide
 		for _, mk := range r.marks {
-			tr.Emit(obs.Event{
-				Time: prev, Dur: mk.t - prev,
-				Kind: obs.KJobSeg, Track: segTrack(mk.seg, mk.si, sp.topo),
-				Name: segName[mk.seg], Job: r.id,
-				A0: int64(r.client), A1: int64(mk.si),
-			})
+			if tr != nil {
+				tr.Emit(obs.Event{
+					Time: prev, Dur: mk.t - prev,
+					Kind: obs.KJobSeg, Track: segTrack(mk.seg, mk.si, sp.topo),
+					Name: segName[mk.seg], Job: r.id,
+					A0: int64(r.client), A1: int64(mk.si),
+				})
+			}
 			ex.Segments = append(ex.Segments, ExSegment{
 				Name: segName[mk.seg], PS: int64(mk.t - prev), Server: mk.si})
 			prev = mk.t

@@ -3,7 +3,13 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -153,5 +159,89 @@ func TestExemplarValidation(t *testing.T) {
 	cfg.Exemplars = -1
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative exemplar count accepted")
+	}
+}
+
+// TestEmitsBehindNilTracer: obs.Tracer.Emit is not inlined, so a call that
+// passes an obs.Event literal builds and copies the whole 96-byte event
+// before Emit's own nil test throws it away — once per decline on a flat
+// fleet. Every such call in a shipped file must sit in the body of an if
+// whose condition tests the call's receiver against nil (alone or as one
+// term of an &&), so a run without a tracer builds no event at all.
+func TestEmitsBehindNilTracer(t *testing.T) {
+	names, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	isEventLit := func(e ast.Expr) bool {
+		lit, ok := e.(*ast.CompositeLit)
+		if !ok {
+			return false
+		}
+		sel, ok := lit.Type.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		return ok && pkg.Name == "obs" && sel.Sel.Name == "Event"
+	}
+	// testsNotNil reports whether cond is recv != nil, or an && with that
+	// as one of its terms.
+	var testsNotNil func(cond ast.Expr, recv string) bool
+	testsNotNil = func(cond ast.Expr, recv string) bool {
+		switch c := cond.(type) {
+		case *ast.ParenExpr:
+			return testsNotNil(c.X, recv)
+		case *ast.BinaryExpr:
+			switch c.Op {
+			case token.LAND:
+				return testsNotNil(c.X, recv) || testsNotNil(c.Y, recv)
+			case token.NEQ:
+				if id, ok := c.Y.(*ast.Ident); ok && id.Name == "nil" {
+					return types.ExprString(c.X) == recv
+				}
+			}
+		}
+		return false
+	}
+	fset := token.NewFileSet()
+	guarded := 0
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stack []ast.Node // the enclosing nodes, outermost first
+		ast.Inspect(file, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 1 || !isEventLit(call.Args[0]) {
+				return true
+			}
+			fun, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || fun.Sel.Name != "Emit" {
+				return true
+			}
+			recv := types.ExprString(fun.X)
+			for i := len(stack) - 2; i > 0; i-- {
+				if st, ok := stack[i-1].(*ast.IfStmt); ok && stack[i] == st.Body && testsNotNil(st.Cond, recv) {
+					guarded++
+					return true
+				}
+			}
+			t.Errorf("%s: %s.Emit(obs.Event{...}) is not inside an if %s != nil", fset.Position(call.Pos()), recv, recv)
+			return true
+		})
+	}
+	// place.go 9, recover.go 5, trace.go 1.
+	if guarded != 15 {
+		t.Errorf("found %d guarded Emit(obs.Event{...}) calls, want 15: the guard no longer sees them all", guarded)
 	}
 }
