@@ -30,7 +30,7 @@ func TestTierFloorRejects(t *testing.T) {
 	ok := &TierBench{
 		ThreeWayP99Ms: 1, EdgeOnlyP99Ms: 2, CloudOnlyP99Ms: 2,
 		ThreeWayGeoMs: 1, EdgeOnlyGeoMs: 2, CloudOnlyGeoMs: 2,
-		Cells: []*TierBenchCell{{Promotions: 1}},
+		Cells: []*TierBenchCell{{Demotions: 1}},
 	}
 	if err := ok.CheckFloor(); err != nil {
 		t.Fatalf("healthy bench rejected: %v", err)

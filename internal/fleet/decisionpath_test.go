@@ -5,15 +5,14 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/netsim"
 	"repro/internal/simtime"
 	"repro/internal/tiers"
 )
 
 // The decision path is rewritten for host cost only; these tests hold the
 // rewrite to the implementation it replaced on states the stream goldens
-// never visit. pickAmongRef, promoteRef and replaceRef are that
-// implementation, moved here verbatim: they exist only as oracles.
+// never visit. pickAmongRef and replaceRef are that implementation, moved
+// here verbatim: they exist only as oracles.
 
 // pickAmongRef is pickAmong as it stood before the load index: build the
 // alive set, then compute every candidate's estimate in full.
@@ -56,45 +55,6 @@ func pickAmongRef(d *dispatcher, servers []*server, candidates []int, now simtim
 		}
 		return best, bestWait
 	}
-}
-
-// promoteRef is promote's candidate search as it stood before the prune:
-// every running and every queued job of every live cloud server priced in
-// full.
-func promoteRef(m *machine, now simtime.PS, e *server) (best *job, bi int, bestRunning bool, bestGain simtime.PS) {
-	bi = -1
-	consider := func(j *job, ci int, running bool, stay simtime.PS, remTm simtime.PS) {
-		ship := m.wan.TransferTime(j.mem)
-		at := now + ship
-		move := at + e.estWaitAt(at) + e.execTime(remTm) + j.adown
-		gain := stay - move
-		if gain <= ship {
-			return
-		}
-		if best == nil || gain > bestGain || (gain == bestGain && j.seq < best.seq) {
-			best, bi, bestRunning, bestGain = j, ci, running, gain
-		}
-	}
-	for _, ci := range m.cloudIdx {
-		c := m.servers[ci]
-		if c.down {
-			continue
-		}
-		for _, j := range c.running {
-			if j.cancelled || j.finish <= now {
-				continue
-			}
-			remTm := simtime.PS(float64(j.finish-now) * c.spec.R)
-			consider(j, ci, true, j.finish+j.down, remTm)
-		}
-		if c.busy >= c.spec.Slots {
-			backlog := c.estWaitAt(now)
-			for _, j := range c.queue {
-				consider(j, ci, false, now+backlog+j.exec+j.down, j.tm)
-			}
-		}
-	}
-	return best, bi, bestRunning, bestGain
 }
 
 var poolSpeeds = []float64{1.5, 3, 6, 8}
@@ -301,138 +261,6 @@ func TestPickAmongZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: %v allocations per pick, want 0", pol, allocs)
-		}
-	}
-}
-
-// promoteState is a random tiered machine frozen at one instant: an edge
-// server whose queue just drained, and cloud servers holding running and
-// queued jobs built the way the machine builds them (a cloud job's reply
-// leg is its access leg plus the WAN transfer of its footprint).
-func promoteState(r *rng, edgeR, cloudR float64, wan *netsim.Link) (*machine, simtime.PS, *server) {
-	topo := &tiers.Topology{
-		Edge:  tiers.Pool{Servers: 1 + r.intn(3), R: edgeR, Slots: 1 + r.intn(3)},
-		Cloud: tiers.Pool{Servers: 1 + r.intn(6), R: cloudR, Slots: 1 + r.intn(4)},
-	}
-	cfg := TieredConfig(8, topo)
-	m := newMachine(&cfg, nil, newStats(0))
-	m.setWAN(wan)
-	now := r.rangePS(simtime.Second, 20*simtime.Second)
-	var seq int64
-	cloudJob := func(c *server) *job {
-		seq++
-		tm := r.rangePS(200*simtime.Millisecond, 2*simtime.Second)
-		mem := r.rangeI64(64<<10, 4<<20)
-		adown := r.rangePS(simtime.Millisecond, 40*simtime.Millisecond)
-		return &job{id: seq, seq: seq, tm: tm, mem: mem, exec: c.execTime(tm),
-			adown: adown, down: adown + m.wan.TransferTime(mem), tier: tierCloud}
-	}
-	// The edge target: possibly busy slots and work in flight toward it.
-	e := m.servers[r.intn(len(m.edgeIdx))]
-	for k := r.intn(e.spec.Slots + 1); k > 0; k-- {
-		j := &job{finish: now + r.rangePS(0, 300*simtime.Millisecond)}
-		e.running = append(e.running, j)
-		e.finSum += j.finish
-		e.busy++
-	}
-	if r.intn(3) == 0 {
-		e.reserved = r.rangePS(0, 200*simtime.Millisecond)
-	}
-	for _, ci := range m.cloudIdx {
-		c := m.servers[ci]
-		c.down = r.intn(6) == 0
-		for k := r.intn(c.spec.Slots + 1); k > 0; k-- {
-			j := cloudJob(c)
-			// Mostly mid-service, now and then finishing this instant or
-			// tombstoned by a crash.
-			j.finish = now + r.rangePS(0, 2*simtime.Second)
-			switch r.intn(10) {
-			case 0:
-				j.finish = now
-			case 1:
-				j.cancelled = true
-			}
-			c.running = append(c.running, j)
-			c.finSum += j.finish
-			c.busy++
-		}
-		if c.busy == c.spec.Slots || r.intn(8) == 0 {
-			for k := r.intn(6); k > 0; k-- {
-				c.enqueue(cloudJob(c))
-			}
-		}
-	}
-	// Equal gains on different servers must fall to the older dispatch:
-	// copy one queued job (younger seq) onto another server with the same
-	// backlog.
-	if r.intn(3) == 0 && len(m.cloudIdx) > 1 {
-		a, b := m.servers[m.cloudIdx[0]], m.servers[m.cloudIdx[1]]
-		if len(a.queue) > 0 && !a.down {
-			*b = *a
-			b.queue = nil
-			b.queExec = 0
-			for _, j := range a.queue {
-				seq++
-				twin := *j
-				twin.seq, twin.id = seq, seq
-				b.enqueue(&twin)
-			}
-		}
-	}
-	return m, now, e
-}
-
-// TestPromoteMatchesReference: the pruned promotion search returns the
-// reference's job, from the reference's server, with the reference's gain
-// — on a faster, an equal and a slower cloud, over the default WAN, a
-// backhaul too cheap for the ship time to dominate, and the ideal link
-// whose ship time is zero.
-func TestPromoteMatchesReference(t *testing.T) {
-	wans := []struct {
-		name string
-		link func() *netsim.Link
-	}{
-		{"cloud-wan", netsim.CloudWAN},
-		{"ideal", netsim.Ideal},
-		{"sub-us", func() *netsim.Link {
-			return &netsim.Link{Name: "sub-us", BandwidthBps: 400_000_000_000, Latency: 100, PerMessage: 10}
-		}},
-	}
-	speeds := []struct {
-		name         string
-		edgeR, cloud float64
-	}{{"cloud-faster", 3, 8}, {"equal", 1.5, 1.5}, {"cloud-slower", 6, 1.5}, {"edge-below-phone", 0.5, 8}}
-	for wk, wan := range wans {
-		for sk, sp := range speeds {
-			t.Run(wan.name+"/"+sp.name, func(t *testing.T) {
-				r := entityStream(18, uint64(100+10*wk+sk))
-				running, queued, none := 0, 0, 0
-				for trial := 0; trial < 400; trial++ {
-					m, now, e := promoteState(&r, sp.edgeR, sp.cloud, wan.link())
-					gj, gi, grun, ggain := m.promotionCandidate(now, e)
-					wj, wi, wrun, wgain := promoteRef(m, now, e)
-					if gj != wj || gi != wi || grun != wrun || ggain != wgain {
-						t.Fatalf("trial %d: got job %v on server %d (running %v) gain %d, reference job %v on %d (running %v) gain %d",
-							trial, gj, gi, grun, ggain, wj, wi, wrun, wgain)
-					}
-					switch {
-					case wj == nil:
-						none++
-					case wrun:
-						running++
-					default:
-						queued++
-					}
-				}
-				// The reference itself bears the derivation out: a running
-				// job wins on a slower cloud, and otherwise only in the
-				// degenerate corner where the ship is free and truncation
-				// leaves the edge a picosecond ahead (R = 1.5, odd d).
-				mayRun := sp.cloud < sp.edgeR || (wan.name == "ideal" && sp.name == "equal")
-				if queued == 0 || none == 0 || mayRun != (running > 0) {
-					t.Errorf("coverage: %d running winners (expected some: %v), %d queued, %d none", running, mayRun, queued, none)
-				}
-			})
 		}
 	}
 }

@@ -115,8 +115,7 @@ type Config struct {
 	// topology: Servers must equal TieredServers(Tiers) (edge indices
 	// first), dispatch becomes the est-aware 3-way placement gate
 	// (estimate.Placement) and, with Migrate on, saturated-edge arrivals
-	// demote to the cloud and freed edge slots promote running cloud jobs
-	// back, both over the topology's WAN backhaul. Nil is the flat fleet:
+	// demote to the cloud over the topology's WAN backhaul. Nil is the flat fleet:
 	// the same gate over one tier with no cloud option, where it is
 	// exactly the paper's binary gate, open to every policy.
 	Tiers *tiers.Topology

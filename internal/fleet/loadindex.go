@@ -31,7 +31,7 @@ import (
 // neither.
 //
 // The index is refreshed lazily. The server mutators (reserve, release,
-// enqueue, pop, removeQueued, start, dropRunning, takeDown — the only code
+// enqueue, pop, start, dropRunning, takeDown — the only code
 // that writes down, running, reserved, queExec or finSum,
 // TestLoadFieldsWrittenOnlyByServerMethods) end in server.mark, which
 // appends the server's position to stale once; the next pick or mayBeat

@@ -20,8 +20,7 @@ import (
 // of the server mutators, with the clock advancing between them the way
 // the event loop advances it — never past a running job's finish: reserve,
 // arrive (release, then start or enqueue), finish (dropRunning, then pop
-// and start), a promotion's mid-service dropRunning and removeQueued,
-// crash and drain. After the steps that are checked (three in four, so
+// and start), crash and drain. After the steps that are checked (three in four, so
 // marks also pile up across steps) pick returns pickAmongRef's server and
 // wait, est-aware and least-loaded.
 func TestLoadIndexMatchesReference(t *testing.T) {
@@ -42,7 +41,7 @@ func TestLoadIndexMatchesReference(t *testing.T) {
 		var seq int64
 		newJob := func(exec simtime.PS) *job {
 			seq++
-			return &job{id: seq, seq: seq, exec: exec}
+			return &job{id: seq, exec: exec}
 		}
 		// earliest is the running job that finishes first, pool-wide.
 		earliest := func() (*server, *job) {
@@ -60,7 +59,7 @@ func TestLoadIndexMatchesReference(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			s := servers[r.intn(len(servers))]
 			op := "tick"
-			switch k := r.intn(16); {
+			switch k := r.intn(14); {
 			case k < 4:
 				op = "reserve"
 				exec := r.rangePS(50*simtime.Millisecond, simtime.Second)
@@ -91,16 +90,10 @@ func TestLoadIndexMatchesReference(t *testing.T) {
 						fs.start(next)
 					}
 				}
-			case k < 12 && len(s.running) > 0:
-				op = "promote running"
-				s.dropRunning(s.running[r.intn(len(s.running))])
-			case k < 13 && len(s.queue) > 0:
-				op = "promote queued"
-				s.removeQueued(s.queue[r.intn(len(s.queue))])
-			case k < 14 && r.intn(4) == 0:
+			case k < 12 && r.intn(4) == 0:
 				op = "crash"
 				s.takeDown(true)
-			case k < 15 && r.intn(4) == 0:
+			case k < 13 && r.intn(4) == 0:
 				op = "drain"
 				s.takeDown(false)
 			default:
@@ -306,19 +299,18 @@ func TestLoadFieldsWrittenOnlyByServerMethods(t *testing.T) {
 			}
 		}
 	}
-	// reserve, release, enqueue, pop, removeQueued, start (2), dropRunning
-	// (2), takeDown (4).
-	if inMethods != 13 {
-		t.Errorf("found %d writes inside server methods, want 13: the guard no longer sees them all", inMethods)
+	// reserve, release, enqueue, pop, start (2), dropRunning (2), takeDown
+	// (4).
+	if inMethods != 12 {
+		t.Errorf("found %d writes inside server methods, want 12: the guard no longer sees them all", inMethods)
 	}
 }
 
 // TestServerRemovalsOfAbsentJobsPanic: removing a job a server does not
-// hold is a bookkeeping bug, and dropRunning and removeQueued panic on it,
-// like release, instead of returning with finSum, queExec and the load
-// index still counting a job that is gone — or never counted one that is
-// elsewhere. Each is tried with the job held in the server's other list,
-// and on an empty server.
+// hold is a bookkeeping bug, and dropRunning panics on it, like release,
+// instead of returning with finSum and the load index still counting a job
+// that is gone — or never counted one that is elsewhere. It is tried with
+// the job in the server's queue, and on an empty server.
 func TestServerRemovalsOfAbsentJobsPanic(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -335,11 +327,9 @@ func TestServerRemovalsOfAbsentJobsPanic(t *testing.T) {
 	s.start(running)
 	s.enqueue(queued)
 	mustPanic("dropRunning of a queued job", func() { s.dropRunning(queued) })
-	mustPanic("removeQueued of a running job", func() { s.removeQueued(running) })
 	if s.finSum != running.finish || s.queExec != queued.exec {
 		t.Errorf("a refused removal moved the load: finSum %v queExec %v, want %v and %v", s.finSum, s.queExec, running.finish, queued.exec)
 	}
 	empty := &server{spec: ServerSpec{R: 3, Slots: 1}}
 	mustPanic("dropRunning on an empty server", func() { empty.dropRunning(running) })
-	mustPanic("removeQueued on an empty server", func() { empty.removeQueued(queued) })
 }

@@ -12,8 +12,8 @@ import (
 // job is one offload request in flight through the fleet.
 type job struct {
 	// id is the logical JobID: fixed when the client issues the request
-	// and inherited by every continuation a retry, demotion, promotion or
-	// migration creates, so one id names the whole causal chain.
+	// and inherited by every continuation a retry, demotion or migration
+	// creates, so one id names the whole causal chain.
 	id int64
 	// rec is the job's span record when the tail sampler is on (nil
 	// otherwise); continuations share it.
@@ -29,7 +29,6 @@ type job struct {
 	enq    simtime.PS // when the request entered the run queue
 	finish simtime.PS // when the server will complete it (running jobs)
 	down   simtime.PS // reply transfer time over the client's link
-	seq    int64      // FIFO tie-break (dispatch order)
 	// deadline is the client's patience for the whole offload, fixed at
 	// dispatch like offrt's offloadDeadline: estimate.DeadlineSlack times
 	// the predicted transfer + execution + reply. Without the migration
@@ -197,22 +196,6 @@ func (s *server) pop() *job {
 	return j
 }
 
-// removeQueued unlinks one specific queued job (cross-tier promotion
-// pulls from the middle of the queue, not from its head). A job that is not
-// queued here is a bookkeeping bug: it panics, like release, rather than
-// leave queExec and the load index wrong.
-func (s *server) removeQueued(j *job) {
-	for i, q := range s.queue {
-		if q == j {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			s.queExec -= j.exec
-			s.mark()
-			return
-		}
-	}
-	panic(fmt.Sprintf("fleet: server %d removes job %d, which is not in its queue", s.id, j.id))
-}
-
 // start puts a job whose finish instant is set into a slot.
 func (s *server) start(j *job) {
 	s.running = append(s.running, j)
@@ -221,7 +204,8 @@ func (s *server) start(j *job) {
 }
 
 // dropRunning removes a completed job from the slot list. A job that is
-// not running here panics, like removeQueued.
+// not running here is a bookkeeping bug: it panics, like release, rather
+// than leave finSum and the load index wrong.
 func (s *server) dropRunning(j *job) {
 	for i, r := range s.running {
 		if r == j {
@@ -326,12 +310,11 @@ type machine struct {
 
 	// Tiered-topology state (nil/zero in a flat fleet). wan and wanRTT
 	// cache the topology's backhaul so the dispatch hot path never
-	// re-materializes the link; crossTier says demotion and promotion
-	// are live (3-way placement with Migrate on).
+	// re-materializes the link; crossTier says demotion is live (3-way
+	// placement with Migrate on).
 	topo      *tiers.Topology
 	wan       *netsim.Link
 	wanRTT    simtime.PS // both fixed round-trip costs of the WAN leg
-	minShip   simtime.PS // what any WAN transfer costs at least (0 on an ideal link)
 	crossTier bool
 	hWaitTier [2]*obs.Histogram
 
@@ -353,8 +336,7 @@ type machine struct {
 	sched func(t simtime.PS, kind uint8, si int32, j *job)
 	emit  func(msg doneMsg)
 
-	jobSeq int64
-	free   []*job
+	free []*job
 }
 
 func newMachine(cfg *Config, profiles []*netsim.Link, st *stats) *machine {
@@ -386,7 +368,8 @@ func newMachine(cfg *Config, profiles []*netsim.Link, st *stats) *machine {
 	m.edgeIdx = m.allIdx
 	if cfg.Tiers != nil {
 		m.topo = cfg.Tiers
-		m.setWAN(m.topo.WAN())
+		m.wan = m.topo.WAN()
+		m.wanRTT = 2 * (m.wan.Latency + m.wan.PerMessage)
 		mode := m.topo.EffectiveMode()
 		m.crossTier = cfg.Migrate && mode == tiers.ThreeWay
 		nEdge, _ := m.topo.Indices(tiers.Cloud)
@@ -402,16 +385,6 @@ func newMachine(cfg *Config, profiles []*netsim.Link, st *stats) *machine {
 	m.edgeLoad = newLoadIndex(servers, m.edgeIdx)
 	m.cloudLoad = newLoadIndex(servers, m.cloudIdx)
 	return m
-}
-
-// setWAN installs the edge<->cloud backhaul and caches its fixed costs.
-func (m *machine) setWAN(wan *netsim.Link) {
-	m.wan = wan
-	m.wanRTT = 2 * (wan.Latency + wan.PerMessage)
-	m.minShip = 0
-	if wan.BandwidthBps != 0 {
-		m.minShip = wan.Latency + wan.PerMessage
-	}
 }
 
 func (m *machine) recordWait(si int32, w simtime.PS) {

@@ -9,9 +9,9 @@ import (
 
 // Placement: the decision core. One intent handler prices every request
 // through estimate.PlacementMargin — a flat fleet is the topology with a
-// single tier and no WAN leg — and one re-placement primitive (replace /
-// forward) moves a live job to another server whatever triggered the
-// move: a server fault, a saturated edge, or a freed edge slot.
+// single tier and no WAN leg — and one re-placement primitive (replace)
+// moves a live job to another server whatever triggered the move: a
+// server fault or a saturated edge.
 
 // runLocal completes a request that never left the client: the task
 // runs on the phone from the decision instant.
@@ -95,7 +95,7 @@ func (m *machine) handleIntent(in intent) {
 	// tiered fleet logs every placement, a flat one only its declines
 	// (mirroring offrt.Session.Gate). Every Emit in the machine sits behind
 	// a nil test: Emit is not inlined, so without one a run with no tracer
-	// would still build and copy a 96-byte Event per decline.
+	// would still build and copy an 80-byte Event per decline.
 	if tr := m.cfg.Tracer; tr != nil {
 		if m.topo != nil {
 			tr.Emit(obs.Event{Time: now, Kind: obs.KTierPlace, Track: obs.TrackFleet,
@@ -119,11 +119,10 @@ func (m *machine) handleIntent(in intent) {
 			A2: int64(len(srv.queue)), A3: int64(wait), Job: in.job})
 	}
 	exec := srv.execTime(in.tm)
-	m.jobSeq++
 	j := m.newJob()
 	*j = job{id: in.job, rec: m.samp.rec(in.job, in), pend: segUplink,
 		client: in.ci, tm: in.tm, mem: in.mem, exec: exec,
-		decide: now, down: down, adown: in.down, tier: m.tierOf(si), seq: m.jobSeq,
+		decide: now, down: down, adown: in.down, tier: m.tierOf(si),
 		deadline: now + simtime.PS(estimate.DeadlineSlack*float64(up+exec+down))}
 	srv.reserve(j.exec)
 	m.sched(now+up, evArrive, int32(si), j)
@@ -258,7 +257,6 @@ func (m *machine) handleFinish(now simtime.PS, si int32, j *job) {
 	done := now + j.down
 	missed := j.deadline > 0 && done > j.deadline
 	m.ctrl.noteFinish(missed)
-	fid := j.id
 	if r := j.rec; r != nil {
 		r.server = si
 		r.mark(now, segRun, si)
@@ -278,14 +276,6 @@ func (m *machine) handleFinish(now simtime.PS, si int32, j *job) {
 		}
 		m.startJob(si, next, now)
 	}
-	// A drained edge queue is the promotion trigger: if this finish left
-	// an edge server with no backlog, scan the cloud for the job that
-	// gains most from coming back over the WAN. The gain test prices
-	// queueing at this server via estWaitAt, so the scan is safe to run
-	// even while the slots themselves are still busy.
-	if m.crossTier && !s.down && len(s.queue) == 0 && m.tierOf(int(si)) == tierEdge {
-		m.promote(now, si, fid)
-	}
 }
 
 // replyLeg is the reply transfer time and tier code of job j served from
@@ -299,39 +289,25 @@ func (m *machine) replyLeg(j *job, ti int) (simtime.PS, uint8) {
 	return j.adown, tier
 }
 
-// forward sends job j's remaining work (remTm, in mobile time) to server
-// ti as one continuation job arriving at instant at. The continuation
-// inherits the logical id and span record, carries recovery=true, and
-// reserves its service time on the target exactly like a fresh dispatch,
-// so slot accounting stays exact across moves. transit labels the span
-// segment the transfer charges (detect for in-flight reroutes, resend
-// for crash re-uploads, wan.ship for checkpoint and cross-tier moves);
-// deadline is the client patience the continuation keeps answering to
-// (zero once a fault has already voided it).
-func (m *machine) forward(j *job, ti int, remTm, at simtime.PS, transit uint8, deadline simtime.PS) {
-	t := m.servers[ti]
-	down, tier := m.replyLeg(j, ti)
-	m.jobSeq++
-	nj := m.newJob()
-	*nj = job{id: j.id, rec: j.rec, pend: transit,
-		client: j.client, tm: j.tm, mem: j.mem, exec: t.execTime(remTm),
-		decide: j.decide, down: down, adown: j.adown, tier: tier,
-		seq: m.jobSeq, recovery: true, deadline: deadline}
-	t.reserve(nj.exec)
-	m.sched(at, evArrive, int32(ti), nj)
-}
-
 // replace is the re-placement primitive: move live job j's remaining
-// work to the best surviving server among candidates, if that beats the
-// alternative the caller would otherwise take. The target is chosen by
-// est-aware placement regardless of the dispatch policy — moving a job
-// is a runtime mechanism, not a routing preference. The move is the
-// migration analogue of the Equation-1 gate: estimated completion at the
-// target (arrival at + queueing + execution + the reply leg for the
-// target's tier) races bar, the completion instant of staying put or
-// falling back, and must strictly beat it. On a win one continuation is
-// forwarded and the target index returned; otherwise -1, and the
-// caller's own path runs.
+// work (remTm, in mobile time) to the best surviving server among
+// candidates, if that beats the alternative the caller would otherwise
+// take. The target is chosen by est-aware placement regardless of the
+// dispatch policy — moving a job is a runtime mechanism, not a routing
+// preference. The move is the migration analogue of the Equation-1 gate:
+// estimated completion at the target (arrival at + queueing + execution +
+// the reply leg for the target's tier) races bar, the completion instant
+// of staying put or falling back, and must strictly beat it. On a win the
+// work leaves as one continuation job arriving at instant at and the
+// target index is returned; otherwise -1, and the caller's own path runs.
+//
+// The continuation inherits the logical id and span record, carries
+// recovery=true, and reserves its service time on the target exactly like
+// a fresh dispatch, so slot accounting stays exact across moves. transit
+// labels the span segment the transfer charges (detect for in-flight
+// reroutes, resend for crash re-uploads, wan.ship for checkpoint and
+// cross-tier moves); deadline is the client patience the continuation
+// keeps answering to (zero once a fault has already voided it).
 //
 // The walk prices every live candidate's running list, and under demote
 // it runs at every saturated edge arrival to lose nineteen times in
@@ -366,10 +342,18 @@ func (m *machine) replace(j *job, ix *loadIndex, remTm, at, bar simtime.PS, tran
 	if ti < 0 {
 		return -1
 	}
-	if down, _ := m.replyLeg(j, ti); at+bestTotal+down >= bar {
+	down, tier := m.replyLeg(j, ti)
+	if at+bestTotal+down >= bar {
 		return -1
 	}
-	m.forward(j, ti, remTm, at, transit, deadline)
+	t := m.servers[ti]
+	nj := m.newJob()
+	*nj = job{id: j.id, rec: j.rec, pend: transit,
+		client: j.client, tm: j.tm, mem: j.mem, exec: t.execTime(remTm),
+		decide: j.decide, down: down, adown: j.adown, tier: tier,
+		recovery: true, deadline: deadline}
+	t.reserve(nj.exec)
+	m.sched(at, evArrive, int32(ti), nj)
 	return ti
 }
 
@@ -414,119 +398,4 @@ func (m *machine) demote(now simtime.PS, si int32, j *job, stay simtime.PS, volu
 	}
 	j.rec.migrate()
 	return true
-}
-
-// promote pulls a running cloud job back to the freed edge slot on
-// server ei: checkpoint on the cloud server, ship the state one WAN leg,
-// resume mid-task on the edge — PR 7's drain migration machinery turned
-// into a voluntary cross-tier move. Unlike replace, the target is fixed
-// and the search is over *jobs* (promotionCandidate). Promoted jobs carry
-// recovery=true, so admission cannot demote them again — each offload
-// crosses the WAN at most twice. trigger is the JobID whose completion
-// freed the slot — the promoted job's causal parent in the span model.
-func (m *machine) promote(now simtime.PS, ei int32, trigger int64) {
-	best, bi, bestRunning, _ := m.promotionCandidate(now, m.servers[ei])
-	if best == nil {
-		return
-	}
-	c := m.servers[bi]
-	remTm := best.tm
-	if bestRunning {
-		c.advance(now)
-		c.busy--
-		c.dropRunning(best)
-		best.cancelled = true // its scheduled evFinish fires as a no-op
-		remTm = simtime.PS(float64(best.finish-now) * c.spec.R)
-		best.rec.mark(now, segRun, int32(bi))
-	} else {
-		c.removeQueued(best)
-		best.rec.mark(now, segQueue, int32(bi))
-	}
-	if r := best.rec; r != nil {
-		r.parent = trigger
-		r.migrated = true
-	}
-	ship := m.wan.TransferTime(best.mem)
-	m.st.Promotions++
-	if tr := m.cfg.Tracer; tr != nil {
-		tr.Emit(obs.Event{Time: now, Kind: obs.KTierMigrate, Track: obs.TrackFleet,
-			Name: "promote", A0: int64(best.client), A1: int64(bi), A2: int64(ei), A3: int64(ship),
-			Job: best.id, Parent: trigger})
-	}
-	m.forward(best, int(ei), remTm, now+ship, segWanShip, best.deadline)
-	if !bestRunning {
-		m.freeJob(best)
-	}
-}
-
-// promotionCandidate searches the live cloud servers for the job that
-// gains most from moving to edge server e at instant now: the job, its
-// server's index, whether it is running there (else queued), and the
-// gain. The gain is the finish instant of staying minus that of moving
-// (ship one WAN leg, queue at e as estWaitAt prices it, execute what
-// remains at e's speed, reply over the access link alone); the largest
-// wins, ties by dispatch order, and it must exceed the ship time itself —
-// the hysteresis that keeps a job from oscillating between tiers on
-// marginal estimates. A nil job means nobody qualifies.
-//
-// The search runs at every edge finish that leaves an empty queue, so it
-// does not walk what cannot win. Queued jobs win whenever skipping the
-// cloud backlog buys more than the WAN ship — the case the freed-slot
-// trigger exists for — and a server's backlog (estWaitAt, a walk of its
-// running list) is priced only once it has a queued job to price it for.
-// A running job wins only when the edge out-executes
-// the cloud for what remains: on a cloud server its reply leg is
-// down = adown + wan.TransferTime(mem) = adown + ship (handleIntent and
-// replyLeg both build it so), which cancels the move's ship and reply and
-// leaves, with d = finish - now and Rc, Re the two servers' speeds,
-//
-//	gain = d - e.estWaitAt(at) - e.execTime(remTm),  remTm = trunc(d*Rc).
-//
-// For Rc >= Re >= 1, execTime(remTm) = trunc(remTm/Re) > d - 2 up to the
-// three float roundings (each under 2^10 ps for any int64 d), and
-// estWaitAt >= 0: the gain stays under 2^12 ps and can never exceed a ship
-// that costs m.minShip >= 1 us before the first payload byte. Those
-// servers' running jobs are skipped; an ideal WAN (minShip 0), a
-// sub-microsecond one or a slower cloud takes the full walk.
-func (m *machine) promotionCandidate(now simtime.PS, e *server) (best *job, bi int, bestRunning bool, bestGain simtime.PS) {
-	bi = -1
-	consider := func(j *job, ci int, running bool, stay simtime.PS, remTm simtime.PS) {
-		ship := m.wan.TransferTime(j.mem)
-		at := now + ship
-		// estWaitAt >= 0: a move that loses against an idle e loses, so
-		// only a job that clears that bound pays for the walk.
-		gain := stay - (at + e.execTime(remTm) + j.adown)
-		if gain <= ship {
-			return
-		}
-		if gain -= e.estWaitAt(at); gain <= ship {
-			return
-		}
-		if best == nil || gain > bestGain || (gain == bestGain && j.seq < best.seq) {
-			best, bi, bestRunning, bestGain = j, ci, running, gain
-		}
-	}
-	shipDominates := e.spec.R >= 1 && m.minShip >= simtime.Microsecond
-	for _, ci := range m.cloudIdx {
-		c := m.servers[ci]
-		if c.down {
-			continue
-		}
-		if !(shipDominates && c.spec.R >= e.spec.R) {
-			for _, j := range c.running {
-				if j.cancelled || j.finish <= now {
-					continue
-				}
-				remTm := simtime.PS(float64(j.finish-now) * c.spec.R)
-				consider(j, ci, true, j.finish+j.down, remTm)
-			}
-		}
-		if len(c.queue) > 0 && c.busy >= c.spec.Slots {
-			backlog := c.estWaitAt(now)
-			for _, j := range c.queue {
-				consider(j, ci, false, now+backlog+j.exec+j.down, j.tm)
-			}
-		}
-	}
-	return best, bi, bestRunning, bestGain
 }

@@ -35,11 +35,9 @@ type stats struct {
 	Dispatched int
 	Migrations int
 	Retried    int
-	// Cross-tier moves (tiered runs only): Promotions pulled a running
-	// cloud job back to a freed edge slot, Demotions forwarded a
-	// saturated-edge arrival down to the cloud.
-	Promotions int
-	Demotions  int
+	// Demotions counts cross-tier moves (tiered runs only): saturated-edge
+	// arrivals forwarded down to the cloud.
+	Demotions int
 
 	// Events counts state-machine transitions (every processed event,
 	// decision intent, and delivered completion) — the work measure the
@@ -115,8 +113,11 @@ type Result struct {
 	CloudServers  int    `json:"cloud_servers,omitempty"`
 	EdgeOffloads  int    `json:"edge_offloads,omitempty"`  // completed on the edge tier
 	CloudOffloads int    `json:"cloud_offloads,omitempty"` // completed on the cloud tier
-	Promotions    int    `json:"promotions,omitempty"`     // running cloud jobs pulled to a freed edge slot
 	Demotions     int    `json:"demotions,omitempty"`      // saturated-edge arrivals forwarded to the cloud
+	// Promotions is always zero: demotion is the fleet's one cross-tier
+	// move. The field stays only because the benchmark module reports it
+	// (bench/fleet.go, tiers.promotions); it goes with that metric.
+	Promotions int `json:"promotions,omitempty"`
 	// Per-tier queue-wait distributions (ps), the tier split of QueueWait.
 	QueueWaitEdge  *obs.HistSnapshot `json:"queue_wait_edge_hist,omitempty"`
 	QueueWaitCloud *obs.HistSnapshot `json:"queue_wait_cloud_hist,omitempty"`
@@ -219,7 +220,6 @@ func (m *machine) finishRun(st *stats, now simtime.PS) (*Result, error) {
 		res.CloudServers = m.topo.Cloud.Servers
 		res.EdgeOffloads = st.EdgeOffloads
 		res.CloudOffloads = st.CloudOffloads
-		res.Promotions = st.Promotions
 		res.Demotions = st.Demotions
 		eh := m.hWaitTier[tiers.Edge].Snapshot()
 		ch := m.hWaitTier[tiers.Cloud].Snapshot()

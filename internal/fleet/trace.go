@@ -13,7 +13,7 @@ import (
 // Every logical offload request carries a JobID fixed at issue time
 // (client id x RequestsPerClient + request ordinal), stable across
 // retries, cross-tier moves and migrations — the same id the continuation
-// jobs a relocate or promote creates inherit. While a job is in flight
+// jobs a relocate or demote creates inherit. While a job is in flight
 // the machine stamps a compact jobRec with causal marks: each mark closes
 // the interval since the previous one under a segment label (uplink,
 // queue, run, reply, WAN ship, fault detection, ...), so at completion
@@ -82,7 +82,6 @@ type mark struct {
 // chain, a few dozen bytes per in-flight job, recycled through a pool.
 type jobRec struct {
 	id     int64
-	parent int64 // job whose completion causally triggered a promotion
 	client int32
 	server int32 // final server (-1 for local completions)
 	tier   uint8
@@ -141,7 +140,7 @@ func (r *jobRec) rootEvent() obs.Event {
 	return obs.Event{
 		Time: r.decide, Dur: r.done - r.decide,
 		Kind: obs.KJob, Track: obs.TrackMobile,
-		Name: outName[r.out], Job: r.id, Parent: r.parent,
+		Name: outName[r.out], Job: r.id,
 		A0: int64(r.client), A1: int64(r.server), A2: int64(r.tm), A3: r.mem,
 	}
 }
@@ -333,7 +332,7 @@ func (sp *sampler) flush(tr *obs.Tracer) []Exemplar {
 	for _, r := range recs {
 		tr.Emit(r.rootEvent())
 		ex := Exemplar{
-			Job: r.id, Parent: r.parent, Client: r.client, Server: r.server,
+			Job: r.id, Client: r.client, Server: r.server,
 			Outcome: outName[r.out], LatencyPS: int64(r.done - r.decide),
 			Missed: r.missed, Categories: sp.categories(r),
 		}
@@ -366,7 +365,6 @@ func (sp *sampler) flush(tr *obs.Tracer) []Exemplar {
 // to LatencyPS — the machine-readable form of the analyzer's identity.
 type Exemplar struct {
 	Job        int64       `json:"job"`
-	Parent     int64       `json:"parent_job,omitempty"`
 	Client     int32       `json:"client"`
 	Server     int32       `json:"server"` // final server, -1 local
 	Tier       string      `json:"tier,omitempty"`

@@ -17,8 +17,8 @@ import (
 )
 
 // critSmokeConfig is the make critsmoke cell: the tiered benchmark
-// workload at a load that fires both migration directions, with the tail
-// sampler retaining 8 exemplars per category.
+// workload at a load that demotes across tiers, with the tail sampler
+// retaining 8 exemplars per category.
 func critSmokeConfig() Config {
 	cfg := tieredBenchConfig(96, tiers.ThreeWay)
 	cfg.Exemplars = 8
@@ -163,7 +163,7 @@ func TestExemplarValidation(t *testing.T) {
 }
 
 // TestEmitsBehindNilTracer: obs.Tracer.Emit is not inlined, so a call that
-// passes an obs.Event literal builds and copies the whole 96-byte event
+// passes an obs.Event literal builds and copies the whole 80-byte event
 // before Emit's own nil test throws it away — once per decline on a flat
 // fleet. Every such call in a shipped file must sit in the body of an if
 // whose condition tests the call's receiver against nil (alone or as one
@@ -240,8 +240,8 @@ func TestEmitsBehindNilTracer(t *testing.T) {
 			return true
 		})
 	}
-	// place.go 9, recover.go 5, trace.go 1.
-	if guarded != 15 {
-		t.Errorf("found %d guarded Emit(obs.Event{...}) calls, want 15: the guard no longer sees them all", guarded)
+	// place.go 8, recover.go 5, trace.go 1.
+	if guarded != 14 {
+		t.Errorf("found %d guarded Emit(obs.Event{...}) calls, want 14: the guard no longer sees them all", guarded)
 	}
 }

@@ -97,9 +97,6 @@ func chromeArgs(ev Event) map[string]any {
 	if ev.Job != 0 {
 		args["job_id"] = ev.Job
 	}
-	if ev.Parent != 0 {
-		args["parent_job_id"] = ev.Parent
-	}
 	if len(args) == 0 {
 		return nil
 	}

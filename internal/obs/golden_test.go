@@ -47,16 +47,16 @@ func goldenTracer() *Tracer {
 	tr.Emit(Event{Time: 75 * ms, Kind: KShed, Track: TrackFleet, A0: 9, A1: 2, A2: 8})
 	// Per-job span kinds: a retained exemplar's KJob root, the KJobSeg
 	// critical-path partition of it (crossing the link and edge tracks, so
-	// the exporter links them with a flow chain), and a cross-tier promotion
-	// carrying its causal parent job.
+	// the exporter links them with a flow chain), and the job's cross-tier
+	// demotion.
 	tr.Emit(Event{Time: 80 * ms, Dur: 20 * ms, Kind: KJob, Track: TrackMobile, Name: "offload",
 		Job: 42, A0: 7, A1: 2, A2: int64(60 * ms), A3: 1 << 20})
 	tr.Emit(Event{Time: 80 * ms, Dur: 4 * ms, Kind: KJobSeg, Track: TrackLink, Name: "uplink",
 		Job: 42, A0: 7, A1: -1})
 	tr.Emit(Event{Time: 84 * ms, Dur: 2 * ms, Kind: KJobSeg, Track: TrackEdge, Name: "queue",
 		Job: 42, A0: 7, A1: 2})
-	tr.Emit(Event{Time: 85 * ms, Kind: KTierMigrate, Track: TrackFleet, Name: "promote",
-		A0: 7, A1: 5, A2: 2, A3: int64(3 * ms), Job: 42, Parent: 17})
+	tr.Emit(Event{Time: 85 * ms, Kind: KTierMigrate, Track: TrackFleet, Name: "demote",
+		A0: 7, A1: 5, A2: 2, A3: int64(3 * ms), Job: 42})
 	tr.Emit(Event{Time: 86 * ms, Dur: 10 * ms, Kind: KJobSeg, Track: TrackEdge, Name: "run",
 		Job: 42, A0: 7, A1: 2})
 	tr.Emit(Event{Time: 96 * ms, Dur: 4 * ms, Kind: KJobSeg, Track: TrackLink, Name: "reply",

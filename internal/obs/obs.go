@@ -142,8 +142,8 @@ const (
 	// A1=server picked (-1 for local), A2=estimated completion (ps),
 	// A3=charged queue delay (ps).
 	KTierPlace
-	// KTierMigrate is one cross-tier move of an offload over the WAN.
-	// Name is the direction ("promote" cloud->edge, "demote" edge->cloud);
+	// KTierMigrate is one cross-tier move of an offload over the WAN, a
+	// saturated edge's arrival demoted to the cloud. Name is "demote";
 	// A0=client, A1=from server, A2=to server, A3=ship time (ps).
 	KTierMigrate
 	// KJob spans one whole fleet job from its decision instant to the
@@ -226,11 +226,6 @@ type Event struct {
 	// Zero means unattributed (session-global events: radio states, link
 	// phases, health probes).
 	Job int64
-	// Parent, when non-zero, names the job that causally triggered this
-	// event when that is a *different* job — e.g. a cross-tier promotion
-	// carries the finishing job whose freed slot pulled this one back.
-	// The Chrome exporter renders it as a cross-job flow argument.
-	Parent int64
 }
 
 // Tracer records events into a bounded ring buffer. When the ring is full

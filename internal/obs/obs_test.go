@@ -2,9 +2,20 @@ package obs
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/simtime"
 )
+
+// TestEventSize pins the ring's element at 80 bytes: times, kind and track,
+// name, four arguments and the job id. The ring stores events by value and
+// every Emit copies one, so a field added here costs every traced run; the
+// fleet's nil-tracer guards (TestEmitsBehindNilTracer) quote the size.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 80 {
+		t.Errorf("obs.Event is %d bytes, want 80", got)
+	}
+}
 
 func TestRingBufferRetainsNewest(t *testing.T) {
 	tr := NewTracer(4)

@@ -38,8 +38,8 @@ func sessionDigest(t *testing.T, mk func(tr *obs.Tracer) *testEnv) (string, *tes
 	s := env.sess
 	h := sha256.New()
 	for _, e := range tr.Events() {
-		fmt.Fprintf(h, "%d %d %d %d %q %d %d %d %d %d %d\n",
-			e.Time, e.Dur, e.Kind, e.Track, e.Name, e.A0, e.A1, e.A2, e.A3, e.Job, e.Parent)
+		fmt.Fprintf(h, "%d %d %d %d %q %d %d %d %d %d\n",
+			e.Time, e.Dur, e.Kind, e.Track, e.Name, e.A0, e.A1, e.A2, e.A3, e.Job)
 	}
 	fmt.Fprintf(h, "stats %+v\n", s.Stats)
 	ls := s.LinkStats
@@ -118,7 +118,8 @@ var verbose = &workloads.Workload{
 // behaviour — the offrt counterpart of the fleet's TestTraceDigestPinned.
 // The digests were recorded before the seven server-side services were
 // folded onto one remote-service primitive, and re-recorded — same code,
-// same sessions — when the memory term became memFingerprint; any reordered,
+// same sessions — when the memory term became memFingerprint and when events
+// lost their parent field; any reordered,
 // dropped or altered event, any counter, clock, energy, memory or output byte
 // that moves on any of these session shapes changes them.
 func TestSessionTraceDigestPinned(t *testing.T) {
@@ -172,18 +173,18 @@ func TestSessionTraceDigestPinned(t *testing.T) {
 	}{
 		{"remote-io/fast", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr), WithMetrics(obs.NewMetrics()))
-		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:0c1b672ecbc0f237"},
+		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:b388465d1ee8d485"},
 		{"remote-io/slow", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, slow(), Policy{}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:a7cfd13fac9c17b3"},
+		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:04e2e281bf55dc5b"},
 		{"decline/gzip-slow", func(tr *obs.Tracer) *testEnv {
 			return gzip.session(t, slow(), Policy{}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.Declines > 0 && s.Stats.Offloads == 0 }, "3:4967e639305932a2"},
+		}, func(s *Session) bool { return s.Stats.Declines > 0 && s.Stats.Offloads == 0 }, "3:bf305ff3849f01f2"},
 		{"link-outage", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr), WithFaults(faults.MustInjector(outage)))
 		}, func(s *Session) bool {
 			return s.Stats.Aborts == 1 && s.Stats.Fallbacks == 1 && s.Stats.Retries > 0 && s.quarantineUntil > 0
-		}, "1015:9271c85f5e559c1e"},
+		}, "1015:edba4d3d052e9297"},
 		{"dead-link/quarantine", func(tr *obs.Tracer) *testEnv {
 			// The offload request itself never arrives: fallback without the
 			// server, then the cool-down declines the later invocations.
@@ -191,39 +192,39 @@ func TestSessionTraceDigestPinned(t *testing.T) {
 				WithFaults(faults.MustInjector(faults.Plan{Outages: []faults.Window{{Start: 0, End: 1 << 62}}})))
 			env.sess.cooldown = simtime.FromSeconds(3600)
 			return env
-		}, func(s *Session) bool { return s.Stats.Aborts == 0 && s.Stats.Fallbacks == 1 && s.Stats.Declines == 2 }, "21:d7b0b489fd2324e5"},
+		}, func(s *Session) bool { return s.Stats.Aborts == 0 && s.Stats.Fallbacks == 1 && s.Stats.Declines == 2 }, "21:daa236da012dedb1"},
 		{"crash-retry", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr),
 				WithServerFaults(serverEvent(faults.Crash, mid)), WithMigration())
-		}, func(s *Session) bool { return s.Stats.CrashRetries == 1 && s.Stats.Fallbacks == 0 }, "2584:1774244e745fc9f0"},
+		}, func(s *Session) bool { return s.Stats.CrashRetries == 1 && s.Stats.Fallbacks == 0 }, "2584:9ec26c09d45710df"},
 		{"drain-decline", func(tr *obs.Tracer) *testEnv {
 			// twolf's evaluation input outruns its profile, so Equation 1 sees
 			// no remaining work worth shipping: the drain aborts to fallback.
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr),
 				WithServerFaults(serverEvent(faults.Drain, mid)), WithMigration())
-		}, func(s *Session) bool { return s.Stats.Migrations == 0 && s.Stats.Aborts == 1 && s.Stats.Fallbacks == 1 }, "867:7d5630fc1cfe4276"},
+		}, func(s *Session) bool { return s.Stats.Migrations == 0 && s.Stats.Aborts == 1 && s.Stats.Fallbacks == 1 }, "867:397d281f3a365527"},
 		{"drain-migrate", func(tr *obs.Tracer) *testEnv {
 			return mcf.session(t, fast(), Policy{}, WithTracer(tr),
 				WithServerFaults(serverEvent(faults.Drain, simtime.Second)), WithMigration())
-		}, func(s *Session) bool { return s.Stats.Migrations == 1 && s.Stats.Fallbacks == 0 }, "23:16d0e636bd8df372"},
+		}, func(s *Session) bool { return s.Stats.Migrations == 1 && s.Stats.Fallbacks == 0 }, "23:abc8f1f93a76c47f"},
 		{"tiers/3way", func(tr *obs.Tracer) *testEnv {
 			return mcf.session(t, fast(), Policy{}, WithTracer(tr), WithTiers(tiers.Default(2, 1)))
-		}, func(s *Session) bool { return s.Stats.EdgePlaced+s.Stats.CloudPlaced > 0 }, "19:c919a47a013be435"},
+		}, func(s *Session) bool { return s.Stats.EdgePlaced+s.Stats.CloudPlaced > 0 }, "19:9253905ff72ae2c6"},
 		{"policy/batch-output", func(tr *obs.Tracer) *testEnv {
 			return sphinx.session(t, fast(), Policy{BatchOutput: true}, WithTracer(tr))
-		}, func(s *Session) bool { return printfs(s) == 1 }, "20:100312b79f1653d9"},
+		}, func(s *Session) bool { return printfs(s) == 1 }, "20:f6b772f8ab5fd8bb"},
 		{"policy/batch-threshold", func(tr *obs.Tracer) *testEnv {
 			return loud.session(t, fast(), Policy{BatchOutput: true, ForceOffload: true}, WithTracer(tr))
-		}, func(s *Session) bool { return printfs(s) == 3 }, "24:4d831020a20ad6de"},
+		}, func(s *Session) bool { return printfs(s) == 3 }, "24:95c1fcff5fec8b08"},
 		{"policy/unbatched", func(tr *obs.Tracer) *testEnv {
 			return sphinx.session(t, fast(), Policy{}, WithTracer(tr))
-		}, func(s *Session) bool { return printfs(s) == 36 }, "160:88821fec74e7026c"},
+		}, func(s *Session) bool { return printfs(s) == 36 }, "160:efcc1a7fab6038ba"},
 		{"policy/no-compress", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{NoCompress: true}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.WriteBackWireBytes >= s.Stats.RawBytesToMobile }, "1673:4b060cdf80d022d9"},
+		}, func(s *Session) bool { return s.Stats.WriteBackWireBytes >= s.Stats.RawBytesToMobile }, "1673:6929595690c62f42"},
 		{"policy/no-prefetch", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{NoPrefetch: true}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.PrefetchPages == 0 && s.Stats.Faults > 1 }, "1697:935e2306647ee319"},
+		}, func(s *Session) bool { return s.Stats.PrefetchPages == 0 && s.Stats.Faults > 1 }, "1697:0863a99d9a014495"},
 	} {
 		got, env := sessionDigest(t, tc.mk)
 		if !tc.exercised(env.sess) {
