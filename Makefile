@@ -96,6 +96,7 @@ guestbench:
 ## whose floor fails is not rewritten.
 golden:
 	$(GO) test ./internal/obs/ ./internal/obs/analyze/ -update
+	$(GO) test ./cmd/offloadrun/ -run '^TestMetricsGolden$$' -update
 	$(GO) test ./internal/interp/ -run '^TestSamplerGoldenCallKernel$$' -update
 	$(GO) test ./internal/experiments/ -run '^(TestProfileReportsGolden|TestCommittedRecords|TestPaperArtifactsGolden|TestSamplerChessGolden)$$' -update
 

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"repro/internal/cli"
 	"repro/internal/core"
@@ -311,7 +312,8 @@ func runChess(depth, turns int64, showOut bool, o *observability) error {
 			fmt.Fprintf(o.out, "  local:    %v  (%.0f mJ)\n", local.Time, local.EnergyMJ)
 			fmt.Fprintf(o.out, "  offload:  %v  (%.0f mJ)  speedup %.2fx, battery %.0f%% saved\n",
 				off.Time, off.EnergyMJ, off.Speedup(local), 100*(1-off.NormalizedEnergy(local)))
-			for id, st := range off.PerTask {
+			for _, id := range taskIDs(off.PerTask) {
+				st := off.PerTask[id]
 				fmt.Fprintf(o.out, "  task %d: %d offloads, %d declines, %.1f KB traffic, %d faults\n",
 					id, st.Offloads, st.Declines, float64(st.TrafficBytes)/1024, st.Faults)
 			}
@@ -342,7 +344,8 @@ func runIRFile(path, stdin string, cost int64, showOut bool, o *observability) e
 			}
 			fmt.Fprintf(o.out, "%s: local %v -> offloaded %v (%.2fx speedup, outputs %s)\n",
 				mod.Name, local.Time, off.Time, off.Speedup(local), match)
-			for id, st := range off.PerTask {
+			for _, id := range taskIDs(off.PerTask) {
+				st := off.PerTask[id]
 				fmt.Fprintf(o.out, "  task %d: %d offloads, %.1f KB traffic\n", id, st.Offloads, float64(st.TrafficBytes)/1024)
 			}
 		})
@@ -350,4 +353,15 @@ func runIRFile(path, stdin string, cost int64, showOut bool, o *observability) e
 		fmt.Fprint(o.out, off.Output)
 	}
 	return err
+}
+
+// taskIDs lists a run's task ids in ascending order, so per-task lines
+// print in the same order on every run.
+func taskIDs(perTask map[int]*offrt.TaskStats) []int {
+	ids := make([]int, 0, len(perTask))
+	for id := range perTask {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
 }
