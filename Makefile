@@ -88,12 +88,12 @@ guestbench:
 	$(GO) test -run '^$$' -bench 'InterpLoop|LoadStore|CallReturn|Digest' -benchtime 0.3s -cpu 1 ./internal/interp/
 	$(GO) test -run '^$$' -bench 'ProfileRun' -benchtime 5x -cpu 1 ./internal/profile/
 
-## golden: regenerate every golden file (Chrome export, metrics summary,
-## breakdown tables, the profile reports of chess and the 17 workloads, the
-## four simulated BENCH_*.json records at the repo root, `offloadbench -exp
-## all`'s stdout, the guest sampler's folded profiles of the call kernel and
-## offloaded chess) through the shared goldentest -update flag. A record
-## whose floor fails is not rewritten.
+## golden: regenerate every golden file (Chrome export, breakdown tables,
+## `offloadrun -metrics`'s stdout, the profile reports of chess and the 17
+## workloads, the four simulated BENCH_*.json records at the repo root,
+## `offloadbench -exp all`'s stdout, the guest sampler's folded profiles of
+## the call kernel and offloaded chess) through the shared goldentest
+## -update flag. A record whose floor fails is not rewritten.
 golden:
 	$(GO) test ./internal/obs/ ./internal/obs/analyze/ -update
 	$(GO) test ./cmd/offloadrun/ -run '^TestMetricsGolden$$' -update
@@ -101,10 +101,12 @@ golden:
 	$(GO) test ./internal/experiments/ -run '^(TestProfileReportsGolden|TestCommittedRecords|TestPaperArtifactsGolden|TestSamplerChessGolden)$$' -update
 
 ## fuzz: a longer fuzzing session over every fuzz target in the module,
-## one minute each: the wire decoder, the IR parser and the two fault-plan
-## spec parsers (go test fuzzes one target per run).
+## one minute each: the wire decoder, the IR parser, the two fault-plan
+## spec parsers and the trace analyzers over arbitrary event streams (go
+## test fuzzes one target per run).
 fuzz:
 	$(GO) test ./internal/offrt/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 60s
+	$(GO) test ./internal/obs/analyze/ -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime 60s
 	$(GO) test ./internal/ir/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s
 	$(GO) test ./internal/faults/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s
 	$(GO) test ./internal/faults/ -run '^$$' -fuzz '^FuzzParseServer$$' -fuzztime 60s

@@ -50,17 +50,19 @@ type observability struct {
 	breakdown    bool
 	critPath     bool
 	exemplars    int
+	metrics      bool
 	migrate      bool
 	tracer       *obs.Tracer
-	metrics      *obs.Metrics
 	faults       *faults.Plan
 	serverFaults *faults.ServerPlan
 	topo         *tiers.Topology
+	// off is the offloaded run the reports describe, kept for -metrics.
+	off *core.OffloadResult
 }
 
 // attach threads the instrumentation and fault plans into a framework.
 func (o *observability) attach(fw *core.Framework) {
-	fw.Tracer, fw.Metrics = o.tracer, o.metrics
+	fw.Tracer = o.tracer
 	fw.Faults = o.faults
 	fw.ServerFaults = o.serverFaults
 	fw.Migrate = o.migrate
@@ -74,6 +76,7 @@ func (o *observability) attach(fw *core.Framework) {
 // execution the flags asked about: the folded flamegraph profile + top
 // functions (-profile) and the Figure 6/7-shaped breakdown (-breakdown).
 func (o *observability) reportRun(off *core.OffloadResult, model energy.PowerModel) error {
+	o.off = off
 	if o.profileFile != "" && off.MobileProf != nil {
 		f, err := os.Create(o.profileFile)
 		if err == nil {
@@ -111,12 +114,13 @@ func (o *observability) reportRun(off *core.OffloadResult, model energy.PowerMod
 	return nil
 }
 
-// finish writes the Chrome trace file and prints the metrics summary.
+// finish writes the Chrome trace file and prints the -metrics tables: the
+// offloaded run's counters, then its latency populations replayed from the
+// trace.
 func (o *observability) finish() error {
 	if w := o.tracer.DropWarning(); w != "" {
 		fmt.Fprintln(os.Stderr, "offloadrun:", w)
 	}
-	o.tracer.PublishDropped(o.metrics)
 	if o.tracer != nil && o.traceFile != "" {
 		f, err := os.Create(o.traceFile)
 		if err == nil {
@@ -131,13 +135,70 @@ func (o *observability) finish() error {
 		fmt.Fprintf(o.out, "trace: %d events -> %s (load in chrome://tracing or ui.perfetto.dev)\n",
 			o.tracer.Len(), o.traceFile)
 	}
-	if o.metrics != nil {
-		fmt.Fprintln(o.out, report.MetricsTable("offload session metrics", o.metrics.Names(), o.metrics.Value))
-		if hs := o.metrics.HistogramSummary(); hs != "" {
-			fmt.Fprintln(o.out, hs)
-		}
+	if o.metrics && o.off != nil {
+		fmt.Fprintln(o.out, counterTable(o.off, o.topo != nil, o.tracer.Dropped()))
+		fmt.Fprintln(o.out, analyze.LatencyTable(analyze.ReplayLatencies(o.tracer.Events())))
 	}
 	return nil
+}
+
+// counterTable lists an offloaded run's counters by dotted name, sorted:
+// link traffic, session totals (the session.tier.* placements on a tiered
+// run), injected faults, each task's numbers, and the trace ring's drop
+// count when it dropped any.
+func counterTable(off *core.OffloadResult, tiered bool, dropped int64) *report.Table {
+	type counter struct {
+		name  string
+		value int64
+	}
+	st := off.Stats
+	cs := []counter{
+		{"link.msgs_to_server", int64(off.LinkStats.MsgsToServer)},
+		{"link.msgs_to_mobile", int64(off.LinkStats.MsgsToMobile)},
+		{"link.bytes_to_server", off.LinkStats.BytesToServer},
+		{"link.bytes_to_mobile", off.LinkStats.BytesToMobile},
+		{"link.comm_time_ps", int64(off.LinkStats.CommTimeMobile)},
+		{"session.offloads", int64(st.Offloads)},
+		{"session.declines", int64(st.Declines)},
+		{"session.faults", int64(st.Faults)},
+		{"session.dirty_pages", int64(st.DirtyPages)},
+		{"session.prefetch_pages", int64(st.PrefetchPages)},
+		{"session.writeback_raw_bytes", st.RawBytesToMobile},
+		{"session.writeback_wire_bytes", st.WriteBackWireBytes},
+		{"session.retries", int64(st.Retries)},
+		{"session.aborts", int64(st.Aborts)},
+		{"session.fallbacks", int64(st.Fallbacks)},
+		{"session.e2e_latency_ps", int64(st.E2ELatency)},
+		{"session.migrations", int64(st.Migrations)},
+		{"session.migrated_pages", int64(st.MigratedPages)},
+		{"session.migrated_bytes", st.MigratedBytes},
+		{"session.crash_retries", int64(st.CrashRetries)},
+		{"faults.injected", off.FaultStats.Total()},
+	}
+	if tiered {
+		cs = append(cs,
+			counter{"session.tier.edge_placed", int64(st.EdgePlaced)},
+			counter{"session.tier.cloud_placed", int64(st.CloudPlaced)})
+	}
+	for id, ts := range off.PerTask {
+		p := fmt.Sprintf("task.%d.", id)
+		cs = append(cs,
+			counter{p + "offloads", int64(ts.Offloads)},
+			counter{p + "declines", int64(ts.Declines)},
+			counter{p + "traffic_bytes", ts.TrafficBytes},
+			counter{p + "faults", int64(ts.Faults)},
+			counter{p + "dirty_pages", int64(ts.DirtyPages)},
+			counter{p + "prefetch_pages", int64(ts.PrefetchPgs)})
+	}
+	if dropped > 0 {
+		cs = append(cs, counter{"trace.dropped_events", dropped})
+	}
+	sort.Slice(cs, func(i, j int) bool { return cs[i].name < cs[j].name })
+	t := report.New("offload session metrics", "Metric", "Value")
+	for _, c := range cs {
+		t.Add(c.name, c.value)
+	}
+	return t
 }
 
 func main() {
@@ -162,7 +223,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.BoolVar(&o.breakdown, "breakdown", false, "print the per-offload time and radio-energy breakdown (Fig. 6/7 shape) replayed from the trace")
 	fs.BoolVar(&o.critPath, "critpath", false, "print each job's critical-path decomposition and the where-the-tail-lives summary replayed from the trace")
 	fs.IntVar(&o.exemplars, "exemplars", 0, "with -critpath: limit the per-job table to the N slowest jobs (0 keeps them all)")
-	showMetrics := fs.Bool("metrics", false, "print the aggregated session metrics after the run")
+	fs.BoolVar(&o.metrics, "metrics", false, "print the offloaded run's counters and the latency table replayed from its trace")
 	faultSpec := fs.String("faults", "", `inject link faults into the offloaded run, e.g. "drop=0.1,corrupt=0.02,outage=100ms-250ms,seed=7"`)
 	serverFaultSpec := fs.String("server-faults", "", `inject server faults into the offloaded run, e.g. "crash=0@300ms,slow=0@100ms-2sx3,drain=0@1s"`)
 	fs.BoolVar(&o.migrate, "migrate", false, "enable mid-flight offload migration: on a server fault, checkpoint/ship/resume the task on a spare host instead of falling back locally")
@@ -174,6 +235,8 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-cost must be at least 1, got %d", *cost)
 	case o.exemplars < 0:
 		return fmt.Errorf("-exemplars must not be negative (0 keeps every job), got %d", o.exemplars)
+	case o.exemplars > 0 && !o.critPath:
+		return fmt.Errorf("-exemplars limits the -critpath table; it does nothing without -critpath")
 	}
 
 	stop, err := common.Start(stdout)
@@ -185,14 +248,11 @@ func run(args []string, stdout io.Writer) error {
 	switch {
 	case o.traceFile != "":
 		o.tracer = obs.NewTracer(0)
-	case o.breakdown || o.critPath:
-		// The breakdown and critical-path analyses replay the trace; without
-		// -trace, capture into a generous in-memory ring (never written to
-		// disk).
+	case o.breakdown || o.critPath || o.metrics:
+		// The breakdown, critical-path and latency analyses replay the
+		// trace; without -trace, capture into a generous in-memory ring
+		// (never written to disk).
 		o.tracer = obs.NewTracer(1 << 20)
-	}
-	if *showMetrics {
-		o.metrics = obs.NewMetrics()
 	}
 	if *faultSpec != "" {
 		if o.faults, err = faults.Parse(*faultSpec); err != nil {

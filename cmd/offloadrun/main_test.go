@@ -52,7 +52,7 @@ func TestStdinRejectsNonInteger(t *testing.T) {
 
 // TestFlagValuesAreValidated: an out-of-range number is refused by flag
 // name before anything runs (-cost 0 used to run at cost 1, -exemplars -3
-// to keep every job).
+// to keep every job, -exemplars without -critpath to do nothing).
 func TestFlagValuesAreValidated(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -61,6 +61,7 @@ func TestFlagValuesAreValidated(t *testing.T) {
 		{[]string{"-ir", "../../examples/irprogram/matmul.ir", "-stdin", "200,200", "-cost", "0"}, "-cost"},
 		{[]string{"-w", "chess", "-cost", "-4"}, "-cost"},
 		{[]string{"-w", "chess", "-exemplars", "-3", "-critpath"}, "-exemplars"},
+		{[]string{"-w", "chess", "-exemplars", "8"}, "-exemplars"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

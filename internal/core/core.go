@@ -57,10 +57,8 @@ type Framework struct {
 	RemoteIO bool
 
 	// Tracer, when set, records structured lifecycle events for every
-	// offloaded run; Metrics, when set, receives the aggregated session
-	// statistics. Both are optional (nil disables them at zero cost).
-	Tracer  *obs.Tracer
-	Metrics *obs.Metrics
+	// offloaded run; nil disables tracing at zero cost.
+	Tracer *obs.Tracer
 
 	// Faults, when set, injects deterministic link failures into every
 	// offloaded run (chaos testing); the session's recovery layer retries,
@@ -341,7 +339,7 @@ func (fw *Framework) RunOffloaded(cres *compiler.Result, io *interp.StdIO, pol o
 	}
 	opts := []offrt.Option{
 		offrt.WithTasks(tasks...), offrt.WithPolicy(pol),
-		offrt.WithTracer(fw.Tracer), offrt.WithMetrics(fw.Metrics),
+		offrt.WithTracer(fw.Tracer),
 	}
 	var injector *faults.Injector
 	if fw.Faults != nil {

@@ -26,10 +26,9 @@ func TestBreakdownMatchesSessionStats(t *testing.T) {
 		t.Skip("runs an offloaded execution")
 	}
 	tracer := obs.NewTracer(1 << 20)
-	metrics := obs.NewMetrics()
 	w := workloads.ByName("433.milc")
 	r, err := RunProgram(w, func(fw *core.Framework) {
-		fw.Tracer, fw.Metrics = tracer, metrics
+		fw.Tracer = tracer
 		fw.SampleEvery = interp.DefaultSamplePeriod
 	})
 	if err != nil {
@@ -92,16 +91,14 @@ func TestBreakdownMatchesSessionStats(t *testing.T) {
 		t.Errorf("profile table malformed:\n%s", s)
 	}
 
-	// The histogram record sites fired: every latency family that must
-	// appear on a fault-free offloading run is present and consistent.
-	for _, name := range []string{"lat.offload.e2e_ps", "lat.rpc_ps", "lat.write_back_ps"} {
-		s := metrics.HistogramSnapshot(name)
-		if s.Count == 0 {
-			t.Errorf("histogram %s never recorded", name)
-		}
+	// The latency replay finds every population a fault-free offloading
+	// run must have, one e2e value per reconstructed offload.
+	lat := analyze.ReplayLatencies(evs)
+	if len(lat.RPC) == 0 || len(lat.WriteBack) == 0 {
+		t.Errorf("latency replay found %d RPCs and %d write-backs", len(lat.RPC), len(lat.WriteBack))
 	}
-	if got, want := metrics.HistogramSnapshot("lat.offload.e2e_ps").Count, int64(len(sum.Offloads)); got != want {
-		t.Errorf("e2e histogram count %d != reconstructed offloads %d", got, want)
+	if got, want := len(lat.E2E), len(sum.Offloads); got != want {
+		t.Errorf("replayed %d e2e latencies != reconstructed offloads %d", got, want)
 	}
 }
 

@@ -268,18 +268,3 @@ func TestOverlayDirtyTracking(t *testing.T) {
 		t.Errorf("DirtyPages after ClearDirty = %v", d)
 	}
 }
-
-func TestOverlayReset(t *testing.T) {
-	img := Snapshot(buildSourceMemory(t))
-	ov := NewOverlay(img)
-	if err := ov.WriteUint(PageAddr(11), 1, 7); err != nil {
-		t.Fatal(err)
-	}
-	ov.Reset()
-	if ov.Image() != nil {
-		t.Error("Reset should detach the base image")
-	}
-	if len(ov.PresentPages()) != 0 {
-		t.Errorf("Reset left pages present: %v", ov.PresentPages())
-	}
-}

@@ -104,7 +104,7 @@ type Memory struct {
 	Faults int
 
 	// gen counts structural changes that can invalidate cached page
-	// pointers: page installation (InstallPage), removal (Drop, Reset),
+	// pointers: page installation (InstallPage), removal (Drop),
 	// dirty-bit clearing (ClearDirty), and copy-on-write materialization
 	// (the private copy supersedes the shared array a reader may have
 	// cached). Faulting an absent page in does not bump it — existing page
@@ -402,17 +402,6 @@ func (m *Memory) Drop(pn uint32) {
 		}
 		m.masked[pn] = struct{}{}
 	}
-	m.gen++
-}
-
-// Reset discards all pages and counters. An overlay also detaches from its
-// base image: after Reset the memory is a plain empty page set.
-func (m *Memory) Reset() {
-	m.pages = make(map[uint32]*[PageSize]byte)
-	m.dirty = nil
-	m.base = nil
-	m.masked = nil
-	m.Faults = 0
 	m.gen++
 }
 

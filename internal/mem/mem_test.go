@@ -247,7 +247,7 @@ func TestPageNumAddrInverse(t *testing.T) {
 }
 
 // TestGenerationCounter pins down the invalidation contract the interpreter's
-// page caches rely on: structural mutations (install, drop, reset, dirty-bit
+// page caches rely on: structural mutations (install, drop, dirty-bit
 // clearing) bump the generation; faulting a page in does not, because the
 // resident array a cached pointer refers to never moves.
 func TestGenerationCounter(t *testing.T) {
@@ -273,12 +273,6 @@ func TestGenerationCounter(t *testing.T) {
 	if m.Gen() == g2 {
 		t.Error("ClearDirty must bump gen: write caches pin the dirty bit")
 	}
-	g3 := m.Gen()
-	m.Reset()
-	if m.Gen() == g3 {
-		t.Error("Reset must bump gen")
-	}
-
 	// Invalidate bumps it and changes nothing a program or a transfer sees.
 	m.TrackDirty = true
 	if err := m.WriteUint(PageAddr(5), 8, 42); err != nil {
@@ -297,8 +291,8 @@ func TestGenerationCounter(t *testing.T) {
 
 // TestDirtyBitFollowsThePage: the dirty bits live beside the pages (a page is
 // exactly PageSize bytes), so every way a page leaves or is replaced must
-// take its bit along: InstallPage marks clean, Drop forgets, Reset forgets
-// all, and a dropped page that faults back in comes back clean.
+// take its bit along: InstallPage marks clean, Drop forgets, and a dropped
+// page that faults back in comes back clean.
 func TestDirtyBitFollowsThePage(t *testing.T) {
 	m := New()
 	m.TrackDirty = true
@@ -317,10 +311,6 @@ func TestDirtyBitFollowsThePage(t *testing.T) {
 	}
 	if d := m.DirtyPages(); len(d) != 1 || d[0] != 5 {
 		t.Errorf("a dropped page read back in is dirty: %v", d)
-	}
-	m.Reset()
-	if d := m.DirtyPages(); len(d) != 0 {
-		t.Errorf("DirtyPages after Reset = %v", d)
 	}
 }
 

@@ -28,9 +28,10 @@ type Link struct {
 	// Phases, when non-empty, make the link time-varying: phase i applies
 	// until its Until instant, the last phase thereafter. The paper's
 	// dynamic estimator exists exactly for such "unexpected slow network
-	// environments" (Section 5.1). Install via SetPhases, which validates
-	// ordering; At on unsorted phases would resolve the wrong bandwidth
-	// regime.
+	// environments" (Section 5.1). Assign them before the link reaches
+	// offrt.NewSession, which rejects a schedule ValidatePhases refuses:
+	// At resolves phases by first match, so unsorted phases would resolve
+	// the wrong bandwidth regime.
 	Phases []Phase
 }
 
@@ -40,16 +41,8 @@ type Phase struct {
 	BandwidthBps int64
 }
 
-// SetPhases installs a time-varying bandwidth schedule, validating that the
-// Until instants strictly increase and bandwidths are non-negative. Use it
-// instead of assigning Phases directly: At resolves phases by first match,
-// so an unsorted schedule silently yields the wrong bandwidth regime.
-func (l *Link) SetPhases(phases ...Phase) error {
-	l.Phases = phases
-	return l.ValidatePhases()
-}
-
-// ValidatePhases checks an already-installed phase schedule.
+// ValidatePhases checks the phase schedule: Until instants strictly
+// increase and no bandwidth is negative.
 func (l *Link) ValidatePhases() error {
 	for i, p := range l.Phases {
 		if p.BandwidthBps < 0 {
@@ -249,7 +242,7 @@ type LinkStats struct {
 	BytesToMobile  int64
 	CommTimeMobile simtime.PS
 
-	// Tracer, when set, receives one KMessage event per Send.
+	// Tracer, when set, receives one KMessage event per TrySend.
 	Tracer *obs.Tracer
 	// Job, when non-zero, attributes emitted KMessage/KFault events to the
 	// logical offload request currently on the wire (see obs.Event.Job);
@@ -257,9 +250,7 @@ type LinkStats struct {
 	Job int64
 
 	// Injector, when set, is consulted on every transfer and may drop,
-	// corrupt or delay it (see TrySend). Send ignores verdicts other than
-	// added delay, preserving its infallible contract for callers that
-	// predate the recovery layer.
+	// corrupt or delay it (see TrySend).
 	Injector *faults.Injector
 }
 

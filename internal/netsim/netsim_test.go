@@ -91,11 +91,12 @@ func TestSimtimeUnits(t *testing.T) {
 
 func TestTimeVaryingLink(t *testing.T) {
 	l := Fast80211AC()
-	if err := l.SetPhases(
-		Phase{Until: simtime.Second, BandwidthBps: 650_000_000},
-		Phase{Until: 2 * simtime.Second, BandwidthBps: 1_000_000},
-		Phase{Until: 1 << 62, BandwidthBps: 650_000_000},
-	); err != nil {
+	l.Phases = []Phase{
+		{Until: simtime.Second, BandwidthBps: 650_000_000},
+		{Until: 2 * simtime.Second, BandwidthBps: 1_000_000},
+		{Until: 1 << 62, BandwidthBps: 650_000_000},
+	}
+	if err := l.ValidatePhases(); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.At(0).BandwidthBps; got != 650_000_000 {
@@ -119,34 +120,28 @@ func TestTimeVaryingLink(t *testing.T) {
 	}
 }
 
-func TestSetPhasesRejectsUnsortedSchedule(t *testing.T) {
-	l := Fast80211AC()
-	err := l.SetPhases(
+func TestValidatePhasesRejectsUnsortedSchedule(t *testing.T) {
+	validate := func(phases ...Phase) error {
+		l := Fast80211AC()
+		l.Phases = phases
+		return l.ValidatePhases()
+	}
+	if validate(
 		Phase{Until: 2 * simtime.Second, BandwidthBps: 1_000_000},
 		Phase{Until: simtime.Second, BandwidthBps: 650_000_000},
-	)
-	if err == nil {
-		t.Fatal("unsorted phases must be rejected at construction")
+	) == nil {
+		t.Error("unsorted phases must be rejected")
 	}
-	if verr := l.ValidatePhases(); verr == nil {
-		t.Error("ValidatePhases should agree with SetPhases")
-	}
-
-	dup := Fast80211AC()
-	if err := dup.SetPhases(
+	if validate(
 		Phase{Until: simtime.Second, BandwidthBps: 1},
 		Phase{Until: simtime.Second, BandwidthBps: 2},
-	); err == nil {
+	) == nil {
 		t.Error("duplicate Until instants must be rejected")
 	}
-
-	neg := Fast80211AC()
-	if err := neg.SetPhases(Phase{Until: simtime.Second, BandwidthBps: -5}); err == nil {
+	if validate(Phase{Until: simtime.Second, BandwidthBps: -5}) == nil {
 		t.Error("negative bandwidth must be rejected")
 	}
-
-	ok := Fast80211AC()
-	if err := ok.SetPhases(
+	if err := validate(
 		Phase{Until: simtime.Second, BandwidthBps: 1_000_000},
 		Phase{Until: 2 * simtime.Second, BandwidthBps: 2_000_000},
 	); err != nil {
@@ -160,11 +155,9 @@ func TestPhaseAt(t *testing.T) {
 		t.Errorf("flat link PhaseAt = (%d, %d)", idx, bw)
 	}
 	l := Fast80211AC()
-	if err := l.SetPhases(
-		Phase{Until: simtime.Second, BandwidthBps: 100},
-		Phase{Until: 2 * simtime.Second, BandwidthBps: 200},
-	); err != nil {
-		t.Fatal(err)
+	l.Phases = []Phase{
+		{Until: simtime.Second, BandwidthBps: 100},
+		{Until: 2 * simtime.Second, BandwidthBps: 200},
 	}
 	if idx, bw := l.PhaseAt(0); idx != 0 || bw != 100 {
 		t.Errorf("PhaseAt(0) = (%d, %d), want (0, 100)", idx, bw)

@@ -27,7 +27,7 @@ type Offload struct {
 	Start simtime.PS
 	Total simtime.PS
 
-	Init      simtime.PS // offload request + prefetch transfer
+	Init      simtime.PS // each attempt's offload request + prefetch transfer
 	Compute   simtime.PS // remainder: server execution (incl. recovery waits)
 	Fault     simtime.PS // copy-on-demand page-fault service
 	IO        simtime.PS // remote I/O (r_printf et al.) round trips
@@ -53,10 +53,12 @@ func (s *Summary) Total() simtime.PS {
 }
 
 // Breakdown replays the event stream and reconstructs each offload's
-// components. The runtime's emission order within one offload is fixed
-// (prefetch, request message, server-side spans, write-back, then the
-// closing KOffload span), and sessions are strictly sequential, so a
-// simple accumulator per open offload suffices.
+// components. The runtime's emission order within one offload attempt is
+// fixed (prefetch, request message, server-side spans, write-back), an
+// offload closes with its KOffload span, and sessions are strictly
+// sequential, so a simple accumulator per open offload suffices. A crash
+// retry re-sends the offload with a second prefetch: it continues the open
+// offload, whose lost first attempt still counts.
 func Breakdown(events []obs.Event) *Summary {
 	sum := &Summary{}
 	var cur Offload
@@ -65,15 +67,17 @@ func Breakdown(events []obs.Event) *Summary {
 	for _, ev := range events {
 		switch ev.Kind {
 		case obs.KPrefetch:
-			cur = Offload{}
-			open = true
+			if !open {
+				cur = Offload{}
+				open = true
+			}
 			sawInit = false
 		case obs.KMessage:
-			// The first to_server message after a prefetch is the offload
-			// request (initialization); later ones belong to faults or
-			// remote I/O and are already covered by their spans.
+			// The first to_server message after a prefetch is the attempt's
+			// offload request (initialization); later ones belong to faults
+			// or remote I/O and are already covered by their spans.
 			if open && !sawInit && ev.Name == "to_server" {
-				cur.Init = ev.Dur
+				cur.Init += ev.Dur
 				sawInit = true
 			}
 		case obs.KPageFault:

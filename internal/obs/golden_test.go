@@ -89,28 +89,3 @@ func TestChromeExportGolden(t *testing.T) {
 	}
 	goldentest.Check(t, "chrome_golden.json", buf.Bytes())
 }
-
-func TestMetricsSummaryGolden(t *testing.T) {
-	m := NewMetrics()
-	m.Counter("link.bytes_to_mobile").Set(9300)
-	m.Counter("link.bytes_to_server").Set(70128)
-	m.Counter("link.msgs_to_mobile").Set(3)
-	m.Counter("link.msgs_to_server").Set(2)
-	m.Counter("faults.injected").Set(2)
-	m.Counter("session.aborts").Set(1)
-	m.Counter("session.declines").Set(0)
-	m.Counter("session.dirty_pages").Set(12)
-	m.Counter("session.fallbacks").Set(1)
-	m.Counter("session.faults").Set(1)
-	m.Counter("session.offloads").Set(1)
-	m.Counter("session.prefetch_pages").Set(16)
-	m.Counter("session.retries").Set(3)
-	// Histograms render below the counters with aligned quantile columns.
-	h := m.Histogram("lat.page_fault_ps")
-	for _, v := range []int64{2_000_000, 2_100_000, 2_400_000, 9_000_000} {
-		h.Record(v)
-	}
-	e2e := m.Histogram("lat.offload.e2e_ps")
-	e2e.Record(40_000_000)
-	goldentest.Check(t, "metrics_golden.txt", []byte(m.Summary()))
-}

@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-	"sort"
-	"strings"
 	"sync/atomic"
 )
 
@@ -17,9 +14,7 @@ import (
 //
 // Like the rest of the obs layer it is nil-safe and allocation-free on the
 // hot path: Record on a nil *Histogram is a no-op, and an enabled Record
-// touches only preallocated atomic counters, so latency-shaped
-// instrumentation sites (page-fault service above all) cost nothing when
-// metrics are disabled and almost nothing when enabled.
+// touches only preallocated atomic counters.
 //
 // Snapshots are deterministic: quantiles resolve by nearest rank to the
 // bucket's inclusive upper bound (clamped to the observed maximum), so two
@@ -88,14 +83,6 @@ func (h *Histogram) Record(v int64) {
 		}
 	}
 	h.buckets[bucketIndex(v)].Add(1)
-}
-
-// Count returns the number of recorded observations; 0 on nil.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // HistSnapshot is one deterministic point-in-time view of a histogram.
@@ -185,94 +172,4 @@ func (h *Histogram) quantile(q float64, count, max int64) int64 {
 		}
 	}
 	return max
-}
-
-// ---- Metrics registry integration ----
-
-// Histogram returns the named histogram, creating it on first use. A nil
-// registry returns a nil histogram (whose methods are no-ops), so record
-// sites never branch on enablement. By convention names carry their unit
-// as a suffix (e.g. lat.page_fault_ps).
-func (m *Metrics) Histogram(name string) *Histogram {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.hists == nil {
-		m.hists = make(map[string]*Histogram)
-	}
-	h, ok := m.hists[name]
-	if !ok {
-		h = NewHistogram()
-		m.hists[name] = h
-	}
-	return h
-}
-
-// HistogramNames returns the registered histogram names, sorted.
-func (m *Metrics) HistogramNames() []string {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	names := make([]string, 0, len(m.hists))
-	for n := range m.hists {
-		names = append(names, n)
-	}
-	m.mu.Unlock()
-	sort.Strings(names)
-	return names
-}
-
-// HistogramSnapshot snapshots the named histogram (zero snapshot if absent
-// or the registry is nil).
-func (m *Metrics) HistogramSnapshot(name string) HistSnapshot {
-	if m == nil {
-		return HistSnapshot{}
-	}
-	m.mu.Lock()
-	h := m.hists[name]
-	m.mu.Unlock()
-	return h.Snapshot()
-}
-
-// HistogramSummary renders a deterministic table of every registered
-// histogram with aligned quantile columns; empty string when none exist.
-func (m *Metrics) HistogramSummary() string {
-	names := m.HistogramNames()
-	if len(names) == 0 {
-		return ""
-	}
-	header := []string{"histogram", "count", "p50", "p90", "p99", "max", "mean"}
-	rows := [][]string{header}
-	for _, n := range names {
-		s := m.HistogramSnapshot(n)
-		rows = append(rows, []string{
-			n,
-			fmt.Sprintf("%d", s.Count),
-			fmt.Sprintf("%d", s.P50),
-			fmt.Sprintf("%d", s.P90),
-			fmt.Sprintf("%d", s.P99),
-			fmt.Sprintf("%d", s.Max),
-			fmt.Sprintf("%d", s.Mean()),
-		})
-	}
-	widths := make([]int, len(header))
-	for _, r := range rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var sb strings.Builder
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-*s", widths[0], r[0])
-		for i := 1; i < len(r); i++ {
-			fmt.Fprintf(&sb, "  %*s", widths[i], r[i])
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

@@ -1,6 +1,7 @@
 // Package obs is the offload-session observability layer: a low-overhead
-// structured event tracer and a metrics registry threaded through the whole
-// pipeline (runtime, network simulator, interpreter, energy model).
+// structured event tracer threaded through the whole pipeline (runtime,
+// network simulator, interpreter, energy model), plus the log-bucketed
+// latency histogram the fleet simulator keeps its queue waits in.
 //
 // The paper's evaluation (Figures 6-8) is entirely about *explaining* where
 // time and energy go during an offload — communication vs. computation,
@@ -9,14 +10,14 @@
 // prefetch batch, dirty-page write-back, remote-I/O round trip, radio
 // power-state transition, link phase change) is recorded with its
 // simtime.PS timestamp into a bounded ring buffer, and can be exported as
-// Chrome trace_event JSON (chrome://tracing, Perfetto) or aggregated into a
-// metrics summary.
+// Chrome trace_event JSON (chrome://tracing, Perfetto) or replayed into
+// breakdowns and latency tables (package analyze).
 //
-// Tracing is nil-safe and allocation-free: every method on a nil *Tracer,
-// *Metrics or *Counter is a no-op, so instrumented hot paths (the
-// copy-on-demand page-fault service above all) cost nothing when
-// observability is disabled. Events are fixed-size values and the ring is
-// preallocated, so even an *enabled* tracer does not allocate per event.
+// Tracing is nil-safe and allocation-free: every method on a nil *Tracer
+// is a no-op, so instrumented hot paths (the copy-on-demand page-fault
+// service above all) cost nothing when observability is disabled. Events
+// are fixed-size values and the ring is preallocated, so even an *enabled*
+// tracer does not allocate per event.
 package obs
 
 import (
@@ -338,19 +339,6 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// DroppedCounter is the metrics name under which PublishDropped surfaces
-// the ring's drop count, so every consumer of Metrics.Summary sees a
-// truncated trace by the same key.
-const DroppedCounter = "trace.dropped_events"
-
-// PublishDropped surfaces the drop counter on a metrics registry (no-op
-// when nothing was dropped or m is nil). Safe on a nil tracer.
-func (t *Tracer) PublishDropped(m *Metrics) {
-	if d := t.Dropped(); d > 0 {
-		m.Counter(DroppedCounter).Set(d)
-	}
-}
-
 // DropWarning returns a one-line operator warning when the ring dropped
 // events, and "" when the trace is complete. Callers print it to stderr so
 // a silently truncated trace never masquerades as a full one.
@@ -360,14 +348,4 @@ func (t *Tracer) DropWarning() string {
 		return ""
 	}
 	return fmt.Sprintf("warning: trace ring dropped %d event(s) (oldest overwritten); raise the ring capacity or mute kinds with SetKinds", d)
-}
-
-// Reset drops all retained events and the dropped counter.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.head, t.n, t.dropped = 0, 0, 0
-	t.mu.Unlock()
 }

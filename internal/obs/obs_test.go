@@ -34,42 +34,26 @@ func TestRingBufferRetainsNewest(t *testing.T) {
 			t.Errorf("event %d has A0=%d, want %d (oldest-first order broken)", i, ev.A0, want)
 		}
 	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Dropped() != 0 {
-		t.Error("Reset did not clear the ring")
-	}
 }
 
-func TestNilTracerAndMetricsAreNoOps(t *testing.T) {
+func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(Event{Kind: KPageFault})
 	if tr.Enabled() || tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Error("nil tracer should be fully inert")
 	}
-	tr.Reset()
-
-	var m *Metrics
-	c := m.Counter("x")
-	c.Add(3)
-	c.Set(5)
-	if c.Value() != 0 || m.Value("x") != 0 || m.Names() != nil {
-		t.Error("nil metrics should be fully inert")
-	}
 }
 
-// TestDisabledObservabilityZeroAlloc proves the exact operations the
-// page-fault hot path performs (one Emit on a disabled tracer, one counter
-// Add on a disabled registry) allocate nothing.
+// TestDisabledObservabilityZeroAlloc proves the exact operation the
+// page-fault hot path performs (one Emit on a disabled tracer) allocates
+// nothing.
 func TestDisabledObservabilityZeroAlloc(t *testing.T) {
 	var tr *Tracer
-	var m *Metrics
-	c := m.Counter("session.faults")
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr.Emit(Event{
 			Time: 12345, Dur: 678, Kind: KPageFault, Track: TrackServer,
 			Name: "remote", A0: 0x2000_0, A1: 0x2000_0000, A2: 4112,
 		})
-		c.Add(1)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled observability allocates %.1f allocs/op, want 0", allocs)
@@ -93,15 +77,12 @@ func TestEnabledTracerZeroAllocSteadyState(t *testing.T) {
 // path. Run with -benchmem.
 func BenchmarkPageFaultTraceDisabled(b *testing.B) {
 	var tr *Tracer
-	var m *Metrics
-	c := m.Counter("session.faults")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Emit(Event{
 			Time: simtime.PS(i), Dur: 678, Kind: KPageFault, Track: TrackServer,
 			Name: "remote", A0: int64(i), A1: 0x2000_0000, A2: 4112,
 		})
-		c.Add(1)
 	}
 }
 
@@ -109,32 +90,11 @@ func BenchmarkPageFaultTraceDisabled(b *testing.B) {
 // same operation for comparison.
 func BenchmarkPageFaultTraceEnabled(b *testing.B) {
 	tr := NewTracer(0)
-	m := NewMetrics()
-	c := m.Counter("session.faults")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Emit(Event{
 			Time: simtime.PS(i), Dur: 678, Kind: KPageFault, Track: TrackServer,
 			Name: "remote", A0: int64(i), A1: 0x2000_0000, A2: 4112,
 		})
-		c.Add(1)
-	}
-}
-
-func TestMetricsRegistry(t *testing.T) {
-	m := NewMetrics()
-	m.Counter("b.second").Add(2)
-	m.Counter("a.first").Add(1)
-	m.Counter("a.first").Add(4)
-	m.Counter("c.third").Set(9)
-	if got := m.Value("a.first"); got != 5 {
-		t.Errorf("a.first = %d, want 5", got)
-	}
-	names := m.Names()
-	if len(names) != 3 || names[0] != "a.first" || names[1] != "b.second" || names[2] != "c.third" {
-		t.Errorf("Names = %v, want sorted [a.first b.second c.third]", names)
-	}
-	if m.Value("missing") != 0 {
-		t.Error("missing metric should read 0")
 	}
 }

@@ -217,21 +217,16 @@ func TestSetKindsFilteredPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDroppedSurfaced: a truncated ring must announce itself — in the
-// metrics summary under DroppedCounter and in the operator warning line —
-// while a complete trace stays silent on both channels.
+// TestDroppedSurfaced: a truncated ring must announce itself — in its drop
+// count and in the operator warning line — while a complete trace stays
+// silent on both.
 func TestDroppedSurfaced(t *testing.T) {
 	tr := NewTracer(2)
 	for i := 0; i < 5; i++ {
 		tr.Emit(Event{Time: simtime.PS(i), Kind: KMessage})
 	}
-	m := NewMetrics()
-	tr.PublishDropped(m)
-	if got := m.Value(DroppedCounter); got != 3 {
-		t.Fatalf("%s = %d, want 3", DroppedCounter, got)
-	}
-	if s := m.Summary(); !strings.Contains(s, DroppedCounter) {
-		t.Errorf("metrics summary hides the drop counter:\n%s", s)
+	if got := tr.Dropped(); got != 3 {
+		t.Fatalf("Dropped = %d, want 3", got)
 	}
 	if w := tr.DropWarning(); !strings.Contains(w, "3") {
 		t.Errorf("DropWarning = %q, want the drop count in it", w)
@@ -239,12 +234,8 @@ func TestDroppedSurfaced(t *testing.T) {
 
 	whole := NewTracer(8)
 	whole.Emit(Event{Kind: KMessage})
-	m2 := NewMetrics()
-	whole.PublishDropped(m2)
-	for _, n := range m2.Names() {
-		if n == DroppedCounter {
-			t.Error("complete trace published a drop counter")
-		}
+	if whole.Dropped() != 0 {
+		t.Error("complete trace counts drops")
 	}
 	if w := whole.DropWarning(); w != "" {
 		t.Errorf("complete trace warns %q", w)
@@ -252,8 +243,8 @@ func TestDroppedSurfaced(t *testing.T) {
 }
 
 // TestKindMetaExhaustive is the taxonomy lint: every Kind must carry a
-// kindMeta entry, and names must be unique so exporters, metrics keys and
-// grep all agree on what an event is called.
+// kindMeta entry, and names must be unique so exporters and grep agree on
+// what an event is called.
 func TestKindMetaExhaustive(t *testing.T) {
 	seen := make(map[string]Kind)
 	for k := Kind(0); k < numKinds; k++ {

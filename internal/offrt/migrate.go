@@ -204,7 +204,6 @@ func (s *Session) shipCheckpoint(reason string, st *interp.State, wire []byte) {
 	s.Stats.Migrations++
 	s.Stats.MigratedPages += st.NumPages()
 	s.Stats.MigratedBytes += int64(len(wire))
-	s.hMigrate.Record(int64(d))
 	s.emit(obs.Event{Time: start, Dur: d, Kind: obs.KMigrateShip, Track: obs.TrackServer,
 		A0: int64(s.cur.taskID), A1: int64(len(wire))})
 	s.emit(obs.Event{Time: s.Server.Clock, Kind: obs.KMigrateResume, Track: obs.TrackServer,

@@ -13,7 +13,7 @@ import (
 )
 
 // TestTracedSessionEmitsLifecycleEvents runs a real offloaded program with a
-// tracer and metrics registry attached and checks the acceptance set: the
+// tracer attached and checks the acceptance set: the
 // trace must contain gate-decision, page-fault, prefetch, write-back and
 // radio-state events, and the Chrome export must be valid trace_event JSON.
 func TestTracedSessionEmitsLifecycleEvents(t *testing.T) {
@@ -49,29 +49,11 @@ func TestTracedSessionEmitsLifecycleEvents(t *testing.T) {
 		t.Errorf("Chrome export has %d records for %d events", len(parsed.TraceEvents), env.sess.Tracer.Len())
 	}
 
-	// Metrics published at Shutdown must agree with the session's counters.
-	m := env.sess.Metrics
-	if got, want := m.Value("session.offloads"), int64(env.sess.Stats.Offloads); got != want {
-		t.Errorf("session.offloads metric = %d, want %d", got, want)
-	}
-	if got, want := m.Value("link.bytes_to_server"), env.sess.LinkStats.BytesToServer; got != want {
-		t.Errorf("link.bytes_to_server metric = %d, want %d", got, want)
-	}
-	if m.Value("session.prefetch_pages") == 0 {
-		t.Error("session.prefetch_pages metric missing")
-	}
-	if m.Value("task.1.offloads") != 1 {
-		t.Errorf("task.1.offloads metric = %d, want 1", m.Value("task.1.offloads"))
-	}
-
-	// Per-session end-to-end offload latency: nonzero, published, and (in
-	// this fault-free run, where every attempt succeeds) exactly the sum of
-	// the KOffload span durations.
+	// Per-session end-to-end offload latency: nonzero and (in this
+	// fault-free run, where every attempt succeeds) exactly the sum of the
+	// KOffload span durations.
 	if env.sess.Stats.E2ELatency == 0 {
 		t.Error("Stats.E2ELatency is zero after a completed offload")
-	}
-	if got, want := m.Value("session.e2e_latency_ps"), int64(env.sess.Stats.E2ELatency); got != want {
-		t.Errorf("session.e2e_latency_ps metric = %d, want %d", got, want)
 	}
 	var spanSum int64
 	for _, ev := range env.sess.Tracer.Events() {
@@ -84,10 +66,10 @@ func TestTracedSessionEmitsLifecycleEvents(t *testing.T) {
 	}
 }
 
-// setupTraced is setup() plus an attached tracer and metrics registry.
+// setupTraced is setup() plus an attached tracer.
 func setupTraced(t *testing.T, pol Policy) *testEnv {
 	t.Helper()
-	return setup(t, netsim.Fast80211AC(), pol, WithTracer(obs.NewTracer(0)), WithMetrics(obs.NewMetrics()))
+	return setup(t, netsim.Fast80211AC(), pol, WithTracer(obs.NewTracer(0)))
 }
 
 // TestTracedRunMatchesUntracedTiming: attaching a tracer must not perturb

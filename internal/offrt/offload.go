@@ -137,7 +137,6 @@ func (s *Session) Offload(m *interp.Machine, taskID int32, args []uint64) (uint6
 	// End-to-end latency is what the user actually waited, so an offload
 	// that ended in a local fallback counts with the time it burned first.
 	s.Stats.E2ELatency += s.Mobile.Clock - start
-	s.hE2E.Record(int64(s.Mobile.Clock - start))
 	if remote {
 		s.emit(obs.Event{Time: start, Dur: s.Mobile.Clock - start, Kind: obs.KOffload,
 			Track: obs.TrackMobile, Name: spec.Name, A0: int64(taskID)})

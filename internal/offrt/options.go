@@ -17,7 +17,6 @@ type config struct {
 	pol        Policy
 	tasks      []TaskSpec
 	tracer     *obs.Tracer
-	metrics    *obs.Metrics
 	injector   *faults.Injector
 	serverPlan *faults.ServerPlan
 	migrate    bool
@@ -42,10 +41,6 @@ func WithTasks(tasks ...TaskSpec) Option {
 // and the interpreter's task enter/exit all record into it. A nil tracer
 // disables tracing at zero cost.
 func WithTracer(tr *obs.Tracer) Option { return func(c *config) { c.tracer = tr } }
-
-// WithMetrics attaches a metrics registry; Shutdown publishes the link and
-// session statistics (and per-task numbers) into it.
-func WithMetrics(m *obs.Metrics) Option { return func(c *config) { c.metrics = m } }
 
 // WithFaults installs a deterministic link fault injector: every wire
 // transfer consults it and may be dropped, corrupted or delayed, and the
@@ -119,7 +114,6 @@ func NewSession(mobile, server *interp.Machine, link *netsim.Link, opts ...Optio
 		Policy:   cfg.pol,
 		PerTask:  make(map[int]*TaskStats),
 		Tracer:   cfg.tracer,
-		Metrics:  cfg.metrics,
 		tasks:    make(map[int32]TaskSpec),
 		reqCh:    make(chan request),
 		repCh:    make(chan reply),
@@ -133,14 +127,6 @@ func NewSession(mobile, server *interp.Machine, link *netsim.Link, opts ...Optio
 		hosts:      hosts,
 		backhaul:   netsim.Backhaul(),
 	}
-	// Latency histograms live in the metrics registry so Summary() renders
-	// them next to the counters; Histogram is nil-safe on a nil registry.
-	s.hFault = cfg.metrics.Histogram("lat.page_fault_ps")
-	s.hRPC = cfg.metrics.Histogram("lat.rpc_ps")
-	s.hBackoff = cfg.metrics.Histogram("lat.rpc_backoff_ps")
-	s.hWriteBack = cfg.metrics.Histogram("lat.write_back_ps")
-	s.hE2E = cfg.metrics.Histogram("lat.offload.e2e_ps")
-	s.hMigrate = cfg.metrics.Histogram("lat.migration_ps")
 	for _, t := range cfg.tasks {
 		s.tasks[int32(t.TaskID)] = t
 		s.PerTask[t.TaskID] = &TaskStats{}

@@ -172,7 +172,7 @@ func TestSessionTraceDigestPinned(t *testing.T) {
 		want      string
 	}{
 		{"remote-io/fast", func(tr *obs.Tracer) *testEnv {
-			return twolf.session(t, fast(), Policy{}, WithTracer(tr), WithMetrics(obs.NewMetrics()))
+			return twolf.session(t, fast(), Policy{}, WithTracer(tr))
 		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:b388465d1ee8d485"},
 		{"remote-io/slow", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, slow(), Policy{}, WithTracer(tr))

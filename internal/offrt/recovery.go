@@ -54,7 +54,6 @@ func (s *Session) sendReliable(toServer bool, size int64, at simtime.PS, op stri
 		d, verdict := s.LinkStats.TrySend(link, toServer, size, now)
 		switch verdict {
 		case netsim.Delivered:
-			s.hRPC.Record(int64(elapsed + d))
 			return elapsed + d, true
 		case netsim.Dropped:
 			// Nothing arrives; the sender learns only from the deadline.
@@ -69,7 +68,6 @@ func (s *Session) sendReliable(toServer bool, size int64, at simtime.PS, op stri
 		}
 		backoff := backoffBase << attempt
 		elapsed += backoff
-		s.hBackoff.Record(int64(backoff))
 		s.Stats.Retries++
 		s.emit(obs.Event{Time: at + elapsed, Kind: obs.KRetry, Track: obs.TrackLink,
 			Name: op, A0: int64(attempt + 1), A1: int64(backoff)})

@@ -164,8 +164,7 @@ func TestQuarantineDeclinesGate(t *testing.T) {
 }
 
 func TestShutdownIdempotent(t *testing.T) {
-	env := setup(t, netsim.Fast80211AC(), Policy{ForceOffload: true},
-		WithMetrics(obs.NewMetrics()))
+	env := setup(t, netsim.Fast80211AC(), Policy{ForceOffload: true})
 	if _, err := env.sess.RunMobile(); err != nil { // RunMobile shuts down
 		t.Fatal(err)
 	}
@@ -192,32 +191,5 @@ func TestShutdownSafeAfterServerExit(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Shutdown deadlocked after the server loop exited")
-	}
-}
-
-func TestRecoveryMetricsPublished(t *testing.T) {
-	m := obs.NewMetrics()
-	env := setup(t, netsim.Fast80211AC(), Policy{ForceOffload: true},
-		WithMetrics(m),
-		WithFaults(faults.MustInjector(faults.Plan{Seed: 3, DropRate: 0.25})))
-	if _, err := env.sess.RunMobile(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Value("session.retries") != int64(env.sess.Stats.Retries) || m.Value("session.retries") == 0 {
-		t.Errorf("session.retries metric = %d, stats say %d", m.Value("session.retries"), env.sess.Stats.Retries)
-	}
-	if m.Value("faults.injected") != env.sess.LinkStats.Injector.Stats().Total() {
-		t.Error("faults.injected metric mismatch")
-	}
-	for _, name := range []string{"session.aborts", "session.fallbacks"} {
-		found := false
-		for _, n := range m.Names() {
-			if n == name {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("metric %s not published", name)
-		}
 	}
 }

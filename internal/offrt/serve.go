@@ -157,7 +157,6 @@ func (s *Session) SendReturn(m *interp.Machine, v uint64) error {
 		return s.finishAborted()
 	}
 	s.Stats.WriteBackWireBytes += wire
-	s.hWriteBack.Record(int64(d))
 	s.emit(obs.Event{Time: s.Server.Clock, Dur: d, Kind: obs.KWriteBack,
 		Track: obs.TrackServer, A0: int64(len(dirty)), A1: raw, A2: wire})
 	st.TrafficBytes += wire
@@ -276,7 +275,6 @@ func (s *Session) servePageFault(pn uint32) ([]byte, error) {
 	if !ok {
 		return data, nil
 	}
-	s.hFault.Record(int64(req + resp))
 	s.emit(obs.Event{Time: s.Server.Clock, Dur: req + resp, Kind: obs.KPageFault,
 		Track: obs.TrackServer, Name: "remote",
 		A0: int64(pn), A1: int64(mem.PageAddr(pn)), A2: reqSize + respSize})

@@ -69,19 +69,8 @@ type Session struct {
 	Stats     SessionStats
 	PerTask   map[int]*TaskStats
 
-	// Tracer receives structured lifecycle events; Metrics receives the
-	// aggregated statistics at Shutdown. Both may be nil (disabled).
-	Tracer  *obs.Tracer
-	Metrics *obs.Metrics
-
-	// Latency histograms, resolved once from Metrics at construction and
-	// recorded at every latency-shaped site. All nil (and nil-safe) when
-	// the session runs without a metrics registry.
-	hFault     *obs.Histogram // remote page-fault service time
-	hRPC       *obs.Histogram // reliable wire transfer round trip
-	hBackoff   *obs.Histogram // retry backoff waits
-	hWriteBack *obs.Histogram // finalization write-back transfer
-	hE2E       *obs.Histogram // per-offload end-to-end latency
+	// Tracer receives structured lifecycle events; nil disables it.
+	Tracer *obs.Tracer
 
 	// Comp buckets the whole-program time like Figure 7: compute, fptr,
 	// remote I/O, communication.
@@ -118,7 +107,6 @@ type Session struct {
 	// backhaul is the server-to-server link migration checkpoints ship
 	// over; its traffic never touches the client radio's LinkStats.
 	backhaul *netsim.Link
-	hMigrate *obs.Histogram // checkpoint ship + resume handoff time
 
 	// Health-monitor state: last heartbeat instant, smoothed inter-beat
 	// gap, and the consecutive-overrun strike count (hysteresis).
@@ -287,7 +275,6 @@ func (s *Session) Shutdown() error {
 	// Final component bookkeeping: mobile-side compute/fptr buckets.
 	s.Comp[interp.CompCompute] += s.Mobile.Comp[interp.CompCompute]
 	s.Comp[interp.CompFptr] += s.Mobile.Comp[interp.CompFptr]
-	s.publishMetrics()
 	return err
 }
 

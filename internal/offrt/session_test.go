@@ -250,11 +250,9 @@ func TestDynamicGateReactsToDegradingNetwork(t *testing.T) {
 	firstThird := lm.Clock / 50
 
 	link := netsim.Fast80211AC()
-	if err := link.SetPhases(
-		netsim.Phase{Until: firstThird, BandwidthBps: link.BandwidthBps},
-		netsim.Phase{Until: 1 << 62, BandwidthBps: 2_000}, // 2 kbps: effectively down
-	); err != nil {
-		t.Fatal(err)
+	link.Phases = []netsim.Phase{
+		{Until: firstThird, BandwidthBps: link.BandwidthBps},
+		{Until: 1 << 62, BandwidthBps: 2_000}, // 2 kbps: effectively down
 	}
 
 	tr := obs.NewTracer(0)

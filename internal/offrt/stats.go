@@ -1,10 +1,6 @@
 package offrt
 
-import (
-	"fmt"
-
-	"repro/internal/simtime"
-)
+import "repro/internal/simtime"
 
 // SessionStats aggregates session-level offload accounting across all
 // tasks: gate outcomes, paging, faults and write-back volumes. Wire-level
@@ -64,50 +60,4 @@ type TaskStats struct {
 	Faults       int
 	DirtyPages   int
 	PrefetchPgs  int
-}
-
-// publishMetrics copies the session's aggregated statistics into the
-// attached metrics registry (no-op without one).
-func (s *Session) publishMetrics() {
-	m := s.Metrics
-	if m == nil {
-		return
-	}
-	m.Counter("link.msgs_to_server").Set(int64(s.LinkStats.MsgsToServer))
-	m.Counter("link.msgs_to_mobile").Set(int64(s.LinkStats.MsgsToMobile))
-	m.Counter("link.bytes_to_server").Set(s.LinkStats.BytesToServer)
-	m.Counter("link.bytes_to_mobile").Set(s.LinkStats.BytesToMobile)
-	m.Counter("link.comm_time_ps").Set(int64(s.LinkStats.CommTimeMobile))
-	m.Counter("session.offloads").Set(int64(s.Stats.Offloads))
-	m.Counter("session.declines").Set(int64(s.Stats.Declines))
-	m.Counter("session.faults").Set(int64(s.Stats.Faults))
-	m.Counter("session.dirty_pages").Set(int64(s.Stats.DirtyPages))
-	m.Counter("session.prefetch_pages").Set(int64(s.Stats.PrefetchPages))
-	m.Counter("session.writeback_raw_bytes").Set(s.Stats.RawBytesToMobile)
-	m.Counter("session.writeback_wire_bytes").Set(s.Stats.WriteBackWireBytes)
-	m.Counter("session.retries").Set(int64(s.Stats.Retries))
-	m.Counter("session.aborts").Set(int64(s.Stats.Aborts))
-	m.Counter("session.fallbacks").Set(int64(s.Stats.Fallbacks))
-	m.Counter("session.e2e_latency_ps").Set(int64(s.Stats.E2ELatency))
-	m.Counter("session.migrations").Set(int64(s.Stats.Migrations))
-	m.Counter("session.migrated_pages").Set(int64(s.Stats.MigratedPages))
-	m.Counter("session.migrated_bytes").Set(s.Stats.MigratedBytes)
-	m.Counter("session.crash_retries").Set(int64(s.Stats.CrashRetries))
-	if s.topo != nil {
-		// Published only on tiered sessions so untiered metric summaries
-		// (and their goldens) are untouched.
-		m.Counter("session.tier.edge_placed").Set(int64(s.Stats.EdgePlaced))
-		m.Counter("session.tier.cloud_placed").Set(int64(s.Stats.CloudPlaced))
-	}
-	m.Counter("faults.injected").Set(s.LinkStats.Injector.Stats().Total())
-	for id, st := range s.PerTask {
-		p := fmt.Sprintf("task.%d.", id)
-		m.Counter(p + "offloads").Set(int64(st.Offloads))
-		m.Counter(p + "declines").Set(int64(st.Declines))
-		m.Counter(p + "traffic_bytes").Set(st.TrafficBytes)
-		m.Counter(p + "faults").Set(int64(st.Faults))
-		m.Counter(p + "dirty_pages").Set(int64(st.DirtyPages))
-		m.Counter(p + "prefetch_pages").Set(int64(st.PrefetchPgs))
-	}
-	s.Tracer.PublishDropped(m)
 }

@@ -111,14 +111,3 @@ func Geomean(vs []float64) float64 {
 	}
 	return math.Exp(sum / float64(n))
 }
-
-// MetricsTable renders a name->value metrics listing (as produced by the
-// obs registry) as a table. It takes the already-paired rows so report does
-// not depend on the obs package.
-func MetricsTable(title string, names []string, value func(string) int64) *Table {
-	t := New(title, "Metric", "Value")
-	for _, n := range names {
-		t.Add(n, value(n))
-	}
-	return t
-}

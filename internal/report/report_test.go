@@ -66,13 +66,3 @@ func TestGeomean(t *testing.T) {
 		t.Errorf("Geomean overflowed: %g", g)
 	}
 }
-
-func TestMetricsTable(t *testing.T) {
-	vals := map[string]int64{"session.offloads": 3, "link.bytes_to_server": 9000}
-	tab := MetricsTable("m", []string{"link.bytes_to_server", "session.offloads"},
-		func(n string) int64 { return vals[n] })
-	s := tab.String()
-	if !strings.Contains(s, "session.offloads") || !strings.Contains(s, "9000") {
-		t.Errorf("metrics table missing entries:\n%s", s)
-	}
-}
