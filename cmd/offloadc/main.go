@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cli"
@@ -24,26 +25,29 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "offloadc: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	name := flag.String("w", "chess", "workload name (chess or a Table 4 program id)")
-	irFile := flag.String("ir", "", "compile a textual IR program file instead of a named workload")
-	stdin := flag.String("stdin", "", "comma-separated integers fed to the program's scanf calls")
-	cost := flag.Int64("cost", 1, "cost amplification for -ir programs")
-	dump := flag.String("dump", "", "dump partitioned IR: mobile or server")
-	list := flag.Bool("list", false, "list available workloads")
-	image := flag.Bool("image", false, "print shared program image statistics for the compiled binary pair")
-	flag.Parse()
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("offloadc", flag.ExitOnError)
+	name := fs.String("w", "chess", "workload name (chess or a Table 4 program id)")
+	irFile := fs.String("ir", "", "compile a textual IR program file instead of a named workload")
+	stdin := fs.String("stdin", "", "comma-separated integers fed to the program's scanf calls")
+	cost := fs.Int64("cost", 1, "cost amplification for -ir programs")
+	dump := fs.String("dump", "", "dump partitioned IR: mobile or server")
+	list := fs.Bool("list", false, "list available workloads")
+	image := fs.Bool("image", false, "print shared program image statistics for the compiled binary pair")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
-		fmt.Println("chess  \tthe paper's running example (Figure 3)")
+		fmt.Fprintln(stdout, "chess  \tthe paper's running example (Figure 3)")
 		for _, w := range workloads.All() {
-			fmt.Printf("%s\t%s\n", w.Name, w.Desc)
+			fmt.Fprintf(stdout, "%s\t%s\n", w.Name, w.Desc)
 		}
 		return nil
 	}
@@ -76,27 +80,27 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("profile: %w", err)
 	}
-	fmt.Println(prof)
+	fmt.Fprintln(stdout, prof)
 
 	cres, err := fw.Compile(mod, prof)
 	if err != nil {
 		return fmt.Errorf("compile: %w", err)
 	}
 
-	fmt.Println(experiments.CandidateTable("candidate estimation (Equation 1)", cres.Candidates, false))
-	fmt.Println(cres.Summary())
+	fmt.Fprintln(stdout, experiments.CandidateTable("candidate estimation (Equation 1)", cres.Candidates, false))
+	fmt.Fprintln(stdout, cres.Summary())
 
 	if *image {
-		if err := printImageStats(fw, cres); err != nil {
+		if err := printImageStats(stdout, fw, cres); err != nil {
 			return fmt.Errorf("-image: %w", err)
 		}
 	}
 
 	switch *dump {
 	case "mobile":
-		fmt.Println(cres.Mobile)
+		fmt.Fprintln(stdout, cres.Mobile)
 	case "server":
-		fmt.Println(cres.Server)
+		fmt.Fprintln(stdout, cres.Server)
 	case "":
 	default:
 		return fmt.Errorf("-dump must be mobile or server")
@@ -108,7 +112,7 @@ func run() error {
 // program artifacts and reports the image footprint a server fleet would
 // hold: logical size, content-deduplicated backing size, and what one
 // copy-on-write session bind costs (nothing until it writes).
-func printImageStats(fw *core.Framework, cres *compiler.Result) error {
+func printImageStats(stdout io.Writer, fw *core.Framework, cres *compiler.Result) error {
 	mobileProg, serverProg, err := fw.Programs(cres)
 	if err != nil {
 		return err
@@ -122,9 +126,9 @@ func printImageStats(fw *core.Framework, cres *compiler.Result) error {
 			float64(img.Bytes())/1024, float64(img.UniqueBytes())/1024,
 			inst.Mem.ResidentPrivateBytes())
 	}
-	fmt.Println(t)
+	fmt.Fprintln(stdout, t)
 	if fw.Cache != nil {
-		fmt.Println(cli.CacheStatsLine(fw.Cache))
+		fmt.Fprintln(stdout, cli.CacheStatsLine(fw.Cache))
 	}
 	return nil
 }

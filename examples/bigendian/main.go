@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -21,6 +23,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "bigendian:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	if len(args) > 0 {
+		return fmt.Errorf("takes no arguments, got %q", args)
+	}
 	w := workloads.ByName("429.mcf")
 	fw := core.NewFramework(core.FastNetwork).WithScale(workloads.Scale, w.CostScale)
 	fw.Server = arch.POWER32BE() // big-endian server
@@ -28,28 +40,28 @@ func main() {
 	mod := w.Build()
 	prof, err := fw.Profile(mod, w.ProfileIO())
 	if err != nil {
-		log.Fatalf("profile: %v", err)
+		return fmt.Errorf("profile: %w", err)
 	}
 	cres, err := fw.Compile(mod, prof)
 	if err != nil {
-		log.Fatalf("compile: %v", err)
+		return fmt.Errorf("compile: %w", err)
 	}
 	local, err := fw.RunLocal(mod, w.EvalIO())
 	if err != nil {
-		log.Fatalf("local: %v", err)
+		return fmt.Errorf("local: %w", err)
 	}
 	off, err := fw.RunOffloaded(cres, w.EvalIO(), offrt.Policy{ForceOffload: true})
 	if err != nil {
-		log.Fatalf("offload: %v", err)
+		return fmt.Errorf("offload: %w", err)
 	}
 
-	fmt.Printf("server architecture: %s\n", fw.Server)
-	if local.Output == off.Output {
-		fmt.Println("outputs identical: endianness translation preserved every value")
-	} else {
-		log.Fatal("OUTPUT MISMATCH — endianness translation failed")
+	if local.Output != off.Output {
+		return errors.New("OUTPUT MISMATCH — endianness translation failed")
 	}
-	fmt.Printf("local %v -> offloaded %v (%.2fx)\n", local.Time, off.Time, off.Speedup(local))
-	fmt.Println("note: each server memory access pays the translation cost the")
-	fmt.Println("compiler inserted; the paper's ARM/x86 pair avoids it entirely.")
+	fmt.Fprintf(stdout, "server architecture: %s\n", fw.Server)
+	fmt.Fprintln(stdout, "outputs identical: endianness translation preserved every value")
+	fmt.Fprintf(stdout, "local %v -> offloaded %v (%.2fx)\n", local.Time, off.Time, off.Speedup(local))
+	fmt.Fprintln(stdout, "note: each server memory access pays the translation cost the")
+	fmt.Fprintln(stdout, "compiler inserted; the paper's ARM/x86 pair avoids it entirely.")
+	return nil
 }

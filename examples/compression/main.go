@@ -11,7 +11,8 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/offrt"
@@ -19,6 +20,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "compression:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	if len(args) > 0 {
+		return fmt.Errorf("takes no arguments, got %q", args)
+	}
 	w := workloads.ByName("164.gzip")
 
 	fast := core.NewFramework(core.FastNetwork).WithScale(workloads.Scale, w.CostScale)
@@ -27,15 +38,15 @@ func main() {
 	mod := w.Build()
 	prof, err := fast.Profile(mod, w.ProfileIO())
 	if err != nil {
-		log.Fatalf("profile: %v", err)
+		return fmt.Errorf("profile: %w", err)
 	}
 	cres, err := fast.Compile(mod, prof)
 	if err != nil {
-		log.Fatalf("compile: %v", err)
+		return fmt.Errorf("compile: %w", err)
 	}
 	local, err := fast.RunLocal(mod, w.EvalIO())
 	if err != nil {
-		log.Fatalf("local: %v", err)
+		return fmt.Errorf("local: %w", err)
 	}
 
 	for _, env := range []struct {
@@ -44,19 +55,21 @@ func main() {
 	}{{"802.11n (slow)", slow}, {"802.11ac (fast)", fast}} {
 		off, err := env.fw.RunOffloaded(cres, w.EvalIO(), offrt.Policy{})
 		if err != nil {
-			log.Fatalf("%s: %v", env.name, err)
+			return fmt.Errorf("%s: %w", env.name, err)
 		}
 		verdict := "OFFLOADED"
 		if !off.Offloaded() {
 			verdict = "declined by the dynamic estimator (ran locally)"
 		}
-		fmt.Printf("%-16s %v vs local %v (%.2fx) — %s\n",
+		fmt.Fprintf(stdout, "%-16s %v vs local %v (%.2fx) — %s\n",
 			env.name, off.Time, local.Time, off.Speedup(local), verdict)
-		for _, st := range off.PerTask {
+		for _, id := range off.TaskIDs() {
+			st := off.PerTask[id]
 			if st.Declines > 0 {
-				fmt.Printf("%-16s   estimator: %d declines — the %0.f MB transfer would cost more than the compute saves\n",
+				fmt.Fprintf(stdout, "%-16s   estimator: %d declines — the %0.f MB transfer would cost more than the compute saves\n",
 					"", st.Declines, float64(w.Paper.TrafficMB))
 			}
 		}
 	}
+	return nil
 }

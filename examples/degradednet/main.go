@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -22,22 +24,32 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "degradednet:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	if len(args) > 0 {
+		return fmt.Errorf("takes no arguments, got %q", args)
+	}
 	fw := core.NewFramework(core.FastNetwork)
 	fw.CostScale = workloads.ChessCostScale
 	mod := workloads.BuildChess(workloads.DefaultChessConfig())
 
 	prof, err := fw.Profile(mod, workloads.ChessInput(7, 1))
 	if err != nil {
-		log.Fatalf("profile: %v", err)
+		return fmt.Errorf("profile: %w", err)
 	}
 	cres, err := fw.Compile(mod, prof)
 	if err != nil {
-		log.Fatalf("compile: %v", err)
+		return fmt.Errorf("compile: %w", err)
 	}
 
 	local, err := fw.RunLocal(mod, workloads.ChessInput(9, 3))
 	if err != nil {
-		log.Fatalf("local: %v", err)
+		return fmt.Errorf("local: %w", err)
 	}
 
 	// Healthy 802.11ac for the first second of simulated time, then a
@@ -51,18 +63,20 @@ func main() {
 
 	off, err := fw.RunOffloaded(cres, workloads.ChessInput(9, 3), offrt.Policy{})
 	if err != nil {
-		log.Fatalf("offload: %v", err)
+		return fmt.Errorf("offload: %w", err)
 	}
 	if off.Output != local.Output {
-		log.Fatal("outputs diverged")
+		return errors.New("outputs diverged")
 	}
 
-	fmt.Println("three-move chess game on a network that collapses after 1s:")
-	for id, st := range off.PerTask {
-		fmt.Printf("  task %d (getAITurn): %d move(s) offloaded, %d declined by the dynamic estimator\n",
+	fmt.Fprintln(stdout, "three-move chess game on a network that collapses after 1s:")
+	for _, id := range off.TaskIDs() {
+		st := off.PerTask[id]
+		fmt.Fprintf(stdout, "  task %d (getAITurn): %d move(s) offloaded, %d declined by the dynamic estimator\n",
 			id, st.Offloads, st.Declines)
 	}
-	fmt.Printf("  local-only time:   %v\n", local.Time)
-	fmt.Printf("  adaptive time:     %v (%.2fx)\n", off.Time, off.Speedup(local))
-	fmt.Println("  output identical to the local run — the game survived the outage.")
+	fmt.Fprintf(stdout, "  local-only time:   %v\n", local.Time)
+	fmt.Fprintf(stdout, "  adaptive time:     %v (%.2fx)\n", off.Time, off.Speedup(local))
+	fmt.Fprintln(stdout, "  output identical to the local run — the game survived the outage.")
+	return nil
 }

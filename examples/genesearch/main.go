@@ -11,7 +11,8 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/offrt"
@@ -19,34 +20,46 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "genesearch:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	if len(args) > 0 {
+		return fmt.Errorf("takes no arguments, got %q", args)
+	}
 	w := workloads.ByName("456.hmmer")
 	fw := core.NewFramework(core.FastNetwork).WithScale(workloads.Scale, w.CostScale)
 
 	mod := w.Build()
 	prof, err := fw.Profile(mod, w.ProfileIO())
 	if err != nil {
-		log.Fatalf("profile: %v", err)
+		return fmt.Errorf("profile: %w", err)
 	}
 	cres, err := fw.Compile(mod, prof)
 	if err != nil {
-		log.Fatalf("compile: %v", err)
+		return fmt.Errorf("compile: %w", err)
 	}
 	local, err := fw.RunLocal(mod, w.EvalIO())
 	if err != nil {
-		log.Fatalf("local: %v", err)
+		return fmt.Errorf("local: %w", err)
 	}
 	off, err := fw.RunOffloaded(cres, w.EvalIO(), offrt.Policy{})
 	if err != nil {
-		log.Fatalf("offload: %v", err)
+		return fmt.Errorf("offload: %w", err)
 	}
 
-	fmt.Printf("gene sequence search (%s)\n", w.Desc)
-	fmt.Printf("  local:     %v\n", local.Time)
-	fmt.Printf("  offloaded: %v (speedup %.2fx)\n", off.Time, off.Speedup(local))
-	for id, st := range off.PerTask {
-		fmt.Printf("  task %d moved only %.1f KB across the network (%d prefetched pages, %d faults)\n",
+	fmt.Fprintf(stdout, "gene sequence search (%s)\n", w.Desc)
+	fmt.Fprintf(stdout, "  local:     %v\n", local.Time)
+	fmt.Fprintf(stdout, "  offloaded: %v (speedup %.2fx)\n", off.Time, off.Speedup(local))
+	for _, id := range off.TaskIDs() {
+		st := off.PerTask[id]
+		fmt.Fprintf(stdout, "  task %d moved only %.1f KB across the network (%d prefetched pages, %d faults)\n",
 			id, float64(st.TrafficBytes)/1024, st.PrefetchPgs, st.Faults)
 	}
-	fmt.Printf("  ideal (zero-overhead) time: %v — the offloaded run is within %.1f%% of it\n",
+	fmt.Fprintf(stdout, "  ideal (zero-overhead) time: %v — the offloaded run is within %.1f%% of it\n",
 		off.IdealTime(), 100*(float64(off.Time)/float64(off.IdealTime())-1))
+	return nil
 }

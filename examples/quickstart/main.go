@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/offrt"
@@ -18,6 +20,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	if len(args) > 0 {
+		return fmt.Errorf("takes no arguments, got %q", args)
+	}
 	fw := core.NewFramework(core.FastNetwork)
 	fw.CostScale = workloads.ChessCostScale
 
@@ -27,38 +39,39 @@ func main() {
 	// 1. Profile with a training input (difficulty 7, one turn).
 	prof, err := fw.Profile(mod, workloads.ChessInput(7, 1))
 	if err != nil {
-		log.Fatalf("profile: %v", err)
+		return fmt.Errorf("profile: %w", err)
 	}
-	fmt.Println("hot candidates on the profiling input:")
-	fmt.Println(prof)
+	fmt.Fprintln(stdout, "hot candidates on the profiling input:")
+	fmt.Fprintln(stdout, prof)
 
 	// 2. Compile: target selection, memory unification, partitioning,
 	// server-specific optimization.
 	cres, err := fw.Compile(mod, prof)
 	if err != nil {
-		log.Fatalf("compile: %v", err)
+		return fmt.Errorf("compile: %w", err)
 	}
-	fmt.Println(cres.Summary())
+	fmt.Fprintln(stdout, cres.Summary())
 
 	// 3. Play the same game (difficulty 10, two turns) locally and
 	// offloaded.
 	local, err := fw.RunLocal(mod, workloads.ChessInput(10, 2))
 	if err != nil {
-		log.Fatalf("local run: %v", err)
+		return fmt.Errorf("local run: %w", err)
 	}
 	off, err := fw.RunOffloaded(cres, workloads.ChessInput(10, 2), offrt.Policy{})
 	if err != nil {
-		log.Fatalf("offloaded run: %v", err)
+		return fmt.Errorf("offloaded run: %w", err)
 	}
 
 	if local.Output != off.Output {
-		log.Fatalf("outputs differ — the unified address space is broken")
+		return errors.New("outputs differ — the unified address space is broken")
 	}
-	fmt.Printf("difficulty 10, smartphone only:  %v  (%8.0f mJ)\n", local.Time, local.EnergyMJ)
-	fmt.Printf("difficulty 10, with offloading:  %v  (%8.0f mJ)\n", off.Time, off.EnergyMJ)
-	fmt.Printf("speedup %.2fx, battery saving %.0f%%, traffic %.1f KB\n",
+	fmt.Fprintf(stdout, "difficulty 10, smartphone only:  %v  (%8.0f mJ)\n", local.Time, local.EnergyMJ)
+	fmt.Fprintf(stdout, "difficulty 10, with offloading:  %v  (%8.0f mJ)\n", off.Time, off.EnergyMJ)
+	fmt.Fprintf(stdout, "speedup %.2fx, battery saving %.0f%%, traffic %.1f KB\n",
 		off.Speedup(local), 100*(1-off.NormalizedEnergy(local)),
 		float64(off.LinkStats.TotalBytes())/1024)
-	fmt.Println("\ngame output (identical in both runs):")
-	fmt.Print(off.Output)
+	fmt.Fprintln(stdout, "\ngame output (identical in both runs):")
+	fmt.Fprint(stdout, off.Output)
+	return nil
 }
