@@ -123,3 +123,57 @@ func TestRestoreStateFlushesTLBs(t *testing.T) {
 		t.Fatalf("digest after restore-in-place run = %#x, want %#x", g, w)
 	}
 }
+
+// TestRecycledFrameServesNoStaleHit: a page frame a memory gives back may
+// serve another memory by the next access, so a page cache entry must never
+// hit on it again. Machine A caches page X; X's frame goes back to the pool
+// (Drop, Release, or a Drop followed by RestoreState, which rewinds the
+// generation to the checkpoint's); memory B takes that very frame and writes
+// poison into it; A's next read of X misses and sees X's own bytes.
+func TestRecycledFrameServesNoStaleHit(t *testing.T) {
+	work, cfg := bindBenchLowered(t)
+	prog, err := Compile(work, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const addr = mem.HeapBase + 64
+	pn := mem.PageNum(addr)
+	drop := func(m *mem.Memory) { m.Drop(pn) }
+	for _, c := range []struct {
+		name    string
+		give    func(*mem.Memory)
+		restore bool
+		want    uint64
+	}{
+		{"drop", drop, false, 0},
+		{"release", (*mem.Memory).Release, false, 0},
+		{"restore", drop, true, 42},
+	} {
+		a := prog.NewInstance()
+		if err := a.writeMem(addr, 8, 42); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := a.readMem(addr, 8); err != nil || v != 42 {
+			t.Fatalf("%s: read %d, %v", c.name, v, err)
+		}
+		frame, err := a.Mem.Page(pn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := a.CheckpointState()
+		c.give(a.Mem)
+		b := mem.New()
+		if err := b.WriteUint(addr, 8, 0xdead); err != nil {
+			t.Fatal(err)
+		}
+		if &b.PageData(pn)[0] != &frame[0] {
+			t.Fatalf("%s: memory B did not take the frame A gave back", c.name)
+		}
+		if c.restore {
+			a.RestoreState(st)
+		}
+		if v, err := a.readMem(addr, 8); err != nil || v != c.want {
+			t.Errorf("%s: A read %#x (%v) through a recycled frame, want %d", c.name, v, err, c.want)
+		}
+	}
+}

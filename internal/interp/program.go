@@ -97,6 +97,7 @@ func compileProgram(mod *ir.Module, cfg CompileConfig) (*Program, error) {
 		return nil, err
 	}
 	img := mem.Snapshot(scratch)
+	scratch.Release()
 
 	cc := compileModule(cfg, lay, mod)
 	return &Program{cfg: cfg, mod: mod, lay: lay, cc: cc, image: img}, nil

@@ -19,7 +19,9 @@ type Checkpoint struct {
 	// Gen is the invalidation generation at snapshot time. Restoring it
 	// keeps digests and generation-keyed caches comparable across the
 	// migration, but any cache keyed on (page pointer, gen) must still be
-	// flushed explicitly: the restored pages are fresh arrays.
+	// flushed explicitly: the restored pages are other arrays, frames from
+	// the pool — possibly one a stale entry still points at, now holding
+	// another page or serving another memory.
 	Gen uint64
 }
 
@@ -67,8 +69,8 @@ func (m *Memory) Restore(c *Checkpoint) {
 	m.pages = make(map[uint32]*[PageSize]byte, len(c.Pages))
 	m.dirty = nil
 	for _, cp := range c.Pages {
-		p := new([PageSize]byte)
-		copy(p[:], cp.Data)
+		p := AllocFrame()
+		clear(p[copy(p[:], cp.Data):])
 		m.pages[cp.PN] = p
 		if cp.Dirty {
 			m.markDirty(cp.PN)

@@ -104,11 +104,14 @@ type Memory struct {
 	Faults int
 
 	// gen counts structural changes that can invalidate cached page
-	// pointers: page installation (InstallPage), removal (Drop),
-	// dirty-bit clearing (ClearDirty), and copy-on-write materialization
-	// (the private copy supersedes the shared array a reader may have
-	// cached). Faulting an absent page in does not bump it — existing page
-	// arrays never move. Invalidate bumps it with no structural change.
+	// pointers: page installation (InstallPage, AdoptPage), removal (Drop,
+	// Release), dirty-bit clearing (ClearDirty), and copy-on-write
+	// materialization (the private copy supersedes the shared array a reader
+	// may have cached). Every change that takes an array out of the page set
+	// bumps it, and that array may serve another memory by the next access:
+	// a cached pointer is good only while gen is unchanged. Faulting an
+	// absent page in does not bump it — no resident array leaves. Invalidate
+	// bumps it with no structural change.
 	gen uint64
 }
 
@@ -131,8 +134,8 @@ func (m *Memory) Image() *Image { return m.base }
 
 // ResidentPrivateBytes returns the bytes of private (per-memory) page
 // storage: pages faulted, written (copy-on-write), or installed here, each
-// an allocation of exactly PageSize bytes. Shared image pages read through
-// the overlay cost nothing.
+// a PageSize frame. Shared image pages read through the overlay cost
+// nothing.
 func (m *Memory) ResidentPrivateBytes() int { return len(m.pages) * PageSize }
 
 // basePage returns the shared image's array for pn, if this memory is an
@@ -160,7 +163,7 @@ func (m *Memory) getPage(pn uint32) (*[PageSize]byte, error) {
 		return p, nil
 	}
 	if src, ok := m.basePage(pn); ok {
-		p := new([PageSize]byte)
+		p := AllocFrame()
 		*p = *src
 		m.pages[pn] = p
 		m.gen++
@@ -169,17 +172,16 @@ func (m *Memory) getPage(pn uint32) (*[PageSize]byte, error) {
 		}
 		return p, nil
 	}
-	p := new([PageSize]byte)
+	var data []byte
 	if m.Fault != nil {
-		data, err := m.Fault(pn)
-		if err != nil {
+		var err error
+		if data, err = m.Fault(pn); err != nil {
 			return nil, fmt.Errorf("mem: page fault at 0x%x: %w", PageAddr(pn), err)
 		}
 		m.Faults++
-		if data != nil {
-			copy(p[:], data)
-		}
 	}
+	p := AllocFrame()
+	clear(p[copy(p[:], data):])
 	m.pages[pn] = p
 	delete(m.masked, pn)
 	if m.Touch != nil {
@@ -271,19 +273,34 @@ func (m *Memory) PageData(pn uint32) []byte {
 }
 
 // InstallPage overwrites page pn with data (length <= PageSize, the rest of
-// the page reads as zeroes), marking it clean. Used for prefetch and dirty
-// write-back application. The page owns its bytes — data is copied, into the
-// existing private page when there is one — so the caller may recycle data
-// at once; cached page pointers are invalidated either way (Gen).
+// the page reads as zeroes), marking it clean. Used for prefetch and for a
+// write-back that arrived uncompressed. The page owns its bytes — data is
+// copied, into the existing private page when there is one — so the caller
+// may recycle data at once; cached page pointers are invalidated either way
+// (Gen).
 func (m *Memory) InstallPage(pn uint32, data []byte) {
-	if p, ok := m.pages[pn]; ok {
-		clear(p[copy(p[:], data):])
-		delete(m.dirty, pn)
-	} else {
-		p = new([PageSize]byte)
-		copy(p[:], data)
+	p, ok := m.pages[pn]
+	if !ok {
+		p = AllocFrame()
 		m.pages[pn] = p
 	}
+	clear(p[copy(p[:], data):])
+	delete(m.dirty, pn)
+	delete(m.masked, pn)
+	m.gen++
+}
+
+// AdoptPage makes frame p private page pn, marking it clean: InstallPage
+// without the copy. p comes from AllocFrame and the caller gives it up —
+// from here on the memory owns it and gives it back to the pool when the
+// page is dropped, replaced or released. The private page p replaces goes
+// back to the pool now; cached page pointers are invalidated (Gen).
+func (m *Memory) AdoptPage(pn uint32, p *[PageSize]byte) {
+	if old, ok := m.pages[pn]; ok && old != p {
+		FreeFrame(old)
+	}
+	m.pages[pn] = p
+	delete(m.dirty, pn)
 	delete(m.masked, pn)
 	m.gen++
 }
@@ -390,11 +407,15 @@ func (m *Memory) PresentPages() []uint32 {
 }
 
 // Drop discards page pn (used when a server process terminates without
-// keeping offloading data, Section 4 finalization). On an overlay a base
-// image page is masked rather than removed from the shared image, so the
-// next touch faults or zero-fills exactly as on a plain memory.
+// keeping offloading data, Section 4 finalization); a private page's frame
+// goes back to the pool. On an overlay a base image page is masked rather
+// than removed from the shared image, so the next touch faults or
+// zero-fills exactly as on a plain memory.
 func (m *Memory) Drop(pn uint32) {
-	delete(m.pages, pn)
+	if p, ok := m.pages[pn]; ok {
+		FreeFrame(p)
+		delete(m.pages, pn)
+	}
 	delete(m.dirty, pn)
 	if m.base != nil && m.base.Has(pn) {
 		if m.masked == nil {
@@ -402,6 +423,21 @@ func (m *Memory) Drop(pn uint32) {
 		}
 		m.masked[pn] = struct{}{}
 	}
+	m.gen++
+}
+
+// Release ends a run's use of the memory: every private page's frame goes
+// back to the pool — an overlay's image pages are shared and are not the
+// memory's to give — and the dirty and masked sets empty, so the memory
+// reads as freshly made. Gen advances. Whatever the caller still needs from
+// the memory (a Digest, a page's bytes) it takes before Release.
+func (m *Memory) Release() {
+	for _, p := range m.pages {
+		FreeFrame(p)
+	}
+	clear(m.pages)
+	clear(m.dirty)
+	clear(m.masked)
 	m.gen++
 }
 

@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/estimate"
 	"repro/internal/interp"
@@ -260,7 +261,10 @@ func firstErr(errs ...error) error {
 }
 
 // decodeCheckpoint reverses encodeCheckpoint, validating every declared
-// count against the bytes actually present.
+// count against the bytes actually present. It accepts only what
+// encodeCheckpoint writes, so a decoded payload re-encodes to the same
+// bytes: masked and private page numbers strictly ascending, no page both
+// masked and private, and each dirty flag 0 or 1.
 func (s *Session) decodeCheckpoint(msg *Message) (*interp.State, []string, []byte, error) {
 	r := bytes.NewReader(msg.Data)
 	rd := func(v interface{}) error { return binary.Read(r, binary.LittleEndian, v) }
@@ -279,6 +283,9 @@ func (s *Session) decodeCheckpoint(msg *Message) (*interp.State, []string, []byt
 		if err := rd(&pn); err != nil {
 			return nil, nil, nil, err
 		}
+		if i > 0 && pn <= c.Masked[i-1] {
+			return nil, nil, nil, fmt.Errorf("offrt: checkpoint masked page %#x out of order", pn)
+		}
 		c.Masked = append(c.Masked, pn)
 	}
 	if err := rd(&nPages); err != nil {
@@ -292,6 +299,15 @@ func (s *Session) decodeCheckpoint(msg *Message) (*interp.State, []string, []byt
 		var dirty uint8
 		if err := firstErr(rd(&pn), rd(&dirty)); err != nil {
 			return nil, nil, nil, err
+		}
+		if i > 0 && pn <= c.Pages[i-1].PN {
+			return nil, nil, nil, fmt.Errorf("offrt: checkpoint page %#x out of order", pn)
+		}
+		if _, masked := slices.BinarySearch(c.Masked, pn); masked {
+			return nil, nil, nil, fmt.Errorf("offrt: checkpoint page %#x is both masked and private", pn)
+		}
+		if dirty > 1 {
+			return nil, nil, nil, fmt.Errorf("offrt: checkpoint page %#x has dirty flag %d", pn, dirty)
 		}
 		data := make([]byte, mem.PageSize)
 		if _, err := io.ReadFull(r, data); err != nil {

@@ -144,13 +144,18 @@ func (s *Session) SendReturn(m *interp.Machine, v uint64) error {
 	}
 
 	// The frame is recycled when SendReturn returns: by then the journal is
-	// committed (InstallPage copied every page) or the task aborted. The
-	// compressed payload goes back as soon as the frame holds a copy.
+	// committed — every page inflated out of the frame, or copied out of it
+	// when it went uncompressed — or the task aborted. The compressed payload
+	// goes back as soon as the frame holds a copy.
 	frame := getFrame()
 	defer frames.put(frame)
 	wireBytes := fin.AppendEncode(*frame)
 	*frame = wireBytes
 	fin.release()
+	// The frame holds all the mobile needs, so the server drops its copy of
+	// the offloading data now, not after the commit: the page frames it
+	// gives back are the ones the write-back inflates into.
+	s.dropServerPages()
 	wire := int64(len(wireBytes))
 	d, _, ok := s.exchange("finalize", "", wire, 0, interp.CompComm)
 	if !ok {
@@ -200,8 +205,7 @@ func (s *Session) receiveWriteBack(frame []byte) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("offrt: finalize payload corrupt: %w", err)
 	}
-	s.commitJournal(pages)
-	decoded.release()
+	s.commitJournal(pages, decoded.Compressed)
 	return decoded.Ret, nil
 }
 
@@ -210,14 +214,26 @@ func (s *Session) receiveWriteBack(frame []byte) (uint64, error) {
 // write-back, then the remote output in original order. Nothing here can
 // fail halfway — validation happened before the first install — so a
 // partial write-back never corrupts unified memory.
-func (s *Session) commitJournal(pages []PageRecord) {
-	for _, p := range pages {
-		s.Mobile.Mem.InstallPage(p.PN, p.Data)
-	}
+func (s *Session) commitJournal(pages []PageRecord, inflated bool) {
+	commitPages(s.Mobile.Mem, pages, inflated)
 	for _, out := range s.ioJournal {
 		s.Mobile.IO.Write(out)
 	}
 	s.ioJournal = nil
+}
+
+// commitPages installs a validated write-back into m. Inflated records own
+// a page frame each (DecompressPages), and m adopts it; the records of an
+// uncompressed write-back alias the wire frame, which is recycled, and m
+// copies them.
+func commitPages(m *mem.Memory, pages []PageRecord, inflated bool) {
+	for _, p := range pages {
+		if inflated {
+			m.AdoptPage(p.PN, (*[mem.PageSize]byte)(p.Data))
+		} else {
+			m.InstallPage(p.PN, p.Data)
+		}
+	}
 }
 
 // finishAborted is the ghost-mode finalization: discard the journal and
@@ -240,12 +256,19 @@ func (s *Session) finishAborted() error {
 // in the paper's repeated-invocation traffic numbers, and zero the
 // per-task component buckets.
 func (s *Session) resetServer() {
-	for _, pn := range s.Server.Mem.PresentPages() {
-		s.Server.Mem.Drop(pn)
-	}
+	s.dropServerPages()
 	s.Server.Mem.Faults = 0
 	s.Server.Mem.TrackDirty = false
 	s.Server.Comp = [interp.NumComponents]simtime.PS{}
+}
+
+// dropServerPages drops every page the server holds, giving the private
+// pages' frames back to the pool. On a server already emptied it does
+// nothing.
+func (s *Session) dropServerPages() {
+	for _, pn := range s.Server.Mem.PresentPages() {
+		s.Server.Mem.Drop(pn)
+	}
 }
 
 // servePageFault is the copy-on-demand path: the server stalls for a

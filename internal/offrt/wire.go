@@ -74,11 +74,9 @@ type Message struct {
 	Data       []byte // remote I/O payload, or compressed page payload
 	Compressed bool
 
-	// What CompressPages and DecompressPages took from their recyclers for
-	// this message: the buffer Data aliases after CompressPages, and the
-	// slabs DecompressPages' records alias. release gives them back.
-	comp  *bytes.Buffer
-	slabs []*[]byte
+	// comp is the recycled buffer Data aliases after CompressPages; release
+	// gives it back.
+	comp *bytes.Buffer
 }
 
 // pageRecordBytes is one page record, in a frame or in a compressed payload
@@ -291,15 +289,15 @@ func Decode(b []byte) (*Message, error) {
 	return m, nil
 }
 
-// recycler is a free list of the page path's reusable values: frames,
-// deflaters and their output buffers, inflaters and their slabs. It is not
-// a sync.Pool because the collector empties a Pool on its own schedule: a
-// sweep whose collections happened to fall between two offloads allocated
-// its multi-megabyte frames again, the same sweep a moment later did not,
-// and what a run allocated varied by 10 % with nothing in it changed. A
-// recycler keeps what it is given until it is taken
-// — at most recyclerCap values, the rest are dropped — so what a run
-// allocates depends on its offloads alone.
+// recycler is a free list of the page path's reusable values: wire frames,
+// deflaters and their output buffers, and inflaters. It is not a sync.Pool
+// because the collector empties a Pool on its own schedule: a sweep whose
+// collections happened to fall between two offloads allocated its
+// multi-megabyte frames again, the same sweep a moment later did not, and
+// what a run allocated varied by 10 % with nothing in it changed. A
+// recycler keeps what it is given until it is taken — at most recyclerCap
+// values, the rest are dropped — so what a run allocates depends on its
+// offloads alone.
 type recycler[T any] struct {
 	mu   sync.Mutex
 	free []*T
@@ -307,9 +305,9 @@ type recycler[T any] struct {
 
 // recyclerCap is how many values a recycler holds. A session has two frames
 // in flight at most (the request and its finalization), one compressor state
-// and its output buffer, and a write-back of up to recyclerCap×slabPages
-// pages inflates into recycled slabs; sessions sharing a process beyond that,
-// and larger write-backs, allocate their own.
+// and its output buffer, and one inflater; sessions sharing a process beyond
+// that allocate their own. The inflated pages themselves are page frames
+// from mem's pool.
 const recyclerCap = 4
 
 // get takes the value put last, or nil if none is held.
@@ -432,25 +430,14 @@ type inflater struct {
 // state NewReader leaves; one that failed mid-stream is dropped anyway.
 var inflaters recycler[inflater]
 
-// slabPages is how many inflated pages one slab holds: 256 KiB, so the
-// slabs a recycler keeps come to 1 MiB.
-const slabPages = 64
-
-// inflateSlabs recycles DecompressPages' slabs. They go back once their
-// pages are installed (release); a write-back of more than
-// recyclerCap×slabPages pages allocates the slabs beyond those, and they
-// are dropped there, so what stays retained is bounded and not the largest
-// write-back a process has seen.
-var inflateSlabs recycler[[]byte]
-
 // DecompressPages inflates a finalization payload back into page records,
-// one page at a time into fixed-size slabs the records alias — recycled
-// ones first, then fresh ones, never regrown, so no inflated byte is copied
-// a second time. A payload that inflates to more records than the message's
-// PageTable lists is corrupt: the dirty pages a server writes back are a
-// subset of the pages it holds, and without that bound a frame under
-// MaxWireBytes could inflate a thousandfold. The records stay valid until
-// release.
+// each straight into a page frame of its own (mem.AllocFrame), so no
+// inflated byte is copied a second time: the records own their frames, and
+// the caller hands each to a Memory (AdoptPage) or back to the pool. A
+// payload that inflates to more records than the message's PageTable lists
+// is corrupt: the dirty pages a server writes back are a subset of the pages
+// it holds, and without that bound a frame under MaxWireBytes could inflate
+// a thousandfold. A payload that fails gives back every frame it took.
 func (m *Message) DecompressPages() ([]PageRecord, error) {
 	if !m.Compressed {
 		return m.Pages, nil
@@ -465,59 +452,47 @@ func (m *Message) DecompressPages() ([]PageRecord, error) {
 		return nil, err
 	}
 	var out []PageRecord
-	var slab []byte
 	for {
 		if _, err := io.ReadFull(inf.fr, inf.pn[:]); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, m.inflateFailed(len(out), err)
+			return nil, inflateFailed(out, err)
 		}
 		if len(out) == len(m.PageTable) {
-			m.release()
+			freeFrames(out)
 			return nil, fmt.Errorf("offrt: corrupt page payload (more records than the %d-page table)", len(m.PageTable))
 		}
-		if len(slab) == 0 {
-			slab = m.takeSlab()
-			out = slices.Grow(out, slabPages)
+		page := mem.AllocFrame()
+		if _, err := io.ReadFull(inf.fr, page[:]); err != nil {
+			mem.FreeFrame(page)
+			return nil, inflateFailed(out, err)
 		}
-		page := slab[:mem.PageSize:mem.PageSize]
-		if _, err := io.ReadFull(inf.fr, page); err != nil {
-			return nil, m.inflateFailed(len(out), err)
-		}
-		slab = slab[mem.PageSize:]
-		out = append(out, PageRecord{PN: binary.LittleEndian.Uint32(inf.pn[:]), Data: page})
+		out = append(out, PageRecord{PN: binary.LittleEndian.Uint32(inf.pn[:]), Data: page[:]})
 	}
 	inf.src.Reset(nil)
 	inflaters.put(inf)
 	return out, nil
 }
 
-// takeSlab returns an empty slab, recycled if one is available, and holds it
-// for m until release.
-func (m *Message) takeSlab() []byte {
-	s := inflateSlabs.get()
-	if s == nil {
-		s = new([]byte)
-		*s = make([]byte, slabPages*mem.PageSize)
+// freeFrames gives back the frames under records DecompressPages inflated.
+func freeFrames(pages []PageRecord) {
+	for _, p := range pages {
+		mem.FreeFrame((*[mem.PageSize]byte)(p.Data))
 	}
-	m.slabs = append(m.slabs, s)
-	return *s
 }
 
-// inflateFailed gives back the slabs of a payload that stopped inflating
-// after n whole records, and names the failure.
-func (m *Message) inflateFailed(n int, err error) error {
-	m.release()
+// inflateFailed gives back the frames of a payload that stopped inflating
+// after the records in out, and names the failure.
+func inflateFailed(out []PageRecord, err error) error {
+	freeFrames(out)
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return fmt.Errorf("offrt: corrupt page payload (ends inside record %d)", n)
+		return fmt.Errorf("offrt: corrupt page payload (ends inside record %d)", len(out))
 	}
 	return err
 }
 
-// release gives back what CompressPages and DecompressPages took for m: the
-// buffer Data aliases, and the slabs under every record DecompressPages
-// returned. The caller is done with both — the payload encoded into a
-// frame, the records installed (InstallPage copies).
+// release gives back the buffer Data aliases after CompressPages, once the
+// payload is encoded into a frame.
 func (m *Message) release() {
 	if m.comp != nil {
 		if m.comp.Cap() <= maxDeflateBuf {
@@ -525,8 +500,4 @@ func (m *Message) release() {
 		}
 		m.comp, m.Data = nil, nil
 	}
-	for _, s := range m.slabs {
-		inflateSlabs.put(s)
-	}
-	m.slabs = nil
 }

@@ -60,10 +60,12 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("re-encode round trip changed message: %+v vs %+v", m, m2)
 		}
 		if m.Compressed {
-			if pages, err := m.DecompressPages(); err == nil && len(pages) > len(m.PageTable) {
-				t.Fatalf("payload inflated to %d records over a %d-page table", len(pages), len(m.PageTable))
+			if pages, err := m.DecompressPages(); err == nil {
+				if len(pages) > len(m.PageTable) {
+					t.Fatalf("payload inflated to %d records over a %d-page table", len(pages), len(m.PageTable))
+				}
+				freeFrames(pages)
 			}
-			m.release()
 		}
 	})
 }

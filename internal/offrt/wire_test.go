@@ -12,6 +12,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/interp"
 	"repro/internal/mem"
 	"repro/internal/netsim"
 )
@@ -263,6 +264,7 @@ func TestCompressPagesPooledWriterIdentical(t *testing.T) {
 						t.Fatalf("set %d: page %d drifted through the round trip", k, i)
 					}
 				}
+				freeFrames(got)
 				m.release()
 			}
 		})
@@ -500,13 +502,14 @@ func TestReleasedFrameDoesNotReachMemory(t *testing.T) {
 	}
 }
 
-// TestReleasedSlabDoesNotReachMemory: the compressed payload lives in a
-// recycled buffer that goes back once the frame holds a copy, and the
-// inflated records in recycled slabs that go back once they are installed.
-// Both are poisoned right after their release: the frame must still decode
-// to what was sent, and the Memory must still hold it.
-func TestReleasedSlabDoesNotReachMemory(t *testing.T) {
-	src, pns := wirePageSet(2*slabPages + 3) // three slabs, the last one partly filled
+// TestFreedFrameDoesNotReachMemory: the compressed payload lives in a
+// recycled buffer that goes back once the frame holds a copy, and a payload
+// that fails to inflate gives back the page frames it inflated into. Both
+// are poisoned right after they go back: the frame must still decode to
+// what was sent, no Memory may hold a poisoned frame, and an honest
+// write-back that inflates into those frames next overwrites every byte.
+func TestFreedFrameDoesNotReachMemory(t *testing.T) {
+	src, pns := wirePageSet(8)
 	fin := &Message{Kind: MsgFinalize, PageTable: pns, Pages: pageRecords(src, pns)}
 	if _, err := fin.CompressPages(); err != nil {
 		t.Fatal(err)
@@ -517,42 +520,63 @@ func TestReleasedSlabDoesNotReachMemory(t *testing.T) {
 	for i := range payload {
 		payload[i] = 0xff
 	}
-
-	got, err := Decode(frame)
-	if err != nil {
-		t.Fatal(err)
+	writeBack := func(dst *mem.Memory) {
+		got, err := Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages, err := got.DecompressPages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		commitPages(dst, pages, true)
 	}
-	pages, err := got.DecompressPages()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pages) != len(pns) || len(got.slabs) != 3 {
-		t.Fatalf("%d pages in %d slabs, want %d in 3", len(pages), len(got.slabs), len(pns))
+	held := func(dst *mem.Memory) {
+		t.Helper()
+		for _, pn := range pns {
+			if !bytes.Equal(dst.PageData(pn), src.PageData(pn)) {
+				t.Fatalf("page %#x does not hold what was written back", pn)
+			}
+		}
 	}
 	dst := mem.New()
-	for _, p := range pages {
-		dst.InstallPage(p.PN, p.Data)
+	writeBack(dst)
+	held(dst)
+
+	// All eight records inflate, then the payload ends inside a ninth: nine
+	// frames were taken, and all nine went back.
+	var raw []byte
+	for _, p := range pageRecords(src, pns) {
+		raw = append(binary.LittleEndian.AppendUint32(raw, p.PN), p.Data...)
 	}
-	held := got.slabs
-	got.release()
-	for _, s := range held {
-		for i := range *s {
-			(*s)[i] = 0xff
+	raw = append(raw, raw[:100]...)
+	bad := &Message{Kind: MsgFinalize, PageTable: append(pns, pns...), Compressed: true, Data: deflated(raw)}
+	if _, err := bad.DecompressPages(); err == nil || !strings.Contains(err.Error(), "ends inside record 8") {
+		t.Fatalf("truncated payload: %v", err)
+	}
+	freed := make([]*[mem.PageSize]byte, len(pns)+1)
+	for i := range freed {
+		freed[i] = mem.AllocFrame()
+		for j := range freed[i] {
+			freed[i][j] = 0xff
 		}
 	}
-	for _, pn := range pns {
-		if !bytes.Equal(dst.PageData(pn), src.PageData(pn)) {
-			t.Fatalf("page %#x changed when its released slab was overwritten", pn)
-		}
+	held(dst)
+	for _, p := range freed {
+		mem.FreeFrame(p)
 	}
+	dst = mem.New()
+	writeBack(dst)
+	held(dst)
 }
 
 // TestBadWriteBackChangesNothing is commit-at-return on the mobile side of
 // finalization. A frame that is corrupt (its checksum, or a payload that is
 // not deflate), truncated (the payload ends inside a record) or over-long
 // (it inflates to more records than its page table lists) is refused before
-// the first page is installed: mobile memory is as it was, and the journaled
-// output is not committed. The honest frame beside them installs and commits.
+// the first page is installed: mobile memory is as it was, the journaled
+// output is not committed, and every page frame the inflation took is back
+// in the pool. The honest frame beside them installs and commits.
 func TestBadWriteBackChangesNothing(t *testing.T) {
 	env := setup(t, netsim.Fast80211AC(), Policy{})
 	s, mobile := env.sess, env.mobile.Mem
@@ -576,8 +600,12 @@ func TestBadWriteBackChangesNothing(t *testing.T) {
 	} {
 		s.ioJournal = []string{"journaled\n"}
 		gen, digest, out := mobile.Gen(), mobile.Digest(), env.io.Out.String()
+		top := markPoolTop(4)
 		if _, err := s.receiveWriteBack(c.frame); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
+		}
+		if !top.back() {
+			t.Errorf("%s: a refused write-back kept a page frame", c.name)
 		}
 		if mobile.Gen() != gen || mobile.Digest() != digest {
 			t.Errorf("%s: a refused write-back installed pages", c.name)
@@ -595,6 +623,119 @@ func TestBadWriteBackChangesNothing(t *testing.T) {
 	if !bytes.Equal(mobile.PageData(pn), page) || !strings.HasSuffix(env.io.Out.String(), "journaled\n") {
 		t.Error("the honest write-back did not install its page and commit the journal")
 	}
+}
+
+// TestUncompressedWriteBackCopies: under Policy.NoCompress the write-back's
+// records alias the wire frame, which the runtime recycles once SendReturn
+// returns, so the mobile copies them and adopts nothing. Poisoning the frame
+// after the commit changes no page, and the page frame under the written
+// page is the one the mobile held before.
+func TestUncompressedWriteBackCopies(t *testing.T) {
+	env := setup(t, netsim.Fast80211AC(), Policy{NoCompress: true})
+	s, mobile := env.sess, env.mobile.Mem
+	pn := mobile.PresentPages()[0]
+	before, err := mobile.DirtyPage(pn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := bytes.Repeat([]byte{0x5a}, mem.PageSize)
+	frame := (&Message{Kind: MsgFinalize, Ret: 7, PageTable: []uint32{pn},
+		Pages: []PageRecord{{PN: pn, Data: page}}}).Encode()
+	if ret, err := s.receiveWriteBack(frame); err != nil || ret != 7 {
+		t.Fatalf("write-back: ret %d, %v", ret, err)
+	}
+	for i := range frame {
+		frame[i] = 0xff
+	}
+	if got := mobile.PageData(pn); !bytes.Equal(got, page) || &got[0] != &before[0] {
+		t.Error("an uncompressed write-back adopted its record instead of copying it")
+	}
+}
+
+// writeBackSpy is the server's SysHost in TestWriteBackInflatesIntoServerFrames:
+// at each finalization it notes the arrays under the server's pages, lets
+// the session finalize, and checks that every page the mobile committed is
+// one of them.
+type writeBackSpy struct {
+	*Session
+	t         *testing.T
+	committed int
+}
+
+func (sp *writeBackSpy) SendReturn(m *interp.Machine, v uint64) error {
+	held := map[*[mem.PageSize]byte]bool{}
+	for _, pn := range sp.Server.Mem.PresentPages() {
+		held[(*[mem.PageSize]byte)(sp.Server.Mem.PageData(pn))] = true
+	}
+	dirty := sp.Server.Mem.DirtyPages()
+	err := sp.Session.SendReturn(m, v)
+	for _, pn := range dirty {
+		if !held[(*[mem.PageSize]byte)(sp.Mobile.Mem.PageData(pn))] {
+			sp.t.Errorf("page %#x was committed in a frame the server did not hold", pn)
+		}
+		sp.committed++
+	}
+	return err
+}
+
+// TestWriteBackInflatesIntoServerFrames: the server drops its pages as soon
+// as the finalization frame is encoded, before the mobile inflates the
+// write-back, so each page the mobile commits is a frame the server held a
+// moment before — not a fresh one, and not an older one from the pool. The
+// pool starts empty, so nothing but the server's drop can feed the
+// inflation.
+func TestWriteBackInflatesIntoServerFrames(t *testing.T) {
+	env := setup(t, netsim.Fast80211AC(), Policy{})
+	spy := &writeBackSpy{Session: env.sess, t: t}
+	env.server.Sys = spy
+	taken := make([]*[mem.PageSize]byte, 4096) // more than the pool holds
+	for i := range taken {
+		taken[i] = mem.AllocFrame()
+	}
+	_, err := env.sess.RunMobile()
+	for _, p := range taken {
+		mem.FreeFrame(p)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.sess.Stats.Offloads == 0 || spy.committed == 0 {
+		t.Fatalf("%d offloads committed %d pages; the test needs a write-back", env.sess.Stats.Offloads, spy.committed)
+	}
+}
+
+// poolTop is a marked top of mem's frame pool: n frames of the test's own,
+// put where the next n AllocFrame calls take them.
+type poolTop map[*[mem.PageSize]byte]bool
+
+func markPoolTop(n int) poolTop {
+	for i := 0; i < n; i++ {
+		mem.AllocFrame() // room for the marks below the pool's bound
+	}
+	top := poolTop{}
+	for i := 0; i < n; i++ {
+		p := new([mem.PageSize]byte)
+		top[p] = true
+		mem.FreeFrame(p)
+	}
+	return top
+}
+
+// back takes the pool's top len(top) frames and reports whether they are
+// the marked ones: whatever ran since markPoolTop gave back every frame it
+// took. The marks are given back again.
+func (top poolTop) back() bool {
+	ok := true
+	taken := make([]*[mem.PageSize]byte, 0, len(top))
+	for range top {
+		p := mem.AllocFrame()
+		ok = ok && top[p]
+		taken = append(taken, p)
+	}
+	for i := len(taken) - 1; i >= 0; i-- {
+		mem.FreeFrame(taken[i])
+	}
+	return ok
 }
 
 // TestWirePathAllocationBudget pins the page path's allocation shape: the
@@ -638,14 +779,13 @@ func TestWirePathAllocationBudget(t *testing.T) {
 	}
 
 	// The return direction, the way SendReturn runs it: compressed into a
-	// recycled buffer, encoded into a recycled frame, inflated into recycled
-	// slabs and installed over pages the mobile already holds. After one
-	// warm-up the recyclers hold everything a write-back of this size needs,
-	// so what it allocates is the decoded message, its page table and the
-	// record list, and no page-sized buffer.
-	if n > recyclerCap*slabPages {
-		t.Fatalf("%d pages do not fit the %d recycled slab pages", n, recyclerCap*slabPages)
-	}
+	// recycled buffer, encoded into a recycled frame, inflated into page
+	// frames from the pool and adopted over pages the mobile already holds,
+	// whose frames go back to the pool. After one warm-up the recyclers and
+	// the pool hold everything a write-back of this size needs, so what it
+	// allocates is the decoded message, its page table and the record list,
+	// and no page-sized buffer. The committed page is the inflated frame
+	// itself: nothing copies it a second time.
 	recs := pageRecords(src, pns)
 	writeBack := func() {
 		fin := &Message{Kind: MsgFinalize, PageTable: pns, Pages: recs}
@@ -663,11 +803,13 @@ func TestWirePathAllocationBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range pages {
-			dst.InstallPage(p.PN, p.Data)
-		}
-		got.release()
+		commitPages(dst, pages, true)
 		frames.put(frame)
+		for _, p := range pages {
+			if &dst.PageData(p.PN)[0] != &p.Data[0] {
+				t.Fatalf("page %#x was copied out of its inflated frame, not adopted", p.PN)
+			}
+		}
 	}
 	writeBack()
 	bigBefore := allocsOver(32 << 10)
@@ -675,7 +817,7 @@ func TestWirePathAllocationBudget(t *testing.T) {
 	writeBack()
 	runtime.ReadMemStats(&after)
 	if big := allocsOver(32<<10) - bigBefore; big != 0 {
-		t.Errorf("a warm write-back of %d pages made %d allocations over 32 KiB (a slab, a frame or a compressor buffer), want 0", n, big)
+		t.Errorf("a warm write-back of %d pages made %d allocations over 32 KiB (a frame or a compressor buffer), want 0", n, big)
 	}
 	if total := after.TotalAlloc - before.TotalAlloc; total > 128*n {
 		t.Errorf("a warm write-back of %d pages allocated %d bytes, want no page-sized buffer per page (<= %d)", n, total, 128*n)
@@ -730,9 +872,9 @@ func truncatedHeaderFrames() [][]byte {
 // sparse pages moved from one Memory to another the way a session moves
 // them. "request" is the prefetch direction (PageData views encoded into a
 // recycled frame, decoded, installed); "return" is the write-back direction
-// (compressed into a recycled buffer, encoded, decoded, inflated into
-// recycled slabs, installed over the pages already there). MB/s counts raw
-// page bytes moved.
+// (compressed into a recycled buffer, encoded, decoded, inflated into page
+// frames from the pool, adopted over the pages already there). MB/s counts
+// raw page bytes moved.
 func BenchmarkWirePages(b *testing.B) {
 	const n = 512
 	src, pns := wirePageSet(n)
@@ -754,17 +896,16 @@ func BenchmarkWirePages(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, p := range pages {
-			dst.InstallPage(p.PN, p.Data)
-		}
-		got.release()
+		commitPages(dst, pages, compress)
 		frames.put(frame)
 	}
 	b.Run("request", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(n * mem.PageSize)
 		for i := 0; i < b.N; i++ {
-			move(b, mem.New(), false) // the server starts every offload empty
+			dst := mem.New() // the server starts every offload empty
+			move(b, dst, false)
+			dst.Release() // and drops its pages at finalization
 		}
 	})
 	b.Run("return", func(b *testing.B) {
