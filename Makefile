@@ -104,14 +104,16 @@ golden:
 
 ## fuzz: a longer fuzzing session over every fuzz target in the module,
 ## one minute each: the wire decoder, the migration checkpoint's round
-## trip, the IR parser, the two fault-plan spec parsers and the trace
-## analyzers over arbitrary event streams (go test fuzzes one target per
-## run). A checkpoint input carries whole pages, and minimizing each new
-## one at the default budget stalls the workers for most of the minute, so
-## that target minimizes for 200 runs an input.
+## trip, the session protocol under arbitrary link and server fault plans
+## (FuzzSessionFaults), the IR parser, the two fault-plan spec parsers and
+## the trace analyzers over arbitrary event streams (go test fuzzes one
+## target per run). A checkpoint input carries whole pages, and minimizing
+## each new one at the default budget stalls the workers for most of the
+## minute, so that target minimizes for 200 runs an input.
 fuzz:
 	$(GO) test ./internal/offrt/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 60s
 	$(GO) test ./internal/offrt/ -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime 60s -fuzzminimizetime 200x
+	$(GO) test ./internal/offrt/ -run '^$$' -fuzz '^FuzzSessionFaults$$' -fuzztime 60s
 	$(GO) test ./internal/obs/analyze/ -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime 60s
 	$(GO) test ./internal/ir/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s
 	$(GO) test ./internal/faults/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s

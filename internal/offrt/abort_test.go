@@ -35,14 +35,14 @@ func (sp *serviceSpy) watch(call func()) {
 		return
 	}
 	aborts, n := s.Stats.Aborts, s.Tracer.Len()
-	clock0, comp0, traffic0 := s.Server.Clock, s.Server.Comp, s.PerTask[sp.taskID].TrafficBytes
+	clock0, comp0, traffic0 := s.ep.m.Clock, s.ep.m.Comp, s.PerTask[sp.taskID].TrafficBytes
 	call()
 	if s.Stats.Aborts == aborts {
 		return
 	}
 	sp.failed = true
 	sp.clock0, sp.comp0, sp.traffic0 = clock0, comp0, traffic0
-	sp.clock1, sp.comp1, sp.traffic1 = s.Server.Clock, s.Server.Comp, s.PerTask[sp.taskID].TrafficBytes
+	sp.clock1, sp.comp1, sp.traffic1 = s.ep.m.Clock, s.ep.m.Comp, s.PerTask[sp.taskID].TrafficBytes
 	sp.events = s.Tracer.Events()[n:]
 }
 

@@ -36,7 +36,7 @@ func checkpointFixture(t testing.TB) (*mem.Image, []byte) {
 	}
 	m.Drop(heap + 2)
 	m.Drop(heap + 3)
-	s := &Session{ioJournal: []string{"round 1\n", ""}, outBuf: []byte("partial")}
+	s := &Session{ioJournal: []string{"round 1\n", ""}, ep: endpoint{outBuf: []byte("partial")}}
 	return img, s.encodeCheckpoint(&interp.State{SP: 0xdead_bee0, Mem: m.Checkpoint()})
 }
 
@@ -107,7 +107,7 @@ func FuzzCheckpoint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		s := &Session{ioJournal: journal, outBuf: outBuf}
+		s := &Session{ioJournal: journal, ep: endpoint{outBuf: outBuf}}
 		if re := s.encodeCheckpoint(st); !bytes.Equal(re, payload) {
 			t.Fatalf("accepted payload re-encodes differently (%d bytes, was %d)", len(re), len(payload))
 		}

@@ -36,7 +36,7 @@ func guestAt(name string, build func() *ir.Module, costScale int64) *workloads.W
 
 // partition profiles w on the mobile architecture, partitions it for a link
 // of the given bandwidth and compiles both binaries.
-func partition(t *testing.T, w *workloads.Workload, bandwidthBps int64) *pair {
+func partition(t testing.TB, w *workloads.Workload, bandwidthBps int64) *pair {
 	t.Helper()
 	mod := w.Build()
 	work := mod.Clone("prof")
@@ -65,7 +65,7 @@ func partition(t *testing.T, w *workloads.Workload, bandwidthBps int64) *pair {
 // bind compiles the pair's two binaries into the Programs sessions
 // instantiate. partition calls it; a test that doctors p.cres to break a
 // compiler mechanism calls it again.
-func (p *pair) bind(t *testing.T) {
+func (p *pair) bind(t testing.TB) {
 	t.Helper()
 	mob, srv := arch.ARM32(), arch.X8664() // compiler.Default's pair
 	var err error
@@ -98,15 +98,24 @@ type testEnv struct {
 // session binds a fresh session over the pair on the evaluation input.
 func (p *pair) session(t *testing.T, link *netsim.Link, pol Policy, extra ...Option) *testEnv {
 	t.Helper()
+	env, err := p.newEnv(link, pol, extra...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
+// newEnv is session for callers that take NewSession's refusal as an answer.
+func (p *pair) newEnv(link *netsim.Link, pol Policy, extra ...Option) (*testEnv, error) {
 	io := p.w.EvalIO()
 	mobile := p.mobile.NewInstance(interp.WithIO(io), interp.WithCostScale(p.w.CostScale))
 	server := p.server.NewInstance(interp.WithCostScale(p.w.CostScale))
 	opts := append([]Option{WithTasks(p.tasks...), WithPolicy(pol)}, extra...)
 	sess, err := NewSession(mobile, server, link, opts...)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return &testEnv{pair: p, link: link, mobile: mobile, server: server, sess: sess, io: io}
+	return &testEnv{pair: p, link: link, mobile: mobile, server: server, sess: sess, io: io}, nil
 }
 
 // setupFor partitions w for link and opens one session on it.
@@ -127,7 +136,7 @@ var pairs = map[string]*pair{}
 // (one binary pair serves both networks; only the runtime's dynamic
 // estimation differs), once for the whole suite. Sessions over it take links
 // scaled the same way (scaledLink).
-func workloadPair(t *testing.T, name string) *pair {
+func workloadPair(t testing.TB, name string) *pair {
 	t.Helper()
 	w := workloads.ByName(name)
 	if w == nil {

@@ -53,91 +53,92 @@ const (
 // crashed server stops making them, which is exactly how the mobile-side
 // deadline machinery experiences the failure.
 func (s *Session) heartbeat(op string) {
-	if !s.serverPlan.Active() || s.aborted {
+	if !s.serverPlan.Active() || s.ep.aborted {
 		return
 	}
 	// Retroactive slowdown: the compute burst since the last beat ran on a
 	// degraded host; stretch it by the scheduled factor's overlap. Output
 	// is untouched — only the clock moves.
-	if extra := s.serverPlan.SlowExtra(s.hostID, s.lastBeat, s.Server.Clock); extra > 0 {
-		s.Server.AddTime(extra, interp.CompCompute)
-		s.emit(obs.Event{Time: s.Server.Clock, Kind: obs.KServerFault, Track: obs.TrackServer,
-			Name: "slow", A0: int64(s.hostID), A1: int64(extra)})
+	if extra := s.serverPlan.SlowExtra(s.ep.hostID, s.ep.lastBeat, s.ep.m.Clock); extra > 0 {
+		s.ep.m.AddTime(extra, interp.CompCompute)
+		s.emit(obs.Event{Time: s.ep.m.Clock, Kind: obs.KServerFault, Track: obs.TrackServer,
+			Name: "slow", A0: int64(s.ep.hostID), A1: int64(extra)})
 	}
 	// Stall: the host freezes until the window closes; the boundary simply
 	// happens later.
-	if until, ok := s.serverPlan.StallUntil(s.hostID, s.Server.Clock); ok {
-		d := until - s.Server.Clock
-		s.Server.AddTime(d, interp.CompCompute)
-		s.emit(obs.Event{Time: s.Server.Clock, Kind: obs.KServerFault, Track: obs.TrackServer,
-			Name: "stall", A0: int64(s.hostID), A1: int64(d)})
+	if until, ok := s.serverPlan.StallUntil(s.ep.hostID, s.ep.m.Clock); ok {
+		d := until - s.ep.m.Clock
+		s.ep.m.AddTime(d, interp.CompCompute)
+		s.emit(obs.Event{Time: s.ep.m.Clock, Kind: obs.KServerFault, Track: obs.TrackServer,
+			Name: "stall", A0: int64(s.ep.hostID), A1: int64(d)})
 	}
-	now := s.Server.Clock
+	now := s.ep.m.Clock
 	// Crash: all in-flight state on this host is gone — there is nothing
 	// left to checkpoint. With a spare available the mobile re-sends the
 	// offload from scratch there; otherwise it falls back locally.
-	if s.serverPlan.CrashAt(s.hostID, now) {
+	if s.serverPlan.CrashAt(s.ep.hostID, now) {
 		s.emit(obs.Event{Time: now, Kind: obs.KServerFault, Track: obs.TrackServer,
-			Name: "crash", A0: int64(s.hostID)})
-		if s.migOn && s.hostID+1 < s.hosts {
-			s.hostID++
-			s.crashRetry = true
+			Name: "crash", A0: int64(s.ep.hostID)})
+		if s.ep.hostID+1 < s.hosts {
+			s.ep.hostID++
+			s.ep.crashRetry = true
 		}
 		s.abortTask("server.crash")
-		s.lastBeat = now
+		s.ep.lastBeat = now
 		return
 	}
-	if s.serverPlan.DrainAt(s.hostID, now) {
+	if s.serverPlan.DrainAt(s.ep.hostID, now) {
 		// Scheduled drain: the host announces it is going away, so the
 		// checkpoint can be cut cleanly. Finishing in place is not an
 		// option.
 		s.emit(obs.Event{Time: now, Kind: obs.KServerFault, Track: obs.TrackServer,
-			Name: "drain", A0: int64(s.hostID)})
+			Name: "drain", A0: int64(s.ep.hostID)})
 		s.decideMigration("drain", false)
-		s.lastBeat = s.Server.Clock
+		s.ep.lastBeat = s.ep.m.Clock
 		return
 	}
-	// Health monitor: compare this heartbeat gap against the smoothed
-	// history. K consecutive overruns arm a migration; one healthy beat
-	// disarms it (hysteresis against transient slowdowns).
-	if s.migOn {
-		gap := now - s.lastBeat
-		if s.ewmaGap == 0 {
-			s.ewmaGap = float64(gap)
+	// Health monitor, on a session with a spare host (WithMigration):
+	// compare this heartbeat gap against the smoothed history. K
+	// consecutive overruns arm a migration; one healthy beat disarms it
+	// (hysteresis against transient slowdowns).
+	if s.hosts > 1 {
+		gap := now - s.ep.lastBeat
+		if s.ep.ewmaGap == 0 {
+			s.ep.ewmaGap = float64(gap)
 		} else {
-			allowed := simtime.PS(healthSlack*s.ewmaGap) + healthFloor
+			allowed := simtime.PS(healthSlack*s.ep.ewmaGap) + healthFloor
 			if gap > allowed {
-				s.strikes++
+				s.ep.strikes++
 				s.emit(obs.Event{Time: now, Kind: obs.KHealth, Track: obs.TrackServer,
-					Name: op, A0: int64(gap), A1: int64(allowed), A2: int64(s.strikes)})
-				if s.strikes >= healthStrikes {
+					Name: op, A0: int64(gap), A1: int64(allowed), A2: int64(s.ep.strikes)})
+				if s.ep.strikes >= healthStrikes {
 					s.decideMigration("health", true)
 				}
 			} else {
-				s.strikes = 0
+				s.ep.strikes = 0
 				// Only healthy gaps feed the baseline: a sustained slowdown
 				// must keep looking anomalous, not redefine normal.
-				s.ewmaGap = 0.3*float64(gap) + 0.7*s.ewmaGap
+				s.ep.ewmaGap = 0.3*float64(gap) + 0.7*s.ep.ewmaGap
 			}
 		}
 	}
-	s.lastBeat = s.Server.Clock
+	s.ep.lastBeat = s.ep.m.Clock
 }
 
 // decideMigration runs the extended Equation 1 three-way choice for the
 // in-flight task and acts on it: keep going, migrate to a spare, or abort
 // (which sends the mobile down the local-fallback path).
 func (s *Session) decideMigration(reason string, canFinish bool) {
-	if !s.migOn || s.hostID+1 >= s.hosts {
+	if s.ep.hostID+1 >= s.hosts {
 		if !canFinish {
 			// Draining host, nowhere to go: the offload dies here.
 			s.abortTask("server." + reason)
 		}
 		return
 	}
-	st := s.Server.CheckpointState()
+	st := s.ep.m.CheckpointState()
 	payload := s.encodeCheckpoint(st)
-	msg := &Message{Kind: MsgCheckpoint, TaskID: s.cur.taskID, SP: st.SP, Data: payload}
+	msg := &Message{Kind: MsgCheckpoint, TaskID: s.ep.cur.taskID, SP: st.SP, Data: payload}
 	wire := msg.Encode()
 
 	bh := estimate.Params{
@@ -146,17 +147,17 @@ func (s *Session) decideMigration(reason string, canFinish bool) {
 		RTT:          2 * (s.backhaul.Latency + s.backhaul.PerMessage),
 	}
 	cost := bh.MigrationCost(int64(len(wire)))
-	spec := s.tasks[s.cur.taskID]
+	spec := s.tasks[s.ep.cur.taskID]
 	// Remaining work in mobile time: the profile's prediction minus what
 	// the server has already burned through (scaled back up by R).
-	remaining := spec.TimePerInvocation - simtime.PS(float64(s.Server.Comp[interp.CompCompute])*s.est.R)
+	remaining := spec.TimePerInvocation - simtime.PS(float64(s.ep.m.Comp[interp.CompCompute])*s.est.R)
 	if remaining < 0 {
 		remaining = 0
 	}
-	switch s.est.MigrationDecision(remaining, s.serverPlan.SlowFactor(s.hostID, s.Server.Clock), cost, canFinish) {
+	switch s.est.MigrationDecision(remaining, s.serverPlan.SlowFactor(s.ep.hostID, s.ep.m.Clock), cost, canFinish) {
 	case estimate.Finish:
 		// Ride it out; demand K fresh overruns before re-deciding.
-		s.strikes = 0
+		s.ep.strikes = 0
 	case estimate.Fallback:
 		s.abortTask("migrate.decline")
 	case estimate.Migrate:
@@ -170,10 +171,10 @@ func (s *Session) decideMigration(reason string, canFinish bool) {
 // failure the offload aborts — the mobile-side deadline machinery takes
 // over exactly as for a link death.
 func (s *Session) shipCheckpoint(reason string, st *interp.State, wire []byte) {
-	from := s.hostID
-	start := s.Server.Clock
+	from := s.ep.hostID
+	start := s.ep.m.Clock
 	s.emit(obs.Event{Time: start, Kind: obs.KMigrateCheckpoint, Track: obs.TrackServer,
-		A0: int64(s.cur.taskID), A1: int64(st.NumPages()), A2: int64(st.Bytes())})
+		A0: int64(s.ep.cur.taskID), A1: int64(st.NumPages()), A2: int64(st.Bytes())})
 
 	// The frame crosses the backhaul for real: decode what was encoded,
 	// validating frame, CRC and payload before anything is restored.
@@ -188,27 +189,27 @@ func (s *Session) shipCheckpoint(reason string, st *interp.State, wire []byte) {
 		s.abortTask("migrate.ship")
 		return
 	}
-	s.Server.RestoreState(restored)
+	s.ep.m.RestoreState(restored)
 	// The journaled remote output and the batched-output buffer traveled
 	// inside the frame; commit-at-return picks them up on the new host.
 	s.ioJournal = journal
-	s.outBuf = outBuf
+	s.ep.outBuf = outBuf
 
 	// One resume acknowledgment back to the source completes the handoff.
 	d += s.backhaul.Latency + s.backhaul.PerMessage
-	s.Server.AddTime(d, interp.CompComm)
+	s.ep.m.AddTime(d, interp.CompComm)
 	s.Comp[interp.CompComm] += d
 
-	s.hostID++
-	s.strikes = 0
-	s.ewmaGap = 0
+	s.ep.hostID++
+	s.ep.strikes = 0
+	s.ep.ewmaGap = 0
 	s.Stats.Migrations++
 	s.Stats.MigratedPages += st.NumPages()
 	s.Stats.MigratedBytes += int64(len(wire))
 	s.emit(obs.Event{Time: start, Dur: d, Kind: obs.KMigrateShip, Track: obs.TrackServer,
-		A0: int64(s.cur.taskID), A1: int64(len(wire))})
-	s.emit(obs.Event{Time: s.Server.Clock, Kind: obs.KMigrateResume, Track: obs.TrackServer,
-		Name: reason, A0: int64(s.cur.taskID), A1: int64(from), A2: int64(s.hostID)})
+		A0: int64(s.ep.cur.taskID), A1: int64(len(wire))})
+	s.emit(obs.Event{Time: s.ep.m.Clock, Kind: obs.KMigrateResume, Track: obs.TrackServer,
+		Name: reason, A0: int64(s.ep.cur.taskID), A1: int64(from), A2: int64(s.ep.hostID)})
 }
 
 // encodeCheckpoint sub-encodes the migratable session state into a
@@ -246,8 +247,8 @@ func (s *Session) encodeCheckpoint(st *interp.State) []byte {
 		w(uint32(len(out)))
 		buf.WriteString(out)
 	}
-	w(uint32(len(s.outBuf)))
-	buf.Write(s.outBuf)
+	w(uint32(len(s.ep.outBuf)))
+	buf.Write(s.ep.outBuf)
 	return buf.Bytes()
 }
 

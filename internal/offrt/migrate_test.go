@@ -235,7 +235,7 @@ func TestCheckpointPayloadRoundTrip(t *testing.T) {
 
 	s := &Session{
 		ioJournal: []string{"round 1\n", "", "round 2 with \x00 bytes\n"},
-		outBuf:    []byte("partial batch"),
+		ep:        endpoint{outBuf: []byte("partial batch")},
 	}
 	st := &interp.State{SP: 0xdead_bee0, Mem: m.Checkpoint()}
 	msg := &Message{Kind: MsgCheckpoint, TaskID: 7, SP: st.SP, Data: s.encodeCheckpoint(st)}
@@ -262,8 +262,8 @@ func TestCheckpointPayloadRoundTrip(t *testing.T) {
 			t.Errorf("journal[%d] = %q, want %q", i, journal[i], s.ioJournal[i])
 		}
 	}
-	if string(outBuf) != string(s.outBuf) {
-		t.Errorf("outBuf = %q, want %q", outBuf, s.outBuf)
+	if string(outBuf) != string(s.ep.outBuf) {
+		t.Errorf("outBuf = %q, want %q", outBuf, s.ep.outBuf)
 	}
 
 	// Restoring the decoded checkpoint onto a fresh overlay of the same

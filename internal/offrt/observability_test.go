@@ -114,7 +114,7 @@ func TestNewSessionIsTheOnlyConstructor(t *testing.T) {
 // TestNewSessionRejectsBadInputs pins the constructor's validation.
 func TestNewSessionRejectsBadInputs(t *testing.T) {
 	env := setup(t, netsim.Fast80211AC(), Policy{})
-	defer env.sess.Shutdown()
+	defer env.sess.shutdown()
 
 	if _, err := NewSession(nil, env.server, env.link); err == nil {
 		t.Error("nil mobile machine accepted")
@@ -153,7 +153,7 @@ func TestNewSessionRejectsBadInputs(t *testing.T) {
 			t.Errorf("%d opts: got %v, want an error containing %q", len(tc.opts), err, tc.want)
 		}
 		if sess != nil {
-			sess.Shutdown()
+			sess.shutdown()
 		}
 	}
 }

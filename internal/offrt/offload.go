@@ -68,9 +68,9 @@ func (s *Session) Offload(m *interp.Machine, taskID int32, args []uint64) (uint6
 		s.Stats.PrefetchPages += len(req.Pages)
 		s.emit(obs.Event{Time: s.Mobile.Clock, Kind: obs.KPrefetch, Track: obs.TrackMobile,
 			A0: int64(len(req.Pages)), A1: int64(len(req.Pages)) * mem.PageSize})
-		s.mobilePresent = make(map[uint32]bool)
+		s.ep.mobilePresent = make(map[uint32]bool)
 		for _, pn := range present {
-			s.mobilePresent[pn] = true
+			s.ep.mobilePresent[pn] = true
 		}
 
 		// The request crosses the wire for real: encode, charge the encoded
@@ -94,15 +94,13 @@ func (s *Session) Offload(m *interp.Machine, taskID int32, args []uint64) (uint6
 			return 0, fmt.Errorf("offrt: init message corrupt: %w", err)
 		}
 
-		// Hand the request to the listen loop and wait for finalization. All
-		// server-side state (clock sync, page install, dirty tracking) is
-		// applied by Accept on the server's own goroutine.
-		s.inFlight = true
-		s.reqCh <- request{taskID: taskID, args: args, arrival: s.Mobile.Clock, pages: got.Pages}
-		rep := <-s.repCh
-		s.inFlight = false
-		if rep.err != nil {
-			return 0, rep.err
+		// Hand the request to the listen loop and wait for the baton back.
+		// All server-side state (clock sync, page install, dirty tracking)
+		// is applied by Accept on the server's own goroutine.
+		s.ep.pass(request{taskID: taskID, args: args, arrival: s.Mobile.Clock, pages: got.Pages})
+		rep := s.ep.rep
+		if rep == nil {
+			return 0, fmt.Errorf("offrt: server failed mid-task: %w", s.ep.err)
 		}
 		if !rep.aborted {
 			ret, remote = rep.ret, true

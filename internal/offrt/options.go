@@ -109,21 +109,17 @@ func NewSession(mobile, server *interp.Machine, link *netsim.Link, opts ...Optio
 
 	s := &Session{
 		Mobile:   mobile,
-		Server:   server,
 		Link:     link,
 		Policy:   cfg.pol,
 		PerTask:  make(map[int]*TaskStats),
 		Tracer:   cfg.tracer,
 		tasks:    make(map[int32]TaskSpec),
-		reqCh:    make(chan request),
-		repCh:    make(chan reply),
-		doneCh:   make(chan error, 1),
 		Recorder: energy.NewRecorder(0, energy.Compute),
 		cooldown: quarantineCooldown,
 		topo:     cfg.topo,
+		ep:       endpoint{m: server},
 
 		serverPlan: cfg.serverPlan,
-		migOn:      cfg.migrate,
 		hosts:      hosts,
 		backhaul:   netsim.Backhaul(),
 	}

@@ -1,10 +1,13 @@
 package offrt
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/interp"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -147,7 +150,7 @@ func TestMidTaskOutageAbortsAndRecovers(t *testing.T) {
 
 func TestQuarantineDeclinesGate(t *testing.T) {
 	env := setup(t, netsim.Fast80211AC(), Policy{ForceOffload: true})
-	defer env.sess.Shutdown()
+	defer env.sess.shutdown()
 	env.sess.quarantineUntil = env.mobile.Clock + simtime.Second
 	declines := env.sess.Stats.Declines
 	if env.sess.Gate(env.mobile, 1) {
@@ -169,27 +172,102 @@ func TestShutdownIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := env.sess.Shutdown(); err != nil {
-			t.Fatalf("repeat Shutdown #%d: %v", i+1, err)
+		if err := env.sess.shutdown(); err != nil {
+			t.Fatalf("repeat shutdown #%d: %v", i+1, err)
 		}
 	}
 }
 
+// TestShutdownSafeAfterServerExit: a listen loop handed a shutdown request
+// outside shutdown exits and hands the baton back with no reply; shutdown
+// then hands the baton to nobody and returns.
 func TestShutdownSafeAfterServerExit(t *testing.T) {
 	env := setup(t, netsim.Fast80211AC(), Policy{})
-	env.sess.Start()
-	// The server loop exits on its own (shutdown request outside Shutdown);
-	// a Shutdown after that used to deadlock pushing a second request into
-	// a channel nobody receives from.
-	env.sess.reqCh <- request{taskID: 0}
+	ep := &env.sess.ep
+	ep.start()
+	ep.pass(request{taskID: 0})
+	if !ep.exited || ep.rep != nil || ep.err != nil {
+		t.Fatalf("listen loop handed the baton back with exited %v, reply %v, error %v", ep.exited, ep.rep, ep.err)
+	}
 	done := make(chan error, 1)
-	go func() { done <- env.sess.Shutdown() }()
+	go func() { done <- env.sess.shutdown() }()
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("Shutdown after server exit: %v", err)
+			t.Fatalf("shutdown after server exit: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Shutdown deadlocked after the server loop exited")
+		t.Fatal("shutdown deadlocked after the server loop exited")
+	}
+}
+
+// dyingHost is the server's SysHost in TestServerDeathMidTask: its
+// SendReturn fails, before the session finalizes the task or after.
+type dyingHost struct {
+	*Session
+	afterFinalize bool
+}
+
+var errHostDied = errors.New("host died")
+
+func (h *dyingHost) SendReturn(m *interp.Machine, v uint64) error {
+	if h.afterFinalize {
+		if err := h.Session.SendReturn(m, v); err != nil {
+			return err
+		}
+	}
+	return errHostDied
+}
+
+// TestServerDeathMidTask: a listen loop whose task fails hands the baton
+// back as it exits. Before finalization there is no reply, and RunMobile
+// returns an error naming the failure and wrapping the server's; after
+// finalization the mobile has its result, runs to the fault-free end, and
+// the server's error surfaces from the shutdown.
+func TestServerDeathMidTask(t *testing.T) {
+	twolf := workloadPair(t, "300.twolf") // one offload
+	link := scaledLink(netsim.Fast80211AC())
+	clean := twolf.session(t, link, Policy{})
+	wantCode, err := clean.sess.RunMobile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOut, wantMem := clean.io.Out.String(), clean.sess.MemDigest()
+
+	for _, after := range []bool{false, true} {
+		env := twolf.session(t, link, Policy{})
+		env.server.Sys = &dyingHost{Session: env.sess, afterFinalize: after}
+		type result struct {
+			code int32
+			err  error
+		}
+		done := make(chan result, 1)
+		go func() {
+			code, err := env.sess.RunMobile()
+			done <- result{code, err}
+		}()
+		var r result
+		select {
+		case r = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("after finalize %v: RunMobile hung on a dead server", after)
+		}
+		if !errors.Is(r.err, errHostDied) {
+			t.Fatalf("after finalize %v: error %v does not wrap the server's", after, r.err)
+		}
+		midTask := strings.Contains(r.err.Error(), "server failed mid-task")
+		if !after {
+			if !midTask {
+				t.Errorf("error %q does not name the mid-task failure", r.err)
+			}
+			continue
+		}
+		if midTask || r.err != env.sess.ep.err {
+			t.Errorf("error %q is not the shutdown's %q", r.err, env.sess.ep.err)
+		}
+		if r.code != wantCode || env.io.Out.String() != wantOut || env.sess.MemDigest() != wantMem {
+			t.Errorf("result diverged from the fault-free run: code %d (want %d), output equal %v, digest equal %v",
+				r.code, wantCode, env.io.Out.String() == wantOut, env.sess.MemDigest() == wantMem)
+		}
 	}
 }

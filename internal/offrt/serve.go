@@ -21,43 +21,37 @@ const radioTail = 150 * simtime.Millisecond
 
 // ---- SysHost: server side ----
 
-// Accept implements the server's blocking accept. It first releases the
-// mobile side with any pending finalization reply, so the server is fully
-// quiescent (parked here) whenever the mobile executes.
+// Accept implements the server's blocking accept: it hands the baton back
+// to the mobile, with the finalization of the last task, and waits for the
+// next request, so the server is parked here whenever the mobile executes.
 func (s *Session) Accept(m *interp.Machine) int32 {
-	if s.pendingReply != nil {
-		r := *s.pendingReply
-		s.pendingReply = nil
-		s.repCh <- r
-	}
-	req := <-s.reqCh
-	s.cur = req
+	req := s.ep.park()
 	if req.taskID == 0 {
 		return 0
 	}
 	// Initialization, server side: the machine was idle-waiting, so its
 	// clock jumps to the request arrival; the prefetched pages and fresh
 	// dirty tracking come with it (Figure 5 "Initialization").
-	s.Server.Clock = simtime.Max(s.Server.Clock, req.arrival)
+	s.ep.m.Clock = simtime.Max(s.ep.m.Clock, req.arrival)
 	for _, p := range req.pages {
-		s.Server.Mem.InstallPage(p.PN, p.Data)
+		s.ep.m.Mem.InstallPage(p.PN, p.Data)
 	}
-	s.cur.pages = nil // they alias the request frame, which the mobile recycles
-	s.Server.Mem.TrackDirty = true
-	s.Server.Mem.ClearDirty()
+	s.ep.cur.pages = nil // they alias the request frame, which the mobile recycles
+	s.ep.m.Mem.TrackDirty = true
+	s.ep.m.Mem.ClearDirty()
 	// Arm the health monitor for this task and apply any server fault that
 	// already matured — a request landing on a crashed or stalled host
 	// finds out here, not at its first remote service.
-	s.lastBeat = s.Server.Clock
-	s.ewmaGap, s.strikes = 0, 0
+	s.ep.lastBeat = s.ep.m.Clock
+	s.ep.ewmaGap, s.ep.strikes = 0, 0
 	s.heartbeat("accept")
 	return req.taskID
 }
 
 // Arg returns argument i of the current request.
 func (s *Session) Arg(m *interp.Machine, i int32) uint64 {
-	if int(i) < len(s.cur.args) {
-		return s.cur.args[i]
+	if int(i) < len(s.ep.cur.args) {
+		return s.ep.cur.args[i]
 	}
 	return 0
 }
@@ -73,13 +67,13 @@ func (s *Session) Arg(m *interp.Machine, i int32) uint64 {
 // mobile state and the rest of the task runs in ghost mode.
 func (s *Session) exchange(reqOp, respOp string, reqSize, respSize int64, comp interp.Component) (req, resp simtime.PS, ok bool) {
 	failed := reqOp
-	req, ok = s.sendReliable(false, reqSize, s.Server.Clock, reqOp)
+	req, ok = s.sendReliable(false, reqSize, s.ep.m.Clock, reqOp)
 	if ok && respOp != "" {
 		failed = respOp
-		resp, ok = s.sendReliable(true, respSize, s.Server.Clock+req, respOp)
+		resp, ok = s.sendReliable(true, respSize, s.ep.m.Clock+req, respOp)
 	}
 	if !ok {
-		s.Server.AddTime(req+resp, comp)
+		s.ep.m.AddTime(req+resp, comp)
 		s.abortTask(failed)
 	}
 	return req, resp, ok
@@ -92,13 +86,13 @@ func (s *Session) exchange(reqOp, respOp string, reqSize, respSize int64, comp i
 // listen loop completes deterministically and parks at the next Accept —
 // but all its effects are discarded and the mobile re-executes locally.
 func (s *Session) abortTask(op string) {
-	if s.aborted {
+	if s.ep.aborted {
 		return
 	}
-	s.aborted = true
+	s.ep.aborted = true
 	s.Stats.Aborts++
-	s.emit(obs.Event{Time: s.Server.Clock, Kind: obs.KAbort, Track: obs.TrackServer,
-		Name: op, A0: int64(s.cur.taskID)})
+	s.emit(obs.Event{Time: s.ep.m.Clock, Kind: obs.KAbort, Track: obs.TrackServer,
+		Name: op, A0: int64(s.ep.cur.taskID)})
 }
 
 // SendReturn implements finalization: the server sends the return value,
@@ -110,25 +104,25 @@ func (s *Session) abortTask(op string) {
 // unified memory (commit-at-return).
 func (s *Session) SendReturn(m *interp.Machine, v uint64) error {
 	s.heartbeat("return")
-	if s.aborted {
+	if s.ep.aborted {
 		return s.finishAborted()
 	}
-	dirty := s.Server.Mem.DirtyPages()
-	st := s.PerTask[int(s.cur.taskID)]
+	dirty := s.ep.m.Mem.DirtyPages()
+	st := s.PerTask[int(s.ep.cur.taskID)]
 	st.DirtyPages += len(dirty)
-	st.Faults += s.Server.Mem.Faults
+	st.Faults += s.ep.m.Mem.Faults
 	s.Stats.DirtyPages += len(dirty)
-	s.Stats.Faults += s.Server.Mem.Faults
+	s.Stats.Faults += s.ep.m.Mem.Faults
 
 	s.flushOutput()
-	if s.aborted {
+	if s.ep.aborted {
 		// The batched-output flush exhausted its retries.
 		return s.finishAborted()
 	}
-	fin := &Message{Kind: MsgFinalize, TaskID: s.cur.taskID, Ret: v,
-		PageTable: s.Server.Mem.PresentPages()}
+	fin := &Message{Kind: MsgFinalize, TaskID: s.ep.cur.taskID, Ret: v,
+		PageTable: s.ep.m.Mem.PresentPages()}
 	for _, pn := range dirty {
-		fin.Pages = append(fin.Pages, PageRecord{PN: pn, Data: s.Server.Mem.PageData(pn)})
+		fin.Pages = append(fin.Pages, PageRecord{PN: pn, Data: s.ep.m.Mem.PageData(pn)})
 	}
 	// The pre-compression payload: a page number and the page, per page.
 	raw := int64(len(fin.Pages)) * pageRecordBytes
@@ -140,7 +134,7 @@ func (s *Session) SendReturn(m *interp.Machine, v uint64) error {
 			return err
 		}
 		// Server-side compression throughput ~1 GB/s: 1 ns per byte.
-		s.Server.AddTime(simtime.PS(raw)*simtime.Nanosecond, interp.CompComm)
+		s.ep.m.AddTime(simtime.PS(raw)*simtime.Nanosecond, interp.CompComm)
 	}
 
 	// The frame is recycled when SendReturn returns: by then the journal is
@@ -155,14 +149,14 @@ func (s *Session) SendReturn(m *interp.Machine, v uint64) error {
 	// The frame holds all the mobile needs, so the server drops its copy of
 	// the offloading data now, not after the commit: the page frames it
 	// gives back are the ones the write-back inflates into.
-	s.dropServerPages()
+	s.ep.dropPages()
 	wire := int64(len(wireBytes))
 	d, _, ok := s.exchange("finalize", "", wire, 0, interp.CompComm)
 	if !ok {
 		return s.finishAborted()
 	}
 	s.Stats.WriteBackWireBytes += wire
-	s.emit(obs.Event{Time: s.Server.Clock, Dur: d, Kind: obs.KWriteBack,
+	s.emit(obs.Event{Time: s.ep.m.Clock, Dur: d, Kind: obs.KWriteBack,
 		Track: obs.TrackServer, A0: int64(len(dirty)), A1: raw, A2: wire})
 	st.TrafficBytes += wire
 
@@ -172,22 +166,22 @@ func (s *Session) SendReturn(m *interp.Machine, v uint64) error {
 	if err != nil {
 		return err
 	}
-	if gap := s.Server.Clock + d - s.Mobile.Clock; gap > 0 {
+	if gap := s.ep.m.Clock + d - s.Mobile.Clock; gap > 0 {
 		s.Mobile.AddTime(gap, interp.CompComm)
 	}
-	s.Recorder.Pulse(s.Server.Clock, d, energy.RX)
+	s.Recorder.Pulse(s.ep.m.Clock, d, energy.RX)
 	s.Recorder.Transition(s.Mobile.Clock, energy.Compute)
 	s.Comp[interp.CompComm] += d
 
 	// Figure 7 attribution: the server's compute/fptr time happened while
 	// the mobile device waited; fold it into the session buckets.
-	s.ServerCompute += s.Server.Comp[interp.CompCompute]
-	s.Comp[interp.CompCompute] += s.Server.Comp[interp.CompCompute]
-	s.Comp[interp.CompFptr] += s.Server.Comp[interp.CompFptr]
-	s.Comp[interp.CompRemoteIO] += s.Server.Comp[interp.CompRemoteIO]
+	s.ServerCompute += s.ep.m.Comp[interp.CompCompute]
+	s.Comp[interp.CompCompute] += s.ep.m.Comp[interp.CompCompute]
+	s.Comp[interp.CompFptr] += s.ep.m.Comp[interp.CompFptr]
+	s.Comp[interp.CompRemoteIO] += s.ep.m.Comp[interp.CompRemoteIO]
 
-	s.resetServer()
-	s.pendingReply = &reply{ret: ret}
+	s.ep.reset()
+	s.ep.rep = &reply{ret: ret}
 	return nil
 }
 
@@ -243,31 +237,29 @@ func commitPages(m *mem.Memory, pages []PageRecord, inflated bool) {
 // Figure-7 attribution.
 func (s *Session) finishAborted() error {
 	s.ioJournal = nil
-	s.outBuf = nil
-	s.resetServer()
-	s.aborted = false
-	s.pendingReply = &reply{aborted: true, retry: s.crashRetry}
-	s.crashRetry = false
+	s.ep.outBuf = nil
+	s.ep.reset()
+	s.ep.rep = &reply{aborted: true, retry: s.ep.crashRetry}
+	s.ep.aborted, s.ep.crashRetry = false, false
 	return nil
 }
 
-// resetServer terminates the offloading process without keeping the data
+// reset terminates the offloading process without keeping the data
 // (Section 4): drop every server page so the next offload starts cold, as
 // in the paper's repeated-invocation traffic numbers, and zero the
 // per-task component buckets.
-func (s *Session) resetServer() {
-	s.dropServerPages()
-	s.Server.Mem.Faults = 0
-	s.Server.Mem.TrackDirty = false
-	s.Server.Comp = [interp.NumComponents]simtime.PS{}
+func (e *endpoint) reset() {
+	e.dropPages()
+	e.m.Mem.Faults = 0
+	e.m.Mem.TrackDirty = false
+	e.m.Comp = [interp.NumComponents]simtime.PS{}
 }
 
-// dropServerPages drops every page the server holds, giving the private
-// pages' frames back to the pool. On a server already emptied it does
-// nothing.
-func (s *Session) dropServerPages() {
-	for _, pn := range s.Server.Mem.PresentPages() {
-		s.Server.Mem.Drop(pn)
+// dropPages drops every page the server holds, giving the private pages'
+// frames back to the pool. On a server already emptied it does nothing.
+func (e *endpoint) dropPages() {
+	for _, pn := range e.m.Mem.PresentPages() {
+		e.m.Mem.Drop(pn)
 	}
 }
 
@@ -275,18 +267,18 @@ func (s *Session) dropServerPages() {
 // round trip while the mobile device serves the page.
 func (s *Session) servePageFault(pn uint32) ([]byte, error) {
 	s.heartbeat("page")
-	if !s.mobilePresent[pn] {
+	if !s.ep.mobilePresent[pn] {
 		// The page table shipped at initialization says this page does
 		// not exist on the mobile device: zero-fill locally, no traffic.
-		if !s.aborted {
-			s.emit(obs.Event{Time: s.Server.Clock, Kind: obs.KPageFault,
+		if !s.ep.aborted {
+			s.emit(obs.Event{Time: s.ep.m.Clock, Kind: obs.KPageFault,
 				Track: obs.TrackServer, Name: "zero-fill",
 				A0: int64(pn), A1: int64(mem.PageAddr(pn))})
 		}
 		return nil, nil
 	}
 	data := s.Mobile.Mem.PageData(pn)
-	if s.aborted {
+	if s.ep.aborted {
 		// Ghost mode: serve the page in-process so the abandoned task can
 		// run to completion; its results are discarded at finalization.
 		return data, nil
@@ -298,13 +290,13 @@ func (s *Session) servePageFault(pn uint32) ([]byte, error) {
 	if !ok {
 		return data, nil
 	}
-	s.emit(obs.Event{Time: s.Server.Clock, Dur: req + resp, Kind: obs.KPageFault,
+	s.emit(obs.Event{Time: s.ep.m.Clock, Dur: req + resp, Kind: obs.KPageFault,
 		Track: obs.TrackServer, Name: "remote",
 		A0: int64(pn), A1: int64(mem.PageAddr(pn)), A2: reqSize + respSize})
 	s.addTaskTraffic(reqSize + respSize)
 	// The mobile radio pulses: receive the request, transmit the page.
-	s.Recorder.Pulse(s.Server.Clock+req, resp, energy.TX)
-	s.Server.AddTime(req+resp, interp.CompComm)
+	s.Recorder.Pulse(s.ep.m.Clock+req, resp, energy.TX)
+	s.ep.m.AddTime(req+resp, interp.CompComm)
 	s.Comp[interp.CompComm] += req + resp
 	return data, nil
 }
@@ -321,7 +313,7 @@ func (s *Session) servePageFault(pn uint32) ([]byte, error) {
 // what Table 4 counts of it, which includes remote-I/O payloads but not
 // file names.
 func (s *Session) remoteIO(op string, req, resp *Message, payload, traffic int64) bool {
-	if s.aborted {
+	if s.ep.aborted {
 		return false
 	}
 	respOp, respSize := "", int64(0)
@@ -333,11 +325,11 @@ func (s *Session) remoteIO(op string, req, resp *Message, payload, traffic int64
 		return false
 	}
 	d := dReq + dResp
-	s.emit(obs.Event{Time: s.Server.Clock, Dur: d, Kind: obs.KRemoteIO,
+	s.emit(obs.Event{Time: s.ep.m.Clock, Dur: d, Kind: obs.KRemoteIO,
 		Track: obs.TrackServer, Name: strings.TrimPrefix(op, "remote."), A0: payload})
 	s.addTaskTraffic(traffic)
-	s.Recorder.Pulse(s.Server.Clock, d+radioTail, energy.IOServe)
-	s.Server.AddTime(d, interp.CompRemoteIO)
+	s.Recorder.Pulse(s.ep.m.Clock, d+radioTail, energy.IOServe)
+	s.ep.m.AddTime(d, interp.CompRemoteIO)
 	return true
 }
 
@@ -345,7 +337,7 @@ func (s *Session) remoteIO(op string, req, resp *Message, payload, traffic int64
 // its traffic (Table 4 counts all communication). The current task came
 // through Offload's lookup, and every registered task has a PerTask entry.
 func (s *Session) addTaskTraffic(n int64) {
-	s.PerTask[int(s.cur.taskID)].TrafficBytes += n
+	s.PerTask[int(s.ep.cur.taskID)].TrafficBytes += n
 }
 
 // RemoteWrite ships r_printf output to the mobile device, where it is
@@ -353,8 +345,8 @@ func (s *Session) addTaskTraffic(n int64) {
 // With Policy.BatchOutput it only ships once 8 KB have accumulated.
 func (s *Session) RemoteWrite(m *interp.Machine, out string) error {
 	s.heartbeat("printf")
-	s.outBuf = append(s.outBuf, out...)
-	if !s.Policy.BatchOutput || len(s.outBuf) >= 8<<10 {
+	s.ep.outBuf = append(s.ep.outBuf, out...)
+	if !s.Policy.BatchOutput || len(s.ep.outBuf) >= 8<<10 {
 		s.flushOutput()
 	}
 	return nil
@@ -365,14 +357,14 @@ func (s *Session) RemoteWrite(m *interp.Machine, out string) error {
 // task already runs in ghost mode — is dropped: it would be discarded at
 // finalization anyway, and the local re-execution reproduces it.
 func (s *Session) flushOutput() {
-	if len(s.outBuf) == 0 {
+	if len(s.ep.outBuf) == 0 {
 		return
 	}
-	n := int64(len(s.outBuf))
-	if s.remoteIO("remote.printf", &Message{Kind: MsgRemoteWrite, Data: s.outBuf}, nil, n, n) {
-		s.ioJournal = append(s.ioJournal, string(s.outBuf))
+	n := int64(len(s.ep.outBuf))
+	if s.remoteIO("remote.printf", &Message{Kind: MsgRemoteWrite, Data: s.ep.outBuf}, nil, n, n) {
+		s.ioJournal = append(s.ioJournal, string(s.ep.outBuf))
 	}
-	s.outBuf = nil
+	s.ep.outBuf = nil
 }
 
 // RemoteOpen opens a file in the mobile environment (round trip).

@@ -8,14 +8,14 @@
 //	finalization (return value + compressed dirty pages write-back).
 //
 // The server runs the partitioned binary's real listenClient loop in its
-// own goroutine; mobile and server strictly alternate (the mobile blocks
-// while the server computes and vice versa), so execution is deterministic
-// and both clocks live on one absolute timeline.
+// own goroutine; mobile and server strictly alternate, handing one baton
+// back and forth (the mobile blocks while the server computes and vice
+// versa), so execution is deterministic and both clocks live on one
+// absolute timeline.
 package offrt
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/energy"
 	"repro/internal/estimate"
@@ -55,10 +55,9 @@ type Policy struct {
 	BatchOutput bool
 }
 
-// Session couples the two machines.
+// Session couples the mobile machine to the server half of the runtime.
 type Session struct {
 	Mobile *interp.Machine
-	Server *interp.Machine
 	Link   *netsim.Link
 	Policy Policy
 
@@ -97,32 +96,13 @@ type Session struct {
 
 	// ---- mid-flight migration (see migrate.go) ----
 
-	// serverPlan is the deterministic server-fault schedule; hostID indexes
-	// the host the in-flight offload currently runs on (each migration or
-	// crash-retry advances it to the next spare), hosts bounds it.
+	// serverPlan is the deterministic server-fault schedule; hosts bounds
+	// the endpoint's hostID: 1, or 1+spareHosts under WithMigration.
 	serverPlan *faults.ServerPlan
-	migOn      bool
-	hostID     int
 	hosts      int
 	// backhaul is the server-to-server link migration checkpoints ship
 	// over; its traffic never touches the client radio's LinkStats.
 	backhaul *netsim.Link
-
-	// Health-monitor state: last heartbeat instant, smoothed inter-beat
-	// gap, and the consecutive-overrun strike count (hysteresis).
-	lastBeat simtime.PS
-	ewmaGap  float64
-	strikes  int
-	// crashRetry marks the in-progress abort as a host crash with a spare
-	// standing by: the mobile should re-send the offload there instead of
-	// falling back locally.
-	crashRetry bool
-
-	// aborted marks the current offload abandoned after a terminal wire
-	// failure: the server finishes the task in ghost mode (all remote
-	// services handled locally, no wire traffic) and its effects are
-	// discarded at finalization.
-	aborted bool
 
 	// quarantineUntil keeps the gate declining after an abandoned offload
 	// (cool-down before re-offloading).
@@ -141,6 +121,42 @@ type Session struct {
 	// the span assembler can reconstruct one causal tree per request.
 	curJob int64
 
+	// ep is the server half; closed makes shutdown idempotent.
+	ep     endpoint
+	closed bool
+
+	// lastPhase is the last observed phase index of a time-varying link,
+	// so linkAt can trace bandwidth regime changes exactly once.
+	lastPhase int
+}
+
+// endpoint is the session's server half: the server machine, whose listen
+// loop runs on a goroutine of its own, the task it serves and the host it
+// serves it on. The mobile and the listen loop hand control back and forth
+// over baton, so exactly one of them runs at any moment (Figure 5): the
+// mobile passes the baton with a request in cur and waits; the loop passes
+// it back parked at Accept, with the finalization in rep, or when RunMain
+// returns, with exited and err set.
+type endpoint struct {
+	m     *interp.Machine
+	baton chan struct{} // nil until start
+	cur   request
+	// rep answers cur. It stays nil until the server finalizes, so a baton
+	// that comes back without one is a server that died mid-task.
+	rep    *reply
+	exited bool
+	err    error
+
+	// aborted marks the current offload abandoned after a terminal wire
+	// failure: the server finishes the task in ghost mode (all remote
+	// services handled locally, no wire traffic) and its effects are
+	// discarded at finalization.
+	aborted bool
+	// crashRetry marks the in-progress abort as a host crash with a spare
+	// standing by: the mobile should re-send the offload there instead of
+	// falling back locally.
+	crashRetry bool
+
 	// outBuf accumulates batched r_printf output on the server side.
 	outBuf []byte
 
@@ -149,24 +165,14 @@ type Session struct {
 	// absent there zero-fill on the server without any communication.
 	mobilePresent map[uint32]bool
 
-	// server goroutine plumbing
-	reqCh chan request
-	repCh chan reply
-	// pendingReply holds the finalization result until the server parks
-	// at the next Accept: the mobile must not resume while the server is
-	// still executing its listen-loop tail, or the two simulated clocks
-	// race (and so would the Go memory model).
-	pendingReply *reply
-	doneCh       chan error
-	started      bool
-	closed       bool
-	inFlight     bool
-	cur          request
-	mu           sync.Mutex // guards started/shutdown state only
-
-	// lastPhase is the last observed phase index of a time-varying link,
-	// so linkAt can trace bandwidth regime changes exactly once.
-	lastPhase int
+	// hostID indexes the host the in-flight offload runs on: each
+	// migration or crash-retry advances it to the next spare. The health
+	// monitor keeps the last heartbeat instant, the smoothed inter-beat gap
+	// and the consecutive-overrun strike count (hysteresis).
+	hostID   int
+	lastBeat simtime.PS
+	ewmaGap  float64
+	strikes  int
 }
 
 type request struct {
@@ -182,7 +188,6 @@ type request struct {
 
 type reply struct {
 	ret uint64
-	err error
 	// aborted means the server abandoned the task after exhausting its
 	// wire retries; the mobile must re-execute locally.
 	aborted bool
@@ -190,6 +195,38 @@ type reply struct {
 	// standing by: the mobile re-sends the offload there instead of
 	// falling back to local execution.
 	retry bool
+}
+
+// start runs the listen loop up to its first Accept, where it parks
+// holding nothing, or to its exit.
+func (e *endpoint) start() {
+	e.baton = make(chan struct{})
+	go func() {
+		_, e.err = e.m.RunMain()
+		e.exited = true
+		e.baton <- struct{}{}
+	}()
+	<-e.baton
+}
+
+// pass hands the listen loop the baton with req as the current request and
+// waits until the loop hands it back. A loop that has exited takes nothing,
+// and rep stays nil.
+func (e *endpoint) pass(req request) {
+	e.cur, e.rep = req, nil
+	if e.exited {
+		return
+	}
+	e.baton <- struct{}{}
+	<-e.baton
+}
+
+// park is the listen loop's half of pass: hand the baton back and wait for
+// the next request.
+func (e *endpoint) park() request {
+	e.baton <- struct{}{}
+	<-e.baton
+	return e.cur
 }
 
 // linkAt resolves the effective link for an event at instant t (the link
@@ -225,65 +262,30 @@ func (s *Session) resolver(self, other *interp.Machine) func(uint32, bool) (*ir.
 	}
 }
 
-// Start launches the server's listen loop.
-func (s *Session) Start() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.started {
-		return
-	}
-	s.started = true
-	go func() {
-		_, err := s.Server.RunMain()
-		if s.inFlight {
-			if s.pendingReply != nil {
-				// Finalized but died before parking at Accept.
-				s.repCh <- *s.pendingReply
-				s.pendingReply = nil
-			} else {
-				// The task died before SendReturn; unblock the mobile.
-				s.repCh <- reply{err: fmt.Errorf("offrt: server failed mid-task: %w", err)}
-			}
-		}
-		s.doneCh <- err
-	}()
-}
-
-// Shutdown stops the server loop and finishes the energy timeline. It is
-// idempotent — only the first call publishes metrics and stops the loop —
-// and safe even if the server goroutine already died (e.g. after an
-// aborted offload took the listen loop down): the select below never
-// deadlocks on a listener that is no longer receiving.
-func (s *Session) Shutdown() error {
-	s.mu.Lock()
-	started, closed := s.started, s.closed
-	s.started, s.closed = false, true
-	s.mu.Unlock()
-	if closed {
+// shutdown stops the listen loop and finishes the energy timeline. It is
+// idempotent, and safe after the loop exited on its own: pass hands the
+// baton only to a loop that is parked at Accept.
+func (s *Session) shutdown() error {
+	if s.closed {
 		return nil
 	}
-	var err error
-	if started {
-		select {
-		case s.reqCh <- request{taskID: 0}:
-			err = <-s.doneCh
-		case err = <-s.doneCh:
-			// The server exited on its own; nothing left to stop.
-		}
+	s.closed = true
+	if s.ep.baton != nil {
+		s.ep.pass(request{taskID: 0})
 	}
 	s.Recorder.Finish(s.Mobile.Clock)
 	// Final component bookkeeping: mobile-side compute/fptr buckets.
 	s.Comp[interp.CompCompute] += s.Mobile.Comp[interp.CompCompute]
 	s.Comp[interp.CompFptr] += s.Mobile.Comp[interp.CompFptr]
-	return err
+	return s.ep.err
 }
 
 // RunMobile executes the mobile binary under the session, returning its
 // exit code. It starts the server, runs main, and shuts the server down.
 func (s *Session) RunMobile() (int32, error) {
-	s.Start()
+	s.ep.start()
 	code, err := s.Mobile.RunMain()
-	serr := s.Shutdown()
+	serr := s.shutdown()
 	if err != nil {
 		return code, err
 	}

@@ -108,11 +108,11 @@ func TestDeclineOnHugeMemory(t *testing.T) {
 	if !fast.sess.Gate(fast.mobile, 99) {
 		t.Error("gzip-like task should be accepted on 802.11ac")
 	}
-	// Drain the pending server goroutines.
-	if err := env.sess.Shutdown(); err != nil {
+	// Neither session started; shutdown only finishes them.
+	if err := env.sess.shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fast.sess.Shutdown(); err != nil {
+	if err := fast.sess.shutdown(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -18,7 +18,7 @@ func TestTieredGatePlaces(t *testing.T) {
 	topo := tiers.Default(2, 1)
 	env := setup(t, netsim.Fast80211AC(), Policy{},
 		WithTiers(topo), WithTracer(obs.NewTracer(0)))
-	defer env.sess.Shutdown()
+	defer env.sess.shutdown()
 
 	cases := []struct {
 		name string
@@ -71,7 +71,7 @@ func TestTieredGateCloudOnlyMasksEdge(t *testing.T) {
 	topo := tiers.Default(2, 1)
 	topo.Mode = tiers.CloudOnly
 	env := setup(t, netsim.Fast80211AC(), Policy{}, WithTiers(topo))
-	defer env.sess.Shutdown()
+	defer env.sess.shutdown()
 
 	// Edge-profitable, but shorter than the ~80ms WAN round trip even at
 	// infinite cloud speed — the cloud can never win this one.
@@ -89,7 +89,7 @@ func TestTieredGateCloudOnlyMasksEdge(t *testing.T) {
 // TestWithTiersValidates pins constructor validation.
 func TestWithTiersValidates(t *testing.T) {
 	env := setup(t, netsim.Fast80211AC(), Policy{})
-	defer env.sess.Shutdown()
+	defer env.sess.shutdown()
 	bad := &tiers.Topology{Mode: "bogus"}
 	if _, err := NewSession(env.mobile, env.server, env.link, WithTiers(bad)); err == nil {
 		t.Error("invalid topology accepted")

@@ -664,10 +664,10 @@ type writeBackSpy struct {
 
 func (sp *writeBackSpy) SendReturn(m *interp.Machine, v uint64) error {
 	held := map[*[mem.PageSize]byte]bool{}
-	for _, pn := range sp.Server.Mem.PresentPages() {
-		held[(*[mem.PageSize]byte)(sp.Server.Mem.PageData(pn))] = true
+	for _, pn := range sp.ep.m.Mem.PresentPages() {
+		held[(*[mem.PageSize]byte)(sp.ep.m.Mem.PageData(pn))] = true
 	}
-	dirty := sp.Server.Mem.DirtyPages()
+	dirty := sp.ep.m.Mem.DirtyPages()
 	err := sp.Session.SendReturn(m, v)
 	for _, pn := range dirty {
 		if !held[(*[mem.PageSize]byte)(sp.Mobile.Mem.PageData(pn))] {
