@@ -74,7 +74,10 @@ bench:
 ## bare client records, and `heap`, the 4-ary heap it replaced) and the
 ## latency sort against slices.Sort. Three iterations
 ## each: compare two commits by alternating their test binaries, not from
-## one run.
+## one run. A fleet cell runs once untimed before its iterations, so its B/op
+## (and warm-B/run) is the recycled steady state — the run memory comes from
+## the spare list — except million/seq, whose arrays are over the spare
+## list's size bound and not retained: its B/op is the whole cost.
 fleetbench:
 	$(GO) test -run '^$$' -bench 'FleetCell|Pick|ReadyQueue|SortLatencies' -benchtime 3x -benchmem ./internal/fleet/
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -21,7 +22,10 @@ import (
 // and cannot be imported); keep them in step by hand. overload/local is the
 // run the harness times as the overload workload's setup_s. million/seq is
 // not a harness cell: it is the fleetscale regime, a million clients of two
-// requests each, where the per-client layout weighs most.
+// requests each, where the per-client layout weighs most. Each cell runs
+// once untimed first, so B/op and warm-B/run are a warm run's allocation:
+// the recycled steady state, or for million/seq, whose arrays are over
+// spareSetBytes and not retained, the whole cost.
 func BenchmarkFleetCell(b *testing.B) {
 	overload := DefaultConfig(100000, 16, EstAware)
 	overload.RequestsPerClient = 10
@@ -62,6 +66,15 @@ func BenchmarkFleetCell(b *testing.B) {
 	} {
 		b.Run(cell.name, func(b *testing.B) {
 			b.ReportAllocs()
+			// One untimed run first fills the spare list, so every timed
+			// run is warm: B/op is the recycled steady state, and a cell
+			// over spareSetBytes (million/seq) shows its whole cost.
+			if _, err := Run(cell.cfg); err != nil {
+				b.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
 			var events int64
 			for i := 0; i < b.N; i++ {
 				res, err := Run(cell.cfg)
@@ -70,7 +83,10 @@ func BenchmarkFleetCell(b *testing.B) {
 				}
 				events = res.Events
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(events), "events")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N), "warm-B/run")
 		})
 	}
 }
@@ -243,7 +259,7 @@ func BenchmarkReadyQueue(b *testing.B) {
 						q.push(ev.t+think(), ev.lane)
 					}
 				} else {
-					q := newReadyQueue(make([]clientState, pending), thinkMax)
+					q := newReadyQueue(make([]clientState, pending), thinkMax, new(runMem))
 					for lane := 0; lane < pending; lane++ {
 						q.push(think(), int32(lane))
 					}

@@ -269,11 +269,13 @@ func TestPickAmongZeroAlloc(t *testing.T) {
 // allocation budget, so per-decision allocation cannot come back
 // unnoticed. One alive-set slice per pick and tier cost this 80-server
 // cell 680 B per request; what is left (about 23 B) is set-up, the
-// presized latency population and the event heap.
+// presized latency population and the event heap. The run is cold — the
+// spare list is emptied first — so the run memory counts in full.
 func TestFleetRunAllocBudget(t *testing.T) {
 	const clients, requests, budget = 64, 50, 64 // budget in bytes per request
 	cfg := TieredConfig(clients, tiers.Default(64, 16))
 	cfg.RequestsPerClient = requests
+	drainSpares()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res, err := Run(cfg)

@@ -55,8 +55,10 @@ type laneSeq struct {
 	seqs []int32
 }
 
-func newLaneSeq(base int32, lanes int) laneSeq {
-	return laneSeq{base: base, seqs: make([]int32, lanes)}
+// newLaneSeq counts from zero on every lane of seqs, one entry a lane.
+func newLaneSeq(base int32, seqs []int32) laneSeq {
+	clear(seqs)
+	return laneSeq{base: base, seqs: seqs}
 }
 
 func (l *laneSeq) next(lane int32) int32 {
@@ -128,8 +130,13 @@ type schedQueue struct {
 	seq laneSeq
 }
 
-func newSchedQueue(base int32, lanes int) *schedQueue {
-	return &schedQueue{eventQueue: eventQueue{h: make([]event, 0, lanes)}, seq: newLaneSeq(base, lanes)}
+// newSchedQueue builds the queue of lanes [base, base+lanes) over rm's
+// event heap and ordinals.
+func newSchedQueue(base int32, lanes int, rm *runMem) *schedQueue {
+	return &schedQueue{
+		eventQueue: eventQueue{h: resize(rm.events, lanes)[:0]},
+		seq:        newLaneSeq(base, resize(rm.seqs, lanes)),
+	}
 }
 
 func (q *schedQueue) sched(t simtime.PS, kind uint8, lane, si int32, j *job) {
@@ -249,7 +256,8 @@ const insertionSortMax = 24
 // slots that covers the horizon — unless that takes more than one slot per
 // two lanes, when buckets widen instead, so the queue's own arrays stay
 // within 8 bytes a lane: 4 of next, at most 2 of ring, and the run buffer.
-func newReadyQueue(cl []clientState, horizon simtime.PS) *readyQueue {
+// The arrays are rm's.
+func newReadyQueue(cl []clientState, horizon simtime.PS, rm *runMem) *readyQueue {
 	lanes := len(cl)
 	h := uint64(max(horizon, 1))
 	maxSlots := 2
@@ -276,12 +284,12 @@ func newReadyQueue(cl []clientState, horizon simtime.PS) *readyQueue {
 	}
 	q := &readyQueue{
 		cl:    cl,
-		next:  make([]int32, lanes),
-		head:  make([]int32, slots),
-		occ:   make([]uint64, (slots+63)/64),
+		next:  resize(rm.next, lanes),
+		head:  resize(rm.head, slots),
+		occ:   resize(rm.occ, (slots+63)/64),
 		shift: shift,
 		mask:  int64(slots - 1),
-		run:   make([]readyEv, 0, 4*bucketFill),
+		run:   resize(rm.run, 4*bucketFill)[:0],
 		far:   listEnd,
 	}
 	for i := range q.next {
@@ -290,6 +298,7 @@ func newReadyQueue(cl []clientState, horizon simtime.PS) *readyQueue {
 	for i := range q.head {
 		q.head[i] = listEnd
 	}
+	clear(q.occ)
 	return q
 }
 

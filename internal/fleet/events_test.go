@@ -14,7 +14,7 @@ import (
 // by a global insertion counter, which made the schedule an artifact of
 // who pushed first — impossible to reproduce from two queues merged.
 func TestEventOrderTieBreak(t *testing.T) {
-	q := newSchedQueue(0, 4)
+	q := newSchedQueue(0, 4, new(runMem))
 	at := 100 * simtime.Millisecond
 	// Push a late lane-0 event first (it takes lane 0's seq 0), then the
 	// tie group in descending lane order, then an early lane-2 event.
@@ -87,7 +87,7 @@ func TestClientStateSize(t *testing.T) {
 func TestReadyQueueMatchesSort(t *testing.T) {
 	const lanes = 1024
 	r := entityStream(21, 0)
-	q := newReadyQueue(make([]clientState, lanes), 2*simtime.Second)
+	q := newReadyQueue(make([]clientState, lanes), 2*simtime.Second, new(runMem))
 	width := simtime.PS(1) << q.shift
 	ring := width * simtime.PS(q.mask)
 	if len(q.occ) < 3 {
@@ -194,7 +194,7 @@ func TestReadyQueueOverflowPanics(t *testing.T) {
 		}()
 		q.push(at, lane)
 	}
-	full := newReadyQueue(make([]clientState, 2), simtime.Second)
+	full := newReadyQueue(make([]clientState, 2), simtime.Second, new(runMem))
 	full.push(1, 0)
 	full.push(2, 1)
 	mustPanic("full", full, 3, 0)
@@ -203,7 +203,7 @@ func TestReadyQueueOverflowPanics(t *testing.T) {
 		name string
 		at   simtime.PS
 	}{{"run", 0}, {"ring", simtime.Second / 2}, {"far", 10 * simtime.Second}} {
-		q := newReadyQueue(make([]clientState, 64), simtime.Second)
+		q := newReadyQueue(make([]clientState, 64), simtime.Second, new(runMem))
 		q.push(first.at, 5)
 		mustPanic(first.name, q, first.at, 5)
 	}
@@ -219,7 +219,7 @@ func TestReadyQueueStorageBound(t *testing.T) {
 	const slack = 4 << 10
 	for _, lanes := range []int{64, 100_000, 1_000_000} {
 		w := DefaultConfig(lanes, 16, EstAware).Workload
-		q := newReadyQueue(make([]clientState, lanes), simtime.PS(w.horizon()))
+		q := newReadyQueue(make([]clientState, lanes), simtime.PS(w.horizon()), new(runMem))
 		r := entityStream(3, uint64(lanes))
 		for lane := 0; lane < lanes; lane++ {
 			q.push(r.rangePS(w.ThinkMin, w.ThinkMax), int32(lane))

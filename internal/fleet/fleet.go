@@ -218,6 +218,11 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("fleet: %d clients + %d servers exceed the %d event lanes an int32 lane id can name",
 			c.Clients, len(c.Servers), math.MaxInt32)
 	}
+	// The latency population is presized to one entry a request (newStats).
+	if n := int64(c.Clients) * int64(c.RequestsPerClient); n > maxRunRequests {
+		return fmt.Errorf("fleet: %d clients x %d requests = %d requests exceed the %d a run's latency population holds",
+			c.Clients, c.RequestsPerClient, n, maxRunRequests)
+	}
 	for i, s := range c.Servers {
 		if s.R <= 0 || s.Slots <= 0 {
 			return fmt.Errorf("fleet: server %d has non-positive capacity (R=%g, slots=%d)", i, s.R, s.Slots)
@@ -263,6 +268,14 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// maxRunRequests bounds Clients × RequestsPerClient, the length of the
+// latency population a run allocates up front: 2^26 requests, a 512 MiB
+// population and at most about 2.5 GiB with the client records beside it.
+// That is twenty times the largest cell the repository runs (fleetscale's
+// million clients × 3), and a config past it is an error from Validate, not
+// a failed allocation in the middle of setting a run up.
+const maxRunRequests = 1 << 26
 
 // maxHorizon bounds WorkloadModel.horizon: 1/1024 of the picosecond
 // clock's range, about 2.5 simulated hours. A think stretched past the

@@ -196,15 +196,29 @@ func TestConfigValidation(t *testing.T) {
 	}
 
 	// Lane ids are int32: clients and servers together may fill them, not
-	// one past. Validate alone: a run would build the whole population.
+	// one past. Validate alone: a run would build the whole population. At
+	// the edge the lanes pass and the population bound below stops the run.
 	cfg := DefaultConfig(4, 2, Random)
 	cfg.Clients = math.MaxInt32 - 2
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("%d clients on 2 servers rejected: %v", cfg.Clients, err)
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "latency population") {
+		t.Errorf("%d clients on 2 servers: got %v, want only the population bound named", cfg.Clients, err)
 	}
 	cfg.Clients++
 	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "int32 lane id") {
 		t.Errorf("%d clients on 2 servers: got %v, want the int32 lane bound named", cfg.Clients, err)
+	}
+
+	// The latency population holds at most maxRunRequests entries: a config
+	// that fills it validates, one more client is an error, not an
+	// allocation that fails or exhausts memory.
+	cfg = DefaultConfig(maxRunRequests/16, 2, Random)
+	cfg.RequestsPerClient = 16
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("%d clients x 16 requests rejected: %v", cfg.Clients, err)
+	}
+	cfg.Clients++
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "latency population") {
+		t.Errorf("%d clients x 16 requests: got %v, want the population bound named", cfg.Clients, err)
 	}
 
 	// A server-fault event names a server of the pool: the last one, not
@@ -222,11 +236,12 @@ func TestConfigValidation(t *testing.T) {
 		t.Errorf("a crash on server 2 of 2: got %v, want the event, the server and the pool size named", err)
 	}
 
-	// A client counts its requests in an int32.
+	// A client counts its requests in an int32. At the edge the counter
+	// passes and the population bound stops the run.
 	cfg = DefaultConfig(4, 2, Random)
 	cfg.RequestsPerClient = math.MaxInt32
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("%d requests per client rejected: %v", cfg.RequestsPerClient, err)
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "latency population") {
+		t.Errorf("%d requests per client: got %v, want only the population bound named", cfg.RequestsPerClient, err)
 	}
 	cfg.RequestsPerClient++
 	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "int32 request counter") {
@@ -280,7 +295,7 @@ func TestParsePolicy(t *testing.T) {
 func TestClientLinkCycle(t *testing.T) {
 	cfg := DefaultConfig(7, 2, Random)
 	cfg.LinkProfiles = nil
-	clients, profiles, err := buildClients(&cfg)
+	clients, profiles, err := buildClients(&cfg, new(runMem))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +316,7 @@ func TestClientLinkCycle(t *testing.T) {
 		t.Errorf("clients 0 and 3 should share the first profile's link, client 1 not")
 	}
 	cfg.LinkProfiles = []string{"nope"}
-	if _, _, err := buildClients(&cfg); err == nil {
+	if _, _, err := buildClients(&cfg, new(runMem)); err == nil {
 		t.Errorf("unknown profile accepted")
 	}
 	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "nope") {

@@ -179,7 +179,8 @@ func TestReplaceBoundIsExact(t *testing.T) {
 			Edge:  tiers.Pool{Servers: nEdge, R: 3, Slots: 1},
 			Cloud: tiers.Pool{Servers: len(servers) - nEdge, R: 8, Slots: 1},
 		})
-		m := newMachine(&cfg, nil, newStats(0))
+		rm := new(runMem)
+		m := newMachine(&cfg, nil, newStats(0, rm), rm)
 		m.servers = servers
 		m.cloudLoad = newLoadIndex(servers, m.cloudIdx)
 		sent := -1

@@ -339,11 +339,14 @@ type machine struct {
 	free []*job
 }
 
-func newMachine(cfg *Config, profiles []*netsim.Link, st *stats) *machine {
+// newMachine builds the machine over rm's job free list and queue-wait
+// histograms.
+func newMachine(cfg *Config, profiles []*netsim.Link, st *stats, rm *runMem) *machine {
 	servers := make([]*server, len(cfg.Servers))
 	for i, spec := range cfg.Servers {
 		servers[i] = &server{spec: spec, id: i}
 	}
+	rm.waits = [3]obs.Histogram{}
 	m := &machine{
 		cfg:      cfg,
 		servers:  servers,
@@ -353,8 +356,9 @@ func newMachine(cfg *Config, profiles []*netsim.Link, st *stats) *machine {
 		adm:      cfg.Admission,
 		margin:   1,
 		st:       st,
-		hWait:    obs.NewHistogram(),
+		hWait:    &rm.waits[0],
 		samp:     newSampler(cfg),
+		free:     rm.jobs,
 	}
 	if cfg.Adaptive.Enabled {
 		m.ctrl = newController(cfg.Admission)
@@ -380,7 +384,7 @@ func newMachine(cfg *Config, profiles []*netsim.Link, st *stats) *machine {
 		case tiers.CloudOnly:
 			m.edgeIdx = nil
 		}
-		m.hWaitTier = [2]*obs.Histogram{obs.NewHistogram(), obs.NewHistogram()}
+		m.hWaitTier = [2]*obs.Histogram{&rm.waits[1], &rm.waits[2]}
 	}
 	m.edgeLoad = newLoadIndex(servers, m.edgeIdx)
 	m.cloudLoad = newLoadIndex(servers, m.cloudIdx)
@@ -406,7 +410,8 @@ func (m *machine) tierOf(si int) uint8 {
 // newJob hands out a job from the free list. Jobs recycle once no event
 // or server slice can still reference them, so a million-client run
 // reuses a working set of a few thousand instead of allocating per
-// request.
+// request, and the list is the run memory's, so the next run starts with
+// that working set.
 func (m *machine) newJob() *job {
 	if n := len(m.free); n > 0 {
 		j := m.free[n-1]

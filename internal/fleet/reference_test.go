@@ -7,19 +7,20 @@ import "repro/internal/simtime"
 // schedQueue of full 32-byte events ordered by (t, lane, seq). It never
 // assumes a client lane holds one event, so if that invariant broke the
 // per-lane ordinal would still order the two and the engines would
-// diverge from it here.
+// diverge from it here. Its arrays are its own, never the spare list's.
 func runSequentialRef(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	clients, profiles, err := buildClients(&cfg)
+	rm := new(runMem)
+	clients, profiles, err := buildClients(&cfg, rm)
 	if err != nil {
 		return nil, err
 	}
-	st := newStats(cfg.Clients * cfg.RequestsPerClient)
-	m := newMachine(&cfg, profiles, st)
+	st := newStats(cfg.Clients*cfg.RequestsPerClient, rm)
+	m := newMachine(&cfg, profiles, st, rm)
 	nc := int32(cfg.Clients)
-	q := newSchedQueue(0, cfg.Clients+len(cfg.Servers))
+	q := newSchedQueue(0, cfg.Clients+len(cfg.Servers), rm)
 	m.sched = func(t simtime.PS, kind uint8, si int32, j *job) {
 		q.sched(t, kind, nc+si, si, j)
 	}

@@ -26,16 +26,17 @@ type clientState struct {
 	prof      int32 // the client's link is profiles[prof]
 }
 
-// buildClients materializes the client population and the link profile
-// table: client i uses profile i mod len (clientProfile), and clients on
-// the same profile share one immutable Link instance (a private copy per
-// client would, at a million clients, be real memory).
-func buildClients(cfg *Config) ([]clientState, []*netsim.Link, error) {
+// buildClients materializes the client population, in rm's client records,
+// and the link profile table: client i uses profile i mod len
+// (clientProfile), and clients on the same profile share one immutable Link
+// instance (a private copy per client would, at a million clients, be real
+// memory).
+func buildClients(cfg *Config, rm *runMem) ([]clientState, []*netsim.Link, error) {
 	profiles, err := linkProfiles(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	clients := make([]clientState, cfg.Clients)
+	clients := resize(rm.clients, cfg.Clients)
 	for i := range clients {
 		clients[i] = clientState{
 			rng:       entityStream(cfg.Seed, uint64(i)),
@@ -135,19 +136,21 @@ func Run(cfg Config) (*Result, error) {
 // runSequential is the engine: the clients' ready events in a calendar
 // queue, the server lanes' events in a heap, merged in (t, lane, seq) order with the
 // machine's handlers invoked inline on one goroutine. Its test oracle,
-// runSequentialRef, keeps every lane in one heap.
+// runSequentialRef, keeps every lane in one heap. Every array the run sizes
+// by its shape is in a runMem from the spare list, given back at the end.
 func runSequential(cfg Config) (*Result, error) {
-	clients, profiles, err := buildClients(&cfg)
+	rm := takeRunMem()
+	clients, profiles, err := buildClients(&cfg, rm)
 	if err != nil {
 		return nil, err
 	}
-	st := newStats(cfg.Clients * cfg.RequestsPerClient)
-	m := newMachine(&cfg, profiles, st)
+	st := newStats(cfg.Clients*cfg.RequestsPerClient, rm)
+	m := newMachine(&cfg, profiles, st, rm)
 	nc := int32(cfg.Clients)
 	// The calendar's ring covers the horizon; remote completions can land
 	// later, on the queue's far list.
-	rq := newReadyQueue(clients, simtime.PS(cfg.Workload.horizon()))
-	q := newSchedQueue(nc, len(cfg.Servers))
+	rq := newReadyQueue(clients, simtime.PS(cfg.Workload.horizon()), rm)
+	q := newSchedQueue(nc, len(cfg.Servers), rm)
 	m.sched = func(t simtime.PS, kind uint8, si int32, j *job) {
 		q.sched(t, kind, nc+si, si, j)
 	}
@@ -184,5 +187,6 @@ func runSequential(cfg Config) (*Result, error) {
 	if res != nil {
 		res.readyPaths = rq.paths
 	}
+	rm.giveBack(st, rq, q, m)
 	return res, err
 }

@@ -45,15 +45,17 @@ type stats struct {
 	Events int64
 
 	// Latencies is the end-to-end latency population (decision to result
-	// in hand), one entry per completed request.
+	// in hand), one entry per completed request, on the run memory's array
+	// (runMem.lat).
 	Latencies []simtime.PS
 }
 
-// newStats returns an empty tally with room for the latencies of that many
-// completions: a run knows how many requests it will record, so the
-// population never regrows mid-run.
-func newStats(completions int) *stats {
-	return &stats{Latencies: make([]simtime.PS, 0, completions)}
+// newStats returns an empty tally whose latency population is rm's, with
+// room for that many completions: a run knows how many requests it will
+// record, so the population never regrows mid-run, and a run the size of the
+// last one reuses its array.
+func newStats(completions int, rm *runMem) *stats {
+	return &stats{Latencies: resize(rm.lat, completions)[:0]}
 }
 
 // record tallies one completion message.

@@ -7,11 +7,17 @@ import (
 	"testing"
 )
 
-// pooled returns the frames the pool holds, top last.
+// pooled returns the frames the pool holds, top last, and leaves the pool
+// as it found it.
 func pooled() []*[PageSize]byte {
-	frames.mu.Lock()
-	defer frames.mu.Unlock()
-	return append([]*[PageSize]byte(nil), frames.free...)
+	held := make([]*[PageSize]byte, frames.Len())
+	for i := len(held) - 1; i >= 0; i-- {
+		held[i] = frames.Get()
+	}
+	for _, p := range held {
+		frames.Put(p)
+	}
+	return held
 }
 
 // TestFramePoolHoldsAcrossCollections: what the pool is given it keeps

@@ -3,27 +3,26 @@ package obs
 import (
 	"math"
 	"math/bits"
-	"sync/atomic"
 )
 
 // Histogram is a log-bucketed latency histogram in the spirit of HDR
 // histograms: values 0..15 land in exact buckets, larger values share an
 // exponent with histSub sub-buckets, so relative quantile error is bounded
 // by 1/histSub (~12.5%) at every magnitude while the whole structure stays
-// a fixed array of atomics.
+// a fixed array of counters.
 //
-// Like the rest of the obs layer it is nil-safe and allocation-free on the
-// hot path: Record on a nil *Histogram is a no-op, and an enabled Record
-// touches only preallocated atomic counters.
+// The zero value is an empty histogram. It is single-threaded: its writers
+// are the fleet machine's queue-wait recorders, which run on the engine's
+// one goroutine, so a Record is plain increments and never allocates.
 //
 // Snapshots are deterministic: quantiles resolve by nearest rank to the
 // bucket's inclusive upper bound (clamped to the observed maximum), so two
 // identical simulated runs snapshot to identical numbers.
 type Histogram struct {
-	count   atomic.Int64
-	sum     atomic.Int64
-	max     atomic.Int64
-	buckets [histBuckets]atomic.Int64
+	count   int64
+	sum     int64
+	max     int64
+	buckets [histBuckets]int64
 }
 
 const (
@@ -35,9 +34,6 @@ const (
 	// exact low buckets plus histSub per remaining exponent.
 	histBuckets = (62-histSubBits+1)*histSub + 2*histSub
 )
-
-// NewHistogram creates an empty histogram (all counters zero).
-func NewHistogram() *Histogram { return &Histogram{} }
 
 // bucketIndex maps a non-negative value to its bucket. Values below
 // 2*histSub get exact buckets; above that, the high histSubBits bits after
@@ -65,24 +61,13 @@ func bucketUpper(i int) int64 {
 
 // Record adds one observation. Negative values clamp to zero (latencies
 // are non-negative by construction; clamping keeps a buggy caller from
-// corrupting the bucket index). Safe on nil and for concurrent use; never
-// allocates.
+// corrupting the bucket index).
 func (h *Histogram) Record(v int64) {
-	if h == nil {
-		return
-	}
-	if v < 0 {
-		v = 0
-	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	for {
-		old := h.max.Load()
-		if v <= old || h.max.CompareAndSwap(old, v) {
-			break
-		}
-	}
-	h.buckets[bucketIndex(v)].Add(1)
+	v = max(v, 0)
+	h.count++
+	h.sum += v
+	h.max = max(h.max, v)
+	h.buckets[bucketIndex(v)]++
 }
 
 // HistSnapshot is one deterministic point-in-time view of a histogram.
@@ -104,16 +89,9 @@ func (s HistSnapshot) Mean() int64 {
 	return s.Sum / s.Count
 }
 
-// Snapshot captures the histogram's current state. Safe on nil (returns
-// the zero snapshot).
+// Snapshot captures the histogram's current state.
 func (h *Histogram) Snapshot() HistSnapshot {
-	var s HistSnapshot
-	if h == nil {
-		return s
-	}
-	s.Count = h.count.Load()
-	s.Sum = h.sum.Load()
-	s.Max = h.max.Load()
+	s := HistSnapshot{Count: h.count, Sum: h.sum, Max: h.max}
 	if s.Count == 0 {
 		return s
 	}
@@ -158,7 +136,7 @@ func (h *Histogram) quantile(q float64, count, max int64) int64 {
 	}
 	var cum int64
 	for i := range h.buckets {
-		c := h.buckets[i].Load()
+		c := h.buckets[i]
 		if c == 0 {
 			continue
 		}

@@ -142,7 +142,7 @@ func (s *Session) SendReturn(m *interp.Machine, v uint64) error {
 	// when it went uncompressed — or the task aborted. The compressed payload
 	// goes back as soon as the frame holds a copy.
 	frame := getFrame()
-	defer frames.put(frame)
+	defer frames.Put(frame)
 	wireBytes := fin.AppendEncode(*frame)
 	*frame = wireBytes
 	fin.release()

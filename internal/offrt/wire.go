@@ -9,8 +9,8 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/mem"
 )
 
@@ -289,59 +289,27 @@ func Decode(b []byte) (*Message, error) {
 	return m, nil
 }
 
-// recycler is a free list of the page path's reusable values: wire frames,
-// deflaters and their output buffers, and inflaters. It is not a sync.Pool
-// because the collector empties a Pool on its own schedule: a sweep whose
-// collections happened to fall between two offloads allocated its
-// multi-megabyte frames again, the same sweep a moment later did not, and
-// what a run allocated varied by 10 % with nothing in it changed. A
-// recycler keeps what it is given until it is taken — at most recyclerCap
-// values, the rest are dropped — so what a run allocates depends on its
-// offloads alone.
-type recycler[T any] struct {
-	mu   sync.Mutex
-	free []*T
-}
-
-// recyclerCap is how many values a recycler holds. A session has two frames
-// in flight at most (the request and its finalization), one compressor state
-// and its output buffer, and one inflater; sessions sharing a process beyond
-// that allocate their own. The inflated pages themselves are page frames
-// from mem's pool.
+// recyclerCap is how many values each of the page path's free lists holds:
+// wire frames, deflaters and their output buffers, and inflaters. They are
+// freelist.Lists, not sync.Pools: with Pools, a sweep whose collections fell
+// between two offloads allocated its multi-megabyte frames again, and what a
+// run allocated varied by 10 % with nothing in it changed. A session has two
+// frames in flight at most (the request and its finalization), one
+// compressor state and its output buffer, and one inflater; sessions sharing
+// a process beyond that allocate their own. The inflated pages themselves
+// are page frames from mem's pool.
 const recyclerCap = 4
-
-// get takes the value put last, or nil if none is held.
-func (r *recycler[T]) get() *T {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.free)
-	if n == 0 {
-		return nil
-	}
-	v := r.free[n-1]
-	r.free[n-1] = nil
-	r.free = r.free[:n-1]
-	return v
-}
-
-func (r *recycler[T]) put(v *T) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.free) < recyclerCap {
-		r.free = append(r.free, v)
-	}
-}
 
 // frames recycles the encode buffers of the two page-carrying messages (the
 // offload request and the finalization): multi-megabyte frames that would
 // otherwise be faulted in and zeroed fresh for every offload. A frame goes
 // back once nothing decoded from it is still needed — Decode's result
 // aliases it.
-var frames recycler[[]byte]
+var frames = freelist.New[[]byte](recyclerCap)
 
 // getFrame returns an empty frame buffer, recycled if one is available.
 func getFrame() *[]byte {
-	if f := frames.get(); f != nil {
+	if f := frames.Get(); f != nil {
 		*f = (*f)[:0]
 		return f
 	}
@@ -367,13 +335,13 @@ func (m *Message) WireSize() int64 {
 // offload return then throws away; Reset rewinds a used writer to the state
 // NewWriter leaves, so a recycled writer emits the bytes a fresh one would.
 // A writer that failed mid-stream is dropped, not returned.
-var deflaters recycler[flate.Writer]
+var deflaters = freelist.New[flate.Writer](recyclerCap)
 
 // deflateBufs recycles the buffers CompressPages deflates into. A buffer
 // goes back once the payload is encoded into a frame (release); one that
 // grew past maxDeflateBuf is dropped there instead, so a process keeps its
 // common write-backs' buffers and not its largest one's.
-var deflateBufs recycler[bytes.Buffer]
+var deflateBufs = freelist.New[bytes.Buffer](recyclerCap)
 
 const maxDeflateBuf = 1 << 20
 
@@ -385,12 +353,12 @@ const maxDeflateBuf = 1 << 20
 // input was cut into Writes. Data aliases a recycled buffer until release.
 func (m *Message) CompressPages() (rawBytes int64, err error) {
 	rawBytes = int64(len(m.Pages)) * pageRecordBytes
-	comp := deflateBufs.get()
+	comp := deflateBufs.Get()
 	if comp == nil {
 		comp = new(bytes.Buffer)
 	}
 	comp.Reset()
-	w := deflaters.get()
+	w := deflaters.Get()
 	if w != nil {
 		w.Reset(comp)
 	} else if w, err = flate.NewWriter(comp, flate.BestSpeed); err != nil {
@@ -409,7 +377,7 @@ func (m *Message) CompressPages() (rawBytes int64, err error) {
 	if err := w.Close(); err != nil {
 		return rawBytes, err
 	}
-	deflaters.put(w)
+	deflaters.Put(w)
 	m.Pages = nil
 	m.Data, m.comp = comp.Bytes(), comp
 	m.Compressed = true
@@ -428,7 +396,7 @@ type inflater struct {
 // inflaters recycles DecompressPages' readers (a flate reader carries its
 // 32 KiB window and Huffman tables). Reset rewinds a used reader to the
 // state NewReader leaves; one that failed mid-stream is dropped anyway.
-var inflaters recycler[inflater]
+var inflaters = freelist.New[inflater](recyclerCap)
 
 // DecompressPages inflates a finalization payload back into page records,
 // each straight into a page frame of its own (mem.AllocFrame), so no
@@ -442,7 +410,7 @@ func (m *Message) DecompressPages() ([]PageRecord, error) {
 	if !m.Compressed {
 		return m.Pages, nil
 	}
-	inf := inflaters.get()
+	inf := inflaters.Get()
 	if inf == nil {
 		inf = &inflater{}
 		inf.fr = flate.NewReader(&inf.src)
@@ -470,7 +438,7 @@ func (m *Message) DecompressPages() ([]PageRecord, error) {
 		out = append(out, PageRecord{PN: binary.LittleEndian.Uint32(inf.pn[:]), Data: page[:]})
 	}
 	inf.src.Reset(nil)
-	inflaters.put(inf)
+	inflaters.Put(inf)
 	return out, nil
 }
 
@@ -496,7 +464,7 @@ func inflateFailed(out []PageRecord, err error) error {
 func (m *Message) release() {
 	if m.comp != nil {
 		if m.comp.Cap() <= maxDeflateBuf {
-			deflateBufs.put(m.comp)
+			deflateBufs.Put(m.comp)
 		}
 		m.comp, m.Data = nil, nil
 	}

@@ -146,33 +146,6 @@ func TestCompressDecompressPages(t *testing.T) {
 	}
 }
 
-// TestRecyclerHoldsAcrossCollections: what the page path recycles must not
-// depend on the collector. A value put back is the next one taken however
-// many collections ran in between (a sync.Pool is empty after two), the list
-// is last-in first-out, and beyond recyclerCap a put is dropped.
-func TestRecyclerHoldsAcrossCollections(t *testing.T) {
-	var r recycler[[]byte]
-	if r.get() != nil {
-		t.Fatal("an empty recycler returned a value")
-	}
-	vals := make([]*[]byte, recyclerCap+2)
-	for i := range vals {
-		vals[i] = new([]byte)
-		r.put(vals[i])
-	}
-	for i := 0; i < 3; i++ {
-		runtime.GC()
-	}
-	for i := recyclerCap - 1; i >= 0; i-- {
-		if got := r.get(); got != vals[i] {
-			t.Fatalf("get after three collections: not the value put at position %d", i)
-		}
-	}
-	if r.get() != nil {
-		t.Fatalf("recycler held more than recyclerCap = %d values", recyclerCap)
-	}
-}
-
 // TestCompressPagesPooledWriterIdentical: CompressPages takes its deflate
 // writer from a pool and streams each record into it in pieces (page number,
 // page bytes, zero padding), and what comes out must be, byte for byte, what
@@ -804,7 +777,7 @@ func TestWirePathAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		commitPages(dst, pages, true)
-		frames.put(frame)
+		frames.Put(frame)
 		for _, p := range pages {
 			if &dst.PageData(p.PN)[0] != &p.Data[0] {
 				t.Fatalf("page %#x was copied out of its inflated frame, not adopted", p.PN)
@@ -897,7 +870,7 @@ func BenchmarkWirePages(b *testing.B) {
 			b.Fatal(err)
 		}
 		commitPages(dst, pages, compress)
-		frames.put(frame)
+		frames.Put(frame)
 	}
 	b.Run("request", func(b *testing.B) {
 		b.ReportAllocs()
