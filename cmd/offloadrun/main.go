@@ -7,14 +7,14 @@
 //	offloadrun -w 445.gobmk
 //	offloadrun -w chess -depth 9 -turns 2
 //	offloadrun -w 164.gzip -faults "drop=0.2,outage=900ms-20s,seed=6"
-//	offloadrun -w 429.mcf -tiers 3way
 //
-// -tiers places every offload over the mobile -> edge -> cloud
-// hierarchy (3way, edge-only or cloud-only) instead of the classic
-// binary gate, printing the per-tier placement counts after the run.
-// The instrumentation flags (-trace, -metrics, -profile, -breakdown,
-// -critpath) and the -faults/-tiers plans all act on the same one
-// offloaded run and compose freely.
+// The gate is the paper's Section 4 one: Equation 1 re-priced against
+// the live link, offloading to this run's one server or not at all.
+// Placement over an edge/cloud hierarchy is the fleet's business
+// (offloadbench -exp tiers). The instrumentation flags (-trace,
+// -metrics, -profile, -breakdown, -critpath) and the -faults and
+// -server-faults plans all act on the same one offloaded run and
+// compose freely.
 package main
 
 import (
@@ -36,12 +36,11 @@ import (
 	"repro/internal/offrt"
 	"repro/internal/report"
 	"repro/internal/simtime"
-	"repro/internal/tiers"
 	"repro/internal/workloads"
 )
 
 // observability carries the run's stdout, the optional
-// -trace/-metrics/-profile/-breakdown instrumentation and the fault/tier
+// -trace/-metrics/-profile/-breakdown instrumentation and the fault
 // plans through a run and writes/prints the artifacts at the end.
 type observability struct {
 	out          io.Writer // the run's stdout
@@ -55,7 +54,6 @@ type observability struct {
 	tracer       *obs.Tracer
 	faults       *faults.Plan
 	serverFaults *faults.ServerPlan
-	topo         *tiers.Topology
 	// off is the offloaded run the reports describe, kept for -metrics.
 	off *core.OffloadResult
 }
@@ -66,7 +64,6 @@ func (o *observability) attach(fw *core.Framework) {
 	fw.Faults = o.faults
 	fw.ServerFaults = o.serverFaults
 	fw.Migrate = o.migrate
-	fw.Tiers = o.topo
 	if o.profileFile != "" {
 		fw.SampleEvery = interp.DefaultSamplePeriod
 	}
@@ -107,10 +104,6 @@ func (o *observability) reportRun(off *core.OffloadResult, model energy.PowerMod
 		fmt.Fprintln(o.out, analyze.CritTable(cs))
 		fmt.Fprintln(o.out, analyze.WhereTable(cs, 0.99))
 	}
-	if o.topo != nil {
-		fmt.Fprintf(o.out, "tiers (%s): %d placed on edge, %d on cloud, %d kept local\n",
-			o.topo.EffectiveMode(), off.Stats.EdgePlaced, off.Stats.CloudPlaced, off.Stats.Declines)
-	}
 	return nil
 }
 
@@ -136,17 +129,16 @@ func (o *observability) finish() error {
 			o.tracer.Len(), o.traceFile)
 	}
 	if o.metrics && o.off != nil {
-		fmt.Fprintln(o.out, counterTable(o.off, o.topo != nil, o.tracer.Dropped()))
+		fmt.Fprintln(o.out, counterTable(o.off, o.tracer.Dropped()))
 		fmt.Fprintln(o.out, analyze.LatencyTable(analyze.ReplayLatencies(o.tracer.Events())))
 	}
 	return nil
 }
 
 // counterTable lists an offloaded run's counters by dotted name, sorted:
-// link traffic, session totals (the session.tier.* placements on a tiered
-// run), injected faults, each task's numbers, and the trace ring's drop
-// count when it dropped any.
-func counterTable(off *core.OffloadResult, tiered bool, dropped int64) *report.Table {
+// link traffic, session totals, injected faults, each task's numbers, and
+// the trace ring's drop count when it dropped any.
+func counterTable(off *core.OffloadResult, dropped int64) *report.Table {
 	type counter struct {
 		name  string
 		value int64
@@ -174,11 +166,6 @@ func counterTable(off *core.OffloadResult, tiered bool, dropped int64) *report.T
 		{"session.migrated_bytes", st.MigratedBytes},
 		{"session.crash_retries", int64(st.CrashRetries)},
 		{"faults.injected", off.FaultStats.Total()},
-	}
-	if tiered {
-		cs = append(cs,
-			counter{"session.tier.edge_placed", int64(st.EdgePlaced)},
-			counter{"session.tier.cloud_placed", int64(st.CloudPlaced)})
 	}
 	for id, ts := range off.PerTask {
 		p := fmt.Sprintf("task.%d.", id)
@@ -227,7 +214,6 @@ func run(args []string, stdout io.Writer) error {
 	faultSpec := fs.String("faults", "", `inject link faults into the offloaded run, e.g. "drop=0.1,corrupt=0.02,outage=100ms-250ms,seed=7"`)
 	serverFaultSpec := fs.String("server-faults", "", `inject server faults into the offloaded run, e.g. "crash=0@300ms,slow=0@100ms-2sx3,drain=0@1s"`)
 	fs.BoolVar(&o.migrate, "migrate", false, "enable mid-flight offload migration: on a server fault, checkpoint/ship/resume the task on a spare host instead of falling back locally")
-	tiersMode := fs.String("tiers", "", "place offloads over the mobile -> edge -> cloud hierarchy: 3way, edge-only or cloud-only (empty keeps the classic binary gate)")
 	common := cli.CommonFlags(fs)
 	fs.Parse(args) // ExitOnError: a bad flag or -help ends the process here
 	switch {
@@ -263,14 +249,6 @@ func run(args []string, stdout io.Writer) error {
 		if o.serverFaults, err = faults.ParseServer(*serverFaultSpec); err != nil {
 			return fmt.Errorf("-server-faults: %w", err)
 		}
-	}
-	if *tiersMode != "" {
-		mode, err := tiers.ParseMode(*tiersMode)
-		if err != nil {
-			return fmt.Errorf("-tiers: %w", err)
-		}
-		o.topo = tiers.Default(2, 1)
-		o.topo.Mode = mode
 	}
 	switch {
 	case *irFile != "":

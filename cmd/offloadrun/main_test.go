@@ -102,15 +102,15 @@ func TestServerFaultsNameAHostThatExists(t *testing.T) {
 
 // TestMetricsGolden pins -metrics stdout on three runs that between them
 // fill every latency row: a drain migration on the hand-written IR kernel,
-// sjeng under link drops and corruption (retries and backoffs), and mcf on
-// the 3-way tier gate (the session.tier.* rows).
+// sjeng under link drops and corruption (retries and backoffs), and mcf's
+// fault-free offloads on the fast link.
 func TestMetricsGolden(t *testing.T) {
 	var out bytes.Buffer
 	for _, args := range [][]string{
 		{"-ir", "../../examples/irprogram/matmul.ir", "-stdin", "200,200", "-cost", "2000",
 			"-server-faults", "drain=0@1ms", "-migrate", "-metrics"},
 		{"-w", "458.sjeng", "-faults", "drop=0.2,corrupt=0.05,seed=3", "-metrics"},
-		{"-w", "429.mcf", "-tiers", "3way", "-metrics"},
+		{"-w", "429.mcf", "-metrics"},
 	} {
 		fmt.Fprintf(&out, "$ offloadrun %s\n", strings.Join(args, " "))
 		if err := run(args, &out); err != nil {

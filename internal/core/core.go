@@ -31,7 +31,6 @@ import (
 	"repro/internal/offrt"
 	"repro/internal/profile"
 	"repro/internal/simtime"
-	"repro/internal/tiers"
 )
 
 // Network selects one of the paper's two evaluation environments.
@@ -73,11 +72,6 @@ type Framework struct {
 	// fault the session checkpoints, ships and resumes the task on a spare
 	// instance instead of falling back locally.
 	Migrate bool
-	// Tiers, when non-nil, places a hierarchical edge/cloud topology
-	// behind every offloaded run's gate: decisions become the 3-way
-	// placement over {local, edge, cloud} instead of the binary
-	// Equation-1 question. Nil keeps the binary gate.
-	Tiers *tiers.Topology
 
 	// Engine selects the interpreter engine for every machine this
 	// framework builds (RunLocal, RunOffloaded, Profile's machine). The
@@ -369,9 +363,6 @@ func (fw *Framework) RunOffloaded(cres *compiler.Result, io *interp.StdIO, pol o
 	}
 	if fw.Migrate {
 		opts = append(opts, offrt.WithMigration())
-	}
-	if fw.Tiers != nil {
-		opts = append(opts, offrt.WithTiers(fw.Tiers))
 	}
 	sess, err := offrt.NewSession(mobile, server, fw.Link, opts...)
 	if err != nil {

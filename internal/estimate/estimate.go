@@ -242,8 +242,10 @@ func (p Params) MigrationDecision(remaining simtime.PS, slowFactor float64, cost
 	tFallback := remaining
 	best, choice := tFallback, Fallback
 	if canFinish && slowFactor > 0 {
-		if t := simtime.PS(float64(exec) * slowFactor); t < best {
-			best, choice = t, Finish
+		// Compared before the conversion, so a factor too large for the
+		// clock loses to the alternatives instead of wrapping negative.
+		if t := float64(exec) * slowFactor; t < float64(best) {
+			best, choice = simtime.PS(t), Finish
 		}
 	}
 	if t := cost + exec; t < best {

@@ -55,3 +55,13 @@ func TestMigrationDecision(t *testing.T) {
 		}
 	}
 }
+
+// TestMigrationDecisionHugeSlowdown: a factor whose T_finish passes the
+// clock's range loses to migration, where the product once wrapped
+// negative and won as Finish.
+func TestMigrationDecisionHugeSlowdown(t *testing.T) {
+	p := Params{R: 6, BandwidthBps: 10_000_000_000, RTT: 100 * simtime.Microsecond}
+	if got := p.MigrationDecision(100*simtime.Second, 1e9, p.MigrationCost(64<<10), true); got != Migrate {
+		t.Errorf("MigrationDecision(100s, x1e9) = %v, want %v", got, Migrate)
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
-	"repro/internal/tiers"
 	"repro/internal/workloads"
 )
 
@@ -102,12 +101,12 @@ func TestBreakdownMatchesSessionStats(t *testing.T) {
 	}
 }
 
-// TestProfileFaultsTiersCompose runs the flag combination the old
-// RunProgram* ladder had no rung for: link faults, a tier topology and the
-// guest sampler on one run. Recovery must still end with the local run's
+// TestProfileFaultsCompose runs the flag combination the old
+// RunProgram* ladder had no rung for: link faults and the guest sampler
+// on one run. Recovery must still end with the local run's
 // output, and the samplers must still attribute every picosecond of both
 // clocks across the aborted offload and its local fallback.
-func TestProfileFaultsTiersCompose(t *testing.T) {
+func TestProfileFaultsCompose(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs an offloaded execution")
@@ -118,14 +117,13 @@ func TestProfileFaultsTiersCompose(t *testing.T) {
 	}
 	r, err := RunProgram(workloads.ByName("164.gzip"), func(fw *core.Framework) {
 		fw.Faults = plan
-		fw.Tiers = tiers.Default(2, 1)
 		fw.SampleEvery = interp.DefaultSamplePeriod
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Fast.Output != r.Local.Output {
-		t.Error("faulted tiered run's output differs from the local run")
+		t.Error("faulted run's output differs from the local run")
 	}
 	if r.Fast.Stats.Fallbacks == 0 {
 		t.Error("the outage forced no local fallback; the fault plan is vacuous")

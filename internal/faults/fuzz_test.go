@@ -12,6 +12,7 @@ var fuzzSeeds = append([]string{
 	"outage=0s-250ms,seed=3",
 	"slow=0@0s-1000sx8",
 	"crash=1@1234567ns",
+	"slow=0@0s-100sx1e300",
 }, roundTripSpecs...)
 
 // FuzzParse: Parse never panics, and a plan it accepts is valid and is
@@ -38,7 +39,9 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzParseServer is FuzzParse for server-fault plans.
+// FuzzParseServer is FuzzParse for server-fault plans, plus: no slowdown
+// it accepts wraps the clock, so each one's SlowExtra over its own window
+// stretches it, and the stretched window still ends after End.
 func FuzzParseServer(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -57,6 +60,14 @@ func FuzzParseServer(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, p) {
 			t.Fatalf("ParseServer(%q) = %+v, but its String %q parses to %+v", spec, p, p.String(), back)
+		}
+		for _, e := range p.Events {
+			if e.Kind != Slowdown {
+				continue
+			}
+			if extra := p.SlowExtra(e.Server, e.Start, e.End); extra < 0 || e.End+extra < e.End {
+				t.Fatalf("ParseServer(%q): slowdown %+v stretches its window by %v", spec, e, extra)
+			}
 		}
 	})
 }

@@ -93,6 +93,12 @@ func (p *ServerPlan) Validate() error {
 			if !(e.Factor > 1) || math.IsInf(e.Factor, 1) { // NaN too
 				return fmt.Errorf("faults: slowdown %d factor %v must be finite and > 1", i, e.Factor)
 			}
+			// SlowExtra's stretch of the whole window, computed as it
+			// computes it, must end inside the clock's range.
+			if !(float64(e.End-e.Start)*(e.Factor-1) < float64(math.MaxInt64-e.End)) {
+				return fmt.Errorf("faults: slowdown %d stretches [%v, %v) by x%g, which exceeds the simulated clock",
+					i, e.Start, e.End, e.Factor)
+			}
 		case Stall:
 			if e.End <= e.Start {
 				return fmt.Errorf("faults: stall window %d [%v, %v) is empty", i, e.Start, e.End)

@@ -77,6 +77,7 @@ func TestParseServerRejectsGarbage(t *testing.T) {
 		"slow=0@1s-2sx2,stall=0@1500ms-3s", // overlapping windows
 		"slow=0@1s-2sxNaN",
 		"slow=0@1s-2sx+Inf",
+		"slow=0@0s-100sx1e300", // the stretched window passes the clock's range
 	} {
 		if _, err := ParseServer(spec); err == nil {
 			t.Errorf("ParseServer(%q) accepted", spec)

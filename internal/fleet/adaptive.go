@@ -45,9 +45,8 @@ type controller struct {
 	margin float64
 
 	// Period counters.
-	offloads int
-	sheds    int
-	misses   int
+	sheds  int
+	misses int
 }
 
 func newController(seed Admission) *controller {
@@ -69,11 +68,8 @@ func (c *controller) noteShed() {
 }
 
 func (c *controller) noteFinish(missed bool) {
-	if c != nil {
-		c.offloads++
-		if missed {
-			c.misses++
-		}
+	if c != nil && missed {
+		c.misses++
 	}
 }
 
@@ -100,7 +96,7 @@ func (c *controller) step(busy, slots int) {
 		c.margin *= 0.9
 	}
 	c.clampKnobs()
-	c.offloads, c.sheds, c.misses = 0, 0, 0
+	c.sheds, c.misses = 0, 0
 }
 
 func (c *controller) clampKnobs() {

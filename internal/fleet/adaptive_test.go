@@ -60,7 +60,7 @@ func TestControllerStep(t *testing.T) {
 			if c.margin != tc.wantMargin {
 				t.Errorf("margin: got %g, want %g", c.margin, tc.wantMargin)
 			}
-			if c.sheds != 0 || c.misses != 0 || c.offloads != 0 {
+			if c.sheds != 0 || c.misses != 0 {
 				t.Error("step did not reset the period counters")
 			}
 		})
@@ -87,7 +87,6 @@ func TestControllerBoundsProperty(t *testing.T) {
 			}
 			c.sheds = r.intn(3)
 			c.misses = r.intn(3)
-			c.offloads = r.intn(10)
 			slots := 1 + r.intn(32)
 			c.step(r.intn(slots+1), slots)
 		}

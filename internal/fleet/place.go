@@ -221,7 +221,7 @@ func (m *machine) handleArrive(now simtime.PS, si int32, j *job) {
 // stall at t pushes the start to the window's end; a slowdown in effect
 // then stretches the whole service time by its factor (coarse: the factor
 // at start governs the job, window edges inside the service interval are
-// not split).
+// not split), capped at maxHorizon so no factor wraps the clock.
 func (m *machine) startJob(si int32, j *job, t simtime.PS) {
 	s := m.servers[si]
 	s.busy++
@@ -232,7 +232,7 @@ func (m *machine) startJob(si int32, j *job, t simtime.PS) {
 		if until, ok := p.StallUntil(int(si), start); ok {
 			start = until
 		}
-		fin = start + simtime.PS(float64(j.exec)*p.SlowFactor(int(si), start))
+		fin = start + simtime.PS(min(float64(j.exec)*p.SlowFactor(int(si), start), maxHorizon))
 	}
 	j.finish = fin
 	s.start(j)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/estimate"
+	"repro/internal/netsim"
 	"repro/internal/simtime"
 	"repro/internal/tiers"
 )
@@ -56,6 +58,35 @@ func TestTieredConfigValidation(t *testing.T) {
 	bad.Tiers = &tiers.Topology{Mode: "bogus"}
 	if err := bad.Validate(); err == nil {
 		t.Error("tiered config accepted an invalid topology")
+	}
+}
+
+// TestCloudPricingMatchesPerLegCharges: the cloud option handleIntent
+// builds prices the serial access + WAN path — CombineBps of the two
+// bandwidths, both round trips' fixed costs summed — and CommTime over it
+// must equal the per-leg TransferTime charges the event timeline pays on
+// a cloud placement (access up + down, one WAN leg each way), so the
+// estimate prices the WAN exactly as the timeline charges it.
+func TestCloudPricingMatchesPerLegCharges(t *testing.T) {
+	cfg := TieredConfig(8, tiers.Default(2, 4))
+	rm := new(runMem)
+	m := newMachine(&cfg, nil, newStats(0, rm), rm)
+	access, _ := netsim.Profile("edge-wifi")
+	for _, mem := range []int64{64 << 10, 1 << 20, 16 << 20} {
+		p := estimate.Params{
+			BandwidthBps: tiers.CombineBps(access.BandwidthBps, m.wan.BandwidthBps),
+			RTT:          2*(access.Latency+access.PerMessage) + m.wanRTT,
+		}
+		got := p.CommTime(mem, 1)
+		want := 2*access.TransferTime(mem) + 2*m.wan.TransferTime(mem)
+		diff := got - want
+		if diff < 0 {
+			diff = -diff
+		}
+		// Harmonic-combination float rounding: allow 1ns on multi-ms sums.
+		if diff > simtime.PS(1000) {
+			t.Errorf("mem=%d: combined CommTime %v != per-leg charges %v (diff %v)", mem, got, want, diff)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"repro/internal/estimate"
 	"repro/internal/interp"
 	"repro/internal/obs"
-	"repro/internal/tiers"
 )
 
 // Gate implements the dynamic performance estimation of Section 4: it
@@ -26,38 +25,11 @@ func (s *Session) Gate(m *interp.Machine, taskID int32) bool {
 		return false
 	}
 	// Dynamic estimation uses the *current* network bandwidth, which is
-	// the whole point of deciding at run time (Section 4). The decision
-	// itself is the 3-way placement over {local, edge, cloud}: without a
-	// topology the cloud option is absent and Placement reduces exactly to
-	// the paper's binary gate (ProfitableQueued with an empty queue).
+	// the whole point of deciding at run time (Section 4): Equation 1
+	// against this session's server, with no queue ahead of the task.
 	est := s.est
 	est.BandwidthBps = s.linkAt(m.Clock).BandwidthBps
-	edge := estimate.TierOption{OK: true, P: est}
-	var cloud estimate.TierOption
-	if s.topo != nil {
-		mode := s.topo.EffectiveMode()
-		if mode != tiers.EdgeOnly {
-			// The cloud prices the serial access + WAN path at the cloud
-			// pool's compute ratio. No load signal reaches past the edge,
-			// so the cloud queues as the elastic (uncontended) tier.
-			cloud = estimate.TierOption{OK: true, P: s.topo.CloudParams(est)}
-		}
-		if mode == tiers.CloudOnly {
-			edge.OK = false
-		}
-	}
-	choice, _ := estimate.Placement(spec.TimePerInvocation, spec.MemBytes, edge, cloud)
-	if s.topo != nil {
-		switch choice {
-		case estimate.PlaceEdge:
-			s.Stats.EdgePlaced++
-		case estimate.PlaceCloud:
-			s.Stats.CloudPlaced++
-		}
-		s.emit(obs.Event{Time: m.Clock, Kind: obs.KTierPlace, Track: obs.TrackMobile,
-			Name: choice.String(), A0: int64(spec.TimePerInvocation), A1: spec.MemBytes})
-	}
-	if choice == estimate.PlaceLocal {
+	if !est.ProfitableQueued(spec.TimePerInvocation, spec.MemBytes, 0) {
 		return s.verdict(m, taskID, "decline", est)
 	}
 	return s.verdict(m, taskID, "offload", est)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/tiers"
 )
 
 // config collects NewSession's functional options.
@@ -20,7 +19,6 @@ type config struct {
 	injector   *faults.Injector
 	serverPlan *faults.ServerPlan
 	migrate    bool
-	topo       *tiers.Topology
 }
 
 // Option configures a Session at construction.
@@ -66,18 +64,6 @@ func WithServerFaults(p *faults.ServerPlan) Option { return func(c *config) { c.
 // failure degrades to local fallback.
 func WithMigration() Option { return func(c *config) { c.migrate = true } }
 
-// WithTiers places a hierarchical topology behind the session's gate:
-// instead of the binary Equation-1 question, every decision scores
-// {local, edge over the access link, cloud over access + WAN backhaul}
-// with estimate.Placement and offloads whenever either remote tier beats
-// local execution. The session's wire simulation still runs over its one
-// link and server — the topology informs the decision layer (placement
-// choice, per-tier accounting, tier.place traces); full per-tier
-// execution timing is the fleet simulator's job. A nil topology keeps
-// the binary gate, whose decisions Placement reproduces exactly when the
-// cloud option is absent.
-func WithTiers(topo *tiers.Topology) Option { return func(c *config) { c.topo = topo } }
-
 // NewSession builds a session over the given machines and link. The server
 // machine must not be started yet; Session runs it. The link's phase
 // schedule is validated here — a misordered schedule would silently
@@ -103,9 +89,6 @@ func NewSession(mobile, server *interp.Machine, link *netsim.Link, opts ...Optio
 	if err := cfg.serverPlan.ValidatePool(hosts); err != nil {
 		return nil, fmt.Errorf("offrt: invalid server-fault plan for this session's hosts: %w", err)
 	}
-	if err := cfg.topo.Validate(); err != nil {
-		return nil, fmt.Errorf("offrt: invalid tier topology: %w", err)
-	}
 
 	s := &Session{
 		Mobile:   mobile,
@@ -116,7 +99,6 @@ func NewSession(mobile, server *interp.Machine, link *netsim.Link, opts ...Optio
 		tasks:    make(map[int32]TaskSpec),
 		Recorder: energy.NewRecorder(0, energy.Compute),
 		cooldown: quarantineCooldown,
-		topo:     cfg.topo,
 		ep:       endpoint{m: server},
 
 		serverPlan: cfg.serverPlan,

@@ -15,7 +15,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/simtime"
-	"repro/internal/tiers"
 	"repro/internal/workloads"
 )
 
@@ -173,18 +172,18 @@ func TestSessionTraceDigestPinned(t *testing.T) {
 	}{
 		{"remote-io/fast", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:b388465d1ee8d485"},
+		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:1cbcb32d25bdd003"},
 		{"remote-io/slow", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, slow(), Policy{}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:04e2e281bf55dc5b"},
+		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:2b617cf717856f93"},
 		{"decline/gzip-slow", func(tr *obs.Tracer) *testEnv {
 			return gzip.session(t, slow(), Policy{}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.Declines > 0 && s.Stats.Offloads == 0 }, "3:bf305ff3849f01f2"},
+		}, func(s *Session) bool { return s.Stats.Declines > 0 && s.Stats.Offloads == 0 }, "3:8bca417c4a8bfa89"},
 		{"link-outage", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr), WithFaults(faults.MustInjector(outage)))
 		}, func(s *Session) bool {
 			return s.Stats.Aborts == 1 && s.Stats.Fallbacks == 1 && s.Stats.Retries > 0 && s.quarantineUntil > 0
-		}, "1015:edba4d3d052e9297"},
+		}, "1015:843115a691f08e59"},
 		{"dead-link/quarantine", func(tr *obs.Tracer) *testEnv {
 			// The offload request itself never arrives: fallback without the
 			// server, then the cool-down declines the later invocations.
@@ -192,39 +191,36 @@ func TestSessionTraceDigestPinned(t *testing.T) {
 				WithFaults(faults.MustInjector(faults.Plan{Outages: []faults.Window{{Start: 0, End: 1 << 62}}})))
 			env.sess.cooldown = simtime.FromSeconds(3600)
 			return env
-		}, func(s *Session) bool { return s.Stats.Aborts == 0 && s.Stats.Fallbacks == 1 && s.Stats.Declines == 2 }, "21:daa236da012dedb1"},
+		}, func(s *Session) bool { return s.Stats.Aborts == 0 && s.Stats.Fallbacks == 1 && s.Stats.Declines == 2 }, "21:8a75b4f8bd2fb8ae"},
 		{"crash-retry", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr),
 				WithServerFaults(serverEvent(faults.Crash, mid)), WithMigration())
-		}, func(s *Session) bool { return s.Stats.CrashRetries == 1 && s.Stats.Fallbacks == 0 }, "2584:9ec26c09d45710df"},
+		}, func(s *Session) bool { return s.Stats.CrashRetries == 1 && s.Stats.Fallbacks == 0 }, "2584:68d16c14f4138695"},
 		{"drain-decline", func(tr *obs.Tracer) *testEnv {
 			// twolf's evaluation input outruns its profile, so Equation 1 sees
 			// no remaining work worth shipping: the drain aborts to fallback.
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr),
 				WithServerFaults(serverEvent(faults.Drain, mid)), WithMigration())
-		}, func(s *Session) bool { return s.Stats.Migrations == 0 && s.Stats.Aborts == 1 && s.Stats.Fallbacks == 1 }, "867:397d281f3a365527"},
+		}, func(s *Session) bool { return s.Stats.Migrations == 0 && s.Stats.Aborts == 1 && s.Stats.Fallbacks == 1 }, "867:b2c32ac44e3624bd"},
 		{"drain-migrate", func(tr *obs.Tracer) *testEnv {
 			return mcf.session(t, fast(), Policy{}, WithTracer(tr),
 				WithServerFaults(serverEvent(faults.Drain, simtime.Second)), WithMigration())
-		}, func(s *Session) bool { return s.Stats.Migrations == 1 && s.Stats.Fallbacks == 0 }, "23:abc8f1f93a76c47f"},
-		{"tiers/3way", func(tr *obs.Tracer) *testEnv {
-			return mcf.session(t, fast(), Policy{}, WithTracer(tr), WithTiers(tiers.Default(2, 1)))
-		}, func(s *Session) bool { return s.Stats.EdgePlaced+s.Stats.CloudPlaced > 0 }, "19:9253905ff72ae2c6"},
+		}, func(s *Session) bool { return s.Stats.Migrations == 1 && s.Stats.Fallbacks == 0 }, "23:50fb5f65f4f10eb2"},
 		{"policy/batch-output", func(tr *obs.Tracer) *testEnv {
 			return sphinx.session(t, fast(), Policy{BatchOutput: true}, WithTracer(tr))
-		}, func(s *Session) bool { return printfs(s) == 1 }, "20:f6b772f8ab5fd8bb"},
+		}, func(s *Session) bool { return printfs(s) == 1 }, "20:6d5c015bc0cec422"},
 		{"policy/batch-threshold", func(tr *obs.Tracer) *testEnv {
 			return loud.session(t, fast(), Policy{BatchOutput: true, ForceOffload: true}, WithTracer(tr))
-		}, func(s *Session) bool { return printfs(s) == 3 }, "24:95c1fcff5fec8b08"},
+		}, func(s *Session) bool { return printfs(s) == 3 }, "24:8a20948306c140d3"},
 		{"policy/unbatched", func(tr *obs.Tracer) *testEnv {
 			return sphinx.session(t, fast(), Policy{}, WithTracer(tr))
-		}, func(s *Session) bool { return printfs(s) == 36 }, "160:efcc1a7fab6038ba"},
+		}, func(s *Session) bool { return printfs(s) == 36 }, "160:4869738a426f82ca"},
 		{"policy/no-compress", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{NoCompress: true}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.WriteBackWireBytes >= s.Stats.RawBytesToMobile }, "1673:6929595690c62f42"},
+		}, func(s *Session) bool { return s.Stats.WriteBackWireBytes >= s.Stats.RawBytesToMobile }, "1673:222f20aadb49c3d7"},
 		{"policy/no-prefetch", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{NoPrefetch: true}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.PrefetchPages == 0 && s.Stats.Faults > 1 }, "1697:0863a99d9a014495"},
+		}, func(s *Session) bool { return s.Stats.PrefetchPages == 0 && s.Stats.Faults > 1 }, "1697:52abf74fb569a9e1"},
 	} {
 		got, env := sessionDigest(t, tc.mk)
 		if !tc.exercised(env.sess) {

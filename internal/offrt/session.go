@@ -26,7 +26,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/simtime"
-	"repro/internal/tiers"
 )
 
 // TaskSpec is what the dynamic estimator knows about one offload target.
@@ -84,10 +83,6 @@ type Session struct {
 
 	tasks map[int32]TaskSpec
 	est   estimate.Params
-
-	// topo, when set, turns the binary gate into the 3-way placement
-	// decision over {local, edge, cloud} (see WithTiers).
-	topo *tiers.Topology
 
 	// cooldown is how long the gate stays quarantined after an abandoned
 	// offload: quarantineCooldown, held per session so an in-package test

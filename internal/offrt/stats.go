@@ -44,11 +44,6 @@ type SessionStats struct {
 	MigratedPages int
 	MigratedBytes int64
 	CrashRetries  int
-
-	// Placement outcomes of the tiered gate (WithTiers sessions only):
-	// how many offload decisions the 3-way placement sent to each tier.
-	EdgePlaced  int
-	CloudPlaced int
 }
 
 // TaskStats is per-task accounting for Table 4 and Figure 6.

@@ -10,15 +10,14 @@
 // per invocation against each tier's live queueing delay.
 //
 // The package is pure topology description: geometry, capacities and
-// link arithmetic. The fleet's machine consumes it for dispatch and
-// cross-tier migration; offrt's session gate consumes it for the
-// single-client 3-way gate.
+// link arithmetic. The fleet alone consumes it, for dispatch and
+// cross-tier migration; a single offrt session keeps the paper's binary
+// gate against its one server.
 package tiers
 
 import (
 	"fmt"
 
-	"repro/internal/estimate"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 )
@@ -78,8 +77,8 @@ const (
 // Modes lists every placement mode, in comparison order.
 func Modes() []Mode { return []Mode{ThreeWay, EdgeOnly, CloudOnly} }
 
-// ParseMode resolves a mode name.
-func ParseMode(s string) (Mode, error) {
+// parseMode resolves a mode name.
+func parseMode(s string) (Mode, error) {
 	for _, m := range Modes() {
 		if string(m) == s {
 			return m, nil
@@ -115,7 +114,7 @@ func (t *Topology) Validate() error {
 		return nil
 	}
 	if t.Mode != "" {
-		if _, err := ParseMode(string(t.Mode)); err != nil {
+		if _, err := parseMode(string(t.Mode)); err != nil {
 			return err
 		}
 	}
@@ -180,20 +179,4 @@ func CombineBps(a, b int64) int64 {
 		return a
 	}
 	return int64(1 / (1/float64(a) + 1/float64(b)))
-}
-
-// CloudParams derives the estimator parameters for reaching the cloud
-// through an access link priced as access (bandwidth + round-trip fixed
-// cost, estimate.Params convention): the serial path's bandwidth is the
-// harmonic combination and the fixed costs add, so
-// Params.CommTime(mem, 1) equals the sum of per-leg transfer charges
-// the event timeline actually pays — the estimate and the simulation
-// price the WAN identically by construction.
-func (t *Topology) CloudParams(access estimate.Params) estimate.Params {
-	wan := t.WAN()
-	return estimate.Params{
-		R:            t.Cloud.R,
-		BandwidthBps: CombineBps(access.BandwidthBps, wan.BandwidthBps),
-		RTT:          access.RTT + 2*(wan.Latency+wan.PerMessage),
-	}
 }

@@ -1,12 +1,6 @@
 package tiers
 
-import (
-	"testing"
-
-	"repro/internal/estimate"
-	"repro/internal/netsim"
-	"repro/internal/simtime"
-)
+import "testing"
 
 func TestValidate(t *testing.T) {
 	if err := Default(2, 4).Validate(); err != nil {
@@ -54,13 +48,13 @@ func TestTierGeometry(t *testing.T) {
 
 func TestParseMode(t *testing.T) {
 	for _, m := range Modes() {
-		got, err := ParseMode(string(m))
+		got, err := parseMode(string(m))
 		if err != nil || got != m {
-			t.Errorf("ParseMode(%q) = %v, %v", m, got, err)
+			t.Errorf("parseMode(%q) = %v, %v", m, got, err)
 		}
 	}
-	if _, err := ParseMode("nope"); err == nil {
-		t.Error("ParseMode accepted garbage")
+	if _, err := parseMode("nope"); err == nil {
+		t.Error("parseMode accepted garbage")
 	}
 	if got := (&Topology{}).EffectiveMode(); got != ThreeWay {
 		t.Errorf("zero mode resolves to %v, want %v", got, ThreeWay)
@@ -77,37 +71,6 @@ func TestCombineBps(t *testing.T) {
 	for _, c := range cases {
 		if got := CombineBps(c.a, c.b); got != c.want {
 			t.Errorf("CombineBps(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-// CloudParams must price the serial path exactly as the event timeline
-// does: CommTime over the combined params equals the sum of per-leg
-// transfer charges plus both round-trip fixed costs.
-func TestCloudParamsMatchesPerLegCharges(t *testing.T) {
-	topo := Default(2, 4)
-	access, _ := netsim.Profile("edge-wifi")
-	accessP := estimate.Params{
-		BandwidthBps: access.BandwidthBps,
-		RTT:          2 * (access.Latency + access.PerMessage),
-	}
-	wan := topo.WAN()
-	for _, mem := range []int64{64 << 10, 1 << 20, 16 << 20} {
-		p := topo.CloudParams(accessP)
-		if p.R != topo.Cloud.R {
-			t.Fatalf("CloudParams R = %g, want %g", p.R, topo.Cloud.R)
-		}
-		got := p.CommTime(mem, 1)
-		// The per-leg charge of the event timeline: access up+down plus
-		// WAN up+down, each TransferTime including one latency+permsg.
-		want := 2*access.TransferTime(mem) + 2*wan.TransferTime(mem)
-		diff := got - want
-		if diff < 0 {
-			diff = -diff
-		}
-		// Harmonic-combination float rounding: allow 1ns on multi-ms sums.
-		if diff > simtime.PS(1000) {
-			t.Errorf("mem=%d: combined CommTime %v != per-leg charges %v (diff %v)", mem, got, want, diff)
 		}
 	}
 }
