@@ -11,11 +11,15 @@ GO ?= go
 ## package's TestExportedFuncsHaveShippedCallers fails on an exported
 ## internal/ function that only tests call and TestDesignNamesExist on a
 ## name in DESIGN.md or README.md that does not exist; every fuzz target's
-## seed corpus runs as a test), and a short fuzz smoke over the hardened
-## wire decoder.
+## seed corpus runs as a test), and a short fuzz smoke, 5 s each, over the
+## hardened wire decoder and the migration checkpoint's decoder, which reads
+## through the same cursor (its minimization capped at 200 runs an input, as
+## in `make fuzz`): about 12 s with their builds, inside ROADMAP item 4's 20 s
+## budget.
 check: build vet benchvet benchtest fmt
 	$(GO) test -race ./...
 	$(GO) test ./internal/offrt/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
+	$(GO) test ./internal/offrt/ -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime 5s -fuzzminimizetime 200x
 
 ## smoke: the quick loop — only the Test*Smoke contract tests (O(1) bind,
 ## the fleet engine against its single-heap oracle at 10k clients,

@@ -95,9 +95,8 @@ func (o *observability) reportRun(off *core.OffloadResult, model energy.PowerMod
 		fmt.Fprintln(o.out, experiments.ProfileTable(off.MobileProf, off.ServerProf, 15))
 	}
 	if o.breakdown && o.tracer != nil {
-		evs := o.tracer.Events()
-		fmt.Fprintln(o.out, analyze.TimeTable(analyze.Breakdown(evs)))
-		fmt.Fprintln(o.out, analyze.RadioTable(analyze.Radio(evs, model)))
+		fmt.Fprintln(o.out, analyze.TimeTable(analyze.Breakdown(o.tracer.Events())))
+		fmt.Fprintln(o.out, analyze.RadioTable(off.Recorder, model))
 	}
 	if o.critPath && o.tracer != nil {
 		cs := analyze.Crit(o.tracer.Events()).Top(o.exemplars)
@@ -207,7 +206,7 @@ func run(args []string, stdout io.Writer) error {
 	o := &observability{out: stdout}
 	fs.StringVar(&o.traceFile, "trace", "", "write a Chrome trace_event JSON file of the offloaded run")
 	fs.StringVar(&o.profileFile, "profile", "", "write a folded-stack guest flamegraph profile of the offloaded run and print the top-functions table")
-	fs.BoolVar(&o.breakdown, "breakdown", false, "print the per-offload time and radio-energy breakdown (Fig. 6/7 shape) replayed from the trace")
+	fs.BoolVar(&o.breakdown, "breakdown", false, "print the per-offload time breakdown replayed from the trace and the radio-energy table from the power recorder (Fig. 6/7 shape)")
 	fs.BoolVar(&o.critPath, "critpath", false, "print each job's critical-path decomposition and the where-the-tail-lives summary replayed from the trace")
 	fs.IntVar(&o.exemplars, "exemplars", 0, "with -critpath: limit the per-job table to the N slowest jobs (0 keeps them all)")
 	fs.BoolVar(&o.metrics, "metrics", false, "print the offloaded run's counters and the latency table replayed from its trace")

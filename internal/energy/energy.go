@@ -73,11 +73,10 @@ type Segment struct {
 
 // Recorder accumulates the mobile device's power-state timeline.
 type Recorder struct {
-	segs  []Segment
-	cur   State
-	at    simtime.PS
-	done  bool
-	endAt simtime.PS
+	segs []Segment
+	cur  State
+	at   simtime.PS
+	done bool
 
 	// Tracer, when set, receives one KRadio span per closed segment, so
 	// the Figure 8 radio power timeline appears in the exported trace.
@@ -127,7 +126,6 @@ func (r *Recorder) Pulse(t, d simtime.PS, s State) {
 func (r *Recorder) Finish(t simtime.PS) {
 	r.Transition(t, r.cur)
 	r.done = true
-	r.endAt = t
 }
 
 // Segments returns the recorded timeline.

@@ -1,7 +1,8 @@
 package experiments
 
 import (
-	"math"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,8 +19,8 @@ import (
 // trace-analysis pipeline: on a fault-free Table-4 workload, replaying the
 // trace must reconstruct exactly what the runtime accounted — per-offload
 // totals summing to SessionStats.E2ELatency, components partitioning each
-// total, the radio attribution matching the energy recorder, and the
-// samplers' attributed time matching both machines' clocks.
+// total, the traced radio spans being the energy recorder's segments one for
+// one, and the samplers' attributed time matching both machines' clocks.
 func TestBreakdownMatchesSessionStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs an offloaded execution")
@@ -58,13 +59,18 @@ func TestBreakdownMatchesSessionStats(t *testing.T) {
 		}
 	}
 
-	// Radio energy attribution vs the recorder, both power models.
-	for _, model := range []energy.PowerModel{energy.FastModel(), energy.SlowModel()} {
-		re := analyze.Radio(evs, model)
-		want := r.Fast.Recorder.EnergyMJ(model)
-		if diff := math.Abs(re.TotalMJ() - want); diff > 1e-6*math.Abs(want) {
-			t.Errorf("%s: radio replay %.6f mJ, recorder %.6f mJ", model.Name, re.TotalMJ(), want)
+	// The radio timeline in the trace is the recorder's, segment for segment.
+	var traced, recorded []string
+	for _, ev := range evs {
+		if ev.Kind == obs.KRadio {
+			traced = append(traced, fmt.Sprintf("%s [%v, %v)", ev.Name, ev.Time, ev.Time+ev.Dur))
 		}
+	}
+	for _, s := range r.Fast.Recorder.Segments() {
+		recorded = append(recorded, fmt.Sprintf("%s [%v, %v)", s.State, s.Start, s.End))
+	}
+	if len(recorded) == 0 || !slices.Equal(traced, recorded) {
+		t.Errorf("traced radio spans %v, recorder segments %v", traced, recorded)
 	}
 
 	// Guest profiles: every simulated picosecond attributed, both machines.
@@ -85,6 +91,9 @@ func TestBreakdownMatchesSessionStats(t *testing.T) {
 	// The rendered artifacts exist and carry the headline rows.
 	if s := analyze.TimeTable(sum).String(); !strings.Contains(s, "total_ms") {
 		t.Errorf("time table malformed:\n%s", s)
+	}
+	if s := analyze.RadioTable(r.Fast.Recorder, energy.FastModel()).String(); !strings.Contains(s, "energy_mj") {
+		t.Errorf("radio table malformed:\n%s", s)
 	}
 	if s := ProfileTable(r.Fast.MobileProf, r.Fast.ServerProf, 15).String(); !strings.Contains(s, "server") {
 		t.Errorf("profile table malformed:\n%s", s)

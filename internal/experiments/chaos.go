@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/obs"
 	"repro/internal/offrt"
 	"repro/internal/report"
 	"repro/internal/simtime"
@@ -31,16 +30,15 @@ type ChaosCell struct {
 	MemOK    bool
 
 	// Injected counts the link faults the plan actually landed; the rest is
-	// the recovery layer's reaction. FallbackEvents is the fallback.local
-	// trace-event count (the acceptance signal that a cell exercised local
-	// re-execution).
-	Injected       int64
-	Retries        int
-	Aborts         int
-	Migrations     int
-	CrashRetries   int
-	Fallbacks      int
-	FallbackEvents int
+	// the recovery layer's reaction, read off the session's Stats.
+	// Fallbacks counts the offloads re-executed locally (the acceptance
+	// signal that a cell exercised local fallback).
+	Injected     int64
+	Retries      int
+	Aborts       int
+	Migrations   int
+	CrashRetries int
+	Fallbacks    int
 
 	// Slowdown is faulted time over fault-free time: the price of the
 	// recovery, in simulated wall-clock.
@@ -82,9 +80,6 @@ func ChaosGrid(total simtime.PS) []faults.Plan {
 // errors.
 func RunChaosCell(pr *ProgramResult, label string, configure func(fw *core.Framework)) (*ChaosCell, error) {
 	fw := core.NewFramework(core.FastNetwork).WithScale(workloads.Scale, pr.W.CostScale)
-	// Only the fallback.local count is read back, so nothing else is kept.
-	fw.Tracer = obs.NewTracer(0)
-	fw.Tracer.SetKinds(obs.KFallback)
 	configure(fw)
 	off, err := fw.RunOffloaded(pr.Compile, pr.W.EvalIO(), offrt.Policy{})
 	if err != nil {
@@ -102,11 +97,6 @@ func RunChaosCell(pr *ProgramResult, label string, configure func(fw *core.Frame
 		Migrations:   off.Stats.Migrations,
 		CrashRetries: off.Stats.CrashRetries,
 		Fallbacks:    off.Stats.Fallbacks,
-	}
-	for _, ev := range fw.Tracer.Events() {
-		if ev.Kind == obs.KFallback {
-			cell.FallbackEvents++
-		}
 	}
 	if pr.Fast.Time > 0 {
 		cell.Slowdown = float64(off.Time) / float64(pr.Fast.Time)
@@ -150,7 +140,7 @@ func ChaosTable(cells []*ChaosCell) *report.Table {
 			verdict = "NO"
 			bad++
 		}
-		if c.FallbackEvents > 0 {
+		if c.Fallbacks > 0 {
 			withFallback++
 		}
 		t.Add(c.Workload, c.Plan, c.Injected, c.Retries, c.Aborts, c.Migrations, c.CrashRetries,

@@ -14,7 +14,7 @@ import (
 // campaign: every workload, under every cell of the drop-rate x outage
 // grid, must produce output, exit code and semantic memory bit-identical
 // to its fault-free run — and at least one cell sweep-wide must have
-// exercised the local fallback path (fallback.local trace events > 0).
+// exercised the local fallback path (Stats.Fallbacks > 0).
 func TestChaosEquivalence(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -32,12 +32,8 @@ func TestChaosEquivalence(t *testing.T) {
 			t.Errorf("%s under %s diverged from fault-free run (output=%v code=%v mem=%v)",
 				c.Workload, c.Plan, c.OutputOK, c.CodeOK, c.MemOK)
 		}
-		if c.FallbackEvents > 0 {
+		if c.Fallbacks > 0 {
 			fallbackCells++
-			if c.Fallbacks == 0 {
-				t.Errorf("%s under %s traced fallback.local but Stats.Fallbacks is 0",
-					c.Workload, c.Plan)
-			}
 		}
 		if c.Injected > 0 {
 			faultedCells++

@@ -19,7 +19,10 @@ func faultPlan(kind faults.ServerKind, si int, at simtime.PS) *faults.ServerPlan
 // killed mid-run strands reservations of requests still in flight over their
 // clients' links and jobs mid-service in its slots. Run's end-of-run
 // invariant (reserved == 0 && busy == 0 on every server) must hold anyway —
-// before the fix, an aborted dispatch leaked its reservation forever.
+// before the fix, an aborted dispatch leaked its reservation forever. A
+// dispatched job the crash sends down the local path stays dispatched, so
+// Offloads+Sheds <= Dispatched <= Offloads+Sheds+Fallbacks, and without
+// Migrate the crash makes the first bound strict.
 func TestCrashReleasesReservations(t *testing.T) {
 	for _, pol := range Policies() {
 		for _, migrate := range []bool{false, true} {
@@ -34,6 +37,11 @@ func TestCrashReleasesReservations(t *testing.T) {
 			}
 			if got := res.Offloads + res.Declines + res.Sheds + res.Fallbacks; got != res.Requests {
 				t.Errorf("%s migrate=%v: %d completions of %d requests", pol, migrate, got, res.Requests)
+			}
+			if remote := res.Offloads + res.Sheds; res.Dispatched < remote || res.Dispatched > remote+res.Fallbacks ||
+				(!migrate && res.Dispatched == remote) {
+				t.Errorf("%s migrate=%v: dispatched %d outside offloads %d + sheds %d (+ fallbacks %d)",
+					pol, migrate, res.Dispatched, res.Offloads, res.Sheds, res.Fallbacks)
 			}
 			if migrate {
 				if res.Fallbacks != 0 {

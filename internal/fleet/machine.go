@@ -80,8 +80,6 @@ type server struct {
 	busyPS   simtime.PS
 	lastT    simtime.PS
 	maxDepth int
-	waitPS   simtime.PS // total queueing delay charged
-	served   int        // jobs that entered a slot
 
 	// down marks a crashed or draining server: the dispatcher routes
 	// around it and arrivals already in flight are relocated.

@@ -163,9 +163,6 @@ func (m *machine) handleArrive(now simtime.PS, si int32, j *job) {
 		return
 	}
 	depth := len(s.queue)
-	if depth > s.maxDepth {
-		s.maxDepth = depth
-	}
 	// Admission control runs against the server's *actual* state at
 	// arrival — decision-time estimates are already stale by one transfer
 	// time, which is exactly how a thundering herd overruns a queue
@@ -225,7 +222,6 @@ func (m *machine) handleArrive(now simtime.PS, si int32, j *job) {
 func (m *machine) startJob(si int32, j *job, t simtime.PS) {
 	s := m.servers[si]
 	s.busy++
-	s.served++
 	fin := t + j.exec
 	if p := m.cfg.ServerFaults; p.Active() {
 		start := t
@@ -267,7 +263,6 @@ func (m *machine) handleFinish(now simtime.PS, si int32, j *job) {
 	if len(s.queue) > 0 && s.busy < s.spec.Slots {
 		next := s.pop()
 		wait := now - next.enq
-		s.waitPS += wait
 		m.recordWait(si, wait)
 		next.rec.mark(now, segQueue, si)
 		if tr := m.cfg.Tracer; tr != nil {

@@ -94,10 +94,13 @@ type Result struct {
 	Seed    uint64 `json:"seed"`
 
 	// Requests = Offloads + Declines + Sheds + Fallbacks: every request
-	// completes, remotely or down one of the local paths.
+	// completes, remotely or down one of the local paths. Dispatched counts
+	// the requests the gate sent toward a server; a server fault can send a
+	// dispatched one down the local path, so Offloads + Sheds <= Dispatched
+	// <= Offloads + Sheds + Fallbacks.
 	Requests   int `json:"requests"`
 	Offloads   int `json:"offloads"`   // completed remotely
-	Dispatched int `json:"dispatched"` // sent toward a server (Offloads + Sheds)
+	Dispatched int `json:"dispatched"` // sent toward a server
 	Declines   int `json:"declines"`   // contention-aware gate chose local
 	Sheds      int `json:"sheds"`      // admission control forced local fallback
 	Fallbacks  int `json:"fallbacks"`  // server fault with no viable recovery: ran locally
@@ -152,13 +155,13 @@ type Result struct {
 	ServerUtilPct []float64 `json:"server_util_pct"`
 	// MaxQueueDepth is the deepest run queue observed anywhere.
 	MaxQueueDepth int `json:"max_queue_depth"`
-	// AvgQueueWaitMs averages the queueing delay over every job that
-	// entered a server slot: a job that started on arrival counts as a
-	// zero wait.
+	// AvgQueueWaitMs is QueueWait's mean: the queueing delay averaged over
+	// every job that entered a server slot.
 	AvgQueueWaitMs float64 `json:"avg_queue_wait_ms"`
-	// QueueWait is the full queue-wait distribution (ps): every dispatched
-	// job records, jobs that start immediately record 0, so the quantiles
-	// reflect what an arriving request actually experiences.
+	// QueueWait is the full queue-wait distribution (ps): every job that
+	// enters a server slot records, one that starts on arrival records 0,
+	// so the quantiles reflect what an arriving request actually
+	// experiences.
 	QueueWait obs.HistSnapshot `json:"queue_wait_hist"`
 	// E2E is the end-to-end latency distribution (ps) over every
 	// completed request: what a histogram that recorded each latency would
@@ -356,8 +359,9 @@ func (r *Result) finish(latencies []simtime.PS, servers []*server, makespan simt
 		r.ThroughputRPS = float64(len(latencies)) / makespan.Seconds()
 	}
 	r.MakespanMs = makespan.Millis()
-	var waited simtime.PS
-	queued := 0
+	// Exactly one recordWait precedes every startJob, so the wait
+	// histogram's mean is the average over every job that entered a slot.
+	r.AvgQueueWaitMs = simtime.PS(r.QueueWait.Mean()).Millis()
 	for _, s := range servers {
 		cap := simtime.PS(int64(s.spec.Slots) * int64(makespan))
 		util := 0.0
@@ -368,10 +372,5 @@ func (r *Result) finish(latencies []simtime.PS, servers []*server, makespan simt
 		if s.maxDepth > r.MaxQueueDepth {
 			r.MaxQueueDepth = s.maxDepth
 		}
-		waited += s.waitPS
-		queued += s.served
-	}
-	if queued > 0 {
-		r.AvgQueueWaitMs = (waited / simtime.PS(queued)).Millis()
 	}
 }

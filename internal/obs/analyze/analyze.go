@@ -1,10 +1,12 @@
 // Package analyze replays a Tracer's event stream into the causal
 // breakdowns behind the paper's figures: per-offload time attribution
 // (initialization / compute / page faults / remote I/O / write-back —
-// Figure 6's shape) and radio-state energy attribution (Figure 7/8's
-// shape). It is a pure post-processor: everything here derives from the
-// structured events the runtime already emits, so any captured trace —
-// live session, chaos run, or a loaded file — analyzes identically.
+// Figure 6's shape), critical paths and latency populations. It is a pure
+// post-processor: everything it replays derives from the structured events
+// the runtime already emits, so any captured trace — live session, chaos
+// run, or a loaded file — analyzes identically. The radio-state energy
+// table (Figure 7/8's shape) is rendered from the run's energy.Recorder,
+// which integrates those segments itself.
 package analyze
 
 import (
@@ -115,46 +117,6 @@ func Breakdown(events []obs.Event) *Summary {
 	return sum
 }
 
-// RadioEnergy attributes energy to radio power states by integrating the
-// traced KRadio segments against a power model. The tracer receives one
-// event per recorder segment, so on an untruncated trace PerStateMJ sums
-// to energy.Recorder.EnergyMJ of the same model.
-type RadioEnergy struct {
-	Model      string
-	PerStateMJ [energy.NumStates]float64
-	PerStatePS [energy.NumStates]simtime.PS
-}
-
-// TotalMJ sums the per-state attribution.
-func (r *RadioEnergy) TotalMJ() float64 {
-	var t float64
-	for _, mj := range r.PerStateMJ {
-		t += mj
-	}
-	return t
-}
-
-// Radio integrates the KRadio segments of an event stream under model.
-func Radio(events []obs.Event, model energy.PowerModel) *RadioEnergy {
-	byName := make(map[string]energy.State, energy.NumStates)
-	for s := energy.State(0); s < energy.NumStates; s++ {
-		byName[s.String()] = s
-	}
-	re := &RadioEnergy{Model: model.Name}
-	for _, ev := range events {
-		if ev.Kind != obs.KRadio {
-			continue
-		}
-		s, ok := byName[ev.Name]
-		if !ok {
-			continue
-		}
-		re.PerStatePS[s] += ev.Dur
-		re.PerStateMJ[s] += model.MW[s] * ev.Dur.Seconds()
-	}
-	return re
-}
-
 // TimeTable renders the per-offload breakdown in the Figure 6 shape: one
 // row per offload, components in milliseconds plus the component share of
 // the total.
@@ -192,20 +154,31 @@ func TimeTable(s *Summary) *report.Table {
 }
 
 // RadioTable renders the radio-state energy attribution in the Figure 7/8
-// shape: one row per power state with its residency and energy.
-func RadioTable(r *RadioEnergy) *report.Table {
-	t := report.New(fmt.Sprintf("Radio-state energy attribution (%s model, Fig. 7 shape)", r.Model),
+// shape: one row per power state with its residency and energy under model,
+// integrated from the recorder's segments (the ones its Tracer receives),
+// per state in segment order.
+func RadioTable(rec *energy.Recorder, model energy.PowerModel) *report.Table {
+	var ps [energy.NumStates]simtime.PS
+	var mj [energy.NumStates]float64
+	for _, seg := range rec.Segments() {
+		ps[seg.State] += seg.End - seg.Start
+		mj[seg.State] += model.MW[seg.State] * (seg.End - seg.Start).Seconds()
+	}
+	var total float64
+	for _, e := range mj {
+		total += e
+	}
+	t := report.New(fmt.Sprintf("Radio-state energy attribution (%s model, Fig. 7 shape)", model.Name),
 		"state", "time_ms", "energy_mj", "share")
-	total := r.TotalMJ()
 	for s := energy.State(0); s < energy.NumStates; s++ {
-		if r.PerStatePS[s] == 0 && r.PerStateMJ[s] == 0 {
+		if ps[s] == 0 {
 			continue
 		}
 		share := 0.0
 		if total > 0 {
-			share = 100 * r.PerStateMJ[s] / total
+			share = 100 * mj[s] / total
 		}
-		t.Add(s.String(), r.PerStatePS[s].Millis(), r.PerStateMJ[s], fmt.Sprintf("%.1f%%", share))
+		t.Add(s.String(), ps[s].Millis(), mj[s], fmt.Sprintf("%.1f%%", share))
 	}
 	t.Note("total %.2f mJ over traced radio segments", total)
 	return t

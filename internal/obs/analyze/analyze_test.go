@@ -1,7 +1,8 @@
 package analyze
 
 import (
-	"math"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/energy"
@@ -41,13 +42,22 @@ func sessionTrace() *obs.Tracer {
 	tr.Emit(obs.Event{Time: 55 * ms, Kind: obs.KAbort, Track: obs.TrackServer, Name: "page.request", A0: 1})
 	tr.Emit(obs.Event{Time: 57 * ms, Dur: 90 * ms, Kind: obs.KFallback, Track: obs.TrackMobile,
 		Name: "crunch", A0: 1})
-	// Radio timeline (matches a recorder's segment stream 1:1).
-	tr.Emit(obs.Event{Time: 0, Dur: 1 * ms, Kind: obs.KRadio, Track: obs.TrackRadio, Name: "compute"})
-	tr.Emit(obs.Event{Time: 1 * ms, Dur: 3 * ms, Kind: obs.KRadio, Track: obs.TrackRadio, Name: "tx"})
-	tr.Emit(obs.Event{Time: 4 * ms, Dur: 32 * ms, Kind: obs.KRadio, Track: obs.TrackRadio, Name: "wait"})
-	tr.Emit(obs.Event{Time: 36 * ms, Dur: 4 * ms, Kind: obs.KRadio, Track: obs.TrackRadio, Name: "rx"})
-	tr.Emit(obs.Event{Time: 40 * ms, Dur: 2 * ms, Kind: obs.KRadio, Track: obs.TrackRadio, Name: "ioserve"})
+	sessionRadio(tr)
 	return tr
+}
+
+// sessionRadio records sessionTrace's radio timeline — compute, tx, wait,
+// rx, ioserve — emitting one KRadio span per segment into tr (nil: none).
+func sessionRadio(tr *obs.Tracer) *energy.Recorder {
+	ms := simtime.Millisecond
+	rec := energy.NewRecorder(0, energy.Compute)
+	rec.Tracer = tr
+	rec.Transition(1*ms, energy.TX)
+	rec.Transition(4*ms, energy.Wait)
+	rec.Transition(36*ms, energy.RX)
+	rec.Transition(40*ms, energy.IOServe)
+	rec.Finish(42 * ms)
+	return rec
 }
 
 func TestBreakdown(t *testing.T) {
@@ -74,13 +84,11 @@ func TestBreakdown(t *testing.T) {
 	}
 }
 
-func TestRadioMatchesRecorder(t *testing.T) {
-	// A recorder and the trace replay must attribute identical energy:
-	// Transition emits exactly one KRadio event per segment.
+// TestRadioTableMatchesRecorder: the radio table's per-state rows add up to
+// the recorder's own EnergyMJ, a pulse's two wait segments on one row.
+func TestRadioTableMatchesRecorder(t *testing.T) {
 	ms := simtime.Millisecond
-	tr := obs.NewTracer(16)
 	rec := energy.NewRecorder(0, energy.Compute)
-	rec.Tracer = tr
 	rec.Transition(1*ms, energy.TX)
 	rec.Transition(4*ms, energy.Wait)
 	rec.Pulse(10*ms, 2*ms, energy.TX)
@@ -88,18 +96,18 @@ func TestRadioMatchesRecorder(t *testing.T) {
 	rec.Finish(40 * ms)
 
 	for _, model := range []energy.PowerModel{energy.FastModel(), energy.SlowModel()} {
-		re := Radio(tr.Events(), model)
-		want := rec.EnergyMJ(model)
-		if diff := math.Abs(re.TotalMJ() - want); diff > 1e-9*math.Abs(want) {
-			t.Errorf("%s: replayed %.9f mJ, recorder %.9f mJ", model.Name, re.TotalMJ(), want)
+		tbl := RadioTable(rec, model).String()
+		if want := fmt.Sprintf("note: total %.2f mJ", rec.EnergyMJ(model)); !strings.Contains(tbl, want) {
+			t.Errorf("%s: table lacks %q:\n%s", model.Name, want, tbl)
+		}
+		if want := fmt.Sprintf("wait     %.2f", rec.TimeIn(energy.Wait).Millis()); !strings.Contains(tbl, want) {
+			t.Errorf("%s: table lacks one wait row %q:\n%s", model.Name, want, tbl)
 		}
 	}
 }
 
 func TestBreakdownTablesGolden(t *testing.T) {
-	evs := sessionTrace().Events()
-	s := Breakdown(evs)
-	re := Radio(evs, energy.FastModel())
-	out := TimeTable(s).String() + "\n" + RadioTable(re).String()
+	s := Breakdown(sessionTrace().Events())
+	out := TimeTable(s).String() + "\n" + RadioTable(sessionRadio(nil), energy.FastModel()).String()
 	goldentest.Check(t, "breakdown_golden.txt", []byte(out))
 }

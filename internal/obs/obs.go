@@ -23,7 +23,6 @@ package obs
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/simtime"
 )
@@ -234,11 +233,6 @@ type Event struct {
 // workload degrades the trace instead of memory. A nil *Tracer is a valid
 // disabled tracer: Emit is a no-op.
 type Tracer struct {
-	// kinds is the kind-mask filter: bit k admits Kind k. Zero (the
-	// initial state) admits everything, so SetKinds is pay-for-use. It is
-	// atomic so Emit's hot path checks it before taking the ring lock.
-	kinds atomic.Uint64
-
 	mu      sync.Mutex
 	buf     []Event
 	head    int // next write position
@@ -261,29 +255,9 @@ func NewTracer(capacity int) *Tracer {
 // Enabled reports whether the tracer records anything.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// SetKinds restricts the tracer to the given event kinds: Emit discards
-// everything else before touching the ring (filtered events are not
-// counted as dropped — they were never wanted). Calling SetKinds with no
-// arguments re-admits every kind. Safe on nil, safe concurrently with
-// Emit, and the filtered path stays allocation-free — the cheap way to
-// mute a hot-path emitter without tearing out the tracer.
-func (t *Tracer) SetKinds(keep ...Kind) {
-	if t == nil {
-		return
-	}
-	var mask uint64
-	for _, k := range keep {
-		mask |= 1 << k
-	}
-	t.kinds.Store(mask)
-}
-
 // Emit records one event. Safe on a nil tracer; never allocates.
 func (t *Tracer) Emit(ev Event) {
 	if t == nil {
-		return
-	}
-	if mask := t.kinds.Load(); mask != 0 && mask&(1<<ev.Kind) == 0 {
 		return
 	}
 	t.mu.Lock()
@@ -347,5 +321,5 @@ func (t *Tracer) DropWarning() string {
 	if d == 0 {
 		return ""
 	}
-	return fmt.Sprintf("warning: trace ring dropped %d event(s) (oldest overwritten); raise the ring capacity or mute kinds with SetKinds", d)
+	return fmt.Sprintf("warning: trace ring dropped %d event(s) (oldest overwritten); raise the ring capacity", d)
 }

@@ -180,43 +180,6 @@ func TestChromeFlowEvents(t *testing.T) {
 	}
 }
 
-func TestSetKindsFilters(t *testing.T) {
-	tr := NewTracer(8)
-	tr.SetKinds(KGate, KJob)
-	tr.Emit(Event{Kind: KGate})
-	tr.Emit(Event{Kind: KPageFault})
-	tr.Emit(Event{Kind: KJob})
-	if tr.Len() != 2 {
-		t.Fatalf("Len = %d after filtered emits, want 2", tr.Len())
-	}
-	if tr.Dropped() != 0 {
-		t.Errorf("Dropped = %d; filtered events must not count as drops", tr.Dropped())
-	}
-	tr.SetKinds() // re-admit everything
-	tr.Emit(Event{Kind: KPageFault})
-	if tr.Len() != 3 {
-		t.Errorf("Len = %d after re-admitting, want 3", tr.Len())
-	}
-	var nilTr *Tracer
-	nilTr.SetKinds(KGate) // must not panic
-}
-
-// TestSetKindsFilteredPathZeroAlloc: muting a kind must keep the emitter
-// allocation-free — the whole point of masking over ripping the tracer out.
-func TestSetKindsFilteredPathZeroAlloc(t *testing.T) {
-	tr := NewTracer(8)
-	tr.SetKinds(KGate)
-	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Emit(Event{Time: 1, Kind: KPageFault, Track: TrackServer, Name: "remote"})
-	})
-	if allocs != 0 {
-		t.Fatalf("filtered Emit allocates %.1f allocs/op, want 0", allocs)
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("filtered events reached the ring (%d retained)", tr.Len())
-	}
-}
-
 // TestDroppedSurfaced: a truncated ring must announce itself — in its drop
 // count and in the operator warning line — while a complete trace stays
 // silent on both.

@@ -2,7 +2,9 @@ package offrt
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -44,6 +46,32 @@ func checkpointFixture(t testing.TB) (*mem.Image, []byte) {
 // payload.
 func checkpointPageAt(i int) int { return 8 + 8 + 4 + 2*4 + 4 + i*(4+1+mem.PageSize) }
 
+// checkpointCuts are the offsets of every field boundary inside
+// checkpointFixture's payload: gen, faults, the masked count and each masked
+// page, the page count, each page's pn, dirty flag and data, the journal
+// count, each journal length and its bytes (the second entry is empty), and
+// the output length. Only the output bytes ("partial") follow the last.
+func checkpointCuts() []int {
+	cuts := []int{0, 8, 16, 20, 24, 28}
+	for i := range 4 {
+		at := checkpointPageAt(i)
+		cuts = append(cuts, at, at+4, at+5)
+	}
+	j := checkpointPageAt(4)
+	return append(cuts, j, j+4, j+8, j+8+len("round 1\n"), j+20, j+24)
+}
+
+// TestCheckpointEncodingPinned: checkpointFixture encodes to the bytes the
+// reflection-based encoder wrote before the codec moved onto the wire
+// format's own append helpers (SHA-256 of the payload).
+func TestCheckpointEncodingPinned(t *testing.T) {
+	_, payload := checkpointFixture(t)
+	const want = "875550ae4fc74a8c292d8a78368156e60053130e1c07c5259800e50f58f9e210"
+	if got := fmt.Sprintf("%x", sha256.Sum256(payload)); len(payload) != 16467 || got != want {
+		t.Fatalf("fixture payload: %d bytes, sha256 %s; want 16467 bytes, %s", len(payload), got, want)
+	}
+}
+
 // checkpointEdit turns checkpointFixture's payload into bytes
 // encodeCheckpoint never writes; want is what the decoder's error names.
 type checkpointEdit struct {
@@ -68,10 +96,19 @@ func nonCanonicalCheckpoints() []checkpointEdit {
 
 // TestDecodeCheckpointRejectsWhatEncodeNeverWrites: page numbers out of
 // order or repeated (either list), a page both masked and private, and a
-// dirty flag other than 0 or 1 are refused by name; checkpointFixture's own
-// payload decodes.
+// dirty flag other than 0 or 1 are refused by name; the payload cut at any
+// field boundary is refused; checkpointFixture's own payload decodes.
 func TestDecodeCheckpointRejectsWhatEncodeNeverWrites(t *testing.T) {
 	_, payload := checkpointFixture(t)
+	cuts := checkpointCuts()
+	if last := cuts[len(cuts)-1]; last+len("partial") != len(payload) {
+		t.Fatalf("last cut %d + the output does not end the %d-byte payload", last, len(payload))
+	}
+	for _, cut := range cuts {
+		if _, _, _, err := (&Session{}).decodeCheckpoint(&Message{Kind: MsgCheckpoint, Data: payload[:cut]}); err == nil {
+			t.Errorf("payload cut at %d accepted", cut)
+		}
+	}
 	for _, c := range nonCanonicalCheckpoints() {
 		bad := bytes.Clone(payload)
 		c.edit(bad)
@@ -93,7 +130,7 @@ func TestDecodeCheckpointRejectsWhatEncodeNeverWrites(t *testing.T) {
 func FuzzCheckpoint(f *testing.F) {
 	img, payload := checkpointFixture(f)
 	f.Add(payload)
-	for _, cut := range []int{0, 16, 28, checkpointPageAt(1) + 3, len(payload) - 1} {
+	for _, cut := range append(checkpointCuts(), checkpointPageAt(1)+3, len(payload)-1) {
 		f.Add(payload[:cut])
 	}
 	for _, c := range nonCanonicalCheckpoints() {

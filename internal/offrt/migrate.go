@@ -18,10 +18,8 @@
 package offrt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"slices"
 
 	"repro/internal/estimate"
@@ -213,7 +211,7 @@ func (s *Session) shipCheckpoint(reason string, st *interp.State, wire []byte) {
 }
 
 // encodeCheckpoint sub-encodes the migratable session state into a
-// MsgCheckpoint Data payload:
+// MsgCheckpoint Data payload, in the wire format's little-endian fields:
 //
 //	[8 gen][8 faults]
 //	[4 nMasked] nMasked x [4 pn]
@@ -223,84 +221,61 @@ func (s *Session) shipCheckpoint(reason string, st *interp.State, wire []byte) {
 //
 // The stack pointer rides in the envelope's SP field.
 func (s *Session) encodeCheckpoint(st *interp.State) []byte {
-	var buf bytes.Buffer
-	w := func(v interface{}) { binary.Write(&buf, binary.LittleEndian, v) }
+	le := binary.LittleEndian
 	c := st.Mem
-	w(c.Gen)
-	w(int64(c.Faults))
-	w(uint32(len(c.Masked)))
+	b := le.AppendUint64(nil, c.Gen)
+	b = le.AppendUint64(b, uint64(c.Faults))
+	b = le.AppendUint32(b, uint32(len(c.Masked)))
 	for _, pn := range c.Masked {
-		w(pn)
+		b = le.AppendUint32(b, pn)
 	}
-	w(uint32(len(c.Pages)))
+	b = le.AppendUint32(b, uint32(len(c.Pages)))
 	for _, p := range c.Pages {
-		w(p.PN)
 		var dirty uint8
 		if p.Dirty {
 			dirty = 1
 		}
-		w(dirty)
-		buf.Write(p.Data)
+		b = append(le.AppendUint32(b, p.PN), dirty)
+		b = appendPage(b, p.Data)
 	}
-	w(uint32(len(s.ioJournal)))
+	b = le.AppendUint32(b, uint32(len(s.ioJournal)))
 	for _, out := range s.ioJournal {
-		w(uint32(len(out)))
-		buf.WriteString(out)
+		b = append(le.AppendUint32(b, uint32(len(out))), out...)
 	}
-	w(uint32(len(s.ep.outBuf)))
-	buf.Write(s.ep.outBuf)
-	return buf.Bytes()
-}
-
-func firstErr(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
+	b = le.AppendUint32(b, uint32(len(s.ep.outBuf)))
+	return append(b, s.ep.outBuf...)
 }
 
 // decodeCheckpoint reverses encodeCheckpoint, validating every declared
 // count against the bytes actually present. It accepts only what
 // encodeCheckpoint writes, so a decoded payload re-encodes to the same
 // bytes: masked and private page numbers strictly ascending, no page both
-// masked and private, and each dirty flag 0 or 1.
+// masked and private, and each dirty flag 0 or 1. The decoded state owns
+// its bytes; none alias msg.
+//
+// A read past the end leaves the cursor short, and every later read zero
+// against nothing left, so the one check of short at the end refuses a
+// payload cut anywhere.
 func (s *Session) decodeCheckpoint(msg *Message) (*interp.State, []string, []byte, error) {
-	r := bytes.NewReader(msg.Data)
-	rd := func(v interface{}) error { return binary.Read(r, binary.LittleEndian, v) }
-	c := &mem.Checkpoint{}
-	var faults int64
-	var nMasked, nPages, nJournal, outLen uint32
-	if err := firstErr(rd(&c.Gen), rd(&faults), rd(&nMasked)); err != nil {
-		return nil, nil, nil, err
-	}
-	c.Faults = int(faults)
-	if int64(nMasked)*4 > int64(r.Len()) {
+	r := cursor{b: msg.Data}
+	c := &mem.Checkpoint{Gen: r.u64(), Faults: int(r.u64())}
+	nMasked := r.u32()
+	if int64(nMasked)*4 > r.rest() {
 		return nil, nil, nil, fmt.Errorf("offrt: absurd masked count %d", nMasked)
 	}
-	for i := uint32(0); i < nMasked; i++ {
-		var pn uint32
-		if err := rd(&pn); err != nil {
-			return nil, nil, nil, err
-		}
+	for i := range nMasked {
+		pn := r.u32()
 		if i > 0 && pn <= c.Masked[i-1] {
 			return nil, nil, nil, fmt.Errorf("offrt: checkpoint masked page %#x out of order", pn)
 		}
 		c.Masked = append(c.Masked, pn)
 	}
-	if err := rd(&nPages); err != nil {
-		return nil, nil, nil, err
-	}
-	if int64(nPages)*(5+mem.PageSize) > int64(r.Len()) {
+	nPages := r.u32()
+	if int64(nPages)*(5+mem.PageSize) > r.rest() {
 		return nil, nil, nil, fmt.Errorf("offrt: absurd checkpoint page count %d", nPages)
 	}
-	for i := uint32(0); i < nPages; i++ {
-		var pn uint32
-		var dirty uint8
-		if err := firstErr(rd(&pn), rd(&dirty)); err != nil {
-			return nil, nil, nil, err
-		}
+	for i := range nPages {
+		pn, dirty := r.u32(), r.u8()
 		if i > 0 && pn <= c.Pages[i-1].PN {
 			return nil, nil, nil, fmt.Errorf("offrt: checkpoint page %#x out of order", pn)
 		}
@@ -310,45 +285,30 @@ func (s *Session) decodeCheckpoint(msg *Message) (*interp.State, []string, []byt
 		if dirty > 1 {
 			return nil, nil, nil, fmt.Errorf("offrt: checkpoint page %#x has dirty flag %d", pn, dirty)
 		}
-		data := make([]byte, mem.PageSize)
-		if _, err := io.ReadFull(r, data); err != nil {
-			return nil, nil, nil, err
-		}
-		c.Pages = append(c.Pages, mem.CheckpointPage{PN: pn, Dirty: dirty == 1, Data: data})
+		c.Pages = append(c.Pages, mem.CheckpointPage{PN: pn, Dirty: dirty == 1, Data: slices.Clone(r.take(mem.PageSize))})
 	}
-	if err := rd(&nJournal); err != nil {
-		return nil, nil, nil, err
-	}
-	if int64(nJournal)*4 > int64(r.Len()) {
+	nJournal := r.u32()
+	if int64(nJournal)*4 > r.rest() {
 		return nil, nil, nil, fmt.Errorf("offrt: absurd journal count %d", nJournal)
 	}
 	var journal []string
-	for i := uint32(0); i < nJournal; i++ {
-		var n uint32
-		if err := rd(&n); err != nil {
-			return nil, nil, nil, err
-		}
-		if int64(n) > int64(r.Len()) {
+	for range nJournal {
+		n := r.u32()
+		if int64(n) > r.rest() {
 			return nil, nil, nil, fmt.Errorf("offrt: journal entry overruns payload")
 		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, nil, nil, err
-		}
-		journal = append(journal, string(b))
+		journal = append(journal, string(r.take(int(n))))
 	}
-	if err := rd(&outLen); err != nil {
-		return nil, nil, nil, err
+	outLen := r.u32()
+	if r.short {
+		return nil, nil, nil, errTruncated
 	}
-	if int64(outLen) != int64(r.Len()) {
-		return nil, nil, nil, fmt.Errorf("offrt: checkpoint trailing bytes: declared %d, have %d", outLen, r.Len())
+	if int64(outLen) != r.rest() {
+		return nil, nil, nil, fmt.Errorf("offrt: checkpoint trailing bytes: declared %d, have %d", outLen, r.rest())
 	}
 	var outBuf []byte
 	if outLen > 0 {
-		outBuf = make([]byte, outLen)
-		if _, err := io.ReadFull(r, outBuf); err != nil {
-			return nil, nil, nil, err
-		}
+		outBuf = slices.Clone(r.take(int(outLen)))
 	}
 	return &interp.State{SP: msg.SP, Mem: c}, journal, outBuf, nil
 }

@@ -47,16 +47,15 @@ func (s *Session) Offload(m *interp.Machine, taskID int32, args []uint64) (uint6
 	for attempt := 0; ; attempt++ {
 		// --- Initialization: offloading info + prefetched heap pages, sent
 		// as one batched message. ---
-		present := s.Mobile.Mem.PresentPages()
 		req := &Message{
 			Kind:      MsgOffloadRequest,
 			TaskID:    taskID,
 			SP:        s.Mobile.SP(),
 			Args:      args,
-			PageTable: present,
+			PageTable: s.Mobile.Mem.PresentPages(),
 		}
 		if !s.Policy.NoPrefetch {
-			for _, pn := range present {
+			for _, pn := range req.PageTable {
 				addr := mem.PageAddr(pn)
 				if (addr >= mem.GlobalsBase && addr < mem.GlobalsBase+0x0100_0000) ||
 					(addr >= mem.HeapBase && addr < mem.HeapLimit) {
@@ -68,10 +67,6 @@ func (s *Session) Offload(m *interp.Machine, taskID int32, args []uint64) (uint6
 		s.Stats.PrefetchPages += len(req.Pages)
 		s.emit(obs.Event{Time: s.Mobile.Clock, Kind: obs.KPrefetch, Track: obs.TrackMobile,
 			A0: int64(len(req.Pages)), A1: int64(len(req.Pages)) * mem.PageSize})
-		s.ep.mobilePresent = make(map[uint32]bool)
-		for _, pn := range present {
-			s.ep.mobilePresent[pn] = true
-		}
 
 		// The request crosses the wire for real: encode, charge the encoded
 		// size, decode on the server side and install the prefetched pages.
@@ -97,7 +92,8 @@ func (s *Session) Offload(m *interp.Machine, taskID int32, args []uint64) (uint6
 		// Hand the request to the listen loop and wait for the baton back.
 		// All server-side state (clock sync, page install, dirty tracking)
 		// is applied by Accept on the server's own goroutine.
-		s.ep.pass(request{taskID: taskID, args: args, arrival: s.Mobile.Clock, pages: got.Pages})
+		s.ep.pass(request{taskID: taskID, args: args, arrival: s.Mobile.Clock,
+			pageTable: got.PageTable, pages: got.Pages})
 		rep := s.ep.rep
 		if rep == nil {
 			return 0, fmt.Errorf("offrt: server failed mid-task: %w", s.ep.err)

@@ -2,6 +2,7 @@ package offrt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/energy"
@@ -267,7 +268,7 @@ func (e *endpoint) dropPages() {
 // round trip while the mobile device serves the page.
 func (s *Session) servePageFault(pn uint32) ([]byte, error) {
 	s.heartbeat("page")
-	if !s.ep.mobilePresent[pn] {
+	if _, ok := slices.BinarySearch(s.ep.cur.pageTable, pn); !ok {
 		// The page table shipped at initialization says this page does
 		// not exist on the mobile device: zero-fill locally, no traffic.
 		if !s.ep.aborted {

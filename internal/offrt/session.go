@@ -155,11 +155,6 @@ type endpoint struct {
 	// outBuf accumulates batched r_printf output on the server side.
 	outBuf []byte
 
-	// mobilePresent snapshots the mobile page table at initialization
-	// (the paper sends the page table with the offload request): pages
-	// absent there zero-fill on the server without any communication.
-	mobilePresent map[uint32]bool
-
 	// hostID indexes the host the in-flight offload runs on: each
 	// migration or crash-retry advances it to the next spare. The health
 	// monitor keeps the last heartbeat instant, the smoothed inter-beat gap
@@ -177,6 +172,11 @@ type request struct {
 	// its clock to it on its own goroutine (Accept), keeping the two
 	// machines free of cross-goroutine writes.
 	arrival simtime.PS
+	// pageTable is the decoded page table the request carried (the
+	// mobile's present pages at initialization, sorted): a page absent
+	// from it zero-fills on the server without any communication. Decode
+	// copies it out of the frame, so it outlives the frame's recycling.
+	pageTable []uint32
 	// pages carries the decoded prefetch set for the server to install.
 	pages []PageRecord
 }
