@@ -49,6 +49,13 @@ func TestMigrationDecision(t *testing.T) {
 		{"drain", 1, smallCkpt, false, Migrate},
 		// Migration cost so high that re-executing locally is cheaper.
 		{"absurd-ship-cost", 0, 2 * remaining, false, Fallback},
+		// Ties go to the earlier of fallback, finish, migrate: 100ms x6
+		// finishes exactly at the 600ms fallback.
+		{"tie-finish-fallback", 6, remaining, true, Fallback},
+		// 100ms x2 finishing ties 100ms shipping + 100ms run, below 600ms.
+		{"tie-migrate-finish", 2, 100 * simtime.Millisecond, true, Finish},
+		// 500ms shipping + 100ms run ties the 600ms fallback.
+		{"tie-migrate-fallback", 1, 500 * simtime.Millisecond, false, Fallback},
 	} {
 		if got := p.MigrationDecision(remaining, tc.slowFactor, tc.cost, tc.canFinish); got != tc.want {
 			t.Errorf("%s: MigrationDecision = %v, want %v", tc.name, got, tc.want)
