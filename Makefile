@@ -9,8 +9,10 @@ GO ?= go
 ## committed BENCH_{fleet,migrate,tiers,fleet_scale}.json records and
 ## `offloadbench -exp all`'s stdout are byte-compared there too; the root
 ## package's TestExportedFuncsHaveShippedCallers fails on an exported
-## internal/ function that only tests call and TestDesignNamesExist on a
-## name in DESIGN.md or README.md that does not exist; every fuzz target's
+## internal/ function that only tests call, TestDesignNamesExist on a
+## name in DESIGN.md or README.md that does not exist, and
+## TestNoFusedArithmetic on a fused multiply-add in the module's code
+## cross-compiled for arm64, a few seconds once cached; every fuzz target's
 ## seed corpus runs as a test), and a short fuzz smoke, 5 s each, over the
 ## hardened wire decoder and the migration checkpoint's decoder, which reads
 ## through the same cursor (its minimization capped at 200 runs an input, as

@@ -5,9 +5,11 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -338,5 +340,85 @@ func TestDocResolver(t *testing.T) {
 				t.Errorf("unlisted(%q) names %s, which section 3 lists", design, named)
 			}
 		}
+	}
+}
+
+// TestExperimentsTable4MatchesGolden holds the measured half of
+// EXPERIMENTS.md's Table 4 to paper_all.golden, the sweep's output that
+// `make golden` rewrites: each program's Exec, Cover, Inv and Traffic cells
+// must be the golden value at the precision the document prints (a cell
+// printed with d decimals lies within half a unit of its d-th decimal).
+func TestExperimentsTable4MatchesGolden(t *testing.T) {
+	raw, err := os.ReadFile("internal/experiments/testdata/paper_all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(raw), "== Table 4:")
+	if !ok {
+		t.Fatal("paper_all.golden has no Table 4")
+	}
+	lines := strings.Split(table, "\n")
+	header := strings.Fields(lines[1])
+	cols := map[string]string{"Exec": "Exec(s)", "Cover": "Cover%", "Inv": "Inv", "Traffic": "Traf(MB)"}
+	golden := map[string]map[string]float64{} // program -> column -> value
+	for _, line := range lines[3:] {
+		f := strings.Fields(line)
+		if len(f) != len(header) {
+			break
+		}
+		golden[f[0]] = map[string]float64{}
+		for col, name := range cols {
+			v, err := strconv.ParseFloat(f[slices.Index(header, name)], 64)
+			if err != nil {
+				t.Fatalf("golden %s %s: %v", f[0], col, err)
+			}
+			golden[f[0]][col] = v
+		}
+	}
+
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(doc), "## Table 4")
+	section, _, _ = strings.Cut(section, "\n## ")
+	number := regexp.MustCompile(`^[0-9.]+(\+[0-9]+)*`) // drops footnote marks; 1+2 sums
+	seen := 0
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 7 || strings.TrimSpace(cells[1]) == "Program" || strings.HasPrefix(cells[1], "---") {
+			continue
+		}
+		prog := strings.TrimSpace(cells[1])
+		want, ok := golden[prog]
+		if !ok {
+			t.Errorf("EXPERIMENTS.md Table 4 row %s is not in the golden", prog)
+			continue
+		}
+		seen++
+		for col, cell := range map[string]string{"Exec": cells[2], "Cover": cells[3], "Inv": cells[4], "Traffic": cells[5]} {
+			if _, measured, ok := strings.Cut(cell, "→"); ok {
+				cell = measured
+			}
+			printed := number.FindString(strings.TrimSpace(cell))
+			var got float64
+			for _, term := range strings.Split(printed, "+") {
+				v, err := strconv.ParseFloat(term, 64)
+				if err != nil {
+					t.Fatalf("EXPERIMENTS.md Table 4 %s %s: cell %q: %v", prog, col, cell, err)
+				}
+				got += v
+			}
+			half := 0.5
+			if _, frac, ok := strings.Cut(printed, "."); ok {
+				half = 0.5 / math.Pow(10, float64(len(frac)))
+			}
+			if math.Abs(got-want[col]) > half+1e-9 {
+				t.Errorf("EXPERIMENTS.md Table 4 %s %s = %s, golden %.2f", prog, col, printed, want[col])
+			}
+		}
+	}
+	if seen != len(golden) {
+		t.Errorf("EXPERIMENTS.md Table 4 has %d of the golden's %d programs", seen, len(golden))
 	}
 }

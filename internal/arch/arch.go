@@ -235,7 +235,7 @@ func PerformanceRatio(slow, fast *Spec) float64 {
 	cost := func(s *Spec) float64 {
 		var c float64
 		for _, m := range mix {
-			c += m.w * float64(s.Cost.Cycles(m.op))
+			c += float64(m.w * float64(s.Cost.Cycles(m.op)))
 		}
 		return c * float64(s.CyclePS)
 	}

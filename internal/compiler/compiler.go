@@ -52,17 +52,13 @@ func Default(bandwidthBps int64) Options {
 	}
 }
 
-// TargetInfo describes one selected offload task, carrying what the
-// runtime's dynamic estimator needs.
+// TargetInfo describes one selected offload task: the Task the runtime's
+// dynamic estimator prices, named by its function in the partitioned modules.
 type TargetInfo struct {
-	TaskID  int
-	Name    string // function name in the partitioned modules
-	Display string // paper-style name, e.g. "main_for.cond"
-	IsLoop  bool
-	// Profile-derived inputs to Equation 1.
-	TimePerInvocation simtime.PS
-	MemBytes          int64
-	Invocations       int
+	estimate.Task
+	Display     string // paper-style name, e.g. "main_for.cond"
+	IsLoop      bool
+	Invocations int
 	// Static estimation result.
 	Est estimate.Estimate
 }
@@ -284,12 +280,11 @@ func selectTargets(m *ir.Module, cg *analysis.CallGraph, fres *filter.Result, pr
 				loop: loop,
 				cfg:  cfg,
 				info: TargetInfo{
-					Display:           display,
-					IsLoop:            loop != nil,
-					TimePerInvocation: st.Time / simtime.PS(inv),
-					MemBytes:          st.MemBytes,
-					Invocations:       inv,
-					Est:               c.Est,
+					Task:        estimate.Task{TimePerInvocation: st.Time / simtime.PS(inv), MemBytes: st.MemBytes},
+					Display:     display,
+					IsLoop:      loop != nil,
+					Invocations: inv,
+					Est:         c.Est,
 				},
 			},
 			gain: c.Est.Tg,

@@ -339,12 +339,7 @@ func (fw *Framework) RunOffloaded(cres *compiler.Result, io *interp.StdIO, pol o
 
 	var tasks []offrt.TaskSpec
 	for _, t := range cres.Targets {
-		tasks = append(tasks, offrt.TaskSpec{
-			TaskID:            t.TaskID,
-			Name:              t.Name,
-			TimePerInvocation: t.TimePerInvocation,
-			MemBytes:          t.MemBytes,
-		})
+		tasks = append(tasks, t.Task)
 	}
 	opts := []offrt.Option{
 		offrt.WithTasks(tasks...), offrt.WithPolicy(pol),

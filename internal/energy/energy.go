@@ -143,7 +143,7 @@ func (r *Recorder) Duration() simtime.PS {
 func (r *Recorder) EnergyMJ(m PowerModel) float64 {
 	var mj float64
 	for _, s := range r.segs {
-		mj += m.MW[s.State] * (s.End - s.Start).Seconds()
+		mj += float64(m.MW[s.State] * (s.End - s.Start).Seconds())
 	}
 	return mj
 }

@@ -13,6 +13,8 @@
 package estimate
 
 import (
+	"math"
+
 	"repro/internal/simtime"
 )
 
@@ -39,12 +41,11 @@ const DeadlineSlack = 3
 // CommTime returns Tc for moving memBytes twice (mobile->server and back),
 // invocations times.
 func (p Params) CommTime(memBytes int64, invocations int) simtime.PS {
-	rtt := p.RTT * simtime.PS(invocations)
-	if p.BandwidthBps <= 0 {
-		return rtt
+	tc := p.RTT * simtime.PS(invocations)
+	if p.BandwidthBps > 0 {
+		tc += simtime.FromSeconds(2 * float64(memBytes) * 8 / float64(p.BandwidthBps) * float64(invocations))
 	}
-	secs := 2 * float64(memBytes) * 8 / float64(p.BandwidthBps) * float64(invocations)
-	return simtime.FromSeconds(secs) + rtt
+	return tc
 }
 
 // IdealGain returns Tm*(1-1/R): the gain with free communication.
@@ -55,25 +56,56 @@ func (p Params) IdealGain(tm simtime.PS) simtime.PS {
 	return simtime.PS(float64(tm) * (1 - 1/p.R))
 }
 
-// RemoteTime estimates the end-to-end remote completion time of one
-// invocation: the two memory transfers of Equation 1, the server-side
-// execution Tm/R, and the queueing delay a loaded server currently
-// charges. With queue = 0 it is exactly the remote side of Equation 1
-// (RemoteTime < Tm iff Evaluate's Tg > 0), so the single-server gate and the
-// fleet's contention-aware gate agree on an idle fleet.
-func (p Params) RemoteTime(tm simtime.PS, memBytes int64, queue simtime.PS) simtime.PS {
-	exec := tm
-	if p.R > 0 {
-		exec = simtime.PS(float64(tm) / p.R)
-	}
-	return p.CommTime(memBytes, 1) + exec + queue
+// Task is one offload target with the profile's per-invocation prediction
+// of its Equation-1 inputs: mobile execution time Tm and memory usage M.
+type Task struct {
+	TaskID            int
+	Name              string
+	TimePerInvocation simtime.PS
+	MemBytes          int64
 }
 
-// ProfitableQueued generalizes Equation 1 to shared servers: offloading
-// wins only if it still beats local execution after the dispatcher's
-// current queueing delay is charged on top of communication.
-func (p Params) ProfitableQueued(tm simtime.PS, memBytes int64, queue simtime.PS) bool {
-	return p.RemoteTime(tm, memBytes, queue) < tm
+// Option is one way to run a task, priced as its completion time from the
+// decision: moving state, execution and queueing.
+type Option struct{ Comm, Exec, Queue simtime.PS }
+
+// unavailable is an option that cannot be taken (a tier with no live
+// server, a server that cannot finish): it costs forever and never wins.
+var unavailable = Option{Exec: math.MaxInt64}
+
+func (o Option) total() simtime.PS { return o.Comm + o.Exec + o.Queue }
+
+// Cheapest is Equation 1's verdict: the index and estimated total of the
+// cheapest of first (index 0) and rest. A later option must strictly beat
+// every earlier one, so callers list their options in tie order — local
+// before remote, the nearer tier before the farther.
+func Cheapest(first Option, rest ...Option) (int, simtime.PS) {
+	best, total := 0, first.total()
+	for i, o := range rest {
+		if t := o.total(); t < total {
+			best, total = i+1, t
+		}
+	}
+	return best, total
+}
+
+// exec is Equation 1's Tm/R: the time a server R times faster than the
+// mobile takes for mobile work tm (tm itself when R is unknown).
+func (p Params) exec(tm simtime.PS) simtime.PS {
+	if p.R > 0 {
+		return simtime.PS(float64(tm) / p.R)
+	}
+	return tm
+}
+
+// RemoteTime is the remote option's total, one invocation's end-to-end
+// completion time: Equation 1's two memory transfers and Tm/R, plus the
+// queueing delay a loaded server charges. With queue = 0 it is the remote
+// side of Equation 1 (RemoteTime < Tm iff Evaluate's Tg > 0), so the
+// session's gate and the fleet's contention-aware gate agree on an idle
+// fleet.
+func (p Params) RemoteTime(tm simtime.PS, memBytes int64, queue simtime.PS) simtime.PS {
+	return p.CommTime(memBytes, 1) + p.exec(tm) + queue
 }
 
 // Estimate is the per-candidate result the target selector records
@@ -130,57 +162,48 @@ type TierOption struct {
 	Queue simtime.PS
 }
 
-// remoteTime scores the option with the margin-scaled queue signal.
-func (o TierOption) remoteTime(tm simtime.PS, memBytes int64, margin float64) simtime.PS {
+// option prices the tier's remote option, the terms of RemoteTime with the
+// margin-scaled queue signal.
+func (o TierOption) option(tm simtime.PS, memBytes int64, margin float64) Option {
 	q := o.Queue
 	if margin != 1 {
 		q = simtime.PS(float64(q) * margin)
 	}
-	return o.P.RemoteTime(tm, memBytes, q)
+	return Option{Comm: o.P.CommTime(memBytes, 1), Exec: o.P.exec(tm), Queue: q}
 }
 
-// Placement is the 3-way generalization of ProfitableQueued: it scores
-// local execution (tm) against each available tier's RemoteTime — which
-// already charges that tier's communication cost, compute ratio and
-// live queue delay — and returns the choice minimizing estimated
-// completion, together with that estimate:
-//
-//	T_local = tm
-//	T_edge  = CommTime_edge(M,1) + tm/R_edge  + Q_edge
-//	T_cloud = CommTime_cloud(M,1) + tm/R_cloud + Q_cloud
-//
-// A remote tier must strictly beat every cheaper alternative: local
-// wins ties (matching ProfitableQueued's strict inequality), and edge
-// wins ties against cloud (prefer the nearer tier when estimates are
-// equal). With the cloud option absent, Placement degenerates exactly
-// to ProfitableQueued on the edge tier's parameters.
+// Placement is PlacementMargin with margin 1.
 func Placement(tm simtime.PS, memBytes int64, edge, cloud TierOption) (PlacementChoice, simtime.PS) {
 	return PlacementMargin(tm, memBytes, edge, cloud, 1)
 }
 
-// PlacementMargin is Placement with a confidence margin on each tier's
-// queueing-delay signal: the charged delay is Queue*margin. The load
-// signal a dispatcher exposes is stale by one transfer time and shared by
-// every concurrently-deciding client, so it systematically underestimates
-// the delay the request will actually meet under bursts (the
-// join-shortest-queue herding bias). margin > 1 prices that bias in;
-// margin == 1 is exactly Placement. The fleet's adaptive admission
-// controller raises its per-server margin when sheds and deadline overruns
-// show the raw estimate was trusted too far, and decays it back when the
-// pool runs clean.
+// PlacementMargin is the 3-way placement verdict: the cheapest of local
+// execution and each available tier's remote option, with its estimate:
+//
+//	T_local = tm
+//	T_edge  = CommTime_edge(M,1) + tm/R_edge  + Q_edge*margin
+//	T_cloud = CommTime_cloud(M,1) + tm/R_cloud + Q_cloud*margin
+//
+// Local wins ties, and edge wins ties against cloud. With the cloud option
+// absent it is the paper's binary gate, Equation 1 plus the edge tier's
+// queueing delay. The margin is a confidence margin on that delay: the
+// load signal a dispatcher exposes is stale by one transfer time and
+// shared by every concurrently-deciding client, so it systematically
+// underestimates the delay the request will actually meet under bursts
+// (the join-shortest-queue herding bias). margin > 1 prices that bias in.
+// The fleet's adaptive admission controller raises its per-server margin
+// when sheds and deadline overruns show the raw estimate was trusted too
+// far, and decays it back when the pool runs clean.
 func PlacementMargin(tm simtime.PS, memBytes int64, edge, cloud TierOption, margin float64) (PlacementChoice, simtime.PS) {
-	best, choice := tm, PlaceLocal
+	e, c := unavailable, unavailable
 	if edge.OK {
-		if t := edge.remoteTime(tm, memBytes, margin); t < best {
-			best, choice = t, PlaceEdge
-		}
+		e = edge.option(tm, memBytes, margin)
 	}
 	if cloud.OK {
-		if t := cloud.remoteTime(tm, memBytes, margin); t < best {
-			best, choice = t, PlaceCloud
-		}
+		c = cloud.option(tm, memBytes, margin)
 	}
-	return choice, best
+	i, t := Cheapest(Option{Exec: tm}, e, c)
+	return PlacementChoice(i), t
 }
 
 // MigrationCost estimates the time to move an in-flight offload to
@@ -197,16 +220,16 @@ func (p Params) MigrationCost(checkpointBytes int64) simtime.PS {
 	return simtime.FromSeconds(secs) + p.RTT
 }
 
-// MigrationChoice is the 3-way verdict for a degraded in-flight offload.
+// MigrationChoice is the 3-way mid-flight verdict, its values in tie order.
 type MigrationChoice int
 
 const (
+	// Fallback abandons the offload and re-executes locally on the mobile.
+	Fallback MigrationChoice = iota
 	// Finish rides out the degradation on the current server.
-	Finish MigrationChoice = iota
+	Finish
 	// Migrate ships the checkpoint to a healthy server and resumes there.
 	Migrate
-	// Fallback abandons the offload and re-executes locally on the mobile.
-	Fallback
 )
 
 func (c MigrationChoice) String() string {
@@ -229,27 +252,18 @@ func (c MigrationChoice) String() string {
 // back without asking). It returns the choice minimizing estimated
 // completion:
 //
+//	T_fallback = remaining (mobile re-execution of what's left)
 //	T_finish   = (remaining/R) * slowFactor
 //	T_migrate  = cost + remaining/R
-//	T_fallback = remaining (mobile re-execution of what's left)
 //
-// A dead or draining server cannot Finish.
+// A dead or draining server cannot Finish, nor can one whose T_finish is
+// past the clock's range.
 func (p Params) MigrationDecision(remaining simtime.PS, slowFactor float64, cost simtime.PS, canFinish bool) MigrationChoice {
-	exec := remaining
-	if p.R > 0 {
-		exec = simtime.PS(float64(remaining) / p.R)
+	exec := p.exec(remaining)
+	finish := unavailable
+	if t := float64(exec) * slowFactor; canFinish && slowFactor > 0 && t < math.MaxInt64 {
+		finish = Option{Exec: simtime.PS(t)}
 	}
-	tFallback := remaining
-	best, choice := tFallback, Fallback
-	if canFinish && slowFactor > 0 {
-		// Compared before the conversion, so a factor too large for the
-		// clock loses to the alternatives instead of wrapping negative.
-		if t := float64(exec) * slowFactor; t < float64(best) {
-			best, choice = simtime.PS(t), Finish
-		}
-	}
-	if t := cost + exec; t < best {
-		choice = Migrate
-	}
-	return choice
+	i, _ := Cheapest(Option{Exec: remaining}, finish, Option{Comm: cost, Exec: exec})
+	return MigrationChoice(i)
 }

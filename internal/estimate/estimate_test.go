@@ -98,9 +98,14 @@ func TestRemoteTimeMatchesEquationOne(t *testing.T) {
 	p := Params{R: 5, BandwidthBps: 80_000_000, RTT: 4 * simtime.Millisecond}
 	tm := simtime.FromSeconds(2)
 	mem := int64(4 << 20)
+	// The runtime gate: the placement race against one tier.
+	offloads := func(queue simtime.PS) bool {
+		c, _ := Placement(tm, mem, TierOption{OK: true, P: p, Queue: queue}, TierOption{})
+		return c == PlaceEdge
+	}
 	// With an empty queue the queued gate must agree with Equation 1.
-	if (p.Evaluate(tm, mem, 1).Tg > 0) != p.ProfitableQueued(tm, mem, 0) {
-		t.Error("ProfitableQueued(queue=0) disagrees with Equation 1")
+	if (p.Evaluate(tm, mem, 1).Tg > 0) != offloads(0) {
+		t.Error("the gate at queue=0 disagrees with Equation 1")
 	}
 	base := p.RemoteTime(tm, mem, 0)
 	if want := p.CommTime(mem, 1) + simtime.PS(float64(tm)/p.R); base != want {
@@ -110,10 +115,10 @@ func TestRemoteTimeMatchesEquationOne(t *testing.T) {
 	if p.RemoteTime(tm, mem, simtime.Second) != base+simtime.Second {
 		t.Error("queue delay not charged")
 	}
-	if !p.ProfitableQueued(tm, mem, 0) {
+	if !offloads(0) {
 		t.Fatal("baseline task should offload when idle")
 	}
-	if p.ProfitableQueued(tm, mem, 10*simtime.Second) {
+	if offloads(10 * simtime.Second) {
 		t.Error("a 10s queue should flip a 2s task back to local")
 	}
 }

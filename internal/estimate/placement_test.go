@@ -22,8 +22,9 @@ func randTier(rng *rand.Rand) TierOption {
 }
 
 // Property 1: with the cloud tier absent, Placement degenerates exactly
-// to ProfitableQueued on the edge tier's parameters — the 3-way gate is
-// a strict generalization of the paper's 2-way gate.
+// to the paper's 2-way gate on the edge tier's parameters (Equation 1
+// plus the queueing delay, the reference ProfitableQueued) — the 3-way
+// gate is a strict generalization of it.
 func TestPlacementDegeneratesToProfitableQueued(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 2000; i++ {
@@ -31,7 +32,7 @@ func TestPlacementDegeneratesToProfitableQueued(t *testing.T) {
 		tm := simtime.PS(1 + rng.Int63n(int64(2*simtime.Second)))
 		mem := rng.Int63n(64 << 20)
 		choice, est := Placement(tm, mem, edge, TierOption{})
-		want2way := edge.P.ProfitableQueued(tm, mem, edge.Queue)
+		want2way := refProfitableQueued(edge.P, tm, mem, edge.Queue)
 		if (choice == PlaceEdge) != want2way {
 			t.Fatalf("case %d: Placement = %v, ProfitableQueued = %v (tm=%v mem=%d edge=%+v)",
 				i, choice, want2way, tm, mem, edge)

@@ -8,10 +8,20 @@ import (
 	"repro/internal/simtime"
 )
 
-// The reference verdicts: each of Equation 1's hand-written minimisations
-// and Tm/R derivations as they stood before the one pick replaced them,
-// kept verbatim so TestVerdictsMatchReference can hold the rewritten
-// verdicts to them bit for bit.
+// The reference verdicts: Equation 1's communication time, each of its
+// hand-written minimisations and Tm/R derivations as they stood before the
+// one pick replaced them, kept verbatim so TestVerdictsMatchReference can
+// hold the rewritten verdicts to them bit for bit.
+
+// refCommTime is Params.CommTime.
+func refCommTime(p Params, memBytes int64, invocations int) simtime.PS {
+	rtt := p.RTT * simtime.PS(invocations)
+	if p.BandwidthBps <= 0 {
+		return rtt
+	}
+	secs := 2 * float64(memBytes) * 8 / float64(p.BandwidthBps) * float64(invocations)
+	return simtime.FromSeconds(secs) + rtt
+}
 
 // refRemoteTime is Params.RemoteTime.
 func refRemoteTime(p Params, tm simtime.PS, memBytes int64, queue simtime.PS) simtime.PS {
@@ -19,7 +29,7 @@ func refRemoteTime(p Params, tm simtime.PS, memBytes int64, queue simtime.PS) si
 	if p.R > 0 {
 		exec = simtime.PS(float64(tm) / p.R)
 	}
-	return p.CommTime(memBytes, 1) + exec + queue
+	return refCommTime(p, memBytes, 1) + exec + queue
 }
 
 // refProfitableQueued is the runtime gate, Params.ProfitableQueued.
@@ -77,7 +87,7 @@ func refMigrationDecision(p Params, remaining simtime.PS, slowFactor float64, co
 // mobile's patience: server execution plus predicted communication.
 func refOffloadDeadlineBase(est Params, tm simtime.PS, memBytes int64) simtime.PS {
 	exec := simtime.PS(float64(tm) / est.R)
-	comm := est.CommTime(memBytes, 1)
+	comm := refCommTime(est, memBytes, 1)
 	return exec + comm
 }
 
@@ -134,8 +144,8 @@ func drawSlowdown(rng *rand.Rand) float64 {
 // TestVerdictsMatchReference is the seeded differential between every
 // Equation-1 verdict and its reference formula above: the gate, the
 // {local, edge, cloud} placement at margin 1 and above, the mid-flight
-// {finish, migrate, fall back} choice, the remote time the offload
-// deadline scales, and the fleet's service time.
+// {finish, migrate, fall back} choice, the communication time, the remote
+// time the offload deadline scales, and the fleet's service time.
 func TestVerdictsMatchReference(t *testing.T) {
 	const draws = 4000
 	rng := rand.New(rand.NewSource(41))
@@ -151,6 +161,9 @@ func TestVerdictsMatchReference(t *testing.T) {
 		if want := refProfitableQueued(p, tm, mem, q); (got == PlaceEdge) != want {
 			t.Fatalf("gate %d: one-tier placement %v, reference ProfitableQueued %v (p=%+v tm=%v mem=%d q=%v)",
 				i, got, want, p, tm, mem, q)
+		}
+		if inv := 1 + rng.Intn(40); p.CommTime(mem, inv) != refCommTime(p, mem, inv) {
+			t.Fatalf("comm %d: CommTime %v, reference %v (p=%+v mem=%d inv=%d)", i, p.CommTime(mem, inv), refCommTime(p, mem, inv), p, mem, inv)
 		}
 		if got, want := p.RemoteTime(tm, mem, q), refRemoteTime(p, tm, mem, q); got != want {
 			t.Fatalf("remote %d: RemoteTime %v, reference %v (p=%+v tm=%v mem=%d q=%v)", i, got, want, p, tm, mem, q)

@@ -6,8 +6,8 @@
 // server. This package generalizes that shape toward the production-scale
 // system the ROADMAP names: every client keeps the paper's dynamic
 // Equation-1 gate, but the break-even point now includes the *queueing
-// delay* a shared server charges (estimate.PlacementMargin, which over a
-// single tier is exactly estimate.ProfitableQueued with the margin-scaled
+// delay* a shared server charges (estimate.Cheapest via PlacementMargin,
+// over a single tier exactly the session's gate on the margin-scaled
 // queue), so a busy fleet flips marginal tasks back to local execution. On
 // top sit a pluggable load-balancing dispatcher (random, round-robin,
 // least-loaded, est-aware) and admission control that sheds requests past a
@@ -114,7 +114,7 @@ type Config struct {
 	// Tiers, when set, arranges the pool as a hierarchical edge/cloud
 	// topology: Servers must equal TieredServers(Tiers) (edge indices
 	// first), dispatch becomes the est-aware 3-way placement gate
-	// (estimate.Placement) and, with Migrate on, saturated-edge arrivals
+	// (estimate.Cheapest) and, with Migrate on, saturated-edge arrivals
 	// demote to the cloud over the topology's WAN backhaul. Nil is the flat fleet:
 	// the same gate over one tier with no cloud option, where it is
 	// exactly the paper's binary gate, open to every policy.

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 
+	"repro/internal/estimate"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -114,10 +115,10 @@ func (s *server) advance(now simtime.PS) {
 	}
 }
 
-// execTime is a task's service time on a server of speed r: tm is its
-// mobile execution time.
+// execTime is a task's service time on a server of speed r > 0 (Validate):
+// Equation 1's remote time for mobile time tm with nothing to move, no queue.
 func execTime(tm simtime.PS, r float64) simtime.PS {
-	return simtime.PS(float64(tm) / r)
+	return estimate.Params{R: r}.RemoteTime(tm, 0, 0)
 }
 
 // execTime is the task's service time at this server's speed.

@@ -311,7 +311,9 @@ func (m *machine) replyLeg(j *job, ti int) (simtime.PS, uint8) {
 // One tier shares one reply leg, so there the race is
 // total < bar - at - down for some candidate, and when ix.mayBeat rules
 // that out no walk can win. When it cannot, the walk runs as ever and
-// alone picks the target.
+// alone picks the target. It is not estimate.Cheapest: across the tiers it
+// ranks by wait + execution and adds only the winner's reply leg, an order
+// the candidates' full option totals would not keep.
 func (m *machine) replace(j *job, ix *loadIndex, remTm, at, bar simtime.PS, transit uint8, deadline simtime.PS) int {
 	candidates := m.allIdx
 	if ix != nil {

@@ -21,8 +21,8 @@ const (
 	// EstAware picks the server minimizing the *estimated remote
 	// completion time of this request*: transfer over the client's own
 	// link, the server's current queueing delay, and execution at that
-	// server's speed — Equation 1 extended with live load
-	// (estimate.Params.RemoteTime).
+	// server's speed — Equation 1 extended with live load, the remote
+	// option estimate.Cheapest weighs against local execution.
 	EstAware Policy = "est-aware"
 )
 

@@ -69,7 +69,7 @@ func (w *WorkloadModel) loadAt(t simtime.PS) float64 {
 	if w.DiurnalAmp <= 0 {
 		return 1
 	}
-	return 1 + w.DiurnalAmp*math.Sin(2*math.Pi*float64(t)/float64(w.DiurnalPeriod))
+	return 1 + float64(w.DiurnalAmp*math.Sin(2*math.Pi*float64(t)/float64(w.DiurnalPeriod)))
 }
 
 // horizon is how long after its decision instant a client that runs its

@@ -162,7 +162,7 @@ func RadioTable(rec *energy.Recorder, model energy.PowerModel) *report.Table {
 	var mj [energy.NumStates]float64
 	for _, seg := range rec.Segments() {
 		ps[seg.State] += seg.End - seg.Start
-		mj[seg.State] += model.MW[seg.State] * (seg.End - seg.Start).Seconds()
+		mj[seg.State] += float64(model.MW[seg.State] * (seg.End - seg.Start).Seconds())
 	}
 	var total float64
 	for _, e := range mj {

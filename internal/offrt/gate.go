@@ -26,10 +26,11 @@ func (s *Session) Gate(m *interp.Machine, taskID int32) bool {
 	}
 	// Dynamic estimation uses the *current* network bandwidth, which is
 	// the whole point of deciding at run time (Section 4): Equation 1
-	// against this session's server, with no queue ahead of the task.
+	// against this session's server as a one-tier placement, no queue ahead.
 	est := s.est
 	est.BandwidthBps = s.linkAt(m.Clock).BandwidthBps
-	if !est.ProfitableQueued(spec.TimePerInvocation, spec.MemBytes, 0) {
+	server := estimate.TierOption{OK: true, P: est}
+	if choice, _ := estimate.PlacementMargin(spec.TimePerInvocation, spec.MemBytes, server, estimate.TierOption{}, 1); choice == estimate.PlaceLocal {
 		return s.verdict(m, taskID, "decline", est)
 	}
 	return s.verdict(m, taskID, "offload", est)

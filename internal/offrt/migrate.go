@@ -116,7 +116,7 @@ func (s *Session) heartbeat(op string) {
 				s.ep.strikes = 0
 				// Only healthy gaps feed the baseline: a sustained slowdown
 				// must keep looking anomalous, not redefine normal.
-				s.ep.ewmaGap = 0.3*float64(gap) + 0.7*s.ep.ewmaGap
+				s.ep.ewmaGap = float64(0.3*float64(gap)) + float64(0.7*s.ep.ewmaGap)
 			}
 		}
 	}

@@ -149,9 +149,7 @@ func (s *Session) Offload(m *interp.Machine, taskID int32, args []uint64) (uint6
 func (s *Session) offloadDeadline(spec TaskSpec, now simtime.PS) simtime.PS {
 	est := s.est
 	est.BandwidthBps = s.linkAt(now).BandwidthBps
-	exec := simtime.PS(float64(spec.TimePerInvocation) / est.R)
-	comm := est.CommTime(spec.MemBytes, 1)
-	return deadline(exec + comm)
+	return deadline(est.RemoteTime(spec.TimePerInvocation, spec.MemBytes, 0))
 }
 
 // fallbackLocal re-executes an abandoned offload on the mobile device:

@@ -28,15 +28,8 @@ import (
 	"repro/internal/simtime"
 )
 
-// TaskSpec is what the dynamic estimator knows about one offload target.
-type TaskSpec struct {
-	TaskID int
-	Name   string
-	// Profile-predicted per-invocation execution time and memory usage,
-	// the Tm and M of Equation 1.
-	TimePerInvocation simtime.PS
-	MemBytes          int64
-}
+// TaskSpec is estimate.Task under the name the benchmark module's literals use.
+type TaskSpec = estimate.Task
 
 // Policy tunes runtime behaviour.
 type Policy struct {

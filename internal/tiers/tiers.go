@@ -6,8 +6,8 @@
 // provisioned (small compute ratio R, few slots), the cloud is far
 // (tens of milliseconds of WAN propagation) but fast and wide — which
 // turns the paper's binary offload gate into a 3-way *placement*
-// decision (estimate.Placement): local, edge, or cloud, re-evaluated
-// per invocation against each tier's live queueing delay.
+// decision (estimate.Cheapest, through PlacementMargin): local, edge, or
+// cloud, re-evaluated per invocation against each tier's live queueing delay.
 //
 // The package is pure topology description: geometry, capacities and
 // link arithmetic. The fleet alone consumes it, for dispatch and

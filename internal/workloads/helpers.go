@@ -47,7 +47,7 @@ func floatTable(b *ir.Builder, prefix string, n int) (*ir.Global, *ir.FuncType) 
 	funcs := make([]ir.Value, n)
 	for i := 0; i < n; i++ {
 		f := b.NewFunc(fmt.Sprintf("%s%d", prefix, i), ir.F64, ir.P("x", ir.F64))
-		v := b.Mul(f.Params[0], ir.Float(1.0+float64(i)*0.125))
+		v := b.Mul(f.Params[0], ir.Float(1.0+float64(float64(i)*0.125)))
 		b.Ret(b.Add(v, ir.Float(float64(i)*0.5)))
 		funcs[i] = f
 	}
