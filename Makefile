@@ -7,10 +7,11 @@ GO ?= go
 ## cleanliness, every test under the race detector (the Test*Smoke contract
 ## tests included: each states its contract in its own doc comment; the
 ## committed BENCH_{fleet,migrate,tiers,fleet_scale}.json records and
-## `offloadbench -exp all`'s stdout are byte-compared there too; the root
-## package's TestExportedFuncsHaveShippedCallers fails on an exported
-## internal/ function that only tests call, TestDesignNamesExist on a
-## name in DESIGN.md or README.md that does not exist, and
+## EXPERIMENTS.md's generated blocks, `offloadbench -exp all`'s stdout, are
+## byte-compared there too; the root package's
+## TestExportedFuncsHaveShippedCallers fails on an exported internal/
+## function that only tests call, TestDesignNamesExist on a name in
+## DESIGN.md, README.md or EXPERIMENTS.md that does not exist, and
 ## TestNoFusedArithmetic on a fused multiply-add in the module's code
 ## cross-compiled for arm64, a few seconds once cached; every fuzz target's
 ## seed corpus runs as a test), and a short fuzz smoke, 5 s each, over the
@@ -101,9 +102,10 @@ guestbench:
 ## `offloadrun -metrics`'s stdout, the stdout of `offloadc` and of the five
 ## examples, the profile reports of chess and the 17
 ## workloads, the four simulated BENCH_*.json records at the repo root,
-## `offloadbench -exp all`'s stdout, the guest sampler's folded profiles of
-## the call kernel and offloaded chess) through the shared goldentest
-## -update flag. A record whose floor fails is not rewritten.
+## the generated blocks of EXPERIMENTS.md — one per paper entry, its prose
+## untouched —, the guest sampler's folded profiles of the call kernel and
+## offloaded chess) through the shared goldentest -update flag. A record
+## whose floor fails is not rewritten.
 golden:
 	$(GO) test ./internal/obs/ ./internal/obs/analyze/ -update
 	$(GO) test ./cmd/offloadrun/ -run '^TestMetricsGolden$$' -update

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -151,7 +150,8 @@ func MigrateSweep(seeds, clients, servers int) (*MigrateBench, error) {
 		}
 		return fleet.Run(cfg)
 	}
-	var sumMigP99, sumFbP99, logMigGeo, logFbGeo float64
+	var sumMigP99, sumFbP99 float64
+	var migGeos, fbGeos []float64
 	for i := 0; i < seeds; i++ {
 		seed := uint64(i + 1)
 		clean, err := run(seed, false, false)
@@ -175,14 +175,14 @@ func MigrateSweep(seeds, clients, servers int) (*MigrateBench, error) {
 		})
 		sumMigP99 += mig.P99Ms
 		sumFbP99 += fb.P99Ms
-		logMigGeo += math.Log(mig.GeomeanMs)
-		logFbGeo += math.Log(fb.GeomeanMs)
+		migGeos = append(migGeos, mig.GeomeanMs)
+		fbGeos = append(fbGeos, fb.GeomeanMs)
 	}
 	n := float64(seeds)
 	bench.MigrateP99Ms = sumMigP99 / n
 	bench.FallbackP99Ms = sumFbP99 / n
-	bench.MigrateGeoMs = math.Exp(logMigGeo / n)
-	bench.FallbackGeoMs = math.Exp(logFbGeo / n)
+	bench.MigrateGeoMs = report.Geomean(migGeos)
+	bench.FallbackGeoMs = report.Geomean(fbGeos)
 	return bench, nil
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/fleet"
 	"repro/internal/report"
@@ -91,10 +90,8 @@ func TierSweep(loads []int, edgeServers, cloudServers int, seed uint64) (*TierBe
 		CloudServers: topo.Cloud.Servers, CloudSlots: topo.Cloud.Slots, CloudR: topo.Cloud.R,
 		Seed: seed,
 	}
-	type agg struct {
-		sumP99, logGeo float64
-	}
-	aggs := map[tiers.Mode]*agg{}
+	sumP99 := map[tiers.Mode]float64{}
+	geos := map[tiers.Mode][]float64{}
 	for _, n := range loads {
 		for _, mode := range tiers.Modes() {
 			cfg := tierBenchConfig(n, tierBenchTopology(mode, edgeServers, cloudServers), seed)
@@ -108,19 +105,13 @@ func TierSweep(loads []int, edgeServers, cloudServers int, seed uint64) (*TierBe
 				EdgeOffloads: res.EdgeOffloads, CloudOffloads: res.CloudOffloads,
 				Demotions: res.Demotions, Declines: res.Declines, Sheds: res.Sheds,
 			})
-			a := aggs[mode]
-			if a == nil {
-				a = &agg{}
-				aggs[mode] = a
-			}
-			a.sumP99 += res.P99Ms
-			a.logGeo += math.Log(res.GeomeanMs)
+			sumP99[mode] += res.P99Ms
+			geos[mode] = append(geos[mode], res.GeomeanMs)
 		}
 	}
 	n := float64(len(loads))
 	final := func(m tiers.Mode) (float64, float64) {
-		a := aggs[m]
-		return a.sumP99 / n, math.Exp(a.logGeo / n)
+		return sumP99[m] / n, report.Geomean(geos[m])
 	}
 	bench.ThreeWayP99Ms, bench.ThreeWayGeoMs = final(tiers.ThreeWay)
 	bench.EdgeOnlyP99Ms, bench.EdgeOnlyGeoMs = final(tiers.EdgeOnly)

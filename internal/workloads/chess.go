@@ -173,6 +173,7 @@ func ChessInput(depth, turns int64) *interp.StdIO {
 	return io
 }
 
-// ChessCostScale amplifies interpreter cost so that the depth-11 movement
-// computation lands near Table 1's 66 s on the mobile device.
+// ChessCostScale amplifies interpreter cost of chess on both devices. Our
+// tree grows as 3^depth, more gently than the paper's, so the depth-11
+// movement computation takes about half of Table 1's 66 s on the mobile.
 const ChessCostScale = 140
