@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"strings"
 	"sync"
 
 	"repro/internal/ir"
@@ -121,7 +120,8 @@ func (c *CompilationCache) compile(mod *ir.Module, cfg CompileConfig) (*Program,
 // moduleDigest hashes the module's printed form minus its header line — the
 // header carries the module's display name, which two otherwise identical
 // compiles (e.g. differently labelled clones) may disagree on; the stack
-// base and unified flag it also carries are keyed explicitly instead.
+// base and unified flag it also carries are keyed explicitly instead. The
+// printer streams into the hash, so the text is never held whole.
 // memoized reports a memo hit; compile decides whether a computed digest is
 // worth remembering.
 func (c *CompilationCache) moduleDigest(mod *ir.Module) (d uint64, memoized bool) {
@@ -134,18 +134,41 @@ func (c *CompilationCache) moduleDigest(mod *ir.Module) (d uint64, memoized bool
 
 	// Print outside the lock: large modules print slowly, and concurrent
 	// first binds of different modules should not serialize here.
-	s := mod.String()
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		s = s[i+1:]
+	h := bodyHash{sum: fnvOffset64}
+	mod.WriteTo(&h)
+	return h.sum, false
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// bodyHash is 64-bit FNV-1a over the bytes written to it after the first
+// newline.
+type bodyHash struct {
+	sum  uint64
+	body bool
+}
+
+func (h *bodyHash) Write(b []byte) (int, error) {
+	hashBody(h, b)
+	return len(b), nil
+}
+
+func (h *bodyHash) WriteString(s string) (int, error) {
+	hashBody(h, s)
+	return len(s), nil
+}
+
+func hashBody[T string | []byte](h *bodyHash, b T) {
+	for i := 0; i < len(b); i++ {
+		switch {
+		case h.body:
+			h.sum ^= uint64(b[i])
+			h.sum *= fnvPrime64
+		case b[i] == '\n':
+			h.body = true
+		}
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	d = offset64
-	for i := 0; i < len(s); i++ {
-		d ^= uint64(s[i])
-		d *= prime64
-	}
-	return d, false
 }

@@ -42,8 +42,9 @@ const (
 	cAlloca // imm = aligned size; c = dst; aux = stack-overflow trap
 
 	// Loads: address in (a,imm); b = byte size; c = dst; imm2 = the mask of
-	// the low b bytes.
-	cLoad     // integers, pointers, f64: sign-extend from bit 64-aux (aux = 0: as loaded)
+	// the value's bits: the low b bytes, fewer for an integer type narrower
+	// than its access.
+	cLoad     // integers, pointers, f64: aux = the value's sign bit, or 0 to zero-extend
 	cLoadF32  // promote f32 bits to f64 register form
 	cLoadSlow // refs[aux] = *ir.Load; unlowered, big-endian or exotic accesses
 
@@ -58,8 +59,9 @@ const (
 	cAdd
 	cSub
 	cMul
-	cDiv // aux = divide-by-zero trap
-	cRem // aux = remainder-by-zero trap
+	cDiv     // aux = divide-by-zero trap
+	cRem     // aux = remainder-by-zero trap
+	cRemPow2 // x % ±2^k for a constant divisor other than MinInt64: imm2 = 2^k - 1
 	cAnd
 	cOr
 	cXor
@@ -313,7 +315,10 @@ func (c *compiler) compileInto(cf *cfunc) {
 					switch t := in.Elem.(type) {
 					case *ir.IntType:
 						ci.op = cLoad
-						ci.aux = int32(64 - min(t.Bits, in.Lay.Size*8))
+						if bits := min(t.Bits, in.Lay.Size*8); bits < 64 {
+							ci.imm2 = 1<<uint(bits) - 1
+							ci.aux = int32(uint32(1) << uint(bits-1))
+						}
 					case *ir.PointerType:
 						ci.op = cLoad // addresses zero-extend
 					case *ir.FloatType:
@@ -391,8 +396,12 @@ func (c *compiler) compileInto(cf *cfunc) {
 					ci.aux = newTrap(fmt.Errorf("interp(%s): integer division by zero in %s", c.name, f.Nam))
 				case ir.Rem:
 					segCycles += cost.Cycles(arch.OpIntDiv)
-					ci.op = cRem
-					ci.aux = newTrap(fmt.Errorf("interp(%s): integer remainder by zero in %s", c.name, f.Nam))
+					if mask, ok := pow2Mask(ci.b, ci.imm2); ok {
+						ci.op, ci.imm2 = cRemPow2, mask
+					} else {
+						ci.op = cRem
+						ci.aux = newTrap(fmt.Errorf("interp(%s): integer remainder by zero in %s", c.name, f.Nam))
+					}
 				case ir.And:
 					segCycles += cost.Cycles(arch.OpIntALU)
 					ci.op = cAnd
@@ -415,7 +424,10 @@ func (c *compiler) compileInto(cf *cfunc) {
 				seg = append(seg, ci)
 				if in.Op == ir.Div || in.Op == ir.Rem {
 					// Division can fail; end the segment so its trap sees
-					// the same clock as the reference engine.
+					// the same clock as the reference engine. A remainder
+					// by a power of two cannot, but it ends its segment
+					// too: the segments, and so a sampler's ticks, do not
+					// depend on the divisor.
 					flush()
 				}
 
@@ -561,6 +573,19 @@ func (c *compiler) compileInto(cf *cfunc) {
 		}
 	}
 	fuse(cf.code)
+}
+
+// pow2Mask returns |y|-1 when the operand (slot, imm) is a constant y = ±2^k
+// other than math.MinInt64: the divisors cRemPow2 takes.
+func pow2Mask(slot int32, imm uint64) (uint64, bool) {
+	y := int64(imm)
+	if y < 0 {
+		y = -y // MinInt64 stays negative
+	}
+	if slot >= 0 || y <= 0 || y&(y-1) != 0 {
+		return 0, false
+	}
+	return uint64(y - 1), true
 }
 
 // fuse is the peephole behind the engine's three fused opcodes, the hottest

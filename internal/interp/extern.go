@@ -82,25 +82,32 @@ func (m *Machine) callExtern(f *ir.Func, args []uint64) (uint64, error) {
 		fd := int32(args[0])
 		buf := uint32(args[1])
 		n := int(int32(args[2]))
-		var data []byte
-		var err error
 		if f.Extern == ir.ExternRemoteFileRead && m.Sys != nil {
-			data, err = m.Sys.RemoteRead(m, fd, n)
-		} else {
-			data, err = m.IO.Read(fd, n)
-			// Bulk file input is DMA-like: charge per cache line, not
-			// per byte (printf-style I/O keeps the per-byte cost).
-			m.chargeN(arch.OpIOByte, int64(len(data)/256+1), CompCompute)
+			data, err := m.Sys.RemoteRead(m, fd, n)
+			if err != nil {
+				return 0, err
+			}
+			if err := m.Mem.WriteBytes(buf, data); err != nil {
+				return 0, err
+			}
+			return uint64(len(data)), nil
 		}
+		left, err := m.IO.Left(fd)
 		if err != nil {
 			return 0, err
 		}
-		if len(data) > 0 {
-			if werr := m.Mem.WriteBytes(buf, data); werr != nil {
-				return 0, werr
-			}
+		n = max(0, min(n, left))
+		// Bulk file input is DMA-like: charge per cache line, not per byte
+		// (printf-style I/O keeps the per-byte cost).
+		m.chargeN(arch.OpIOByte, int64(n/256+1), CompCompute)
+		// The file's bytes are made in the guest's pages.
+		if err := m.Mem.Fill(buf, n, func(dst []byte) error {
+			_, err := m.IO.Read(fd, dst)
+			return err
+		}); err != nil {
+			return 0, err
 		}
-		return uint64(len(data)), nil
+		return uint64(n), nil
 
 	case ir.ExternFileClose, ir.ExternRemoteFileClose:
 		m.charge(arch.OpCall, CompCompute)

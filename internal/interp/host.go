@@ -8,15 +8,20 @@ import (
 // IOHost provides the local I/O environment of one machine: stdout, stdin
 // tokens for scanf, and an in-memory file system. On the mobile device this
 // is the user's real environment; offloaded code reaches it through the
-// remote I/O manager (Section 3.4). The bytes Read returns are valid until
-// the next call on the same host: a caller copies them out (into guest
-// memory) before it calls again.
+// remote I/O manager (Section 3.4). A read writes into its caller's buffer:
+// Left says how long the read will be before any byte of it is produced, so
+// the caller can fault in exactly the guest pages it lands on and hand Read
+// each page's part in turn.
 type IOHost interface {
 	Write(s string)
 	NextInt() (int64, bool)
 	NextFloat() (float64, bool)
 	Open(name string) (int32, error)
-	Read(fd int32, n int) ([]byte, error)
+	// Left reports how many bytes of file fd are left to read.
+	Left(fd int32) (int, error)
+	// Read reads the next len(dst) bytes of file fd into dst — fewer only at
+	// the end of the file — and returns how many it read.
+	Read(fd int32, dst []byte) (int, error)
 	Close(fd int32) error
 }
 
@@ -70,9 +75,6 @@ type StdIO struct {
 	files map[string]fileCursor // each file's cursor at its first byte
 	fds   map[int32]*fileCursor
 	next  int32
-	// scratch holds the bytes the last Read returned; it grows to the
-	// largest read and is overwritten by the next.
-	scratch []byte
 }
 
 // fileCursor is a position in a synthetic file: the file's size, the read
@@ -168,24 +170,25 @@ func (h *StdIO) Open(name string) (int32, error) {
 	return fd, nil
 }
 
-// Read generates the next n bytes of the file (fewer at its end) into the
-// host's scratch buffer, so what it returns is overwritten by the next Read.
-func (h *StdIO) Read(fd int32, n int) ([]byte, error) {
+func (h *StdIO) Left(fd int32) (int, error) {
 	c, ok := h.fds[fd]
 	if !ok {
-		return nil, fmt.Errorf("io: read on closed fd %d", fd)
+		return 0, fmt.Errorf("io: read on closed fd %d", fd)
 	}
-	if c.pos >= c.size {
-		return nil, nil // EOF
+	return max(0, c.size-c.pos), nil
+}
+
+// Read generates the next bytes of the file straight into dst.
+func (h *StdIO) Read(fd int32, dst []byte) (int, error) {
+	left, err := h.Left(fd)
+	if err != nil {
+		return 0, err
 	}
-	n = max(0, min(n, c.size-c.pos))
-	if cap(h.scratch) < n {
-		h.scratch = make([]byte, n)
-	}
-	out := h.scratch[:n]
-	c.state = lcgFill(out, c.state)
-	c.pos += n
-	return out, nil
+	c := h.fds[fd]
+	dst = dst[:min(len(dst), left)]
+	c.state = lcgFill(dst, c.state)
+	c.pos += len(dst)
+	return len(dst), nil
 }
 
 func (h *StdIO) Close(fd int32) error {

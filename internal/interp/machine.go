@@ -68,6 +68,9 @@ type Machine struct {
 
 	// Steps counts executed IR instructions.
 	Steps int64
+	// cycles is compute the fast engine's hot loop has charged and its
+	// stepper not yet applied to Clock (settle); zero whenever neither runs.
+	cycles int64
 
 	IO  IOHost
 	Sys SysHost

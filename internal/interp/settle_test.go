@@ -55,7 +55,13 @@ func (h *hostObserver) RemoteOpen(m *Machine, name string) (int32, error) {
 }
 func (h *hostObserver) RemoteRead(m *Machine, fd int32, n int) ([]byte, error) {
 	h.note("sys.rread %d", n)
-	return h.StdIO.Read(fd, n)
+	left, err := h.StdIO.Left(fd)
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, max(0, min(n, left)))
+	_, err = h.StdIO.Read(fd, data)
+	return data, err
 }
 func (h *hostObserver) RemoteClose(m *Machine, fd int32) error {
 	h.note("sys.rclose")
@@ -253,7 +259,7 @@ func TestSegmentChargeOnLastInstruction(t *testing.T) {
 				steps += int64(in.steps)
 				switch in.op {
 				case cAlloca, cLoad, cLoadF32, cLoadSlow, cStoreInt, cStoreF32, cStoreSlow, cStoreIntBr,
-					cDiv, cRem, cCall, cCallInd, cBr, cCondBr, cRet, cTrap:
+					cDiv, cRem, cRemPow2, cCall, cCallInd, cBr, cCondBr, cRet, cTrap:
 					if in.steps == 0 {
 						t.Errorf("%s pc %d: segment-ending op %d carries no charge", f.Nam, i, in.op)
 					}

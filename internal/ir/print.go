@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 )
@@ -10,31 +11,40 @@ import (
 // tests.
 func (m *Module) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "module %s (stack 0x%x", m.Name, m.StackBase)
+	m.WriteTo(&sb)
+	return sb.String()
+}
+
+// WriteTo writes the module's text — String's, byte for byte — to w as it
+// renders it, so a consumer that only reads the text (a hash) never holds
+// all of it.
+func (m *Module) WriteTo(w io.Writer) (int64, error) {
+	p := &printer{w: w}
+	p.printf("module %s (stack 0x%x", m.Name, m.StackBase)
 	if m.Unified {
-		sb.WriteString(", unified")
+		p.WriteString(", unified")
 	}
-	sb.WriteString(")\n")
+	p.WriteString(")\n")
 	for _, st := range m.NamedStructs() {
-		fmt.Fprintf(&sb, "type %%%s {", st.Name)
+		p.printf("type %%%s {", st.Name)
 		for i, f := range st.Fields {
 			if i > 0 {
-				sb.WriteString(", ")
+				p.WriteString(", ")
 			}
-			fmt.Fprintf(&sb, "%s %s", f.Name, f.Type)
+			p.printf("%s %s", f.Name, f.Type)
 		}
-		sb.WriteString("}\n")
+		p.WriteString("}\n")
 	}
 	for _, g := range m.Globals {
-		sb.WriteString(g.decl())
-		sb.WriteByte('\n')
+		g.writeDecl(p)
+		p.WriteString("\n")
 	}
 	for _, f := range m.Funcs {
 		if f.IsExtern() {
 			continue
 		}
-		sb.WriteByte('\n')
-		sb.WriteString(f.String())
+		p.WriteString("\n")
+		f.writeTo(p)
 	}
 	externs := make([]string, 0)
 	for _, f := range m.Funcs {
@@ -44,97 +54,148 @@ func (m *Module) String() string {
 	}
 	sort.Strings(externs)
 	if len(externs) > 0 {
-		sb.WriteByte('\n')
-		sb.WriteString(strings.Join(externs, "\n"))
-		sb.WriteByte('\n')
+		p.WriteString("\n")
+		for _, e := range externs {
+			p.WriteString(e)
+			p.WriteString("\n")
+		}
 	}
-	return sb.String()
+	return p.n, p.err
 }
 
-func (g *Global) decl() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "global @%s %s", g.Nam, g.Elem)
+// printer is the writer the IR text goes through: it counts what it wrote
+// and keeps the first error, after which it writes nothing.
+type printer struct {
+	w   io.Writer
+	n   int64
+	err error
+}
+
+func (p *printer) Write(b []byte) (int, error) {
+	if p.err != nil {
+		return 0, p.err
+	}
+	n, err := p.w.Write(b)
+	p.n += int64(n)
+	p.err = err
+	return n, err
+}
+
+func (p *printer) WriteString(s string) (int, error) {
+	if p.err != nil {
+		return 0, p.err
+	}
+	n, err := io.WriteString(p.w, s)
+	p.n += int64(n)
+	p.err = err
+	return n, err
+}
+
+func (p *printer) printf(format string, args ...any) {
+	fmt.Fprintf(p, format, args...)
+}
+
+func (g *Global) writeDecl(p *printer) {
+	p.printf("global @%s %s", g.Nam, g.Elem)
 	if g.Home == HomeUVA {
-		fmt.Fprintf(&sb, " uva(0x%x)", g.UVAAddr)
+		p.printf(" uva(0x%x)", g.UVAAddr)
 	}
 	switch {
 	case len(g.InitBytes) > 0:
-		fmt.Fprintf(&sb, " = %q", string(g.InitBytes))
+		p.printf(" = %q", string(g.InitBytes))
 	case len(g.Init) > 0:
-		parts := make([]string, len(g.Init))
+		p.WriteString(" = [")
 		for i, v := range g.Init {
-			parts[i] = v.Ident()
+			if i > 0 {
+				p.WriteString(", ")
+			}
+			p.WriteString(v.Ident())
 		}
-		fmt.Fprintf(&sb, " = [%s]", strings.Join(parts, ", "))
+		p.WriteString("]")
 	}
-	return sb.String()
 }
 
 // String renders the function body.
 func (f *Func) String() string {
 	var sb strings.Builder
-	params := make([]string, len(f.Params))
-	for i, p := range f.Params {
-		params[i] = fmt.Sprintf("%%%s %s", p.Nam, p.Typ)
-	}
-	fmt.Fprintf(&sb, "func @%s(%s) %s", f.Nam, strings.Join(params, ", "), f.Sig.Ret)
-	if f.TaskID != 0 {
-		fmt.Fprintf(&sb, " task(%d)", f.TaskID)
-	}
-	sb.WriteString(" {\n")
-	for _, b := range f.Blocks {
-		fmt.Fprintf(&sb, "%s:\n", b.Nam)
-		for _, in := range b.Instrs {
-			fmt.Fprintf(&sb, "  %s\n", instrString(in))
-		}
-	}
-	sb.WriteString("}\n")
+	f.writeTo(&printer{w: &sb})
 	return sb.String()
 }
 
-func instrString(in Instr) string {
-	lhs := ""
+func (f *Func) writeTo(p *printer) {
+	p.printf("func @%s(", f.Nam)
+	for i, prm := range f.Params {
+		if i > 0 {
+			p.WriteString(", ")
+		}
+		p.printf("%%%s %s", prm.Nam, prm.Typ)
+	}
+	p.printf(") %s", f.Sig.Ret)
+	if f.TaskID != 0 {
+		p.printf(" task(%d)", f.TaskID)
+	}
+	p.WriteString(" {\n")
+	for _, b := range f.Blocks {
+		p.WriteString(b.Nam)
+		p.WriteString(":\n")
+		for _, in := range b.Instrs {
+			p.WriteString("  ")
+			writeInstr(p, in)
+			p.WriteString("\n")
+		}
+	}
+	p.WriteString("}\n")
+}
+
+func writeInstr(p *printer, in Instr) {
 	if _, isVoid := in.Type().(*VoidType); !isVoid {
-		lhs = in.Ident() + " = "
+		p.WriteString(in.Ident())
+		p.WriteString(" = ")
 	}
 	switch in := in.(type) {
 	case *Alloca:
-		return fmt.Sprintf("%salloca %s", lhs, in.Elem)
+		p.printf("alloca %s", in.Elem)
 	case *Load:
-		return fmt.Sprintf("%sload %s %s%s", lhs, in.Elem, in.Ptr.Ident(), laySuffix(in.Lay))
+		p.printf("load %s %s%s", in.Elem, in.Ptr.Ident(), laySuffix(in.Lay))
 	case *Store:
-		return fmt.Sprintf("store %s -> %s%s", in.Val.Ident(), in.Ptr.Ident(), laySuffix(in.Lay))
+		p.printf("store %s -> %s%s", in.Val.Ident(), in.Ptr.Ident(), laySuffix(in.Lay))
 	case *Bin:
-		return fmt.Sprintf("%s%s %s, %s", lhs, in.Op, in.X.Ident(), in.Y.Ident())
+		p.printf("%s %s, %s", in.Op, in.X.Ident(), in.Y.Ident())
 	case *Cmp:
-		return fmt.Sprintf("%scmp %s %s, %s", lhs, in.Pred, in.X.Ident(), in.Y.Ident())
+		p.printf("cmp %s %s, %s", in.Pred, in.X.Ident(), in.Y.Ident())
 	case *FieldAddr:
-		return fmt.Sprintf("%sfield %s, %d (+%d)", lhs, in.Ptr.Ident(), in.Field, in.Offset)
+		p.printf("field %s, %d (+%d)", in.Ptr.Ident(), in.Field, in.Offset)
 	case *IndexAddr:
-		return fmt.Sprintf("%sindex %s, %s (*%d)", lhs, in.Ptr.Ident(), in.Index.Ident(), in.Stride)
+		p.printf("index %s, %s (*%d)", in.Ptr.Ident(), in.Index.Ident(), in.Stride)
 	case *Call:
-		return fmt.Sprintf("%scall @%s(%s)", lhs, in.Callee.Nam, identList(in.Args))
+		p.printf("call @%s(", in.Callee.Nam)
+		writeIdents(p, in.Args)
+		p.WriteString(")")
 	case *CallInd:
-		mapped := ""
+		p.WriteString("callind")
 		if in.Mapped {
-			mapped = " mapped"
+			p.WriteString(" mapped")
 		}
-		return fmt.Sprintf("%scallind%s %s(%s)", lhs, mapped, in.Fn.Ident(), identList(in.Args))
+		p.printf(" %s(", in.Fn.Ident())
+		writeIdents(p, in.Args)
+		p.WriteString(")")
 	case *Convert:
-		return fmt.Sprintf("%s%s %s to %s", lhs, in.Kind, in.Val.Ident(), in.To)
+		p.printf("%s %s to %s", in.Kind, in.Val.Ident(), in.To)
 	case *FuncAddr:
-		return fmt.Sprintf("%sfuncaddr @%s", lhs, in.Callee.Nam)
+		p.printf("funcaddr @%s", in.Callee.Nam)
 	case *Br:
-		return fmt.Sprintf("br %s", in.Dst.Nam)
+		p.printf("br %s", in.Dst.Nam)
 	case *CondBr:
-		return fmt.Sprintf("condbr %s, %s, %s", in.Cond.Ident(), in.Then.Nam, in.Else.Nam)
+		p.printf("condbr %s, %s, %s", in.Cond.Ident(), in.Then.Nam, in.Else.Nam)
 	case *Ret:
 		if in.Val == nil {
-			return "ret"
+			p.WriteString("ret")
+		} else {
+			p.printf("ret %s", in.Val.Ident())
 		}
-		return fmt.Sprintf("ret %s", in.Val.Ident())
+	default:
+		p.printf("<unknown %T>", in)
 	}
-	return fmt.Sprintf("%s<unknown %T>", lhs, in)
 }
 
 func laySuffix(l MemLayout) string {
@@ -151,10 +212,11 @@ func laySuffix(l MemLayout) string {
 	return s + "]"
 }
 
-func identList(vs []Value) string {
-	parts := make([]string, len(vs))
+func writeIdents(p *printer, vs []Value) {
 	for i, v := range vs {
-		parts[i] = v.Ident()
+		if i > 0 {
+			p.WriteString(", ")
+		}
+		p.WriteString(v.Ident())
 	}
-	return strings.Join(parts, ", ")
 }

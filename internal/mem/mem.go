@@ -325,19 +325,32 @@ func (m *Memory) ReadBytes(addr uint32, size int) ([]byte, error) {
 
 // WriteBytes stores data at addr, faulting pages in and dirtying them.
 func (m *Memory) WriteBytes(addr uint32, data []byte) error {
-	off := 0
-	for off < len(data) {
+	return m.Fill(addr, len(data), func(dst []byte) error {
+		data = data[copy(dst, data):]
+		return nil
+	})
+}
+
+// Fill stores the n bytes at addr that fill writes, a page at a time: it
+// faults each page in (reporting it to Touch), hands fill the page's part of
+// the range to write, then marks the page dirty, in address order. A fill
+// error ends the store.
+func (m *Memory) Fill(addr uint32, n int, fill func(dst []byte) error) error {
+	for off := 0; off < n; {
 		pn := PageNum(addr + uint32(off))
 		p, err := m.getPage(pn)
 		if err != nil {
 			return err
 		}
 		po := int(addr+uint32(off)) & (PageSize - 1)
-		n := copy(p[po:], data[off:])
+		k := min(n-off, PageSize-po)
+		if err := fill(p[po : po+k]); err != nil {
+			return err
+		}
 		if m.TrackDirty {
 			m.markDirty(pn)
 		}
-		off += n
+		off += k
 	}
 	return nil
 }

@@ -381,8 +381,18 @@ func (s *Session) RemoteOpen(m *interp.Machine, name string) (int32, error) {
 // overheads (Section 5.1).
 func (s *Session) RemoteRead(m *interp.Machine, fd int32, n int) ([]byte, error) {
 	s.heartbeat("read")
-	data, err := s.Mobile.IO.Read(fd, n)
+	left, err := s.Mobile.IO.Left(fd)
 	if err != nil {
+		return nil, err
+	}
+	// The reply's data is the session's read buffer, which the mobile's file
+	// fills; the server's guest copies it out before it reads again.
+	k := max(0, min(n, left))
+	if cap(s.readBuf) < k {
+		s.readBuf = make([]byte, k)
+	}
+	data := s.readBuf[:k]
+	if _, err := s.Mobile.IO.Read(fd, data); err != nil {
 		return nil, err
 	}
 	s.remoteIO("remote.read", &Message{Kind: MsgRemoteRead, FD: fd, N: int32(n)},

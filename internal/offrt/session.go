@@ -102,6 +102,10 @@ type Session struct {
 	// leaves no partial output behind.
 	ioJournal []string
 
+	// readBuf holds the data of the last remote read's reply; it grows to
+	// the largest read and is overwritten by the next.
+	readBuf []byte
+
 	// curJob threads the logical JobID through the session's trace:
 	// every gate evaluation opens a new id (declines included — their
 	// verdict instant is still that job's trace), and every event of the

@@ -55,3 +55,52 @@ func TestNoFusedArithmetic(t *testing.T) {
 			len(list), strings.Join(list, "\n  "))
 	}
 }
+
+// TestHotLoopIsCallFree keeps the fast engine's hot loop
+// (interp.(*Machine).hotLoop) free of calls. Go's calling convention keeps
+// no register across a call, so a single call in any arm makes the compiler
+// spill the loop's state — pc, the code and register slices, the page-cache
+// key — around every dispatch; everything that calls belongs in the stepper
+// around the loop (execCompiled). The test compiles the interpreter for
+// linux/amd64 with the assembly listing on and fails on each CALL in the
+// loop's text other than the runtime's bounds-check and divide panics, which
+// are never taken on a valid program. Helpers the loop uses must inline.
+func TestHotLoopIsCallFree(t *testing.T) {
+	cmd := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "build", "-gcflags=repro/internal/interp=-S", "./internal/interp")
+	cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=amd64", "CGO_ENABLED=0", "GOFLAGS=")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("compiling the interpreter for amd64: %v\n%.2000s", err, out)
+	}
+	const head = "repro/internal/interp.(*Machine).hotLoop STEXT"
+	lines := strings.Split(string(out), "\n")
+	var text []string
+	for i, line := range lines {
+		if strings.HasPrefix(line, head) {
+			// The function's text runs to the next symbol's header, the
+			// first line that is not indented.
+			text = lines[i : i+1]
+			for _, l := range lines[i+1:] {
+				if !strings.HasPrefix(l, "\t") {
+					break
+				}
+				text = append(text, l)
+			}
+			break
+		}
+	}
+	if len(text) < 100 {
+		t.Fatalf("no assembly listing of the hot loop (%d lines under %q):\n%.2000s", len(text), head, out)
+	}
+	call := regexp.MustCompile(`\((\S+\.go:\d+)\)\s+CALL\s+(\S+)`)
+	var calls []string
+	for _, line := range text {
+		if m := call.FindStringSubmatch(line); m != nil && !strings.HasPrefix(m[2], "runtime.panic") {
+			calls = append(calls, filepath.Base(m[1])+" "+m[2])
+		}
+	}
+	if len(calls) > 0 {
+		t.Errorf("%d calls in the fast engine's hot loop; move the work to the stepper or make the helper inline:\n  %s",
+			len(calls), strings.Join(calls, "\n  "))
+	}
+}
