@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/ir"
+	"repro/internal/mem"
 )
 
 // buildAndRun lowers and runs a one-function module, returning the error.
@@ -22,6 +23,14 @@ func buildAndRun(t *testing.T, build func(b *ir.Builder)) error {
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
 	_, err := bind(t, mod, CompileConfig{Name: "err", Spec: arch.ARM32()}).RunMain()
 	return err
+}
+
+// callAt calls through a function pointer holding addr. The module's
+// functions sit at mem.FuncBaseMobile, funcStride bytes apart.
+func callAt(b *ir.Builder, addr int64) {
+	sig := ir.Signature(ir.I32)
+	fp := b.Convert(ir.ConvBitcast, ir.Int64(addr), ir.Ptr(sig))
+	b.CallPtr(fp, sig)
 }
 
 func TestErrorPaths(t *testing.T) {
@@ -51,9 +60,13 @@ func TestErrorPaths(t *testing.T) {
 			b.CallExtern(ir.ExternUFree, ir.Int(0x100))
 		}, "outside heap"},
 		{"indirect call to garbage address", func(b *ir.Builder) {
-			sig := ir.Signature(ir.I32)
-			fp := b.Convert(ir.ConvBitcast, ir.Int64(0x1234), ir.Ptr(sig))
-			b.CallPtr(fp, sig)
+			callAt(b, 0x1234)
+		}, "no function at address"},
+		{"indirect call to misaligned address", func(b *ir.Builder) {
+			callAt(b, int64(mem.FuncBaseMobile)+8)
+		}, "no function at address"},
+		{"indirect call one past the last function", func(b *ir.Builder) {
+			callAt(b, int64(mem.FuncBaseMobile)+funcStride*int64(len(b.M.Funcs)))
 		}, "no function at address"},
 		{"remainder by zero", func(b *ir.Builder) {
 			b.Rem(ir.Int(5), ir.Int(0))

@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/arch"
@@ -10,15 +11,20 @@ import (
 	"repro/internal/mem"
 )
 
+// funcStride is the distance between two functions' addresses.
+const funcStride = 16
+
 // linkage is the address assignment one linker produced for one module:
 // per-machine function addresses and loaded global addresses. Compile builds
 // it once and it is read-only afterwards, so a Program hands the same linkage
 // to every instance.
 type linkage struct {
-	// funcAddr assigns this linker's address to each function; inverse in
-	// funcByAddr. Two machines' linkers deliberately disagree.
-	funcAddr   map[*ir.Func]uint32
-	funcByAddr map[uint32]*ir.Func
+	// funcAddr assigns this linker's address to each function. Two
+	// machines' linkers deliberately disagree. Its inverse is funcs, the
+	// functions in address order: funcs[i] sits at funcBase + funcStride*i.
+	funcAddr map[*ir.Func]uint32
+	funcBase uint32
+	funcs    []*ir.Func
 
 	globalAddr map[*ir.Global]uint32
 }
@@ -31,19 +37,16 @@ type linkage struct {
 func newLinkage(mod *ir.Module, std *arch.Spec, funcBase uint32, shuffleFuncs, shuffleGlobals bool) *linkage {
 	lay := &linkage{
 		funcAddr:   make(map[*ir.Func]uint32, len(mod.Funcs)),
-		funcByAddr: make(map[uint32]*ir.Func, len(mod.Funcs)),
+		funcBase:   funcBase,
+		funcs:      slices.Clone(mod.Funcs),
 		globalAddr: make(map[*ir.Global]uint32, len(mod.Globals)),
 	}
-	funcs := make([]*ir.Func, len(mod.Funcs))
-	copy(funcs, mod.Funcs)
+	funcs := lay.funcs
 	if shuffleFuncs {
 		sort.Slice(funcs, func(i, j int) bool { return funcs[i].Nam < funcs[j].Nam })
 	}
-	addr := funcBase
-	for _, f := range funcs {
-		lay.funcAddr[f] = addr
-		lay.funcByAddr[addr] = f
-		addr += 16
+	for i, f := range funcs {
+		lay.funcAddr[f] = funcBase + funcStride*uint32(i)
 	}
 
 	locals := make([]*ir.Global, 0, len(mod.Globals))

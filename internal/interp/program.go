@@ -166,7 +166,7 @@ func (p *Program) NewInstance(opts ...InstanceOption) *Machine {
 		m.IO = cfg.io
 	}
 	m.ResolveFptr = func(addr uint32, mapped bool) (*ir.Func, error) {
-		f, ok := m.lay.funcByAddr[addr]
+		f, ok := m.FuncAt(addr)
 		if !ok {
 			return nil, fmt.Errorf("interp(%s): no function at address 0x%x (unmapped cross-machine pointer?)", m.Name, addr)
 		}
