@@ -33,11 +33,12 @@ type Options struct {
 	// RemoteIO enables the Section 3.4 remote I/O manager (on by default
 	// in Default()).
 	RemoteIO bool
-	// MinGain drops candidates whose predicted gain is below this
-	// threshold: offloading a sub-millisecond task is never worth the
-	// code-size and bookkeeping cost, even when Equation 1 is positive.
-	MinGain simtime.PS
 }
+
+// minGain drops candidates whose predicted gain is below this threshold:
+// offloading a sub-millisecond task is never worth the code-size and
+// bookkeeping cost, even when Equation 1 is positive.
+const minGain = 50 * simtime.Millisecond
 
 // Default returns the evaluation configuration: ARM32 mobile, x86-64
 // server, remote I/O on, estimator with the observed performance ratio.
@@ -48,7 +49,6 @@ func Default(bandwidthBps int64) Options {
 		Server:   srv,
 		Est:      estimate.Params{R: arch.PerformanceRatio(mob, srv), BandwidthBps: bandwidthBps},
 		RemoteIO: true,
-		MinGain:  50 * simtime.Millisecond,
 	}
 }
 
@@ -270,7 +270,7 @@ func selectTargets(m *ir.Module, cg *analysis.CallGraph, fres *filter.Result, pr
 		}
 		c.Est = opt.Est.Evaluate(st.Time, st.MemBytes, st.Invocations)
 		res.Candidates = append(res.Candidates, c)
-		if c.Est.Tg <= 0 || c.Est.Tg < opt.MinGain {
+		if c.Est.Tg <= 0 || c.Est.Tg < minGain {
 			return
 		}
 		inv := st.Invocations

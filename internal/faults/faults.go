@@ -288,9 +288,6 @@ func MustInjector(p Plan) *Injector {
 	return in
 }
 
-// Plan returns a copy of the injector's (normalized) plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Stats returns the per-kind injected-fault counts so far.
 func (in *Injector) Stats() Stats {
 	if in == nil {

@@ -218,7 +218,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("fleet: %d clients + %d servers exceed the %d event lanes an int32 lane id can name",
 			c.Clients, len(c.Servers), math.MaxInt32)
 	}
-	// The latency population is presized to one entry a request (newStats).
+	// The latency population is presized to one entry a request (newResult).
 	if n := int64(c.Clients) * int64(c.RequestsPerClient); n > maxRunRequests {
 		return fmt.Errorf("fleet: %d clients x %d requests = %d requests exceed the %d a run's latency population holds",
 			c.Clients, c.RequestsPerClient, n, maxRunRequests)

@@ -180,7 +180,7 @@ func TestReplaceBoundIsExact(t *testing.T) {
 			Cloud: tiers.Pool{Servers: len(servers) - nEdge, R: 8, Slots: 1},
 		})
 		rm := new(runMem)
-		m := newMachine(&cfg, nil, newStats(0, rm), rm)
+		m := newMachine(&cfg, nil, newResult(0, rm), rm)
 		m.servers = servers
 		m.cloudLoad = newLoadIndex(servers, m.cloudIdx)
 		sent := -1

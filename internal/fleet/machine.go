@@ -323,7 +323,7 @@ type machine struct {
 	margin float64
 	ctrl   *controller
 
-	st    *stats // the run's tally, shared with the client-side handlers
+	res   *Result // the run's tally, shared with the client-side handlers
 	hWait *obs.Histogram
 
 	// samp is the tail sampler (nil unless Config.Exemplars > 0). It
@@ -340,7 +340,7 @@ type machine struct {
 
 // newMachine builds the machine over rm's job free list and queue-wait
 // histograms.
-func newMachine(cfg *Config, profiles []*netsim.Link, st *stats, rm *runMem) *machine {
+func newMachine(cfg *Config, profiles []*netsim.Link, res *Result, rm *runMem) *machine {
 	servers := make([]*server, len(cfg.Servers))
 	for i, spec := range cfg.Servers {
 		servers[i] = &server{spec: spec, id: i}
@@ -354,7 +354,7 @@ func newMachine(cfg *Config, profiles []*netsim.Link, st *stats, rm *runMem) *ma
 		backhaul: netsim.Backhaul(),
 		adm:      cfg.Admission,
 		margin:   1,
-		st:       st,
+		res:      res,
 		hWait:    &rm.waits[0],
 		samp:     newSampler(cfg),
 		free:     rm.jobs,

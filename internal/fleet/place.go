@@ -40,7 +40,7 @@ func (m *machine) fallLocal(j *job, kind uint8, start simtime.PS) {
 // cloud-only baselines; the local gate always stays live.
 func (m *machine) handleIntent(in intent) {
 	m.stepCtrl(in.t)
-	m.st.Events++
+	m.res.Events++
 	now := in.t
 
 	var edge, cloud estimate.TierOption
@@ -112,7 +112,7 @@ func (m *machine) handleIntent(in intent) {
 		return
 	}
 	srv := m.servers[si]
-	m.st.Dispatched++
+	m.res.Dispatched++
 	if tr := m.cfg.Tracer; tr != nil {
 		tr.Emit(obs.Event{Time: now, Kind: obs.KDispatch, Track: obs.TrackFleet,
 			Name: string(m.cfg.Policy), A0: int64(in.ci), A1: int64(si),
@@ -133,7 +133,7 @@ func (m *machine) handleIntent(in intent) {
 // start or enqueue.
 func (m *machine) handleArrive(now simtime.PS, si int32, j *job) {
 	m.stepCtrl(now)
-	m.st.Events++
+	m.res.Events++
 	s := m.servers[si]
 	// The reservation materializes: the job is now visible in the queue
 	// or a slot instead. This runs even when the server is down — a
@@ -150,7 +150,7 @@ func (m *machine) handleArrive(now simtime.PS, si int32, j *job) {
 		// locally.
 		j.rec.fault()
 		if m.cfg.Migrate && m.relocate(j, j.tm, now+detectDelay, now+detectDelay, segDetect) {
-			m.st.Retried++
+			m.res.Retried++
 			if tr := m.cfg.Tracer; tr != nil {
 				tr.Emit(obs.Event{Time: now, Kind: obs.KRetry, Track: obs.TrackFleet,
 					Name: "redispatch", A0: int64(j.client), A1: int64(si), Job: j.id})
@@ -239,7 +239,7 @@ func (m *machine) startJob(si int32, j *job, t simtime.PS) {
 // the next queued job in.
 func (m *machine) handleFinish(now simtime.PS, si int32, j *job) {
 	m.stepCtrl(now)
-	m.st.Events++
+	m.res.Events++
 	if j.cancelled {
 		// The server died mid-service; the slot and accounting were
 		// released at the fault instant.
@@ -387,7 +387,7 @@ func (m *machine) demote(now simtime.PS, si int32, j *job, stay simtime.PS, volu
 	if ti < 0 {
 		return false
 	}
-	m.st.Demotions++
+	m.res.Demotions++
 	if tr := m.cfg.Tracer; tr != nil {
 		tr.Emit(obs.Event{Time: now, Kind: obs.KTierMigrate, Track: obs.TrackFleet,
 			Name: "demote", A0: int64(j.client), A1: int64(si), A2: int64(ti), A3: int64(ship),

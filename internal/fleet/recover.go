@@ -54,7 +54,7 @@ func (m *machine) backhaulShip(mem int64) simtime.PS {
 // already-scheduled evFinish events fire as tombstoned no-ops.
 func (m *machine) handleCrash(now simtime.PS, si int32) {
 	m.stepCtrl(now)
-	m.st.Events++
+	m.res.Events++
 	s := m.servers[si]
 	s.advance(now)
 	if tr := m.cfg.Tracer; tr != nil {
@@ -86,7 +86,7 @@ func (m *machine) handleCrash(now simtime.PS, si int32) {
 			link := m.profiles[clientProfile(j.client, len(m.profiles))]
 			reup := link.At(now + detectDelay).TransferTime(j.mem)
 			if m.relocate(j, j.tm, now+detectDelay+reup, now+detectDelay, segResend) {
-				m.st.Retried++
+				m.res.Retried++
 				if tr := m.cfg.Tracer; tr != nil {
 					tr.Emit(obs.Event{Time: now, Kind: obs.KRetry, Track: obs.TrackFleet,
 						Name: "resend", A0: int64(j.client), A1: int64(si), Job: j.id})
@@ -106,7 +106,7 @@ func (m *machine) handleCrash(now simtime.PS, si int32) {
 // handleDrain takes the server out of rotation gracefully.
 func (m *machine) handleDrain(now simtime.PS, si int32) {
 	m.stepCtrl(now)
-	m.st.Events++
+	m.res.Events++
 	s := m.servers[si]
 	s.advance(now)
 	if tr := m.cfg.Tracer; tr != nil {
@@ -147,7 +147,7 @@ func (m *machine) handleDrain(now simtime.PS, si int32) {
 		}
 		ship := m.backhaulShip(j.mem)
 		if m.relocate(j, remTm, now+ship, now+detectDelay, segWanShip) {
-			m.st.Migrations++
+			m.res.Migrations++
 			j.rec.migrate()
 			if tr := m.cfg.Tracer; tr != nil {
 				tr.Emit(obs.Event{Time: now, Kind: obs.KMigrateShip, Track: obs.TrackFleet,
@@ -161,7 +161,7 @@ func (m *machine) handleDrain(now simtime.PS, si int32) {
 			r.mark(now, segQueue, si) // the wait spent behind the drained backlog
 		}
 		if m.relocate(j, j.tm, now+m.backhaulShip(j.mem), now+detectDelay, segWanShip) {
-			m.st.Retried++
+			m.res.Retried++
 			if tr := m.cfg.Tracer; tr != nil {
 				tr.Emit(obs.Event{Time: now, Kind: obs.KRetry, Track: obs.TrackFleet,
 					Name: "forward", A0: int64(j.client), A1: int64(si), Job: j.id})

@@ -17,15 +17,15 @@ func runSequentialRef(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := newStats(cfg.Clients*cfg.RequestsPerClient, rm)
-	m := newMachine(&cfg, profiles, st, rm)
+	res := newResult(cfg.Clients*cfg.RequestsPerClient, rm)
+	m := newMachine(&cfg, profiles, res, rm)
 	nc := int32(cfg.Clients)
 	q := newSchedQueue(0, cfg.Clients+len(cfg.Servers), rm)
 	m.sched = func(t simtime.PS, kind uint8, si int32, j *job) {
 		q.sched(t, kind, nc+si, si, j)
 	}
 	m.emit = func(msg doneMsg) {
-		next := applyDone(&cfg, &clients[msg.ci], msg, st)
+		next := applyDone(&cfg, &clients[msg.ci], msg, res)
 		q.sched(next, evReady, msg.ci, 0, nil)
 	}
 	for i := range clients {
@@ -38,12 +38,15 @@ func runSequentialRef(cfg Config) (*Result, error) {
 		ev := q.pop()
 		now = ev.t
 		if ev.kind == evReady {
-			if in, ok := issueReady(&cfg, &clients[ev.lane], profiles, ev.lane, ev.t, st); ok {
+			if in, ok := issueReady(&cfg, &clients[ev.lane], profiles, ev.lane, ev.t, res); ok {
 				m.handleIntent(in)
 			}
 			continue
 		}
 		m.handleServerEvent(ev)
 	}
-	return m.finishRun(st, now)
+	if err := m.finishRun(now); err != nil {
+		return nil, err
+	}
+	return res, nil
 }

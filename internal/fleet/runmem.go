@@ -11,13 +11,13 @@ import (
 // runMem is every array a run sizes by its shape — by clients, requests,
 // servers or jobs in flight — in one value. runSequential takes a set from
 // the spare list when it starts and gives it back once finishRun has
-// assembled the Result, so a run of the last run's shape allocates none of
+// completed the Result, so a run of the last run's shape allocates none of
 // them again, and a run of another shape reuses what fits and grows the
-// rest. The constructors that fill it (buildClients, newStats,
+// rest. The constructors that fill it (buildClients, newResult,
 // newReadyQueue, newSchedQueue, newMachine) overwrite what the last run
-// left; no Result field aliases it.
+// left; no returned Result aliases it (giveBack clears Result.lat).
 type runMem struct {
-	lat     []simtime.PS  // the latency population (stats.Latencies)
+	lat     []simtime.PS  // the latency population (Result.lat)
 	clients []clientState // the client records
 	// The ready queue's per-lane links, per-slot heads, slot bitmap and run
 	// buffer.
@@ -66,8 +66,9 @@ func takeRunMem() *runMem {
 // giveBack collects the arrays as the run left them — grown where it
 // appended — and returns the set to the spare list, unless it is over
 // spareSetBytes. Nothing of the run may use them afterwards.
-func (rm *runMem) giveBack(st *stats, rq *readyQueue, q *schedQueue, m *machine) {
-	rm.lat, rm.clients = st.Latencies, rq.cl
+func (rm *runMem) giveBack(res *Result, rq *readyQueue, q *schedQueue, m *machine) {
+	rm.lat, rm.clients = res.lat, rq.cl
+	res.lat = nil
 	rm.next, rm.head, rm.occ, rm.run = rq.next, rq.head, rq.occ, rq.run
 	rm.events, rm.seqs = q.h, q.seq.seqs
 	rm.jobs = m.free

@@ -84,13 +84,13 @@ func (w *WorkloadModel) horizon() float64 {
 // issueReady runs one ready event: if the client still owes requests, it
 // draws the task (Tm, M), prices the transfer legs over its own link at
 // this instant, and returns the decision intent for the machine.
-func issueReady(cfg *Config, cs *clientState, profiles []*netsim.Link, ci int32, now simtime.PS, st *stats) (intent, bool) {
-	st.Events++
+func issueReady(cfg *Config, cs *clientState, profiles []*netsim.Link, ci int32, now simtime.PS, res *Result) (intent, bool) {
+	res.Events++
 	if cs.remaining == 0 {
 		return intent{}, false
 	}
 	cs.remaining--
-	st.Requests++
+	res.Requests++
 	// The logical JobID: fixed here, at issue time, from (client, ordinal)
 	// alone — 1-based so id 0 stays "unattributed" — and carried through
 	// every continuation of the request's life. Being a pure function of
@@ -115,9 +115,9 @@ func issueReady(cfg *Config, cs *clientState, profiles []*netsim.Link, ci int32,
 
 // applyDone records one completed request on the client and returns when
 // its next ready event fires.
-func applyDone(cfg *Config, cs *clientState, msg doneMsg, st *stats) simtime.PS {
-	st.Events++
-	st.record(msg)
+func applyDone(cfg *Config, cs *clientState, msg doneMsg, res *Result) simtime.PS {
+	res.Events++
+	res.record(msg)
 	return msg.done + nextThink(cfg, cs, msg.done)
 }
 
@@ -144,8 +144,8 @@ func runSequential(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := newStats(cfg.Clients*cfg.RequestsPerClient, rm)
-	m := newMachine(&cfg, profiles, st, rm)
+	res := newResult(cfg.Clients*cfg.RequestsPerClient, rm)
+	m := newMachine(&cfg, profiles, res, rm)
 	nc := int32(cfg.Clients)
 	// The calendar's ring covers the horizon; remote completions can land
 	// later, on the queue's far list.
@@ -155,7 +155,7 @@ func runSequential(cfg Config) (*Result, error) {
 		q.sched(t, kind, nc+si, si, j)
 	}
 	m.emit = func(msg doneMsg) {
-		rq.push(applyDone(&cfg, &clients[msg.ci], msg, st), msg.ci)
+		rq.push(applyDone(&cfg, &clients[msg.ci], msg, res), msg.ci)
 	}
 
 	// Stagger the fleet's first wave by one think time per client.
@@ -171,7 +171,7 @@ func runSequential(cfg Config) (*Result, error) {
 		if !rq.empty() && (q.empty() || rq.top().t <= q.top().t) {
 			ev := rq.pop()
 			now = ev.t
-			if in, ok := issueReady(&cfg, &clients[ev.lane], profiles, ev.lane, ev.t, st); ok {
+			if in, ok := issueReady(&cfg, &clients[ev.lane], profiles, ev.lane, ev.t, res); ok {
 				m.handleIntent(in)
 			}
 			continue
@@ -183,10 +183,11 @@ func runSequential(cfg Config) (*Result, error) {
 		now = ev.t
 		m.handleServerEvent(ev)
 	}
-	res, err := m.finishRun(st, now)
-	if res != nil {
-		res.readyPaths = rq.paths
+	err = m.finishRun(now)
+	rm.giveBack(res, rq, q, m)
+	if err != nil {
+		return nil, err
 	}
-	rm.giveBack(st, rq, q, m)
-	return res, err
+	res.readyPaths = rq.paths
+	return res, nil
 }

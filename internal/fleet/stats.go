@@ -11,75 +11,35 @@ import (
 	"repro/internal/tiers"
 )
 
-// stats is the raw tally a run accumulates while in flight: outcome
-// counters and the latency population. The engine keeps one per run,
-// shared by the client-side handlers and the machine, and finishRun turns
-// it into the Result.
-type stats struct {
-	// Client-side outcome counters.
-	Requests  int
-	Offloads  int
-	Declines  int
-	Sheds     int
-	Fallbacks int
-	// DeadlineMisses counts offloads whose reply landed after the
-	// dispatch-time deadline (local-path completions carry no deadline).
-	DeadlineMisses int
-
-	// Per-tier completion counters (tiered runs only; a completed
-	// request counts on the tier it finished on).
-	EdgeOffloads  int
-	CloudOffloads int
-
-	// Server-side counters.
-	Dispatched int
-	Migrations int
-	Retried    int
-	// Demotions counts cross-tier moves (tiered runs only): saturated-edge
-	// arrivals forwarded down to the cloud.
-	Demotions int
-
-	// Events counts state-machine transitions (every processed event,
-	// decision intent, and delivered completion) — the work measure the
-	// scale benchmarks report as events/sec.
-	Events int64
-
-	// Latencies is the end-to-end latency population (decision to result
-	// in hand), one entry per completed request, on the run memory's array
-	// (runMem.lat).
-	Latencies []simtime.PS
-}
-
-// newStats returns an empty tally whose latency population is rm's, with
-// room for that many completions: a run knows how many requests it will
-// record, so the population never regrows mid-run, and a run the size of the
-// last one reuses its array.
-func newStats(completions int, rm *runMem) *stats {
-	return &stats{Latencies: resize(rm.lat, completions)[:0]}
+// newResult returns the run's empty tally, whose latency population is
+// rm's, with room for that many completions: a run knows how many requests
+// it will record, so the population never regrows mid-run, and a run the
+// size of the last one reuses its array.
+func newResult(completions int, rm *runMem) *Result {
+	return &Result{lat: resize(rm.lat, completions)[:0]}
 }
 
 // record tallies one completion message.
-func (s *stats) record(msg doneMsg) {
-	lat := msg.done - msg.decide
-	s.Latencies = append(s.Latencies, lat)
+func (r *Result) record(msg doneMsg) {
+	r.lat = append(r.lat, msg.done-msg.decide)
 	switch msg.kind {
 	case outOffload:
-		s.Offloads++
+		r.Offloads++
 		switch msg.tier {
 		case tierEdge:
-			s.EdgeOffloads++
+			r.EdgeOffloads++
 		case tierCloud:
-			s.CloudOffloads++
+			r.CloudOffloads++
 		}
 	case outDecline:
-		s.Declines++
+		r.Declines++
 	case outShed:
-		s.Sheds++
+		r.Sheds++
 	default:
-		s.Fallbacks++
+		r.Fallbacks++
 	}
 	if msg.missed {
-		s.DeadlineMisses++
+		r.DeadlineMisses++
 	}
 }
 
@@ -180,64 +140,55 @@ type Result struct {
 	// readyPaths is which rare paths the engine's ready queue took, for the
 	// tests that must show a configuration reaches them.
 	readyPaths readyPaths
+	// lat is the end-to-end latency population (decision to result in
+	// hand), one entry per completed request, while the run tallies into
+	// the Result; it is on the run memory's array (runMem.lat), so Run
+	// clears it before it returns.
+	lat []simtime.PS
 }
 
-// finishRun checks the end-of-run invariants and assembles the Result
-// from the run's tally.
-func (m *machine) finishRun(st *stats, now simtime.PS) (*Result, error) {
+// finishRun checks the end-of-run invariants and derives the Result's
+// aggregate fields from the run's tally.
+func (m *machine) finishRun(now simtime.PS) error {
 	for i, s := range m.servers {
 		s.advance(now)
 		// Slot-accounting invariants: every reservation must have
 		// materialized or been released, and every occupied slot drained —
 		// including on servers that died mid-service.
 		if s.reserved != 0 {
-			return nil, fmt.Errorf("fleet: server %d leaked %v of reservations at end of run", i, s.reserved)
+			return fmt.Errorf("fleet: server %d leaked %v of reservations at end of run", i, s.reserved)
 		}
 		if s.busy != 0 {
-			return nil, fmt.Errorf("fleet: server %d ended with %d occupied slots", i, s.busy)
+			return fmt.Errorf("fleet: server %d ended with %d occupied slots", i, s.busy)
 		}
 	}
-	if got := st.Offloads + st.Declines + st.Sheds + st.Fallbacks; got != st.Requests {
-		return nil, fmt.Errorf("fleet: request accounting broken: %d completed of %d issued", got, st.Requests)
+	res := m.res
+	if got := res.Offloads + res.Declines + res.Sheds + res.Fallbacks; got != res.Requests {
+		return fmt.Errorf("fleet: request accounting broken: %d completed of %d issued", got, res.Requests)
 	}
 	cfg := m.cfg
-	res := &Result{
-		Policy:         string(cfg.Policy),
-		Queue:          "fifo",
-		Clients:        cfg.Clients,
-		Servers:        len(cfg.Servers),
-		Seed:           cfg.Seed,
-		Requests:       st.Requests,
-		Offloads:       st.Offloads,
-		Dispatched:     st.Dispatched,
-		Declines:       st.Declines,
-		Sheds:          st.Sheds,
-		Fallbacks:      st.Fallbacks,
-		Migrations:     st.Migrations,
-		Retried:        st.Retried,
-		DeadlineMisses: st.DeadlineMisses,
-		Events:         st.Events,
-	}
+	res.Policy = string(cfg.Policy)
+	res.Queue = "fifo"
+	res.Clients = cfg.Clients
+	res.Servers = len(cfg.Servers)
+	res.Seed = cfg.Seed
 	res.QueueWait = m.hWait.Snapshot()
 	if m.topo != nil {
 		res.TierMode = string(m.topo.EffectiveMode())
 		res.EdgeServers = m.topo.Edge.Servers
 		res.CloudServers = m.topo.Cloud.Servers
-		res.EdgeOffloads = st.EdgeOffloads
-		res.CloudOffloads = st.CloudOffloads
-		res.Demotions = st.Demotions
 		eh := m.hWaitTier[tiers.Edge].Snapshot()
 		ch := m.hWaitTier[tiers.Cloud].Snapshot()
 		res.QueueWaitEdge, res.QueueWaitCloud = &eh, &ch
 	}
-	res.finish(st.Latencies, m.servers, now)
+	res.finish(m.servers, now)
 	if m.samp != nil {
 		// Flush the retained exemplars' span trees last: the ring keeps
 		// newest, so the trees survive whatever the live stream dropped.
 		res.Exemplars = m.samp.flush(cfg.Tracer)
 	}
 	res.TraceDropped = cfg.Tracer.Dropped()
-	return res, nil
+	return nil
 }
 
 // percentile returns the q-quantile (0..1) of sorted latencies by nearest
@@ -335,9 +286,10 @@ func radixSort(v []simtime.PS, shift uint) {
 	}
 }
 
-// finish derives the aggregate fields from the raw latency population and
+// finish derives the aggregate fields from the latency population and
 // final server states.
-func (r *Result) finish(latencies []simtime.PS, servers []*server, makespan simtime.PS) {
+func (r *Result) finish(servers []*server, makespan simtime.PS) {
+	latencies := r.lat
 	sortLatencies(latencies)
 	r.E2E = obs.SnapshotSorted(latencies)
 	r.P50Ms = percentile(latencies, 0.50).Millis()

@@ -25,8 +25,8 @@ func TestFinishSortOrderIndependent(t *testing.T) {
 	ref := append([]simtime.PS(nil), pop...)
 	sort.Slice(ref, func(a, b int) bool { return ref[a] < ref[b] })
 
-	var got, want Result
-	got.finish(pop, nil, simtime.Second)
+	got, want := Result{lat: pop}, Result{}
+	got.finish(nil, simtime.Second)
 	want.P50Ms = percentile(ref, 0.50).Millis()
 	want.P99Ms = percentile(ref, 0.99).Millis()
 	var sum simtime.PS

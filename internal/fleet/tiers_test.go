@@ -70,7 +70,7 @@ func TestTieredConfigValidation(t *testing.T) {
 func TestCloudPricingMatchesPerLegCharges(t *testing.T) {
 	cfg := TieredConfig(8, tiers.Default(2, 4))
 	rm := new(runMem)
-	m := newMachine(&cfg, nil, newStats(0, rm), rm)
+	m := newMachine(&cfg, nil, newResult(0, rm), rm)
 	access, _ := netsim.Profile("edge-wifi")
 	for _, mem := range []int64{64 << 10, 1 << 20, 16 << 20} {
 		p := estimate.Params{

@@ -9,19 +9,15 @@ import (
 // progKey content-addresses one compiled program: the module's semantic
 // digest plus every architecture-binding input that Compile bakes into the
 // artifact. Two Compile calls with equal keys yield bit-identical programs,
-// so the cache may hand back the same *Program.
+// so the cache may hand back the same *Program. The defaulted config is the
+// key itself, its two spec pointers replaced by the specs' fingerprints, so
+// a CompileConfig field cannot be left out of it.
 type progKey struct {
-	modDigest      uint64
-	stackBase      uint32
-	unified        bool
-	spec           string // arch.Spec.Fingerprint()
-	std            string
-	name           string
-	funcBase       uint32
-	shuffleFuncs   bool
-	shuffleGlobals bool
-	initUVA        bool
-	instrument     bool
+	modDigest uint64
+	stackBase uint32
+	unified   bool
+	spec, std string // arch.Spec.Fingerprint()
+	cfg       CompileConfig
 }
 
 // cacheEntry singleflights one key: the first binder compiles under the
@@ -88,18 +84,14 @@ func (c *CompilationCache) compile(mod *ir.Module, cfg CompileConfig) (*Program,
 	}
 	digest, memoized := c.moduleDigest(mod)
 	key := progKey{
-		modDigest:      digest,
-		stackBase:      mod.StackBase,
-		unified:        mod.Unified,
-		spec:           cfg.Spec.Fingerprint(),
-		std:            cfg.Std.Fingerprint(),
-		name:           cfg.Name,
-		funcBase:       cfg.FuncBase,
-		shuffleFuncs:   cfg.ShuffleFuncs,
-		shuffleGlobals: cfg.ShuffleGlobals,
-		initUVA:        cfg.InitUVAGlobals,
-		instrument:     cfg.Instrument,
+		modDigest: digest,
+		stackBase: mod.StackBase,
+		unified:   mod.Unified,
+		spec:      cfg.Spec.Fingerprint(),
+		std:       cfg.Std.Fingerprint(),
+		cfg:       cfg,
 	}
+	key.cfg.Spec, key.cfg.Std = nil, nil
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if ok {

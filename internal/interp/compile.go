@@ -294,7 +294,7 @@ func (c *compiler) compileInto(cf *cfunc) {
 					op:  cAlloca,
 					c:   cdst(in),
 					imm: uint64(alignUp32(uint32(in.SizeBytes), 16)),
-					aux: newTrap(fmt.Errorf("interp(%s): stack overflow in %s", c.name, f.Nam)),
+					aux: newTrap(stackOverflow(c.name, f)),
 				})
 				flush()
 

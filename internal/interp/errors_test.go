@@ -9,8 +9,9 @@ import (
 	"repro/internal/mem"
 )
 
-// buildAndRun lowers and runs a one-function module, returning the error.
-func buildAndRun(t *testing.T, build func(b *ir.Builder)) error {
+// buildAndRun lowers a module whose main build writes and runs it on eng,
+// returning the error.
+func buildAndRun(t *testing.T, build func(b *ir.Builder), eng Engine) error {
 	t.Helper()
 	mod := ir.NewModule("err")
 	b := ir.NewBuilder(mod)
@@ -21,7 +22,7 @@ func buildAndRun(t *testing.T, build func(b *ir.Builder)) error {
 	}
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	_, err := bind(t, mod, CompileConfig{Name: "err", Spec: arch.ARM32()}).RunMain()
+	_, err := bind(t, mod, CompileConfig{Name: "err", Spec: arch.ARM32()}, WithEngine(eng)).RunMain()
 	return err
 }
 
@@ -71,15 +72,26 @@ func TestErrorPaths(t *testing.T) {
 		{"remainder by zero", func(b *ir.Builder) {
 			b.Rem(ir.Int(5), ir.Int(0))
 		}, "remainder by zero"},
+		// f() { f() }: no frame allocates, so only the call-depth bound
+		// stops it before the host stack does.
+		{"unbounded recursion without locals", func(b *ir.Builder) {
+			mainF, mainB := b.F, b.B
+			f := b.NewFunc("f", ir.I32)
+			b.Ret(b.Call(f))
+			b.F, b.B = mainF, mainB
+			b.Call(f)
+		}, "interp(err): stack overflow in f"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := buildAndRun(t, c.build)
-			if err == nil {
-				t.Fatalf("expected an error containing %q", c.want)
-			}
-			if !strings.Contains(err.Error(), c.want) {
-				t.Errorf("error %q does not contain %q", err, c.want)
+			for _, eng := range []Engine{EngineFast, EngineRef} {
+				err := buildAndRun(t, c.build, eng)
+				if err == nil {
+					t.Fatalf("%v engine: expected an error containing %q", eng, c.want)
+				}
+				if !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%v engine: error %q does not contain %q", eng, err, c.want)
+				}
 			}
 		})
 	}

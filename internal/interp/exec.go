@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/ir"
-	"repro/internal/simtime"
 )
 
 // ExitError is returned when the program calls exit(code).
@@ -50,6 +49,21 @@ func (m *Machine) CallFunc(f *ir.Func, args ...uint64) (uint64, error) {
 	return m.call(f, args)
 }
 
+// maxCallDepth bounds the guest activations live at once. Both engines
+// recurse on the Go stack once per guest call — the fast engine about
+// 0.8 KB a call, 1.6 KB under the race detector — and the guest stack is
+// checked only where a frame allocates (Alloca), so a guest recursion
+// without locals would otherwise grow the goroutine to Go's 1 GB limit and
+// kill the process. At this bound a runaway recursion stops near 100 MB of
+// Go stack, far above the deepest stack the paper's experiments build: 15
+// activations, chess minimax at difficulty 11.
+const maxCallDepth = 1 << 16
+
+// stackOverflow is the trap for a call that finds the guest stack full.
+func stackOverflow(machine string, f *ir.Func) error {
+	return fmt.Errorf("interp(%s): stack overflow in %s", machine, f.Nam)
+}
+
 // foreignFunc is the error for a function that is not part of the program a
 // machine runs (another module's, or a clone's): its code was never compiled
 // against this machine's addresses.
@@ -75,12 +89,16 @@ func (m *Machine) callRef(f *ir.Func, args []uint64) (uint64, error) {
 	if len(args) != len(f.Params) {
 		return 0, fmt.Errorf("interp(%s): call %s with %d args, want %d", m.Name, f.Nam, len(args), len(f.Params))
 	}
+	if m.depth >= maxCallDepth {
+		return 0, stackOverflow(m.Name, f)
+	}
+	m.depth++
 	fr := &frame{fn: f, regs: make([]uint64, f.NumSlots)}
 	for i, p := range f.Params {
 		fr.regs[p.Slot] = args[i]
 	}
 	spSave := m.sp
-	defer func() { m.sp = spSave }()
+	defer func() { m.sp = spSave; m.depth-- }()
 
 	if m.Listener != nil {
 		m.Listener.EnterFunc(m, f)
@@ -114,16 +132,17 @@ func (m *Machine) execBlock(fr *frame, blk *ir.Block) (next *ir.Block, ret uint6
 		m.Steps++
 		switch in := in.(type) {
 		case *ir.Alloca:
-			m.charge(arch.OpAlloca, CompCompute)
+			m.charge(arch.OpAlloca, 1, CompCompute)
 			size := alignUp32(uint32(in.SizeBytes), 16)
 			if m.sp < m.spFloor+size {
-				return nil, 0, false, fmt.Errorf("interp(%s): stack overflow in %s", m.Name, fr.fn.Nam)
+				return nil, 0, false, stackOverflow(m.Name, fr.fn)
 			}
 			m.sp -= size
 			fr.set(in, uint64(m.sp))
 
 		case *ir.Load:
-			m.charge(arch.OpLoad, CompCompute)
+			m.charge(arch.OpLoad, 1, CompCompute)
+			m.chargeLayout(in.Lay)
 			addr := uint32(m.operand(fr, in.Ptr))
 			bits, lerr := m.loadScalar(addr, in.Elem, in.Lay)
 			if lerr != nil {
@@ -132,7 +151,8 @@ func (m *Machine) execBlock(fr *frame, blk *ir.Block) (next *ir.Block, ret uint6
 			fr.set(in, bits)
 
 		case *ir.Store:
-			m.charge(arch.OpStore, CompCompute)
+			m.charge(arch.OpStore, 1, CompCompute)
+			m.chargeLayout(in.Lay)
 			addr := uint32(m.operand(fr, in.Ptr))
 			if serr := m.storeScalar(addr, in.Val.Type(), in.Lay, m.operand(fr, in.Val)); serr != nil {
 				return nil, 0, false, serr
@@ -149,25 +169,25 @@ func (m *Machine) execBlock(fr *frame, blk *ir.Block) (next *ir.Block, ret uint6
 			fr.set(in, m.evalCmp(fr, in))
 
 		case *ir.FieldAddr:
-			m.charge(arch.OpIntALU, CompCompute)
+			m.charge(arch.OpIntALU, 1, CompCompute)
 			fr.set(in, m.operand(fr, in.Ptr)+uint64(in.Offset))
 
 		case *ir.IndexAddr:
-			m.charge(arch.OpIntALU, CompCompute)
+			m.charge(arch.OpIntALU, 1, CompCompute)
 			base := m.operand(fr, in.Ptr)
 			idx := int64(m.operand(fr, in.Index))
 			fr.set(in, uint64(int64(base)+idx*int64(in.Stride)))
 
 		case *ir.Convert:
-			m.charge(arch.OpConvert, CompCompute)
+			m.charge(arch.OpConvert, 1, CompCompute)
 			fr.set(in, convert(in.Kind, in.Val.Type(), in.To, m.operand(fr, in.Val)))
 
 		case *ir.FuncAddr:
-			m.charge(arch.OpIntALU, CompCompute)
+			m.charge(arch.OpIntALU, 1, CompCompute)
 			fr.set(in, uint64(m.lay.funcAddr[in.Callee]))
 
 		case *ir.Call:
-			m.charge(arch.OpCall, CompCompute)
+			m.charge(arch.OpCall, 1, CompCompute)
 			args := make([]uint64, len(in.Args))
 			for i, a := range in.Args {
 				args[i] = m.operand(fr, a)
@@ -179,16 +199,11 @@ func (m *Machine) execBlock(fr *frame, blk *ir.Block) (next *ir.Block, ret uint6
 			fr.set(in, v)
 
 		case *ir.CallInd:
-			m.charge(arch.OpCallInd, CompCompute)
+			m.charge(arch.OpCallInd, 1, CompCompute)
 			if in.Mapped {
 				// Function pointer translation (Section 3.4); its cost is
 				// the Fig. 7 "fptr" component.
-				d := simtime.PS(m.Spec.Cost.Cycles(arch.OpFptrMap)*m.CostScale) * simtime.PS(m.Spec.CyclePS)
-				m.Clock += d
-				m.Comp[CompFptr] += d
-				if s := m.sampler; s != nil && m.Clock >= s.next {
-					s.take(m.Clock)
-				}
+				m.charge(arch.OpFptrMap, 1, CompFptr)
 			}
 			addr := uint32(m.operand(fr, in.Fn))
 			callee, rerr := m.ResolveFptr(addr, in.Mapped)
@@ -206,11 +221,11 @@ func (m *Machine) execBlock(fr *frame, blk *ir.Block) (next *ir.Block, ret uint6
 			fr.set(in, v)
 
 		case *ir.Br:
-			m.charge(arch.OpBranch, CompCompute)
+			m.charge(arch.OpBranch, 1, CompCompute)
 			return in.Dst, 0, false, nil
 
 		case *ir.CondBr:
-			m.charge(arch.OpBranch, CompCompute)
+			m.charge(arch.OpBranch, 1, CompCompute)
 			if m.operand(fr, in.Cond) != 0 {
 				return in.Then, 0, false, nil
 			}
@@ -266,16 +281,16 @@ func (m *Machine) evalBin(fr *frame, in *ir.Bin) (uint64, error) {
 		var r float64
 		switch in.Op {
 		case ir.Add:
-			m.charge(arch.OpFloatALU, CompCompute)
+			m.charge(arch.OpFloatALU, 1, CompCompute)
 			r = fx + fy
 		case ir.Sub:
-			m.charge(arch.OpFloatALU, CompCompute)
+			m.charge(arch.OpFloatALU, 1, CompCompute)
 			r = fx - fy
 		case ir.Mul:
-			m.charge(arch.OpFloatMul, CompCompute)
+			m.charge(arch.OpFloatMul, 1, CompCompute)
 			r = fx * fy
 		case ir.Div:
-			m.charge(arch.OpFloatDiv, CompCompute)
+			m.charge(arch.OpFloatDiv, 1, CompCompute)
 			r = fx / fy
 		default:
 			return 0, fmt.Errorf("interp: float op %s unsupported", in.Op)
@@ -285,40 +300,40 @@ func (m *Machine) evalBin(fr *frame, in *ir.Bin) (uint64, error) {
 	ix, iy := int64(x), int64(y)
 	switch in.Op {
 	case ir.Add:
-		m.charge(arch.OpIntALU, CompCompute)
+		m.charge(arch.OpIntALU, 1, CompCompute)
 		return uint64(ix + iy), nil
 	case ir.Sub:
-		m.charge(arch.OpIntALU, CompCompute)
+		m.charge(arch.OpIntALU, 1, CompCompute)
 		return uint64(ix - iy), nil
 	case ir.Mul:
-		m.charge(arch.OpIntMul, CompCompute)
+		m.charge(arch.OpIntMul, 1, CompCompute)
 		return uint64(ix * iy), nil
 	case ir.Div:
-		m.charge(arch.OpIntDiv, CompCompute)
+		m.charge(arch.OpIntDiv, 1, CompCompute)
 		if iy == 0 {
 			return 0, fmt.Errorf("interp(%s): integer division by zero in %s", m.Name, fr.fn.Nam)
 		}
 		return uint64(ix / iy), nil
 	case ir.Rem:
-		m.charge(arch.OpIntDiv, CompCompute)
+		m.charge(arch.OpIntDiv, 1, CompCompute)
 		if iy == 0 {
 			return 0, fmt.Errorf("interp(%s): integer remainder by zero in %s", m.Name, fr.fn.Nam)
 		}
 		return uint64(ix % iy), nil
 	case ir.And:
-		m.charge(arch.OpIntALU, CompCompute)
+		m.charge(arch.OpIntALU, 1, CompCompute)
 		return x & y, nil
 	case ir.Or:
-		m.charge(arch.OpIntALU, CompCompute)
+		m.charge(arch.OpIntALU, 1, CompCompute)
 		return x | y, nil
 	case ir.Xor:
-		m.charge(arch.OpIntALU, CompCompute)
+		m.charge(arch.OpIntALU, 1, CompCompute)
 		return x ^ y, nil
 	case ir.Shl:
-		m.charge(arch.OpIntALU, CompCompute)
+		m.charge(arch.OpIntALU, 1, CompCompute)
 		return x << (y & 63), nil
 	case ir.Shr:
-		m.charge(arch.OpIntALU, CompCompute)
+		m.charge(arch.OpIntALU, 1, CompCompute)
 		return uint64(ix >> (y & 63)), nil
 	}
 	return 0, fmt.Errorf("interp: unknown bin op %v", in.Op)
@@ -329,14 +344,14 @@ func (m *Machine) evalCmp(fr *frame, in *ir.Cmp) uint64 {
 	y := m.operand(fr, in.Y)
 	var lt, eq bool
 	if ir.IsFloat(in.X.Type()) {
-		m.charge(arch.OpFloatALU, CompCompute)
+		m.charge(arch.OpFloatALU, 1, CompCompute)
 		fx, fy := math.Float64frombits(x), math.Float64frombits(y)
 		lt, eq = fx < fy, fx == fy
 	} else if ir.IsPointer(in.X.Type()) {
-		m.charge(arch.OpIntALU, CompCompute)
+		m.charge(arch.OpIntALU, 1, CompCompute)
 		lt, eq = x < y, x == y
 	} else {
-		m.charge(arch.OpIntALU, CompCompute)
+		m.charge(arch.OpIntALU, 1, CompCompute)
 		lt, eq = int64(x) < int64(y), x == y
 	}
 	var r bool

@@ -8,8 +8,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/ir"
 	"repro/internal/mem"
-	"repro/internal/obs"
-	"repro/internal/simtime"
 )
 
 // callExtern dispatches a call to a body-less function.
@@ -22,18 +20,18 @@ func (m *Machine) callExtern(f *ir.Func, args []uint64) (uint64, error) {
 	}
 	switch f.Extern {
 	case ir.ExternMalloc:
-		m.charge(arch.OpCall, CompCompute)
+		m.charge(arch.OpCall, 1, CompCompute)
 		p, err := m.LocalHeap.Alloc(uint32(args[0]))
 		return uint64(p), err
 	case ir.ExternUMalloc:
-		m.charge(arch.OpCall, CompCompute)
+		m.charge(arch.OpCall, 1, CompCompute)
 		p, err := m.Heap.Alloc(uint32(args[0]))
 		return uint64(p), err
 	case ir.ExternFree:
-		m.charge(arch.OpCall, CompCompute)
+		m.charge(arch.OpCall, 1, CompCompute)
 		return 0, m.LocalHeap.Free(uint32(args[0]))
 	case ir.ExternUFree:
-		m.charge(arch.OpCall, CompCompute)
+		m.charge(arch.OpCall, 1, CompCompute)
 		return 0, m.Heap.Free(uint32(args[0]))
 
 	case ir.ExternPrintf:
@@ -41,7 +39,7 @@ func (m *Machine) callExtern(f *ir.Func, args []uint64) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		m.chargeN(arch.OpIOByte, int64(len(s)), CompCompute)
+		m.charge(arch.OpIOByte, int64(len(s)), CompCompute)
 		m.IO.Write(s)
 		return uint64(len(s)), nil
 
@@ -58,7 +56,7 @@ func (m *Machine) callExtern(f *ir.Func, args []uint64) (uint64, error) {
 		}
 		// Local execution of the offloading-enabled binary: the remote
 		// output function just runs locally.
-		m.chargeN(arch.OpIOByte, int64(len(s)), CompCompute)
+		m.charge(arch.OpIOByte, int64(len(s)), CompCompute)
 		m.IO.Write(s)
 		return uint64(len(s)), nil
 
@@ -70,7 +68,7 @@ func (m *Machine) callExtern(f *ir.Func, args []uint64) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		m.charge(arch.OpCall, CompCompute)
+		m.charge(arch.OpCall, 1, CompCompute)
 		if f.Extern == ir.ExternRemoteFileOpen && m.Sys != nil {
 			fd, err := m.Sys.RemoteOpen(m, name)
 			return uint64(fd), err
@@ -99,7 +97,7 @@ func (m *Machine) callExtern(f *ir.Func, args []uint64) (uint64, error) {
 		n = max(0, min(n, left))
 		// Bulk file input is DMA-like: charge per cache line, not per byte
 		// (printf-style I/O keeps the per-byte cost).
-		m.chargeN(arch.OpIOByte, int64(n/256+1), CompCompute)
+		m.charge(arch.OpIOByte, int64(n/256+1), CompCompute)
 		// The file's bytes are made in the guest's pages.
 		if err := m.Mem.Fill(buf, n, func(dst []byte) error {
 			_, err := m.IO.Read(fd, dst)
@@ -110,7 +108,7 @@ func (m *Machine) callExtern(f *ir.Func, args []uint64) (uint64, error) {
 		return uint64(n), nil
 
 	case ir.ExternFileClose, ir.ExternRemoteFileClose:
-		m.charge(arch.OpCall, CompCompute)
+		m.charge(arch.OpCall, 1, CompCompute)
 		fd := int32(args[0])
 		if f.Extern == ir.ExternRemoteFileClose && m.Sys != nil {
 			return 0, m.Sys.RemoteClose(m, fd)
@@ -123,8 +121,8 @@ func (m *Machine) callExtern(f *ir.Func, args []uint64) (uint64, error) {
 	case ir.ExternMemcpy:
 		// Bulk copies run at cacheline granularity, like real memcpy.
 		dst, src, n := uint32(args[0]), uint32(args[1]), int(int32(args[2]))
-		m.chargeN(arch.OpLoad, int64(n)/64+1, CompCompute)
-		m.chargeN(arch.OpStore, int64(n)/64+1, CompCompute)
+		m.charge(arch.OpLoad, int64(n)/64+1, CompCompute)
+		m.charge(arch.OpStore, int64(n)/64+1, CompCompute)
 		data, err := m.Mem.ReadBytes(src, n)
 		if err != nil {
 			return 0, err
@@ -133,12 +131,12 @@ func (m *Machine) callExtern(f *ir.Func, args []uint64) (uint64, error) {
 
 	case ir.ExternMemset:
 		dst, c, n := uint32(args[0]), byte(args[1]), int(int32(args[2]))
-		m.chargeN(arch.OpStore, int64(n)/64+1, CompCompute)
+		m.charge(arch.OpStore, int64(n)/64+1, CompCompute)
 		return uint64(dst), m.memset(dst, c, n)
 
 	case ir.ExternAsm, ir.ExternSyscall, ir.ExternUnknown:
 		// Machine-specific work: legal on the machine it was written for.
-		m.chargeN(arch.OpIntALU, 50, CompCompute)
+		m.charge(arch.OpIntALU, 50, CompCompute)
 		return 0, nil
 
 	case ir.ExternGate:
@@ -160,14 +158,7 @@ func (m *Machine) callExtern(f *ir.Func, args []uint64) (uint64, error) {
 		if m.Sys == nil {
 			return 0, nil // shut down immediately
 		}
-		id := m.Sys.Accept(m)
-		if id > 0 {
-			// The offloaded task begins executing here (the clock was
-			// synchronized to the request arrival by Accept).
-			m.Tracer.Emit(obs.Event{Time: m.Clock, Kind: obs.KTaskEnter,
-				Track: m.TraceTrack, A0: int64(id)})
-		}
-		return uint64(id), nil
+		return uint64(m.Sys.Accept(m)), nil
 
 	case ir.ExternArg:
 		if m.Sys == nil {
@@ -179,20 +170,12 @@ func (m *Machine) callExtern(f *ir.Func, args []uint64) (uint64, error) {
 		if m.Sys == nil {
 			return 0, fmt.Errorf("interp(%s): no.sendreturn without a runtime", m.Name)
 		}
-		// Task execution proper ends where finalization begins.
-		m.Tracer.Emit(obs.Event{Time: m.Clock, Kind: obs.KTaskExit,
-			Track: m.TraceTrack})
 		return 0, m.Sys.SendReturn(m, args[0])
 
 	case ir.ExternFptrToM:
 		// Explicit function-pointer map call; the usual path is a Mapped
 		// CallInd, but the extern exists for hand-written tests.
-		d := simtime.PS(m.Spec.Cost.Cycles(arch.OpFptrMap)*m.CostScale) * simtime.PS(m.Spec.CyclePS)
-		m.Clock += d
-		m.Comp[CompFptr] += d
-		if s := m.sampler; s != nil && m.Clock >= s.next {
-			s.take(m.Clock)
-		}
+		m.charge(arch.OpFptrMap, 1, CompFptr)
 		return args[0], nil
 	}
 	return 0, fmt.Errorf("interp(%s): call to unimplemented extern %s", m.Name, f.Nam)
@@ -321,7 +304,7 @@ func (m *Machine) runScanf(args []uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	m.chargeN(arch.OpIOByte, int64(len(format))+8, CompCompute)
+	m.charge(arch.OpIOByte, int64(len(format))+8, CompCompute)
 	argi := 1
 	stored := uint64(0)
 	for i := 0; i < len(format); i++ {

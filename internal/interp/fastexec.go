@@ -80,8 +80,12 @@ func (m *Machine) callCompiled(cf *cfunc, args []carg, caller []uint64) (uint64,
 // run pays one nil compare per hook at entry and one at exit, and nothing
 // anywhere else.
 func (m *Machine) runCompiled(cf *cfunc, regs []uint64) (uint64, error) {
+	if m.depth >= maxCallDepth {
+		return 0, stackOverflow(m.Name, cf.fn)
+	}
+	m.depth++
 	spSave := m.sp
-	defer func() { m.sp = spSave }()
+	defer func() { m.sp = spSave; m.depth-- }()
 	if l := m.Listener; l != nil {
 		l.EnterFunc(m, cf.fn)
 	}
@@ -331,7 +335,7 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 			regs[in.c] = loadedF32(raw)
 		case cLoadSlow:
 			ld := cf.refs[in.aux].(*ir.Load)
-			bits, err := m.loadScalarNoCharge(uint32(rv(regs, in.a, in.imm)), ld.Elem, ld.Lay)
+			bits, err := m.loadScalar(uint32(rv(regs, in.a, in.imm)), ld.Elem, ld.Lay)
 			if err != nil {
 				return 0, err
 			}
@@ -349,7 +353,7 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 			}
 		case cStoreSlow:
 			st := cf.refs[in.aux].(*ir.Store)
-			if err := m.storeScalarNoCharge(uint32(rv(regs, in.a, in.imm)), st.Val.Type(), st.Lay, rv(regs, in.b, in.imm2)); err != nil {
+			if err := m.storeScalar(uint32(rv(regs, in.a, in.imm)), st.Val.Type(), st.Lay, rv(regs, in.b, in.imm2)); err != nil {
 				return 0, err
 			}
 
@@ -373,12 +377,7 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 			if in.b != 0 {
 				// Function pointer translation (Section 3.4); its cost is
 				// the Fig. 7 "fptr" component.
-				d := simtime.PS(m.Spec.Cost.Cycles(arch.OpFptrMap)*m.CostScale) * simtime.PS(m.Spec.CyclePS)
-				m.Clock += d
-				m.Comp[CompFptr] += d
-				if s := m.sampler; s != nil && m.Clock >= s.next {
-					s.take(m.Clock)
-				}
+				m.charge(arch.OpFptrMap, 1, CompFptr)
 			}
 			addr := uint32(rv(regs, in.a, in.imm))
 			callee, rerr := m.ResolveFptr(addr, in.b != 0)

@@ -36,6 +36,7 @@ type SysHost interface {
 	// Offload runs the task remotely and returns its result bits.
 	Offload(m *Machine, taskID int32, args []uint64) (uint64, error)
 	// Accept blocks until an offload request arrives; 0 means shut down.
+	// The task executes from its return to the SendReturn call.
 	Accept(m *Machine) int32
 	// Arg fetches argument i of the current request.
 	Arg(m *Machine, i int32) uint64

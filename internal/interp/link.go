@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -120,11 +119,7 @@ func writeScalarRaw(mm *mem.Memory, std *arch.Spec, addr uint32, elem ir.Type, b
 	if size == 0 {
 		return fmt.Errorf("interp: global init of unsupported type %s", elem)
 	}
-	raw := bits
-	if ft, ok := elem.(*ir.FloatType); ok && ft.Bits == 32 {
-		raw = uint64(math.Float32bits(float32(math.Float64frombits(bits))))
-	}
-	return mm.WriteBytes(addr, disassemble(raw, size, std.Endian))
+	return mm.WriteBytes(addr, scalarBytes(elem, bits, size, std.Endian))
 }
 
 // constBits evaluates a loader-time constant to its register representation.

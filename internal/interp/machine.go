@@ -14,7 +14,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/ir"
 	"repro/internal/mem"
-	"repro/internal/obs"
 	"repro/internal/simtime"
 )
 
@@ -80,12 +79,6 @@ type Machine struct {
 	// (see Instrumented); the reference engine reports them from any.
 	Listener Listener
 
-	// Tracer, when set, receives task enter/exit events on TraceTrack;
-	// the offload runtime installs it on both machines. Nil-safe: a
-	// machine without a tracer pays nothing.
-	Tracer     *obs.Tracer
-	TraceTrack obs.Track
-
 	// ResolveFptr maps a stored function-pointer value to a callable
 	// function. The default resolves the machine's own addresses; the
 	// offload runtime installs a translating resolver on the server
@@ -126,6 +119,8 @@ type Machine struct {
 
 	sp      uint32
 	spFloor uint32
+	// depth counts the guest activations on the Go stack (maxCallDepth).
+	depth int32
 }
 
 // acquireFrame returns a cleared register frame for cf, recycling through
@@ -167,29 +162,16 @@ func (m *Machine) FuncAt(addr uint32) (*ir.Func, bool) {
 
 func alignUp32(n, a uint32) uint32 { return (n + a - 1) / a * a }
 
-// charge advances the clock by the cost of op, amplified by CostScale, and
-// attributes it to comp.
-func (m *Machine) charge(op arch.Op, comp Component) {
-	d := simtime.PS(m.Spec.Cost.Cycles(op)*m.CostScale) * simtime.PS(m.Spec.CyclePS)
-	m.Clock += d
-	m.Comp[comp] += d
-	if s := m.sampler; s != nil && m.Clock >= s.next {
-		s.take(m.Clock)
-	}
-}
-
-// chargeN charges n occurrences of op.
-func (m *Machine) chargeN(op arch.Op, n int64, comp Component) {
-	d := simtime.PS(m.Spec.Cost.Cycles(op)*m.CostScale*n) * simtime.PS(m.Spec.CyclePS)
-	m.Clock += d
-	m.Comp[comp] += d
-	if s := m.sampler; s != nil && m.Clock >= s.next {
-		s.take(m.Clock)
-	}
+// charge advances the clock by n occurrences of op, amplified by
+// CostScale, and attributes the time to comp.
+func (m *Machine) charge(op arch.Op, n int64, comp Component) {
+	m.AddTime(simtime.PS(m.Spec.Cost.Cycles(op)*m.CostScale*n)*simtime.PS(m.Spec.CyclePS), comp)
 }
 
 // AddTime advances the clock by an externally computed duration (network
-// waits, remote service time) attributed to comp without scaling.
+// waits, remote service time) attributed to comp without scaling. Every
+// charge comes through here but the fast engine's deferred compute (settle);
+// only the server's idle wait for a request sets the clock directly.
 func (m *Machine) AddTime(d simtime.PS, comp Component) {
 	m.Clock += d
 	m.Comp[comp] += d

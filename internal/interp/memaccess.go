@@ -10,28 +10,24 @@ import (
 	"repro/internal/mem"
 )
 
-// loadScalar reads one scalar at addr following the access layout resolved
-// by ir.Lower. Bytes in memory are always in the standard (mobile) order;
-// when the executing machine's byte order differs, the compiler inserted
-// translation code, which we account for via the Swap flag. Widen marks the
-// address-size conversion for pointer values stored at the unified (mobile)
-// width.
-func (m *Machine) loadScalar(addr uint32, elem ir.Type, lay ir.MemLayout) (uint64, error) {
-	if lay.Size == 0 {
-		return 0, fmt.Errorf("interp(%s): unlowered memory access (run ir.Lower)", m.Name)
-	}
+// chargeLayout charges the translation code the compiler inserted around
+// one access (Section 3.2): the byte swap when the executing machine's byte
+// order differs from the standard (mobile) order in which memory always
+// holds bytes, and the address-size conversion of a pointer stored at the
+// unified (mobile) width. The reference engine charges it per access; the
+// fast engine folds it into its segments at compile time.
+func (m *Machine) chargeLayout(lay ir.MemLayout) {
 	if lay.Swap {
-		m.charge(arch.OpEndianSwap, CompCompute)
+		m.charge(arch.OpEndianSwap, 1, CompCompute)
 	}
 	if lay.Widen {
-		m.charge(arch.OpPtrConvert, CompCompute)
+		m.charge(arch.OpPtrConvert, 1, CompCompute)
 	}
-	return m.loadScalarNoCharge(addr, elem, lay)
 }
 
-// loadScalarNoCharge is loadScalar without the layout charges; the fast
-// engine folds those into the segment aggregate at compile time.
-func (m *Machine) loadScalarNoCharge(addr uint32, elem ir.Type, lay ir.MemLayout) (uint64, error) {
+// loadScalar reads one scalar at addr following the access layout resolved
+// by ir.Lower. It charges nothing (chargeLayout).
+func (m *Machine) loadScalar(addr uint32, elem ir.Type, lay ir.MemLayout) (uint64, error) {
 	if lay.Size == 0 {
 		return 0, fmt.Errorf("interp(%s): unlowered memory access (run ir.Lower)", m.Name)
 	}
@@ -54,31 +50,13 @@ func (m *Machine) loadScalarNoCharge(addr uint32, elem ir.Type, lay ir.MemLayout
 	return 0, fmt.Errorf("interp(%s): load of unsupported type %s", m.Name, elem)
 }
 
-// storeScalar writes one scalar at addr following the access layout.
+// storeScalar writes one scalar at addr following the access layout. It
+// charges nothing (chargeLayout).
 func (m *Machine) storeScalar(addr uint32, elem ir.Type, lay ir.MemLayout, bits uint64) error {
 	if lay.Size == 0 {
 		return fmt.Errorf("interp(%s): unlowered memory access (run ir.Lower)", m.Name)
 	}
-	if lay.Swap {
-		m.charge(arch.OpEndianSwap, CompCompute)
-	}
-	if lay.Widen {
-		m.charge(arch.OpPtrConvert, CompCompute)
-	}
-	return m.storeScalarNoCharge(addr, elem, lay, bits)
-}
-
-// storeScalarNoCharge is storeScalar without the layout charges (see
-// loadScalarNoCharge).
-func (m *Machine) storeScalarNoCharge(addr uint32, elem ir.Type, lay ir.MemLayout, bits uint64) error {
-	if lay.Size == 0 {
-		return fmt.Errorf("interp(%s): unlowered memory access (run ir.Lower)", m.Name)
-	}
-	raw := bits
-	if ft, ok := elem.(*ir.FloatType); ok && ft.Bits == 32 {
-		raw = uint64(math.Float32bits(float32(math.Float64frombits(bits))))
-	}
-	return m.Mem.WriteBytes(addr, disassemble(raw, lay.Size, m.Std.Endian))
+	return m.Mem.WriteBytes(addr, scalarBytes(elem, bits, lay.Size, m.Std.Endian))
 }
 
 // writeScalar is the standard-layout store without access-layout metadata
@@ -86,6 +64,17 @@ func (m *Machine) storeScalarNoCharge(addr uint32, elem ir.Type, lay ir.MemLayou
 func (m *Machine) writeScalar(addr uint32, elem ir.Type, bits uint64) error {
 	lay := ir.MemLayout{Size: m.Std.Size(ir.ClassOf(elem)), Class: ir.ClassOf(elem)}
 	return m.storeScalar(addr, elem, lay, bits)
+}
+
+// scalarBytes is the memory form of a register value: size bytes in order,
+// an f32 narrowed from the f64 its register holds first. Every scalar store
+// encodes through it except the fast engine's little-endian stores
+// (writeMem).
+func scalarBytes(elem ir.Type, bits uint64, size int, order arch.Endianness) []byte {
+	if ft, ok := elem.(*ir.FloatType); ok && ft.Bits == 32 {
+		bits = f32Bits(bits)
+	}
+	return disassemble(bits, size, order)
 }
 
 func assemble(b []byte, order arch.Endianness) uint64 {

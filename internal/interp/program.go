@@ -103,9 +103,6 @@ func compileProgram(mod *ir.Module, cfg CompileConfig) (*Program, error) {
 	return &Program{cfg: cfg, mod: mod, lay: lay, cc: cc, image: img}, nil
 }
 
-// Module returns the module this program was compiled from.
-func (p *Program) Module() *ir.Module { return p.mod }
-
 // Name returns the machine name baked into the program.
 func (p *Program) Name() string { return p.cfg.Name }
 

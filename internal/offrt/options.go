@@ -115,13 +115,11 @@ func NewSession(mobile, server *interp.Machine, link *netsim.Link, opts ...Optio
 		RTT:          2 * (link.Latency + link.PerMessage),
 	}
 
-	// Thread the tracer through every layer: wire accounting, the radio
-	// power timeline, and the interpreter's task enter/exit events.
+	// Thread the tracer through wire accounting and the radio power
+	// timeline; the session emits the task enter/exit events itself.
 	s.LinkStats.Tracer = cfg.tracer
 	s.LinkStats.Injector = cfg.injector
 	s.Recorder.Tracer = cfg.tracer
-	mobile.Tracer, mobile.TraceTrack = cfg.tracer, obs.TrackMobile
-	server.Tracer, server.TraceTrack = cfg.tracer, obs.TrackServer
 
 	idx, bw := link.PhaseAt(0)
 	s.lastPhase = idx

@@ -46,6 +46,9 @@ func (s *Session) Accept(m *interp.Machine) int32 {
 	s.ep.lastBeat = s.ep.m.Clock
 	s.ep.ewmaGap, s.ep.strikes = 0, 0
 	s.heartbeat("accept")
+	// The offloaded task begins executing here.
+	s.Tracer.Emit(obs.Event{Time: m.Clock, Kind: obs.KTaskEnter, Track: obs.TrackServer,
+		A0: int64(req.taskID)})
 	return req.taskID
 }
 
@@ -104,6 +107,8 @@ func (s *Session) abortTask(op string) {
 // mobile device, so a corrupted or partial finalization never taints
 // unified memory (commit-at-return).
 func (s *Session) SendReturn(m *interp.Machine, v uint64) error {
+	// Task execution proper ends where finalization begins.
+	s.Tracer.Emit(obs.Event{Time: m.Clock, Kind: obs.KTaskExit, Track: obs.TrackServer})
 	s.heartbeat("return")
 	if s.ep.aborted {
 		return s.finishAborted()

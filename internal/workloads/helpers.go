@@ -64,15 +64,6 @@ func scanRounds(b *ir.Builder) ir.Value {
 	return b.Load(r)
 }
 
-// touchPages emits a strided write over buf (an *i64 view) so that the
-// whole working set is resident and dirtied without iterating every
-// element: one write per stride elements.
-func touchPages(b *ir.Builder, buf ir.Value, elems, stride int64, v ir.Value) {
-	b.For("touch", ir.Int(0), ir.Int(elems/stride), ir.Int(1), func(i ir.Value) {
-		b.Store(b.Index(buf, b.Mul(i, ir.Int(stride))), v)
-	})
-}
-
 // dispatchEvery models realistic function-pointer usage: the table is
 // consulted when (i & mask) == 0 and a common-case inline path runs
 // otherwise. Table 4's fptr-heavy programs (gobmk, sjeng, h264ref) use

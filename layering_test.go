@@ -1,0 +1,59 @@
+package repro_test
+
+import (
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// guestLayer is the simulated machine: architecture specs, simulated time,
+// paged memory, the IR and the interpreter. Everything above it — the
+// offload runtime, the tracer, the fleet — drives a Machine through its
+// exported API and the SysHost/IOHost interfaces it declares, so the guest
+// layer never names a package above it. "ir" covers its subpackages.
+var guestLayer = []string{"arch", "simtime", "freelist", "mem", "ir", "interp"}
+
+func inGuestLayer(pkg string) bool {
+	return slices.Contains(guestLayer, strings.SplitN(pkg, "/", 2)[0])
+}
+
+// TestGuestLayerImportsOnlyItself fails on a non-test file of a guest-layer
+// package that imports an internal/ package outside the guest layer, with
+// the file and the import. A runtime concern that wants a hook in the
+// interpreter (a trace event, a counter) belongs at the SysHost call that
+// reaches it, on the runtime's side.
+func TestGuestLayerImportsOnlyItself(t *testing.T) {
+	const prefix = "repro/internal/"
+	fset := token.NewFileSet()
+	checked := 0
+	for _, root := range guestLayer {
+		err := filepath.WalkDir(filepath.Join("internal", root), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			checked++
+			for _, imp := range f.Imports {
+				p, _ := strconv.Unquote(imp.Path.Value)
+				if strings.HasPrefix(p, prefix) && !inGuestLayer(strings.TrimPrefix(p, prefix)) {
+					t.Errorf("%s imports %s, above the guest layer", path, p)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no guest-layer source files found; run from the module root")
+	}
+}
