@@ -248,6 +248,10 @@ func run(args []string, stdout io.Writer) error {
 		if o.serverFaults, err = faults.ParseServer(*serverFaultSpec); err != nil {
 			return fmt.Errorf("-server-faults: %w", err)
 		}
+		// Refuse a host the session will not have before any guest runs.
+		if err = o.serverFaults.ValidatePool(offrt.Hosts(o.migrate)); err != nil {
+			return fmt.Errorf("-server-faults: %w", err)
+		}
 	}
 	switch {
 	case *irFile != "":

@@ -77,7 +77,8 @@ func TestFlagValuesAreValidated(t *testing.T) {
 // TestServerFaultsNameAHostThatExists: a session has host 0, and host 1
 // with -migrate's spare. A -server-faults event on any other host exits 1
 // naming it, where it used to run as if fault-free because nothing
-// consulted the event.
+// consulted the event. The refusal comes with the other flag checks,
+// before any guest is profiled, compiled or run, so nothing is printed.
 func TestServerFaultsNameAHostThatExists(t *testing.T) {
 	matmul := []string{"-ir", "../../examples/irprogram/matmul.ir", "-stdin", "200,200", "-cost", "2000"}
 	for _, tc := range []struct {
@@ -96,6 +97,8 @@ func TestServerFaultsNameAHostThatExists(t *testing.T) {
 			t.Errorf("%v: %v", tc.args, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%v: error %v, want one containing %q", tc.args, err, tc.want)
+		case tc.want != "" && out.Len() != 0:
+			t.Errorf("%v: printed %q before refusing", tc.args, out.String())
 		}
 	}
 }

@@ -87,8 +87,10 @@ type Spec struct {
 	size [numClasses]int
 
 	// CyclePS is the duration of one cost-model cycle in picoseconds.
-	// The mobile/server ratio of CyclePS values is the paper's performance
-	// ratio R (about 5.4-5.9x in Table 1).
+	// It is one factor of a pair's speed gap, not the gap itself: ARM32's
+	// 1700 over x86-64's 400 is 4.25, and the cost tables supply the rest.
+	// The paper's performance ratio R (5.36-5.89x in Table 1) is
+	// PerformanceRatio, which weighs both.
 	CyclePS int64
 
 	// Cost is the per-operation cycle cost table.

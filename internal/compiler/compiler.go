@@ -41,15 +41,9 @@ type Options struct {
 const minGain = 50 * simtime.Millisecond
 
 // Default returns the evaluation configuration: ARM32 mobile, x86-64
-// server, remote I/O on, estimator with the observed performance ratio.
-func Default(bandwidthBps int64) Options {
-	mob, srv := arch.ARM32(), arch.X8664()
-	return Options{
-		Mobile:   mob,
-		Server:   srv,
-		Est:      estimate.Params{R: arch.PerformanceRatio(mob, srv), BandwidthBps: bandwidthBps},
-		RemoteIO: true,
-	}
+// server, remote I/O on, Equation 1 priced with est (the caller's R).
+func Default(est estimate.Params) Options {
+	return Options{Mobile: arch.ARM32(), Server: arch.X8664(), Est: est, RemoteIO: true}
 }
 
 // TargetInfo describes one selected offload task: the Task the runtime's
@@ -80,6 +74,8 @@ type Candidate struct {
 type Result struct {
 	Mobile *ir.Module
 	Server *ir.Module
+	// Est is the Equation 1 environment the targets were selected under.
+	Est estimate.Params
 
 	Targets    []TargetInfo
 	Candidates []Candidate
@@ -108,7 +104,7 @@ func Compile(m *ir.Module, prof *profile.Report, opt Options) (*Result, error) {
 	work := m.Clone("unified:" + m.Name)
 	transform.Run(work) // standard cleanup before analysis
 
-	res := &Result{}
+	res := &Result{Est: opt.Est}
 
 	// ---- Target selection (Section 3.1) ----
 	cg := analysis.BuildCallGraph(work)

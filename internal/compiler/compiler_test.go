@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/estimate"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/ir/analysis"
@@ -37,10 +38,16 @@ func profileModule(t *testing.T, mod *ir.Module, opts ...interp.InstanceOption) 
 	return prof
 }
 
+// evalOptions is Default priced as core.Framework prices ARM32 -> x86-64
+// on a 650 Mbps link (without the round-trip term).
+func evalOptions() Options {
+	return Default(estimate.Params{R: arch.PerformanceRatio(arch.ARM32(), arch.X8664()), BandwidthBps: 650_000_000})
+}
+
 func compileChess(t *testing.T) (*ir.Module, *Result) {
 	t.Helper()
 	mod, prof := chessProfileAndModule(t)
-	res, err := Compile(mod, prof, Default(650_000_000))
+	res, err := Compile(mod, prof, evalOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +169,7 @@ func TestCompileRejectsUnprofitable(t *testing.T) {
 	b.Finish()
 
 	prof := profileModule(t, mod)
-	if _, err := Compile(mod, prof, Default(650_000_000)); err == nil {
+	if _, err := Compile(mod, prof, evalOptions()); err == nil {
 		t.Error("expected 'no profitable target' error")
 	}
 }
@@ -199,7 +206,7 @@ func TestLoopTargetOutlined(t *testing.T) {
 	b.Finish()
 
 	prof := profileModule(t, mod, interp.WithCostScale(4000))
-	opt := Default(650_000_000)
+	opt := evalOptions()
 	res, err := Compile(mod, prof, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +229,7 @@ func TestPartitionedBinariesRoundTripThroughParser(t *testing.T) {
 	// print -> parse cycle: this is what lets offloadc dumps be inspected
 	// and re-executed.
 	_, res := compileChess(t)
-	opt := Default(650_000_000)
+	opt := evalOptions()
 	specs := map[*ir.Module]*arch.Spec{res.Mobile: opt.Mobile, res.Server: opt.Server}
 	for _, m := range []*ir.Module{res.Mobile, res.Server} {
 		text := m.String()

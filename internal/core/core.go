@@ -21,7 +21,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/compiler"
 	"repro/internal/energy"
-	"repro/internal/estimate"
 	"repro/internal/faults"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -130,14 +129,6 @@ func (fw *Framework) WithScale(scale int, costScale int64) *Framework {
 	return fw
 }
 
-func (fw *Framework) estParams() estimate.Params {
-	return estimate.Params{
-		R:            arch.PerformanceRatio(fw.Mobile, fw.Server),
-		BandwidthBps: fw.Link.BandwidthBps,
-		RTT:          2 * (fw.Link.Latency + fw.Link.PerMessage),
-	}
-}
-
 // Profile runs mod on the mobile machine with the profiling input and
 // returns the hot function/loop report (Section 3.1). The program is compiled
 // with the profiler's hooks woven in, so the run stays on fw.Engine.
@@ -158,14 +149,12 @@ func (fw *Framework) Profile(mod *ir.Module, io *interp.StdIO) (*profile.Report,
 }
 
 // Compile partitions mod into the offloading-enabled binary pair using the
-// profiling report.
+// profiling report, pricing Equation 1 as the session's gate will.
 func (fw *Framework) Compile(mod *ir.Module, prof *profile.Report) (*compiler.Result, error) {
-	opt := compiler.Default(fw.Link.BandwidthBps)
-	opt.Mobile = fw.Mobile
-	opt.Server = fw.Server
-	opt.Est = fw.estParams()
-	opt.RemoteIO = fw.RemoteIO
-	return compiler.Compile(mod, prof, opt)
+	return compiler.Compile(mod, prof, compiler.Options{
+		Mobile: fw.Mobile, Server: fw.Server, RemoteIO: fw.RemoteIO,
+		Est: offrt.EstimateParams(fw.Mobile, fw.Server, fw.Link),
+	})
 }
 
 // Prepare is Profile followed by Compile: the binary pair for mod, with

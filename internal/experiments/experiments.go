@@ -9,9 +9,9 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/arch"
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/estimate"
 	"repro/internal/interp"
 	"repro/internal/offrt"
 	"repro/internal/report"
@@ -154,9 +154,10 @@ func Table3() (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	params := compiler.Default(80_000_000)
-	params.Est.R = 5
-	res, err := compiler.Compile(mod, prof, params)
+	// The paper's worked example assumes R=5 rather than the pair's
+	// measured ratio (arch.PerformanceRatio), and no round-trip term:
+	// paper data, so the table reproduces the paper's arithmetic.
+	res, err := compiler.Compile(mod, prof, compiler.Default(estimate.Params{R: 5, BandwidthBps: 80_000_000}))
 	if err != nil {
 		return nil, err
 	}
@@ -222,14 +223,14 @@ func Table4() (*report.Table, error) {
 }
 
 // Coverage returns the fraction of local execution time covered by the
-// offloaded tasks: the server compute time scaled back to mobile speed over
-// the local run time (Table 4 "Cover.").
+// offloaded tasks: the server compute time scaled back to mobile speed, by
+// the R the targets were selected with, over the local run time (Table 4
+// "Cover.").
 func (p *ProgramResult) Coverage() float64 {
 	if p.Local.Time == 0 {
 		return 0
 	}
-	r := arch.PerformanceRatio(arch.ARM32(), arch.X8664())
-	taskLocal := float64(p.Fast.ServerCompute) * r
+	taskLocal := float64(p.Fast.ServerCompute) * p.Compile.Est.R
 	cov := taskLocal / float64(p.Local.Time)
 	if cov > 1 {
 		cov = 1

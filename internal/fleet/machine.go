@@ -372,7 +372,7 @@ func newMachine(cfg *Config, profiles []*netsim.Link, res *Result, rm *runMem) *
 	if cfg.Tiers != nil {
 		m.topo = cfg.Tiers
 		m.wan = m.topo.WAN()
-		m.wanRTT = 2 * (m.wan.Latency + m.wan.PerMessage)
+		m.wanRTT = m.wan.RTT()
 		mode := m.topo.EffectiveMode()
 		m.crossTier = cfg.Migrate && mode == tiers.ThreeWay
 		nEdge, _ := m.topo.Indices(tiers.Cloud)

@@ -108,7 +108,7 @@ func issueReady(cfg *Config, cs *clientState, profiles []*netsim.Link, ci int32,
 		up:   leg,
 		down: leg,
 		bw:   link.BandwidthBps,
-		rtt:  2 * (link.Latency + link.PerMessage),
+		rtt:  link.RTT(),
 		job:  int64(ci)*int64(cfg.RequestsPerClient) + ord,
 	}, true
 }

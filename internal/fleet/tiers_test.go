@@ -75,7 +75,7 @@ func TestCloudPricingMatchesPerLegCharges(t *testing.T) {
 	for _, mem := range []int64{64 << 10, 1 << 20, 16 << 20} {
 		p := estimate.Params{
 			BandwidthBps: tiers.CombineBps(access.BandwidthBps, m.wan.BandwidthBps),
-			RTT:          2*(access.Latency+access.PerMessage) + m.wanRTT,
+			RTT:          access.RTT() + m.wanRTT,
 		}
 		got := p.CommTime(mem, 1)
 		want := 2*access.TransferTime(mem) + 2*m.wan.TransferTime(mem)

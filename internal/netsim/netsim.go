@@ -217,6 +217,9 @@ func (l *Link) Scaled(factor int) *Link {
 	return &c
 }
 
+// RTT is one request/reply exchange's fixed cost: latency and framing each way.
+func (l *Link) RTT() simtime.PS { return 2 * (l.Latency + l.PerMessage) }
+
 // TransferTime returns the simulated duration of sending size bytes as one
 // message.
 func (l *Link) TransferTime(size int64) simtime.PS {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/compiler"
+	"repro/internal/estimate"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/mem"
@@ -51,7 +52,8 @@ func partition(t testing.TB, w *workloads.Workload, bandwidthBps int64) *pair {
 		t.Fatal(err)
 	}
 	p := &pair{w: w}
-	if p.cres, err = compiler.Compile(mod, prof, compiler.Default(bandwidthBps)); err != nil {
+	if p.cres, err = compiler.Compile(mod, prof, compiler.Default(estimate.Params{
+		R: arch.PerformanceRatio(arch.ARM32(), arch.X8664()), BandwidthBps: bandwidthBps})); err != nil {
 		t.Fatal(err)
 	}
 	for _, tg := range p.cres.Targets {

@@ -139,12 +139,7 @@ func (s *Session) decideMigration(reason string, canFinish bool) {
 	msg := &Message{Kind: MsgCheckpoint, TaskID: s.ep.cur.taskID, SP: st.SP, Data: payload}
 	wire := msg.Encode()
 
-	bh := estimate.Params{
-		R:            s.est.R,
-		BandwidthBps: s.backhaul.BandwidthBps,
-		RTT:          2 * (s.backhaul.Latency + s.backhaul.PerMessage),
-	}
-	cost := bh.MigrationCost(int64(len(wire)))
+	cost := EstimateParams(s.Mobile.Spec, s.ep.m.Spec, s.backhaul).MigrationCost(int64(len(wire)))
 	spec := s.tasks[s.ep.cur.taskID]
 	// Remaining work in mobile time: the profile's prediction minus what
 	// the server has already burned through (scaled back up by R).

@@ -183,36 +183,61 @@ func TestCrashFallbackWithoutSpare(t *testing.T) {
 // past the EWMA deadline; after healthStrikes consecutive overruns the
 // session migrates away from the degraded host, and the run stays
 // bit-identical.
+//
+// The rows are placed by arithmetic, not by trial. chatty's profile
+// predicts Tm = 13.17 s of mobile time for crunch, so at R = 5.75 its
+// server budget is Tm/R = 2.29 s of compute (the clean offload's dur). Each
+// of its 40 rounds is one heartbeat gap of about 57 ms of server compute,
+// and every gap after the first overruns, so the monitor decides every
+// healthStrikes = 3 rounds (about 170 ms). Until a slowdown starts those
+// decisions finish in place. The first decision after a slowdown of factor
+// f starts at s*dur has burned at most s*2.29 s + f*170 ms of compute. It
+// migrates only while that is under the budget: past it the remaining work
+// (Tm - R*compute) is zero and falling back locally is as cheap. So each
+// row keeps s*2.29 + f*0.17 at or under 2.0 s, whatever the phase between
+// its start and the monitor's three-round cycle. Factor 20 at dur/4
+// (0.57 + 3.4 s) does not: it migrates or falls back on that phase.
 func TestHealthDetectsSlowdown(t *testing.T) {
 	wantOut, wantDig, start, dur := cleanRun(t)
 
-	tr := obs.NewTracer(0)
-	plan := &faults.ServerPlan{Events: []faults.ServerEvent{
-		{Kind: faults.Slowdown, Server: 0, Start: start + dur/4, End: start + 100*dur, Factor: 20},
-	}}
-	env := setupFor(t, chatty, netsim.Fast80211AC(), Policy{ForceOffload: true},
-		WithTracer(tr), WithServerFaults(plan), WithMigration())
-	if code, err := env.sess.RunMobile(); err != nil || code != 0 {
-		t.Fatalf("slowdown run: code %d, err %v", code, err)
-	}
-	var overruns int
-	for _, ev := range tr.Events() {
-		if ev.Kind == obs.KHealth {
-			overruns++
+	for _, tc := range []struct {
+		start  simtime.PS // after the offload begins
+		factor float64
+	}{
+		{dur / 8, 10}, // 0.29 + 1.70 = 1.99 s
+		{dur / 4, 3},  // 0.57 + 0.51 = 1.08 s
+		{dur / 4, 8},  // 0.57 + 1.36 = 1.93 s
+		{dur / 2, 5},  // 1.14 + 0.85 = 1.99 s
+	} {
+		tr := obs.NewTracer(0)
+		plan := &faults.ServerPlan{Events: []faults.ServerEvent{
+			{Kind: faults.Slowdown, Server: 0, Start: start + tc.start, End: start + 100*dur, Factor: tc.factor},
+		}}
+		env := setupFor(t, chatty, netsim.Fast80211AC(), Policy{ForceOffload: true},
+			WithTracer(tr), WithServerFaults(plan), WithMigration())
+		if code, err := env.sess.RunMobile(); err != nil || code != 0 {
+			t.Fatalf("%v x%g: slowdown run: code %d, err %v", tc.start, tc.factor, code, err)
 		}
-	}
-	if overruns == 0 {
-		t.Error("no health overruns traced under a 20x slowdown")
-	}
-	st := env.sess.Stats
-	if st.Migrations != 1 {
-		t.Fatalf("Migrations = %d, want 1 (overruns %d, Fallbacks %d)", st.Migrations, overruns, st.Fallbacks)
-	}
-	if got := env.io.Out.String(); got != wantOut {
-		t.Errorf("slowdown output differs:\n got %q\nwant %q", got, wantOut)
-	}
-	if got := env.sess.MemDigest(); got != wantDig {
-		t.Errorf("slowdown digest = %#x, want %#x", got, wantDig)
+		var overruns int
+		for _, ev := range tr.Events() {
+			if ev.Kind == obs.KHealth {
+				overruns++
+			}
+		}
+		if overruns == 0 {
+			t.Errorf("%v x%g: no health overruns traced", tc.start, tc.factor)
+		}
+		st := env.sess.Stats
+		if st.Migrations != 1 {
+			t.Errorf("%v x%g: Migrations = %d, want 1 (overruns %d, Fallbacks %d)",
+				tc.start, tc.factor, st.Migrations, overruns, st.Fallbacks)
+		}
+		if got := env.io.Out.String(); got != wantOut {
+			t.Errorf("%v x%g: output differs:\n got %q\nwant %q", tc.start, tc.factor, got, wantOut)
+		}
+		if got := env.sess.MemDigest(); got != wantDig {
+			t.Errorf("%v x%g: digest = %#x, want %#x", tc.start, tc.factor, got, wantDig)
+		}
 	}
 }
 

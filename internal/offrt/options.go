@@ -3,6 +3,7 @@ package offrt
 import (
 	"fmt"
 
+	"repro/internal/arch"
 	"repro/internal/energy"
 	"repro/internal/estimate"
 	"repro/internal/faults"
@@ -64,6 +65,27 @@ func WithServerFaults(p *faults.ServerPlan) Option { return func(c *config) { c.
 // failure degrades to local fallback.
 func WithMigration() Option { return func(c *config) { c.migrate = true } }
 
+// Hosts is the number of server hosts a session runs on: host 0 alone, the
+// paper's fallback-only recovery, or host 0 and spareHosts spares under
+// WithMigration. NewSession validates a server-fault plan against it.
+func Hosts(migrate bool) int {
+	if migrate {
+		return 1 + spareHosts
+	}
+	return 1
+}
+
+// EstimateParams is Equation 1's environment for a mobile/server pair on
+// link: arch.PerformanceRatio's R, the link's bandwidth and round trip. The
+// compiler selects targets and the session's gate prices them with it.
+func EstimateParams(mobile, server *arch.Spec, link *netsim.Link) estimate.Params {
+	return estimate.Params{
+		R:            arch.PerformanceRatio(mobile, server),
+		BandwidthBps: link.BandwidthBps,
+		RTT:          link.RTT(),
+	}
+}
+
 // NewSession builds a session over the given machines and link. The server
 // machine must not be started yet; Session runs it. The link's phase
 // schedule is validated here — a misordered schedule would silently
@@ -82,10 +104,7 @@ func NewSession(mobile, server *interp.Machine, link *netsim.Link, opts ...Optio
 	for _, o := range opts {
 		o(&cfg)
 	}
-	hosts := 1 // no WithMigration: single host, fallback-only recovery
-	if cfg.migrate {
-		hosts += spareHosts
-	}
+	hosts := Hosts(cfg.migrate)
 	if err := cfg.serverPlan.ValidatePool(hosts); err != nil {
 		return nil, fmt.Errorf("offrt: invalid server-fault plan for this session's hosts: %w", err)
 	}
@@ -109,11 +128,7 @@ func NewSession(mobile, server *interp.Machine, link *netsim.Link, opts ...Optio
 		s.tasks[int32(t.TaskID)] = t
 		s.PerTask[t.TaskID] = &TaskStats{}
 	}
-	s.est = estimate.Params{
-		R:            float64(mobile.Spec.CyclePS) / float64(server.Spec.CyclePS),
-		BandwidthBps: link.BandwidthBps,
-		RTT:          2 * (link.Latency + link.PerMessage),
-	}
+	s.est = EstimateParams(mobile.Spec, server.Spec, link)
 
 	// Thread the tracer through wire accounting and the radio power
 	// timeline; the session emits the task enter/exit events itself.

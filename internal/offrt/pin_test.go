@@ -118,7 +118,10 @@ var verbose = &workloads.Workload{
 // The digests were recorded before the seven server-side services were
 // folded onto one remote-service primitive, and re-recorded — same code,
 // same sessions — when the memory term became memFingerprint and when events
-// lost their parent field; any reordered,
+// lost their parent field, and re-recorded when the gate took its R from
+// arch.PerformanceRatio: every gate event's A3 carries R, and the shapes
+// whose server abandons the task (link-outage, crash-retry, drain-decline)
+// wait a shorter offload deadline. Any reordered,
 // dropped or altered event, any counter, clock, energy, memory or output byte
 // that moves on any of these session shapes changes them.
 func TestSessionTraceDigestPinned(t *testing.T) {
@@ -172,18 +175,18 @@ func TestSessionTraceDigestPinned(t *testing.T) {
 	}{
 		{"remote-io/fast", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:1cbcb32d25bdd003"},
+		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:65285a1b0582b108"},
 		{"remote-io/slow", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, slow(), Policy{}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:2b617cf717856f93"},
+		}, func(s *Session) bool { return s.Stats.Offloads == 1 && s.Comp[interp.CompRemoteIO] > 0 }, "1673:7609ba6256f27c19"},
 		{"decline/gzip-slow", func(tr *obs.Tracer) *testEnv {
 			return gzip.session(t, slow(), Policy{}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.Declines > 0 && s.Stats.Offloads == 0 }, "3:8bca417c4a8bfa89"},
+		}, func(s *Session) bool { return s.Stats.Declines > 0 && s.Stats.Offloads == 0 }, "3:15c6060c86143c62"},
 		{"link-outage", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr), WithFaults(faults.MustInjector(outage)))
 		}, func(s *Session) bool {
 			return s.Stats.Aborts == 1 && s.Stats.Fallbacks == 1 && s.Stats.Retries > 0 && s.quarantineUntil > 0
-		}, "1015:843115a691f08e59"},
+		}, "1015:27c7155c03001717"},
 		{"dead-link/quarantine", func(tr *obs.Tracer) *testEnv {
 			// The offload request itself never arrives: fallback without the
 			// server, then the cool-down declines the later invocations.
@@ -191,36 +194,36 @@ func TestSessionTraceDigestPinned(t *testing.T) {
 				WithFaults(faults.MustInjector(faults.Plan{Outages: []faults.Window{{Start: 0, End: 1 << 62}}})))
 			env.sess.cooldown = simtime.FromSeconds(3600)
 			return env
-		}, func(s *Session) bool { return s.Stats.Aborts == 0 && s.Stats.Fallbacks == 1 && s.Stats.Declines == 2 }, "21:8a75b4f8bd2fb8ae"},
+		}, func(s *Session) bool { return s.Stats.Aborts == 0 && s.Stats.Fallbacks == 1 && s.Stats.Declines == 2 }, "21:c3f189f9ec0a3d8f"},
 		{"crash-retry", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr),
 				WithServerFaults(serverEvent(faults.Crash, mid)), WithMigration())
-		}, func(s *Session) bool { return s.Stats.CrashRetries == 1 && s.Stats.Fallbacks == 0 }, "2584:68d16c14f4138695"},
+		}, func(s *Session) bool { return s.Stats.CrashRetries == 1 && s.Stats.Fallbacks == 0 }, "2584:460f6773be4244f5"},
 		{"drain-decline", func(tr *obs.Tracer) *testEnv {
 			// twolf's evaluation input outruns its profile, so Equation 1 sees
 			// no remaining work worth shipping: the drain aborts to fallback.
 			return twolf.session(t, fast(), Policy{}, WithTracer(tr),
 				WithServerFaults(serverEvent(faults.Drain, mid)), WithMigration())
-		}, func(s *Session) bool { return s.Stats.Migrations == 0 && s.Stats.Aborts == 1 && s.Stats.Fallbacks == 1 }, "867:b2c32ac44e3624bd"},
+		}, func(s *Session) bool { return s.Stats.Migrations == 0 && s.Stats.Aborts == 1 && s.Stats.Fallbacks == 1 }, "867:86309490565d76ec"},
 		{"drain-migrate", func(tr *obs.Tracer) *testEnv {
 			return mcf.session(t, fast(), Policy{}, WithTracer(tr),
 				WithServerFaults(serverEvent(faults.Drain, simtime.Second)), WithMigration())
-		}, func(s *Session) bool { return s.Stats.Migrations == 1 && s.Stats.Fallbacks == 0 }, "23:50fb5f65f4f10eb2"},
+		}, func(s *Session) bool { return s.Stats.Migrations == 1 && s.Stats.Fallbacks == 0 }, "23:9f06162facfe77d5"},
 		{"policy/batch-output", func(tr *obs.Tracer) *testEnv {
 			return sphinx.session(t, fast(), Policy{BatchOutput: true}, WithTracer(tr))
-		}, func(s *Session) bool { return printfs(s) == 1 }, "20:6d5c015bc0cec422"},
+		}, func(s *Session) bool { return printfs(s) == 1 }, "20:d859bf109f1161d3"},
 		{"policy/batch-threshold", func(tr *obs.Tracer) *testEnv {
 			return loud.session(t, fast(), Policy{BatchOutput: true, ForceOffload: true}, WithTracer(tr))
-		}, func(s *Session) bool { return printfs(s) == 3 }, "24:8a20948306c140d3"},
+		}, func(s *Session) bool { return printfs(s) == 3 }, "24:5111d5888f6db133"},
 		{"policy/unbatched", func(tr *obs.Tracer) *testEnv {
 			return sphinx.session(t, fast(), Policy{}, WithTracer(tr))
-		}, func(s *Session) bool { return printfs(s) == 36 }, "160:4869738a426f82ca"},
+		}, func(s *Session) bool { return printfs(s) == 36 }, "160:c4b5ee932a4994be"},
 		{"policy/no-compress", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{NoCompress: true}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.WriteBackWireBytes >= s.Stats.RawBytesToMobile }, "1673:222f20aadb49c3d7"},
+		}, func(s *Session) bool { return s.Stats.WriteBackWireBytes >= s.Stats.RawBytesToMobile }, "1673:44b66cfc650088bb"},
 		{"policy/no-prefetch", func(tr *obs.Tracer) *testEnv {
 			return twolf.session(t, fast(), Policy{NoPrefetch: true}, WithTracer(tr))
-		}, func(s *Session) bool { return s.Stats.PrefetchPages == 0 && s.Stats.Faults > 1 }, "1697:52abf74fb569a9e1"},
+		}, func(s *Session) bool { return s.Stats.PrefetchPages == 0 && s.Stats.Faults > 1 }, "1697:659f3bef0f6ba919"},
 	} {
 		got, env := sessionDigest(t, tc.mk)
 		if !tc.exercised(env.sess) {
