@@ -135,7 +135,9 @@ func TestTable4MatchesPaperShape(t *testing.T) {
 			t.Errorf("%s: local time %.1fs vs paper %.1fs (off by >15%%)", name, got, want)
 		}
 		// Offload invocations match Table 4 exactly (ammp has a second
-		// two-invocation target on top of tpac's one).
+		// two-invocation target on top of tpac's one). The gate declines
+		// none of them on the fast link, so these are the times the targets
+		// run on the evaluation input: a forced offload makes the same count.
 		inv, traffic := invocationsAndTraffic(r.Fast)
 		wantInv := r.W.Paper.Invocations
 		if name == "188.ammp" {
@@ -143,6 +145,9 @@ func TestTable4MatchesPaperShape(t *testing.T) {
 		}
 		if inv != wantInv {
 			t.Errorf("%s: %d offload invocations, want %d", name, inv, wantInv)
+		}
+		if d := r.Fast.Stats.Declines; d != 0 {
+			t.Errorf("%s: the gate declined %d invocations on the fast link", name, d)
 		}
 		// Per-invocation traffic within 2x of Table 4 (hmmer and vpr sit
 		// at the protocol floor; the paper's own numbers include effects

@@ -173,6 +173,9 @@ type compiler struct {
 	lay        *linkage
 	instrument bool // weave the Listener's block hook into every stream
 	cfuncs     map[*ir.Func]*cfunc
+	// byAddr is cfuncs in address order: byAddr[i] is the body of
+	// lay.funcs[i], nil for an extern.
+	byAddr []*cfunc
 }
 
 // compileModule pre-decodes every function body of mod. All cfuncs exist
@@ -193,7 +196,22 @@ func compileModule(cfg CompileConfig, lay *linkage, mod *ir.Module) *compiler {
 			c.compileInto(cf)
 		}
 	}
+	c.byAddr = make([]*cfunc, len(lay.funcs))
+	for i, f := range lay.funcs {
+		c.byAddr[i] = c.cfuncs[f]
+	}
 	return c
+}
+
+// compiledAt returns f's compiled body, nil if f is not of this module. addr
+// is the address an indirect call reached f through: when it is f's own
+// address here — every call whose pointer needed no translation — the body
+// is found by index.
+func (c *compiler) compiledAt(f *ir.Func, addr uint32) *cfunc {
+	if i, ok := c.lay.index(addr); ok && c.lay.funcs[i] == f {
+		return c.byAddr[i]
+	}
+	return c.cfuncs[f]
 }
 
 // cval resolves an operand to (register slot, inlined constant); slot < 0

@@ -394,7 +394,7 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 					return 0, fmt.Errorf("interp(%s): call %s with %d args, want %d",
 						m.Name, callee.Nam, len(args), len(callee.Params))
 				}
-				target := m.cc.cfuncs[callee]
+				target := m.cc.compiledAt(callee, addr)
 				if target == nil {
 					return 0, foreignFunc(m.Name, callee)
 				}

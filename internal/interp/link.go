@@ -28,6 +28,15 @@ type linkage struct {
 	globalAddr map[*ir.Global]uint32
 }
 
+// index returns the position in funcs of the function at addr.
+func (lay *linkage) index(addr uint32) (uint32, bool) {
+	off := addr - lay.funcBase
+	if off%funcStride != 0 || off/funcStride >= uint32(len(lay.funcs)) {
+		return 0, false
+	}
+	return off / funcStride, true
+}
+
 // newLinkage links and places mod: function addresses from funcBase
 // (name-sorted when shuffleFuncs, modelling a different linker), UVA-homed
 // globals at their compiler-assigned addresses, machine-local globals laid

@@ -153,11 +153,11 @@ func (m *Machine) FuncAddr(f *ir.Func) uint32 { return m.lay.funcAddr[f] }
 // FuncAt resolves an address assigned by this machine's linker. An address
 // below the table wraps to a huge offset and fails the bounds test.
 func (m *Machine) FuncAt(addr uint32) (*ir.Func, bool) {
-	off := addr - m.lay.funcBase
-	if off%funcStride != 0 || off/funcStride >= uint32(len(m.lay.funcs)) {
+	i, ok := m.lay.index(addr)
+	if !ok {
 		return nil, false
 	}
-	return m.lay.funcs[off/funcStride], true
+	return m.lay.funcs[i], true
 }
 
 func alignUp32(n, a uint32) uint32 { return (n + a - 1) / a * a }

@@ -1,6 +1,9 @@
 package mem
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Checkpoint is a self-contained snapshot of an overlay's private state:
 // everything that distinguishes this Memory from a fresh bind of the same
@@ -43,19 +46,17 @@ func (c *Checkpoint) Bytes() int { return len(c.Pages) * PageSize }
 // page copies: later writes to the memory do not alter it.
 func (m *Memory) Checkpoint() *Checkpoint {
 	c := &Checkpoint{Faults: m.Faults, Gen: m.gen}
-	pns := make([]uint32, 0, len(m.pages))
-	for pn := range m.pages {
-		pns = append(pns, pn)
+	for _, l := range m.leaves() {
+		for w := l.present; w != 0; w &= w - 1 {
+			i := bits.TrailingZeros64(w)
+			c.Pages = append(c.Pages, CheckpointPage{
+				PN:    l.key<<leafShift | uint32(i),
+				Dirty: l.dirty&(1<<i) != 0,
+				Data:  slices.Clone(l.frames[i][:]),
+			})
+		}
+		c.Masked = appendBits(c.Masked, l.key, l.masked)
 	}
-	slices.Sort(pns)
-	for _, pn := range pns {
-		_, dirty := m.dirty[pn]
-		c.Pages = append(c.Pages, CheckpointPage{PN: pn, Dirty: dirty, Data: slices.Clone(m.pages[pn][:])})
-	}
-	for pn := range m.masked {
-		c.Masked = append(c.Masked, pn)
-	}
-	slices.Sort(c.Masked)
 	return c
 }
 
@@ -64,24 +65,24 @@ func (m *Memory) Checkpoint() *Checkpoint {
 // generation. The base image, fault handler, and tracking flags are left
 // untouched — the caller binds a fresh overlay of the *same* Image on the
 // target and restores into it, after which Digest, DirtyPages, and
-// PresentPages match the source exactly.
+// PresentPages match the source exactly. The private pages the memory held
+// before are let go, not given back to the pool: a stale cache entry may
+// still point at one.
 func (m *Memory) Restore(c *Checkpoint) {
-	m.pages = make(map[uint32]*[PageSize]byte, len(c.Pages))
-	m.dirty = nil
+	if m.tab != nil {
+		freeTable(m.tab)
+		m.tab, m.hint = nil, nil
+	}
 	for _, cp := range c.Pages {
 		p := AllocFrame()
 		clear(p[copy(p[:], cp.Data):])
-		m.pages[cp.PN] = p
+		l := m.setFrame(m.leafOf(cp.PN), cp.PN, p)
 		if cp.Dirty {
-			m.markDirty(cp.PN)
+			l.dirty |= 1 << (cp.PN & leafMask)
 		}
 	}
-	m.masked = nil
-	if len(c.Masked) > 0 {
-		m.masked = make(map[uint32]struct{}, len(c.Masked))
-		for _, pn := range c.Masked {
-			m.masked[pn] = struct{}{}
-		}
+	for _, pn := range c.Masked {
+		m.addLeaf(pn).masked |= 1 << (pn & leafMask)
 	}
 	m.Faults = c.Faults
 	m.gen = c.Gen

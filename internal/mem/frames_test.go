@@ -78,8 +78,12 @@ func TestReleaseGivesBackPrivatePagesOnly(t *testing.T) {
 	clear(adopted[:])
 	ov.AdoptPage(12, adopted) // shadows an image page; frees nothing
 	private := map[*[PageSize]byte]bool{}
-	for pn := range ov.pages {
-		private[ov.pages[pn]] = true
+	for _, l := range ov.leaves() {
+		for _, p := range l.frames {
+			if p != nil {
+				private[p] = true
+			}
+		}
 	}
 	if len(private) != 4 {
 		t.Fatalf("%d private pages, want 4", len(private))

@@ -9,8 +9,9 @@
 package mem
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/binary"
+	"math/bits"
 	"slices"
 )
 
@@ -20,79 +21,105 @@ import (
 var zeroPage [PageSize]byte
 
 // Image is an immutable snapshot of a memory's pages. It is safe for
-// concurrent readers; nothing mutates it after Snapshot returns.
-// Identical pages (by content) within the image share one backing array,
-// and all-zero pages share the package-wide canonical zero page.
+// concurrent readers; nothing mutates it after Snapshot returns, and a
+// lookup writes nothing. Identical pages (by content) within the image share
+// one backing array, and all-zero pages share the package-wide canonical
+// zero page.
 type Image struct {
-	pages map[uint32]*[PageSize]byte
-	pns   []uint32 // sorted page numbers (internal; treated read-only)
+	tab table // leaves with frames and present bits only
 	// uniqueBytes is the deduplicated backing size: one PageSize per
 	// distinct content (the canonical zero page counts once, at most).
 	uniqueBytes int
+}
+
+// dedupEntry is one distinct page content of a Snapshot in progress.
+type dedupEntry struct {
+	hash uint64
+	arr  *[PageSize]byte
 }
 
 // Snapshot freezes m's current resident pages into an Image. The source
 // memory must be a plain (non-overlay) memory; its pages are copied, so
 // later writes to m do not affect the image.
 func Snapshot(m *Memory) *Image {
-	img := &Image{pages: make(map[uint32]*[PageSize]byte, len(m.pages))}
-	// byContent dedups page arrays: hash -> candidate arrays.
-	byContent := make(map[uint64][]*[PageSize]byte)
+	img := &Image{}
+	// distinct holds one array per content seen so far, sorted by hash.
+	var distinct []dedupEntry
 	zeroSeen := false
-	for pn, p := range m.pages {
-		if pageIsZero(p) {
-			img.pages[pn] = &zeroPage
-			zeroSeen = true
-			continue
-		}
-		h := pageHash(p)
-		var arr *[PageSize]byte
-		for _, cand := range byContent[h] {
-			if bytes.Equal(cand[:], p[:]) {
-				arr = cand
-				break
+	for _, src := range m.leaves() {
+		l := &leaf{key: src.key, present: src.present}
+		img.tab.leaves = append(img.tab.leaves, l)
+		for w := src.present; w != 0; w &= w - 1 {
+			i := bits.TrailingZeros64(w)
+			p := src.frames[i]
+			if pageIsZero(p) {
+				l.frames[i] = &zeroPage
+				zeroSeen = true
+				continue
 			}
+			h := pageHash(p)
+			at, _ := slices.BinarySearchFunc(distinct, h, func(e dedupEntry, h uint64) int { return cmp.Compare(e.hash, h) })
+			var arr *[PageSize]byte
+			for _, e := range distinct[at:] {
+				if e.hash != h {
+					break
+				}
+				if *e.arr == *p {
+					arr = e.arr
+					break
+				}
+			}
+			if arr == nil {
+				arr = new([PageSize]byte)
+				*arr = *p
+				distinct = slices.Insert(distinct, at, dedupEntry{h, arr})
+				img.uniqueBytes += PageSize
+			}
+			l.frames[i] = arr
 		}
-		if arr == nil {
-			arr = new([PageSize]byte)
-			*arr = *p
-			byContent[h] = append(byContent[h], arr)
-			img.uniqueBytes += PageSize
-		}
-		img.pages[pn] = arr
 	}
 	if zeroSeen {
 		img.uniqueBytes += PageSize
 	}
-	img.pns = make([]uint32, 0, len(img.pages))
-	for pn := range img.pages {
-		img.pns = append(img.pns, pn)
-	}
-	slices.Sort(img.pns)
 	return img
 }
 
 // page returns the read-only backing array of pn, if the image has it.
 func (im *Image) page(pn uint32) (*[PageSize]byte, bool) {
-	p, ok := im.pages[pn]
-	return p, ok
+	l := im.tab.find(pn)
+	if l == nil {
+		return nil, false
+	}
+	p := l.frames[pn&leafMask]
+	return p, p != nil
 }
 
 // Has reports whether the image contains page pn.
 func (im *Image) Has(pn uint32) bool {
-	_, ok := im.pages[pn]
+	_, ok := im.page(pn)
 	return ok
 }
 
-// Pages returns the image's page numbers in ascending order. The returned
-// slice is shared; callers must not modify it.
-func (im *Image) Pages() []uint32 { return im.pns }
+// Pages returns the image's page numbers in ascending order.
+func (im *Image) Pages() []uint32 {
+	out := make([]uint32, 0, im.NumPages())
+	for _, l := range im.tab.leaves {
+		out = appendBits(out, l.key, l.present)
+	}
+	return out
+}
 
 // NumPages returns the number of pages the image maps.
-func (im *Image) NumPages() int { return len(im.pages) }
+func (im *Image) NumPages() int {
+	n := 0
+	for _, l := range im.tab.leaves {
+		n += bits.OnesCount64(l.present)
+	}
+	return n
+}
 
 // Bytes returns the logical size of the image (mapped pages x PageSize).
-func (im *Image) Bytes() int { return len(im.pages) * PageSize }
+func (im *Image) Bytes() int { return im.NumPages() * PageSize }
 
 // UniqueBytes returns the deduplicated backing size: identical pages are
 // stored once, and all-zero pages cost one canonical page in total.

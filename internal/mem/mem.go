@@ -1,17 +1,19 @@
 // Package mem implements the paged virtual memory substrate underneath the
 // unified virtual address (UVA) space of Section 3.2 / Section 4.
 //
-// Each simulated machine owns one Memory: a sparse set of 4 KiB pages keyed
-// by UVA page number. The server's Memory is created empty with a fault
-// handler that fetches pages from the mobile device over the network —
-// the paper's copy-on-demand. Writes set per-page dirty bits so
-// finalization can send back only modified pages.
+// Each simulated machine owns one Memory: a sparse page table of 4 KiB
+// pages (table.go) — leaves of 64 pages, each with a frame pointer per page
+// and present, dirty and masked bitmaps, under a directory of leaves sorted
+// by page number, so every walk comes out in page order. The server's
+// Memory is created empty with a fault handler that fetches pages from the
+// mobile device over the network — the paper's copy-on-demand. Writes set
+// per-page dirty bits so finalization can send back only modified pages.
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
+	"math/bits"
 )
 
 // Page geometry. 4 KiB pages match the paper's mobile/server platforms.
@@ -64,23 +66,24 @@ type FaultHandler func(pn uint32) ([]byte, error)
 // into the private page set, so many sessions instantiated from one program
 // image pay resident bytes only for what they actually mutate.
 type Memory struct {
-	// pages is the private page set. A page is exactly PageSize bytes — one
-	// allocator size class — so its dirty bit lives beside it, in dirty.
-	pages map[uint32]*[PageSize]byte
+	// tab is the private page table, nil while it maps nothing: the
+	// private page frames, each a PageSize allocator size class, with their
+	// dirty bits (written since the last ClearDirty, maintained only while
+	// TrackDirty is on) and the masks of dropped base pages beside them.
+	tab *table
 
-	// dirty is the set of private pages written since the last ClearDirty
-	// (maintained only while TrackDirty is on).
-	dirty map[uint32]struct{}
+	// hint is the private leaf the latest lookup found, tried before the
+	// table is searched: accesses that miss the machine's page caches still
+	// run through one leaf's pages for a while. Lookups made for another
+	// machine (PageData) neither read nor set it.
+	hint *leaf
 
 	// base, when set, is the shared read-only image this memory overlays.
 	// A page absent from the private set is served from base (unless
-	// masked); base pages are never written in place.
+	// masked: a masked page reads as absent — fault/zero-fill on next
+	// touch — exactly as if the memory were a plain page set that dropped
+	// it); base pages are never written in place.
 	base *Image
-
-	// masked records base pages this memory has dropped: a masked page
-	// reads as absent (fault/zero-fill on next touch), exactly as if the
-	// memory were a plain page set that dropped it.
-	masked map[uint32]struct{}
 
 	// Fault, when set, is consulted on first touch of an absent page
 	// (copy-on-demand). When nil, absent pages zero-fill. A page served
@@ -116,78 +119,125 @@ type Memory struct {
 }
 
 // New returns an empty memory with zero-fill fault behaviour.
-func New() *Memory {
-	return &Memory{pages: make(map[uint32]*[PageSize]byte)}
-}
+func New() *Memory { return &Memory{} }
 
 // NewOverlay returns a memory whose initial content is the shared image:
 // reads are served from the image's pages directly, and the first write to
 // an image page copies it into this memory (copy-on-write). The image is
 // never modified.
-func NewOverlay(img *Image) *Memory {
-	return &Memory{pages: make(map[uint32]*[PageSize]byte), base: img}
-}
+func NewOverlay(img *Image) *Memory { return &Memory{base: img} }
 
 // Image returns the shared base image this memory overlays, or nil for a
 // plain memory.
 func (m *Memory) Image() *Image { return m.base }
 
+// leaves returns the private table's leaves in page order.
+func (m *Memory) leaves() []*leaf {
+	if m.tab == nil {
+		return nil
+	}
+	return m.tab.leaves
+}
+
 // ResidentPrivateBytes returns the bytes of private (per-memory) page
 // storage: pages faulted, written (copy-on-write), or installed here, each
 // a PageSize frame. Shared image pages read through the overlay cost
 // nothing.
-func (m *Memory) ResidentPrivateBytes() int { return len(m.pages) * PageSize }
+func (m *Memory) ResidentPrivateBytes() int {
+	n := 0
+	for _, l := range m.leaves() {
+		n += bits.OnesCount64(l.present)
+	}
+	return n * PageSize
+}
+
+// leafOf returns the private leaf that maps pn, or nil.
+func (m *Memory) leafOf(pn uint32) *leaf {
+	if h := m.hint; h != nil && h.key == pn>>leafShift {
+		return h
+	}
+	if m.tab == nil {
+		return nil
+	}
+	l := m.tab.find(pn)
+	if l != nil {
+		m.hint = l
+	}
+	return l
+}
+
+// addLeaf returns the private leaf that maps pn, making the table and the
+// leaf as needed.
+func (m *Memory) addLeaf(pn uint32) *leaf {
+	if m.tab == nil {
+		m.tab = allocTable()
+	}
+	return m.tab.add(pn)
+}
 
 // basePage returns the shared image's array for pn, if this memory is an
-// overlay and the page is neither masked nor shadowed by a private page.
-// Callers must check the private set first.
-func (m *Memory) basePage(pn uint32) (*[PageSize]byte, bool) {
-	if m.base == nil {
-		return nil, false
-	}
-	if _, masked := m.masked[pn]; masked {
+// overlay and the page is not masked in l, pn's private leaf (nil if none).
+// Callers must check the private frame first.
+func (m *Memory) basePage(l *leaf, pn uint32) (*[PageSize]byte, bool) {
+	if m.base == nil || l != nil && l.masked&(1<<(pn&leafMask)) != 0 {
 		return nil, false
 	}
 	return m.base.page(pn)
 }
 
-// getPage returns the private page for pn with write intent: a shared base
-// page is copied into the private set first (copy-on-write, bumping gen —
-// readers may have cached the shared array), and a truly absent page goes
-// through the fault/zero-fill path.
-func (m *Memory) getPage(pn uint32) (*[PageSize]byte, error) {
-	if p, ok := m.pages[pn]; ok {
-		if m.Touch != nil {
-			m.Touch(pn)
-		}
-		return p, nil
+// setFrame makes p private page pn in l, pn's private leaf (nil: none yet),
+// and returns the leaf. A private page is never masked.
+func (m *Memory) setFrame(l *leaf, pn uint32, p *[PageSize]byte) *leaf {
+	if l == nil {
+		l = m.addLeaf(pn)
 	}
-	if src, ok := m.basePage(pn); ok {
+	bit := uint64(1) << (pn & leafMask)
+	l.frames[pn&leafMask] = p
+	l.present |= bit
+	l.masked &^= bit
+	return l
+}
+
+// getPage returns the private page for pn with write intent, and its leaf:
+// a shared base page is copied into the private set first (copy-on-write,
+// bumping gen — readers may have cached the shared array), and a truly
+// absent page goes through the fault/zero-fill path.
+func (m *Memory) getPage(pn uint32) (*[PageSize]byte, *leaf, error) {
+	l := m.leafOf(pn)
+	if l != nil {
+		if p := l.frames[pn&leafMask]; p != nil {
+			if m.Touch != nil {
+				m.Touch(pn)
+			}
+			return p, l, nil
+		}
+	}
+	if src, ok := m.basePage(l, pn); ok {
 		p := AllocFrame()
 		*p = *src
-		m.pages[pn] = p
+		l = m.setFrame(l, pn, p)
 		m.gen++
 		if m.Touch != nil {
 			m.Touch(pn)
 		}
-		return p, nil
+		return p, l, nil
 	}
 	var data []byte
 	if m.Fault != nil {
 		var err error
 		if data, err = m.Fault(pn); err != nil {
-			return nil, fmt.Errorf("mem: page fault at 0x%x: %w", PageAddr(pn), err)
+			return nil, nil, fmt.Errorf("mem: page fault at 0x%x: %w", PageAddr(pn), err)
 		}
 		m.Faults++
+		l = m.leafOf(pn) // the handler ran other code; look again
 	}
 	p := AllocFrame()
 	clear(p[copy(p[:], data):])
-	m.pages[pn] = p
-	delete(m.masked, pn)
+	l = m.setFrame(l, pn, p)
 	if m.Touch != nil {
 		m.Touch(pn)
 	}
-	return p, nil
+	return p, l, nil
 }
 
 // readPage returns pn's resident array for reading: the private page if one
@@ -195,27 +245,23 @@ func (m *Memory) getPage(pn uint32) (*[PageSize]byte, error) {
 // absent from both materializes through the fault/zero-fill path, so
 // a plain memory and an overlay observe identical present-page sets.
 func (m *Memory) readPage(pn uint32) (*[PageSize]byte, error) {
-	if p, ok := m.pages[pn]; ok {
-		if m.Touch != nil {
-			m.Touch(pn)
+	l := m.leafOf(pn)
+	if l != nil {
+		if p := l.frames[pn&leafMask]; p != nil {
+			if m.Touch != nil {
+				m.Touch(pn)
+			}
+			return p, nil
 		}
-		return p, nil
 	}
-	if src, ok := m.basePage(pn); ok {
+	if src, ok := m.basePage(l, pn); ok {
 		if m.Touch != nil {
 			m.Touch(pn)
 		}
 		return src, nil
 	}
-	return m.getPage(pn)
-}
-
-// markDirty records a write to private page pn while TrackDirty is on.
-func (m *Memory) markDirty(pn uint32) {
-	if m.dirty == nil {
-		m.dirty = make(map[uint32]struct{})
-	}
-	m.dirty[pn] = struct{}{}
+	p, _, err := m.getPage(pn)
+	return p, err
 }
 
 // Gen returns the invalidation generation. A cached page pointer obtained
@@ -245,12 +291,12 @@ func (m *Memory) Page(pn uint32) (*[PageSize]byte, error) {
 // returned array without further bookkeeping (until Gen changes or
 // TrackDirty is toggled).
 func (m *Memory) DirtyPage(pn uint32) (*[PageSize]byte, error) {
-	p, err := m.getPage(pn)
+	p, l, err := m.getPage(pn)
 	if err != nil {
 		return nil, err
 	}
 	if m.TrackDirty {
-		m.markDirty(pn)
+		l.dirty |= 1 << (pn & leafMask)
 	}
 	return p, nil
 }
@@ -263,10 +309,16 @@ func (m *Memory) DirtyPage(pn uint32) (*[PageSize]byte, error) {
 // encodes, compresses or copies it before this memory's machine runs again,
 // and never writes through it.
 func (m *Memory) PageData(pn uint32) []byte {
-	if p, ok := m.pages[pn]; ok {
-		return p[:]
+	var l *leaf
+	if m.tab != nil {
+		l = m.tab.find(pn)
 	}
-	if src, ok := m.basePage(pn); ok {
+	if l != nil {
+		if p := l.frames[pn&leafMask]; p != nil {
+			return p[:]
+		}
+	}
+	if src, ok := m.basePage(l, pn); ok {
 		return src[:]
 	}
 	return nil
@@ -279,14 +331,17 @@ func (m *Memory) PageData(pn uint32) []byte {
 // may recycle data at once; cached page pointers are invalidated either way
 // (Gen).
 func (m *Memory) InstallPage(pn uint32, data []byte) {
-	p, ok := m.pages[pn]
-	if !ok {
+	l := m.leafOf(pn)
+	var p *[PageSize]byte
+	if l != nil {
+		p = l.frames[pn&leafMask]
+	}
+	if p == nil {
 		p = AllocFrame()
-		m.pages[pn] = p
+		l = m.setFrame(l, pn, p)
 	}
 	clear(p[copy(p[:], data):])
-	delete(m.dirty, pn)
-	delete(m.masked, pn)
+	l.dirty &^= 1 << (pn & leafMask)
 	m.gen++
 }
 
@@ -296,12 +351,14 @@ func (m *Memory) InstallPage(pn uint32, data []byte) {
 // page is dropped, replaced or released. The private page p replaces goes
 // back to the pool now; cached page pointers are invalidated (Gen).
 func (m *Memory) AdoptPage(pn uint32, p *[PageSize]byte) {
-	if old, ok := m.pages[pn]; ok && old != p {
-		FreeFrame(old)
+	l := m.leafOf(pn)
+	if l != nil {
+		if old := l.frames[pn&leafMask]; old != nil && old != p {
+			FreeFrame(old)
+		}
 	}
-	m.pages[pn] = p
-	delete(m.dirty, pn)
-	delete(m.masked, pn)
+	l = m.setFrame(l, pn, p)
+	l.dirty &^= 1 << (pn & leafMask)
 	m.gen++
 }
 
@@ -338,7 +395,7 @@ func (m *Memory) WriteBytes(addr uint32, data []byte) error {
 func (m *Memory) Fill(addr uint32, n int, fill func(dst []byte) error) error {
 	for off := 0; off < n; {
 		pn := PageNum(addr + uint32(off))
-		p, err := m.getPage(pn)
+		p, l, err := m.getPage(pn)
 		if err != nil {
 			return err
 		}
@@ -348,7 +405,7 @@ func (m *Memory) Fill(addr uint32, n int, fill func(dst []byte) error) error {
 			return err
 		}
 		if m.TrackDirty {
-			m.markDirty(pn)
+			l.dirty |= 1 << (pn & leafMask)
 		}
 		off += k
 	}
@@ -381,41 +438,80 @@ func (m *Memory) WriteUint(addr uint32, size int, v uint64) error {
 }
 
 // DirtyPages returns the sorted page numbers written since the last
-// ClearDirty.
+// ClearDirty, nil if there are none.
 func (m *Memory) DirtyPages() []uint32 {
-	var out []uint32
-	for pn := range m.dirty {
-		out = append(out, pn)
+	n := 0
+	for _, l := range m.leaves() {
+		n += bits.OnesCount64(l.dirty)
 	}
-	slices.Sort(out)
+	if n == 0 {
+		return nil
+	}
+	out := make([]uint32, 0, n)
+	for _, l := range m.leaves() {
+		out = appendBits(out, l.key, l.dirty)
+	}
+	return out
+}
+
+// appendBits appends the page number of every bit set in w, the bitmap of
+// the leaf with key, in ascending order.
+func appendBits(out []uint32, key uint32, w uint64) []uint32 {
+	for ; w != 0; w &= w - 1 {
+		out = append(out, key<<leafShift|uint32(bits.TrailingZeros64(w)))
+	}
 	return out
 }
 
 // ClearDirty resets all dirty bits.
 func (m *Memory) ClearDirty() {
-	clear(m.dirty)
+	for _, l := range m.leaves() {
+		l.dirty = 0
+	}
 	m.gen++
+}
+
+// spans calls f, in ascending key order, for every leaf-sized span of page
+// numbers that holds a present page: key is the span's leaf key, own and img
+// its private and base image leaves (either may be nil), present its present
+// pages — the private ones plus the unmasked image ones.
+func (m *Memory) spans(f func(key uint32, own, img *leaf, present uint64)) {
+	own := m.leaves()
+	var base []*leaf
+	if m.base != nil {
+		base = m.base.tab.leaves
+	}
+	for len(own) > 0 || len(base) > 0 {
+		var o, b *leaf
+		switch {
+		case len(base) == 0 || len(own) > 0 && own[0].key < base[0].key:
+			o, own = own[0], own[1:]
+		case len(own) == 0 || base[0].key < own[0].key:
+			b, base = base[0], base[1:]
+		default:
+			o, b, own, base = own[0], base[0], own[1:], base[1:]
+		}
+		var key uint32
+		var present uint64
+		if b != nil {
+			key, present = b.key, b.present
+		}
+		if o != nil {
+			key, present = o.key, present&^o.masked|o.present
+		}
+		if present != 0 {
+			f(key, o, b, present)
+		}
+	}
 }
 
 // PresentPages returns the sorted page numbers currently resident: the
 // private pages plus any unmasked base image pages.
 func (m *Memory) PresentPages() []uint32 {
-	out := make([]uint32, 0, len(m.pages))
-	for pn := range m.pages {
-		out = append(out, pn)
-	}
-	if m.base != nil {
-		for _, pn := range m.base.Pages() {
-			if _, priv := m.pages[pn]; priv {
-				continue
-			}
-			if _, masked := m.masked[pn]; masked {
-				continue
-			}
-			out = append(out, pn)
-		}
-	}
-	slices.Sort(out)
+	n := 0
+	m.spans(func(_ uint32, _, _ *leaf, present uint64) { n += bits.OnesCount64(present) })
+	out := make([]uint32, 0, n)
+	m.spans(func(key uint32, _, _ *leaf, present uint64) { out = appendBits(out, key, present) })
 	return out
 }
 
@@ -423,18 +519,28 @@ func (m *Memory) PresentPages() []uint32 {
 // keeping offloading data, Section 4 finalization); a private page's frame
 // goes back to the pool. On an overlay a base image page is masked rather
 // than removed from the shared image, so the next touch faults or
-// zero-fills exactly as on a plain memory.
+// zero-fills exactly as on a plain memory. A leaf left mapping nothing goes
+// back to its free list.
 func (m *Memory) Drop(pn uint32) {
-	if p, ok := m.pages[pn]; ok {
-		FreeFrame(p)
-		delete(m.pages, pn)
-	}
-	delete(m.dirty, pn)
-	if m.base != nil && m.base.Has(pn) {
-		if m.masked == nil {
-			m.masked = make(map[uint32]struct{})
+	bit := uint64(1) << (pn & leafMask)
+	l := m.leafOf(pn)
+	if l != nil {
+		if p := l.frames[pn&leafMask]; p != nil {
+			FreeFrame(p)
+			l.frames[pn&leafMask] = nil
 		}
-		m.masked[pn] = struct{}{}
+		l.present &^= bit
+		l.dirty &^= bit
+	}
+	if m.base != nil && m.base.Has(pn) {
+		if l == nil {
+			l = m.addLeaf(pn)
+		}
+		l.masked |= bit
+	}
+	if l != nil && l.present|l.masked == 0 {
+		m.tab.remove(l)
+		m.hint = nil
 	}
 	m.gen++
 }
@@ -442,15 +548,19 @@ func (m *Memory) Drop(pn uint32) {
 // Release ends a run's use of the memory: every private page's frame goes
 // back to the pool — an overlay's image pages are shared and are not the
 // memory's to give — and the dirty and masked sets empty, so the memory
-// reads as freshly made. Gen advances. Whatever the caller still needs from
-// the memory (a Digest, a page's bytes) it takes before Release.
+// reads as freshly made. The page table's leaves go back to their free list.
+// Gen advances. Whatever the caller still needs from the memory (a Digest, a
+// page's bytes) it takes before Release.
 func (m *Memory) Release() {
-	for _, p := range m.pages {
-		FreeFrame(p)
+	for _, l := range m.leaves() {
+		for w := l.present; w != 0; w &= w - 1 {
+			FreeFrame(l.frames[bits.TrailingZeros64(w)])
+		}
 	}
-	clear(m.pages)
-	clear(m.dirty)
-	clear(m.masked)
+	if m.tab != nil {
+		freeTable(m.tab)
+		m.tab, m.hint = nil, nil
+	}
 	m.gen++
 }
 
@@ -493,29 +603,37 @@ func (m *Memory) Digest(skip ...Range) uint64 {
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-pages:
-	for _, pn := range m.PresentPages() {
-		lo := pn * PageSize
-		for _, r := range skip {
-			if lo < r.Hi && lo+PageSize > r.Lo {
-				continue pages
+	m.spans(func(key uint32, own, img *leaf, present uint64) {
+	pages:
+		for w := present; w != 0; w &= w - 1 {
+			i := bits.TrailingZeros64(w)
+			pn := key<<leafShift | uint32(i)
+			lo := pn * PageSize
+			for _, r := range skip {
+				if lo < r.Hi && lo+PageSize > r.Lo {
+					continue pages
+				}
+			}
+			var data *[PageSize]byte
+			if own != nil {
+				data = own.frames[i]
+			}
+			if data == nil {
+				data = img.frames[i]
+			}
+			// Image pages are content-deduped: all-zero ones alias the
+			// canonical zero page. Private pages are mutable and have to be
+			// scanned.
+			if data == &zeroPage || pageIsZero(data) {
+				continue
+			}
+			h = (h ^ uint64(pn)) * prime64
+			h ^= h >> 32
+			for i := 0; i < PageSize; i += 8 {
+				h = (h ^ binary.LittleEndian.Uint64(data[i:])) * prime64
+				h ^= h >> 32
 			}
 		}
-		data, ok := m.pages[pn]
-		if !ok {
-			data, ok = m.basePage(pn)
-		}
-		// Image pages are content-deduped: all-zero ones alias the canonical
-		// zero page. Private pages are mutable and have to be scanned.
-		if !ok || data == &zeroPage || pageIsZero(data) {
-			continue
-		}
-		h = (h ^ uint64(pn)) * prime64
-		h ^= h >> 32
-		for i := 0; i < PageSize; i += 8 {
-			h = (h ^ binary.LittleEndian.Uint64(data[i:])) * prime64
-			h ^= h >> 32
-		}
-	}
+	})
 	return h
 }

@@ -10,6 +10,7 @@ package profile
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -141,14 +142,108 @@ type Profiler struct {
 	// absorbed it), so that touching it again adds nothing; noPage once a
 	// region has opened.
 	lastPage uint32
+
+	// spare holds the storage of closed regions' page sets, for the next
+	// region that touches a page to take.
+	spare []pageSet
 }
 
 // noPage is no page's number: addresses are 32 bits, page numbers 20.
 const noPage = ^uint32(0)
 
-// pageSet is the set of pages a live region has seen. It is allocated on the
-// first touch: most activations of small helpers touch nothing.
-type pageSet map[uint32]struct{}
+// pageSet is the set of pages a live region has seen, or a candidate's
+// footprint: a sparse bitset, one word per 64-page span that holds a page,
+// sorted by span. A region's set takes its storage on the first touch — most
+// activations of small helpers touch nothing — from the sets of regions that
+// closed before (Profiler.spare).
+type pageSet []pageWord
+
+// pageWord is the pages of one span: bit i is page key<<6 | i.
+type pageWord struct {
+	key  uint32
+	bits uint64
+}
+
+// search returns the index of the word with key, or where it would go.
+func (s pageSet) search(key uint32) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if s[h].key < key {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
+}
+
+// add adds page pn to the set.
+func (s *pageSet) add(pn uint32) {
+	key, bit := pn>>6, uint64(1)<<(pn&63)
+	i := s.search(key)
+	if i < len(*s) && (*s)[i].key == key {
+		(*s)[i].bits |= bit
+		return
+	}
+	*s = slices.Insert(*s, i, pageWord{key, bit})
+}
+
+// has reports whether page pn is in the set.
+func (s pageSet) has(pn uint32) bool {
+	i := s.search(pn >> 6)
+	return i < len(s) && s[i].key == pn>>6 && s[i].bits&(1<<(pn&63)) != 0
+}
+
+// len returns the number of pages in the set.
+func (s pageSet) len() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w.bits)
+	}
+	return n
+}
+
+// union adds every page of src to the set and returns how many were new.
+// Spans both sets hold are merged in place; the spans only src holds are
+// then merged in from the back, so the set grows at most once.
+func (s *pageSet) union(src pageSet) int {
+	d := *s
+	added, missing := 0, 0
+	i := 0
+	for _, w := range src {
+		for i < len(d) && d[i].key < w.key {
+			i++
+		}
+		if i < len(d) && d[i].key == w.key {
+			added += bits.OnesCount64(w.bits &^ d[i].bits)
+			d[i].bits |= w.bits
+		} else {
+			added += bits.OnesCount64(w.bits)
+			missing++
+		}
+	}
+	if missing == 0 {
+		return added
+	}
+	n := len(d)
+	d = slices.Grow(d, missing)[:n+missing]
+	i, k := n-1, n+missing-1
+	for j := len(src) - 1; j >= 0; {
+		switch {
+		case i >= 0 && d[i].key > src[j].key:
+			d[k] = d[i]
+			i, k = i-1, k-1
+		case i >= 0 && d[i].key == src[j].key:
+			j-- // merged in place above
+		default:
+			d[k] = src[j]
+			j, k = j-1, k-1
+		}
+	}
+	*s = d
+	return added
+}
 
 // Page accounting: the live regions nest — every open loop of every
 // activation on the stack, innermost last — and a page touched while a
@@ -156,7 +251,9 @@ type pageSet map[uint32]struct{}
 // is therefore recorded once, in the innermost live region, and a region
 // that closes hands its set to the region enclosing it (absorb); the
 // candidate's footprint is the union over its closed activations
-// (mergePages). One touch costs one set insert whatever the stack depth.
+// (mergePages). One touch costs one bit set in a sparse page bitset
+// (pageSet) whatever the stack depth; a union is a merge of two sorted word
+// lists, and a dead set's storage serves the next region that touches a page.
 //
 // The machine's page caches report a page when they fill an entry, not on
 // every hit (mem.Memory.Touch), so a region that opens invalidates them
@@ -252,9 +349,11 @@ func (p *Profiler) onTouch(pn uint32) {
 	}
 	set := p.stack[len(p.stack)-1].innermost()
 	if *set == nil {
-		*set = make(pageSet)
+		if n := len(p.spare); n > 0 {
+			*set, p.spare = p.spare[n-1], p.spare[:n-1]
+		}
 	}
-	(*set)[pn] = struct{}{}
+	set.add(pn)
 	p.lastPage = pn
 }
 
@@ -268,13 +367,20 @@ func (a *activation) innermost() *pageSet {
 }
 
 // absorb adds the pages of a region that just closed to the region enclosing
-// it. src is dead afterwards, so the larger of the two maps is kept.
-func absorb(dst *pageSet, src pageSet) {
+// it. src is dead afterwards, so the larger of the two sets is kept and the
+// other's storage is kept for a region to come.
+func (p *Profiler) absorb(dst *pageSet, src pageSet) {
 	if len(*dst) < len(src) {
 		*dst, src = src, *dst
 	}
-	for pn := range src {
-		(*dst)[pn] = struct{}{}
+	dst.union(src)
+	p.recycle(src)
+}
+
+// recycle keeps the storage of a dead page set for a region to come.
+func (p *Profiler) recycle(s pageSet) {
+	if cap(s) > 0 {
+		p.spare = append(p.spare, s[:0])
 	}
 }
 
@@ -318,7 +424,9 @@ func (p *Profiler) ExitFunc(m *interp.Machine, f *ir.Func) {
 	if n > 1 {
 		caller := &p.stack[n-2]
 		caller.calleeTime += elapsed
-		absorb(caller.innermost(), act.pages)
+		p.absorb(caller.innermost(), act.pages)
+	} else {
+		p.recycle(act.pages)
 	}
 	p.stack = p.stack[:n-1]
 }
@@ -373,7 +481,7 @@ func (p *Profiler) closeLoop(m *interp.Machine, act *activation) {
 	mergePages(la.stats, la.pages)
 	pages := la.pages
 	act.loops = act.loops[:n]
-	absorb(act.innermost(), pages)
+	p.absorb(act.innermost(), pages)
 }
 
 func loopContains(outer, inner *analysis.Loop) bool {
@@ -391,13 +499,7 @@ func mergePages(st *Stats, pages pageSet) {
 	if len(pages) == 0 {
 		return
 	}
-	if st.pageSet == nil {
-		st.pageSet = make(pageSet)
-	}
-	for pn := range pages {
-		st.pageSet[pn] = struct{}{}
-	}
-	st.Pages = len(st.pageSet)
+	st.Pages += st.pageSet.union(pages)
 	st.MemBytes = int64(st.Pages) * mem.PageSize
 }
 

@@ -322,10 +322,10 @@ func TestSelfTimeExcludesCallees(t *testing.T) {
 // the page counts, immediately, for every live activation and every live
 // loop. (It adds straight to the candidate's union, which is what those
 // regions' private sets amounted to once they closed.)
-func everyLiveRegion(p *Profiler, want map[*Stats]pageSet, pn uint32) {
+func everyLiveRegion(p *Profiler, want map[*Stats]map[uint32]struct{}, pn uint32) {
 	add := func(st *Stats) {
 		if want[st] == nil {
-			want[st] = make(pageSet)
+			want[st] = make(map[uint32]struct{})
 		}
 		want[st][pn] = struct{}{}
 	}
@@ -381,7 +381,7 @@ func TestPageAccountingMatchesEveryLiveRegion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := make(map[*Stats]pageSet)
+		want := make(map[*Stats]map[uint32]struct{})
 		var live []*ir.Func
 		var page uint32
 		call := func() {
@@ -420,12 +420,12 @@ func TestPageAccountingMatchesEveryLiveRegion(t *testing.T) {
 		}
 		p.Detach()
 		check := func(st *Stats) {
-			if st.Pages != len(want[st]) || len(st.pageSet) != len(want[st]) {
+			if st.Pages != len(want[st]) || st.pageSet.len() != len(want[st]) {
 				t.Fatalf("seed %d: %s: %d pages (set of %d), reference %d",
-					seed, st.Candidate.Name(), st.Pages, len(st.pageSet), len(want[st]))
+					seed, st.Candidate.Name(), st.Pages, st.pageSet.len(), len(want[st]))
 			}
 			for pn := range want[st] {
-				if _, ok := st.pageSet[pn]; !ok {
+				if !st.pageSet.has(pn) {
 					t.Fatalf("seed %d: %s: page %d missing", seed, st.Candidate.Name(), pn)
 				}
 			}
@@ -435,6 +435,57 @@ func TestPageAccountingMatchesEveryLiveRegion(t *testing.T) {
 		}
 		for _, st := range p.loopStats {
 			check(st)
+		}
+	}
+}
+
+// TestPageSetMatchesMap holds the profiler's sparse page bitset to a plain
+// map: random adds and unions — sets that share spans, that interleave, and
+// that hold spans the other lacks on either side — with pages spread over
+// many 64-page spans, comparing membership, size and the count union returns.
+func TestPageSetMatchesMap(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		page := func() uint32 { return uint32(rng.Intn(12))*64*uint32(1+rng.Intn(3)) + uint32(rng.Intn(64)) }
+		var sets [3]pageSet
+		var want [3]map[uint32]struct{}
+		for i := range want {
+			want[i] = make(map[uint32]struct{})
+		}
+		for op := 0; op < 60; op++ {
+			d := rng.Intn(3)
+			if rng.Intn(4) > 0 {
+				pn := page()
+				sets[d].add(pn)
+				want[d][pn] = struct{}{}
+			} else {
+				s := rng.Intn(3)
+				if s == d {
+					continue
+				}
+				before := len(want[d])
+				for pn := range want[s] {
+					want[d][pn] = struct{}{}
+				}
+				if added := sets[d].union(sets[s]); added != len(want[d])-before {
+					t.Fatalf("seed %d op %d: union added %d pages, reference %d", seed, op, added, len(want[d])-before)
+				}
+			}
+			for i := range sets {
+				for j := 1; j < len(sets[i]); j++ {
+					if sets[i][j-1].key >= sets[i][j].key {
+						t.Fatalf("seed %d op %d: set %d's spans are out of order", seed, op, i)
+					}
+				}
+				if sets[i].len() != len(want[i]) {
+					t.Fatalf("seed %d op %d: set %d holds %d pages, reference %d", seed, op, i, sets[i].len(), len(want[i]))
+				}
+				for pn := range want[i] {
+					if !sets[i].has(pn) {
+						t.Fatalf("seed %d op %d: set %d lacks page %d", seed, op, i, pn)
+					}
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -55,5 +56,38 @@ func TestGuestLayerImportsOnlyItself(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no guest-layer source files found; run from the module root")
+	}
+}
+
+// TestGuestMemoryHasNoMaps fails on a map type anywhere in internal/mem's
+// non-test files, with its position. Guest pages live in a page table
+// (internal/mem/table.go): a lookup is a search of a few sorted leaves and a
+// walk comes out in page order, where a map keyed by page number costs a
+// hash per page-cache miss and a sort per walk.
+func TestGuestMemoryHasNoMaps(t *testing.T) {
+	fset := token.NewFileSet()
+	files, err := filepath.Glob(filepath.Join("internal", "mem", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked++
+		ast.Inspect(f, func(n ast.Node) bool {
+			if mt, ok := n.(*ast.MapType); ok {
+				t.Errorf("%s: a map type in the guest memory", fset.Position(mt.Pos()))
+			}
+			return true
+		})
+	}
+	if checked == 0 {
+		t.Fatal("no internal/mem source files found; run from the module root")
 	}
 }
