@@ -104,9 +104,11 @@ guestbench:
 ## workloads, the four simulated BENCH_*.json records at the repo root,
 ## the generated blocks of EXPERIMENTS.md — one per paper entry, its prose
 ## untouched —, the guest sampler's folded profiles of the call kernel and
-## offloaded chess) through the shared goldentest -update flag. A record
-## whose floor fails is not rewritten.
+## offloaded chess) through the shared goldentest -update flag, after
+## recording the Go release that writes them in internal/goldentest/GOVERSION
+## (a later drift names it). A record whose floor fails is not rewritten.
 golden:
+	$(GO) env GOVERSION > internal/goldentest/GOVERSION
 	$(GO) test ./internal/obs/ ./internal/obs/analyze/ -update
 	$(GO) test ./cmd/offloadrun/ -run '^TestMetricsGolden$$' -update
 	$(GO) test ./cmd/offloadc/ ./examples/... -run '^TestStdoutGolden$$' -update

@@ -76,7 +76,8 @@ type Framework struct {
 	// framework builds (RunLocal, RunOffloaded, Profile's machine). The
 	// zero value is the pre-decoded fast engine, which is what ships;
 	// interp.EngineRef, the reference tree-walker, is for differential tests
-	// and the benchmark's engine probe.
+	// and the benchmark's engine probe. RunOffloaded needs the fast engine:
+	// offrt.NewSession refuses a server on the reference engine.
 	Engine interp.Engine
 
 	// SampleEvery, when positive, attaches a guest sampling profiler with

@@ -11,9 +11,11 @@ import "repro/internal/mem"
 
 // State is the migratable execution state of a program instance.
 type State struct {
-	// SP is the guest stack pointer at the checkpoint instant. The guest
-	// registers of in-progress frames live in the dirty stack pages the
-	// memory checkpoint already carries.
+	// SP is the guest stack pointer at the checkpoint instant. The frame
+	// stack — each in-progress activation's function, pc and registers
+	// (Machine.frames, Machine.regs) — is not part of the checkpoint, which
+	// is why RestoreState restores into the machine that holds those frames,
+	// in place, and not into a fresh instance (ROADMAP item 23(c)).
 	SP uint32
 	// Mem is the private-page snapshot of the copy-on-write overlay.
 	Mem *mem.Checkpoint

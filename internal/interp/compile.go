@@ -148,13 +148,10 @@ type ccall struct {
 }
 
 // cfunc is one function compiled against one linkage (operands inline
-// linker-assigned global and function addresses). idx names the frame pool
-// a Machine recycles this function's register frames through — frames are
-// per-machine state, so shared compiled code carries only the index. traps,
-// calls and refs are the side tables instructions index through aux.
+// linker-assigned global and function addresses). traps, calls and refs are
+// the side tables instructions index through aux.
 type cfunc struct {
 	fn    *ir.Func
-	idx   int32
 	code  []cinstr
 	traps []error
 	calls []ccall
@@ -188,7 +185,7 @@ func compileModule(cfg CompileConfig, lay *linkage, mod *ir.Module) *compiler {
 	}
 	for _, f := range mod.Funcs {
 		if !f.IsExtern() {
-			c.cfuncs[f] = &cfunc{fn: f, idx: int32(len(c.cfuncs))}
+			c.cfuncs[f] = &cfunc{fn: f}
 		}
 	}
 	for _, f := range mod.Funcs {

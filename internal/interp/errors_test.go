@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,9 +10,9 @@ import (
 	"repro/internal/mem"
 )
 
-// buildAndRun lowers a module whose main build writes and runs it on eng,
-// returning the error.
-func buildAndRun(t *testing.T, build func(b *ir.Builder), eng Engine) error {
+// buildAndRun lowers a module whose main build writes and runs it on eng —
+// with run, or RunMain when run is nil —, returning the error.
+func buildAndRun(t *testing.T, build func(b *ir.Builder), eng Engine, run func(m *Machine) error) error {
 	t.Helper()
 	mod := ir.NewModule("err")
 	b := ir.NewBuilder(mod)
@@ -22,8 +23,26 @@ func buildAndRun(t *testing.T, build func(b *ir.Builder), eng Engine) error {
 	}
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	_, err := bind(t, mod, CompileConfig{Name: "err", Spec: arch.ARM32()}, WithEngine(eng)).RunMain()
+	m := bind(t, mod, CompileConfig{Name: "err", Spec: arch.ARM32()}, WithEngine(eng))
+	if run != nil {
+		return run(m)
+	}
+	_, err := m.RunMain()
 	return err
+}
+
+// reentrantHost is a runtime whose gate calls back into the machine — a host
+// re-entry, as the offload runtime's local fallback makes — running the
+// module's function "waiter".
+type reentrantHost struct {
+	hostObserver
+	err error // what the re-entry returned
+}
+
+func (h *reentrantHost) Gate(m *Machine, id int32) bool {
+	_, err := m.CallFunc(m.Mod.Func("waiter"))
+	h.err = err
+	return false
 }
 
 // callAt calls through a function pointer holding addr. The module's
@@ -38,40 +57,41 @@ func TestErrorPaths(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func(b *ir.Builder)
+		run   func(m *Machine) error // nil: RunMain
 		want  string
 	}{
 		{"printf missing argument", func(b *ir.Builder) {
 			b.CallExtern(ir.ExternPrintf, b.Str("%d %d\n"), ir.Int(1))
-		}, "missing argument"},
+		}, nil, "missing argument"},
 		{"printf bad verb", func(b *ir.Builder) {
 			b.CallExtern(ir.ExternPrintf, b.Str("%q\n"), ir.Int(1))
-		}, "unsupported"},
+		}, nil, "unsupported"},
 		{"scanf exhausted", func(b *ir.Builder) {
 			dst := b.Alloca(ir.I32)
 			b.CallExtern(ir.ExternScanf, b.Str("%d"), dst)
-		}, "stdin exhausted"},
+		}, nil, "stdin exhausted"},
 		{"read on unopened fd", func(b *ir.Builder) {
 			buf := b.CallExtern(ir.ExternUMalloc, ir.Int(8))
 			b.CallExtern(ir.ExternFileRead, ir.Int(9), buf, ir.Int(8))
-		}, "closed fd"},
+		}, nil, "closed fd"},
 		{"open missing file", func(b *ir.Builder) {
 			b.CallExtern(ir.ExternFileOpen, b.Str("nope.bin"))
-		}, "no such file"},
+		}, nil, "no such file"},
 		{"u_free outside heap", func(b *ir.Builder) {
 			b.CallExtern(ir.ExternUFree, ir.Int(0x100))
-		}, "outside heap"},
+		}, nil, "outside heap"},
 		{"indirect call to garbage address", func(b *ir.Builder) {
 			callAt(b, 0x1234)
-		}, "no function at address"},
+		}, nil, "no function at address"},
 		{"indirect call to misaligned address", func(b *ir.Builder) {
 			callAt(b, int64(mem.FuncBaseMobile)+8)
-		}, "no function at address"},
+		}, nil, "no function at address"},
 		{"indirect call one past the last function", func(b *ir.Builder) {
 			callAt(b, int64(mem.FuncBaseMobile)+funcStride*int64(len(b.M.Funcs)))
-		}, "no function at address"},
+		}, nil, "no function at address"},
 		{"remainder by zero", func(b *ir.Builder) {
 			b.Rem(ir.Int(5), ir.Int(0))
-		}, "remainder by zero"},
+		}, nil, "remainder by zero"},
 		// f() { f() }: no frame allocates, so only the call-depth bound
 		// stops it before the host stack does.
 		{"unbounded recursion without locals", func(b *ir.Builder) {
@@ -80,12 +100,32 @@ func TestErrorPaths(t *testing.T) {
 			b.Ret(b.Call(f))
 			b.F, b.B = mainF, mainB
 			b.Call(f)
-		}, "interp(err): stack overflow in f"},
+		}, nil, "interp(err): stack overflow in f"},
+		{"resume of a machine that is not suspended", func(b *ir.Builder) {}, func(m *Machine) error {
+			_, err := m.Resume(1)
+			return err
+		}, "interp(err): resume of a machine that is not suspended at accept"},
+		// accept under a host call would suspend into the host's Go caller,
+		// which waits for a result: the call fails instead.
+		{"accept beneath a host call", func(b *ir.Builder) {
+			mainF, mainB := b.F, b.B
+			b.NewFunc("waiter", ir.I32)
+			b.Ret(b.CallExtern(ir.ExternAccept))
+			b.F, b.B = mainF, mainB
+			b.CallExtern(ir.ExternGate, ir.Int(1))
+		}, func(m *Machine) error {
+			h := &reentrantHost{hostObserver: hostObserver{StdIO: NewStdIO(nil), m: m}}
+			m.Sys = h
+			if _, err := m.RunMain(); err != nil {
+				return fmt.Errorf("main: %v", err)
+			}
+			return h.err
+		}, "cannot suspend"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			for _, eng := range []Engine{EngineFast, EngineRef} {
-				err := buildAndRun(t, c.build, eng)
+				err := buildAndRun(t, c.build, eng, c.run)
 				if err == nil {
 					t.Fatalf("%v engine: expected an error containing %q", eng, c.want)
 				}

@@ -23,13 +23,49 @@ type frame struct {
 	regs []uint64
 }
 
-// RunMain executes the module's main() and returns its exit code.
+// ErrSuspended is what RunMain and Resume return when the machine stopped
+// at accept (the server's listen loop waiting for a request) instead of
+// finishing: its frames stay in place, and Resume continues it.
+var ErrSuspended = errors.New("interp: machine suspended at accept")
+
+// errAccept is callExtern's answer to accept on a machine with a runtime:
+// the fast engine's loop suspends there (externFrom). A host that calls the
+// extern itself gets it as an error.
+var errAccept = errors.New("interp: accept cannot suspend here")
+
+// RunMain executes the module's main() and returns its exit code, or
+// ErrSuspended when main stopped at accept.
 func (m *Machine) RunMain() (int32, error) {
 	mainf := m.Mod.Func("main")
 	if mainf == nil {
 		return 0, fmt.Errorf("interp(%s): module %s has no main", m.Name, m.Mod.Name)
 	}
-	ret, err := m.CallFunc(mainf)
+	return exitStatus(m.CallFunc(mainf))
+}
+
+// Resume continues a machine suspended at accept, with v as accept's result
+// (the request's task id; 0 shuts the listen loop down), and runs it as
+// RunMain does: to main's exit code, an error, or ErrSuspended at the next
+// accept. It pops accept's sampler frame first, at the clock the caller has
+// set, as a blocking accept's return would have.
+func (m *Machine) Resume(v uint64) (int32, error) {
+	if !m.suspended {
+		return 0, fmt.Errorf("interp(%s): resume of a machine that is not suspended at accept", m.Name)
+	}
+	m.suspended = false
+	if ps := m.sampler; ps != nil {
+		ps.pop(m.Clock)
+	}
+	top := m.frames[len(m.frames)-1]
+	if c := top.cf.code[top.pc-1].c; c >= 0 {
+		m.regs[top.base+c] = v
+	}
+	return exitStatus(m.run(0))
+}
+
+// exitStatus is main's result as an exit code: its return value, or the
+// code it passed to exit().
+func exitStatus(ret uint64, err error) (int32, error) {
 	var xe *ExitError
 	if errors.As(err, &xe) {
 		return xe.Code, nil
@@ -49,14 +85,18 @@ func (m *Machine) CallFunc(f *ir.Func, args ...uint64) (uint64, error) {
 	return m.call(f, args)
 }
 
-// maxCallDepth bounds the guest activations live at once. Both engines
-// recurse on the Go stack once per guest call — the fast engine about
-// 0.8 KB a call, 1.6 KB under the race detector — and the guest stack is
-// checked only where a frame allocates (Alloca), so a guest recursion
-// without locals would otherwise grow the goroutine to Go's 1 GB limit and
-// kill the process. At this bound a runaway recursion stops near 100 MB of
-// Go stack, far above the deepest stack the paper's experiments build: 15
-// activations, chess minimax at difficulty 11.
+// maxCallDepth bounds the guest activations live at once, the length of
+// Machine.frames. The guest stack is checked only where a frame allocates
+// (Alloca), so a guest recursion without locals would otherwise grow the
+// machine until the host runs out of memory. The fast engine keeps its
+// frames as data, a 24-byte record plus 8 bytes per register of the
+// callee's window, so a runaway recursion stops within a few MB: the
+// recursion row of TestErrorPaths peaks at 13 MB RSS for the whole test
+// process (41 MB under the race detector). The reference engine recurses
+// on the Go stack, about 0.8 KB a call and 1.6 KB under the race detector,
+// and peaks near 120 MB (400–460 MB). The bound is far above the deepest
+// stack the paper's experiments build: 15 activations, chess minimax at
+// difficulty 11.
 const maxCallDepth = 1 << 16
 
 // stackOverflow is the trap for a call that finds the guest stack full.
@@ -89,16 +129,18 @@ func (m *Machine) callRef(f *ir.Func, args []uint64) (uint64, error) {
 	if len(args) != len(f.Params) {
 		return 0, fmt.Errorf("interp(%s): call %s with %d args, want %d", m.Name, f.Nam, len(args), len(f.Params))
 	}
-	if m.depth >= maxCallDepth {
+	if len(m.frames) >= maxCallDepth {
 		return 0, stackOverflow(m.Name, f)
 	}
-	m.depth++
+	m.frames = append(m.frames, cframe{sp: m.sp})
 	fr := &frame{fn: f, regs: make([]uint64, f.NumSlots)}
 	for i, p := range f.Params {
 		fr.regs[p.Slot] = args[i]
 	}
-	spSave := m.sp
-	defer func() { m.sp = spSave; m.depth-- }()
+	defer func() {
+		m.sp = m.frames[len(m.frames)-1].sp
+		m.frames = m.frames[:len(m.frames)-1]
+	}()
 
 	if m.Listener != nil {
 		m.Listener.EnterFunc(m, f)

@@ -12,6 +12,14 @@ import (
 
 // callExtern dispatches a call to a body-less function.
 func (m *Machine) callExtern(f *ir.Func, args []uint64) (uint64, error) {
+	if f.Extern == ir.ExternAccept && m.Sys != nil {
+		// The server waits for its next request: the fast engine suspends
+		// (see externFrom), which the recursive reference engine cannot.
+		if m.Engine == EngineRef {
+			return 0, fmt.Errorf("interp(%s): %s cannot suspend a machine on the reference engine", m.Name, f.Nam)
+		}
+		return 0, errAccept
+	}
 	if ps := m.sampler; ps != nil {
 		// Extern frames appear in profiles too: time spent in remote I/O or
 		// the offload externs attributes to the extern, not its caller.
@@ -155,10 +163,7 @@ func (m *Machine) callExtern(f *ir.Func, args []uint64) (uint64, error) {
 		return m.Sys.Offload(m, int32(args[0]), args[1:])
 
 	case ir.ExternAccept:
-		if m.Sys == nil {
-			return 0, nil // shut down immediately
-		}
-		return uint64(m.Sys.Accept(m)), nil
+		return 0, nil // no runtime: shut down immediately
 
 	case ir.ExternArg:
 		if m.Sys == nil {

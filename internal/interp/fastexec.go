@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/ir"
@@ -42,7 +43,23 @@ func tlbKey(mm *mem.Memory) uint64 {
 	return k
 }
 
-// callFast is CallFunc on the pre-decoded engine.
+// cframe is one activation on the fast engine's frame stack: its function,
+// the pc it continues at — behind the call it is waiting on, whose
+// destination slot (code[pc-1].c) takes the callee's result —, where its
+// register window starts on the machine's register stack, and the stack
+// pointer its return restores. pc is written when the frame calls; the
+// running frame's pc lives in execCompiled.
+type cframe struct {
+	cf   *cfunc
+	pc   int32
+	base int32
+	sp   uint32
+}
+
+// callFast is CallFunc on the pre-decoded engine. A host call pushes f's
+// frame over whatever the machine holds — nothing, the frames of a guest call
+// whose extern re-entered the machine, or those of a suspended accept — and
+// runs until that frame returns.
 func (m *Machine) callFast(f *ir.Func, args []uint64) (uint64, error) {
 	if f.IsExtern() {
 		return m.callExtern(f, args)
@@ -50,56 +67,109 @@ func (m *Machine) callFast(f *ir.Func, args []uint64) (uint64, error) {
 	if len(args) != len(f.Params) {
 		return 0, fmt.Errorf("interp(%s): call %s with %d args, want %d", m.Name, f.Nam, len(args), len(f.Params))
 	}
-	cf := m.cc.cfuncs[f]
-	regs := m.acquireFrame(cf)
+	entry := len(m.frames)
+	regs, err := m.push(m.cc.cfuncs[f])
+	if err != nil {
+		return 0, err
+	}
 	for i, p := range f.Params {
 		regs[p.Slot] = args[i]
 	}
-	v, err := m.runCompiled(cf, regs)
-	m.releaseFrame(cf, regs)
+	return m.run(entry)
+}
+
+// run executes the fast engine from the top frame until the frame at index
+// entry returns, and returns its result. A failure — a trap, an extern's
+// error, exit() — unwinds the frames from the top down to entry, each with
+// its exit join points, as their returns would have; a suspension at accept
+// leaves them in place for Resume.
+func (m *Machine) run(entry int) (uint64, error) {
+	v, err := m.execCompiled(entry)
+	if err != nil && err != ErrSuspended {
+		for len(m.frames) > entry {
+			m.pop()
+		}
+	}
 	return v, err
 }
 
-// callCompiled invokes a compiled callee from inside the fast loop,
-// evaluating pre-decoded arguments directly into the callee's frame.
-func (m *Machine) callCompiled(cf *cfunc, args []carg, caller []uint64) (uint64, error) {
-	regs := m.acquireFrame(cf)
-	for i := range args {
-		regs[cf.fn.Params[i].Slot] = rv(caller, args[i].slot, args[i].imm)
+// push opens an activation of cf: the call-depth bound, a cleared register
+// window on top of the register stack, then the function-entry join points.
+// It returns the window. Both stacks grow from the first call and keep their
+// capacity for the machine's life; a frame's window is an offset, so a move
+// of the register stack leaves every frame valid.
+func (m *Machine) push(cf *cfunc) ([]uint64, error) {
+	if len(m.frames) >= maxCallDepth {
+		return nil, stackOverflow(m.Name, cf.fn)
 	}
-	v, err := m.runCompiled(cf, regs)
-	m.releaseFrame(cf, regs)
-	return v, err
-}
-
-// runCompiled is one activation of cf: the function-entry and function-exit
-// join points around the hot loop. The exit hooks run on every way out —
-// return, trap, exit() unwinding through this frame — as the reference
-// engine's deferred ones do, and at the same clock: a Ret charges nothing
-// and a failing instruction's segment is charged before it executes. A plain
-// run pays one nil compare per hook at entry and one at exit, and nothing
-// anywhere else.
-func (m *Machine) runCompiled(cf *cfunc, regs []uint64) (uint64, error) {
-	if m.depth >= maxCallDepth {
-		return 0, stackOverflow(m.Name, cf.fn)
-	}
-	m.depth++
-	spSave := m.sp
-	defer func() { m.sp = spSave; m.depth-- }()
+	base := len(m.regs)
+	m.frames = append(m.frames, cframe{cf: cf, base: int32(base), sp: m.sp})
+	m.regs = slices.Grow(m.regs, cf.fn.NumSlots)[:base+cf.fn.NumSlots]
+	clear(m.regs[base:])
 	if l := m.Listener; l != nil {
 		l.EnterFunc(m, cf.fn)
 	}
 	if ps := m.sampler; ps != nil {
 		ps.push(cf.fn.Nam, m.Clock)
 	}
-	v, err := m.execCompiled(cf, regs)
+	return m.regs[base:], nil
+}
+
+// pop closes the top activation: the function-exit join points, at the
+// clock the reference engine's deferred ones see — a Ret charges nothing and
+// a failing instruction's segment is charged before it executes —, then the
+// stack pointer and the register window go back to the caller. A plain run
+// pays one nil compare per hook at push and one at pop, and nothing anywhere
+// else.
+func (m *Machine) pop() {
+	fr := m.frames[len(m.frames)-1]
 	if ps := m.sampler; ps != nil {
 		ps.pop(m.Clock)
 	}
 	if l := m.Listener; l != nil {
-		l.ExitFunc(m, cf.fn)
+		l.ExitFunc(m, fr.cf.fn)
 	}
-	return v, err
+	m.sp = fr.sp
+	m.frames = m.frames[:len(m.frames)-1]
+	m.regs = m.regs[:fr.base]
+}
+
+// enter is a guest call from the top frame, which continues at pc: it
+// pushes target's frame and evaluates args from the caller's registers into
+// the callee's window, which it returns.
+func (m *Machine) enter(target *cfunc, args []carg, caller []uint64, pc int32) ([]uint64, error) {
+	m.frames[len(m.frames)-1].pc = pc
+	regs, err := m.push(target)
+	if err != nil {
+		return nil, err
+	}
+	for i := range args {
+		regs[target.fn.Params[i].Slot] = rv(caller, args[i].slot, args[i].imm)
+	}
+	return regs, nil
+}
+
+// externFrom is callExtern from the top frame, which continues at pc. It is
+// where the fast engine suspends at accept on a machine with a runtime: the
+// top frame keeps its place with every frame below it, and ErrSuspended goes
+// out of the loop; Resume continues it. The sampler keeps accept's frame
+// until then, so the idle wait attributes to accept, as a blocking call's
+// would. Only the outermost run can suspend: beneath a host call (entry > 0)
+// the Go caller of that call waits for a result, so it is an error there.
+func (m *Machine) externFrom(entry int, pc int32, f *ir.Func, args []uint64) (uint64, error) {
+	v, err := m.callExtern(f, args)
+	if err != errAccept {
+		return v, err
+	}
+	if entry != 0 {
+		return 0, fmt.Errorf("interp(%s): %s beneath a host call cannot suspend the machine", m.Name, f.Nam)
+	}
+	m.frames[len(m.frames)-1].pc = pc
+	if ps := m.sampler; ps != nil {
+		ps.push(f.Nam, m.Clock)
+	}
+	m.suspended = true
+	return 0, ErrSuspended
 }
 
 // settle applies the compute cycles the fast engine has charged since the
@@ -259,14 +329,17 @@ func (m *Machine) writeMem(addr uint32, size int, v uint64) error {
 	return mm.WriteUint(addr, size, v)
 }
 
-// execCompiled runs one activation of cf on the fast engine. It is the
-// stepper around the hot loop: hotLoop runs until it reaches an instruction
-// it cannot finish without a call, execCompiled executes that one
-// instruction and resumes the hot loop behind it, until it executes the
-// activation's return or a trap. The stepper owns the half of every opcode
+// execCompiled runs the fast engine from the top frame until the frame at
+// index entry returns, or the machine suspends at accept. It is the stepper
+// around the hot loop: hotLoop runs until it reaches an instruction it cannot
+// finish without a call, execCompiled executes that one instruction and
+// resumes the hot loop behind it. The stepper owns the half of every opcode
 // that calls: page-cache misses and page-straddling accesses, slow loads and
 // stores, calls and returns, traps, alloca, division by zero, the Listener's
-// block hook, and — with a sampler attached — every segment end.
+// block hook, and — with a sampler attached — every segment end. A guest call
+// pushes the callee's frame and a return pops it, both in this loop: the
+// guest's call depth costs the Go stack nothing. On an error it returns
+// with the frames above entry still pushed, and run unwinds them.
 //
 // A segment's charge (cinstr.steps/cycles) is added by the opcode that ends
 // it — the ones compileInto flushes on: memory accesses, calls, alloca,
@@ -277,14 +350,15 @@ func (m *Machine) writeMem(addr uint32, size int, v uint64) error {
 // Clock and the compute bucket before anything that can read them: every
 // call, Listener hook, page-cache miss (on its way to the mem.Fault handler
 // or a Touch observer) and trap is here, so outside the hot loop nothing is
-// ever pending. With a sampler attached (looked at
-// once per activation: attach it between top-level calls) the hot loop
-// leaves every segment end to the stepper, which ticks there, so the
-// sampler sees exactly the instants of per-segment charging.
-func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
-	code := cf.code
+// ever pending. With a sampler attached (looked at once per run: attach it
+// between top-level calls) the hot loop leaves every segment end to the
+// stepper, which ticks there, so the sampler sees exactly the instants of
+// per-segment charging.
+func (m *Machine) execCompiled(entry int) (uint64, error) {
+	fr := &m.frames[len(m.frames)-1]
+	cf, pc := fr.cf, fr.pc
+	code, regs := cf.code, m.regs[fr.base:]
 	sampled := m.sampler != nil
-	var pc int32
 	for {
 		pc = m.hotLoop(code, regs, pc, sampled)
 		in := &code[pc-1]
@@ -359,16 +433,20 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 
 		case cCall:
 			call := &cf.calls[in.aux]
-			var v uint64
-			var err error
-			if call.ctarget != nil {
-				v, err = m.callCompiled(call.ctarget, call.args, regs)
-			} else {
-				v, err = m.callExtern(call.callee, externArgs(call.args, regs))
+			if target := call.ctarget; target != nil {
+				callee, err := m.enter(target, call.args, regs, pc)
+				if err != nil {
+					return 0, err
+				}
+				cf, code, regs, pc = target, target.code, callee, 0
+				continue
 			}
+			v, err := m.externFrom(entry, pc, call.callee, externArgs(call.args, regs))
 			if err != nil {
 				return 0, err
 			}
+			// A host call from the extern may have moved the register stack.
+			regs = m.regs[m.frames[len(m.frames)-1].base:]
 			if in.c >= 0 {
 				regs[in.c] = v
 			}
@@ -385,11 +463,7 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 				return 0, rerr
 			}
 			args := cf.calls[in.aux].args
-			var v uint64
-			var err error
-			if callee.IsExtern() {
-				v, err = m.callExtern(callee, externArgs(args, regs))
-			} else {
+			if !callee.IsExtern() {
 				if len(args) != len(callee.Params) {
 					return 0, fmt.Errorf("interp(%s): call %s with %d args, want %d",
 						m.Name, callee.Nam, len(args), len(callee.Params))
@@ -398,11 +472,18 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 				if target == nil {
 					return 0, foreignFunc(m.Name, callee)
 				}
-				v, err = m.callCompiled(target, args, regs)
+				window, err := m.enter(target, args, regs, pc)
+				if err != nil {
+					return 0, err
+				}
+				cf, code, regs, pc = target, target.code, window, 0
+				continue
 			}
+			v, err := m.externFrom(entry, pc, callee, externArgs(args, regs))
 			if err != nil {
 				return 0, err
 			}
+			regs = m.regs[m.frames[len(m.frames)-1].base:]
 			if in.c >= 0 {
 				regs[in.c] = v
 			}
@@ -412,10 +493,20 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 		case cCondBr:
 			pc = in.target(rv(regs, in.a, in.imm))
 		case cRet:
+			var v uint64
 			if in.aux != 0 {
-				return rv(regs, in.a, in.imm), nil
+				v = rv(regs, in.a, in.imm)
 			}
-			return 0, nil
+			m.pop()
+			if len(m.frames) == entry {
+				return v, nil
+			}
+			fr := &m.frames[len(m.frames)-1]
+			cf, pc = fr.cf, fr.pc
+			code, regs = cf.code, m.regs[fr.base:]
+			if c := code[pc-1].c; c >= 0 {
+				regs[c] = v
+			}
 		case cTrap:
 			return 0, cf.traps[in.aux]
 

@@ -28,16 +28,17 @@ type IOHost interface {
 // SysHost is the runtime attachment point for the intrinsics the partitioner
 // inserts (Section 3.3) and for remote I/O service (Section 3.4). The
 // offload runtime implements it; standalone (local-only) machines leave it
-// nil and the interpreter falls back to local behaviour.
+// nil and the interpreter falls back to local behaviour. The server's accept
+// intrinsic is no method here: on a machine with a SysHost it suspends the
+// machine (RunMain or Resume returns ErrSuspended), and the runtime resumes
+// it with the next request's task id, which the task executes under until
+// its SendReturn.
 type SysHost interface {
 	// Gate is the dynamic performance estimation: should task taskID be
 	// offloaded right now?
 	Gate(m *Machine, taskID int32) bool
 	// Offload runs the task remotely and returns its result bits.
 	Offload(m *Machine, taskID int32, args []uint64) (uint64, error)
-	// Accept blocks until an offload request arrives; 0 means shut down.
-	// The task executes from its return to the SendReturn call.
-	Accept(m *Machine) int32
 	// Arg fetches argument i of the current request.
 	Arg(m *Machine, i int32) uint64
 	// SendReturn delivers the task result to the mobile device.

@@ -103,9 +103,16 @@ type Machine struct {
 	// again, so concurrent instances read it without locking.
 	cc *compiler
 
-	// pools recycles register frames, indexed by cfunc.idx. Frames are
-	// per-machine (the compiled code is shared), so the pools live here.
-	pools [][][]uint64
+	// frames is the fast engine's activation stack and regs its register
+	// stack: the top frame's register window is regs[frames[top].base:]. The
+	// reference engine's activations live on the Go stack; it pushes a
+	// record holding only the stack pointer to restore per activation, so
+	// one bound (maxCallDepth) counts both.
+	// While suspended is set the fast engine has returned out of its loop at
+	// accept with its frames in place (Resume).
+	frames    []cframe
+	regs      []uint64
+	suspended bool
 
 	// rtlb/wtlb are the direct-mapped page caches of the memory fast path.
 	rtlb [tlbWays]tlbEntry
@@ -119,25 +126,6 @@ type Machine struct {
 
 	sp      uint32
 	spFloor uint32
-	// depth counts the guest activations on the Go stack (maxCallDepth).
-	depth int32
-}
-
-// acquireFrame returns a cleared register frame for cf, recycling through
-// this machine's per-function pool.
-func (m *Machine) acquireFrame(cf *cfunc) []uint64 {
-	if s := m.pools[cf.idx]; len(s) > 0 {
-		regs := s[len(s)-1]
-		m.pools[cf.idx] = s[:len(s)-1]
-		clear(regs)
-		return regs
-	}
-	return make([]uint64, cf.fn.NumSlots)
-}
-
-// releaseFrame returns a frame to the pool.
-func (m *Machine) releaseFrame(cf *cfunc, regs []uint64) {
-	m.pools[cf.idx] = append(m.pools[cf.idx], regs)
 }
 
 // Instrumented reports whether a Listener attached to this machine sees every

@@ -152,7 +152,6 @@ func (p *Program) NewInstance(opts ...InstanceOption) *Machine {
 		Engine:    cfg.engine,
 		lay:       p.lay,
 		cc:        p.cc,
-		pools:     make([][][]uint64, len(p.cc.cfuncs)),
 		sp:        p.mod.StackBase,
 		spFloor:   p.mod.StackBase - mem.StackBytes,
 	}

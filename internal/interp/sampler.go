@@ -18,7 +18,8 @@ import (
 // Flush the attributed total equals the machine's Clock to the picosecond.
 //
 // The stack is maintained at the interpreter's existing call/return points
-// on both engines (callRef, callFast/callCompiled, callExtern), and ticks
+// on both engines (callRef, the fast engine's frame push and pop, callExtern,
+// and a suspended accept until its Resume), and ticks
 // are checked with a two-load guard at every clock-advance site, so a
 // machine without a sampler pays one predictable branch and the hot loop
 // stays 0 allocs/op.

@@ -41,7 +41,6 @@ func (h *hostObserver) Gate(m *Machine, id int32) bool { h.note("sys.gate %d", i
 func (h *hostObserver) Offload(*Machine, int32, []uint64) (uint64, error) {
 	return 0, fmt.Errorf("offload after a declined gate")
 }
-func (h *hostObserver) Accept(*Machine) int32             { return 0 }
 func (h *hostObserver) Arg(*Machine, int32) uint64        { return 0 }
 func (h *hostObserver) SendReturn(*Machine, uint64) error { return nil }
 func (h *hostObserver) RemoteWrite(m *Machine, s string) error {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/interp"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -121,6 +122,11 @@ func TestNewSessionRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := NewSession(env.mobile, env.server, nil); err == nil {
 		t.Error("nil link accepted")
+	}
+	// The listen loop suspends at accept, which only the fast engine can.
+	refServer := env.pair.server.NewInstance(interp.WithEngine(interp.EngineRef))
+	if _, err := NewSession(env.pair.mobile.NewInstance(), refServer, env.link); err == nil || !strings.Contains(err.Error(), "needs the fast engine") {
+		t.Errorf("server on the reference engine: got %v, want an error naming the fast engine", err)
 	}
 	bad := netsim.Fast80211AC()
 	bad.Phases = []netsim.Phase{

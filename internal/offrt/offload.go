@@ -34,7 +34,7 @@ func (s *Session) Offload(m *interp.Machine, taskID int32, args []uint64) (uint6
 	// consume the same input.
 	ioSnap := s.snapshotIO()
 
-	// The request frame is recycled: Accept has installed (copied) the
+	// The request frame is recycled: pass has installed (copied) the
 	// decoded pages before the server runs, so once an attempt's reply is in
 	// — or the request was never delivered — nothing aliases the frame.
 	frame := getFrame()
@@ -89,11 +89,9 @@ func (s *Session) Offload(m *interp.Machine, taskID int32, args []uint64) (uint6
 			return 0, fmt.Errorf("offrt: init message corrupt: %w", err)
 		}
 
-		// Hand the request to the listen loop and wait for the baton back.
-		// All server-side state (clock sync, page install, dirty tracking)
-		// is applied by Accept on the server's own goroutine.
-		s.ep.pass(request{taskID: taskID, args: args, arrival: s.Mobile.Clock,
-			pageTable: got.PageTable, pages: got.Pages})
+		// Hand the request to the listen loop and run it until it comes
+		// back with the finalization.
+		s.pass(request{taskID: taskID, args: args, pageTable: got.PageTable}, got.Pages)
 		rep := s.ep.rep
 		if rep == nil {
 			return 0, fmt.Errorf("offrt: server failed mid-task: %w", s.ep.err)

@@ -87,12 +87,16 @@ func EstimateParams(mobile, server *arch.Spec, link *netsim.Link) estimate.Param
 }
 
 // NewSession builds a session over the given machines and link. The server
-// machine must not be started yet; Session runs it. The link's phase
-// schedule is validated here — a misordered schedule would silently
-// resolve the wrong bandwidth regime at every gate decision.
+// machine must not be started yet, and must run on the fast engine; Session
+// runs it. The link's phase schedule is validated here — a misordered
+// schedule would silently resolve the wrong bandwidth regime at every gate
+// decision.
 func NewSession(mobile, server *interp.Machine, link *netsim.Link, opts ...Option) (*Session, error) {
 	if mobile == nil || server == nil {
 		return nil, fmt.Errorf("offrt: both a mobile and a server machine are required")
+	}
+	if server.Engine == interp.EngineRef {
+		return nil, fmt.Errorf("offrt: the server machine needs the fast engine: its listen loop suspends at accept, which the reference engine cannot")
 	}
 	if link == nil {
 		return nil, fmt.Errorf("offrt: a link is required")

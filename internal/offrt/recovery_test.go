@@ -178,16 +178,16 @@ func TestShutdownIdempotent(t *testing.T) {
 	}
 }
 
-// TestShutdownSafeAfterServerExit: a listen loop handed a shutdown request
-// outside shutdown exits and hands the baton back with no reply; shutdown
-// then hands the baton to nobody and returns.
+// TestShutdownSafeAfterServerExit: a listen loop resumed with a shutdown
+// request outside shutdown exits and comes back with no reply; shutdown
+// then resumes nothing and returns.
 func TestShutdownSafeAfterServerExit(t *testing.T) {
 	env := setup(t, netsim.Fast80211AC(), Policy{})
 	ep := &env.sess.ep
-	ep.start()
-	ep.pass(request{taskID: 0})
-	if !ep.exited || ep.rep != nil || ep.err != nil {
-		t.Fatalf("listen loop handed the baton back with exited %v, reply %v, error %v", ep.exited, ep.rep, ep.err)
+	ep.yielded(ep.m.RunMain())
+	ep.resume(0)
+	if ep.parked || ep.rep != nil || ep.err != nil {
+		t.Fatalf("listen loop came back with parked %v, reply %v, error %v", ep.parked, ep.rep, ep.err)
 	}
 	done := make(chan error, 1)
 	go func() { done <- env.sess.shutdown() }()
@@ -219,11 +219,11 @@ func (h *dyingHost) SendReturn(m *interp.Machine, v uint64) error {
 	return errHostDied
 }
 
-// TestServerDeathMidTask: a listen loop whose task fails hands the baton
-// back as it exits. Before finalization there is no reply, and RunMobile
-// returns an error naming the failure and wrapping the server's; after
-// finalization the mobile has its result, runs to the fault-free end, and
-// the server's error surfaces from the shutdown.
+// TestServerDeathMidTask: a listen loop whose task fails comes back to the
+// mobile exited, not parked at accept. Before finalization there is no
+// reply, and RunMobile returns an error naming the failure and wrapping the
+// server's; after finalization the mobile has its result, runs to the
+// fault-free end, and the server's error surfaces from the shutdown.
 func TestServerDeathMidTask(t *testing.T) {
 	twolf := workloadPair(t, "300.twolf") // one offload
 	link := scaledLink(netsim.Fast80211AC())

@@ -22,36 +22,6 @@ const radioTail = 150 * simtime.Millisecond
 
 // ---- SysHost: server side ----
 
-// Accept implements the server's blocking accept: it hands the baton back
-// to the mobile, with the finalization of the last task, and waits for the
-// next request, so the server is parked here whenever the mobile executes.
-func (s *Session) Accept(m *interp.Machine) int32 {
-	req := s.ep.park()
-	if req.taskID == 0 {
-		return 0
-	}
-	// Initialization, server side: the machine was idle-waiting, so its
-	// clock jumps to the request arrival; the prefetched pages and fresh
-	// dirty tracking come with it (Figure 5 "Initialization").
-	s.ep.m.Clock = simtime.Max(s.ep.m.Clock, req.arrival)
-	for _, p := range req.pages {
-		s.ep.m.Mem.InstallPage(p.PN, p.Data)
-	}
-	s.ep.cur.pages = nil // they alias the request frame, which the mobile recycles
-	s.ep.m.Mem.TrackDirty = true
-	s.ep.m.Mem.ClearDirty()
-	// Arm the health monitor for this task and apply any server fault that
-	// already matured — a request landing on a crashed or stalled host
-	// finds out here, not at its first remote service.
-	s.ep.lastBeat = s.ep.m.Clock
-	s.ep.ewmaGap, s.ep.strikes = 0, 0
-	s.heartbeat("accept")
-	// The offloaded task begins executing here.
-	s.Tracer.Emit(obs.Event{Time: m.Clock, Kind: obs.KTaskEnter, Track: obs.TrackServer,
-		A0: int64(req.taskID)})
-	return req.taskID
-}
-
 // Arg returns argument i of the current request.
 func (s *Session) Arg(m *interp.Machine, i int32) uint64 {
 	if int(i) < len(s.ep.cur.args) {
@@ -87,7 +57,7 @@ func (s *Session) exchange(reqOp, respOp string, reqSize, respSize int64, comp i
 // the server side. The rest of the task runs in "ghost mode": every
 // remote service (page faults, remote I/O, finalization) is handled
 // locally in-process with no wire traffic, so the partitioned binary's
-// listen loop completes deterministically and parks at the next Accept —
+// listen loop completes deterministically and parks at the next accept —
 // but all its effects are discarded and the mobile re-executes locally.
 func (s *Session) abortTask(op string) {
 	if s.ep.aborted {

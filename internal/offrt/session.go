@@ -7,14 +7,17 @@
 //	page faults, remote I/O service, function pointer translation) ->
 //	finalization (return value + compressed dirty pages write-back).
 //
-// The server runs the partitioned binary's real listenClient loop in its
-// own goroutine; mobile and server strictly alternate, handing one baton
-// back and forth (the mobile blocks while the server computes and vice
-// versa), so execution is deterministic and both clocks live on one
-// absolute timeline.
+// The server runs the partitioned binary's real listenClient loop. Its
+// accept suspends the server machine: the loop's frames are data the
+// machine keeps, and the mobile resumes it with each request from inside
+// its offload call, so a session runs on its caller's goroutine. Mobile and
+// server strictly alternate (the mobile blocks while the server computes
+// and vice versa), so execution is deterministic and both clocks live on
+// one absolute timeline.
 package offrt
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/energy"
@@ -122,22 +125,21 @@ type Session struct {
 	lastPhase int
 }
 
-// endpoint is the session's server half: the server machine, whose listen
-// loop runs on a goroutine of its own, the task it serves and the host it
-// serves it on. The mobile and the listen loop hand control back and forth
-// over baton, so exactly one of them runs at any moment (Figure 5): the
-// mobile passes the baton with a request in cur and waits; the loop passes
-// it back parked at Accept, with the finalization in rep, or when RunMain
-// returns, with exited and err set.
+// endpoint is the session's server half: the server machine, the task it
+// serves and the host it serves it on. The machine runs the listen loop,
+// which suspends at every accept (parked) until the mobile resumes it with
+// the next request in cur (Session.pass); the loop comes back parked at its
+// next accept, with the finalization in rep, or exited, with err set.
 type endpoint struct {
-	m     *interp.Machine
-	baton chan struct{} // nil until start
-	cur   request
-	// rep answers cur. It stays nil until the server finalizes, so a baton
+	m *interp.Machine
+	// parked is set while the listen loop waits at accept for a request: it
+	// has started and not exited.
+	parked bool
+	cur    request
+	// rep answers cur. It stays nil until the server finalizes, so a loop
 	// that comes back without one is a server that died mid-task.
-	rep    *reply
-	exited bool
-	err    error
+	rep *reply
+	err error
 
 	// aborted marks the current offload abandoned after a terminal wire
 	// failure: the server finishes the task in ghost mode (all remote
@@ -165,17 +167,11 @@ type endpoint struct {
 type request struct {
 	taskID int32
 	args   []uint64
-	// arrival is when the request reaches the server; the server syncs
-	// its clock to it on its own goroutine (Accept), keeping the two
-	// machines free of cross-goroutine writes.
-	arrival simtime.PS
 	// pageTable is the decoded page table the request carried (the
 	// mobile's present pages at initialization, sorted): a page absent
 	// from it zero-fills on the server without any communication. Decode
 	// copies it out of the frame, so it outlives the frame's recycling.
 	pageTable []uint32
-	// pages carries the decoded prefetch set for the server to install.
-	pages []PageRecord
 }
 
 type reply struct {
@@ -189,36 +185,48 @@ type reply struct {
 	retry bool
 }
 
-// start runs the listen loop up to its first Accept, where it parks
-// holding nothing, or to its exit.
-func (e *endpoint) start() {
-	e.baton = make(chan struct{})
-	go func() {
-		_, e.err = e.m.RunMain()
-		e.exited = true
-		e.baton <- struct{}{}
-	}()
-	<-e.baton
+// yielded records how the listen loop gave control back — from RunMain,
+// which runs it to its first accept, or from Resume: parked at accept, or
+// exited with err (nil when main returned).
+func (e *endpoint) yielded(_ int32, err error) {
+	e.parked = errors.Is(err, interp.ErrSuspended)
+	if !e.parked {
+		e.err = err
+	}
 }
 
-// pass hands the listen loop the baton with req as the current request and
-// waits until the loop hands it back. A loop that has exited takes nothing,
-// and rep stays nil.
-func (e *endpoint) pass(req request) {
+// resume continues the parked listen loop with v as accept's result, until
+// it parks at its next accept or exits.
+func (e *endpoint) resume(v int32) {
+	e.yielded(e.m.Resume(uint64(v)))
+}
+
+// pass hands the listen loop req and runs it until it comes back. First the
+// server side of initialization (Figure 5): the machine was idle-waiting, so
+// its clock jumps to the request's arrival, the mobile's clock; the
+// prefetched pages are installed and dirty tracking starts afresh; the
+// health monitor is armed, and any server fault that already matured is
+// applied — a request landing on a crashed or stalled host finds out here,
+// not at its first remote service. Then the task begins executing: accept
+// returns its id. A loop that is not parked takes nothing, and rep stays nil.
+func (s *Session) pass(req request, pages []PageRecord) {
+	e := &s.ep
 	e.cur, e.rep = req, nil
-	if e.exited {
+	if !e.parked {
 		return
 	}
-	e.baton <- struct{}{}
-	<-e.baton
-}
-
-// park is the listen loop's half of pass: hand the baton back and wait for
-// the next request.
-func (e *endpoint) park() request {
-	e.baton <- struct{}{}
-	<-e.baton
-	return e.cur
+	e.m.Clock = simtime.Max(e.m.Clock, s.Mobile.Clock)
+	for _, p := range pages {
+		e.m.Mem.InstallPage(p.PN, p.Data)
+	}
+	e.m.Mem.TrackDirty = true
+	e.m.Mem.ClearDirty()
+	e.lastBeat = e.m.Clock
+	e.ewmaGap, e.strikes = 0, 0
+	s.heartbeat("accept")
+	s.Tracer.Emit(obs.Event{Time: e.m.Clock, Kind: obs.KTaskEnter, Track: obs.TrackServer,
+		A0: int64(req.taskID)})
+	e.resume(req.taskID)
 }
 
 // linkAt resolves the effective link for an event at instant t (the link
@@ -254,16 +262,16 @@ func (s *Session) resolver(self, other *interp.Machine) func(uint32, bool) (*ir.
 	}
 }
 
-// shutdown stops the listen loop and finishes the energy timeline. It is
-// idempotent, and safe after the loop exited on its own: pass hands the
-// baton only to a loop that is parked at Accept.
+// shutdown stops the listen loop — accept returns 0 — and finishes the
+// energy timeline. It is idempotent, and safe after the loop exited on its
+// own or never started: only a parked loop is resumed.
 func (s *Session) shutdown() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	if s.ep.baton != nil {
-		s.ep.pass(request{taskID: 0})
+	if s.ep.parked {
+		s.ep.resume(0)
 	}
 	s.Recorder.Finish(s.Mobile.Clock)
 	// Final component bookkeeping: mobile-side compute/fptr buckets.
@@ -273,9 +281,10 @@ func (s *Session) shutdown() error {
 }
 
 // RunMobile executes the mobile binary under the session, returning its
-// exit code. It starts the server, runs main, and shuts the server down.
+// exit code. It runs the server's listen loop to its first accept, runs
+// main, and shuts the server down.
 func (s *Session) RunMobile() (int32, error) {
-	s.ep.start()
+	s.ep.yielded(s.ep.m.RunMain())
 	code, err := s.Mobile.RunMain()
 	serr := s.shutdown()
 	if err != nil {

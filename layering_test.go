@@ -91,3 +91,55 @@ func TestGuestMemoryHasNoMaps(t *testing.T) {
 		t.Fatal("no internal/mem source files found; run from the module root")
 	}
 }
+
+// TestRuntimeRunsOnOneGoroutine fails on a go statement, a channel type, a
+// send, a receive or a select in a non-test file of internal/offrt or
+// internal/interp, with its position. A session's two machines take turns
+// on their caller's goroutine: the server's accept suspends its machine,
+// whose frames are data, and the mobile resumes it with each request, so
+// the runtime needs no second goroutine to block in and no channel to hand
+// control over.
+func TestRuntimeRunsOnOneGoroutine(t *testing.T) {
+	fset := token.NewFileSet()
+	checked := 0
+	for _, dir := range []string{"offrt", "interp"} {
+		files, err := filepath.Glob(filepath.Join("internal", dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checked++
+			ast.Inspect(f, func(n ast.Node) bool {
+				var what string
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					what = "a go statement"
+				case *ast.ChanType:
+					what = "a channel type"
+				case *ast.SendStmt:
+					what = "a channel send"
+				case *ast.SelectStmt:
+					what = "a select"
+				case *ast.UnaryExpr:
+					if n.Op == token.ARROW {
+						what = "a channel receive"
+					}
+				}
+				if what != "" {
+					t.Errorf("%s: %s in the runtime", fset.Position(n.Pos()), what)
+				}
+				return true
+			})
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no internal/offrt or internal/interp source files found; run from the module root")
+	}
+}
