@@ -7,7 +7,10 @@
 // the relative performance of the mobile device and the server (Table 1).
 package arch
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Endianness is the byte order a machine uses for multi-byte values.
 type Endianness int
@@ -115,14 +118,25 @@ func (s *Spec) String() string {
 // bit-identical compiled programs, which is what lets a compilation cache
 // key on the fingerprint rather than on spec pointer identity.
 func (s *Spec) Fingerprint() string {
-	out := fmt.Sprintf("%s/%d/%s/%d", s.Name, s.PointerBytes, s.Endian, s.CyclePS)
+	b := make([]byte, 0, 128)
+	b = append(b, s.Name...)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(s.PointerBytes), 10)
+	b = append(b, '/')
+	b = append(b, s.Endian.String()...)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, s.CyclePS, 10)
 	for c := Class(0); c < numClasses; c++ {
-		out += fmt.Sprintf("/%d:%d", s.align[c], s.size[c])
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(s.align[c]), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(s.size[c]), 10)
 	}
 	for op := Op(0); op < numOps; op++ {
-		out += fmt.Sprintf("/%d", s.Cost.Cycles(op))
+		b = append(b, '/')
+		b = strconv.AppendInt(b, s.Cost.Cycles(op), 10)
 	}
-	return out
+	return string(b)
 }
 
 func baseSizes() [numClasses]int {

@@ -1,6 +1,9 @@
 package arch
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestSpecsBasics(t *testing.T) {
 	tests := []struct {
@@ -70,5 +73,31 @@ func TestSpecString(t *testing.T) {
 	want := "power32be(32-bit, big-endian)"
 	if got != want {
 		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
+// TestFingerprintIsTheCacheKeyItWas: the compilation cache keys on
+// Fingerprint, so the string is held byte for byte to the formula it was
+// first built with, on every shipped spec and on one with an edited cost.
+func TestFingerprintIsTheCacheKeyItWas(t *testing.T) {
+	formula := func(s *Spec) string {
+		out := fmt.Sprintf("%s/%d/%s/%d", s.Name, s.PointerBytes, s.Endian, s.CyclePS)
+		for c := Class(0); c < numClasses; c++ {
+			out += fmt.Sprintf("/%d:%d", s.align[c], s.size[c])
+		}
+		for op := Op(0); op < numOps; op++ {
+			out += fmt.Sprintf("/%d", s.Cost.Cycles(op))
+		}
+		return out
+	}
+	edited := X8664()
+	edited.Cost.Set(OpFloatDiv, 1234567)
+	for _, s := range []*Spec{ARM32(), X8664(), IA32(), POWER32BE(), edited} {
+		if got, want := s.Fingerprint(), formula(s); got != want {
+			t.Errorf("%s: Fingerprint() = %q, want %q", s.Name, got, want)
+		}
+	}
+	if got, want := ARM32().Fingerprint(), X8664().Fingerprint(); got == want {
+		t.Errorf("arm32 and x86-64 share the fingerprint %q", got)
 	}
 }

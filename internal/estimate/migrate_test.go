@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/simtime"
@@ -70,5 +71,31 @@ func TestMigrationDecisionHugeSlowdown(t *testing.T) {
 	p := Params{R: 6, BandwidthBps: 10_000_000_000, RTT: 100 * simtime.Microsecond}
 	if got := p.MigrationDecision(100*simtime.Second, 1e9, p.MigrationCost(64<<10), true); got != Migrate {
 		t.Errorf("MigrationDecision(100s, x1e9) = %v, want %v", got, Migrate)
+	}
+}
+
+// TestMigrationDecisionAtTheCostFloor: a verdict at the migration cost's
+// floor, MigrationCost(0), that is not Migrate is the verdict at every
+// larger cost, and a Migrate there is the only verdict a larger cost can
+// turn. offrt's health check relies on it to cut a checkpoint only when
+// migrating can still win.
+func TestMigrationDecisionAtTheCostFloor(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 20000; i++ {
+		p := Params{
+			R:            1 + 9*rng.Float64(),
+			BandwidthBps: int64(1e6 + rng.Float64()*1e10),
+			RTT:          simtime.PS(rng.Int63n(int64(10 * simtime.Millisecond))),
+		}
+		remaining := simtime.PS(rng.Int63n(int64(2 * simtime.Second)))
+		slow := []float64{0, 1, 1 + rng.Float64(), 20 * rng.Float64()}[rng.Intn(4)]
+		canFinish := rng.Intn(2) == 0
+		floor := p.MigrationDecision(remaining, slow, p.MigrationCost(0), canFinish)
+		bytes := rng.Int63n(64 << 20)
+		got := p.MigrationDecision(remaining, slow, p.MigrationCost(bytes), canFinish)
+		if floor != Migrate && got != floor {
+			t.Fatalf("%+v remaining %v slow %v finish %v: %v at the floor, %v at %d bytes",
+				p, remaining, slow, canFinish, floor, got, bytes)
+		}
 	}
 }

@@ -1,6 +1,6 @@
-// Package freelist is the bounded free list the repository recycles its
-// large reusable values through: guest page frames (mem), the wire path's
-// frames and codec states (offrt) and the fleet engine's run memory.
+// Package freelist is the free list the repository recycles its large
+// reusable values through: guest page frames (mem), the wire path's frames
+// and codec states (offrt) and the fleet engine's run memory.
 package freelist
 
 import "sync"
@@ -11,7 +11,10 @@ import "sync"
 // collections fell. A List keeps what it is given until it is taken, so the
 // same sequence of takes and gives allocates the same bytes run after run.
 // Beyond its bound a give is dropped and left to the collector, so what a
-// process retains is bounded and not the most it ever gave back.
+// process retains is bounded and not the most it ever gave back. A list
+// whose caller makes a value only when the list is empty (mem's page
+// frames) can take math.MaxInt: it then never holds more than the most its
+// caller had out at once.
 type List[T any] struct {
 	mu    sync.Mutex
 	free  []*T

@@ -566,27 +566,33 @@ func TestSyntheticFileIsTheSerialLCG(t *testing.T) {
 // as it is read, straight into the reader's buffer. Reading a 4 MiB file,
 // in 4 KiB chunks or whole, allocates only the host's own few dozen bytes
 // (a file's cursor, a descriptor's entry) and nothing per byte read.
+// TotalAlloc is the process's, so what other goroutines allocate meanwhile
+// counts too; that only adds, so each reading takes the least of five.
 func TestSyntheticFileReadAllocatesTheReadNotTheFile(t *testing.T) {
 	const size, chunk, bound = 4 << 20, 4 << 10, 1 << 10
 	allocated := func(chunk int) uint64 {
 		dst := make([]byte, chunk)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		io := NewStdIO(nil)
-		io.SyntheticFile("f", size, 0x401)
-		fd, err := io.Open("f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for n := 0; n < size; {
-			k, err := io.Read(fd, dst)
-			if err != nil || k == 0 {
-				t.Fatalf("read at %d: %d bytes, %v", n, k, err)
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			io := NewStdIO(nil)
+			io.SyntheticFile("f", size, 0x401)
+			fd, err := io.Open("f")
+			if err != nil {
+				t.Fatal(err)
 			}
-			n += k
+			for n := 0; n < size; {
+				k, err := io.Read(fd, dst)
+				if err != nil || k == 0 {
+					t.Fatalf("read at %d: %d bytes, %v", n, k, err)
+				}
+				n += k
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return least
 	}
 	if got := allocated(chunk); got > bound {
 		t.Errorf("reading a %d-byte file in %d-byte chunks allocated %d bytes, want <= %d", size, chunk, got, bound)

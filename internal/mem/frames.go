@@ -1,17 +1,23 @@
 package mem
 
-import "repro/internal/freelist"
+import (
+	"math"
 
-// poolFrames bounds the page-frame pool: 1024 frames, 4 MiB. A frame given
-// back beyond that is left to the collector, so what a process retains is
-// bounded and not the largest page set it ever held.
-const poolFrames = 1024
+	"repro/internal/freelist"
+)
 
 // frames is the one free list every private page comes from and goes back
 // to. A freelist.List, not a sync.Pool, so the same sequence of takes and
 // gives makes the same number of fresh frames run after run; its misses are
 // the frames AllocFrame allocated because the pool was empty.
-var frames = freelist.New[[PageSize]byte](poolFrames)
+//
+// It keeps every frame it is given back. That retention is bounded all the
+// same: AllocFrame makes a frame only when the list is empty, so the list
+// never holds more frames than were live together when the last one was
+// made — the process's peak guest working set, resident at that moment
+// anyway. A bound below that peak would only make each run that reaches it
+// allocate the frames past the bound again.
+var frames = freelist.New[[PageSize]byte](math.MaxInt)
 
 // AllocFrame returns a page frame the caller owns: the frame given back
 // last, or a fresh one when the pool is empty. A recycled frame holds what

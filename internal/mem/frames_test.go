@@ -20,12 +20,12 @@ func pooled() []*[PageSize]byte {
 	return held
 }
 
-// TestFramePoolHoldsAcrossCollections: what the pool is given it keeps
-// however many collections run (a sync.Pool is empty after two), it hands
-// frames back last-in first-out without allocating, and it never retains
-// more than poolFrames of them.
+// TestFramePoolHoldsAcrossCollections: the pool keeps every frame it is
+// given back however many collections run (a sync.Pool is empty after two),
+// and it hands them back last-in first-out without allocating.
 func TestFramePoolHoldsAcrossCollections(t *testing.T) {
-	held := make([]*[PageSize]byte, poolFrames+10)
+	// More than the pool holds, so the takes allocate and the gives grow it.
+	held := make([]*[PageSize]byte, frames.Len()+1100)
 	for i := range held {
 		held[i] = AllocFrame()
 	}
@@ -35,14 +35,14 @@ func TestFramePoolHoldsAcrossCollections(t *testing.T) {
 	for _, p := range held {
 		FreeFrame(p)
 	}
-	if n := len(pooled()); n != poolFrames {
-		t.Fatalf("pool retains %d frames, want its bound %d", n, poolFrames)
+	if n := len(pooled()); n != len(held) {
+		t.Fatalf("pool retains %d of the %d frames given back", n, len(held))
 	}
 	for i := 0; i < 3; i++ {
 		runtime.GC()
 	}
 	made := freshFrames()
-	for i := poolFrames - 1; i >= 0; i-- {
+	for i := len(held) - 1; i >= 0; i-- {
 		if AllocFrame() != held[i] {
 			t.Fatalf("take after three collections: not the frame given back at position %d", i)
 		}
@@ -50,8 +50,53 @@ func TestFramePoolHoldsAcrossCollections(t *testing.T) {
 	if n := freshFrames() - made; n != 0 {
 		t.Errorf("taking back what the pool held allocated %d fresh frames", n)
 	}
-	for _, p := range held[:poolFrames] {
+	for _, p := range held {
 		FreeFrame(p)
+	}
+}
+
+// TestFramePoolHoldsAtMostThePeak: the pool keeps everything it is given
+// back, yet never more frames than were out at once. From an empty pool, a
+// run of takes and gives that peaks at k frames out leaves the pool holding
+// at most k minus what is still out at every step, and exactly k once all
+// are back: a frame is made only when the pool is empty.
+func TestFramePoolHoldsAtMostThePeak(t *testing.T) {
+	drained := make([]*[PageSize]byte, frames.Len())
+	for i := range drained {
+		drained[i] = AllocFrame()
+	}
+	defer func() {
+		for _, p := range drained {
+			FreeFrame(p)
+		}
+	}()
+	var out []*[PageSize]byte
+	peak := 0
+	rng := uint64(0x9e3779b97f4a7c15)
+	for step := 0; step < 6000; step++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		// Takes outnumber gives three to two, so the peak climbs in bursts.
+		if len(out) == 0 || rng%5 < 3 {
+			out = append(out, AllocFrame())
+			peak = max(peak, len(out))
+		} else {
+			FreeFrame(out[len(out)-1])
+			out = out[:len(out)-1]
+		}
+		if n := frames.Len(); n+len(out) > peak {
+			t.Fatalf("step %d: pool holds %d frames with %d out, past the peak of %d", step, n, len(out), peak)
+		}
+	}
+	for _, p := range out {
+		FreeFrame(p)
+	}
+	if n := frames.Len(); n != peak {
+		t.Errorf("pool holds %d frames once all are back, want the peak %d", n, peak)
+	}
+	for range peak { // leave the pool as the test found it
+		AllocFrame()
 	}
 }
 
@@ -103,7 +148,7 @@ func TestReleaseGivesBackPrivatePagesOnly(t *testing.T) {
 			t.Fatal("an image page entered the frame pool")
 		}
 	}
-	if len(after) != min(len(before)+len(private), poolFrames) {
+	if len(after) != len(before)+len(private) {
 		t.Errorf("pool went from %d to %d frames over the release of %d private pages", len(before), len(after), len(private))
 	}
 	for _, p := range after[len(before):] {

@@ -134,12 +134,6 @@ func (s *Session) decideMigration(reason string, canFinish bool) {
 		}
 		return
 	}
-	st := s.ep.m.CheckpointState()
-	payload := s.encodeCheckpoint(st)
-	msg := &Message{Kind: MsgCheckpoint, TaskID: s.ep.cur.taskID, SP: st.SP, Data: payload}
-	wire := msg.Encode()
-
-	cost := EstimateParams(s.Mobile.Spec, s.ep.m.Spec, s.backhaul).MigrationCost(int64(len(wire)))
 	spec := s.tasks[s.ep.cur.taskID]
 	// Remaining work in mobile time: the profile's prediction minus what
 	// the server has already burned through (scaled back up by R).
@@ -147,7 +141,22 @@ func (s *Session) decideMigration(reason string, canFinish bool) {
 	if remaining < 0 {
 		remaining = 0
 	}
-	switch s.est.MigrationDecision(remaining, s.serverPlan.SlowFactor(s.ep.hostID, s.ep.m.Clock), cost, canFinish) {
+	slow := s.serverPlan.SlowFactor(s.ep.hostID, s.ep.m.Clock)
+	backhaul := EstimateParams(s.Mobile.Spec, s.ep.m.Spec, s.backhaul)
+	// Migrating's total only grows with the checkpoint's size and loses
+	// ties, and finishing and falling back do not depend on it. So unless
+	// migrating wins at the cost's floor, the handshake alone, it wins at no
+	// size: only then is the checkpoint cut and encoded to price it.
+	choice := s.est.MigrationDecision(remaining, slow, backhaul.MigrationCost(0), canFinish)
+	var st *interp.State
+	var wire []byte
+	if choice == estimate.Migrate {
+		st = s.ep.m.CheckpointState()
+		msg := &Message{Kind: MsgCheckpoint, TaskID: s.ep.cur.taskID, SP: st.SP, Data: s.encodeCheckpoint(st)}
+		wire = msg.Encode()
+		choice = s.est.MigrationDecision(remaining, slow, backhaul.MigrationCost(int64(len(wire))), canFinish)
+	}
+	switch choice {
 	case estimate.Finish:
 		// Ride it out; demand K fresh overruns before re-deciding.
 		s.ep.strikes = 0
