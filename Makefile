@@ -103,8 +103,8 @@ guestbench:
 ## examples, the profile reports of chess and the 17
 ## workloads, the four simulated BENCH_*.json records at the repo root,
 ## the generated blocks of EXPERIMENTS.md — one per paper entry, its prose
-## untouched —, the guest sampler's folded profiles of the call kernel and
-## offloaded chess) through the shared goldentest -update flag, after
+## untouched —, the guest stack profiles of the call kernel and offloaded
+## chess, which pin the clock at every call, return and extern) through the shared goldentest -update flag, after
 ## recording the Go release that writes them in internal/goldentest/GOVERSION
 ## (a later drift names it). A record whose floor fails is not rewritten.
 golden:

@@ -64,9 +64,7 @@ func (o *observability) attach(fw *core.Framework) {
 	fw.Faults = o.faults
 	fw.ServerFaults = o.serverFaults
 	fw.Migrate = o.migrate
-	if o.profileFile != "" {
-		fw.SampleEvery = interp.DefaultSamplePeriod
-	}
+	fw.ProfileStacks = o.profileFile != ""
 }
 
 // reportRun prints/writes the per-run analysis artifacts for the offloaded
@@ -89,9 +87,8 @@ func (o *observability) reportRun(off *core.OffloadResult, model energy.PowerMod
 			return fmt.Errorf("profile: %w", err)
 		}
 		fmt.Fprintf(o.out, "profile: %s (folded stacks; feed to flamegraph.pl or speedscope)\n", o.profileFile)
-		fmt.Fprintf(o.out, "  mobile: %d samples over %v; server: %d samples over %v\n",
-			off.MobileProf.Samples(), simtime.PS(off.MobileProf.Total()),
-			off.ServerProf.Samples(), simtime.PS(off.ServerProf.Total()))
+		fmt.Fprintf(o.out, "  mobile: %v profiled; server: %v profiled\n",
+			simtime.PS(off.MobileProf.Total()), simtime.PS(off.ServerProf.Total()))
 		fmt.Fprintln(o.out, experiments.ProfileTable(off.MobileProf, off.ServerProf, 15))
 	}
 	if o.breakdown && o.tracer != nil {

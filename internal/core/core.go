@@ -80,12 +80,11 @@ type Framework struct {
 	// offrt.NewSession refuses a server on the reference engine.
 	Engine interp.Engine
 
-	// SampleEvery, when positive, attaches a guest sampling profiler with
-	// that simulated-clock period to both machines of every offloaded run;
-	// the flushed samplers come back in OffloadResult.MobileProf/ServerProf.
-	// Zero disables sampling at zero cost (the interpreters' hot loops keep
-	// their allocation-free steady state).
-	SampleEvery simtime.PS
+	// ProfileStacks attaches a guest stack profile (interp.Sampler) to both
+	// machines of every offloaded run, charging from their clocks at the
+	// attach; the flushed profiles come back in
+	// OffloadResult.MobileProf/ServerProf.
+	ProfileStacks bool
 
 	// Cache memoizes compiled program artifacts (pre-decoded code + initial
 	// memory image) across runs: every machine this framework builds binds
@@ -253,8 +252,8 @@ type OffloadResult struct {
 	// FaultStats counts the faults actually injected (zero without a plan).
 	FaultStats faults.Stats
 
-	// MobileProf/ServerProf are the flushed guest sampling profilers (nil
-	// unless Framework.SampleEvery was set). MobileProf.Total() == Time and
+	// MobileProf/ServerProf are the flushed guest stack profiles (nil
+	// unless Framework.ProfileStacks was set). MobileProf.Total() == Time and
 	// ServerProf.Total() == ServerTime, to the picosecond.
 	MobileProf *interp.Sampler
 	ServerProf *interp.Sampler
@@ -354,11 +353,10 @@ func (fw *Framework) RunOffloaded(cres *compiler.Result, io *interp.StdIO, pol o
 		return nil, fmt.Errorf("core: session: %w", err)
 	}
 	var mProf, sProf *interp.Sampler
-	if fw.SampleEvery > 0 {
-		mProf = interp.NewSampler(fw.SampleEvery)
-		sProf = interp.NewSampler(fw.SampleEvery)
-		mobile.SetSampler(mProf)
-		server.SetSampler(sProf)
+	if fw.ProfileStacks {
+		mProf, sProf = interp.NewSampler(), interp.NewSampler()
+		mProf.Attach(mobile)
+		sProf.Attach(server)
 	}
 	code, err := sess.RunMobile()
 	if err != nil {

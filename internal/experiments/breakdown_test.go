@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/faults"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/workloads"
@@ -20,7 +19,7 @@ import (
 // trace must reconstruct exactly what the runtime accounted — per-offload
 // totals summing to SessionStats.E2ELatency, components partitioning each
 // total, the traced radio spans being the energy recorder's segments one for
-// one, and the samplers' attributed time matching both machines' clocks.
+// one, and the stack profiles' attributed time matching both machines' clocks.
 func TestBreakdownMatchesSessionStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs an offloaded execution")
@@ -29,7 +28,7 @@ func TestBreakdownMatchesSessionStats(t *testing.T) {
 	w := workloads.ByName("433.milc")
 	r, err := RunProgram(w, func(fw *core.Framework) {
 		fw.Tracer = tracer
-		fw.SampleEvery = interp.DefaultSamplePeriod
+		fw.ProfileStacks = true
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,9 +110,9 @@ func TestBreakdownMatchesSessionStats(t *testing.T) {
 }
 
 // TestProfileFaultsCompose runs the flag combination the old
-// RunProgram* ladder had no rung for: link faults and the guest sampler
+// RunProgram* ladder had no rung for: link faults and the guest stack profile
 // on one run. Recovery must still end with the local run's
-// output, and the samplers must still attribute every picosecond of both
+// output, and the stack profiles must still attribute every picosecond of both
 // clocks across the aborted offload and its local fallback.
 func TestProfileFaultsCompose(t *testing.T) {
 	t.Parallel()
@@ -126,7 +125,7 @@ func TestProfileFaultsCompose(t *testing.T) {
 	}
 	r, err := RunProgram(workloads.ByName("164.gzip"), func(fw *core.Framework) {
 		fw.Faults = plan
-		fw.SampleEvery = interp.DefaultSamplePeriod
+		fw.ProfileStacks = true
 	})
 	if err != nil {
 		t.Fatal(err)

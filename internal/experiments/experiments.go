@@ -254,8 +254,8 @@ func invocationsAndTraffic(off *core.OffloadResult) (int, float64) {
 	return inv, perInv * float64(workloads.Scale) / 1e6
 }
 
-// ProfileTable renders the sampling profilers' top functions, mobile and
-// server side by side — the deterministic "top functions by self/cumulative
+// ProfileTable renders the stack profiles' top functions, mobile and server
+// side by side — the deterministic "top functions by self/cumulative
 // simulated time" companion to the folded flamegraph output. limit <= 0
 // renders everything.
 func ProfileTable(mobile, server *interp.Sampler, limit int) *report.Table {
@@ -278,8 +278,7 @@ func ProfileTable(mobile, server *interp.Sampler, limit int) *report.Table {
 	}
 	add("mobile", mobile)
 	add("server", server)
-	t.Note("simulated-clock sampling, period mobile=%v server=%v; (idle) is accept-loop wait",
-		mobile.Period(), server.Period())
+	t.Note("exact simulated time, charged at every call, return and extern; no.accept is the server's wait for a request")
 	return t
 }
 

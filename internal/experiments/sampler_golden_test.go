@@ -8,24 +8,21 @@ import (
 	"repro/internal/core"
 	"repro/internal/goldentest"
 	"repro/internal/offrt"
-	"repro/internal/simtime"
 	"repro/internal/workloads"
 )
 
-// TestSamplerChessGolden pins the guest sampling profile of one offloaded
-// chess move on both machines: sample counts, attributed totals and every
-// folded stack weight, at a period fine enough (10 µs, ~28k server ticks)
-// that a tick taken one segment early or late moves a weight. The sampler
-// ticks wherever the clock advances — segment charges, extern charges, page
-// fault and remote I/O waits — so this is the whole-program check that the
-// fast engine advances the clock at the same instants, in the same order
-// relative to calls and returns, across a change to how it charges.
-// Regenerate (`make golden`) only for an intended change to those instants.
+// TestSamplerChessGolden pins the guest stack profile of one offloaded chess
+// move on both machines: attributed totals and every folded stack weight.
+// Each weight is the time between two call, return or extern boundaries, so
+// this is the whole-program check that the clock reads the same at every one
+// of them — segment charges, extern charges, page fault and remote I/O waits
+// included — across a change to how the fast engine charges. Regenerate
+// (`make golden`) only for an intended change to those clocks.
 func TestSamplerChessGolden(t *testing.T) {
 	fw := core.NewFramework(core.FastNetwork)
 	fw.CostScale = workloads.ChessCostScale
 	fw.Cache = nil
-	fw.SampleEvery = 10 * simtime.Microsecond
+	fw.ProfileStacks = true
 	cres, err := fw.Prepare(workloads.BuildChess(workloads.DefaultChessConfig()), workloads.ChessInput(6, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -38,8 +35,8 @@ func TestSamplerChessGolden(t *testing.T) {
 		t.Fatal("chess did not offload; the server profile would be vacuous")
 	}
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "mobile samples=%d total=%d clock=%d\n", off.MobileProf.Samples(), off.MobileProf.Total(), int64(off.Time))
-	fmt.Fprintf(&buf, "server samples=%d total=%d clock=%d\n", off.ServerProf.Samples(), off.ServerProf.Total(), int64(off.ServerTime))
+	fmt.Fprintf(&buf, "mobile total=%d clock=%d\n", off.MobileProf.Total(), int64(off.Time))
+	fmt.Fprintf(&buf, "server total=%d clock=%d\n", off.ServerProf.Total(), int64(off.ServerTime))
 	if err := off.MobileProf.WriteFolded(&buf, "mobile"); err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,9 @@ type Engine int
 
 const (
 	// EngineFast interprets the flat instruction arrays Compile pre-decoded
-	// (the default). A Listener observes it through the hooks of an
-	// instrumented program (CompileConfig.Instrument).
+	// (the default). A Listener hears its calls, returns and externs from
+	// any program, and its block transfers from an instrumented one
+	// (CompileConfig.Instrument).
 	EngineFast Engine = iota
 	// EngineRef is the original tree-walking interpreter: the semantic
 	// reference the fast engine is differentially tested against (and the
@@ -437,12 +438,10 @@ func (c *compiler) compileInto(cf *cfunc) {
 					break instrs
 				}
 				seg = append(seg, ci)
-				if in.Op == ir.Div || in.Op == ir.Rem {
+				if ci.op == cDiv || ci.op == cRem {
 					// Division can fail; end the segment so its trap sees
 					// the same clock as the reference engine. A remainder
-					// by a power of two cannot, but it ends its segment
-					// too: the segments, and so a sampler's ticks, do not
-					// depend on the divisor.
+					// by a power of two cannot, and stays in its segment.
 					flush()
 				}
 

@@ -46,15 +46,16 @@ func (m *Machine) RunMain() (int32, error) {
 // Resume continues a machine suspended at accept, with v as accept's result
 // (the request's task id; 0 shuts the listen loop down), and runs it as
 // RunMain does: to main's exit code, an error, or ErrSuspended at the next
-// accept. It pops accept's sampler frame first, at the clock the caller has
-// set, as a blocking accept's return would have.
+// accept. It reports accept's exit to the Listener first, at the clock the
+// caller has set, as a blocking accept's return would have.
 func (m *Machine) Resume(v uint64) (int32, error) {
-	if !m.suspended {
+	accept := m.suspended
+	if accept == nil {
 		return 0, fmt.Errorf("interp(%s): resume of a machine that is not suspended at accept", m.Name)
 	}
-	m.suspended = false
-	if ps := m.sampler; ps != nil {
-		ps.pop(m.Clock)
+	m.suspended = nil
+	if l := m.Listener; l != nil {
+		l.ExitFunc(m, accept)
 	}
 	top := m.frames[len(m.frames)-1]
 	if c := top.cf.code[top.pc-1].c; c >= 0 {
@@ -145,10 +146,6 @@ func (m *Machine) callRef(f *ir.Func, args []uint64) (uint64, error) {
 	if m.Listener != nil {
 		m.Listener.EnterFunc(m, f)
 		defer m.Listener.ExitFunc(m, f)
-	}
-	if ps := m.sampler; ps != nil {
-		ps.push(f.Nam, m.Clock)
-		defer func() { ps.pop(m.Clock) }()
 	}
 
 	blk := f.Entry()

@@ -20,11 +20,11 @@ func (m *Machine) callExtern(f *ir.Func, args []uint64) (uint64, error) {
 		}
 		return 0, errAccept
 	}
-	if ps := m.sampler; ps != nil {
-		// Extern frames appear in profiles too: time spent in remote I/O or
-		// the offload externs attributes to the extern, not its caller.
-		ps.push(f.Nam, m.Clock)
-		defer func() { ps.pop(m.Clock) }()
+	if l := m.Listener; l != nil {
+		// Externs are entries and exits too: time spent in remote I/O or the
+		// offload externs is the extern's in a profile, not its caller's.
+		l.EnterFunc(m, f)
+		defer l.ExitFunc(m, f)
 	}
 	switch f.Extern {
 	case ir.ExternMalloc:

@@ -109,9 +109,6 @@ func (m *Machine) push(cf *cfunc) ([]uint64, error) {
 	if l := m.Listener; l != nil {
 		l.EnterFunc(m, cf.fn)
 	}
-	if ps := m.sampler; ps != nil {
-		ps.push(cf.fn.Nam, m.Clock)
-	}
 	return m.regs[base:], nil
 }
 
@@ -119,13 +116,9 @@ func (m *Machine) push(cf *cfunc) ([]uint64, error) {
 // clock the reference engine's deferred ones see — a Ret charges nothing and
 // a failing instruction's segment is charged before it executes —, then the
 // stack pointer and the register window go back to the caller. A plain run
-// pays one nil compare per hook at push and one at pop, and nothing anywhere
-// else.
+// pays one nil compare at push and one at pop, and nothing anywhere else.
 func (m *Machine) pop() {
 	fr := m.frames[len(m.frames)-1]
-	if ps := m.sampler; ps != nil {
-		ps.pop(m.Clock)
-	}
 	if l := m.Listener; l != nil {
 		l.ExitFunc(m, fr.cf.fn)
 	}
@@ -152,10 +145,11 @@ func (m *Machine) enter(target *cfunc, args []carg, caller []uint64, pc int32) (
 // externFrom is callExtern from the top frame, which continues at pc. It is
 // where the fast engine suspends at accept on a machine with a runtime: the
 // top frame keeps its place with every frame below it, and ErrSuspended goes
-// out of the loop; Resume continues it. The sampler keeps accept's frame
-// until then, so the idle wait attributes to accept, as a blocking call's
-// would. Only the outermost run can suspend: beneath a host call (entry > 0)
-// the Go caller of that call waits for a result, so it is an error there.
+// out of the loop; Resume continues it. The suspension is accept's entry for
+// the Listener and Resume its exit, so the idle wait is accept's, as a
+// blocking call's would be. Only the outermost run can suspend: beneath a
+// host call (entry > 0) the Go caller of that call waits for a result, so it
+// is an error there.
 func (m *Machine) externFrom(entry int, pc int32, f *ir.Func, args []uint64) (uint64, error) {
 	v, err := m.callExtern(f, args)
 	if err != errAccept {
@@ -165,10 +159,10 @@ func (m *Machine) externFrom(entry int, pc int32, f *ir.Func, args []uint64) (ui
 		return 0, fmt.Errorf("interp(%s): %s beneath a host call cannot suspend the machine", m.Name, f.Nam)
 	}
 	m.frames[len(m.frames)-1].pc = pc
-	if ps := m.sampler; ps != nil {
-		ps.push(f.Nam, m.Clock)
+	if l := m.Listener; l != nil {
+		l.EnterFunc(m, f)
 	}
-	m.suspended = true
+	m.suspended = f
 	return 0, ErrSuspended
 }
 
@@ -177,23 +171,12 @@ func (m *Machine) externFrom(entry int, pc int32, f *ir.Func, args []uint64) (ui
 // per-instruction charges of the reference engine would have by now:
 // cycles*CostScale*CyclePS distributes over the sum of the segments' cycles
 // (mod 2^64), so settling many segments at once lands on the same clock as
-// settling each. It does not look at the sampler: with one attached every
-// segment end reaches the stepper, which settles and ticks there
-// (settleTick), and no other site has anything pending.
+// settling each.
 func (m *Machine) settle() {
 	d := simtime.PS(m.cycles*m.CostScale) * simtime.PS(m.Spec.CyclePS)
 	m.cycles = 0
 	m.Clock += d
 	m.Comp[CompCompute] += d
-}
-
-// settleTick is settle at a segment end: an attached sampler takes the tick
-// the advanced clock has reached there, where per-segment charging would.
-func (m *Machine) settleTick() {
-	m.settle()
-	if s := m.sampler; s != nil && m.Clock >= s.next {
-		s.take(m.Clock)
-	}
 }
 
 // storeLE is the little-endian scalar store of writeMem. size is 1, 2, 4 or
@@ -335,11 +318,11 @@ func (m *Machine) writeMem(addr uint32, size int, v uint64) error {
 // finish without a call, execCompiled executes that one instruction and
 // resumes the hot loop behind it. The stepper owns the half of every opcode
 // that calls: page-cache misses and page-straddling accesses, slow loads and
-// stores, calls and returns, traps, alloca, division by zero, the Listener's
-// block hook, and — with a sampler attached — every segment end. A guest call
-// pushes the callee's frame and a return pops it, both in this loop: the
-// guest's call depth costs the Go stack nothing. On an error it returns
-// with the frames above entry still pushed, and run unwinds them.
+// stores, calls and returns, traps, alloca, division by zero and the
+// Listener's block hook. A guest call pushes the callee's frame and a return
+// pops it, both in this loop: the guest's call depth costs the Go stack
+// nothing. On an error it returns with the frames above entry still pushed,
+// and run unwinds them.
 //
 // A segment's charge (cinstr.steps/cycles) is added by the opcode that ends
 // it — the ones compileInto flushes on: memory accesses, calls, alloca,
@@ -350,17 +333,13 @@ func (m *Machine) writeMem(addr uint32, size int, v uint64) error {
 // Clock and the compute bucket before anything that can read them: every
 // call, Listener hook, page-cache miss (on its way to the mem.Fault handler
 // or a Touch observer) and trap is here, so outside the hot loop nothing is
-// ever pending. With a sampler attached (looked at once per run: attach it
-// between top-level calls) the hot loop leaves every segment end to the
-// stepper, which ticks there, so the sampler sees exactly the instants of
-// per-segment charging.
+// ever pending.
 func (m *Machine) execCompiled(entry int) (uint64, error) {
 	fr := &m.frames[len(m.frames)-1]
 	cf, pc := fr.cf, fr.pc
 	code, regs := cf.code, m.regs[fr.base:]
-	sampled := m.sampler != nil
 	for {
-		pc = m.hotLoop(code, regs, pc, sampled)
+		pc = m.hotLoop(code, regs, pc)
 		in := &code[pc-1]
 		if in.op == cEnterBlock {
 			m.settle()
@@ -372,7 +351,7 @@ func (m *Machine) execCompiled(entry int) (uint64, error) {
 		// Every other opcode the hot loop leaves here ends a segment.
 		m.Steps += int64(in.steps)
 		m.cycles += in.cycles
-		m.settleTick()
+		m.settle()
 		switch in.op {
 		case cDiv, cRem:
 			x, y := int64(rv(regs, in.a, in.imm)), int64(rv(regs, in.b, in.imm2))
@@ -384,8 +363,6 @@ func (m *Machine) execCompiled(entry int) (uint64, error) {
 			default:
 				regs[in.c] = uint64(x % y)
 			}
-		case cRemPow2:
-			regs[in.c] = remPow2(rv(regs, in.a, in.imm), in.imm2)
 
 		case cAlloca:
 			size := uint32(in.imm)
@@ -537,10 +514,10 @@ func (m *Machine) execCompiled(entry int) (uint64, error) {
 //
 // A fused opcode (cCmpSBr, cCmpUBr, cStoreIntBr) does its own work and then
 // that of the branch compileInto left behind it at code[pc], the branch's
-// segment charge included: one dispatch for two instructions. Where the
-// branch, or the store before it, must go to the stepper, the branch is
-// dispatched on its own.
-func (m *Machine) hotLoop(code []cinstr, regs []uint64, pc int32, sampled bool) int32 {
+// segment charge included: one dispatch for two instructions. Where the store
+// of a cStoreIntBr must go to the stepper, the branch behind it is dispatched
+// on its own.
+func (m *Machine) hotLoop(code []cinstr, regs []uint64, pc int32) int32 {
 	key := tlbKey(m.Mem)
 	for {
 		in := &code[pc]
@@ -554,7 +531,7 @@ func (m *Machine) hotLoop(code []cinstr, regs []uint64, pc int32, sampled bool) 
 			regs[in.c] = rv(regs, in.a, in.imm) * rv(regs, in.b, in.imm2)
 		case cDiv:
 			y := int64(rv(regs, in.b, in.imm2))
-			if sampled || y == 0 {
+			if y == 0 {
 				return pc
 			}
 			m.Steps += int64(in.steps)
@@ -562,18 +539,13 @@ func (m *Machine) hotLoop(code []cinstr, regs []uint64, pc int32, sampled bool) 
 			regs[in.c] = uint64(int64(rv(regs, in.a, in.imm)) / y)
 		case cRem:
 			y := int64(rv(regs, in.b, in.imm2))
-			if sampled || y == 0 {
+			if y == 0 {
 				return pc
 			}
 			m.Steps += int64(in.steps)
 			m.cycles += in.cycles
 			regs[in.c] = uint64(int64(rv(regs, in.a, in.imm)) % y)
 		case cRemPow2:
-			if sampled {
-				return pc
-			}
-			m.Steps += int64(in.steps)
-			m.cycles += in.cycles
 			regs[in.c] = remPow2(rv(regs, in.a, in.imm), in.imm2)
 		case cAnd:
 			regs[in.c] = rv(regs, in.a, in.imm) & rv(regs, in.b, in.imm2)
@@ -610,22 +582,18 @@ func (m *Machine) hotLoop(code []cinstr, regs []uint64, pc int32, sampled bool) 
 			x, y := rv(regs, in.a, in.imm), rv(regs, in.b, in.imm2)
 			cond := cmpBits(in.aux, int64(x) < int64(y), x == y)
 			regs[in.c] = cond
-			if !sampled {
-				br := &code[pc]
-				m.Steps += int64(br.steps)
-				m.cycles += br.cycles
-				pc = br.target(cond)
-			}
+			br := &code[pc]
+			m.Steps += int64(br.steps)
+			m.cycles += br.cycles
+			pc = br.target(cond)
 		case cCmpUBr:
 			x, y := rv(regs, in.a, in.imm), rv(regs, in.b, in.imm2)
 			cond := cmpBits(in.aux, x < y, x == y)
 			regs[in.c] = cond
-			if !sampled {
-				br := &code[pc]
-				m.Steps += int64(br.steps)
-				m.cycles += br.cycles
-				pc = br.target(cond)
-			}
+			br := &code[pc]
+			m.Steps += int64(br.steps)
+			m.cycles += br.cycles
+			pc = br.target(cond)
 
 		case cIndexAddr:
 			base := rv(regs, in.a, in.imm)
@@ -648,7 +616,7 @@ func (m *Machine) hotLoop(code []cinstr, regs []uint64, pc int32, sampled bool) 
 
 		case cLoad:
 			p, off := cached(&m.rtlb, uint32(rv(regs, in.a, in.imm)), key)
-			if sampled || p == nil {
+			if p == nil {
 				return pc
 			}
 			m.Steps += int64(in.steps)
@@ -656,7 +624,7 @@ func (m *Machine) hotLoop(code []cinstr, regs []uint64, pc int32, sampled bool) 
 			regs[in.c] = loadedInt(in, binary.LittleEndian.Uint64(p[off:]))
 		case cLoadF32:
 			p, off := cached(&m.rtlb, uint32(rv(regs, in.a, in.imm)), key)
-			if sampled || p == nil {
+			if p == nil {
 				return pc
 			}
 			m.Steps += int64(in.steps)
@@ -665,7 +633,7 @@ func (m *Machine) hotLoop(code []cinstr, regs []uint64, pc int32, sampled bool) 
 
 		case cStoreInt:
 			p, off := cached(&m.wtlb, uint32(rv(regs, in.a, in.imm)), key)
-			if sampled || p == nil {
+			if p == nil {
 				return pc
 			}
 			m.Steps += int64(in.steps)
@@ -673,7 +641,7 @@ func (m *Machine) hotLoop(code []cinstr, regs []uint64, pc int32, sampled bool) 
 			storeHit(p[off:], in.aux, rv(regs, in.b, in.imm2))
 		case cStoreF32:
 			p, off := cached(&m.wtlb, uint32(rv(regs, in.a, in.imm)), key)
-			if sampled || p == nil {
+			if p == nil {
 				return pc
 			}
 			m.Steps += int64(in.steps)
@@ -681,7 +649,7 @@ func (m *Machine) hotLoop(code []cinstr, regs []uint64, pc int32, sampled bool) 
 			storeHit(p[off:], in.aux, f32Bits(rv(regs, in.b, in.imm2)))
 		case cStoreIntBr:
 			p, off := cached(&m.wtlb, uint32(rv(regs, in.a, in.imm)), key)
-			if sampled || p == nil {
+			if p == nil {
 				return pc
 			}
 			storeHit(p[off:], in.aux, rv(regs, in.b, in.imm2))
@@ -691,16 +659,10 @@ func (m *Machine) hotLoop(code []cinstr, regs []uint64, pc int32, sampled bool) 
 			pc = br.a
 
 		case cBr:
-			if sampled {
-				return pc
-			}
 			m.Steps += int64(in.steps)
 			m.cycles += in.cycles
 			pc = in.a
 		case cCondBr:
-			if sampled {
-				return pc
-			}
 			m.Steps += int64(in.steps)
 			m.cycles += in.cycles
 			pc = in.target(rv(regs, in.a, in.imm))

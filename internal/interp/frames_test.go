@@ -95,15 +95,16 @@ func (h *taskHost) SendReturn(_ *Machine, v uint64) error {
 // ErrSuspended out of RunMain with the listen loop's frames in place; each
 // Resume delivers a task id as accept's result and runs to the next accept,
 // and Resume(0) lets main return. The stack pointer, the frame stack and the
-// sampler's stack are back where they started once main has returned.
+// stack profile's current stack are back where they started once main has
+// returned.
 func TestAcceptSuspendsAndResumes(t *testing.T) {
 	mod := listenModule()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
 	m := bind(t, mod, CompileConfig{Name: "server", Spec: arch.ARM32()})
 	h := &taskHost{hostObserver: hostObserver{StdIO: NewStdIO(nil), m: m}}
 	m.Sys = h
-	s := NewSampler(0)
-	m.SetSampler(s)
+	s := NewSampler()
+	s.Attach(m)
 	sp := m.SP()
 	if _, err := m.RunMain(); !errors.Is(err, ErrSuspended) {
 		t.Fatalf("RunMain = %v, want ErrSuspended", err)
@@ -124,9 +125,9 @@ func TestAcceptSuspendsAndResumes(t *testing.T) {
 	if want := []uint64{31, 52}; len(h.results) != 2 || h.results[0] != want[0] || h.results[1] != want[1] {
 		t.Errorf("results %v, want %v", h.results, want)
 	}
-	if m.SP() != sp || len(m.frames) != 0 || len(m.regs) != 0 || len(s.stack) != 0 {
-		t.Errorf("after main: sp %#x (want %#x), %d frames, %d registers, sampler stack %v",
-			m.SP(), sp, len(m.frames), len(m.regs), s.stack)
+	if m.SP() != sp || len(m.frames) != 0 || len(m.regs) != 0 || s.cur != 0 {
+		t.Errorf("after main: sp %#x (want %#x), %d frames, %d registers, sampler stack node %d",
+			m.SP(), sp, len(m.frames), len(m.regs), s.cur)
 	}
 	if _, err := m.Resume(1); err == nil {
 		t.Error("Resume after main returned was accepted")

@@ -76,8 +76,13 @@ func (h *hookTrace) touch(pn uint32) {
 	}
 }
 
+// EnterFunc and ExitFunc log an extern's entry and exit, which open no
+// region: an extern has no blocks and touches pages on its caller's behalf.
 func (h *hookTrace) EnterFunc(m *Machine, f *ir.Func) {
 	h.add("enter", f.Nam)
+	if f.IsExtern() {
+		return
+	}
 	if h.inner[f] == nil {
 		cfg, err := analysis.BuildCFG(f)
 		if err != nil {
@@ -98,6 +103,9 @@ func (h *hookTrace) EnterFunc(m *Machine, f *ir.Func) {
 
 func (h *hookTrace) ExitFunc(m *Machine, f *ir.Func) {
 	h.add("exit", f.Nam)
+	if f.IsExtern() {
+		return
+	}
 	for h.live[len(h.live)-1].loop != nil {
 		h.close()
 	}

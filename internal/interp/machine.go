@@ -74,9 +74,11 @@ type Machine struct {
 	IO  IOHost
 	Sys SysHost
 
-	// Listener, when set, observes calls and block transfers (profiler). The
-	// fast engine reports block transfers only from an instrumented program
-	// (see Instrumented); the reference engine reports them from any.
+	// Listener, when set, observes function entries and exits on both
+	// engines and from any program: guest calls and returns, externs, and a
+	// suspension at accept (entered there, exited at Resume). The fast engine
+	// reports block transfers only from an instrumented program (see
+	// Instrumented); the reference engine reports them from any.
 	Listener Listener
 
 	// ResolveFptr maps a stored function-pointer value to a callable
@@ -108,29 +110,24 @@ type Machine struct {
 	// reference engine's activations live on the Go stack; it pushes a
 	// record holding only the stack pointer to restore per activation, so
 	// one bound (maxCallDepth) counts both.
-	// While suspended is set the fast engine has returned out of its loop at
-	// accept with its frames in place (Resume).
+	// While suspended is set — to the accept extern — the fast engine has
+	// returned out of its loop at accept with its frames in place (Resume).
 	frames    []cframe
 	regs      []uint64
-	suspended bool
+	suspended *ir.Func
 
 	// rtlb/wtlb are the direct-mapped page caches of the memory fast path.
 	rtlb [tlbWays]tlbEntry
 	wtlb [tlbWays]tlbEntry
-
-	// sampler, when set via SetSampler, is the guest sampling profiler.
-	// It needs no instrumented program; every clock-advance site checks it
-	// with a nil-guarded boundary compare, and the fast loop settles its
-	// segment charges at every segment end while one is attached.
-	sampler *Sampler
 
 	sp      uint32
 	spFloor uint32
 }
 
 // Instrumented reports whether a Listener attached to this machine sees every
-// join point it names: always on the reference engine, on the fast engine
-// only when the program was compiled with CompileConfig.Instrument.
+// join point it names, block transfers included: always on the reference
+// engine, on the fast engine only when the program was compiled with
+// CompileConfig.Instrument. Function entries and exits it sees on any.
 func (m *Machine) Instrumented() bool {
 	return m.Engine == EngineRef || m.cc.instrument
 }
@@ -163,9 +160,6 @@ func (m *Machine) charge(op arch.Op, n int64, comp Component) {
 func (m *Machine) AddTime(d simtime.PS, comp Component) {
 	m.Clock += d
 	m.Comp[comp] += d
-	if s := m.sampler; s != nil && m.Clock >= s.next {
-		s.take(m.Clock)
-	}
 }
 
 // SP returns the current stack pointer.

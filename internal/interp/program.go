@@ -45,10 +45,11 @@ type CompileConfig struct {
 	// image. Only the mobile side does this; the server receives those
 	// pages via copy-on-demand.
 	InitUVAGlobals bool
-	// Instrument weaves the Listener's join points into the compiled code:
-	// a block-entry hook at every block's start pc. The profiler needs it;
-	// a plain program's streams carry no hook, so its machines cannot serve
-	// a Listener on the fast engine (Machine.Instrumented).
+	// Instrument weaves the Listener's block join points into the compiled
+	// code: a block-entry hook at every block's start pc. The §3.1 profiler
+	// needs it; a plain program reports calls, returns and externs to a
+	// Listener but no block transfer on the fast engine
+	// (Machine.Instrumented).
 	Instrument bool
 }
 

@@ -21,11 +21,9 @@ import (
 // down the interpreter's two's-complement arithmetic, shifts, conversions
 // and remainders by constants — the powers of two the fast engine masks
 // (cRemPow2) and the divisors it divides by — including math.MinInt64 and
-// the other extreme dividends. Each program also runs with a sampler
+// the other extreme dividends. Each program also runs with a stack profile
 // attached, where the fast engine must show the reference engine's clock
-// and steps and its sampler the same attribution. (Not the same number of
-// samples: the reference engine advances the clock an instruction at a time
-// and can tick twice where the fast engine's segment ticks once.)
+// and steps and its profile the same attribution.
 func TestRandomIntExpressionsMatchGo(t *testing.T) {
 	specs := []*arch.Spec{arch.ARM32(), arch.X8664(), arch.POWER32BE()}
 	check := func(ops []uint8, a, b int64) bool {
@@ -34,18 +32,18 @@ func TestRandomIntExpressionsMatchGo(t *testing.T) {
 		for _, spec := range specs {
 			work := mod.Clone("run")
 			ir.Lower(work, spec, spec)
-			for _, sampled := range []bool{false, true} {
+			for _, profiled := range []bool{false, true} {
 				var runs [2]exprRun
 				for i, eng := range []Engine{EngineFast, EngineRef} {
-					runs[i] = runExpr(t, work, spec, eng, sampled, uint64(a), uint64(b))
+					runs[i] = runExpr(t, work, spec, eng, profiled, uint64(a), uint64(b))
 					if runs[i].err != nil || int64(runs[i].v) != want {
-						t.Logf("ops=%v a=%d b=%d: %s/%s sampled=%v got %d (%v), want %d",
-							ops, a, b, spec.Name, eng, sampled, int64(runs[i].v), runs[i].err, want)
+						t.Logf("ops=%v a=%d b=%d: %s/%s profiled=%v got %d (%v), want %d",
+							ops, a, b, spec.Name, eng, profiled, int64(runs[i].v), runs[i].err, want)
 						return false
 					}
 				}
 				if runs[0] != runs[1] {
-					t.Logf("ops=%v a=%d b=%d: %s sampled=%v: fast %+v, ref %+v", ops, a, b, spec.Name, sampled, runs[0], runs[1])
+					t.Logf("ops=%v a=%d b=%d: %s profiled=%v: fast %+v, ref %+v", ops, a, b, spec.Name, profiled, runs[0], runs[1])
 					return false
 				}
 			}
@@ -87,14 +85,13 @@ type exprRun struct {
 }
 
 // runExpr calls expr(a, b) on a fresh machine of the given engine, with a
-// 3 ns sampler attached when sampled — shorter than most segments, so
-// nearly every segment end ticks.
-func runExpr(t *testing.T, work *ir.Module, spec *arch.Spec, eng Engine, sampled bool, a, b uint64) exprRun {
+// stack profile attached when profiled.
+func runExpr(t *testing.T, work *ir.Module, spec *arch.Spec, eng Engine, profiled bool, a, b uint64) exprRun {
 	m := bind(t, work, CompileConfig{Name: "prop", Spec: spec}, WithEngine(eng))
 	var s *Sampler
-	if sampled {
-		s = NewSampler(3 * simtime.Nanosecond)
-		m.SetSampler(s)
+	if profiled {
+		s = NewSampler()
+		s.Attach(m)
 	}
 	var r exprRun
 	r.v, r.err = m.CallFunc(work.Func("expr"), a, b)
@@ -242,9 +239,9 @@ func TestRandomFloatExpressionsMatchGo(t *testing.T) {
 // width at each page offset from 4080 to 4095 on both engines — the fast
 // engine's one 8-byte store shape up to offset 4088, the byte-exact store
 // and page-straddling accesses beyond — and checks that no byte around the
-// stored ones changed; and runs all of it again with a sampler attached,
-// where the fast engine must show the reference engine's clock and the
-// sampler the same attribution.
+// stored ones changed; and runs all of it again with a stack profile
+// attached, where the fast engine must show the reference engine's clock and
+// the profile the same attribution.
 func TestMemoryRoundTripAllWidths(t *testing.T) {
 	type cse struct {
 		t    ir.Type
@@ -287,10 +284,10 @@ func TestMemoryRoundTripAllWidths(t *testing.T) {
 			}
 		}
 	}
-	for _, sampled := range []bool{false, true} {
-		fast := pageEndStores(t, EngineFast, sampled)
-		if ref := pageEndStores(t, EngineRef, sampled); fast != ref {
-			t.Errorf("page-end stores (sampled=%v): fast %+v, ref %+v", sampled, fast, ref)
+	for _, profiled := range []bool{false, true} {
+		fast := pageEndStores(t, EngineFast, profiled)
+		if ref := pageEndStores(t, EngineRef, profiled); fast != ref {
+			t.Errorf("page-end stores (profiled=%v): fast %+v, ref %+v", profiled, fast, ref)
 		}
 	}
 }
@@ -300,8 +297,8 @@ func TestMemoryRoundTripAllWidths(t *testing.T) {
 // 4080 to 4095, twice per place: the first store fills the write page cache
 // and the second, of another value, hits it. buf holds a byte pattern first,
 // and every byte of it but the stored ones must keep it. put reaches the
-// store through a call, so a sampler sees two stacks.
-func pageEndStores(t *testing.T, eng Engine, sampled bool) exprRun {
+// store through a call, so a stack profile sees two stacks.
+func pageEndStores(t *testing.T, eng Engine, profiled bool) exprRun {
 	t.Helper()
 	spec := arch.ARM32()
 	widths := []*ir.IntType{ir.I8, ir.I16, ir.I32, ir.I64}
@@ -334,9 +331,9 @@ func pageEndStores(t *testing.T, eng Engine, sampled bool) exprRun {
 	ir.Lower(mod, spec, spec)
 	m := bind(t, mod, CompileConfig{Name: "pageend", Spec: spec}, WithEngine(eng))
 	var s *Sampler
-	if sampled {
-		s = NewSampler(3 * simtime.Nanosecond)
-		m.SetSampler(s)
+	if profiled {
+		s = NewSampler()
+		s.Attach(m)
 	}
 	base := m.GlobalAddr(mod.Global("buf"))
 	want := make([]byte, 3*mem.PageSize)

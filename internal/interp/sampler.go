@@ -6,166 +6,130 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/ir"
 	"repro/internal/simtime"
 )
 
-// Sampler is the guest sampling profiler: it snapshots the simulated call
-// stack every sampling period of *simulated* time and attributes the
-// elapsed interval to that stack, exactly like a wall-clock sampling
-// profiler attributes the period preceding each tick to the stack it
-// observes. Because the clock is simulated, the profile is perfectly
-// deterministic — two identical runs fold to identical output — and after
-// Flush the attributed total equals the machine's Clock to the picosecond.
+// Sampler is the guest stack profiler: a Listener that, at every function
+// entry and exit — externs and a server's suspension at accept included —
+// charges the simulated time since the previous one to the guest call stack
+// current until then. The profile is exact: a stack's weight is the
+// simulated time it was the current stack, so a function's self time is the
+// time it was on top. Because the clock is simulated, it is deterministic
+// and the same on both engines, and after Flush the charged total equals the
+// machine's Clock minus the clock at Attach to the picosecond.
 //
-// The stack is maintained at the interpreter's existing call/return points
-// on both engines (callRef, the fast engine's frame push and pop, callExtern,
-// and a suspended accept until its Resume), and ticks
-// are checked with a two-load guard at every clock-advance site, so a
-// machine without a sampler pays one predictable branch and the hot loop
-// stays 0 allocs/op.
+// The stacks are a call tree: an entry finds or adds the current node's
+// child for the callee, an exit moves to the parent, and a charge is one add
+// to the current node, so once every stack has been seen the profile
+// allocates nothing. It needs no instrumented program: both engines report
+// calls, returns and externs to any Listener.
 type Sampler struct {
-	period simtime.PS
-	next   simtime.PS // next sample boundary
-	last   simtime.PS // clock up to which time has been attributed
-
-	stack []string
-	key   []byte // scratch for the folded key join
-	// folded maps the joined stack key to its accumulated weight. The
-	// pointer indirection matters: map[string(bytes)] *lookups* are
-	// allocation-elided by the compiler but assignments are not, so the hot
-	// path reads the pointer with the scratch key and increments through
-	// it; the string is only materialized once, when a stack is first seen.
-	folded  map[string]*int64
-	samples int64
+	// nodes[0] is the root, the empty stack, charged as "(idle)".
+	nodes []stackNode
+	cur   int32      // the node of the current stack
+	last  simtime.PS // clock up to which time has been charged
 }
 
-// DefaultSamplePeriod is the sampling period used when NewSampler is given
-// period <= 0: one millisecond of simulated time, ~10^3 samples per
-// simulated second.
-const DefaultSamplePeriod = simtime.Millisecond
-
-// NewSampler creates a sampler with the given simulated-clock period
-// (DefaultSamplePeriod if period <= 0).
-func NewSampler(period simtime.PS) *Sampler {
-	if period <= 0 {
-		period = DefaultSamplePeriod
-	}
-	return &Sampler{period: period, folded: make(map[string]*int64)}
+// stackNode is one distinct call stack: the function on top, the node of
+// the stack beneath it (the root's is the root), its first child and next
+// sibling (0 for none: the root is nobody's child), and the time charged
+// while it was current.
+type stackNode struct {
+	fn                  *ir.Func
+	parent, child, next int32
+	weight              int64
 }
 
-// Period returns the sampling period.
-func (s *Sampler) Period() simtime.PS {
-	if s == nil {
-		return 0
-	}
-	return s.period
+// NewSampler creates a stack profiler; Attach it to a machine.
+func NewSampler() *Sampler {
+	return &Sampler{nodes: make([]stackNode, 1)}
 }
 
-// align positions the sampler on a machine clock: time before clock is
-// never attributed, and the first tick fires at the next period boundary.
-func (s *Sampler) align(clock simtime.PS) {
+// Attach makes s the machine's Listener, charging from its current Clock.
+// Frames live at that moment are not on s's stack: until the first of them
+// exits, time charges to the stacks entered since ("(idle)" for none), and
+// their exits, which have no matching entry, are ignored.
+func (s *Sampler) Attach(m *Machine) {
+	s.last = m.Clock
+	m.Listener = s
+}
+
+// charge adds [last, clock) to the current stack.
+func (s *Sampler) charge(clock simtime.PS) {
+	s.nodes[s.cur].weight += int64(clock - s.last)
 	s.last = clock
-	s.next = (clock/s.period + 1) * s.period
 }
 
-// push/pop maintain the simulated call stack. They are called from the
-// interpreters' call/return points only when a sampler is attached. At the
-// top-level boundary (empty stack becoming occupied, or the last frame
-// leaving) the pending interval is attributed first, so idle time between
-// top-level calls stays "(idle)" and a run's tail isn't misattributed
-// after the root frame has popped.
-func (s *Sampler) push(name string, clock simtime.PS) {
-	if len(s.stack) == 0 {
-		s.attribute(clock)
+// EnterFunc implements Listener: f's stack becomes the current one.
+func (s *Sampler) EnterFunc(m *Machine, f *ir.Func) {
+	s.charge(m.Clock)
+	c := s.nodes[s.cur].child
+	for c != 0 && s.nodes[c].fn != f {
+		c = s.nodes[c].next
 	}
-	s.stack = append(s.stack, name)
+	if c == 0 {
+		c = int32(len(s.nodes))
+		s.nodes = append(s.nodes, stackNode{fn: f, parent: s.cur, next: s.nodes[s.cur].child})
+		s.nodes[s.cur].child = c
+	}
+	s.cur = c
 }
 
-func (s *Sampler) pop(clock simtime.PS) {
-	if len(s.stack) == 1 {
-		s.attribute(clock)
-	}
-	s.stack = s.stack[:len(s.stack)-1]
+// ExitFunc implements Listener: the caller's stack becomes the current one.
+// The root is its own parent, so an exit with no matching entry leaves the
+// empty stack current.
+func (s *Sampler) ExitFunc(m *Machine, _ *ir.Func) {
+	s.charge(m.Clock)
+	s.cur = s.nodes[s.cur].parent
 }
 
-// take fires one sample: the interval since the last attribution is
-// charged to the current stack, and the next boundary moves past clock. A
-// single large clock advance (a network wait crossing many boundaries)
-// attributes once — the weights are simulated picoseconds, not tick
-// counts, so nothing is lost.
-func (s *Sampler) take(clock simtime.PS) {
-	s.attribute(clock)
-	s.next = (clock/s.period + 1) * s.period
-}
+// EnterBlock implements Listener; block transfers charge nothing.
+func (*Sampler) EnterBlock(*Machine, *ir.Func, *ir.Block) {}
 
-// attribute charges [last, clock) to the current stack.
-func (s *Sampler) attribute(clock simtime.PS) {
-	d := clock - s.last
-	if d <= 0 {
-		return
-	}
-	s.last = clock
-	s.samples++
-	s.key = s.key[:0]
-	for i, f := range s.stack {
-		if i > 0 {
-			s.key = append(s.key, ';')
-		}
-		s.key = append(s.key, f...)
-	}
-	if len(s.stack) == 0 {
-		s.key = append(s.key, "(idle)"...)
-	}
-	p := s.folded[string(s.key)]
-	if p == nil {
-		p = new(int64)
-		s.folded[string(s.key)] = p
-	}
-	*p += int64(d)
-}
-
-// Flush attributes the tail interval up to clock, making Total() equal the
-// machine's Clock exactly. Call it once after the run. Safe on nil.
+// Flush charges the tail interval up to clock, making Total() equal the
+// machine's Clock minus the clock at Attach. Call it once after the run.
+// Safe on nil.
 func (s *Sampler) Flush(clock simtime.PS) {
 	if s == nil {
 		return
 	}
-	s.attribute(clock)
-	if s.next <= clock {
-		s.next = (clock/s.period + 1) * s.period
-	}
+	s.charge(clock)
 }
 
-// Samples returns how many attribution ticks fired. Safe on nil.
-func (s *Sampler) Samples() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.samples
-}
-
-// Total returns the attributed simulated time in picoseconds; after Flush
-// it equals the machine's final Clock minus the clock at attachment. Safe
-// on nil.
+// Total returns the charged simulated time in picoseconds; after Flush it
+// equals the machine's final Clock minus the clock at Attach. Safe on nil.
 func (s *Sampler) Total() int64 {
 	if s == nil {
 		return 0
 	}
 	var sum int64
-	for _, w := range s.folded {
-		sum += *w
+	for _, n := range s.nodes {
+		sum += n.weight
 	}
 	return sum
 }
 
-// stacks returns the folded stack keys, sorted (deterministic iteration).
-func (s *Sampler) stacks() []string {
-	keys := make([]string, 0, len(s.folded))
-	for k := range s.folded {
-		keys = append(keys, k)
+// folded returns the weight of every stack charged any time, by its folded
+// key ("frame;frame;frame"). A node's parent precedes it in nodes, so its
+// key is built before the node's own.
+func (s *Sampler) folded() map[string]int64 {
+	keys := make([]string, len(s.nodes))
+	out := make(map[string]int64)
+	for i, n := range s.nodes {
+		switch {
+		case i == 0:
+			keys[i] = "(idle)"
+		case n.parent == 0:
+			keys[i] = n.fn.Nam
+		default:
+			keys[i] = keys[n.parent] + ";" + n.fn.Nam
+		}
+		if n.weight > 0 {
+			out[keys[i]] += n.weight
+		}
 	}
-	sort.Strings(keys)
-	return keys
+	return out
 }
 
 // WriteFolded writes the profile in folded-stack flamegraph format (one
@@ -177,12 +141,18 @@ func (s *Sampler) WriteFolded(w io.Writer, root string) error {
 	if s == nil {
 		return nil
 	}
-	for _, k := range s.stacks() {
+	folded := s.folded()
+	keys := make([]string, 0, len(folded))
+	for k := range folded {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
 		var err error
 		if root != "" {
-			_, err = fmt.Fprintf(w, "%s;%s %d\n", root, k, *s.folded[k])
+			_, err = fmt.Fprintf(w, "%s;%s %d\n", root, k, folded[k])
 		} else {
-			_, err = fmt.Fprintf(w, "%s %d\n", k, *s.folded[k])
+			_, err = fmt.Fprintf(w, "%s %d\n", k, folded[k])
 		}
 		if err != nil {
 			return err
@@ -201,9 +171,9 @@ func (s *Sampler) Folded() string {
 	return sb.String()
 }
 
-// FuncStat is one function's profile line: self time (samples with the
-// function on top) and cumulative time (samples with it anywhere on the
-// stack, counted once per stack for recursion).
+// FuncStat is one function's profile line: self time (with the function on
+// top of the stack) and cumulative time (with it anywhere on the stack,
+// counted once per stack for recursion).
 type FuncStat struct {
 	Name   string
 	SelfPS int64
@@ -219,14 +189,14 @@ func (s *Sampler) TopFuncs() []FuncStat {
 	}
 	self := make(map[string]int64)
 	cum := make(map[string]int64)
-	for k, w := range s.folded {
+	for k, w := range s.folded() {
 		frames := strings.Split(k, ";")
-		self[frames[len(frames)-1]] += *w
+		self[frames[len(frames)-1]] += w
 		seen := make(map[string]bool, len(frames))
 		for _, f := range frames {
 			if !seen[f] {
 				seen[f] = true
-				cum[f] += *w
+				cum[f] += w
 			}
 		}
 	}
@@ -245,21 +215,3 @@ func (s *Sampler) TopFuncs() []FuncStat {
 	})
 	return out
 }
-
-// SetSampler attaches (or, with nil, detaches) a sampling profiler to the
-// machine. Attribution starts at the machine's current Clock. Unlike a
-// profiling Listener, a sampler needs no instrumented program; it works on
-// both engines and keeps the fast engine's hot loop allocation-free. Attach
-// it between top-level calls: the fast engine looks for a sampler when a
-// function activation begins, and one already running keeps deferring its
-// segment charges, so its ticks would land at its next call, return or
-// page-cache miss instead of at each segment end.
-func (m *Machine) SetSampler(s *Sampler) {
-	m.sampler = s
-	if s != nil {
-		s.align(m.Clock)
-	}
-}
-
-// Sampler returns the attached sampling profiler (nil when detached).
-func (m *Machine) Sampler() *Sampler { return m.sampler }

@@ -148,7 +148,7 @@ const fusedStoreIndex = 1024
 
 // TestPlainMachineObserversMatchReferenceEngine is the contract deferred
 // settling leans on: on an uninstrumented fast machine with no Listener,
-// Touch observer or sampler — the configuration that defers — every call out
+// Touch observer — the configuration that defers — every call out
 // of the engine into host code (the mem.Fault handler, IOHost.Write, each
 // SysHost service) must find the Clock, Steps and Comp the reference engine
 // shows at the same call, over the seeded random programs, the trapping
@@ -258,7 +258,7 @@ func TestSegmentChargeOnLastInstruction(t *testing.T) {
 				steps += int64(in.steps)
 				switch in.op {
 				case cAlloca, cLoad, cLoadF32, cLoadSlow, cStoreInt, cStoreF32, cStoreSlow, cStoreIntBr,
-					cDiv, cRem, cRemPow2, cCall, cCallInd, cBr, cCondBr, cRet, cTrap:
+					cDiv, cRem, cCall, cCallInd, cBr, cCondBr, cRet, cTrap:
 					if in.steps == 0 {
 						t.Errorf("%s pc %d: segment-ending op %d carries no charge", f.Nam, i, in.op)
 					}

@@ -403,10 +403,11 @@ func (p *Profiler) EnterFunc(m *interp.Machine, f *ir.Func) {
 	p.regionOpened(m)
 }
 
-// ExitFunc implements interp.Listener.
+// ExitFunc implements interp.Listener. An extern's exit closes nothing:
+// EnterFunc opened no activation for it.
 func (p *Profiler) ExitFunc(m *interp.Machine, f *ir.Func) {
 	n := len(p.stack)
-	if n == 0 {
+	if n == 0 || f.IsExtern() {
 		return
 	}
 	act := &p.stack[n-1]
